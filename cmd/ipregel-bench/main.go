@@ -44,7 +44,7 @@ func run(args []string, out io.Writer) error {
 		steal   = fs.Bool("steal", false, "work-stealing shard scheduler (with -shards > 1)")
 		quick   = fs.Bool("quick", false, "fewer repetitions and smaller sweeps")
 		backend = fs.String("graph-backend", "flat", "adjacency storage for experiment graphs: flat | compressed | mmap")
-		dirFlag = fs.String("direction", "push", "message transport for every iPregel engine: push | pull | adaptive (pull-combiner cells keep their legacy transport)")
+		dirFlag = fs.String("direction", "push", "message transport for every iPregel engine: push | pull | adaptive (pull-combiner cells are all-pull already)")
 		rounds  = fs.Int("pagerank-rounds", 0, "PageRank iterations (default 30, as in the paper)")
 		csvDir  = fs.String("csv", "", "also write figure data series as CSV files into this directory")
 		telAddr = fs.String("telemetry", "", "serve live /metrics, expvar and /debug/pprof on this address (e.g. :8080) while experiments run")

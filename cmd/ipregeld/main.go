@@ -127,7 +127,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		return err
 	}
 	// In-edges are loaded whenever any job could run a pull-direction
-	// superstep: the legacy all-pull combiner, a pull/adaptive template
+	// superstep: the pull combiner, a pull/adaptive template
 	// default, or per-job params.direction overrides (which need the
 	// template to opt in via -direction).
 	needIn := comb == core.CombinerPull || dir != core.DirectionPush

@@ -36,7 +36,6 @@ func pushVersions() []core.Config {
 func allVersionsChecked() []core.Config {
 	vs := core.AllVersions()
 	for i := range vs {
-		vs[i].CheckBypass = true
 		vs[i].CheckInvariants = true
 		vs[i].Threads = 3
 	}
@@ -260,7 +259,7 @@ func TestAddressingModesAgree(t *testing.T) {
 	// Desolate memory combined with the pull combiner: the collect phase
 	// must translate between shifted slots and graph indices correctly.
 	for _, bypass := range []bool{false, true} {
-		got, _, err := SSSP(g, core.Config{Addressing: core.AddressDesolate, Combiner: core.CombinerPull, SelectionBypass: bypass, CheckBypass: bypass}, 2)
+		got, _, err := SSSP(g, core.Config{Addressing: core.AddressDesolate, Combiner: core.CombinerPull, SelectionBypass: bypass, CheckInvariants: bypass}, 2)
 		if err != nil {
 			t.Fatalf("desolate+pull bypass=%v: %v", bypass, err)
 		}

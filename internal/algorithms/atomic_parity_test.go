@@ -64,7 +64,6 @@ func TestAtomicCombinerSSSPParity(t *testing.T) {
 			for _, bypass := range []bool{false, true} {
 				cfg := cfg
 				cfg.SelectionBypass = bypass
-				cfg.CheckBypass = bypass
 				cfg.CheckInvariants = true
 				got, _, err := SSSP(g, cfg, 2)
 				if err != nil {

@@ -106,7 +106,7 @@ func TestBackendParitySSSP(t *testing.T) {
 		variants := backendVariants(t, gname, g)
 		for _, cfg := range backendParityConfigs() {
 			cfg.SelectionBypass = true
-			cfg.CheckBypass = true
+			cfg.CheckInvariants = true
 			var wantVals []uint32
 			var wantFP string
 			for _, v := range variants {
@@ -362,26 +362,30 @@ func TestBackendParityAdaptiveResume(t *testing.T) {
 func TestBackendParityPull(t *testing.T) {
 	for gname, g := range backendParityGraphs() {
 		variants := backendVariants(t, gname, g)
-		cfg := core.Config{Combiner: core.CombinerPull, Threads: 4, CheckInvariants: true}
+		// One oracle per graph: the lock-free inbox is held to the same
+		// values and fingerprint on every backend AND every shard layout.
 		var wantVals []uint32
 		var wantFP string
-		for _, v := range variants {
-			got, rep, err := SSSP(v.g, cfg, 2)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, cellName(cfg, v.name), err)
-			}
-			fp := rep.Fingerprint()
-			if v.name == "flat" {
-				wantVals, wantFP = got, fp
-				continue
-			}
-			if fp != wantFP {
-				t.Fatalf("%s/%s: report fingerprint diverged from flat:\ngot:\n%s\nwant:\n%s",
-					gname, cellName(cfg, v.name), fp, wantFP)
-			}
-			for i := range wantVals {
-				if got[i] != wantVals[i] {
-					t.Fatalf("%s/%s: dist[%d] = %d, flat %d", gname, cellName(cfg, v.name), i, got[i], wantVals[i])
+		for _, shards := range []int{0, 4} {
+			cfg := core.Config{Combiner: core.CombinerPull, Threads: 4, Shards: shards, CheckInvariants: true}
+			for _, v := range variants {
+				got, rep, err := SSSP(v.g, cfg, 2)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", gname, cellName(cfg, v.name), err)
+				}
+				fp := rep.Fingerprint()
+				if wantVals == nil {
+					wantVals, wantFP = got, fp
+					continue
+				}
+				if fp != wantFP {
+					t.Fatalf("%s/%s: report fingerprint diverged from flat:\ngot:\n%s\nwant:\n%s",
+						gname, cellName(cfg, v.name), fp, wantFP)
+				}
+				for i := range wantVals {
+					if got[i] != wantVals[i] {
+						t.Fatalf("%s/%s: dist[%d] = %d, flat %d", gname, cellName(cfg, v.name), i, got[i], wantVals[i])
+					}
 				}
 			}
 		}

@@ -162,7 +162,6 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 		for vi, cfg := range core.AllVersions() {
 			cfg.Threads = 1 + vi%3
 			cfg.Schedule = core.Schedule(vi % 2)
-			cfg.CheckBypass = cfg.SelectionBypass
 			cfg.CheckInvariants = true
 			e, _, err := core.Run(g, cfg, potentialProgram(seed))
 			if err != nil {
@@ -185,7 +184,6 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 			{Combiner: core.CombinerMutex, SenderCombining: true, SelectionBypass: true},
 		} {
 			cfg.Threads = 2 + vi%3
-			cfg.CheckBypass = cfg.SelectionBypass
 			cfg.CheckInvariants = true
 			e, _, err := core.Run(g, cfg, potentialProgram(seed))
 			if err != nil {

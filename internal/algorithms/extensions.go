@@ -123,7 +123,7 @@ func Reach64(g *graph.Graph, cfg core.Config, seeds []graph.VertexID) ([]uint64,
 // edge direction too. Each vertex's label is the smallest external
 // identifier in its weak component.
 func WCC(g *graph.Graph, cfg core.Config) ([]uint32, core.Report, error) {
-	// Pull-direction supersteps (the deprecated CombinerPull alias, or any
+	// Pull-direction supersteps (CombinerPull, or any
 	// Config.Direction that can pick pull) collect from in-neighbours, so
 	// the symmetrized graph needs in-edges.
 	needIn := cfg.Combiner == core.CombinerPull || cfg.Direction != core.DirectionPush

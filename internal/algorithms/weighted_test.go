@@ -30,7 +30,7 @@ func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 		{Combiner: core.CombinerMutex},
 		{Combiner: core.CombinerSpin},
 		{Combiner: core.CombinerMutex, SelectionBypass: true},
-		{Combiner: core.CombinerSpin, SelectionBypass: true, CheckBypass: true, CheckInvariants: true},
+		{Combiner: core.CombinerSpin, SelectionBypass: true, CheckInvariants: true},
 		{Combiner: core.CombinerSpin, Addressing: core.AddressHashmap},
 	} {
 		cfg.Threads = 3

@@ -195,9 +195,9 @@ func (o *Options) engineConfig(cfg core.Config) core.Config {
 		cfg.OverlapDelivery = o.Overlap
 		cfg.WorkStealing = o.Steal
 	}
-	// The legacy pull combiner IS a direction; overriding it with the
-	// engine-level Direction would construct-error, so only the push
-	// combiners take the sweep-wide override.
+	// The pull combiner fixes the direction to pull (adaptive would be a
+	// construction error), so only the other combiners take the
+	// sweep-wide override.
 	if o.Direction != core.DirectionPush && cfg.Combiner != core.CombinerPull {
 		cfg.Direction = o.Direction
 	}

@@ -141,10 +141,10 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(vc.Size()))
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(mc.Size()))
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(aggs)))
-	// hdr[28:32] is the shard count: 0 marks the flat single-shard
-	// layout (byte-identical to checkpoints written before sharding
-	// existed), ≥2 the per-shard section layout (a topology section,
-	// then one values/activity/mailbox section triplet per shard).
+	// hdr[28:32] is the shard count: 0 marks the one-shard layout (one
+	// values/activity/mailbox section triplet, byte-identical to
+	// checkpoints written before sharding existed), ≥2 the multi-shard
+	// layout (a topology section, then one triplet per shard).
 	if e.nShards > 1 {
 		binary.LittleEndian.PutUint32(hdr[28:], uint32(e.nShards))
 	}
@@ -166,95 +166,25 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 		return writeU32(bw, cw.crc)
 	}
 
-	if e.nShards > 1 {
-		if err := e.writeShardSections(section, vc, mc); err != nil {
-			return err
-		}
-	} else {
-		// Values.
-		vsize := vc.Size()
-		if err := section(uint64(e.slots)*uint64(vsize), func(cw *crcWriter) error {
-			vbuf := make([]byte, vsize)
-			for slot := 0; slot < e.slots; slot++ {
-				vc.Encode(vbuf, e.values[slot])
-				if _, err := cw.Write(vbuf); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-
-		// Activity flags.
-		if err := section(uint64(len(e.active)), func(cw *crcWriter) error {
-			_, err := cw.Write(e.active)
-			return err
-		}); err != nil {
-			return err
-		}
-
-		// Mailboxes: one flag byte per slot, the message payload after each
-		// set flag. The length is computed from a pre-scan so the reader can
-		// bound its work before parsing.
-		msize := mc.Size()
-		occupied := 0
-		for slot := 0; slot < e.slots; slot++ {
-			if _, ok := e.mb.peek(slot); ok {
-				occupied++
-			}
-		}
-		if err := section(uint64(e.slots)+uint64(occupied)*uint64(msize), func(cw *crcWriter) error {
-			mbuf := make([]byte, msize)
-			for slot := 0; slot < e.slots; slot++ {
-				m, ok := e.mb.peek(slot)
-				if !ok {
-					if _, err := cw.Write([]byte{0}); err != nil {
-						return err
-					}
-					continue
-				}
-				if _, err := cw.Write([]byte{1}); err != nil {
-					return err
-				}
-				mc.Encode(mbuf, m)
-				if _, err := cw.Write(mbuf); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
+	if err := e.writeShardSections(section, vc, mc); err != nil {
+		return err
 	}
 
-	// Bypass frontier, always in global slots: a sharded engine
-	// translates its per-shard local frontiers through the partitioner,
-	// so the section's meaning is layout-independent.
-	frontierLen := uint64(len(e.frontier))
-	if e.nShards > 1 {
-		frontierLen = 0
-		for _, sh := range e.shards {
-			frontierLen += uint64(len(sh.frontier))
-		}
+	// Bypass frontier, always in global slots: the per-shard local
+	// frontiers are translated on the way out, so the section's meaning
+	// is layout-independent.
+	var frontierLen uint64
+	for _, sh := range e.shards {
+		frontierLen += uint64(len(sh.frontier))
 	}
 	if err := section(frontierLen*4, func(cw *crcWriter) error {
 		var sbuf [4]byte
-		if e.nShards > 1 {
-			for s, sh := range e.shards {
-				for _, local := range sh.frontier {
-					binary.LittleEndian.PutUint32(sbuf[:], uint32(e.part.globalOf(s, int(local))))
-					if _, err := cw.Write(sbuf[:]); err != nil {
-						return err
-					}
+		for _, sh := range e.shards {
+			for _, local := range sh.frontier {
+				binary.LittleEndian.PutUint32(sbuf[:], uint32(sh.global(local)))
+				if _, err := cw.Write(sbuf[:]); err != nil {
+					return err
 				}
-			}
-			return nil
-		}
-		for _, slot := range e.frontier {
-			binary.LittleEndian.PutUint32(sbuf[:], uint32(slot))
-			if _, err := cw.Write(sbuf[:]); err != nil {
-				return err
 			}
 		}
 		return nil
@@ -290,27 +220,29 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	return bw.Flush()
 }
 
-// writeShardSections writes the sharded v2 body: a topology section (the
-// partition kind and every shard's local slot count, so restore can
-// reject a shard-layout mismatch before parsing state), then one
-// values/activity/mailbox section triplet per shard in local-slot order.
-// Each section is CRC-sealed independently, so corruption is localised
-// to a shard at restore time.
+// writeShardSections writes the v2 body: with more than one shard a
+// topology section (the partition kind and every shard's local slot
+// count, so restore can reject a shard-layout mismatch before parsing
+// state), then one values/activity/mailbox section triplet per shard in
+// local-slot order. Each section is CRC-sealed independently, so
+// corruption is localised to a shard at restore time.
 func (e *Engine[V, M]) writeShardSections(section func(length uint64, body func(cw *crcWriter) error) error, vc Codec[V], mc Codec[M]) error {
-	if err := section(1+8*uint64(e.nShards), func(cw *crcWriter) error {
-		if _, err := cw.Write([]byte{byte(e.cfg.Partition)}); err != nil {
-			return err
-		}
-		var b [8]byte
-		for s := 0; s < e.nShards; s++ {
-			binary.LittleEndian.PutUint64(b[:], uint64(e.part.localSlots(s)))
-			if _, err := cw.Write(b[:]); err != nil {
+	if e.nShards > 1 {
+		if err := section(1+8*uint64(e.nShards), func(cw *crcWriter) error {
+			if _, err := cw.Write([]byte{byte(e.cfg.Partition)}); err != nil {
 				return err
 			}
+			var b [8]byte
+			for s := 0; s < e.nShards; s++ {
+				binary.LittleEndian.PutUint64(b[:], uint64(e.part.localSlots(s)))
+				if _, err := cw.Write(b[:]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
 
 	vsize, msize := vc.Size(), mc.Size()
@@ -335,9 +267,12 @@ func (e *Engine[V, M]) writeShardSections(section func(length uint64, body func(
 		}); err != nil {
 			return err
 		}
+		// Mailboxes: one flag byte per slot, the message payload after
+		// each set flag. The length is computed from a pre-scan so the
+		// reader can bound its work before parsing.
 		occupied := 0
 		for local := 0; local < localN; local++ {
-			if _, ok := sh.mb.peek(local); ok {
+			if sh.mb.hasCurrent(local) {
 				occupied++
 			}
 		}
@@ -364,62 +299,6 @@ func (e *Engine[V, M]) writeShardSections(section func(length uint64, body func(
 		}
 	}
 	return nil
-}
-
-// writeCheckpointV1 writes the legacy format (no integrity data, no
-// aggregator section). Kept for the Restore compatibility tests and the
-// v1 fuzz seeds; new checkpoints are always v2.
-func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(checkpointMagicV1[:]); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(e.superstep))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.slots))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	vbuf := make([]byte, vc.Size())
-	for slot := 0; slot < e.slots; slot++ {
-		vc.Encode(vbuf, e.values[slot])
-		if _, err := bw.Write(vbuf); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(e.active); err != nil {
-		return err
-	}
-	mbuf := make([]byte, mc.Size())
-	for slot := 0; slot < e.slots; slot++ {
-		m, ok := e.mb.peek(slot)
-		if !ok {
-			if err := bw.WriteByte(0); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := bw.WriteByte(1); err != nil {
-			return err
-		}
-		mc.Encode(mbuf, m)
-		if _, err := bw.Write(mbuf); err != nil {
-			return err
-		}
-	}
-	var flen [8]byte
-	binary.LittleEndian.PutUint64(flen[:], uint64(len(e.frontier)))
-	if _, err := bw.Write(flen[:]); err != nil {
-		return err
-	}
-	var sbuf [4]byte
-	for _, slot := range e.frontier {
-		binary.LittleEndian.PutUint32(sbuf[:], uint32(slot))
-		if _, err := bw.Write(sbuf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // Restore rebuilds an engine from a checkpoint taken with the same graph,
@@ -488,16 +367,12 @@ func (e *Engine[V, M]) restoreFrontier(frontier []int32, cfg Config) error {
 		}
 		seen[slot] = 1
 	}
-	if e.nShards > 1 {
-		// Scatter the global entries into the owning shards' local
-		// frontiers; the compute phase consumes them per shard.
-		for _, slot := range frontier {
-			s, local := e.part.locate(int(slot))
-			e.shards[s].frontier = append(e.shards[s].frontier, int32(local))
-		}
-		return nil
+	// Scatter the global entries into the owning shards' local
+	// frontiers; the compute phase consumes them per shard.
+	for _, slot := range frontier {
+		sh, local := e.slotShard(int(slot))
+		sh.frontier = append(sh.frontier, int32(local))
 	}
-	e.frontier = frontier
 	return nil
 }
 
@@ -518,22 +393,18 @@ func restoreV1[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 		if _, err := io.ReadFull(br, vbuf); err != nil {
 			return nil, fmt.Errorf("core: checkpoint values: %w", err)
 		}
-		e.setValueAt(slot, vc.Decode(vbuf))
+		sh, local := e.slotShard(slot)
+		sh.values[local] = vc.Decode(vbuf)
 	}
-	// v1 predates sharding and stores activity in global slot order; a
-	// sharded engine scatters the flags through the partitioner.
-	if e.nShards == 1 {
-		if _, err := io.ReadFull(br, e.active); err != nil {
-			return nil, fmt.Errorf("core: checkpoint activity: %w", err)
-		}
-	} else {
-		abuf := make([]byte, e.slots)
-		if _, err := io.ReadFull(br, abuf); err != nil {
-			return nil, fmt.Errorf("core: checkpoint activity: %w", err)
-		}
-		for slot, a := range abuf {
-			e.setActiveAt(slot, a)
-		}
+	// v1 predates sharding and stores activity in global slot order; the
+	// flags are scattered to their owning shards.
+	abuf := make([]byte, e.slots)
+	if _, err := io.ReadFull(br, abuf); err != nil {
+		return nil, fmt.Errorf("core: checkpoint activity: %w", err)
+	}
+	for slot, a := range abuf {
+		sh, local := e.slotShard(slot)
+		sh.active[local] = a
 	}
 	mbuf := make([]byte, mc.Size())
 	for slot := 0; slot < e.slots; slot++ {
@@ -547,7 +418,8 @@ func restoreV1[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 		if _, err := io.ReadFull(br, mbuf); err != nil {
 			return nil, fmt.Errorf("core: checkpoint mailboxes: %w", err)
 		}
-		e.restoreCurrentAt(slot, mc.Decode(mbuf))
+		sh, local := e.slotShard(slot)
+		sh.mb.restoreCurrent(local, mc.Decode(mbuf))
 	}
 	var flen [8]byte
 	if _, err := io.ReadFull(br, flen[:]); err != nil {
@@ -631,70 +503,6 @@ func (s *sectionReader) close(name string) error {
 	return nil
 }
 
-// readFlatSections reads the single-shard v2 body: one values, activity
-// and mailbox section over the flat global slot space.
-func readFlatSections[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Codec[M]) error {
-	vsize := uint64(vc.Size())
-	msize := uint64(mc.Size())
-
-	// Values: exact length.
-	want := uint64(e.slots) * vsize
-	sec, err := openSection(br, "values", want, want)
-	if err != nil {
-		return err
-	}
-	vbuf := make([]byte, vc.Size())
-	for slot := 0; slot < e.slots; slot++ {
-		if err := sec.Read(vbuf); err != nil {
-			return fmt.Errorf("core: checkpoint values: %w", err)
-		}
-		e.values[slot] = vc.Decode(vbuf)
-	}
-	if err := sec.close("values"); err != nil {
-		return err
-	}
-
-	// Activity flags: exact length.
-	want = uint64(e.slots)
-	if sec, err = openSection(br, "activity", want, want); err != nil {
-		return err
-	}
-	if err := sec.Read(e.active); err != nil {
-		return fmt.Errorf("core: checkpoint activity: %w", err)
-	}
-	if err := sec.close("activity"); err != nil {
-		return err
-	}
-	for slot, a := range e.active {
-		if a > 1 {
-			return fmt.Errorf("core: checkpoint activity flag %d at slot %d (corrupt)", a, slot)
-		}
-	}
-
-	// Mailboxes: between "all empty" and "all occupied".
-	if sec, err = openSection(br, "mailbox", uint64(e.slots), uint64(e.slots)*(1+msize)); err != nil {
-		return err
-	}
-	mbuf := make([]byte, mc.Size())
-	for slot := 0; slot < e.slots; slot++ {
-		flag, err := sec.ReadByte()
-		if err != nil {
-			return fmt.Errorf("core: checkpoint mailboxes: %w", err)
-		}
-		switch flag {
-		case 0:
-		case 1:
-			if err := sec.Read(mbuf); err != nil {
-				return fmt.Errorf("core: checkpoint mailboxes: %w", err)
-			}
-			e.mb.restoreCurrent(slot, mc.Decode(mbuf))
-		default:
-			return fmt.Errorf("core: checkpoint mailbox flag %d at slot %d (corrupt)", flag, slot)
-		}
-	}
-	return sec.close("mailbox")
-}
-
 // readShardTopology validates the sharded checkpoint's shard layout
 // against the engine's: same partition kind, same per-shard slot
 // counts. A mismatch means the checkpoint was taken under a different
@@ -726,7 +534,8 @@ func readShardTopology[V, M any](e *Engine[V, M], br *bufio.Reader) error {
 }
 
 // readShardSections reads one values/activity/mailbox triplet per shard,
-// in local-slot order — the sharded counterpart of readFlatSections.
+// in local-slot order: values and activity flags of exact length, the
+// mailbox section between "all empty" and "all occupied".
 func readShardSections[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Codec[M]) error {
 	vsize := uint64(vc.Size())
 	msize := uint64(mc.Size())
@@ -838,10 +647,8 @@ func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 		if err := readShardTopology(e, br); err != nil {
 			return nil, err
 		}
-		if err := readShardSections(e, br, vc, mc); err != nil {
-			return nil, err
-		}
-	} else if err := readFlatSections(e, br, vc, mc); err != nil {
+	}
+	if err := readShardSections(e, br, vc, mc); err != nil {
 		return nil, err
 	}
 

@@ -9,7 +9,21 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/checkpoint_v2.golden from the current writer")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/checkpoint_v2*.golden fixtures from the current writer")
+
+// goldenCases are the pinned layouts: the one-shard file (shard field 0,
+// one section triplet — the format checkpoints had before sharding) and
+// a 4-shard file (topology section, one triplet per shard). Both
+// fixtures were written by the engine as it stood before the flat and
+// sharded checkpoint bodies were merged into one, so they double as the
+// cross-version restore proof.
+var goldenCases = []struct {
+	name, path string
+	shards     int
+}{
+	{"flat", "testdata/checkpoint_v2.golden", 0},
+	{"shards4", "testdata/checkpoint_v2_shards4.golden", 4},
+}
 
 // goldenProg is ssspProg plus two aggregators, so the fixture exercises
 // every v2 section: values, activity, mailboxes, the bypass frontier and
@@ -26,15 +40,15 @@ func goldenProg() Program[uint32, uint32] {
 	}
 }
 
-func goldenConfig() Config {
+func goldenConfig(shards int) Config {
 	// Single-threaded, spinlock, bypass: every byte of the barrier state
 	// is deterministic, so the fixture can be compared byte-for-byte.
-	return Config{Combiner: CombinerSpin, Threads: 1, SelectionBypass: true}
+	return Config{Combiner: CombinerSpin, Threads: 1, SelectionBypass: true, Shards: shards}
 }
 
-func goldenEngine(t testing.TB) *Engine[uint32, uint32] {
+func goldenEngine(t testing.TB, shards int) *Engine[uint32, uint32] {
 	t.Helper()
-	e, err := New(gridForCheckpoint(t), goldenConfig(), goldenProg())
+	e, err := New(gridForCheckpoint(t), goldenConfig(shards), goldenProg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +64,9 @@ func goldenEngine(t testing.TB) *Engine[uint32, uint32] {
 // goldenCheckpoint runs the golden engine and returns the checkpoint
 // taken at barrier 4 (mid-run: non-trivial values, mail in flight, a
 // non-empty frontier, aggregator state from barrier 3).
-func goldenCheckpoint(t testing.TB) []byte {
+func goldenCheckpoint(t testing.TB, shards int) []byte {
 	t.Helper()
-	e := goldenEngine(t)
+	e := goldenEngine(t, shards)
 	var dump []byte
 	if err := e.SetCheckpointer(Checkpointer[uint32, uint32]{
 		Every: 4,
@@ -78,78 +92,81 @@ func goldenCheckpoint(t testing.TB) []byte {
 	return dump
 }
 
-const goldenPath = "testdata/checkpoint_v2.golden"
-
 // TestCheckpointV2Golden pins the on-disk format: the writer must
-// reproduce the checked-in fixture byte for byte. Accidental format
+// reproduce the checked-in fixtures byte for byte. Accidental format
 // drift — reordered sections, a changed header field, a different CRC
 // polynomial — fails here instead of silently orphaning old checkpoints.
 // Deliberate format changes bump the magic to a new version and add a
-// new fixture; they do not rewrite this one.
+// new fixture; they do not rewrite these.
 func TestCheckpointV2Golden(t *testing.T) {
-	got := goldenCheckpoint(t)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		limit := len(got)
-		if len(want) < limit {
-			limit = len(want)
-		}
-		for i := 0; i < limit; i++ {
-			if got[i] != want[i] {
-				t.Fatalf("checkpoint v2 format drift: byte %d = %#02x, fixture has %#02x (lengths %d vs %d)", i, got[i], want[i], len(got), len(want))
+	for _, gc := range goldenCases {
+		t.Run(gc.name, func(t *testing.T) {
+			got := goldenCheckpoint(t, gc.shards)
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(gc.path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(gc.path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s (%d bytes)", gc.path, len(got))
+				return
 			}
-		}
-		t.Fatalf("checkpoint v2 format drift: length %d, fixture %d", len(got), len(want))
+			want, err := os.ReadFile(gc.path)
+			if err != nil {
+				t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				for i := 0; i < min(len(got), len(want)); i++ {
+					if got[i] != want[i] {
+						t.Fatalf("checkpoint v2 format drift: byte %d = %#02x, fixture has %#02x (lengths %d vs %d)", i, got[i], want[i], len(got), len(want))
+					}
+				}
+				t.Fatalf("checkpoint v2 format drift: length %d, fixture %d", len(got), len(want))
+			}
+		})
 	}
 }
 
-// TestCheckpointV2GoldenRestores proves the fixture is live: restoring
-// it and finishing the run must match an uninterrupted run exactly.
+// TestCheckpointV2GoldenRestores proves the fixtures are live: restoring
+// each and finishing the run must match an uninterrupted run exactly —
+// so the one-shard and the 4-shard file, both written before the
+// checkpoint bodies were unified, resume to the same values.
 func TestCheckpointV2GoldenRestores(t *testing.T) {
-	fixture, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
-	}
-	refE := goldenEngine(t)
+	refE := goldenEngine(t, 0)
 	refRep, err := refE.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	restored, err := Restore(bytes.NewReader(fixture), gridForCheckpoint(t), goldenConfig(), goldenProg(), u32Codec{}, u32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RegisterAggregator("ran", AggSum); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RegisterAggregator("min-dist", AggMin); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := restored.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FirstSuperstep != 4 || rep.Supersteps != refRep.Supersteps {
-		t.Fatalf("fixture resumed %d→%d, reference ended at %d", rep.FirstSuperstep, rep.Supersteps, refRep.Supersteps)
-	}
-	got, want := restored.ValuesDense(), refE.ValuesDense()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fixture resume: dist[%d] = %d, want %d", i, got[i], want[i])
-		}
+	want := refE.ValuesDense()
+	for _, gc := range goldenCases {
+		t.Run(gc.name, func(t *testing.T) {
+			fixture, err := os.ReadFile(gc.path)
+			if err != nil {
+				t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
+			}
+			restored, err := Restore(bytes.NewReader(fixture), gridForCheckpoint(t), goldenConfig(gc.shards), goldenProg(), u32Codec{}, u32Codec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.RegisterAggregator("ran", AggSum); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.RegisterAggregator("min-dist", AggMin); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := restored.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FirstSuperstep != 4 || rep.Supersteps != refRep.Supersteps {
+				t.Fatalf("fixture resumed %d→%d, reference ended at %d", rep.FirstSuperstep, rep.Supersteps, refRep.Supersteps)
+			}
+			for i, got := range restored.ValuesDense() {
+				if got != want[i] {
+					t.Fatalf("fixture resume: dist[%d] = %d, want %d", i, got, want[i])
+				}
+			}
+		})
 	}
 }

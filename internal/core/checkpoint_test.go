@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -16,6 +17,55 @@ type u32Codec struct{}
 func (u32Codec) Size() int                 { return 4 }
 func (u32Codec) Encode(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
 func (u32Codec) Decode(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
+
+// writeCheckpointV1 writes the legacy format (no integrity data, no
+// aggregator section, global slot order) for the Restore compatibility
+// tests and the v1 fuzz seeds; the engine itself only writes v2.
+func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.Write(checkpointMagicV1[:])
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(e.superstep))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.slots))
+	bw.Write(hdr[:])
+	vbuf := make([]byte, vc.Size())
+	for slot := 0; slot < e.slots; slot++ {
+		sh, local := e.slotShard(slot)
+		vc.Encode(vbuf, sh.values[local])
+		bw.Write(vbuf)
+	}
+	for slot := 0; slot < e.slots; slot++ {
+		sh, local := e.slotShard(slot)
+		bw.WriteByte(sh.active[local])
+	}
+	mbuf := make([]byte, mc.Size())
+	for slot := 0; slot < e.slots; slot++ {
+		sh, local := e.slotShard(slot)
+		m, ok := sh.mb.peek(local)
+		if !ok {
+			bw.WriteByte(0)
+			continue
+		}
+		bw.WriteByte(1)
+		mc.Encode(mbuf, m)
+		bw.Write(mbuf)
+	}
+	var frontier []int32
+	for _, sh := range e.shards {
+		for _, local := range sh.frontier {
+			frontier = append(frontier, sh.global(local))
+		}
+	}
+	var flen [8]byte
+	binary.LittleEndian.PutUint64(flen[:], uint64(len(frontier)))
+	bw.Write(flen[:])
+	for _, slot := range frontier {
+		var sbuf [4]byte
+		binary.LittleEndian.PutUint32(sbuf[:], uint32(slot))
+		bw.Write(sbuf[:])
+	}
+	return bw.Flush() // bufio keeps the first write error sticky
+}
 
 // ssspProg is the Fig. 5 program, used here because it has non-trivial
 // in-flight state at every barrier (values, mailboxes, frontier).

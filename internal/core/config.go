@@ -33,8 +33,10 @@ const (
 	// CombinerPull is the pull-based combiner (§6.2), the paper's
 	// "broadcast" version: senders buffer one outgoing message in an
 	// outbox, receivers fetch and combine from their in-neighbours at the
-	// end of the superstep. Race-free, lock-free; requires the graph's
-	// in-adjacency and a broadcast-only application.
+	// end of the superstep. Its inbox carries no lock at all, which is
+	// race-free only because every deposit is the receiver's own — so it
+	// implies Direction pull (and rejects adaptive), at any shard count.
+	// Requires the graph's in-adjacency and a broadcast-only application.
 	CombinerPull
 	// CombinerAtomic is the lock-free push combiner the follow-up iPregel
 	// work moves to: delivery combines into the mailbox word with a
@@ -78,11 +80,11 @@ func ParseCombiner(s string) (Combiner, error) {
 // Direction selects the transport of a superstep's sends: push delivers
 // at send time into the recipients' mailboxes, pull buffers one outbox
 // entry per broadcasting vertex and fans out at the end-of-superstep
-// collect phase. Historically the choice was welded to the Combiner enum
-// (CombinerPull = all-pull); Direction makes it a per-run — and, with
-// DirectionAdaptive, per-superstep — engine decision layered over any
-// inbox combiner (the follow-up iPregel work on extreme irregularity,
-// arXiv 2010.01542).
+// collect phase. It is a per-run — and, with DirectionAdaptive,
+// per-superstep — engine decision layered over any inbox combiner (the
+// follow-up iPregel work on extreme irregularity, arXiv 2010.01542);
+// only CombinerPull, whose lock-free inbox cannot take push deliveries,
+// pins it to pull.
 type Direction int
 
 const (
@@ -175,16 +177,20 @@ func ParseAddressing(s string) (Addressing, error) {
 	return 0, fmt.Errorf("core: unknown addressing %q", s)
 }
 
-// Schedule selects how a phase's work items are split across threads.
+// Schedule selects where and how finely a phase's work is cut into the
+// spans the threads claim (shard.go); the claiming itself is the same
+// for every schedule.
 type Schedule int
 
 const (
-	// ScheduleStatic gives each thread one equal contiguous share, the
-	// paper's model (§4: "each thread receives an equal share").
+	// ScheduleStatic cuts each shard's work into one equal contiguous
+	// share per thread, the paper's model (§4: "each thread receives an
+	// equal share").
 	ScheduleStatic Schedule = iota
-	// ScheduleDynamic hands out fixed-size chunks from an atomic counter —
-	// the load-balancing alternative the paper's conclusion points to as
-	// future work. Kept for the ablation benchmarks.
+	// ScheduleDynamic cuts the same work into many small chunks, so
+	// threads that finish early keep claiming — the load-balancing
+	// alternative the paper's conclusion points to as future work. Kept
+	// for the ablation benchmarks.
 	ScheduleDynamic
 	// ScheduleEdgeBalanced splits the full-scan compute phase so that each
 	// worker receives an equal share of *out-edges* rather than vertices,
@@ -192,9 +198,9 @@ const (
 	// sums. On power-law graphs a vertex-count split can hand one worker
 	// the hubs and leave the rest idle ("Strategies to Deal with an
 	// Extreme Form of Irregularity", Capelli & Brown); an edge split
-	// equalises the message work instead. Phases whose work items are not
-	// the full vertex range (frontier runs under selection bypass, the
-	// pull collect phase) fall back to static equal shares.
+	// equalises the message work instead. Needs a contiguous slot range
+	// (one shard, or range partitioning); hash-partitioned shards and
+	// frontier runs under selection bypass fall back to equal shares.
 	ScheduleEdgeBalanced
 )
 
@@ -232,10 +238,10 @@ type Config struct {
 	// Direction selects the send transport: push (the zero value), pull,
 	// or adaptive per-superstep switching. Pull and adaptive require the
 	// graph's in-adjacency and a broadcast-only program (Send panics on a
-	// pull superstep), and layer over any inbox combiner — unlike the
-	// deprecated CombinerPull alias, they work under sharding: each
-	// vertex writes only its own outbox segment and the collect phase is
-	// owner-only per destination, so there is nothing to contend on.
+	// pull superstep), and layer over any inbox combiner at any shard
+	// count: each vertex writes only its own outbox slot and the collect
+	// phase is owner-only per destination, so there is nothing to
+	// contend on. CombinerPull implies pull.
 	Direction Direction
 	// DirectionThreshold tunes DirectionAdaptive: a superstep runs pull
 	// when the upcoming frontier's out-edges reach this fraction of |E|.
@@ -275,18 +281,14 @@ type Config struct {
 	// MaxSupersteps aborts runs that exceed this many supersteps; 0 means
 	// no limit.
 	MaxSupersteps int
-	// CheckBypass enables a debug audit (used by tests): after each
-	// superstep under selection bypass, verify no vertex with a pending
-	// message was missed by the frontier.
-	CheckBypass bool
-	// CheckInvariants enables the engine's full runtime audit, a superset
-	// of CheckBypass: at every superstep barrier the engine verifies the
-	// mailbox state machine (no slot stuck mid-publication), the frontier
-	// dedup-flag consistency under selection bypass (every enrolled slot
-	// flagged exactly once, no stray flags), and message conservation for
-	// the push combiners (every Send is accounted for as a worker-local
-	// combine, a shared-mailbox combine, or a first fill of an empty
-	// mailbox). Violations abort the run with an *InvariantError. The
+	// CheckInvariants enables the engine's full runtime audit: at every
+	// superstep barrier the engine verifies the mailbox state machine (no
+	// slot stuck mid-publication), under selection bypass the frontier
+	// dedup-flag consistency (every enrolled slot flagged exactly once,
+	// no stray flags) and that no vertex holding a message was missed by
+	// the frontier, and message conservation in both directions (every
+	// Send is accounted for as a worker-local combine, a shared-mailbox
+	// combine, or a first fill of an empty mailbox). Violations abort the run with an *InvariantError. The
 	// stress and parity test suites run with this on; production runs
 	// leave it off — it adds O(slots) scans per superstep.
 	CheckInvariants bool
@@ -304,11 +306,10 @@ type Config struct {
 	// each shard has its own mailbox, values/active segments and frontier
 	// buffers, so intra-shard delivery never contends with other shards,
 	// and cross-shard sends are batched in per-(worker, destination)
-	// routing buffers flushed at the barrier. 0 or 1 selects the
-	// single-shard engine, which is behaviour-identical to the pre-shard
-	// core (same Reports, same checkpoint bytes). Negative values are
-	// rejected, as is combining shards with the pull combiner (its
-	// outboxes are already contention-free, like SenderCombining).
+	// routing buffers flushed at the barrier. 0 or 1 means one shard: the
+	// same engine with nothing to route, whose sends go straight to the
+	// shard's mailbox and whose checkpoints keep the pre-shard byte
+	// layout. Negative values are rejected.
 	Shards int
 	// Partition selects how global slots map to shards when Shards > 1;
 	// the zero value is contiguous range partitioning.
@@ -323,9 +324,9 @@ type Config struct {
 	// applier, so early delivery stays contention-free. The barrier flush
 	// shrinks to a residual drain of whatever is left in the caches.
 	// Rejected when Shards <= 1 (there is no cross-shard traffic to
-	// overlap). The pull combiner is already rejected under sharding and
-	// remains barrier-only: its collect phase must observe a complete,
-	// stable outbox set, which only exists at the barrier.
+	// overlap). Pull supersteps remain barrier-only: the collect phase
+	// must observe a complete, stable outbox set, which only exists at
+	// the barrier.
 	OverlapDelivery bool
 	// WorkStealing replaces the shared-cursor span claiming of the
 	// sharded compute phase with per-worker queues over (shard,
@@ -352,7 +353,7 @@ type Config struct {
 // "spinlock+bypass" or "broadcast".
 func (c Config) VersionName() string {
 	name := c.Combiner.String()
-	if c.Direction != DirectionPush {
+	if c.Direction != DirectionPush && c.Combiner != CombinerPull { // "broadcast" already says pull
 		name += "+" + c.Direction.String()
 	}
 	if c.HubSplit {

@@ -11,15 +11,14 @@ import (
 type ComputeFunc[V, M any] func(ctx *Context[V, M], v Vertex[V, M])
 
 // Vertex is a handle on one vertex's state, passed to ComputeFunc. It is
-// a cheap value (pointer + slot); the actual state lives in the engine's
-// flat arrays, the Go equivalent of the paper's plain-struct vertices with
-// no hidden virtual-table pointer (§3.2).
+// a cheap value (two pointers + two slots); the actual state lives in the
+// owning shard's flat arrays, the Go equivalent of the paper's
+// plain-struct vertices with no hidden virtual-table pointer (§3.2).
 type Vertex[V, M any] struct {
-	e    *Engine[V, M]
-	slot int32 // global slot
-	// shard/local locate the vertex's state inside the owning shard;
-	// {0, slot} on single-shard engines (global slot == local slot).
-	shard, local int32
+	e     *Engine[V, M]
+	sh    *engineShard[V, M] // owning shard
+	slot  int32              // global slot
+	local int32              // slot within sh (== slot with one shard)
 }
 
 // ID returns the vertex's external identifier.
@@ -27,7 +26,7 @@ func (v Vertex[V, M]) ID() graph.VertexID { return v.e.addr.idOf(int(v.slot)) }
 
 // Value returns a pointer to the vertex's user-defined value, the
 // equivalent of the user members of struct IP_vertex_t.
-func (v Vertex[V, M]) Value() *V { return &v.e.shards[v.shard].values[v.local] }
+func (v Vertex[V, M]) Value() *V { return &v.sh.values[v.local] }
 
 // OutDegree returns the number of out-neighbours.
 func (v Vertex[V, M]) OutDegree() int { return v.e.g.OutDegree(int(v.slot) - v.e.shift) }
@@ -74,23 +73,25 @@ type Context[V, M any] struct {
 	ran   int64
 	votes int64
 
-	// next-frontier buffer under selection bypass (§4)
-	frontierBuf []int32
+	// enrolled holds the LOCAL slots this worker enrolled in the next
+	// frontier, per destination shard (selection bypass, §4; nil
+	// otherwise), concatenated by gatherFrontier.
+	enrolled [][]int32
 
-	// cache is the worker-local combining cache (Config.SenderCombining);
-	// nil when the feature is off or the engine is sharded. Push
-	// deliveries route through it.
-	cache *senderCache[M]
-
-	// route is the worker's per-destination-shard routing state; non-nil
-	// exactly when the engine is sharded (it subsumes cache). curShard is
-	// the shard of the vertex currently computing, maintained by
-	// runVertexAt for the cross-shard traffic counter.
+	// Push delivery path, fixed at construction. With more than one
+	// shard, route is the worker's per-destination-shard routing state
+	// and direct/cache are nil. With one shard there is nothing to
+	// route: direct is that shard's mailbox, and cache the worker-local
+	// combining cache in front of it (Config.SenderCombining; nil when
+	// off). curShard is the shard of the vertex currently computing,
+	// maintained by runVertex for the cross-shard traffic counter.
 	route    *shardRouter[M]
+	direct   mailbox[M]
+	cache    *senderCache[M]
 	curShard int32
 
-	// Sharded-engine scheduling/activity counters (nil/0 otherwise):
-	// stolen counts spans this worker took from another worker's queue
+	// Multi-shard scheduling/activity counters (nil/0 otherwise):
+	// stolen counts tasks this worker took from another worker's queue
 	// (Config.WorkStealing); activated/halted are per-shard deltas of
 	// the active-flag population, folded into each shard's incremental
 	// active count at the barrier (frontier-aware shard skipping).
@@ -98,8 +99,8 @@ type Context[V, M any] struct {
 	activated []int64
 	halted    []int64
 
-	// Hybrid-direction counters (Config.Direction != DirectionPush on a
-	// sharded engine): pulled counts this worker's collect-phase deposits
+	// Pull-transport counters (Config.Direction != DirectionPush with
+	// more than one shard): pulled counts this worker's collect-phase deposits
 	// per destination shard (pull deliveries bypass the routers, so the
 	// shard-skip decision needs its own tally), pulledCross those whose
 	// source vertex lives in another shard.
@@ -138,19 +139,19 @@ func (c *Context[V, M]) VertexCount() int { return c.e.g.N() }
 // most one message (§6.3), so the usual `for ctx.NextMessage(v, &m)` drain
 // loop iterates at most once.
 func (c *Context[V, M]) NextMessage(v Vertex[V, M], m *M) bool {
-	return c.e.shards[v.shard].mb.take(int(v.local), m)
+	return v.sh.mb.take(int(v.local), m)
 }
 
 // Send delivers msg to the vertex with external identifier dst
 // (IP_send_message). It is unavailable on pull-direction supersteps
-// (the legacy pull combiner, Config.Direction pull, and the pull steps
-// of adaptive runs), whose contract is broadcast-only communication
+// (CombinerPull, Config.Direction pull, and the pull steps of adaptive
+// runs), whose contract is broadcast-only communication
 // (§6.2) — an adaptive run must therefore be broadcast-only throughout,
 // or its push and pull supersteps would not be equivalent.
 func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 	e := c.e
-	if e.hybridPull() {
-		panic("core: IP_send_message is not available on a pull-direction superstep (Config.Direction); pull transport is broadcast-only (§6.2)")
+	if e.curDir == DirectionPull {
+		panic("core: IP_send_message is not available on a pull-direction superstep (Config.Direction pull/adaptive, or CombinerPull); pull transport is broadcast-only (§6.2)")
 	}
 	slot := e.addr.locate(dst)
 	if slot < 0 || slot >= e.slots || (e.shift > 0 && slot < e.shift) {
@@ -164,12 +165,12 @@ func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 }
 
 // push routes one delivery: through the per-destination-shard routing
-// caches on a sharded engine, through the worker's combining cache when
-// sender-side combining is on, and straight to the shared mailbox
-// otherwise.
+// caches when there are shards to route between, and otherwise straight
+// to the one shard's mailbox — or the worker's combining cache in front
+// of it when sender-side combining is on.
 func (c *Context[V, M]) push(slot int, msg M) {
-	e := c.e
 	if r := c.route; r != nil {
+		e := c.e
 		d, local := e.part.locate(slot)
 		r.sent[d]++
 		if int32(d) != c.curShard {
@@ -179,44 +180,33 @@ func (c *Context[V, M]) push(slot int, msg M) {
 		return
 	}
 	if c.cache != nil {
-		c.cache.add(slot, msg, e.mb)
+		c.cache.add(slot, msg, c.direct)
 		return
 	}
-	e.mb.deliver(slot, msg)
+	c.direct.deliver(slot, msg)
 }
 
-// Broadcast sends msg to every out-neighbour of v (IP_broadcast). With
-// the push combiners it expands to one Send per out-neighbour; with the
-// pull combiner it buffers msg once in v's outbox, to be fetched by the
+// Broadcast sends msg to every out-neighbour of v (IP_broadcast). On a
+// push superstep it expands to one Send per out-neighbour; on a pull
+// superstep it buffers msg once in v's outbox, to be fetched by the
 // recipients' collect phase.
 func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 	e := c.e
 	slot := int(v.slot)
 	idx := slot - e.shift
-	if e.usesPull() {
-		e.mb.setOutbox(slot, msg)
-		c.msgs++ // one buffered broadcast; fan-out happens at collect
-		if e.cfg.SelectionBypass {
-			// The sender knows every out-neighbour will receive a message,
-			// so it enrols them all for the next superstep (§4 applied to
-			// the broadcast version).
-			for _, nb := range e.g.OutNeighborsWith(&c.nbuf, idx) {
-				c.enroll(int(nb) + e.shift)
-			}
-		}
-		return
-	}
-	if e.hybridPull() {
-		// Hybrid pull superstep: buffer once in the vertex-owned outbox
-		// slot; the collect phase fans out to the out-neighbours' inboxes.
-		// Messages counts the logical fan-out (unlike the legacy pull
-		// mailbox's one-per-broadcast), so push, pull and adaptive runs of
-		// the same program stay Fingerprint-comparable — and the collect
-		// deposits conserve it exactly.
+	if e.curDir == DirectionPull {
+		// Buffer once in the vertex-owned outbox slot; the collect phase
+		// fans out to the out-neighbours' inboxes. Messages counts the
+		// logical fan-out, so push, pull and adaptive runs of the same
+		// program stay Fingerprint-comparable — and the collect deposits
+		// conserve it exactly.
 		e.pullOut[slot] = msg
 		e.pullFlag[slot] = 1
 		c.msgs += uint64(e.g.OutDegree(idx))
 		if e.cfg.SelectionBypass {
+			// The sender knows every out-neighbour will receive a message,
+			// so it enrols them all for the next superstep (§4 applied to
+			// the broadcast version).
 			for _, nb := range e.g.OutNeighborsWith(&c.nbuf, idx) {
 				c.enroll(int(nb) + e.shift)
 			}
@@ -250,37 +240,32 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 // VoteToHalt marks v inactive for the next superstep (IP_vote_to_halt);
 // an incoming message will reactivate it.
 func (c *Context[V, M]) VoteToHalt(v Vertex[V, M]) {
-	sh := c.e.shards[v.shard]
+	sh := v.sh
 	if sh.active[v.local] != 0 {
 		sh.active[v.local] = 0
 		c.votes++
 		if c.halted != nil {
-			c.halted[v.shard]++
+			c.halted[sh.id]++
 		}
 	}
 }
 
-// enroll adds slot to the next frontier exactly once (CAS dedup). On a
-// sharded engine the entry lands in the destination shard's enrol
-// buffer as a local slot; gatherFrontierSharded concatenates per shard.
+// enroll adds slot to the next frontier exactly once (CAS dedup). The
+// entry lands in the worker's enrol buffer for the destination shard as
+// a local slot; gatherFrontier concatenates per shard.
 func (c *Context[V, M]) enroll(slot int) {
-	e := c.e
-	if r := c.route; r != nil {
-		d, local := e.part.locate(slot)
-		if e.shards[d].tryMarkNext(local) {
-			r.frontier[d] = append(r.frontier[d], int32(local))
-		}
-		return
-	}
-	if e.tryMarkNext(slot) {
-		c.frontierBuf = append(c.frontierBuf, int32(slot))
+	sh, local := c.e.slotShard(slot)
+	if sh.tryMarkNext(local) {
+		c.enrolled[sh.id] = append(c.enrolled[sh.id], int32(local))
 	}
 }
 
 func (c *Context[V, M]) resetSuperstep() {
 	c.msgs, c.ran, c.votes = 0, 0, 0
 	c.stolen = 0
-	c.frontierBuf = c.frontierBuf[:0]
+	for d := range c.enrolled {
+		c.enrolled[d] = c.enrolled[d][:0]
+	}
 	clear(c.pulled)
 	c.pulledCross = 0
 	c.hubSlots = c.hubSlots[:0]

@@ -204,7 +204,7 @@ func TestBypassMatchesScan(t *testing.T) {
 		var dense [][]uint32
 		var ran [][]int64
 		for _, bypass := range []bool{false, true} {
-			cfg := Config{Combiner: comb, SelectionBypass: bypass, CheckBypass: bypass, CheckInvariants: true, Threads: 4}
+			cfg := Config{Combiner: comb, SelectionBypass: bypass, CheckInvariants: true, Threads: 4}
 			e, rep, err := Run(g, cfg, haltingFlood(10))
 			if err != nil {
 				t.Fatalf("%s bypass=%v: %v", comb, bypass, err)
@@ -356,17 +356,16 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 }
 
 func TestMailboxFootprintOrdering(t *testing.T) {
-	g := ringGraph(1000, 0)
 	combine := func(old *uint32, new uint32) { *old += new }
 	mutex := newMutexMailbox[uint32](1000, combine, false)
 	spin := newSpinMailbox[uint32](1000, combine, false)
-	pull := newPullMailbox[uint32](1000, combine, g, 0, false)
+	pull := &pullMailbox[uint32]{newPushBuffers[uint32](1000, combine, false)}
 	if !(spin.footprintBytes() < mutex.footprintBytes()) {
 		t.Fatalf("spinlock mailbox (%d B) should be lighter than mutex (%d B)", spin.footprintBytes(), mutex.footprintBytes())
 	}
-	// Pull has no locks at all: its lock overhead is zero, though it pays
-	// for outboxes.
-	if pull.footprintBytes() != pull.buffersBytes()+1000*4+1000 {
+	// Pull has no locks at all: its inbox is the bare buffers (the
+	// outboxes it pays for instead belong to the engine's pull transport).
+	if pull.footprintBytes() != pull.buffersBytes() {
 		t.Fatalf("pull footprint accounting off: %d", pull.footprintBytes())
 	}
 }
@@ -523,10 +522,10 @@ func TestObserverSeesEverySuperstep(t *testing.T) {
 	}
 	var seen []int
 	var ranSum int64
-	if err := e.Observe(func(s int, st StepStats) {
+	if err := e.AddObserver(ObserverFuncs{SuperstepEnd: func(s int, st StepStats) {
 		seen = append(seen, s)
 		ranSum += st.Ran
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := e.Run()
@@ -544,8 +543,8 @@ func TestObserverSeesEverySuperstep(t *testing.T) {
 	if ranSum == 0 {
 		t.Fatal("observer saw no work")
 	}
-	if err := e.Observe(nil); err == nil {
-		t.Fatal("post-Run Observe accepted")
+	if err := e.AddObserver(ObserverFuncs{}); err == nil {
+		t.Fatal("post-Run AddObserver accepted")
 	}
 }
 

@@ -1,24 +1,28 @@
 package core
 
-// Hybrid push/pull direction machinery (Config.Direction). The legacy
-// CombinerPull mailbox welded the pull transport to the combination
-// module and was single-shard only; here the direction is an engine
-// decision taken per superstep, layered over any inbox combiner:
+// The direction model (Config.Direction): whether a superstep's sends
+// travel push or pull is a transport decision the engine takes per
+// superstep, independent of which inbox combiner holds the mail.
 //
-//   - Push supersteps are unchanged: Broadcast expands to per-neighbour
-//     deliveries through the routing/caching layers.
+//   - Push supersteps: Broadcast expands to per-neighbour deliveries
+//     through the routing/caching layers.
 //   - Pull supersteps buffer one outbox entry per broadcasting vertex
-//     (pullOut/pullFlag, global-slot indexed, owner-written — each
-//     shard's vertices touch only their own slot segment, which is what
-//     makes the outboxes shard-aware with zero locks) and fan out in a
-//     collect phase: every destination walks its in-neighbours and
-//     deposits flagged outbox entries into its own shard's inbox
-//     mailbox. Deposits go through the ordinary mailbox deliver path,
-//     so delivery counting — and with it the message-conservation
-//     audit — keeps working: a pull superstep's Messages count the
-//     logical fan-out (out-degree per broadcast), which equals the
-//     collect deposits exactly. That same counting makes push-only,
-//     pull-only and adaptive runs of one program Fingerprint-identical.
+//     (pullOut/pullFlag, global-slot indexed, owner-written — a vertex
+//     touches only its own slot, which is what makes the outboxes
+//     shard-aware with zero locks) and fan out in a collect phase: every
+//     destination walks its in-neighbours and deposits flagged outbox
+//     entries into its own shard's inbox. Deposits go through the
+//     ordinary mailbox deliver path, so delivery counting — and with it
+//     the message-conservation audit — keeps working: a pull superstep's
+//     Messages count the logical fan-out (out-degree per broadcast),
+//     which equals the collect deposits exactly. That same counting makes
+//     push-only, pull-only and adaptive runs of one program
+//     Fingerprint-identical.
+//
+// This is the one pull transport. CombinerPull — the paper's §6.2
+// version — is the same transport over the lock-free inbox (pullMailbox),
+// which is legal because collect deposits are owner-only; it therefore
+// fixes the direction to pull.
 //
 // DirectionAdaptive picks per superstep from the exact density of the
 // upcoming frontier: pull when its out-edge count reaches
@@ -28,19 +32,13 @@ package core
 // the same state and re-derives the same decisions, so crash/resume
 // cannot diverge across a direction switch.
 
-// hybridPull reports whether the CURRENT superstep's sends travel the
-// hybrid pull transport (distinct from the legacy usesPull mailbox).
-func (e *Engine[V, M]) hybridPull() bool {
-	return e.pullOut != nil && e.curDir == DirectionPull
-}
-
 // beginSuperstepDirection fixes the running superstep's transport and
 // the switch marker, before any worker starts. Deterministic: fixed
 // modes always pick their mode; adaptive compares the reseeded frontier
 // density against the edge threshold.
 func (e *Engine[V, M]) beginSuperstepDirection() {
 	switch {
-	case e.usesPull() || e.cfg.Direction == DirectionPull:
+	case e.cfg.Direction == DirectionPull:
 		e.curDir = DirectionPull
 	case e.cfg.Direction == DirectionAdaptive && e.frontierEdges >= e.pullEdgeCut:
 		e.curDir = DirectionPull
@@ -71,18 +69,12 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	if e.superstep == 0 {
 		return e.g.M()
 	}
+	var total uint64
 	if e.cfg.SelectionBypass {
-		var total uint64
-		if e.nShards > 1 {
-			for s, sh := range e.shards {
-				for _, local := range sh.frontier {
-					total += uint64(e.g.OutDegree(e.part.globalOf(s, int(local)) - e.shift))
-				}
-			}
-			return total
-		}
-		for _, slot := range e.frontier {
-			total += uint64(e.g.OutDegree(int(slot) - e.shift))
+		for _, sh := range e.shards {
+			sh.each(sh.frontier, func(_, global int32) {
+				total += uint64(e.g.OutDegree(int(global) - e.shift))
+			})
 		}
 		return total
 	}
@@ -91,87 +83,66 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	} else {
 		clear(e.dirSums)
 	}
-	sums := e.dirSums
-	e.parallelFor(e.g.N(), func(w, i int) {
-		sh, local := e.slotShard(i + e.shift)
-		if sh.active[local] != 0 || sh.mb.hasCurrent(local) {
-			sums[w] += uint64(e.g.OutDegree(i))
-		}
+	sums, spans := e.dirSums, e.scanSpans
+	e.parallelFor(len(spans), func(w, k int) {
+		sh := e.shards[spans[k].shard]
+		sh.scan(spans[k].lo, spans[k].hi, e.shift, func(local, global int32) {
+			if sh.active[local] != 0 || sh.mb.hasCurrent(int(local)) {
+				sums[w] += uint64(e.g.OutDegree(int(global) - e.shift))
+			}
+		})
 	})
-	var total uint64
 	for _, s := range sums {
 		total += s
 	}
 	return total
 }
 
-// collectHybrid is the pull superstep's fan-out: every destination
-// vertex walks its in-neighbours and deposits the flagged outbox
-// entries into its own inbox. Each destination is processed by exactly
-// one worker and deliver is concurrent-safe on every inbox combiner, so
-// the phase is race-free without any collect-side locking.
-func (e *Engine[V, M]) collectHybrid() {
-	if e.nShards > 1 {
-		e.collectHybridSharded()
-		return
-	}
-	if e.cfg.SelectionBypass {
-		// Only enrolled recipients can have mail (the pull broadcast
-		// enrolled its out-neighbours), so collection is frontier-bounded.
-		next := e.frontierNext
-		e.parallelFor(len(next), func(w, i int) {
-			slot := int(next[i])
-			e.collectSlot(0, slot, slot, e.workers[w])
-		})
-		return
-	}
-	e.parallelFor(e.g.N(), func(w, i int) {
-		slot := i + e.shift
-		e.collectSlot(0, slot, slot, e.workers[w])
-	})
-}
-
-// collectHybridSharded spreads the collect over the precomputed scan
+// collectPull is the pull superstep's fan-out: every destination vertex
+// walks its in-neighbours and deposits the flagged outbox entries into
+// its own inbox, then the outbox flags are cleared for the next pull
+// superstep. Each destination is processed by exactly one worker, so
+// every deposit is owner-only — race-free without any collect-side
+// locking, and what makes the lock-free pullMailbox a legal inbox.
+//
+// Under selection bypass only enrolled recipients can have mail (the
+// pull broadcast enrolled its out-neighbours), so collection is bounded
+// by the gathered next frontier; otherwise it covers the full scan
 // spans — including shards the compute phase skipped: receiving mail is
 // exactly what makes a skipped shard runnable again, and the deposits
 // are counted into the per-worker pulled[] so updateShardActivity sees
 // them.
-func (e *Engine[V, M]) collectHybridSharded() {
-	if e.cfg.SelectionBypass {
-		e.parallelFor(e.nShards, func(w, d int) {
-			sh := e.shards[d]
-			for _, local := range sh.frontierNext {
-				e.collectSlot(int32(d), int(local), e.part.globalOf(d, int(local)), e.workers[w])
-			}
-		})
-		return
-	}
+func (e *Engine[V, M]) collectPull() {
+	bypass := e.cfg.SelectionBypass
 	spans := e.scanSpans
-	e.forSpans(len(spans), func(w, k int) {
+	if bypass {
+		spans = e.frontierSpans(true)
+	}
+	e.parallelFor(len(spans), func(w, k int) {
 		sp := spans[k]
-		for local := sp.lo; local < sp.hi; local++ {
-			global := e.part.globalOf(int(sp.shard), int(local))
-			if global < e.shift {
-				continue // desolate dead zone (§5)
-			}
-			e.collectSlot(sp.shard, int(local), global, e.workers[w])
+		ctx, sh := e.workers[w], e.shards[sp.shard]
+		collect := func(local, global int32) { e.collectSlot(ctx, sh, local, global) }
+		if bypass {
+			sh.each(sh.frontierNext[sp.lo:sp.hi], collect)
+		} else {
+			sh.scan(sp.lo, sp.hi, e.shift, collect)
 		}
 	})
+	clear(e.pullFlag)
 }
 
 // collectSlot deposits every flagged in-neighbour outbox entry into the
-// destination's shard mailbox (local slot `local`, global slot `slot`).
-func (e *Engine[V, M]) collectSlot(shard int32, local, slot int, ctx *Context[V, M]) {
-	sh := e.shards[shard]
-	for _, nb := range e.g.InNeighborsWith(&ctx.nbuf, slot-e.shift) {
+// destination's mailbox (local slot `local` of sh, global slot `global`).
+func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], sh *engineShard[V, M], local, global int32) {
+	for _, nb := range e.g.InNeighborsWith(&ctx.nbuf, int(global)-e.shift) {
 		nbSlot := int(nb) + e.shift
 		if e.pullFlag[nbSlot] == 0 {
 			continue
 		}
-		sh.mb.deliver(local, e.pullOut[nbSlot])
+		sh.mb.deliver(int(local), e.pullOut[nbSlot])
 		if ctx.pulled != nil {
-			ctx.pulled[shard]++
-			if src, _ := e.part.locate(nbSlot); int32(src) != shard {
+			ctx.pulled[sh.id]++
+			if src, _ := e.part.locate(nbSlot); int32(src) != sh.id {
 				ctx.pulledCross++
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -65,42 +66,60 @@ func hubGraph(n int) *graph.Graph {
 	return b.MustBuild()
 }
 
-// TestDirectionParity pins the tentpole oracle at the engine level:
+// TestDirectionParity pins the direction oracle at the engine level:
 // push-only, pull-only and adaptive runs of the same broadcast-only
 // program produce identical values and identical Report fingerprints,
 // across sharding, scheduling and bypass configurations, with the
-// invariant audits (including message conservation on the hybrid pull
-// path) enabled throughout.
+// invariant audits (including message conservation on pull supersteps)
+// enabled throughout. The CombinerPull rows run the same pull transport
+// over the lock-free inbox at every shard layout: its Messages count the
+// logical fan-out like every other direction, so it is held to the same
+// push fingerprint.
 func TestDirectionParity(t *testing.T) {
 	g := gridForCheckpoint(t)
-	cfgs := []Config{
-		{Combiner: CombinerSpin, Threads: 3},
-		{Combiner: CombinerAtomic, Threads: 4},
-		{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true},
-		{Combiner: CombinerAtomic, Threads: 4, Shards: 4},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4, SelectionBypass: true},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true, SelectionBypass: true},
+	type cell struct {
+		base Config   // run push-only as the oracle
+		vs   []Config // must match the oracle's values and fingerprint
 	}
-	for _, base := range cfgs {
-		base.CheckInvariants = true
-		pushCfg := base
-		pushCfg.Direction = DirectionPush
-		ePush, repPush, err := Run(g, pushCfg, ssspProg(1))
+	directions := func(base Config) cell {
+		pull, adaptive := base, base
+		pull.Direction, adaptive.Direction = DirectionPull, DirectionAdaptive
+		return cell{base, []Config{pull, adaptive}}
+	}
+	cells := []cell{
+		directions(Config{Combiner: CombinerSpin, Threads: 3}),
+		directions(Config{Combiner: CombinerAtomic, Threads: 4}),
+		directions(Config{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true}),
+		directions(Config{Combiner: CombinerAtomic, Threads: 4, Shards: 4}),
+		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4, SelectionBypass: true}),
+		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true}),
+		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true, SelectionBypass: true}),
+	}
+	for _, bypass := range []bool{false, true} {
+		c := cell{base: Config{Combiner: CombinerSpin, Threads: 3, SelectionBypass: bypass}}
+		for _, shards := range []int{0, 1, 4} {
+			for _, part := range []Partition{PartitionRange, PartitionHash} {
+				c.vs = append(c.vs, Config{Combiner: CombinerPull, Threads: 4, Shards: shards, Partition: part, SelectionBypass: bypass})
+			}
+		}
+		cells = append(cells, c)
+	}
+	for _, c := range cells {
+		c.base.CheckInvariants = true
+		ePush, repPush, err := Run(g, c.base, ssspProg(1))
 		if err != nil {
-			t.Fatalf("%s push: %v", base.VersionName(), err)
+			t.Fatalf("%s push: %v", c.base.VersionName(), err)
 		}
 		want := ePush.ValuesDense()
-		for _, dir := range []Direction{DirectionPull, DirectionAdaptive} {
-			cfg := base
-			cfg.Direction = dir
+		for _, cfg := range c.vs {
+			cfg.CheckInvariants = true
 			t.Run(cfg.VersionName(), func(t *testing.T) {
 				e, rep, err := Run(g, cfg, ssspProg(1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if fp, fpPush := rep.Fingerprint(), repPush.Fingerprint(); fp != fpPush {
-					t.Fatalf("fingerprint diverged from push run:\n--- push ---\n%s--- %v ---\n%s", fpPush, dir, fp)
+					t.Fatalf("fingerprint diverged from push run:\n--- push ---\n%s--- %s ---\n%s", fpPush, cfg.VersionName(), fp)
 				}
 				for i, v := range e.ValuesDense() {
 					if v != want[i] {
@@ -108,6 +127,64 @@ func TestDirectionParity(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestPullFloatRunsBitExact pins the pull clause of the determinism
+// contract (DESIGN.md §5.1). A pull superstep's combine order is a
+// property of the graph, not of the run: each destination's one owner
+// folds its in-neighbours' outboxes in CSR order. So float programs run
+// all-pull agree bit for bit across thread counts, inbox combiners,
+// schedules and shard layouts — where the same program pushed agrees
+// with them only to the 1e-9 the push clause allows, because its
+// combine order is whatever order the cores delivered in.
+func TestPullFloatRunsBitExact(t *testing.T) {
+	// A hub with in-degree n-1 plus pseudo-random edges: long, uneven
+	// float sums, so a changed summation order would show in the low bits.
+	const n, rounds = 1500, 6
+	var b graph.Builder
+	b.BuildInEdges()
+	x := uint32(12345)
+	for i := 1; i < n; i++ {
+		b.AddEdge(graph.VertexID(i), 0)
+		for k := 0; k < 1+i%5; k++ {
+			x = x*1664525 + 1013904223
+			b.AddEdge(graph.VertexID(i), graph.VertexID(x>>8)%n)
+		}
+	}
+	b.AddEdge(0, 1)
+	g := b.MustBuild()
+
+	refE, refRep, err := Run(g, Config{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 1}, rankProg(rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refE.ValuesDense()
+	for _, cfg := range []Config{
+		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4},
+		{Combiner: CombinerMutex, Direction: DirectionPull, Threads: 3, Schedule: ScheduleDynamic},
+		{Combiner: CombinerAtomic, Direction: DirectionPull, Threads: 4, Shards: 4},
+		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4, Shards: 3, OverlapDelivery: true, WorkStealing: true},
+		{Combiner: CombinerPull, Threads: 4, Schedule: ScheduleEdgeBalanced},
+		{Combiner: CombinerPull, Threads: 4, Shards: 4, Partition: PartitionHash},
+		{Combiner: CombinerSpin, Threads: 4}, // push: tolerance-exact only
+	} {
+		cfg.CheckInvariants = true
+		e, rep, err := Run(g, cfg, rankProg(rounds))
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.VersionName(), err)
+		}
+		if rep.Fingerprint() != refRep.Fingerprint() {
+			t.Fatalf("%s: fingerprint diverged:\n%s--- want ---\n%s", cfg.VersionName(), rep.Fingerprint(), refRep.Fingerprint())
+		}
+		for i, got := range e.ValuesDense() {
+			if e.Config().Direction == DirectionPull && got != want[i] {
+				t.Fatalf("%s: rank[%d] = %v, want exactly %v", cfg.VersionName(), i, got, want[i])
+			}
+			if math.Abs(got-want[i]) > 1e-9 {
+				t.Fatalf("%s: rank[%d] = %v, want %v within 1e-9", cfg.VersionName(), i, got, want[i])
+			}
 		}
 	}
 }
@@ -147,30 +224,6 @@ func TestAdaptiveSwitches(t *testing.T) {
 	}
 	if !sawPush || switches == 0 {
 		t.Fatalf("adaptive SSSP never switched (push seen: %v, switches: %d)\n%v", sawPush, switches, rep.Table())
-	}
-}
-
-// TestDeprecatedCombinerPullSharded runs the deprecated alias on a
-// sharded engine — the combination New used to reject — and checks it
-// matches the push oracle.
-func TestDeprecatedCombinerPullSharded(t *testing.T) {
-	g := gridForCheckpoint(t)
-	ePush, repPush, err := Run(g, Config{Combiner: CombinerSpin, Threads: 3, CheckInvariants: true}, ssspProg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, rep, err := Run(g, Config{Combiner: CombinerPull, Shards: 3, Threads: 3, CheckInvariants: true}, ssspProg(1))
-	if err != nil {
-		t.Fatalf("CombinerPull × Shards=3: %v", err)
-	}
-	if rep.Fingerprint() != repPush.Fingerprint() {
-		t.Fatalf("fingerprint diverged:\n--- push ---\n%s--- alias ---\n%s", repPush.Fingerprint(), rep.Fingerprint())
-	}
-	want := ePush.ValuesDense()
-	for i, v := range e.ValuesDense() {
-		if v != want[i] {
-			t.Fatalf("dist[%d] = %d, want %d", i, v, want[i])
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/trace"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,37 +32,19 @@ type Engine[V, M any] struct {
 	addr    addresser
 	part    partitioner
 	nShards int
-	// shards owns all per-vertex state (always len nShards ≥ 1); the
-	// flat fields below (mb, values, active, inNext) alias shards[0]'s
-	// arrays when nShards == 1, keeping the pre-shard code paths intact.
+	// shards owns all per-vertex state (always len nShards ≥ 1): values,
+	// activity flags, mailboxes and frontiers live in engineShard and
+	// nowhere else.
 	shards  []*engineShard[V, M]
-	mb      mailbox[M]
 	shift   int // slot = internal index + shift (non-zero only for desolate)
 	slots   int
 	threads int
 
-	values []V
-	active []uint8
+	auditSeen []uint8 // slot-indexed scratch for the bypass audits
 
-	// selection-bypass state (§4). inNext holds the CAS flags
-	// deduplicating next-frontier entries; workers claim slots
-	// concurrently, so element access must go through sync/atomic.
-	//
-	//ipregel:atomic
-	inNext       []uint32
-	frontier     []int32 // slots to run this superstep
-	frontierNext []int32
-	gatherOffs   []int   // per-worker frontier copy offsets (gatherFrontier)
-	auditSeen    []uint8 // slot-indexed scratch for the bypass audit
-
-	// edgeCuts holds the ScheduleEdgeBalanced vertex boundaries: worker w
-	// scans [edgeCuts[w], edgeCuts[w+1]), each range holding ~M/threads
-	// out-edges. Computed once from the CSR degree prefix sums.
-	edgeCuts []int32
-
-	// sharded-compute work lists (nShards > 1): scanSpans is the
-	// precomputed full-scan split (per-shard edge-balanced cuts when
-	// applicable), frontierSpanBuf the reusable buffer for the per-
+	// Work lists: scanSpans is the precomputed full-scan split of every
+	// shard (where the schedule's balance decision lives, see
+	// buildScanSpans), frontierSpanBuf the reusable buffer for the per-
 	// superstep frontier split. workBuf holds the per-superstep span
 	// selection (runnable shards only); lastSkipped is the shard-skip
 	// count it produced (StepStats.SkippedShards).
@@ -75,15 +56,15 @@ type Engine[V, M any] struct {
 	// drainer is the per-shard early-delivery machinery
 	// (Config.OverlapDelivery); nil otherwise. stealQs are the per-worker
 	// task queues of the work-stealing scheduler (Config.WorkStealing),
-	// allocated lazily at the first sharded phase.
+	// allocated lazily at the first stolen phase.
 	drainer *shardDrainer[M]
 	stealQs []stealQueue
 
-	// Hybrid direction state (Config.Direction != DirectionPush; see
-	// direction.go). pullOut/pullFlag are the global-slot-indexed outbox
-	// arrays serving every pull superstep without reallocating: each
-	// shard's vertices write only their own (disjoint) slot segment, so
-	// the outboxes are shard-aware by construction. curDir is the running
+	// Direction state (see direction.go). pullOut/pullFlag are the pull
+	// transport's global-slot-indexed outbox arrays (nil on push-only
+	// engines), serving every pull superstep without reallocating: each
+	// vertex writes only its own slot, so the outboxes are shard-aware
+	// by construction. curDir is the running
 	// superstep's transport; frontierEdges the out-edge count of the
 	// upcoming frontier (adaptive); pullEdgeCut the switch threshold in
 	// edges. dirSums is countFrontierEdges' per-worker scratch.
@@ -150,25 +131,23 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.Direction < DirectionPush || cfg.Direction > DirectionAdaptive {
 		return nil, fmt.Errorf("core: unknown direction %s", cfg.Direction)
 	}
-	if cfg.Combiner == CombinerPull && cfg.Direction != DirectionPush {
-		return nil, fmt.Errorf("core: CombinerPull is the deprecated all-pull alias; set Config.Direction (pull or adaptive) on an inbox combiner (mutex/spinlock/atomic) instead of combining both")
-	}
-	if cfg.Combiner == CombinerPull && cfg.shardCount() > 1 {
-		// Deprecated-alias compatibility: the legacy pull mailbox is
-		// single-shard only, but the request is expressible in the
-		// Direction model — per-shard inboxes with every superstep pull.
-		// Normalise rather than reject (lifting the former restriction).
-		cfg.Combiner = CombinerSpin
+	if cfg.Combiner == CombinerPull {
+		// The pull combiner's inbox takes no lock, which is legal only
+		// while every deposit is the owner-only collect of a pull
+		// superstep (§6.2) — so selecting it fixes the direction.
+		if cfg.Direction == DirectionAdaptive {
+			return nil, fmt.Errorf("core: CombinerPull's lock-free inbox cannot take the concurrent deliveries of a push superstep, so it cannot run Direction adaptive; pick an inbox combiner (mutex/spinlock/atomic) for adaptive runs")
+		}
 		cfg.Direction = DirectionPull
 	}
-	if (cfg.Combiner == CombinerPull || cfg.Direction != DirectionPush) && !g.HasInEdges() {
-		return nil, fmt.Errorf("core: pull-direction supersteps fetch from in-neighbours (paper §6.2); load the graph with in-edges (Config.Direction pull/adaptive, or the deprecated CombinerPull alias)")
+	if cfg.Direction != DirectionPush && !g.HasInEdges() {
+		return nil, fmt.Errorf("core: pull-direction supersteps fetch from in-neighbours (paper §6.2); load the graph with in-edges (Config.Direction pull/adaptive, or CombinerPull)")
 	}
 	if cfg.SelectionBypass && !g.HasOutAdjacency() {
 		return nil, fmt.Errorf("core: selection bypass enrols out-neighbours (paper §4) and needs the out-adjacency, which this graph stripped")
 	}
-	if cfg.SenderCombining && (cfg.Combiner == CombinerPull || cfg.Direction == DirectionPull) {
-		return nil, fmt.Errorf("core: sender-side combining pre-combines push deliveries; an all-pull run (Config.Direction pull, or the deprecated CombinerPull alias) has none — its outboxes are already contention-free (§6.2)")
+	if cfg.SenderCombining && cfg.Direction == DirectionPull {
+		return nil, fmt.Errorf("core: sender-side combining pre-combines push deliveries; an all-pull run (Config.Direction pull, or CombinerPull) has none — its outboxes are already contention-free (§6.2)")
 	}
 	if cfg.DirectionThreshold < 0 || cfg.DirectionThreshold > 1 {
 		return nil, fmt.Errorf("core: Config.DirectionThreshold is a fraction of |E| and must be in [0, 1] (0 means the default %v), got %v", DefaultDirectionThreshold, cfg.DirectionThreshold)
@@ -204,73 +183,56 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	}
 	e.nShards = e.part.shards()
 	e.shards = make([]*engineShard[V, M], e.nShards)
-	if e.nShards == 1 {
-		sh := &engineShard[V, M]{}
-		sh.mb, err = newMailbox[M](cfg, e.slots, prog.Combine, g, e.shift)
-		if err != nil {
+	for s := range e.shards {
+		if e.shards[s], err = newEngineShard[V, M](cfg, e.part, s, prog.Combine); err != nil {
 			return nil, err
 		}
-		sh.values = make([]V, e.slots)
-		sh.active = make([]uint8, e.slots)
-		if cfg.SelectionBypass {
-			sh.inNext = make([]uint32, e.slots)
-		}
-		e.shards[0] = sh
-		// The flat single-shard view: every pre-shard code path keeps
-		// operating on these aliases, global slot == local slot.
-		e.mb = sh.mb
-		e.values = sh.values
-		e.active = sh.active
-		e.inNext = sh.inNext
-	} else {
-		for s := range e.shards {
-			e.shards[s], err = newEngineShard[V, M](cfg, e.part.localSlots(s), prog.Combine)
-			if err != nil {
-				return nil, err
-			}
-		}
-		e.buildScanSpans()
-		if cfg.OverlapDelivery {
-			mbs := make([]mailbox[M], e.nShards)
-			for s, sh := range e.shards {
-				mbs[s] = sh.mb
-			}
-			e.drainer = newShardDrainer(mbs, func(r any) {
-				e.panicked.CompareAndSwap(nil, fmt.Sprintf("%v", r))
-			})
-		}
 	}
-	if cfg.Schedule == ScheduleEdgeBalanced && e.nShards == 1 {
-		e.edgeCuts = edgeBalancedCuts(g, e.threads)
+	e.buildScanSpans()
+	if cfg.OverlapDelivery {
+		mbs := make([]mailbox[M], e.nShards)
+		for s, sh := range e.shards {
+			mbs[s] = sh.mb
+		}
+		e.drainer = newShardDrainer(mbs, func(r any) {
+			e.panicked.CompareAndSwap(nil, fmt.Sprintf("%v", r))
+		})
 	}
 	e.workers = make([]*Context[V, M], e.threads)
-	for w := range e.workers {
-		e.workers[w] = &Context[V, M]{e: e, worker: w}
-		if e.nShards > 1 {
-			// The routing layer subsumes the single sender-combining
-			// cache: per-destination-shard caches combine worker-locally
-			// whether or not SenderCombining is set.
-			e.workers[w].route = newShardRouter[M](prog.Combine, e.nShards, cfg.SelectionBypass)
-			if e.drainer != nil {
-				e.workers[w].route.enableOverlap(e.drainer)
+	for i := range e.workers {
+		w := &Context[V, M]{e: e, worker: i}
+		e.workers[i] = w
+		if cfg.SelectionBypass {
+			w.enrolled = make([][]int32, e.nShards)
+		}
+		if e.nShards == 1 {
+			// One shard has no cross-shard traffic to batch: sends go
+			// straight to its mailbox, or through the sender cache.
+			w.direct = e.shards[0].mb
+			if cfg.SenderCombining {
+				w.cache = newSenderCache[M](prog.Combine)
 			}
-			e.workers[w].activated = make([]int64, e.nShards)
-			e.workers[w].halted = make([]int64, e.nShards)
-		} else if cfg.SenderCombining {
-			e.workers[w].cache = newSenderCache[M](prog.Combine)
+			continue
+		}
+		// The routing layer subsumes the single sender-combining cache:
+		// per-destination-shard caches combine worker-locally whether or
+		// not SenderCombining is set.
+		w.route = newShardRouter[M](prog.Combine, e.nShards)
+		if e.drainer != nil {
+			w.route.enableOverlap(e.drainer)
+		}
+		w.activated = make([]int64, e.nShards)
+		w.halted = make([]int64, e.nShards)
+		if cfg.Direction != DirectionPush {
+			// Pull deliveries bypass the routing layer (the collect phase
+			// deposits owner-locally), so shard-skipping needs its own
+			// per-worker delivery counters to keep runnable exact.
+			w.pulled = make([]uint64, e.nShards)
 		}
 	}
 	if cfg.Direction != DirectionPush {
 		e.pullOut = make([]M, e.slots)
 		e.pullFlag = make([]uint8, e.slots)
-		if e.nShards > 1 {
-			// Pull deliveries bypass the routing layer (the collect phase
-			// deposits owner-locally), so shard-skipping needs its own
-			// per-worker delivery counters to keep runnable exact.
-			for _, w := range e.workers {
-				w.pulled = make([]uint64, e.nShards)
-			}
-		}
 		if cfg.Direction == DirectionAdaptive {
 			thr := cfg.DirectionThreshold
 			if thr == 0 {
@@ -389,22 +351,10 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 		}
 
 		if e.cfg.SelectionBypass {
-			if e.nShards > 1 {
-				region(ctx, "ipregel.gather", e.gatherFrontierSharded)
-			} else {
-				region(ctx, "ipregel.gather", e.gatherFrontier)
-			}
+			region(ctx, "ipregel.gather", e.gatherFrontier)
 		}
-		if e.usesPull() {
-			region(ctx, "ipregel.collect", func() {
-				e.collectPhase()
-				e.mb.clearOutboxes()
-			})
-		} else if e.hybridPull() {
-			region(ctx, "ipregel.collect", func() {
-				e.collectHybrid()
-				clear(e.pullFlag)
-			})
+		if e.curDir == DirectionPull {
+			region(ctx, "ipregel.collect", e.collectPull)
 		}
 		if e.cfg.CheckInvariants {
 			if err := e.auditInvariants(); err != nil {
@@ -441,22 +391,9 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			if activeAfter > 0 {
 				return e.finishRun(start, ErrBypassViolation)
 			}
-			if e.nShards > 1 {
-				e.swapFrontiersSharded()
-			} else {
-				e.frontier, e.frontierNext = e.frontierNext, e.frontier[:0]
-				// Reset the dedup flags of the (new) current frontier so the
-				// next superstep can enrol the same vertices again.
-				for _, slot := range e.frontier {
-					atomic.StoreUint32(&e.inNext[slot], 0)
-				}
-			}
-			if e.cfg.CheckBypass || e.cfg.CheckInvariants {
-				audit := e.auditBypass
-				if e.nShards > 1 {
-					audit = e.auditBypassSharded
-				}
-				if err := audit(); err != nil {
+			e.swapFrontiers()
+			if e.cfg.CheckInvariants {
+				if err := e.auditBypass(); err != nil {
 					return e.finishRun(start, err)
 				}
 			}
@@ -520,14 +457,8 @@ func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial b
 		e.casRetriesSeen = retries
 	}
 	if e.cfg.SelectionBypass {
-		if e.nShards > 1 {
-			var total int64
-			for _, sh := range e.shards {
-				total += int64(len(sh.frontierNext))
-			}
-			step.NextFrontier = total
-		} else {
-			step.NextFrontier = int64(len(e.frontierNext))
+		for _, sh := range e.shards {
+			step.NextFrontier += int64(len(sh.frontierNext))
 		}
 	}
 	if e.busy != nil {
@@ -611,150 +542,6 @@ func region(ctx context.Context, name string, f func()) {
 	f()
 }
 
-// computePhase runs IP_compute over the selected vertices and returns how
-// many ran.
-func (e *Engine[V, M]) computePhase() int64 {
-	if e.nShards > 1 {
-		return e.computePhaseSharded()
-	}
-	if e.superstep == 0 || !e.cfg.SelectionBypass {
-		// Traditional selection: scan every vertex and run those that are
-		// active or have mail (§4's "unfruitful checks" when inactive).
-		// Superstep 0 runs everything in both modes: all vertices start
-		// active.
-		first := e.superstep == 0
-		e.parallelForVertices(func(w, i int) {
-			slot := i + e.shift
-			if first || e.active[slot] != 0 || e.mb.hasCurrent(slot) {
-				e.runVertex(w, slot)
-			}
-		})
-	} else {
-		// Selection bypass: the frontier holds exactly the vertices that
-		// received a message, so threads run every vertex they are given
-		// (§4's load-balance property).
-		frontier := e.frontier
-		e.parallelFor(len(frontier), func(w, i int) {
-			e.runVertex(w, int(frontier[i]))
-		})
-	}
-	var ran int64
-	for _, w := range e.workers {
-		ran += w.ran
-	}
-	return ran
-}
-
-func (e *Engine[V, M]) runVertex(w, slot int) {
-	ctx := e.workers[w]
-	e.active[slot] = 1
-	ctx.ran++
-	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: int32(slot), shard: 0, local: int32(slot)})
-}
-
-// usesPull reports whether the engine runs the LEGACY pull-combiner
-// mailbox (the deprecated CombinerPull alias, single-shard only — under
-// sharding the alias normalises to an inbox combiner with
-// Direction pull, served by the hybrid outboxes instead; see
-// direction.go). e.mb is nil on sharded engines, so nil means push here.
-func (e *Engine[V, M]) usesPull() bool { return e.mb != nil && e.mb.usesPull() }
-
-// collectPhase is the pull combiner's end-of-superstep fetch (§6.2): each
-// candidate vertex reads its in-neighbours' outboxes and combines into its
-// own inbox. Writes are strictly owner-local, hence race-free.
-func (e *Engine[V, M]) collectPhase() {
-	if e.cfg.SelectionBypass {
-		// Only enrolled recipients can have mail, so fetching is limited
-		// to the next frontier (already gathered by the caller).
-		next := e.frontierNext
-		e.parallelFor(len(next), func(w, i int) {
-			e.mb.collectInto(int(next[i]), &e.workers[w].nbuf)
-		})
-		return
-	}
-	e.parallelFor(e.g.N(), func(w, i int) {
-		e.mb.collectInto(i+e.shift, &e.workers[w].nbuf)
-	})
-}
-
-// drainSenderCaches flushes every worker's combining cache into the
-// shared mailbox at the compute-phase barrier, before the buffer swap.
-// Workers drain their own caches concurrently; deliver is concurrent-safe
-// on every push combiner.
-func (e *Engine[V, M]) drainSenderCaches() {
-	e.parallelFor(len(e.workers), func(_, wi int) {
-		e.workers[wi].cache.drain(e.mb)
-	})
-}
-
-// parallelGatherMin is the frontier size below which gatherFrontier's
-// per-worker copies stay serial (forking workers costs more than the copy).
-const parallelGatherMin = 1 << 15
-
-// gatherFrontier concatenates the workers' next-frontier buffers. Each
-// worker's share starts at an offset precomputed from the buffer lengths,
-// so on large frontiers the copies run in parallel instead of a serial
-// append loop.
-func (e *Engine[V, M]) gatherFrontier() {
-	if e.gatherOffs == nil {
-		e.gatherOffs = make([]int, len(e.workers))
-	}
-	total := 0
-	for i, w := range e.workers {
-		e.gatherOffs[i] = total
-		total += len(w.frontierBuf)
-	}
-	if cap(e.frontierNext) < total {
-		e.frontierNext = make([]int32, total)
-	} else {
-		e.frontierNext = e.frontierNext[:total]
-	}
-	if total >= parallelGatherMin && e.threads > 1 {
-		e.parallelFor(len(e.workers), func(_, wi int) {
-			copy(e.frontierNext[e.gatherOffs[wi]:], e.workers[wi].frontierBuf)
-		})
-		return
-	}
-	for i, w := range e.workers {
-		copy(e.frontierNext[e.gatherOffs[i]:], w.frontierBuf)
-	}
-}
-
-// tryMarkNext claims slot's membership of the next frontier.
-// Test-and-test-and-set: most messages target already-enrolled vertices,
-// so the common path is a single relaxed load rather than a contended
-// compare-and-swap.
-func (e *Engine[V, M]) tryMarkNext(slot int) bool {
-	p := &e.inNext[slot]
-	if atomic.LoadUint32(p) != 0 {
-		return false
-	}
-	return atomic.CompareAndSwapUint32(p, 0, 1)
-}
-
-// auditBypass (debug) verifies the §4 implication: after the swap, every
-// vertex holding a message is in the new frontier. Membership is tracked
-// in a slot-indexed byte array reused across supersteps — a map here
-// allocates per superstep and dominates the audit on million-vertex
-// graphs.
-func (e *Engine[V, M]) auditBypass() error {
-	if e.auditSeen == nil {
-		e.auditSeen = make([]uint8, e.slots)
-	} else {
-		clear(e.auditSeen)
-	}
-	for _, s := range e.frontier {
-		e.auditSeen[s] = 1
-	}
-	for i := 0; i < e.g.N(); i++ {
-		slot := i + e.shift
-		if e.mb.hasCurrent(slot) && e.auditSeen[slot] == 0 {
-			return fmt.Errorf("core: bypass audit: vertex %d has mail but is not in the frontier", e.addr.idOf(slot))
-		}
-	}
-	return nil
-}
-
 // guard wraps one worker's share of a phase: a panic in body (a buggy
 // user program, or the framework's own misuse panics such as Send on the
 // pull combiner) is contained — the offending worker stops, the phase
@@ -791,169 +578,21 @@ func (e *Engine[V, M]) dispatch(t int, perWorker func(w int)) {
 	wg.Wait()
 }
 
-// paddedCursor is the dynamic schedule's shared chunk counter, padded to
-// its own cache line on both sides: under high thread counts an unpadded
-// counter false-shares its line with whatever the allocator placed next
-// to it, and every AddInt64 then invalidates innocent data.
-type paddedCursor struct {
-	_ [64]byte
-	n int64
-	_ [56]byte
-}
-
-// parallelFor splits n work items across the engine's workers according
-// to the configured schedule and blocks until all complete.
-// ScheduleEdgeBalanced applies only to the full-vertex compute scan (see
-// parallelForVertices); for other work domains it degrades to static
-// equal shares.
-func (e *Engine[V, M]) parallelFor(n int, body func(worker, i int)) {
-	if n == 0 {
-		return
-	}
-	t := e.threads
-	if t > n {
-		t = n
-	}
-	if t == 1 {
-		e.guard(0, func() {
-			for i := 0; i < n; i++ {
-				body(0, i)
-			}
-		})
-		return
-	}
-
-	var perWorker func(w int)
-	switch e.cfg.Schedule {
-	case ScheduleDynamic:
-		chunk := n / (t * 16)
-		if chunk < 64 {
-			chunk = 64
-		}
-		cursor := new(paddedCursor)
-		perWorker = func(w int) {
-			e.guard(w, func() {
-				for {
-					lo := int(atomic.AddInt64(&cursor.n, int64(chunk))) - chunk
-					if lo >= n {
-						return
-					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					for i := lo; i < hi; i++ {
-						body(w, i)
-					}
-				}
-			})
-		}
-	default: // ScheduleStatic (and edge-balanced off its domain): equal contiguous shares
-		perWorker = func(w int) {
-			lo, hi := w*n/t, (w+1)*n/t
-			e.guard(w, func() {
-				for i := lo; i < hi; i++ {
-					body(w, i)
-				}
-			})
-		}
-	}
-	e.dispatch(t, perWorker)
-}
-
-// parallelForVertices is parallelFor over the full vertex range 0..N()-1
-// (internal indices). Under ScheduleEdgeBalanced it uses the precomputed
-// degree-prefix-sum cuts so every worker scans a contiguous range holding
-// an equal share of out-edges — on power-law graphs the vertex-count
-// split hands whichever worker owns the hubs almost all of the message
-// work.
-func (e *Engine[V, M]) parallelForVertices(body func(worker, i int)) {
-	n := e.g.N()
-	if e.cfg.Schedule != ScheduleEdgeBalanced || e.threads == 1 || len(e.edgeCuts) != e.threads+1 {
-		e.parallelFor(n, body)
-		return
-	}
-	cuts := e.edgeCuts
-	e.dispatch(e.threads, func(w int) {
-		e.guard(w, func() {
-			for i := int(cuts[w]); i < int(cuts[w+1]); i++ {
-				body(w, i)
-			}
-		})
-	})
-}
-
-// edgeBalancedCuts splits [0, N()) into t contiguous vertex ranges of
-// ~equal out-edge counts. The CSR out-offsets are already the degree
-// prefix sums, so each boundary is one binary search for the smallest
-// vertex whose offset reaches w*M/t.
-func edgeBalancedCuts(g *graph.Graph, t int) []int32 {
-	n := g.N()
-	m := g.M()
-	cuts := make([]int32, t+1)
-	cuts[t] = int32(n)
-	for w := 1; w < t; w++ {
-		target := m * uint64(w) / uint64(t)
-		cuts[w] = int32(sort.Search(n, func(i int) bool { return g.OutEdgeOffset(i) >= target }))
-	}
-	for w := 1; w <= t; w++ { // collapse degenerate boundaries monotonically
-		if cuts[w] < cuts[w-1] {
-			cuts[w] = cuts[w-1]
-		}
-	}
-	return cuts
-}
-
-// edgeBalancedCutsRange is edgeBalancedCuts restricted to the internal-
-// index range [lo, hi) — used to split one shard's contiguous vertex
-// range into ~equal out-edge shares under the range partitioner.
-func edgeBalancedCutsRange(g *graph.Graph, t, lo, hi int) []int32 {
-	cuts := make([]int32, t+1)
-	cuts[0], cuts[t] = int32(lo), int32(hi)
-	if hi <= lo {
-		for w := 1; w < t; w++ {
-			cuts[w] = int32(lo)
-		}
-		return cuts
-	}
-	base := g.OutEdgeOffset(lo)
-	var top uint64
-	if hi == g.N() {
-		top = g.M()
-	} else {
-		top = g.OutEdgeOffset(hi)
-	}
-	m := top - base
-	for w := 1; w < t; w++ {
-		target := base + m*uint64(w)/uint64(t)
-		cuts[w] = int32(lo + sort.Search(hi-lo, func(i int) bool { return g.OutEdgeOffset(lo+i) >= target }))
-	}
-	for w := 1; w <= t; w++ {
-		if cuts[w] < cuts[w-1] {
-			cuts[w] = cuts[w-1]
-		}
-	}
-	return cuts
-}
-
 // Value returns the final user value of the vertex with external
 // identifier id. Valid after Run.
 func (e *Engine[V, M]) Value(id graph.VertexID) V {
-	return e.valueAt(e.addr.locate(id))
+	sh, local := e.slotShard(e.addr.locate(id))
+	return sh.values[local]
 }
 
 // ValuesDense copies the vertex values out in internal-index order
 // (index i holds the value of external identifier Base()+i).
 func (e *Engine[V, M]) ValuesDense() []V {
 	out := make([]V, e.g.N())
-	if e.nShards == 1 {
-		for i := range out {
-			out[i] = e.values[i+e.shift]
-		}
-		return out
-	}
-	for i := range out {
-		out[i] = e.valueAt(i + e.shift)
+	for _, sh := range e.shards {
+		sh.scan(0, int32(len(sh.values)), e.shift, func(local, global int32) {
+			out[int(global)-e.shift] = sh.values[local]
+		})
 	}
 	return out
 }
@@ -966,30 +605,23 @@ func (e *Engine[V, M]) Config() Config { return e.cfg }
 
 // FootprintBytes reports the engine's own heap bytes — vertex values,
 // activity flags, the mailbox arrays of the selected combiner version,
-// the addressing structure and the bypass state. The graph's CSR arrays
-// are excluded, matching the paper's separation of "graph binary size"
-// from framework overhead (§7.4.2); add graph.MemoryBytes() for the
-// total.
+// the pull outboxes, the addressing and partition structures, the bypass
+// state and the workers' combining caches. The O(threads·shards)
+// scheduling work lists are not per-vertex state and are not counted.
+// The graph's CSR arrays are excluded, matching the paper's separation
+// of "graph binary size" from framework overhead (§7.4.2); add
+// graph.MemoryBytes() for the total.
 func (e *Engine[V, M]) FootprintBytes() uint64 {
 	var v V
-	b := uint64(e.slots) * uint64(unsafe.Sizeof(v)) // values
+	var m M
+	b := e.addr.overheadBytes() + e.part.overheadBytes()
 	for _, sh := range e.shards {
-		b += uint64(len(sh.active)) // activity flags
+		b += uint64(len(sh.values)) * uint64(unsafe.Sizeof(v))
+		b += uint64(len(sh.active))
 		b += sh.mb.footprintBytes()
+		b += uint64(len(sh.inNext)+cap(sh.frontier)+cap(sh.frontierNext)) * 4
 	}
-	b += e.addr.overheadBytes()
-	b += e.part.overheadBytes()
-	if e.cfg.SelectionBypass {
-		if e.nShards == 1 {
-			b += uint64(len(e.inNext)) * 4
-			b += uint64(cap(e.frontier)+cap(e.frontierNext)) * 4
-		} else {
-			for _, sh := range e.shards {
-				b += uint64(len(sh.inNext)) * 4
-				b += uint64(cap(sh.frontier)+cap(sh.frontierNext)) * 4
-			}
-		}
-	}
+	b += uint64(len(e.pullOut))*uint64(unsafe.Sizeof(m)) + uint64(len(e.pullFlag))
 	for _, w := range e.workers {
 		if w.cache != nil {
 			b += w.cache.footprintBytes()
@@ -998,18 +630,8 @@ func (e *Engine[V, M]) FootprintBytes() uint64 {
 			b += w.route.footprintBytes()
 		}
 	}
-	if e.pullOut != nil {
-		var m M
-		b += uint64(e.slots) * (uint64(unsafe.Sizeof(m)) + 1) // hybrid outboxes + flags
-	}
-	b += uint64(len(e.edgeCuts)) * 4
-	b += uint64(cap(e.scanSpans)+cap(e.frontierSpanBuf)) * 12
-	b += uint64(cap(e.workBuf)) * 4
 	if e.drainer != nil {
 		b += e.drainer.footprintBytes()
-	}
-	for i := range e.stealQs {
-		b += uint64(cap(e.stealQs[i].idx)) * 4
 	}
 	return b
 }

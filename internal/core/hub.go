@@ -7,7 +7,7 @@ package core
 // cut (default: the p99.9 of the out-degree distribution) is deferred
 // into the worker's pending list and executed after the compute phase as
 // chunked subtasks that any worker can claim — through the work-stealing
-// deques when Config.WorkStealing is on, a shared claim cursor
+// deques when Config.WorkStealing is on, the shared claim cursor
 // otherwise ("Strategies to Deal with an Extreme Form of Irregularity",
 // arXiv 2010.01542). Deferral is invisible to the superstep's
 // semantics: push deliveries always land in the NEXT buffer, so whether
@@ -47,20 +47,20 @@ func (e *Engine[V, M]) hubScatterPhase() {
 		}
 	}
 	e.hubTaskBuf = tasks
-	if len(tasks) == 0 {
-		return
+	// hubShard is the task's home for the stealing deques and for the
+	// cross-shard traffic attribution: the hub's shard, not that of
+	// whatever vertex the executing worker computed last.
+	hubShard := func(k int) int {
+		sh, _ := e.slotShard(int(e.workers[tasks[k].worker].hubSlots[tasks[k].idx]))
+		return int(sh.id)
 	}
-	body := func(w int, t hubTask) {
+	e.forTasks(len(tasks), hubShard, func(w, k int) {
+		t := tasks[k]
 		src := e.workers[t.worker]
 		slot := int(src.hubSlots[t.idx])
 		msg := src.hubMsgs[t.idx]
 		ctx := e.workers[w]
-		if ctx.route != nil {
-			// Attribute cross-shard traffic to the hub's shard, not to
-			// whatever vertex this worker computed last.
-			d, _ := e.part.locate(slot)
-			ctx.curShard = int32(d)
-		}
+		ctx.curShard = int32(hubShard(k))
 		ctx.hubTasks++
 		base := e.g.Base()
 		nbs := e.g.OutNeighborsWith(&ctx.nbuf, slot-e.shift)
@@ -71,50 +71,5 @@ func (e *Engine[V, M]) hubScatterPhase() {
 				ctx.enroll(dst)
 			}
 		}
-	}
-	if e.cfg.WorkStealing && e.threads > 1 && len(tasks) > 1 {
-		e.hubScatterStealing(tasks, body)
-		return
-	}
-	e.forSpans(len(tasks), func(w, k int) { body(w, tasks[k]) })
-}
-
-// hubScatterStealing runs the chunk tasks under the PR 6 deque
-// discipline: queues are seeded by the hub's shard (shard s -> worker
-// s mod threads, same affinity as the compute spans), owners pop from
-// the front, and a dry worker steals from the back of its neighbours'
-// queues.
-func (e *Engine[V, M]) hubScatterStealing(tasks []hubTask, body func(w int, t hubTask)) {
-	t := e.threads
-	if e.stealQs == nil {
-		e.stealQs = make([]stealQueue, t)
-	}
-	for i := range e.stealQs {
-		e.stealQs[i].reset()
-	}
-	for k, task := range tasks {
-		src := e.workers[task.worker]
-		d, _ := e.part.locate(int(src.hubSlots[task.idx]))
-		e.stealQs[d%t].push(int32(k))
-	}
-	e.dispatch(t, func(w int) {
-		e.guard(w, func() {
-			ctx := e.workers[w]
-			for {
-				k, ok := e.stealQs[w].popFront()
-				if !ok {
-					for off := 1; off < t; off++ {
-						if k, ok = e.stealQs[(w+off)%t].popBack(); ok {
-							ctx.stolen++
-							break
-						}
-					}
-				}
-				if !ok {
-					return
-				}
-				body(w, tasks[k])
-			}
-		})
 	})
 }

@@ -53,24 +53,18 @@ func (e *Engine[V, M]) auditInvariants() error {
 
 // auditConservation checks that every Send this superstep is accounted
 // for: it was either absorbed by a worker's combining cache, combined into
-// an occupied shared mailbox, or filled an empty one. The LEGACY pull
-// combiner is exempt — its Messages count buffered broadcasts, whose
-// fan-out happens at collect time and is graph-dependent rather than
-// send-conserving. Hybrid pull supersteps (Config.Direction) are NOT
-// exempt: they count Messages as the logical fan-out (out-degree per
-// broadcast) and the collect phase deposits exactly that many entries
-// through the counted deliver path, so the same formula holds — and
-// additionally pins the broadcast-at-most-once-per-superstep contract
-// the outbox-overwrite semantics require.
+// an occupied shared mailbox, or filled an empty one. Pull supersteps are
+// audited like push ones: they count Messages as the logical fan-out
+// (out-degree per broadcast) and the collect phase deposits exactly that
+// many entries through the counted deliver path, so the same formula
+// holds — and additionally pins the broadcast-at-most-once-per-superstep
+// contract the outbox-overwrite semantics require.
 func (e *Engine[V, M]) auditConservation() error {
 	defer func() {
 		for _, sh := range e.shards {
 			sh.mb.resetDeliveryCounts()
 		}
 	}()
-	if e.mb != nil && e.mb.usesPull() {
-		return nil
-	}
 	var sent, local uint64
 	for _, w := range e.workers {
 		sent += w.msgs
@@ -98,81 +92,40 @@ func (e *Engine[V, M]) auditConservation() error {
 	return nil
 }
 
+// resetAuditSeen returns the zeroed slot-indexed membership scratch the
+// frontier audits share. It is a byte array reused across supersteps —
+// a map here allocates per superstep and dominates the audit on
+// million-vertex graphs.
+func (e *Engine[V, M]) resetAuditSeen() []uint8 {
+	if e.auditSeen == nil {
+		e.auditSeen = make([]uint8, e.slots)
+	} else {
+		clear(e.auditSeen)
+	}
+	return e.auditSeen
+}
+
 // auditFrontierDedup checks the selection-bypass dedup flags against the
 // gathered next frontier: every enrolled slot must appear exactly once,
 // and every set flag must correspond to an enrolled slot. A duplicate
 // would run a vertex twice next superstep; a stray flag would silently
 // suppress a future enrolment (§4's correctness hinges on exactly-once
-// membership).
+// membership). Enrolled local slots are deduplicated against the global
+// scratch array and each shard's flag count must equal its enrolments.
 func (e *Engine[V, M]) auditFrontierDedup() error {
-	if e.nShards > 1 {
-		return e.auditFrontierDedupSharded()
-	}
-	if e.auditSeen == nil {
-		e.auditSeen = make([]uint8, e.slots)
-	} else {
-		clear(e.auditSeen)
-	}
-	for _, slot := range e.frontierNext {
-		if e.auditSeen[slot] != 0 {
-			return &InvariantError{
-				Superstep: e.superstep,
-				Invariant: "frontier-dedup",
-				Detail:    fmt.Sprintf("vertex %d enrolled twice in the next frontier", e.addr.idOf(int(slot))),
-			}
-		}
-		e.auditSeen[slot] = 1
-		if atomic.LoadUint32(&e.inNext[slot]) == 0 {
-			return &InvariantError{
-				Superstep: e.superstep,
-				Invariant: "frontier-dedup",
-				Detail:    fmt.Sprintf("vertex %d is in the next frontier but its dedup flag is clear", e.addr.idOf(int(slot))),
-			}
-		}
-	}
-	var flagged uint64
-	for i := range e.inNext {
-		if atomic.LoadUint32(&e.inNext[i]) != 0 {
-			flagged++
-		}
-	}
-	if flagged != uint64(len(e.frontierNext)) {
-		return &InvariantError{
-			Superstep: e.superstep,
-			Invariant: "frontier-dedup",
-			Detail:    fmt.Sprintf("%d dedup flags set but %d vertices enrolled; a flag leaked without an enrolment", flagged, len(e.frontierNext)),
-		}
-	}
-	return nil
-}
-
-// auditFrontierDedupSharded applies the same exactly-once check per
-// shard: enrolled local slots are deduplicated against a global scratch
-// array (translated through the partitioner) and each shard's flag
-// count must equal its enrolments.
-func (e *Engine[V, M]) auditFrontierDedupSharded() error {
-	if e.auditSeen == nil {
-		e.auditSeen = make([]uint8, e.slots)
-	} else {
-		clear(e.auditSeen)
+	seen := e.resetAuditSeen()
+	fail := func(format string, args ...any) error {
+		return &InvariantError{Superstep: e.superstep, Invariant: "frontier-dedup", Detail: fmt.Sprintf(format, args...)}
 	}
 	for s, sh := range e.shards {
 		for _, local := range sh.frontierNext {
-			slot := e.part.globalOf(s, int(local))
-			if e.auditSeen[slot] != 0 {
-				return &InvariantError{
-					Superstep: e.superstep,
-					Invariant: "frontier-dedup",
-					Detail:    fmt.Sprintf("vertex %d enrolled twice in the next frontier", e.addr.idOf(slot)),
-				}
+			slot := sh.global(local)
+			if seen[slot] != 0 {
+				return fail("vertex %d enrolled twice in the next frontier", e.addr.idOf(int(slot)))
 			}
-			e.auditSeen[slot] = 1
+			seen[slot] = 1
 			if atomic.LoadUint32(&sh.inNext[local]) == 0 {
-				return &InvariantError{
-					Superstep: e.superstep,
-					Invariant: "frontier-dedup",
-					Detail:    fmt.Sprintf("vertex %d is in the next frontier but its dedup flag is clear", e.addr.idOf(slot)),
-				}
+				return fail("vertex %d is in the next frontier but its dedup flag is clear", e.addr.idOf(int(slot)))
 			}
 		}
 		var flagged uint64
@@ -182,10 +135,23 @@ func (e *Engine[V, M]) auditFrontierDedupSharded() error {
 			}
 		}
 		if flagged != uint64(len(sh.frontierNext)) {
-			return &InvariantError{
-				Superstep: e.superstep,
-				Invariant: "frontier-dedup",
-				Detail:    fmt.Sprintf("shard %d: %d dedup flags set but %d vertices enrolled; a flag leaked without an enrolment", s, flagged, len(sh.frontierNext)),
+			return fail("shard %d: %d dedup flags set but %d vertices enrolled; a flag leaked without an enrolment", s, flagged, len(sh.frontierNext))
+		}
+	}
+	return nil
+}
+
+// auditBypass verifies the §4 implication after the frontier swap: every
+// vertex holding a message is in its shard's new frontier.
+func (e *Engine[V, M]) auditBypass() error {
+	seen := e.resetAuditSeen()
+	for _, sh := range e.shards {
+		for _, local := range sh.frontier {
+			seen[sh.global(local)] = 1
+		}
+		for local := range sh.values {
+			if slot := sh.global(int32(local)); sh.mb.hasCurrent(local) && seen[slot] == 0 {
+				return fmt.Errorf("core: bypass audit: vertex %d has mail but is not in the frontier", e.addr.idOf(int(slot)))
 			}
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"ipregel/internal/graph"
 )
 
 // CombineFunc merges a newly received message into the single message a
@@ -14,28 +12,24 @@ import (
 // associative for the result to be independent of delivery order.
 type CombineFunc[M any] func(old *M, new M)
 
-// mailbox is the combination module (paper §6). Each implementation owns
-// the arrays whose sizes the paper's memory analysis compares: the push
-// versions carry one lock per vertex (mutex 8 B, spinlock 4 B in Go); the
-// pull version carries no locks but needs per-vertex outboxes.
+// mailbox is the combination module (paper §6): a vertex INBOX holding
+// at most one combined message. How messages reach it — pushed at send
+// time, or pulled from the senders' outboxes by the collect phase — is
+// the engine's transport decision (direction.go), not the inbox's; the
+// versions differ only in what makes a concurrent deliver safe, which is
+// also what the paper's memory analysis compares: one lock per vertex
+// (mutex 8 B, spinlock 4 B in Go), a CAS on the message word (atomic),
+// or nothing at all (pull, whose deposits are owner-only).
 //
 // All mailboxes are double-buffered: compute at superstep s reads the
 // "now" buffer (messages sent during s-1) while new messages land in the
 // "next" buffer, swapped at the barrier.
 type mailbox[M any] interface {
-	// deliver pushes msg into slot dst's next-superstep inbox, combining
-	// if a message is already present. Safe for concurrent senders on the
-	// push implementations; panics on the pull implementation (Send is
-	// not part of the broadcast-only contract, §6.2).
+	// deliver puts msg into slot dst's next-superstep inbox, combining if
+	// a message is already present. Safe for concurrent senders on the
+	// mutex, spinlock and atomic versions; on the pull version only for
+	// distinct dst (the collect phase's one-owner-per-destination rule).
 	deliver(dst int, msg M)
-	// setOutbox buffers the broadcast payload of slot src (pull only).
-	setOutbox(src int, msg M)
-	// collectInto fetches and combines the outboxes of slot's
-	// in-neighbours into slot's next inbox (pull only). Only the owner of
-	// slot may call it, which is what makes the pull design race-free.
-	// nb is the calling worker's decode buffer for the compressed graph
-	// backend (unused on flat graphs).
-	collectInto(slot int, nb *graph.NeighborBuf)
 	// take moves the current message for slot into *m, reporting whether
 	// one existed. A second call in the same superstep returns false,
 	// matching IP_get_next_message's drain loop over the single-message
@@ -51,11 +45,6 @@ type mailbox[M any] interface {
 	// swap publishes the next buffer as current. Stale unread flags from
 	// the previous superstep are cleared.
 	swap()
-	// clearOutboxes resets all broadcast flags (pull only; called after
-	// the collect phase).
-	clearOutboxes()
-	// usesPull distinguishes the collect-phase implementations.
-	usesPull() bool
 	// footprintBytes reports the heap bytes of the mailbox arrays, for
 	// the §7.4 accounting.
 	footprintBytes() uint64
@@ -71,7 +60,7 @@ type mailbox[M any] interface {
 	// value-word combine retries and lost empty-slot claims) — the live
 	// contention signal StepStats.CASRetries exposes per superstep.
 	// Always 0 for the lock-based and pull combiners, whose waiting
-	// happens inside locks rather than CAS retry loops.
+	// happens inside locks (or not at all) rather than CAS retry loops.
 	contentionRetries() uint64
 	// auditBarrier verifies implementation-specific barrier invariants
 	// (e.g. the atomic mailbox's state machine holds no slot mid-
@@ -81,14 +70,15 @@ type mailbox[M any] interface {
 	auditBarrier() error
 }
 
-// pushBuffers is the state shared by both push-based combiners.
+// pushBuffers is the double-buffered inbox state shared by the lock-based
+// and pull combiners.
 type pushBuffers[M any] struct {
 	combine         CombineFunc[M]
 	now, next       []M
 	hasNow, hasNext []uint8
 	// check enables the delivery counters (Config.CheckInvariants).
-	// Increments use sync/atomic: depositLocked holds only the target
-	// slot's lock, so deposits to different slots race on the counters.
+	// Increments use sync/atomic: deposit's caller owns only the target
+	// slot, so deposits to different slots race on the counters.
 	check             bool
 	nCombines, nFills uint64
 }
@@ -116,6 +106,8 @@ func (b *pushBuffers[M]) resetDeliveryCounts() {
 // contentionRetries: the lock-based and pull combiners have no CAS retry
 // loops; their contention shows up as lock wait time instead.
 func (b *pushBuffers[M]) contentionRetries() uint64 { return 0 }
+
+func (b *pushBuffers[M]) auditBarrier() error { return nil }
 
 func (b *pushBuffers[M]) take(slot int, m *M) bool {
 	if b.hasNow[slot] == 0 {
@@ -147,9 +139,9 @@ func (b *pushBuffers[M]) swap() {
 	b.hasNow, b.hasNext = b.hasNext, b.hasNow
 }
 
-// depositLocked combines msg into slot's next inbox; the caller must hold
-// slot's lock.
-func (b *pushBuffers[M]) depositLocked(dst int, msg M) {
+// deposit combines msg into slot's next inbox; the caller must own the
+// slot — hold its lock, or be its only depositor this phase.
+func (b *pushBuffers[M]) deposit(dst int, msg M) {
 	if b.hasNext[dst] != 0 {
 		b.combine(&b.next[dst], msg)
 		if b.check {
@@ -187,19 +179,10 @@ func newMutexMailbox[M any](slots int, combine CombineFunc[M], check bool) *mute
 
 func (mb *mutexMailbox[M]) deliver(dst int, msg M) {
 	mb.locks[dst].Lock()
-	mb.depositLocked(dst, msg)
+	mb.deposit(dst, msg)
 	mb.locks[dst].Unlock()
 }
 
-func (mb *mutexMailbox[M]) setOutbox(int, M) {
-	panic("core: broadcast outbox used with a push combiner")
-}
-func (mb *mutexMailbox[M]) collectInto(int, *graph.NeighborBuf) {
-	panic("core: collect phase used with a push combiner")
-}
-func (mb *mutexMailbox[M]) clearOutboxes()      {}
-func (mb *mutexMailbox[M]) usesPull() bool      { return false }
-func (mb *mutexMailbox[M]) auditBarrier() error { return nil }
 func (mb *mutexMailbox[M]) footprintBytes() uint64 {
 	return mb.buffersBytes() + uint64(len(mb.locks))*mutexBytes
 }
@@ -221,79 +204,33 @@ func newSpinMailbox[M any](slots int, combine CombineFunc[M], check bool) *spinM
 
 func (mb *spinMailbox[M]) deliver(dst int, msg M) {
 	mb.locks[dst].lock()
-	mb.depositLocked(dst, msg)
+	mb.deposit(dst, msg)
 	mb.locks[dst].unlock()
 }
 
-func (mb *spinMailbox[M]) setOutbox(int, M) {
-	panic("core: broadcast outbox used with a push combiner")
-}
-func (mb *spinMailbox[M]) collectInto(int, *graph.NeighborBuf) {
-	panic("core: collect phase used with a push combiner")
-}
-func (mb *spinMailbox[M]) clearOutboxes()      {}
-func (mb *spinMailbox[M]) usesPull() bool      { return false }
-func (mb *spinMailbox[M]) auditBarrier() error { return nil }
 func (mb *spinMailbox[M]) footprintBytes() uint64 {
 	return mb.buffersBytes() + uint64(len(mb.locks))*spinLockBytes
 }
 
-// pullMailbox is the pull-based combiner (§6.2). Senders buffer one
-// message in their own outbox; at the end of the superstep each vertex
-// fetches its in-neighbours' outboxes and combines into its own inbox.
-// All inter-vertex interaction is read-only, so no locks exist at all —
-// the paper's race-free design with zero data-race-protection memory.
+// pullMailbox is the pull-based combiner's inbox (§6.2): no lock at all.
+// It is legal only under the pull transport, where every deposit comes
+// from the collect phase and each destination slot is collected by
+// exactly one worker; CombinerPull therefore implies Direction pull
+// (engine.New). All inter-vertex interaction is then read-only — the
+// paper's race-free design with zero data-race-protection memory (the
+// outboxes the senders write live on the engine, see direction.go).
 type pullMailbox[M any] struct {
-	pushBuffers[M] // reused as the double-buffered inbox (no locks taken)
-	outbox         []M
-	outFlag        []uint8
-	g              *graph.Graph
-	shift          int
+	pushBuffers[M]
 }
 
-func newPullMailbox[M any](slots int, combine CombineFunc[M], g *graph.Graph, shift int, check bool) *pullMailbox[M] {
-	return &pullMailbox[M]{
-		pushBuffers: newPushBuffers[M](slots, combine, check),
-		outbox:      make([]M, slots),
-		outFlag:     make([]uint8, slots),
-		g:           g,
-		shift:       shift,
-	}
-}
+func (mb *pullMailbox[M]) deliver(dst int, msg M) { mb.deposit(dst, msg) }
 
-func (mb *pullMailbox[M]) deliver(int, M) {
-	panic("core: IP_send_message is not available with the pull combiner; the broadcast version requires broadcast-only applications (paper §6.2)")
-}
-
-func (mb *pullMailbox[M]) setOutbox(src int, msg M) {
-	mb.outbox[src] = msg
-	mb.outFlag[src] = 1
-}
-
-func (mb *pullMailbox[M]) collectInto(slot int, buf *graph.NeighborBuf) {
-	idx := slot - mb.shift
-	for _, nb := range mb.g.InNeighborsWith(buf, idx) {
-		nbSlot := int(nb) + mb.shift
-		if mb.outFlag[nbSlot] != 0 {
-			mb.depositLocked(slot, mb.outbox[nbSlot]) // owner-only write: no lock needed
-		}
-	}
-}
-
-func (mb *pullMailbox[M]) clearOutboxes()      { clear(mb.outFlag) }
-func (mb *pullMailbox[M]) usesPull() bool      { return true }
-func (mb *pullMailbox[M]) auditBarrier() error { return nil }
-
-func (mb *pullMailbox[M]) footprintBytes() uint64 {
-	var m M
-	msg := uint64(unsafe.Sizeof(m))
-	return mb.buffersBytes() + uint64(len(mb.outbox))*msg + uint64(len(mb.outFlag))
-}
+func (mb *pullMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
 
 // newMailbox builds the combination module version chosen by cfg. It
 // fails when the version's assumptions do not hold for M (the atomic
 // combiner requires word-sized messages).
-func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M], g *graph.Graph, shift int) (mailbox[M], error) {
+func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], error) {
 	check := cfg.CheckInvariants
 	switch cfg.Combiner {
 	case CombinerMutex:
@@ -301,7 +238,7 @@ func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M], g *graph.G
 	case CombinerSpin:
 		return newSpinMailbox[M](slots, combine, check), nil
 	case CombinerPull:
-		return newPullMailbox[M](slots, combine, g, shift, check), nil
+		return &pullMailbox[M]{newPushBuffers[M](slots, combine, check)}, nil
 	case CombinerAtomic:
 		return newAtomicMailbox[M](slots, combine, check)
 	}

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"unsafe"
-
-	"ipregel/internal/graph"
 )
 
 // atomicMailbox is the lock-free push combiner the follow-up iPregel work
@@ -186,15 +184,6 @@ func (mb *atomicMailbox[M]) swap() {
 	mb.now, mb.next = mb.next, mb.now
 	mb.stateNow, mb.stateNext = mb.stateNext, mb.stateNow
 }
-
-func (mb *atomicMailbox[M]) setOutbox(int, M) {
-	panic("core: broadcast outbox used with a push combiner")
-}
-func (mb *atomicMailbox[M]) collectInto(int, *graph.NeighborBuf) {
-	panic("core: collect phase used with a push combiner")
-}
-func (mb *atomicMailbox[M]) clearOutboxes() {}
-func (mb *atomicMailbox[M]) usesPull() bool { return false }
 
 func (mb *atomicMailbox[M]) countCombine() {
 	if mb.check {

@@ -61,7 +61,7 @@ func TestPushCombinerHotSlotStress(t *testing.T) {
 	}
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		t.Run(comb.String(), func(t *testing.T) {
-			mb, err := newMailbox[uint32](Config{Combiner: comb}, hot, sum32, nil, 0)
+			mb, err := newMailbox[uint32](Config{Combiner: comb}, hot, sum32)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestAtomicMailboxWideAndNarrow(t *testing.T) {
 				want[slot] += msg
 			}
 		}
-		mb, err := newMailbox[float64](Config{Combiner: CombinerAtomic}, hot, sumF, nil, 0)
+		mb, err := newMailbox[float64](Config{Combiner: CombinerAtomic}, hot, sumF)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestAtomicMailboxWideAndNarrow(t *testing.T) {
 				}
 			}
 		}
-		mb, err := newMailbox[int64](Config{Combiner: CombinerAtomic}, hot, maxI, nil, 0)
+		mb, err := newMailbox[int64](Config{Combiner: CombinerAtomic}, hot, maxI)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +164,11 @@ func TestSenderCombiningRejectsPull(t *testing.T) {
 func TestSenderCacheEquivalence(t *testing.T) {
 	const slots = 1 << 12
 	sum32 := func(old *uint32, new uint32) { *old += new }
-	direct, err := newMailbox[uint32](Config{Combiner: CombinerSpin}, slots, sum32, nil, 0)
+	direct, err := newMailbox[uint32](Config{Combiner: CombinerSpin}, slots, sum32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := newMailbox[uint32](Config{Combiner: CombinerSpin}, slots, sum32, nil, 0)
+	cached, err := newMailbox[uint32](Config{Combiner: CombinerSpin}, slots, sum32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func skewGraph(n int) *graph.Graph {
 func TestEdgeBalancedCuts(t *testing.T) {
 	g := skewGraph(1024)
 	const threads = 4
-	cuts := edgeBalancedCuts(g, threads)
+	cuts := edgeBalancedCuts(g, threads, 0, g.N())
 	if len(cuts) != threads+1 || cuts[0] != 0 || cuts[threads] != int32(g.N()) {
 		t.Fatalf("cuts = %v", cuts)
 	}

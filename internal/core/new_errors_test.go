@@ -57,11 +57,11 @@ func TestNewConstructionErrors(t *testing.T) {
 			want: "unknown direction",
 		},
 		{
-			name: "CombinerPull with explicit Direction",
+			name: "CombinerPull with adaptive Direction",
 			g:    ringGraph(4, 0).WithInEdges(),
 			cfg:  Config{Combiner: CombinerPull, Direction: DirectionAdaptive},
 			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "CombinerPull is the deprecated all-pull alias",
+			want: "cannot run Direction adaptive",
 		},
 		{
 			name: "direction threshold out of range",

@@ -87,22 +87,6 @@ func (e *Engine[V, M]) AddObserver(o Observer) error {
 	return nil
 }
 
-// Observe installs a per-superstep callback — live progress for long
-// computations (the USA-road Hashmin runs of §7.3 take the paper almost
-// an hour). It is the legacy single-callback form, kept as a shorthand
-// for AddObserver(ObserverFuncs{SuperstepEnd: fn}); use AddObserver for
-// the full lifecycle (start/end/abort/run-end) events.
-func (e *Engine[V, M]) Observe(fn func(superstep int, s StepStats)) error {
-	if e.ran {
-		return errors.New("core: cannot observe after Run")
-	}
-	if fn == nil {
-		return nil
-	}
-	e.observers = append(e.observers, ObserverFuncs{SuperstepEnd: fn})
-	return nil
-}
-
 func (e *Engine[V, M]) observeSuperstepStart(s int) {
 	for _, o := range e.observers {
 		o.OnSuperstepStart(s)

@@ -271,7 +271,7 @@ func TestObserverAbortPaths(t *testing.T) {
 				// superstep's barrier.
 				if err := e.AddObserver(ObserverFuncs{SuperstepStart: func(s int) {
 					if s == 2 {
-						atomic.StoreUint32(&e.inNext[10], 1)
+						atomic.StoreUint32(&e.shards[0].inNext[10], 1)
 					}
 				}}); err != nil {
 					t.Fatal(err)

@@ -8,8 +8,7 @@ import "fmt"
 // data structure with no engine knowledge. A shard owns a contiguous
 // local slot space [0, localSlots(s)); every global slot belongs to
 // exactly one shard. Config.Shards == 1 selects the identity partition,
-// whose locate is shard 0 / local == global, keeping the single-shard
-// engine untouched.
+// whose locate is shard 0 / local == global.
 type partitioner interface {
 	// shards returns the number of shards (≥ 1).
 	shards() int
@@ -19,6 +18,11 @@ type partitioner interface {
 	globalOf(shard, local int) int
 	// localSlots returns the size of one shard's local slot space.
 	localSlots(shard int) int
+	// table returns the shard's local→global slot table, or nil when the
+	// shard owns one contiguous global range starting at globalOf(shard,
+	// 0) — the case in which the engine's loops translate by adding a
+	// base instead of looking each slot up.
+	table(shard int) []int32
 	// overheadBytes is the partitioner's own heap footprint.
 	overheadBytes() uint64
 }
@@ -79,14 +83,14 @@ func newPartitioner(cfg Config, slots int) (partitioner, error) {
 }
 
 // singlePartitioner is the identity: one shard, local slot == global
-// slot. The single-shard engine routes every translation through it at
-// zero cost (the calls inline to identity).
+// slot.
 type singlePartitioner struct{ n int }
 
 func (p singlePartitioner) shards() int                { return 1 }
 func (p singlePartitioner) locate(slot int) (int, int) { return 0, slot }
 func (p singlePartitioner) globalOf(_, local int) int  { return local }
 func (p singlePartitioner) localSlots(int) int         { return p.n }
+func (p singlePartitioner) table(int) []int32          { return nil }
 func (p singlePartitioner) overheadBytes() uint64      { return 0 }
 
 // rangePartitioner: shard s owns the global range [cuts[s], cuts[s+1])
@@ -120,6 +124,8 @@ func (p *rangePartitioner) globalOf(shard, local int) int {
 func (p *rangePartitioner) localSlots(shard int) int {
 	return int(p.cuts[shard+1] - p.cuts[shard])
 }
+
+func (p *rangePartitioner) table(int) []int32 { return nil }
 
 func (p *rangePartitioner) overheadBytes() uint64 {
 	return uint64(len(p.cuts)) * 4
@@ -167,6 +173,8 @@ func (p *hashPartitioner) globalOf(shard, local int) int {
 func (p *hashPartitioner) localSlots(shard int) int {
 	return len(p.globals[shard])
 }
+
+func (p *hashPartitioner) table(shard int) []int32 { return p.globals[shard] }
 
 func (p *hashPartitioner) overheadBytes() uint64 {
 	b := uint64(len(p.shardIdx)+len(p.localIdx)) * 4

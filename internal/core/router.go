@@ -4,9 +4,8 @@ import "unsafe"
 
 // shardRouter is one worker's sender-side routing state under sharding:
 // a direct-mapped combining cache per destination shard (generalizing
-// the single senderCache of Config.SenderCombining), per-destination
-// enrol buffers, and the per-shard delivery counters behind
-// StepStats.ShardMessages. Repeated sends to the same destination slot
+// the single senderCache of Config.SenderCombining) and the per-shard
+// delivery counters behind StepStats.ShardMessages. Repeated sends to the same destination slot
 // pre-combine worker-locally; a cache conflict evicts the old entry to
 // the destination shard's mailbox, and drainShard flushes the rest at
 // the barrier, so cross-shard traffic arrives as bulk combines instead
@@ -18,10 +17,6 @@ type shardRouter[M any] struct {
 	// wide; dst holds the cached LOCAL slot, -1 when the way is empty.
 	dst [][]int32
 	msg [][]M
-
-	// frontier holds the LOCAL slots this worker enrolled per destination
-	// shard (selection bypass), concatenated by gatherFrontierSharded.
-	frontier [][]int32
 
 	// sent counts deliveries routed per destination shard this superstep;
 	// cross counts those whose destination differed from the sender's
@@ -45,7 +40,7 @@ type shardRouter[M any] struct {
 // sender-combining cache (sendercache.go).
 const routeBits = 9
 
-func newShardRouter[M any](combine CombineFunc[M], shards int, bypass bool) *shardRouter[M] {
+func newShardRouter[M any](combine CombineFunc[M], shards int) *shardRouter[M] {
 	r := &shardRouter[M]{
 		combine: combine,
 		dst:     make([][]int32, shards),
@@ -59,9 +54,6 @@ func newShardRouter[M any](combine CombineFunc[M], shards int, bypass bool) *sha
 		}
 		r.dst[d] = ways
 		r.msg[d] = make([]M, 1<<routeBits)
-	}
-	if bypass {
-		r.frontier = make([][]int32, shards)
 	}
 	return r
 }
@@ -148,15 +140,12 @@ func (r *shardRouter[M]) drainShard(shard int, mb mailbox[M]) {
 	}
 }
 
-// resetSuperstep clears the per-superstep counters and enrol buffers.
-// The caches themselves are already empty: drainRouters runs every
-// superstep, crash or no crash, before stats are gathered.
+// resetSuperstep clears the per-superstep counters. The caches
+// themselves are already empty: drainRouters runs every superstep, crash
+// or no crash, before stats are gathered.
 func (r *shardRouter[M]) resetSuperstep() {
 	clear(r.sent)
 	r.cross, r.combined, r.earlyBatches = 0, 0, 0
-	for d := range r.frontier {
-		r.frontier[d] = r.frontier[d][:0]
-	}
 }
 
 func (r *shardRouter[M]) footprintBytes() uint64 {
@@ -164,9 +153,6 @@ func (r *shardRouter[M]) footprintBytes() uint64 {
 	b := uint64(0)
 	for d := range r.dst {
 		b += uint64(len(r.dst[d]))*4 + uint64(len(r.msg[d]))*uint64(unsafe.Sizeof(m))
-	}
-	for _, f := range r.frontier {
-		b += uint64(cap(f)) * 4
 	}
 	b += uint64(len(r.sent)) * 8
 	return b

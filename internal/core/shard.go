@@ -2,18 +2,22 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
+
+	"ipregel/internal/graph"
 )
 
-// engineShard is one shard's slice of the engine state: its own mailbox
-// instance, values/active segments and frontier buffers, all indexed by
-// LOCAL slot (0..localSlots-1). Because every array is owned by exactly
-// one shard, intra-shard delivery contends only with deliveries to the
-// same shard; other shards' mailboxes live on different cache lines
-// entirely. The single-shard engine builds exactly one of these and
-// aliases its legacy flat arrays (Engine.values, Engine.active, ...) to
-// it, so Config.Shards <= 1 runs the pre-shard code paths unchanged.
+// engineShard is the engine's only unit of per-vertex state: its own
+// mailbox instance, values/active segments and frontier buffers, all
+// indexed by LOCAL slot (0..localSlots-1). Because every array is owned
+// by exactly one shard, intra-shard delivery contends only with
+// deliveries to the same shard; other shards' mailboxes live on
+// different cache lines entirely. An engine with Config.Shards <= 1 is
+// the one-shard case of the same structure (local slot == global slot),
+// not a separate code path.
 type engineShard[V, M any] struct {
+	id int32
 	mb mailbox[M]
 
 	// values and active are local-slot indexed; indexing them with a
@@ -33,34 +37,42 @@ type engineShard[V, M any] struct {
 	inNext []uint32
 
 	// frontier and frontierNext hold LOCAL slots (the shard is implied);
-	// checkpointing and audits translate through partitioner.globalOf.
+	// checkpointing and audits translate through global.
 	frontier     []int32
 	frontierNext []int32
+
+	// Local→global translation: a contiguous shard (one shard, or range
+	// partitioning) owns the global slots [base, base+len(values)) and
+	// globals is nil; a scattered one (hash partitioning) looks each
+	// local slot up in globals.
+	base    int32
+	globals []int32
 
 	// activeCount mirrors the number of set active flags, maintained
 	// incrementally from the workers' per-shard activation/halt deltas at
 	// each barrier (audited against a full scan under CheckInvariants).
 	// runnable caches the shard-skip decision for the next superstep:
 	// a shard with no active vertex and no delivery last superstep has
-	// nothing to run, so the scan phase drops its spans entirely.
+	// nothing to run, so the scan phase drops its spans entirely. Both
+	// are maintained only when there is more than one shard to skip.
 	activeCount int64
 	runnable    bool
 }
 
-func newEngineShard[V, M any](cfg Config, localN int, combine CombineFunc[M]) (*engineShard[V, M], error) {
+func newEngineShard[V, M any](cfg Config, part partitioner, s int, combine CombineFunc[M]) (*engineShard[V, M], error) {
+	localN := part.localSlots(s)
 	sh := &engineShard[V, M]{
+		id:       int32(s),
 		values:   make([]V, localN),
 		active:   make([]uint8, localN),
+		globals:  part.table(s),
 		runnable: true,
 	}
+	if sh.globals == nil && localN > 0 {
+		sh.base = int32(part.globalOf(s, 0))
+	}
 	var err error
-	// Shard mailboxes are always inboxes (New normalises the deprecated
-	// CombinerPull alias away under sharding; hybrid pull supersteps use
-	// the engine-level outboxes in direction.go and deposit here through
-	// deliver), so the graph and shift arguments of the mailbox factory
-	// are never consulted.
-	sh.mb, err = newMailbox[M](cfg, localN, combine, nil, 0)
-	if err != nil {
+	if sh.mb, err = newMailbox[M](cfg, localN, combine); err != nil {
 		return nil, err
 	}
 	if cfg.SelectionBypass {
@@ -69,8 +81,42 @@ func newEngineShard[V, M any](cfg Config, localN int, combine CombineFunc[M]) (*
 	return sh, nil
 }
 
-// tryMarkNext claims local's membership of this shard's next frontier
-// (test-and-test-and-set, like Engine.tryMarkNext).
+// global translates one of this shard's local slots to its global slot.
+func (sh *engineShard[V, M]) global(local int32) int32 {
+	if sh.globals != nil {
+		return sh.globals[local]
+	}
+	return sh.base + local
+}
+
+// scan calls visit for every local slot in [lo, hi) that holds a vertex
+// (the desolate dead zone below shift holds none, §5). The translation
+// state is read once per call, so on a contiguous shard the per-slot
+// cost is one addition.
+func (sh *engineShard[V, M]) scan(lo, hi int32, shift int, visit func(local, global int32)) {
+	base, globals := sh.base, sh.globals
+	for local := lo; local < hi; local++ {
+		global := base + local
+		if globals != nil {
+			global = globals[local]
+		}
+		if int(global) >= shift {
+			visit(local, global)
+		}
+	}
+}
+
+// each calls visit for every local slot listed (a frontier segment).
+func (sh *engineShard[V, M]) each(locals []int32, visit func(local, global int32)) {
+	for _, local := range locals {
+		visit(local, sh.global(local))
+	}
+}
+
+// tryMarkNext claims local's membership of this shard's next frontier.
+// Test-and-test-and-set: most messages target already-enrolled vertices,
+// so the common path is a single relaxed load rather than a contended
+// compare-and-swap.
 func (sh *engineShard[V, M]) tryMarkNext(local int) bool {
 	p := &sh.inNext[local]
 	if atomic.LoadUint32(p) != 0 {
@@ -80,8 +126,8 @@ func (sh *engineShard[V, M]) tryMarkNext(local int) bool {
 }
 
 // slotShard resolves a global slot to its owning shard and local slot.
-// The single-shard fast path keeps the pre-shard identity (shards[0],
-// local == global) without consulting the partitioner.
+// With one shard the translation is the identity and the partitioner is
+// never consulted.
 func (e *Engine[V, M]) slotShard(slot int) (*engineShard[V, M], int) {
 	if e.nShards == 1 {
 		return e.shards[0], slot
@@ -90,143 +136,158 @@ func (e *Engine[V, M]) slotShard(slot int) (*engineShard[V, M], int) {
 	return e.shards[s], local
 }
 
-// The *At accessors are the global-slot view over the sharded arrays,
-// used by the cold paths that still think in global slots: checkpoint
-// write/restore, audits, Value/ValuesDense.
-
-func (e *Engine[V, M]) valueAt(slot int) V {
-	sh, local := e.slotShard(slot)
-	return sh.values[local]
-}
-
-func (e *Engine[V, M]) setValueAt(slot int, v V) {
-	sh, local := e.slotShard(slot)
-	sh.values[local] = v
-}
-
-func (e *Engine[V, M]) activeAt(slot int) uint8 {
-	sh, local := e.slotShard(slot)
-	return sh.active[local]
-}
-
-func (e *Engine[V, M]) setActiveAt(slot int, a uint8) {
-	sh, local := e.slotShard(slot)
-	sh.active[local] = a
-}
-
-func (e *Engine[V, M]) peekAt(slot int) (M, bool) {
-	sh, local := e.slotShard(slot)
-	return sh.mb.peek(local)
-}
-
-func (e *Engine[V, M]) hasCurrentAt(slot int) bool {
-	sh, local := e.slotShard(slot)
-	return sh.mb.hasCurrent(local)
-}
-
-func (e *Engine[V, M]) restoreCurrentAt(slot int, m M) {
-	sh, local := e.slotShard(slot)
-	sh.mb.restoreCurrent(local, m)
-}
-
-// shardSpan is one unit of sharded compute work: the LOCAL slot range
-// [lo, hi) of one shard. The scan spans are precomputed at construction
-// (per-shard edge-balanced cuts under ScheduleEdgeBalanced on the range
-// partitioner, equal local-slot shares otherwise); frontier spans are
-// rebuilt each superstep from the shards' frontier lengths.
+// shardSpan is one unit of compute/collect work: the LOCAL slot range
+// [lo, hi) of one shard — or, for a frontier span, that index range of
+// the shard's frontier list. The scan spans are precomputed at
+// construction; frontier spans are rebuilt each superstep from the
+// shards' frontier lengths.
 type shardSpan struct {
 	shard  int32
 	lo, hi int32
 }
 
-// stealSpanFactor is how many more spans per shard the work-stealing
-// scheduler cuts compared with the shared-cursor default: a static
-// threads-way split leaves nothing for a fast worker to steal once each
-// queue holds one span, so stealing needs finer grains to rebalance.
-const stealSpanFactor = 4
+// Span granularity. The span list is where the schedules differ — the
+// claiming loop (parallelFor) is the same for all of them:
+//
+//   - static cuts each shard into one span per worker (the paper's
+//     "equal share" split, §4);
+//   - edge-balanced places those cuts at equal out-edge counts instead
+//     of equal slot counts;
+//   - dynamic cuts dynamicSpanFactor spans per worker, never finer than
+//     dynamicMinSpan items, so fast workers keep claiming;
+//   - work stealing cuts stealSpanFactor spans per worker: a one-per-
+//     worker split leaves nothing to steal once each queue holds one.
+const (
+	dynamicSpanFactor = 16
+	dynamicMinSpan    = 64
+	stealSpanFactor   = 4
+)
 
-// spanParts is the number of local-slot ranges each shard's scan (or
-// frontier) is cut into: `threads` under the shared-cursor scheduler,
-// finer under work stealing.
-func (e *Engine[V, M]) spanParts() int {
+// spanParts is the number of ranges a shard's n work items (local slots
+// or frontier entries) are cut into.
+func (e *Engine[V, M]) spanParts(n int) int {
 	t := e.threads
-	if e.cfg.WorkStealing && t > 1 {
-		t *= stealSpanFactor
+	switch {
+	case t == 1:
+		return 1
+	case e.cfg.Schedule == ScheduleDynamic:
+		return max(1, min(t*dynamicSpanFactor, n/dynamicMinSpan))
+	case e.cfg.WorkStealing:
+		return t * stealSpanFactor
 	}
 	return t
 }
 
-// buildScanSpans precomputes the sharded full-scan work list: for each
-// shard, up to spanParts() local-slot ranges, so every worker can claim
+// cutSpans appends shard's n items cut into at most parts equal ranges.
+func cutSpans(spans []shardSpan, shard, n, parts int) []shardSpan {
+	parts = min(parts, n)
+	for c := 0; c < parts; c++ {
+		spans = append(spans, shardSpan{int32(shard), int32(c * n / parts), int32((c + 1) * n / parts)})
+	}
+	return spans
+}
+
+// buildScanSpans precomputes the full-scan work list: every shard's
+// local slot space cut into spanParts ranges, so every worker can claim
 // work from any shard (no worker is idled by an empty shard).
 func (e *Engine[V, M]) buildScanSpans() {
-	t := e.spanParts()
-	for s := 0; s < e.nShards; s++ {
-		localN := e.part.localSlots(s)
-		if localN == 0 {
+	for s, sh := range e.shards {
+		localN := len(sh.values)
+		parts := e.spanParts(localN)
+		if e.cfg.Schedule != ScheduleEdgeBalanced || sh.globals != nil || parts == 1 {
+			e.scanSpans = cutSpans(e.scanSpans, s, localN, parts)
 			continue
 		}
-		if rp, ok := e.part.(*rangePartitioner); ok && e.cfg.Schedule == ScheduleEdgeBalanced && t > 1 {
-			// The shard's global range is contiguous, so its CSR degree
-			// prefix sums are usable: cut it into t ranges of ~equal
-			// out-edge counts, in internal-index space, then translate
-			// back to local slots. The desolate dead zone (global <
-			// shift) has no internal index; clamp it out — the scan loop
-			// skips those locals anyway.
-			shardBase := int(rp.cuts[s])
-			loIdx := shardBase - e.shift
-			if loIdx < 0 {
-				loIdx = 0
-			}
-			hiIdx := int(rp.cuts[s+1]) - e.shift
-			if hiIdx < loIdx {
-				hiIdx = loIdx
-			}
-			cuts := edgeBalancedCutsRange(e.g, t, loIdx, hiIdx)
-			for w := 0; w < t; w++ {
-				lo := int(cuts[w]) + e.shift - shardBase
-				hi := int(cuts[w+1]) + e.shift - shardBase
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > lo {
-					e.scanSpans = append(e.scanSpans, shardSpan{int32(s), int32(lo), int32(hi)})
-				}
-			}
-			continue
-		}
-		chunks := t
-		if chunks > localN {
-			chunks = localN
-		}
-		for c := 0; c < chunks; c++ {
-			lo, hi := c*localN/chunks, (c+1)*localN/chunks
-			if lo < hi {
-				e.scanSpans = append(e.scanSpans, shardSpan{int32(s), int32(lo), int32(hi)})
+		// The shard's global range is contiguous, so its CSR degree
+		// prefix sums are usable: cut it into ranges of ~equal out-edge
+		// counts in internal-index space, then translate back to local
+		// slots. The desolate dead zone (global < shift) has no internal
+		// index and is clamped out.
+		toIdx := int(sh.base) - e.shift
+		loIdx := max(toIdx, 0)
+		hiIdx := max(toIdx+localN, loIdx)
+		cuts := edgeBalancedCuts(e.g, parts, loIdx, hiIdx)
+		for c := 0; c < parts; c++ {
+			if lo, hi := cuts[c]-int32(toIdx), cuts[c+1]-int32(toIdx); lo < hi {
+				e.scanSpans = append(e.scanSpans, shardSpan{int32(s), lo, hi})
 			}
 		}
 	}
 }
 
-// forSpans runs body over span indices 0..n-1, claimed dynamically from
-// a shared cursor: sharded phases always have more spans than workers
-// (up to threads per shard), so claiming replaces the per-schedule
-// splitting of parallelFor — the schedule's balance decision is already
-// baked into the span boundaries.
-func (e *Engine[V, M]) forSpans(n int, body func(w, k int)) {
-	if n == 0 {
-		return
+// edgeBalancedCuts splits the internal-index range [lo, hi) into t
+// contiguous ranges of ~equal out-edge counts. The CSR out-offsets are
+// already the degree prefix sums, so each boundary is one binary search
+// for the smallest vertex whose offset reaches its share — on power-law
+// graphs a vertex-count split hands whichever worker owns the hubs
+// almost all of the message work.
+func edgeBalancedCuts(g *graph.Graph, t, lo, hi int) []int32 {
+	cuts := make([]int32, t+1)
+	cuts[0], cuts[t] = int32(lo), int32(hi)
+	if hi <= lo {
+		for w := 1; w < t; w++ {
+			cuts[w] = int32(lo)
+		}
+		return cuts
 	}
-	t := e.threads
-	if t > n {
-		t = n
+	base := g.OutEdgeOffset(lo)
+	top := g.M()
+	if hi < g.N() {
+		top = g.OutEdgeOffset(hi)
 	}
-	if t == 1 {
-		e.guard(0, func() {
-			for k := 0; k < n; k++ {
-				body(0, k)
-			}
-		})
+	m := top - base
+	for w := 1; w < t; w++ {
+		target := base + m*uint64(w)/uint64(t)
+		cuts[w] = int32(lo + sort.Search(hi-lo, func(i int) bool { return g.OutEdgeOffset(lo+i) >= target }))
+	}
+	for w := 1; w <= t; w++ { // collapse degenerate boundaries monotonically
+		if cuts[w] < cuts[w-1] {
+			cuts[w] = cuts[w-1]
+		}
+	}
+	return cuts
+}
+
+// frontierSpans cuts each shard's current (or, with next set, upcoming)
+// frontier into spanParts ranges, reusing the span buffer.
+func (e *Engine[V, M]) frontierSpans(next bool) []shardSpan {
+	spans := e.frontierSpanBuf[:0]
+	for s, sh := range e.shards {
+		n := len(sh.frontier)
+		if next {
+			n = len(sh.frontierNext)
+		}
+		spans = cutSpans(spans, s, n, e.spanParts(n))
+	}
+	e.frontierSpanBuf = spans
+	return spans
+}
+
+// paddedCursor is the shared claim counter, padded to its own cache line
+// on both sides: under high thread counts an unpadded counter
+// false-shares its line with whatever the allocator placed next to it,
+// and every AddInt64 then invalidates innocent data.
+type paddedCursor struct {
+	_ [64]byte
+	n int64
+	_ [56]byte
+}
+
+// parallelFor runs body over task indices 0..n-1, claimed one at a time
+// from a shared cursor — the engine's one scheduler. What a task is (a
+// span of vertices, a destination shard, a worker's cache) and how
+// finely the work was cut is the caller's decision; with one worker the
+// tasks run inline in order.
+func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
+	t := min(e.threads, n)
+	if t <= 1 {
+		if n > 0 {
+			e.guard(0, func() {
+				for k := 0; k < n; k++ {
+					body(0, k)
+				}
+			})
+		}
 		return
 	}
 	cursor := new(paddedCursor)
@@ -243,113 +304,18 @@ func (e *Engine[V, M]) forSpans(n int, body func(w, k int)) {
 	})
 }
 
-// computePhaseSharded is computePhase over shard-local spans: select the
-// runnable shards' spans (frontier-aware skipping), then execute them
-// under the shared-cursor or work-stealing scheduler.
-func (e *Engine[V, M]) computePhaseSharded() int64 {
-	first := e.superstep == 0
-	var spans []shardSpan
-	var body func(w int, sp shardSpan)
-	if first || !e.cfg.SelectionBypass {
-		spans = e.scanSpans
-		body = func(w int, sp shardSpan) {
-			sh := e.shards[sp.shard]
-			for local := sp.lo; local < sp.hi; local++ {
-				global := e.part.globalOf(int(sp.shard), int(local))
-				if global < e.shift {
-					continue // desolate dead zone (§5): no vertex lives here
-				}
-				if first || sh.active[local] != 0 || sh.mb.hasCurrent(int(local)) {
-					e.runVertexAt(w, sp.shard, local, int32(global))
-				}
-			}
-		}
-	} else {
-		spans = e.frontierSpans()
-		body = func(w int, sp shardSpan) {
-			sh := e.shards[sp.shard]
-			for i := sp.lo; i < sp.hi; i++ {
-				local := sh.frontier[i]
-				e.runVertexAt(w, sp.shard, local, int32(e.part.globalOf(int(sp.shard), int(local))))
-			}
-		}
-	}
-	work := e.selectSpans(spans, first)
-	if e.cfg.WorkStealing {
-		e.forSpansStealing(work, spans, body)
-	} else {
-		e.forSpans(len(work), func(w, k int) { body(w, spans[work[k]]) })
-	}
-	var ran int64
-	for _, w := range e.workers {
-		ran += w.ran
-	}
-	return ran
-}
-
-// selectSpans is the frontier-aware shard-skipping filter: it returns
-// the indices of the spans worth running this superstep and records the
-// skip count for StepStats.SkippedShards. A shard is skipped exactly
-// when nothing in it can run — no vertex is active and no delivery
-// reached it last superstep (engineShard.runnable, maintained at each
-// barrier). The decision is exact, not heuristic: the scan guard is
-// `active || hasCurrent`, and after the swap hasCurrent is true only
-// for slots delivered to last superstep. Under selection bypass the
-// frontier spans already exclude empty shards, so only the skip count
-// is derived here.
-func (e *Engine[V, M]) selectSpans(spans []shardSpan, first bool) []int32 {
-	work := e.workBuf[:0]
-	e.lastSkipped = 0
-	switch {
-	case first:
-		for k := range spans {
-			work = append(work, int32(k))
-		}
-	case e.cfg.SelectionBypass:
-		for k := range spans {
-			work = append(work, int32(k))
-		}
-		for _, sh := range e.shards {
-			if len(sh.frontier) == 0 {
-				e.lastSkipped++
-			}
-		}
-	default:
-		for k, sp := range spans {
-			if e.shards[sp.shard].runnable {
-				work = append(work, int32(k))
-			}
-		}
-		for _, sh := range e.shards {
-			if !sh.runnable {
-				e.lastSkipped++
-			}
-		}
-	}
-	e.workBuf = work
-	return work
-}
-
-// forSpansStealing executes the selected spans under the work-stealing
-// scheduler: each worker's queue is seeded with the spans of "its"
-// shards (shard s -> worker s mod threads, preserving the cache
-// affinity of the static split), owners pop from the front in seeded
-// order, and a worker whose queue runs dry pops from the back of its
-// neighbours' queues — the classic deque discipline, here with a plain
-// mutex per queue (span grains are thousands of vertices, so queue ops
-// are far off the hot path).
-func (e *Engine[V, M]) forSpansStealing(work []int32, spans []shardSpan, body func(w int, sp shardSpan)) {
-	n := len(work)
-	if n == 0 {
-		return
-	}
+// forTasks is parallelFor for the phases whose tasks have a home shard
+// (compute spans, hub-scatter chunks): under Config.WorkStealing each
+// worker's queue is seeded with the tasks of "its" shards (shard s ->
+// worker s mod threads, preserving cache affinity), owners pop from the
+// front in seeded order, and a worker whose queue runs dry pops from the
+// back of its neighbours' queues — the classic deque discipline, here
+// with a plain mutex per queue (task grains are thousands of vertices,
+// so queue ops are far off the hot path).
+func (e *Engine[V, M]) forTasks(n int, home func(k int) int, body func(w, k int)) {
 	t := e.threads
-	if t == 1 || n == 1 {
-		e.guard(0, func() {
-			for _, k := range work {
-				body(0, spans[k])
-			}
-		})
+	if !e.cfg.WorkStealing || t == 1 || n <= 1 {
+		e.parallelFor(n, body)
 		return
 	}
 	if e.stealQs == nil {
@@ -358,8 +324,8 @@ func (e *Engine[V, M]) forSpansStealing(work []int32, spans []shardSpan, body fu
 	for i := range e.stealQs {
 		e.stealQs[i].reset()
 	}
-	for _, k := range work {
-		e.stealQs[int(spans[k].shard)%t].push(k)
+	for k := 0; k < n; k++ {
+		e.stealQs[home(k)%t].push(int32(k))
 	}
 	e.dispatch(t, func(w int) {
 		e.guard(w, func() {
@@ -377,47 +343,94 @@ func (e *Engine[V, M]) forSpansStealing(work []int32, spans []shardSpan, body fu
 				if !ok {
 					return
 				}
-				body(w, spans[k])
+				body(w, int(k))
 			}
 		})
 	})
 }
 
-func (e *Engine[V, M]) runVertexAt(w int, shard, local int32, global int32) {
-	ctx := e.workers[w]
-	ctx.curShard = shard
-	sh := e.shards[shard]
-	if sh.active[local] == 0 {
-		ctx.activated[shard]++
+// computePhase runs IP_compute over the selected vertices and returns
+// how many ran. Traditional selection scans every runnable shard's
+// slots and runs those that are active or have mail (§4's "unfruitful
+// checks" when inactive); superstep 0 runs everything in both modes,
+// since all vertices start active. Under selection bypass the frontier
+// holds exactly the vertices that received a message, so workers run
+// every vertex they are given (§4's load-balance property).
+func (e *Engine[V, M]) computePhase() int64 {
+	first := e.superstep == 0
+	fullScan := first || !e.cfg.SelectionBypass
+	spans := e.scanSpans
+	if !fullScan {
+		spans = e.frontierSpans(false)
+	}
+	work := e.selectSpans(spans, first)
+	e.forTasks(len(work),
+		func(k int) int { return int(spans[work[k]].shard) },
+		func(w, k int) {
+			sp := spans[work[k]]
+			ctx, sh := e.workers[w], e.shards[sp.shard]
+			if !fullScan {
+				sh.each(sh.frontier[sp.lo:sp.hi], func(local, global int32) {
+					e.runVertex(ctx, sh, local, global)
+				})
+				return
+			}
+			sh.scan(sp.lo, sp.hi, e.shift, func(local, global int32) {
+				if first || sh.active[local] != 0 || sh.mb.hasCurrent(int(local)) {
+					e.runVertex(ctx, sh, local, global)
+				}
+			})
+		})
+	var ran int64
+	for _, w := range e.workers {
+		ran += w.ran
+	}
+	return ran
+}
+
+func (e *Engine[V, M]) runVertex(ctx *Context[V, M], sh *engineShard[V, M], local, global int32) {
+	ctx.curShard = sh.id
+	if ctx.activated != nil && sh.active[local] == 0 {
+		ctx.activated[sh.id]++
 	}
 	sh.active[local] = 1
 	ctx.ran++
-	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: global, shard: shard, local: local})
+	e.prog.Compute(ctx, Vertex[V, M]{e: e, sh: sh, slot: global, local: local})
 }
 
-// frontierSpans chunks each shard's current frontier into up to
-// spanParts() ranges, reusing the span buffer across supersteps.
-func (e *Engine[V, M]) frontierSpans() []shardSpan {
-	spans := e.frontierSpanBuf[:0]
-	t := e.spanParts()
-	for s, sh := range e.shards {
-		n := len(sh.frontier)
-		if n == 0 {
-			continue
-		}
-		chunks := t
-		if chunks > n {
-			chunks = n
-		}
-		for c := 0; c < chunks; c++ {
-			lo, hi := c*n/chunks, (c+1)*n/chunks
-			if lo < hi {
-				spans = append(spans, shardSpan{int32(s), int32(lo), int32(hi)})
-			}
+// selectSpans is the frontier-aware shard-skipping filter: it returns
+// the indices of the spans worth running this superstep and records the
+// skip count for StepStats.SkippedShards. A shard is skipped exactly
+// when nothing in it can run — no vertex is active and no delivery
+// reached it last superstep (engineShard.runnable, maintained at each
+// barrier). The decision is exact, not heuristic: the scan guard is
+// `active || hasCurrent`, and after the swap hasCurrent is true only
+// for slots delivered to last superstep. Under selection bypass the
+// frontier spans already exclude empty shards, so only the skip count
+// is derived here.
+func (e *Engine[V, M]) selectSpans(spans []shardSpan, first bool) []int32 {
+	bypass := e.cfg.SelectionBypass
+	work := e.workBuf[:0]
+	for k, sp := range spans {
+		if first || bypass || e.shards[sp.shard].runnable {
+			work = append(work, int32(k))
 		}
 	}
-	e.frontierSpanBuf = spans
-	return spans
+	e.workBuf = work
+	e.lastSkipped = 0
+	if first {
+		return work
+	}
+	for _, sh := range e.shards {
+		idle := !sh.runnable
+		if bypass {
+			idle = len(sh.frontier) == 0
+		}
+		if idle {
+			e.lastSkipped++
+		}
+	}
+	return work
 }
 
 // updateShardActivity folds the workers' per-shard activation/halt
@@ -442,6 +455,17 @@ func (e *Engine[V, M]) updateShardActivity(step StepStats) error {
 	return nil
 }
 
+// countActive is the ground-truth number of set activity flags.
+func (sh *engineShard[V, M]) countActive() int64 {
+	var n int64
+	for _, a := range sh.active {
+		if a != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // initShardActivity seeds the activity summary from the engine's
 // current state: all-zero for a fresh engine (superstep 0 runs every
 // vertex regardless), the restored flags and mailboxes for an engine
@@ -449,13 +473,7 @@ func (e *Engine[V, M]) updateShardActivity(step StepStats) error {
 // consults runnable immediately.
 func (e *Engine[V, M]) initShardActivity() {
 	for _, sh := range e.shards {
-		var n int64
-		for _, a := range sh.active {
-			if a != 0 {
-				n++
-			}
-		}
-		sh.activeCount = n
+		sh.activeCount = sh.countActive()
 		received := false
 		for local := range sh.values {
 			if sh.mb.hasCurrent(local) {
@@ -463,7 +481,7 @@ func (e *Engine[V, M]) initShardActivity() {
 				break
 			}
 		}
-		sh.runnable = n > 0 || received
+		sh.runnable = sh.activeCount > 0 || received
 	}
 }
 
@@ -471,13 +489,7 @@ func (e *Engine[V, M]) initShardActivity() {
 // incremental active counts against the ground-truth flag arrays.
 func (e *Engine[V, M]) auditShardActivity() error {
 	for s, sh := range e.shards {
-		var n int64
-		for _, a := range sh.active {
-			if a != 0 {
-				n++
-			}
-		}
-		if n != sh.activeCount {
+		if n := sh.countActive(); n != sh.activeCount {
 			return &InvariantError{
 				Superstep: e.superstep,
 				Invariant: "shard-activity",
@@ -502,51 +514,66 @@ func (e *Engine[V, M]) drainRouters() {
 	})
 }
 
-// gatherFrontierSharded concatenates the workers' per-shard enrol
-// buffers into each shard's next frontier, one destination shard per
-// work item.
-func (e *Engine[V, M]) gatherFrontierSharded() {
-	e.parallelFor(e.nShards, func(_, d int) {
-		sh := e.shards[d]
-		buf := sh.frontierNext[:0]
-		for _, w := range e.workers {
-			buf = append(buf, w.route.frontier[d]...)
-		}
-		sh.frontierNext = buf
+// drainSenderCaches flushes every worker's combining cache into the
+// shard's mailbox at the compute-phase barrier, before the buffer swap.
+// Workers' caches drain concurrently; deliver is concurrent-safe on
+// every push combiner.
+func (e *Engine[V, M]) drainSenderCaches() {
+	e.parallelFor(len(e.workers), func(_, wi int) {
+		w := e.workers[wi]
+		w.cache.drain(w.direct)
 	})
 }
 
-// swapFrontiersSharded is the bypass barrier work: promote each shard's
-// next frontier and clear its dedup flags, mirroring the single-shard
-// swap in RunContext.
-func (e *Engine[V, M]) swapFrontiersSharded() {
+// parallelGatherMin is the enrolment count below which gatherFrontier
+// stays serial (forking workers costs more than the copy).
+const parallelGatherMin = 1 << 15
+
+// gatherFrontier concatenates the workers' per-shard enrol buffers into
+// each shard's next frontier, one destination shard per task on large
+// frontiers.
+func (e *Engine[V, M]) gatherFrontier() {
+	total := 0
+	for _, w := range e.workers {
+		for _, buf := range w.enrolled {
+			total += len(buf)
+		}
+	}
+	if total < parallelGatherMin || e.threads == 1 {
+		for _, sh := range e.shards {
+			e.gatherShard(sh)
+		}
+		return
+	}
+	e.parallelFor(e.nShards, func(_, d int) { e.gatherShard(e.shards[d]) })
+}
+
+// gatherShard builds one shard's next frontier. The buffer is sized
+// exactly: frontiers reach |V| entries, and append's growth slack on
+// that is live heap for the rest of the run.
+func (e *Engine[V, M]) gatherShard(sh *engineShard[V, M]) {
+	total := 0
+	for _, w := range e.workers {
+		total += len(w.enrolled[sh.id])
+	}
+	buf := sh.frontierNext[:0]
+	if cap(buf) < total {
+		buf = make([]int32, 0, total)
+	}
+	for _, w := range e.workers {
+		buf = append(buf, w.enrolled[sh.id]...)
+	}
+	sh.frontierNext = buf
+}
+
+// swapFrontiers is the bypass barrier work: promote each shard's next
+// frontier and reset the dedup flags of the (new) current frontier so
+// the next superstep can enrol the same vertices again.
+func (e *Engine[V, M]) swapFrontiers() {
 	for _, sh := range e.shards {
 		sh.frontier, sh.frontierNext = sh.frontierNext, sh.frontier[:0]
 		for _, local := range sh.frontier {
 			atomic.StoreUint32(&sh.inNext[local], 0)
 		}
 	}
-}
-
-// auditBypassSharded is auditBypass over per-shard frontiers: after the
-// swap, every vertex holding a message must be enrolled in its shard's
-// frontier.
-func (e *Engine[V, M]) auditBypassSharded() error {
-	if e.auditSeen == nil {
-		e.auditSeen = make([]uint8, e.slots)
-	} else {
-		clear(e.auditSeen)
-	}
-	for s, sh := range e.shards {
-		for _, local := range sh.frontier {
-			e.auditSeen[e.part.globalOf(s, int(local))] = 1
-		}
-	}
-	for i := 0; i < e.g.N(); i++ {
-		slot := i + e.shift
-		if e.hasCurrentAt(slot) && e.auditSeen[slot] == 0 {
-			return fmt.Errorf("core: bypass audit: vertex %d has mail but is not in the frontier", e.addr.idOf(slot))
-		}
-	}
-	return nil
 }

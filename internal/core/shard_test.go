@@ -331,13 +331,12 @@ func TestShardConfigValidation(t *testing.T) {
 	if _, err := New(g, Config{Shards: -1}, prog); err == nil || !strings.Contains(err.Error(), "Shards") {
 		t.Fatalf("negative shards: %v", err)
 	}
-	// CombinerPull × shards used to be rejected; the deprecated alias now
-	// normalises to an inbox combiner with Config.Direction pull, so it
-	// must construct (the pull mailbox itself stays single-shard).
+	// CombinerPull × shards: the lock-free inbox per shard, under the
+	// pull direction it implies.
 	if e, err := New(g, Config{Shards: 2, Combiner: CombinerPull}, prog); err != nil {
-		t.Fatalf("pull+shards should normalise to Direction pull: %v", err)
-	} else if e.cfg.Direction != DirectionPull || e.cfg.Combiner == CombinerPull {
-		t.Fatalf("pull+shards normalised to combiner=%v direction=%v, want inbox combiner + DirectionPull", e.cfg.Combiner, e.cfg.Direction)
+		t.Fatalf("pull+shards should construct: %v", err)
+	} else if _, lockFree := e.shards[1].mb.(*pullMailbox[uint32]); e.cfg.Direction != DirectionPull || !lockFree {
+		t.Fatalf("pull+shards built direction=%v inbox=%T, want DirectionPull over *pullMailbox", e.cfg.Direction, e.shards[1].mb)
 	}
 	// Overlap and stealing are shard-scheduler features: meaningless (and
 	// rejected) on the flat engine, whether Shards is unset or exactly 1.

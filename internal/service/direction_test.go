@@ -67,11 +67,11 @@ func TestDirectionParamParity(t *testing.T) {
 		if v.Cached {
 			t.Fatalf("pagerank/%s: unexpected cache hit across directions", dir)
 		}
-		if v.Result.RankSum != base.Result.RankSum || v.Result.Supersteps != base.Result.Supersteps {
+		if !sameRank(v.Result.RankSum, base.Result.RankSum) || v.Result.Supersteps != base.Result.Supersteps || v.Result.Messages != base.Result.Messages {
 			t.Fatalf("pagerank/%s: result diverged from push: %+v vs %+v", dir, v.Result, base.Result)
 		}
 		for i, tv := range v.Result.Top {
-			if tv != base.Result.Top[i] {
+			if tv.ID != base.Result.Top[i].ID || !sameRank(tv.Value, base.Result.Top[i].Value) {
 				t.Fatalf("pagerank/%s: top[%d] = %+v, push had %+v", dir, i, tv, base.Result.Top[i])
 			}
 		}
@@ -129,8 +129,8 @@ func TestDirectionParamValidation(t *testing.T) {
 }
 
 // TestDirectionTemplateValidation: the engine-template direction gates
-// AddGraph the same way the legacy pull combiner does, and the
-// deprecated alias rejects per-job overrides.
+// AddGraph the same way the pull combiner does, and a pull-combiner
+// template rejects per-job overrides.
 func TestDirectionTemplateValidation(t *testing.T) {
 	s := New(Options{Engine: core.Config{Direction: core.DirectionAdaptive}})
 	if err := s.AddGraph("g", testGraph(t, "ring:64"), "generated"); err == nil ||
@@ -160,13 +160,13 @@ func TestDirectionTemplateValidation(t *testing.T) {
 		t.Fatal("omitted direction should share the explicit template-default cache entry")
 	}
 
-	legacy := New(Options{Engine: core.Config{Combiner: core.CombinerPull}})
-	t.Cleanup(func() { closeService(t, legacy) })
-	if err := legacy.AddGraph("g", inEdgeGraph(t, "ring:64"), "generated"); err != nil {
+	pullOnly := New(Options{Engine: core.Config{Combiner: core.CombinerPull}})
+	t.Cleanup(func() { closeService(t, pullOnly) })
+	if err := pullOnly.AddGraph("g", inEdgeGraph(t, "ring:64"), "generated"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legacy.Submit(JobRequest{Graph: "g", Program: "pagerank", Params: Params{Direction: "pull"}}); err == nil ||
-		!strings.Contains(err.Error(), "deprecated all-pull") {
-		t.Fatalf("legacy pull-combiner template accepted a direction override: %v", err)
+	if _, err := pullOnly.Submit(JobRequest{Graph: "g", Program: "pagerank", Params: Params{Direction: "pull"}}); err == nil ||
+		!strings.Contains(err.Error(), "cannot be overridden per job") {
+		t.Fatalf("pull-combiner template accepted a direction override: %v", err)
 	}
 }

@@ -112,7 +112,7 @@ func (s *Service) canonDirection(entry *graphEntry, program, raw string) (string
 		return "", reqErrorf("params.direction: %v", err)
 	}
 	if s.opts.Engine.Combiner == core.CombinerPull {
-		return "", reqErrorf("params.direction: the engine template selects the deprecated all-pull combiner alias; the transport cannot be overridden per job")
+		return "", reqErrorf("params.direction: the engine template selects the pull combiner, whose lock-free inbox only takes pull supersteps; the transport cannot be overridden per job")
 	}
 	if dir == s.opts.Engine.Direction {
 		return "", nil
