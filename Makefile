@@ -85,7 +85,7 @@ direction-smoke:
 # recovery flags, flat and -shards 4 (scripts/chaos_smoke.sh).
 chaos:
 	$(MAKE) test-run PKG=./internal/core/ FLAGS=-race RUN='CrashMatrix|RunWithRecovery|FileSink'
-	$(MAKE) test-run PKG=./internal/core/ RUN='FuzzRestore|RestoreV2DetectsCorruption|RestoreV1StillReads|CheckpointV2Golden'
+	$(MAKE) test-run PKG=./internal/core/ RUN='FuzzRestore|RestoreV2DetectsCorruption|RestoreRejectsLegacyV1|CheckpointV2Golden'
 	sh scripts/chaos_smoke.sh
 
 # Short fuzz pass over every graph parser, the compressed-block decoder

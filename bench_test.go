@@ -243,10 +243,8 @@ func BenchmarkContention(b *testing.B) {
 // counts on the atomic combiner: per-shard mailboxes shrink the CAS
 // target set, so cas-retries/op should fall as shards grow while the
 // routing layer's batching keeps runtime competitive with the
-// single-shard engine (results recorded in results/BENCH_shards.json).
-// For each multi-shard point the delivery/scheduling modes are compared:
-// barrier-only, overlapped drains, and overlap plus work stealing
-// (results/BENCH_overlap.json).
+// single-shard engine. Each multi-shard point runs under both
+// partitioners (results recorded in results/BENCH_shards.json).
 func BenchmarkShardScaling(b *testing.B) {
 	wiki, _ := benchGraphs()
 	apps := []struct {
@@ -262,28 +260,15 @@ func BenchmarkShardScaling(b *testing.B) {
 			return rep, err
 		}},
 	}
-	modes := []struct {
-		name           string
-		overlap, steal bool
-	}{
-		{"barrier", false, false},
-		{"overlap", true, false},
-		{"overlap+steal", true, true},
-	}
 	for _, app := range apps {
 		for _, shards := range []int{1, 2, 4, 8} {
-			for _, mode := range modes {
-				if shards == 1 && (mode.overlap || mode.steal) {
-					continue // shard-scheduler modes need Shards > 1
+			for _, part := range []core.Partition{core.PartitionRange, core.PartitionHash} {
+				if shards == 1 && part != core.PartitionRange {
+					continue // one shard has nothing to partition
 				}
-				cfg := core.Config{
-					Combiner:        core.CombinerAtomic,
-					Shards:          shards,
-					OverlapDelivery: mode.overlap,
-					WorkStealing:    mode.steal,
-				}
-				b.Run(fmt.Sprintf("%s/shards=%d/%s", app.name, shards, mode.name), func(b *testing.B) {
-					var retries, cross, early, stolen, skipped float64
+				cfg := core.Config{Combiner: core.CombinerAtomic, Shards: shards, Partition: part}
+				b.Run(fmt.Sprintf("%s/shards=%d/%s", app.name, shards, part), func(b *testing.B) {
+					var retries, cross, skipped float64
 					for i := 0; i < b.N; i++ {
 						rep, err := app.run(cfg)
 						if err != nil {
@@ -292,19 +277,11 @@ func BenchmarkShardScaling(b *testing.B) {
 						for _, s := range rep.Steps {
 							retries += float64(s.CASRetries)
 							cross += float64(s.CrossShardMessages)
-							early += float64(s.EarlyDeliveredBatches)
-							stolen += float64(s.StolenTasks)
 							skipped += float64(s.SkippedShards)
 						}
 					}
 					b.ReportMetric(retries/float64(b.N), "cas-retries/op")
 					b.ReportMetric(cross/float64(b.N), "cross-shard-msgs/op")
-					if mode.overlap {
-						b.ReportMetric(early/float64(b.N), "early-batches/op")
-					}
-					if mode.steal {
-						b.ReportMetric(stolen/float64(b.N), "stolen-tasks/op")
-					}
 					if shards > 1 {
 						b.ReportMetric(skipped/float64(b.N), "skipped-shards/op")
 					}
@@ -334,41 +311,6 @@ func BenchmarkCombinerBaseline(b *testing.B) {
 			}
 			b.ReportMetric(wire/float64(b.N), "wire-B/op")
 		})
-	}
-}
-
-// BenchmarkWorkerPool compares per-phase goroutine forking (the default,
-// mirroring the paper's OpenMP fork-join loops) with persistent pooled
-// workers on a superstep-heavy workload where the per-phase spawn cost is
-// most visible — on the flat engine and under the sharded overlap+steal
-// scheduler, whose extra phases (routing, drains) multiply the per-phase
-// dispatch cost the pool amortises.
-func BenchmarkWorkerPool(b *testing.B) {
-	_, usa := benchGraphs()
-	engines := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"flat", core.Config{Combiner: core.CombinerSpin, SelectionBypass: true, Threads: 4}},
-		{"sharded-overlap-steal", core.Config{Combiner: core.CombinerSpin, SelectionBypass: true, Threads: 4,
-			Shards: 4, OverlapDelivery: true, WorkStealing: true}},
-	}
-	for _, eng := range engines {
-		for _, persistent := range []bool{false, true} {
-			name := "fork-join"
-			if persistent {
-				name = "persistent-pool"
-			}
-			cfg := eng.cfg
-			cfg.PersistentWorkers = persistent
-			b.Run(eng.name+"/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := algorithms.SSSP(usa, cfg, 2); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

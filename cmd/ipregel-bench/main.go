@@ -40,8 +40,6 @@ func run(args []string, out io.Writer) error {
 		divisor = fs.Int("divisor", 0, "graph scale divisor (default 64 = 1/64 of the paper's graphs)")
 		threads = fs.Int("threads", 0, "iPregel worker threads (default GOMAXPROCS)")
 		shards  = fs.Int("shards", 1, "iPregel execution shards (1 = classic single-shard engine; pull-combiner cells stay single-shard)")
-		overlap = fs.Bool("overlap", false, "overlap cross-shard delivery with compute (with -shards > 1)")
-		steal   = fs.Bool("steal", false, "work-stealing shard scheduler (with -shards > 1)")
 		quick   = fs.Bool("quick", false, "fewer repetitions and smaller sweeps")
 		backend = fs.String("graph-backend", "flat", "adjacency storage for experiment graphs: flat | compressed | mmap")
 		dirFlag = fs.String("direction", "push", "message transport for every iPregel engine: push | pull | adaptive (pull-combiner cells are all-pull already)")
@@ -75,17 +73,11 @@ func run(args []string, out io.Writer) error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
 	}
-	if *overlap && *shards <= 1 {
-		return fmt.Errorf("-overlap overlaps cross-shard delivery with compute; it needs -shards > 1")
-	}
-	if *steal && *shards <= 1 {
-		return fmt.Errorf("-steal schedules (shard, slot-range) tasks; it needs -shards > 1")
-	}
 	dir, err := core.ParseDirection(*dirFlag)
 	if err != nil {
 		return err
 	}
-	o := &bench.Options{Divisor: *divisor, Threads: *threads, Shards: *shards, Overlap: *overlap, Steal: *steal, Quick: *quick, PRRounds: *rounds, CSVDir: *csvDir, Observers: observers, Backend: *backend, Direction: dir}
+	o := &bench.Options{Divisor: *divisor, Threads: *threads, Shards: *shards, Quick: *quick, PRRounds: *rounds, CSVDir: *csvDir, Observers: observers, Backend: *backend, Direction: dir}
 	defer o.Close()
 	switch {
 	case *all:

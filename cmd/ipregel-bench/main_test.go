@@ -53,19 +53,14 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestShardFlagValidation mirrors ipregel-run's checks: -overlap and
-// -steal are shard-scheduler features and are rejected without
-// -shards > 1, while a sharded overlap+steal experiment runs normally.
+// TestShardFlagValidation mirrors ipregel-run's check: -shards must be
+// positive, and a sharded experiment runs normally.
 func TestShardFlagValidation(t *testing.T) {
 	cases := []struct {
 		args    []string
 		wantSub string
 	}{
 		{[]string{"-exp", "table1", "-shards", "0"}, "-shards must be at least 1"},
-		{[]string{"-exp", "table1", "-overlap"}, "needs -shards > 1"},
-		{[]string{"-exp", "table1", "-shards", "1", "-overlap"}, "needs -shards > 1"},
-		{[]string{"-exp", "table1", "-steal"}, "needs -shards > 1"},
-		{[]string{"-exp", "table1", "-shards", "1", "-steal"}, "needs -shards > 1"},
 	}
 	for _, c := range cases {
 		var sb strings.Builder
@@ -78,7 +73,7 @@ func TestShardFlagValidation(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := run([]string{"-exp", "table1", "-divisor", "4096", "-quick", "-shards", "2", "-overlap", "-steal"}, &sb); err != nil {
-		t.Fatalf("sharded overlap experiment: %v\n%s", err, sb.String())
+	if err := run([]string{"-exp", "table1", "-divisor", "4096", "-quick", "-shards", "2"}, &sb); err != nil {
+		t.Fatalf("sharded experiment: %v\n%s", err, sb.String())
 	}
 }

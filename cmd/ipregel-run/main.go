@@ -57,8 +57,6 @@ func run(args []string, out io.Writer) error {
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
 		shards    = fs.Int("shards", 1, "iPregel execution shards: partitioned slot space with per-shard mailboxes (1 = classic single-shard engine)")
 		partition = fs.String("partition", "range", "iPregel shard partitioner: range | hash (with -shards > 1)")
-		overlap   = fs.Bool("overlap", false, "overlap cross-shard delivery with compute via per-shard drainers (with -shards > 1)")
-		steal     = fs.Bool("steal", false, "work-stealing shard scheduler: dynamic (shard, slot-range) task queues (with -shards > 1)")
 		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull | adaptive (density-switched; broadcast-only apps)")
 		dirThresh = fs.Float64("direction-threshold", 0, "adaptive direction: pull when the frontier's out-edges reach this fraction of |E| (default 0.05)")
 		hubSplit  = fs.Bool("hub-split", false, "fan high-out-degree broadcasts out as parallel chunked subtasks")
@@ -96,12 +94,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *shards > 1 && *framework != "ipregel" {
 		return fmt.Errorf("-shards is an iPregel engine feature; -framework %s does not support it", *framework)
-	}
-	if *overlap && *shards <= 1 {
-		return fmt.Errorf("-overlap overlaps cross-shard delivery with compute; it needs -shards > 1")
-	}
-	if *steal && *shards <= 1 {
-		return fmt.Errorf("-steal schedules (shard, slot-range) tasks; it needs -shards > 1")
 	}
 	if *chaosSpec != "" && *ckptDir == "" {
 		return fmt.Errorf("-chaos needs -checkpoint-dir: injected faults are only survivable with checkpoints")
@@ -195,8 +187,6 @@ func run(args []string, out io.Writer) error {
 		Threads:            *threads,
 		Shards:             *shards,
 		Partition:          part,
-		OverlapDelivery:    *overlap,
-		WorkStealing:       *steal,
 		Direction:          dir,
 		DirectionThreshold: *dirThresh,
 		HubSplit:           *hubSplit,

@@ -33,8 +33,6 @@ func TestRunAppsOnGeneratedGraphs(t *testing.T) {
 		{[]string{"-app", "wcc", "-graph", "chain:10"}, "weak components: 1"},
 		{[]string{"-app", "sssp", "-graph", "road:10:10", "-combiner", "atomic", "-shards", "4", "-source", "1"}, "reached: 100 of 100"},
 		{[]string{"-app", "hashmin", "-graph", "ring:30", "-shards", "2", "-partition", "hash", "-bypass"}, "components: 1"},
-		{[]string{"-app", "sssp", "-graph", "road:10:10", "-shards", "4", "-overlap", "-steal", "-source", "1"}, "reached: 100 of 100"},
-		{[]string{"-app", "hashmin", "-graph", "ring:30", "-shards", "2", "-overlap", "-bypass"}, "components: 1"},
 		{[]string{"-app", "scc", "-graph", "ring:12"}, "strong components: 1"},
 		{[]string{"-app", "reach64", "-graph", "chain:10", "-source", "0"}, "reached: 10 of 10"},
 	}
@@ -92,8 +90,10 @@ func TestRunErrors(t *testing.T) {
 
 // TestRunFlagValidation pins the -threads/-shards argument checks: an
 // explicit non-positive -threads is a usage error (the unset default 0
-// still means GOMAXPROCS), and -shards must be positive and is an
-// iPregel-only feature.
+// still means GOMAXPROCS), -shards must be positive and is an
+// iPregel-only feature, and a flag that only tunes another (-hub-cut,
+// -direction-threshold) is rejected by the engine when that other flag
+// is absent instead of being silently ignored.
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -105,10 +105,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-shards", "-1", "-graph", "ring:5"}, "-shards must be at least 1"},
 		{[]string{"-shards", "2", "-framework", "pregelplus", "-graph", "ring:5"}, "does not support"},
 		{[]string{"-shards", "2", "-partition", "bogus", "-graph", "ring:5"}, "partition"},
-		{[]string{"-overlap", "-graph", "ring:5"}, "-overlap"},
-		{[]string{"-overlap", "-shards", "1", "-graph", "ring:5"}, "needs -shards > 1"},
-		{[]string{"-steal", "-graph", "ring:5"}, "-steal"},
-		{[]string{"-steal", "-shards", "1", "-graph", "ring:5"}, "needs -shards > 1"},
+		{[]string{"-app", "sssp", "-graph", "ring:5", "-hub-cut", "8"}, "HubDegreeCut"},
+		{[]string{"-app", "sssp", "-graph", "ring:5", "-direction-threshold", "0.2"}, "DirectionThreshold"},
 	}
 	for _, c := range cases {
 		var sb strings.Builder

@@ -17,10 +17,10 @@ import (
 
 // Backend parity battery: the engine must be oblivious to how the
 // adjacency is stored. For PageRank, SSSP and WCC, every cell of
-// {flat, compressed, mmap} × {1, 4 shards} × {plain, overlap, steal}
-// must produce the same Report fingerprint (superstep counts, message
-// totals, per-step ran/messages/active/next-frontier) and the same
-// values as the flat run of the same configuration. g.Compress()
+// {flat, compressed, mmap} × {1, 4 shards} must produce the same Report
+// fingerprint (superstep counts, message totals, per-step
+// ran/messages/active/next-frontier) and the same values as the flat
+// run of the same configuration. g.Compress()
 // preserves neighbour order exactly, so even order-sensitive float
 // combining sees identical per-vertex message multisets.
 
@@ -75,14 +75,7 @@ func backendParityConfigs() []core.Config {
 	single := base
 	sharded := base
 	sharded.Shards = 4
-	overlap := sharded
-	overlap.OverlapDelivery = true
-	steal := sharded
-	steal.WorkStealing = true
-	both := sharded
-	both.OverlapDelivery = true
-	both.WorkStealing = true
-	return []core.Config{single, sharded, overlap, steal, both}
+	return []core.Config{single, sharded}
 }
 
 func backendParityGraphs() map[string]*graph.Graph {
@@ -202,17 +195,14 @@ func TestBackendParityPageRank(t *testing.T) {
 }
 
 // TestBackendParityDirection is the lifted-restriction battery: the
-// per-superstep direction axis {pull, adaptive} × {1, 4 shards with
-// overlap+steal} × every backend must match the push/flat oracle of the
-// same shard configuration — fingerprints and values — for SSSP,
-// PageRank and WCC. (Pull × shards is exactly the combination New used
-// to hard-reject.)
+// per-superstep direction axis {pull, adaptive} × {1, 4 shards} ×
+// every backend must match the push/flat oracle of the same shard
+// configuration — fingerprints and values — for SSSP, PageRank and WCC.
+// (Pull × shards is exactly the combination New used to hard-reject.)
 func TestBackendParityDirection(t *testing.T) {
 	single := core.Config{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true}
 	sharded := single
 	sharded.Shards = 4
-	sharded.OverlapDelivery = true
-	sharded.WorkStealing = true
 	configs := []core.Config{single, sharded}
 
 	for gname, g := range backendParityGraphs() {
@@ -293,8 +283,7 @@ func TestBackendParityAdaptiveResume(t *testing.T) {
 	// hub, so it never leaves pull and would prove nothing here.
 	g := backendParityGraphs()["road"]
 	cfg := core.Config{
-		Combiner: core.CombinerAtomic, Threads: 4,
-		Shards: 4, WorkStealing: true,
+		Combiner: core.CombinerAtomic, Threads: 4, Shards: 4,
 		Direction: core.DirectionAdaptive, CheckInvariants: true,
 	}
 	prog := SSSPProgram(2)

@@ -6,17 +6,17 @@ import (
 )
 
 // CombPure enforces combiner determinism, the property that makes
-// overlap-vs-barrier parity provable (TestOverlapNeverChangesResults
+// sharded-vs-single-shard parity provable (TestShardedMatchesSingleShard
 // relies on it): a CombineFunc may run any number of times for one
-// logical message (CAS retries, sender-cache pre-combines, early drainer
-// batches) and in any interleaving, so besides not sending (sendphase's
-// domain) it must not write state it did not receive as an argument, and
-// must not consult nondeterminism sources. It reports, through any chain
-// of module-internal calls: writes to captured variables, writes to
-// package-level variables, ranges over maps (iteration order), and calls
-// into time/math/rand. (Named aggregators reduce with operator constants
-// — core.AggOp — and carry no user code; functional reducers, if ever
-// added, register here too.)
+// logical message (CAS retries, sender-cache and router pre-combines,
+// barrier flushes) and in any interleaving, so besides not sending
+// (sendphase's domain) it must not write state it did not receive as an
+// argument, and must not consult nondeterminism sources. It reports,
+// through any chain of module-internal calls: writes to captured
+// variables, writes to package-level variables, ranges over maps
+// (iteration order), and calls into time/math/rand. (Named aggregators
+// reduce with operator constants — core.AggOp — and carry no user code;
+// functional reducers, if ever added, register here too.)
 var CombPure = &Analyzer{
 	Name: "combpure",
 	Doc: `flag combiner hooks that write external state, range over maps, or call time/rand

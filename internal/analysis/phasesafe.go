@@ -18,11 +18,11 @@ import (
 //     (transitively) escapes into a goroutine or heap store is reported.
 //
 //  2. //ipregel:phase asserts a function runs only in the single-threaded
-//     barrier section between quiesce and the next dispatch (atomicfield
-//     grants plain-access exemptions on that assertion). phasesafe
-//     verifies it: a phase-marked function reachable from any `go`
-//     statement in non-test module code — the drainer, worker-pool, and
-//     fork-join entry points — contradicts its own directive.
+//     barrier section between the workers' join and the next dispatch
+//     (atomicfield grants plain-access exemptions on that assertion).
+//     phasesafe verifies it: a phase-marked function reachable from any
+//     `go` statement in non-test module code — the engine's fork-join
+//     dispatch, a service worker — contradicts its own directive.
 var PhaseSafe = &Analyzer{
 	Name: "phasesafe",
 	Doc: `flag handle flows into escaping callees and goroutine-reachable phase functions

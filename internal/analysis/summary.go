@@ -17,9 +17,10 @@ import (
 // intraprocedural analyzers (nakedatomic, ctxescape, sendphase, ...)
 // check one body at a time; the contracts they enforce — atomic access
 // discipline, handle lifetimes, combiner purity — are module-wide
-// properties, and PR 5/6's drainer goroutines and work-stealing deques
-// are exactly the code shape where a violation hides one call away. The
-// substrate makes "anywhere in the module" a queryable fact:
+// properties, and goroutines started a few frames below the code that
+// owns the state are exactly the code shape where a violation hides one
+// call away. The substrate makes "anywhere in the module" a queryable
+// fact:
 //
 //   - which struct fields each function reads/writes, atomically
 //     (address taken, &f or &f[i], for sync/atomic) vs plain;
@@ -28,7 +29,7 @@ import (
 //   - which parameters (receiver first) escape into goroutine literals
 //     or heap stores, directly or through any call chain;
 //   - which functions are reachable from a `go` statement in non-test
-//     code (the drainer/pool entry points);
+//     code (the engine's fork-join dispatch, the service workers);
 //   - purity-relevant facts: package-variable writes, captured-variable
 //     writes, map ranges, time/rand calls, ctx.Send/Broadcast sites.
 //
@@ -127,7 +128,7 @@ type ifaceCall struct {
 type FuncSummary struct {
 	// Ref is the symbolic key ("pkgpath.Recv.Name").
 	Ref string
-	// Name is the display name ("core.shardDrainer.start").
+	// Name is the display name ("core.Engine.dispatch").
 	Name string
 	Pos  token.Pos
 	// Test is set for functions declared in _test.go files; goroutine
@@ -392,8 +393,8 @@ func (s *Substrate) Reach(roots []string) []*FuncSummary {
 }
 
 // GoroutineReachable returns the set of refs reachable from a `go`
-// statement in non-test module code — the drainer/pool/worker entry
-// points and everything they can call.
+// statement in non-test module code — the dispatch and service-worker
+// entry points and everything they can call.
 func (s *Substrate) GoroutineReachable() map[string]bool {
 	if s.goReach != nil {
 		return s.goReach
@@ -505,7 +506,7 @@ func FuncRef(fn *types.Func) string {
 }
 
 // shortRef trims a ref's package path to its last element for display:
-// "ipregel/internal/core.shardDrainer.start" -> "core.shardDrainer.start".
+// "ipregel/internal/core.Engine.dispatch" -> "core.Engine.dispatch".
 func shortRef(ref string) string {
 	return ref[strings.LastIndex(ref, "/")+1:]
 }

@@ -37,12 +37,6 @@ type Options struct {
 	// Shards partitions each engine's slot space (core.Config.Shards);
 	// 0 or 1 is the classic single-shard engine.
 	Shards int
-	// Overlap enables overlapped cross-shard delivery
-	// (core.Config.OverlapDelivery); effective only when Shards > 1.
-	Overlap bool
-	// Steal enables the work-stealing shard scheduler
-	// (core.Config.WorkStealing); effective only when Shards > 1.
-	Steal bool
 	// Protocol is the measurement protocol; the zero value follows the
 	// paper (5 reps, 1% margin at 99%) with a practical cap. Quick sets a
 	// cheaper protocol suited to smoke runs.
@@ -192,8 +186,6 @@ func (o *Options) engineConfig(cfg core.Config) core.Config {
 	cfg.Threads = o.Threads
 	if o.Shards > 1 && cfg.Combiner != core.CombinerPull {
 		cfg.Shards = o.Shards
-		cfg.OverlapDelivery = o.Overlap
-		cfg.WorkStealing = o.Steal
 	}
 	// The pull combiner fixes the direction to pull (adaptive would be a
 	// construction error), so only the other combiners take the

@@ -26,8 +26,9 @@ import (
 // protected sections with explicit lengths, and a footer that detects
 // truncation, so a torn or bit-flipped checkpoint is rejected at restore
 // (or skipped by FileSink.LatestGood) instead of silently resuming from
-// corrupt state. Restore also still reads the legacy v1 format (magic
-// "IPCK"), which had no integrity data and no aggregator section.
+// corrupt state. The legacy v1 format (magic "IPCK", no integrity data,
+// no aggregator section) is no longer read: Restore and VerifyCheckpoint
+// name it in their error.
 
 // Codec serialises fixed-size values for checkpoints. The codecs of
 // internal/pregelplus (Uint32Codec, Float64Codec) satisfy this interface.
@@ -70,6 +71,19 @@ var (
 	checkpointMagicV2 = [4]byte{'I', 'P', 'C', '2'}
 	checkpointFooter  = [4]byte{'K', 'C', 'P', 'I'}
 )
+
+// checkMagic accepts the v2 magic and names the two ways a stream can
+// fail to carry it: the legacy format this engine once wrote, and bytes
+// that were never a checkpoint.
+func checkMagic(magic [4]byte) error {
+	switch magic {
+	case checkpointMagicV2:
+		return nil
+	case checkpointMagicV1:
+		return fmt.Errorf("core: checkpoint is in the legacy v1 format (magic %q), which is no longer read; re-run from the start to write a v2 checkpoint", magic)
+	}
+	return fmt.Errorf("core: bad checkpoint magic %q", magic)
+}
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
 // platforms this engine targets.
@@ -192,9 +206,9 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 		return err
 	}
 
-	// Aggregators: closing the v1 limitation — programs whose control
-	// flow depends on Aggregated values (e.g. PageRankConverged) resume
-	// with the exact barrier state instead of the operator identity.
+	// Aggregators: programs whose control flow depends on Aggregated
+	// values (e.g. PageRankConverged) resume with the exact barrier state
+	// instead of the operator identity.
 	var ab bytes.Buffer
 	for _, a := range aggs {
 		if len(a.name) > maxAggNameLen {
@@ -301,15 +315,14 @@ func (e *Engine[V, M]) writeShardSections(section func(length uint64, body func(
 	return nil
 }
 
-// Restore rebuilds an engine from a checkpoint taken with the same graph,
-// configuration and program, ready for Run to continue from the saved
-// barrier. Both checkpoint formats are read: v2 ("IPC2", CRC-verified)
-// and legacy v1 ("IPCK"). Run's Report then covers only the resumed
-// supersteps, with Report.FirstSuperstep carrying the absolute superstep
-// base so the resumed Steps indices and observer events continue the
-// original run's numbering.
+// Restore rebuilds an engine from a checkpoint (format v2, "IPC2",
+// CRC-verified) taken with the same graph, configuration and program,
+// ready for Run to continue from the saved barrier. Run's Report then
+// covers only the resumed supersteps, with Report.FirstSuperstep
+// carrying the absolute superstep base so the resumed Steps indices and
+// observer events continue the original run's numbering.
 //
-// A v2 checkpoint that carries aggregator state requires the program to
+// A checkpoint that carries aggregator state requires the program to
 // register the same aggregators (same names and operators) before Run;
 // RegisterAggregator then seeds each aggregator with the checkpointed
 // value instead of the operator identity.
@@ -323,13 +336,10 @@ func Restore[V, M any](r io.Reader, g *graph.Graph, cfg Config, prog Program[V, 
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: checkpoint header: %w", err)
 	}
-	switch magic {
-	case checkpointMagicV1:
-		return restoreV1(e, br, cfg, vc, mc)
-	case checkpointMagicV2:
-		return restoreV2(e, br, cfg, vc, mc)
+	if err := checkMagic(magic); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: bad checkpoint magic %q", magic)
+	return restoreV2(e, br, cfg, vc, mc)
 }
 
 // setSuperstep installs a restored superstep counter and carries the
@@ -374,73 +384,6 @@ func (e *Engine[V, M]) restoreFrontier(frontier []int32, cfg Config) error {
 		sh.frontier = append(sh.frontier, int32(local))
 	}
 	return nil
-}
-
-func restoreV1[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec[V], mc Codec[M]) (*Engine[V, M], error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if err := e.setSuperstep(binary.LittleEndian.Uint64(hdr[0:])); err != nil {
-		return nil, err
-	}
-	slots := binary.LittleEndian.Uint64(hdr[8:])
-	if slots != uint64(e.slots) {
-		return nil, fmt.Errorf("core: checkpoint has %d slots, engine has %d (graph or addressing mismatch)", slots, e.slots)
-	}
-	vbuf := make([]byte, vc.Size())
-	for slot := 0; slot < e.slots; slot++ {
-		if _, err := io.ReadFull(br, vbuf); err != nil {
-			return nil, fmt.Errorf("core: checkpoint values: %w", err)
-		}
-		sh, local := e.slotShard(slot)
-		sh.values[local] = vc.Decode(vbuf)
-	}
-	// v1 predates sharding and stores activity in global slot order; the
-	// flags are scattered to their owning shards.
-	abuf := make([]byte, e.slots)
-	if _, err := io.ReadFull(br, abuf); err != nil {
-		return nil, fmt.Errorf("core: checkpoint activity: %w", err)
-	}
-	for slot, a := range abuf {
-		sh, local := e.slotShard(slot)
-		sh.active[local] = a
-	}
-	mbuf := make([]byte, mc.Size())
-	for slot := 0; slot < e.slots; slot++ {
-		flag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint mailboxes: %w", err)
-		}
-		if flag == 0 {
-			continue
-		}
-		if _, err := io.ReadFull(br, mbuf); err != nil {
-			return nil, fmt.Errorf("core: checkpoint mailboxes: %w", err)
-		}
-		sh, local := e.slotShard(slot)
-		sh.mb.restoreCurrent(local, mc.Decode(mbuf))
-	}
-	var flen [8]byte
-	if _, err := io.ReadFull(br, flen[:]); err != nil {
-		return nil, fmt.Errorf("core: checkpoint frontier: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(flen[:])
-	if n > uint64(e.slots) {
-		return nil, fmt.Errorf("core: checkpoint frontier length %d exceeds slots", n)
-	}
-	frontier := make([]int32, 0, n)
-	var sbuf [4]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, sbuf[:]); err != nil {
-			return nil, fmt.Errorf("core: checkpoint frontier: %w", err)
-		}
-		frontier = append(frontier, int32(binary.LittleEndian.Uint32(sbuf[:])))
-	}
-	if err := e.restoreFrontier(frontier, cfg); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // sectionReader reads one v2 section: the declared length (validated
@@ -731,17 +674,6 @@ func (e *Engine[V, M]) maybeCheckpoint() error {
 	cp := e.checkpoint
 	if cp == nil || e.superstep%cp.Every != 0 {
 		return nil
-	}
-	if e.drainer != nil && !e.drainer.quiesced() {
-		// Structurally impossible — the barrier quiesces the drainers
-		// before the residual drain, and checkpoints happen after the
-		// barrier — but a snapshot racing an in-flight batch would be
-		// silently torn, so the guard is unconditional.
-		return &InvariantError{
-			Superstep: e.superstep,
-			Invariant: "drain-quiesce",
-			Detail:    "checkpoint attempted with early-delivery batches still in flight",
-		}
 	}
 	w, err := cp.Sink(e.superstep)
 	if err != nil {

@@ -287,31 +287,19 @@ func (fs *FileSink) Latest() (io.ReadCloser, int, bool, error) {
 }
 
 // VerifyCheckpoint structurally validates a checkpoint stream and
-// returns its superstep. For v2 every section is streamed through its
-// CRC32C and the footer checked, so truncation and bit flips anywhere in
-// the record are detected without decoding values (and without large
-// allocations). For legacy v1 only the header can be checked — the
-// format carries no integrity data.
+// returns its superstep. Every section is streamed through its CRC32C
+// and the footer checked, so truncation and bit flips anywhere in the
+// record are detected without decoding values (and without large
+// allocations). A legacy v1 stream is rejected by name, like Restore
+// does, so LatestGood never offers a file Restore would refuse.
 func VerifyCheckpoint(r io.Reader) (int, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return 0, fmt.Errorf("core: checkpoint header: %w", err)
 	}
-	switch magic {
-	case checkpointMagicV1:
-		var hdr [16]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return 0, fmt.Errorf("core: checkpoint header: %w", err)
-		}
-		superstep := binary.LittleEndian.Uint64(hdr[0:])
-		if superstep > maxCheckpointSuperstep {
-			return 0, fmt.Errorf("core: checkpoint superstep %d is implausible (corrupt header)", superstep)
-		}
-		return int(superstep), nil
-	case checkpointMagicV2:
-	default:
-		return 0, fmt.Errorf("core: bad checkpoint magic %q", magic)
+	if err := checkMagic(magic); err != nil {
+		return 0, err
 	}
 
 	var hdr [32]byte

@@ -2,24 +2,29 @@ package core
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
 )
 
-// commitCheckpoint writes a minimal valid (v1) checkpoint through the
-// sink's transactional writer: enough for VerifyCheckpoint/LatestGood to
-// accept it without standing up an engine.
+// commitCheckpoint writes a minimal valid checkpoint (a zero-slot v2
+// record: sealed header, five empty sections, footer) through the sink's
+// transactional writer: enough for VerifyCheckpoint/LatestGood to accept
+// it without standing up an engine.
 func commitCheckpoint(t *testing.T, sink *FileSink, superstep int) {
 	t.Helper()
 	w, err := sink.Sink(superstep)
 	if err != nil {
 		t.Fatalf("Sink(%d): %v", superstep, err)
 	}
-	var rec [20]byte
-	copy(rec[:4], checkpointMagicV1[:])
-	binary.LittleEndian.PutUint64(rec[4:12], uint64(superstep))
-	if _, err := w.Write(rec[:]); err != nil {
+	var hdr [32]byte
+	binary.LittleEndian.PutUint64(hdr[:], uint64(superstep))
+	rec := append(checkpointMagicV2[:], hdr[:]...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(hdr[:], crcTable))
+	rec = append(rec, make([]byte, sectionCount*(8+4))...) // length 0, CRC32C of nothing = 0
+	rec = append(rec, checkpointFooter[:]...)
+	if _, err := w.Write(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.(CheckpointCommitter).Commit(); err != nil {

@@ -19,8 +19,8 @@ func (u32Codec) Encode(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v)
 func (u32Codec) Decode(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 
 // writeCheckpointV1 writes the legacy format (no integrity data, no
-// aggregator section, global slot order) for the Restore compatibility
-// tests and the v1 fuzz seeds; the engine itself only writes v2.
+// aggregator section, global slot order) for the v1 fuzz seeds and the
+// rejection test; the engine itself writes and reads only v2.
 func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.Write(checkpointMagicV1[:])

@@ -245,19 +245,19 @@ type Config struct {
 	Direction Direction
 	// DirectionThreshold tunes DirectionAdaptive: a superstep runs pull
 	// when the upcoming frontier's out-edges reach this fraction of |E|.
-	// 0 means DefaultDirectionThreshold; values outside [0, 1] are
-	// rejected at construction.
+	// 0 means DefaultDirectionThreshold; values outside [0, 1], and a
+	// threshold on a run that is not adaptive, are rejected at
+	// construction.
 	DirectionThreshold float64
 	// HubSplit fans the scatter of high-out-degree vertices out as
 	// multiple subtasks instead of serialising one worker (hub splitting,
 	// arXiv 2010.01542): a push broadcast from a vertex with out-degree
 	// above the cut is deferred and executed in parallel chunks after the
-	// compute phase, through the work-stealing deques when
-	// Config.WorkStealing is set.
+	// compute phase.
 	HubSplit bool
 	// HubDegreeCut overrides the hub-splitting degree cut; 0 derives it
 	// from the graph as the p99.9 of the out-degree distribution.
-	// Negative values are rejected.
+	// Negative values, and a cut without HubSplit, are rejected.
 	HubDegreeCut int
 	// SelectionBypass enables the paper's §4 technique: senders enrol
 	// their recipients in the next superstep's work list, skipping the
@@ -297,11 +297,6 @@ type Config struct {
 	// form of §4's load-balancing argument. Off by default (it adds two
 	// clock reads per worker per phase).
 	TrackWorkerTime bool
-	// PersistentWorkers keeps one long-lived goroutine per worker for the
-	// whole run instead of forking goroutines per phase (the default,
-	// which mirrors the paper's OpenMP fork-join loops). Results are
-	// identical; see BenchmarkWorkerPool for the cost comparison.
-	PersistentWorkers bool
 	// Shards splits the slot space into independently-owned partitions:
 	// each shard has its own mailbox, values/active segments and frontier
 	// buffers, so intra-shard delivery never contends with other shards,
@@ -314,30 +309,6 @@ type Config struct {
 	// Partition selects how global slots map to shards when Shards > 1;
 	// the zero value is contiguous range partitioning.
 	Partition Partition
-	// OverlapDelivery overlaps cross-shard message delivery with the
-	// compute phase (Shards > 1 only): when a worker's per-destination
-	// routing cache evicts enough entries to fill a batch, the batch is
-	// handed to the destination shard's dedicated drainer goroutine and
-	// applied while compute is still running. Safe because the push
-	// combiners are commutative/associative, so delivery order cannot
-	// change results; each shard's mailbox still has a single batch
-	// applier, so early delivery stays contention-free. The barrier flush
-	// shrinks to a residual drain of whatever is left in the caches.
-	// Rejected when Shards <= 1 (there is no cross-shard traffic to
-	// overlap). Pull supersteps remain barrier-only: the collect phase
-	// must observe a complete, stable outbox set, which only exists at
-	// the barrier.
-	OverlapDelivery bool
-	// WorkStealing replaces the shared-cursor span claiming of the
-	// sharded compute phase with per-worker queues over (shard,
-	// slot-range) tasks: each worker is seeded with the spans of "its"
-	// shards (shard s -> worker s mod threads, preserving cache
-	// affinity) and steals from other workers' queues when its own runs
-	// dry — RMAT-style degree skew makes static edge-balanced cuts
-	// insufficient (StepStats.ShardImbalance measures exactly that).
-	// Spans are cut finer than under the static split so there is
-	// something left to steal. Rejected when Shards <= 1.
-	WorkStealing bool
 	// Observers are lifecycle sinks registered at construction, ahead of
 	// any added later with Engine.AddObserver. Carrying them in Config
 	// lets callers that build engines indirectly (the algorithms helpers,
@@ -373,12 +344,6 @@ func (c Config) VersionName() string {
 		if c.Partition != PartitionRange {
 			name += ":" + c.Partition.String()
 		}
-	}
-	if c.OverlapDelivery {
-		name += "+overlap"
-	}
-	if c.WorkStealing {
-		name += "+steal"
 	}
 	return name
 }

@@ -90,12 +90,10 @@ type Context[V, M any] struct {
 	cache    *senderCache[M]
 	curShard int32
 
-	// Multi-shard scheduling/activity counters (nil/0 otherwise):
-	// stolen counts tasks this worker took from another worker's queue
-	// (Config.WorkStealing); activated/halted are per-shard deltas of
-	// the active-flag population, folded into each shard's incremental
-	// active count at the barrier (frontier-aware shard skipping).
-	stolen    int64
+	// Multi-shard activity counters (nil otherwise): activated/halted
+	// are per-shard deltas of the active-flag population, folded into
+	// each shard's incremental active count at the barrier
+	// (frontier-aware shard skipping).
 	activated []int64
 	halted    []int64
 
@@ -262,7 +260,6 @@ func (c *Context[V, M]) enroll(slot int) {
 
 func (c *Context[V, M]) resetSuperstep() {
 	c.msgs, c.ran, c.votes = 0, 0, 0
-	c.stolen = 0
 	for d := range c.enrolled {
 		c.enrolled[d] = c.enrolled[d][:0]
 	}

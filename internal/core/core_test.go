@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -649,5 +650,55 @@ func TestVertexAccessors(t *testing.T) {
 	}
 	if !ids[2] || len(ids) != 1 {
 		t.Fatalf("neighbour ids = %v, want {2}", ids)
+	}
+}
+
+func TestRunContextCancellation(t *testing.T) {
+	g := ringGraph(32, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	prog := Program[uint32, uint32]{
+		Combine: func(old *uint32, new uint32) { *old += new },
+		Compute: func(c *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			if c.Superstep() == 2 && v.ID() == 0 {
+				select {
+				case <-started:
+				default:
+					close(started)
+				}
+			}
+			c.Broadcast(v, 1) // never halts on its own
+		},
+	}
+	e, err := New(g, Config{Threads: 2, MaxSupersteps: 1 << 20}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		<-started
+		cancel()
+	}()
+	rep, err := e.RunContext(ctx)
+	if err == nil || !strings.Contains(err.Error(), "cancelled") {
+		t.Fatalf("want cancellation error, got %v", err)
+	}
+	if rep.Converged {
+		t.Fatal("cancelled run reported converged")
+	}
+	if len(rep.Steps) < 2 {
+		t.Fatalf("expected some supersteps before cancellation, got %d", len(rep.Steps))
+	}
+}
+
+func TestRunContextPreCancelled(t *testing.T) {
+	g := ringGraph(8, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e, err := New(g, Config{}, counterProgram(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunContext(ctx); err == nil {
+		t.Fatal("pre-cancelled context accepted")
 	}
 }

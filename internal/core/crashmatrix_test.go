@@ -236,21 +236,6 @@ func TestCrashMatrixSharded(t *testing.T) {
 		Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
 		Shards: 3, Partition: core.PartitionHash,
 	})
-	// Overlapped-delivery cells: every checkpoint here is taken on an
-	// engine with live per-shard drainers, so the kill-anywhere sweep
-	// proves barrier snapshots quiesce in-flight early batches (a torn
-	// mailbox would surface as a wrong recovered value or a failed
-	// conservation audit on resume).
-	configs = append(configs,
-		core.Config{
-			Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true,
-			Shards: 4, OverlapDelivery: true,
-		},
-		core.Config{
-			Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true, SelectionBypass: true,
-			Shards: 4, OverlapDelivery: true, WorkStealing: true,
-		},
-	)
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.VersionName(), func(t *testing.T) {
@@ -297,7 +282,7 @@ func TestCrashMatrixShardedCompressed(t *testing.T) {
 	prog := algorithms.SSSPProgram(1)
 	configs := []core.Config{
 		{Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
-			Shards: 4, OverlapDelivery: true, WorkStealing: true, SelectionBypass: true},
+			Shards: 4, SelectionBypass: true},
 		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true, Shards: 4},
 		{Combiner: core.CombinerPull, Threads: 2, CheckInvariants: true},
 	}
@@ -352,7 +337,7 @@ func TestCrashMatrixAdaptiveDirection(t *testing.T) {
 			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1, SelectionBypass: true},
 		{Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
 			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1,
-			Shards: 4, OverlapDelivery: true, WorkStealing: true},
+			Shards: 4},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

@@ -69,9 +69,9 @@ func hubGraph(n int) *graph.Graph {
 // TestDirectionParity pins the direction oracle at the engine level:
 // push-only, pull-only and adaptive runs of the same broadcast-only
 // program produce identical values and identical Report fingerprints,
-// across sharding, scheduling and bypass configurations, with the
-// invariant audits (including message conservation on pull supersteps)
-// enabled throughout. The CombinerPull rows run the same pull transport
+// across sharding and bypass configurations, with the invariant audits
+// (including message conservation on pull supersteps) enabled
+// throughout. The CombinerPull rows run the same pull transport
 // over the lock-free inbox at every shard layout: its Messages count the
 // logical fan-out like every other direction, so it is held to the same
 // push fingerprint.
@@ -92,8 +92,7 @@ func TestDirectionParity(t *testing.T) {
 		directions(Config{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true}),
 		directions(Config{Combiner: CombinerAtomic, Threads: 4, Shards: 4}),
 		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4, SelectionBypass: true}),
-		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true}),
-		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true, SelectionBypass: true}),
+		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4}),
 	}
 	for _, bypass := range []bool{false, true} {
 		c := cell{base: Config{Combiner: CombinerSpin, Threads: 3, SelectionBypass: bypass}}
@@ -165,7 +164,7 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4},
 		{Combiner: CombinerMutex, Direction: DirectionPull, Threads: 3, Schedule: ScheduleDynamic},
 		{Combiner: CombinerAtomic, Direction: DirectionPull, Threads: 4, Shards: 4},
-		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4, Shards: 3, OverlapDelivery: true, WorkStealing: true},
+		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4, Shards: 3},
 		{Combiner: CombinerPull, Threads: 4, Schedule: ScheduleEdgeBalanced},
 		{Combiner: CombinerPull, Threads: 4, Shards: 4, Partition: PartitionHash},
 		{Combiner: CombinerSpin, Threads: 4}, // push: tolerance-exact only
@@ -237,7 +236,7 @@ func TestHubSplitParity(t *testing.T) {
 		{Combiner: CombinerSpin, Threads: 4},
 		{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true},
 		{Combiner: CombinerAtomic, Threads: 4, Shards: 4},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4, WorkStealing: true},
+		{Combiner: CombinerSpin, Threads: 4, Shards: 4},
 	}
 	for _, base := range cfgs {
 		base.CheckInvariants = true

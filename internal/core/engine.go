@@ -53,13 +53,6 @@ type Engine[V, M any] struct {
 	workBuf         []int32
 	lastSkipped     int64
 
-	// drainer is the per-shard early-delivery machinery
-	// (Config.OverlapDelivery); nil otherwise. stealQs are the per-worker
-	// task queues of the work-stealing scheduler (Config.WorkStealing),
-	// allocated lazily at the first stolen phase.
-	drainer *shardDrainer[M]
-	stealQs []stealQueue
-
 	// Direction state (see direction.go). pullOut/pullFlag are the pull
 	// transport's global-slot-indexed outbox arrays (nil on push-only
 	// engines), serving every pull superstep without reallocating: each
@@ -91,7 +84,6 @@ type Engine[V, M any] struct {
 	busy       []time.Duration // per-worker busy time this superstep (TrackWorkerTime)
 	checkpoint *Checkpointer[V, M]
 	observers  []Observer
-	pool       *workerPool
 
 	superstep int
 	// firstSuperstep is the absolute number of the first superstep this
@@ -152,17 +144,17 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.DirectionThreshold < 0 || cfg.DirectionThreshold > 1 {
 		return nil, fmt.Errorf("core: Config.DirectionThreshold is a fraction of |E| and must be in [0, 1] (0 means the default %v), got %v", DefaultDirectionThreshold, cfg.DirectionThreshold)
 	}
+	if cfg.DirectionThreshold != 0 && cfg.Direction != DirectionAdaptive {
+		return nil, fmt.Errorf("core: Config.DirectionThreshold tunes the per-superstep switch of Direction adaptive and has no effect on a %s run; set Direction adaptive or leave the threshold 0", cfg.Direction)
+	}
 	if cfg.HubDegreeCut < 0 {
 		return nil, fmt.Errorf("core: Config.HubDegreeCut must be non-negative (0 derives the p99.9 out-degree), got %d", cfg.HubDegreeCut)
 	}
+	if cfg.HubDegreeCut > 0 && !cfg.HubSplit {
+		return nil, fmt.Errorf("core: Config.HubDegreeCut sets the degree above which HubSplit splits a broadcast and has no effect without it; set HubSplit or leave the cut 0")
+	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("core: Config.Shards must be non-negative (0 means 1), got %d", cfg.Shards)
-	}
-	if cfg.OverlapDelivery && cfg.Shards <= 1 {
-		return nil, fmt.Errorf("core: Config.OverlapDelivery overlaps cross-shard delivery with compute and requires Shards > 1")
-	}
-	if cfg.WorkStealing && cfg.Shards <= 1 {
-		return nil, fmt.Errorf("core: Config.WorkStealing schedules (shard, slot-range) tasks and requires Shards > 1")
 	}
 	addr, err := newAddresser(g, cfg.Addressing)
 	if err != nil {
@@ -189,15 +181,6 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 		}
 	}
 	e.buildScanSpans()
-	if cfg.OverlapDelivery {
-		mbs := make([]mailbox[M], e.nShards)
-		for s, sh := range e.shards {
-			mbs[s] = sh.mb
-		}
-		e.drainer = newShardDrainer(mbs, func(r any) {
-			e.panicked.CompareAndSwap(nil, fmt.Sprintf("%v", r))
-		})
-	}
 	e.workers = make([]*Context[V, M], e.threads)
 	for i := range e.workers {
 		w := &Context[V, M]{e: e, worker: i}
@@ -218,9 +201,6 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 		// per-destination-shard caches combine worker-locally whether or
 		// not SenderCombining is set.
 		w.route = newShardRouter[M](prog.Combine, e.nShards)
-		if e.drainer != nil {
-			w.route.enableOverlap(e.drainer)
-		}
 		w.activated = make([]int64, e.nShards)
 		w.halted = make([]int64, e.nShards)
 		if cfg.Direction != DirectionPush {
@@ -290,17 +270,6 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 	e.report.Version = e.cfg.VersionName()
 	e.report.FirstSuperstep = e.firstSuperstep
 	start := time.Now()
-	if e.cfg.PersistentWorkers && e.threads > 1 {
-		e.pool = newWorkerPool(e.threads)
-		defer func() {
-			e.pool.stop()
-			e.pool = nil
-		}()
-	}
-	if e.drainer != nil {
-		e.drainer.start()
-		defer e.drainer.stop()
-	}
 	if e.nShards > 1 {
 		// Seed the shard-skipping activity summary: zero for a fresh
 		// engine, the restored flags/mailboxes for a resumed one.
@@ -336,16 +305,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			region(ctx, "ipregel.hubscatter", e.hubScatterPhase)
 		}
 		if e.nShards > 1 {
-			region(ctx, "ipregel.route", func() {
-				// Overlap: wait for the in-flight early batches to land
-				// before the residual drain, so the caches' leftovers are
-				// the only undelivered sends and the conservation audit
-				// sees every delivery.
-				if e.drainer != nil {
-					e.drainer.quiesce()
-				}
-				e.drainRouters()
-			})
+			region(ctx, "ipregel.route", e.drainRouters)
 		} else if e.cfg.SenderCombining {
 			region(ctx, "ipregel.drain", e.drainSenderCaches)
 		}
@@ -469,8 +429,6 @@ func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial b
 		step.SkippedShards = e.lastSkipped
 		for _, w := range e.workers {
 			step.CrossShardMessages += w.route.cross + w.pulledCross
-			step.EarlyDeliveredBatches += w.route.earlyBatches
-			step.StolenTasks += w.stolen
 			for d, n := range w.route.sent {
 				step.ShardMessages[d] += n
 			}
@@ -560,13 +518,10 @@ func (e *Engine[V, M]) guard(w int, loop func()) {
 	loop()
 }
 
-// dispatch runs perWorker(0..t-1) on the persistent pool or on freshly
-// forked goroutines and blocks until all complete.
+// dispatch is the fork-join of the paper's parallel loops (§4): it runs
+// perWorker(0..t-1) on freshly forked goroutines and blocks until all
+// complete.
 func (e *Engine[V, M]) dispatch(t int, perWorker func(w int)) {
-	if e.pool != nil {
-		e.pool.run(t, perWorker)
-		return
-	}
 	var wg sync.WaitGroup
 	wg.Add(t)
 	for w := 0; w < t; w++ {
@@ -629,9 +584,6 @@ func (e *Engine[V, M]) FootprintBytes() uint64 {
 		if w.route != nil {
 			b += w.route.footprintBytes()
 		}
-	}
-	if e.drainer != nil {
-		b += e.drainer.footprintBytes()
 	}
 	return b
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -44,7 +45,8 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// captureV1 writes the legacy-format checkpoint of a mid-run barrier.
+// captureV1 writes the legacy-format checkpoint of a mid-run barrier:
+// hostile input now, which Restore must refuse and never panic on.
 func captureV1(t testing.TB, cfg Config) []byte {
 	t.Helper()
 	g := gridForCheckpoint(t)
@@ -186,31 +188,19 @@ func TestRestoreV2DetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreV1StillReads pins backward compatibility: a legacy
-// checkpoint restores and the resumed run matches the uninterrupted one.
-func TestRestoreV1StillReads(t *testing.T) {
+// TestRestoreRejectsLegacyV1 pins what is left of the v1 format: a
+// legacy checkpoint is refused by name — not as "bad magic" — by Restore
+// and by VerifyCheckpoint, so FileSink.LatestGood skips it like any
+// other file Restore would not take.
+func TestRestoreRejectsLegacyV1(t *testing.T) {
 	g := gridForCheckpoint(t)
 	cfg := Config{Combiner: CombinerSpin, Threads: 2}
-	refE, refRep, err := Run(g, cfg, ssspProg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	v1 := captureV1(t, cfg)
-	e, err := Restore(bytes.NewReader(v1), g, cfg, ssspProg(1), u32Codec{}, u32Codec{})
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
+	_, err := Restore(bytes.NewReader(v1), g, cfg, ssspProg(1), u32Codec{}, u32Codec{})
+	if err == nil || !strings.Contains(err.Error(), "legacy v1 format") {
+		t.Fatalf("Restore(v1) = %v, want an error naming the legacy v1 format", err)
 	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Supersteps != refRep.Supersteps {
-		t.Fatalf("v1 resume ended at superstep %d, reference at %d", rep.Supersteps, refRep.Supersteps)
-	}
-	got, want := e.ValuesDense(), refE.ValuesDense()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("v1 resume: dist[%d] = %d, want %d", i, got[i], want[i])
-		}
+	if _, err := VerifyCheckpoint(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "legacy v1 format") {
+		t.Fatalf("VerifyCheckpoint(v1) = %v, want an error naming the legacy v1 format", err)
 	}
 }

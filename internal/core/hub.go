@@ -6,10 +6,9 @@ package core
 // inline, a push broadcast from a vertex whose out-degree exceeds the
 // cut (default: the p99.9 of the out-degree distribution) is deferred
 // into the worker's pending list and executed after the compute phase as
-// chunked subtasks that any worker can claim — through the work-stealing
-// deques when Config.WorkStealing is on, the shared claim cursor
-// otherwise ("Strategies to Deal with an Extreme Form of Irregularity",
-// arXiv 2010.01542). Deferral is invisible to the superstep's
+// chunked subtasks that any worker can claim from the shared cursor
+// ("Strategies to Deal with an Extreme Form of Irregularity", arXiv
+// 2010.01542). Deferral is invisible to the superstep's
 // semantics: push deliveries always land in the NEXT buffer, so whether
 // they happen during compute or just after changes nothing the current
 // superstep can observe, and the messages were already counted at
@@ -47,20 +46,16 @@ func (e *Engine[V, M]) hubScatterPhase() {
 		}
 	}
 	e.hubTaskBuf = tasks
-	// hubShard is the task's home for the stealing deques and for the
-	// cross-shard traffic attribution: the hub's shard, not that of
-	// whatever vertex the executing worker computed last.
-	hubShard := func(k int) int {
-		sh, _ := e.slotShard(int(e.workers[tasks[k].worker].hubSlots[tasks[k].idx]))
-		return int(sh.id)
-	}
-	e.forTasks(len(tasks), hubShard, func(w, k int) {
+	e.parallelFor(len(tasks), func(w, k int) {
 		t := tasks[k]
 		src := e.workers[t.worker]
 		slot := int(src.hubSlots[t.idx])
 		msg := src.hubMsgs[t.idx]
 		ctx := e.workers[w]
-		ctx.curShard = int32(hubShard(k))
+		// Cross-shard traffic is attributed to the hub's shard, not that
+		// of whatever vertex the executing worker computed last.
+		hubShard, _ := e.slotShard(slot)
+		ctx.curShard = hubShard.id
 		ctx.hubTasks++
 		base := e.g.Base()
 		nbs := e.g.OutNeighborsWith(&ctx.nbuf, slot-e.shift)

@@ -71,11 +71,25 @@ func TestNewConstructionErrors(t *testing.T) {
 			want: "DirectionThreshold",
 		},
 		{
+			name: "direction threshold without adaptive Direction",
+			g:    ringGraph(4, 0).WithInEdges(),
+			cfg:  Config{Direction: DirectionPull, DirectionThreshold: 0.2},
+			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
+			want: "DirectionThreshold tunes the per-superstep switch of Direction adaptive",
+		},
+		{
 			name: "negative hub degree cut",
 			g:    ringGraph(4, 0),
 			cfg:  Config{HubSplit: true, HubDegreeCut: -3},
 			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
 			want: "HubDegreeCut",
+		},
+		{
+			name: "hub degree cut without HubSplit",
+			g:    ringGraph(4, 0),
+			cfg:  Config{HubDegreeCut: 64},
+			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
+			want: "HubDegreeCut sets the degree above which HubSplit splits",
 		},
 		{
 			name: "selection bypass without out-adjacency",

@@ -43,16 +43,6 @@ type StepStats struct {
 	// differed from the sending vertex's shard — the traffic the routing
 	// layer batches at the barrier. Always 0 on single-shard runs.
 	CrossShardMessages uint64
-	// EarlyDeliveredBatches counts the eviction batches handed to shard
-	// drainers during the compute phase (Config.OverlapDelivery) — the
-	// deliveries that no longer wait for the barrier. Always 0 when
-	// overlap is off or the engine is single-shard.
-	EarlyDeliveredBatches uint64
-	// StolenTasks counts the (shard, slot-range) spans a worker executed
-	// out of another worker's queue (Config.WorkStealing) — how much the
-	// dynamic scheduler rebalanced beyond the static shard affinity.
-	// Always 0 when stealing is off or the engine is single-shard.
-	StolenTasks int64
 	// SkippedShards counts the shards the compute phase dropped entirely
 	// this superstep because nothing in them could run: no active vertex
 	// and no delivery last superstep (under selection bypass, an empty
@@ -233,12 +223,12 @@ func (r Report) LoadImbalance() float64 {
 // comparable string: superstep counts, message totals and the
 // per-superstep ran/messages/active/next-frontier series. Two runs of the
 // same program on the same graph must produce equal fingerprints
-// regardless of thread count, combiner, sharding, scheduling mode or
-// graph backend (flat, compressed, mmap) — this is what the backend
-// parity battery asserts. Timing- and contention-dependent fields
-// (Duration, CASRetries, StolenTasks, EarlyDeliveredBatches,
-// LocalCombines, WorkerBusy, SkippedShards, Attempts/Recoveries) are
-// deliberately excluded: they legitimately vary between equivalent runs.
+// regardless of thread count, combiner, sharding, schedule or graph
+// backend (flat, compressed, mmap) — this is what the backend parity
+// battery asserts. Timing- and contention-dependent fields (Duration,
+// CASRetries, LocalCombines, WorkerBusy, SkippedShards,
+// Attempts/Recoveries) are deliberately excluded: they legitimately vary
+// between equivalent runs.
 // Direction/DirectionSwitched/HubSplitTasks are excluded too — they
 // describe HOW a superstep's messages travelled, and the whole point of
 // the direction model is that push-only, pull-only and adaptive runs

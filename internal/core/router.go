@@ -25,15 +25,6 @@ type shardRouter[M any] struct {
 	sent     []uint64
 	cross    uint64
 	combined uint64
-
-	// Overlapped-delivery state (Config.OverlapDelivery; nil otherwise).
-	// Cache evictions append to pend[d] instead of touching the mailbox;
-	// a full batch is handed to shard d's drainer and applied while
-	// compute is still running. earlyBatches counts those handoffs
-	// (StepStats.EarlyDeliveredBatches).
-	drainer      *shardDrainer[M]
-	pend         []*shardBatch[M]
-	earlyBatches uint64
 }
 
 // routeBits sizes each per-shard cache way set; same geometry as the
@@ -58,14 +49,6 @@ func newShardRouter[M any](combine CombineFunc[M], shards int) *shardRouter[M] {
 	return r
 }
 
-// enableOverlap switches this router's eviction path to batched early
-// delivery through d. Pending batches are allocated lazily on first
-// eviction per destination.
-func (r *shardRouter[M]) enableOverlap(d *shardDrainer[M]) {
-	r.drainer = d
-	r.pend = make([]*shardBatch[M], len(r.dst))
-}
-
 // routeIndex hashes a local slot into a cache way (Fibonacci hashing,
 // as in senderCache.index).
 func routeIndex(local int) int {
@@ -86,51 +69,22 @@ func (r *shardRouter[M]) add(shard, local int, m M, mb mailbox[M]) {
 		ways[i] = int32(local)
 		msgs[i] = m
 	default:
-		if r.drainer != nil {
-			r.evictOverlap(shard, ways[i], msgs[i])
-		} else {
-			mb.deliver(int(ways[i]), msgs[i])
-		}
+		// The way changes hands before the evicted entry is delivered: a
+		// Combine that panics inside deliver dies holding that slot's
+		// lock, and an entry left in the way would send the barrier
+		// flush back to the same slot to wait on it forever.
+		evicted, old := int(ways[i]), msgs[i]
 		ways[i] = int32(local)
 		msgs[i] = m
-	}
-}
-
-// evictOverlap appends one evicted entry to the pending batch for shard,
-// submitting the batch to the shard's drainer when it fills. Only the
-// drainer goroutine touches the mailbox, so early delivery never
-// contends with other workers' evictions.
-func (r *shardRouter[M]) evictOverlap(shard int, local int32, m M) {
-	b := r.pend[shard]
-	if b == nil {
-		b = r.drainer.getBatch()
-		r.pend[shard] = b
-	}
-	b.add(local, m)
-	if b.full() {
-		r.drainer.submit(shard, b)
-		r.earlyBatches++
-		r.pend[shard] = nil
+		mb.deliver(evicted, old)
 	}
 }
 
 // drainShard flushes this worker's cached entries for one destination
 // shard into its mailbox and empties the ways. drainRouters arranges a
-// single drainer per destination shard, so the flush itself never
-// contends.
+// single flushing worker per destination shard, so the flush itself
+// never contends.
 func (r *shardRouter[M]) drainShard(shard int, mb mailbox[M]) {
-	// Residual drain of a partial overlap batch: the drainers are already
-	// quiesced and drainRouters runs one drainer per destination shard,
-	// so delivering here directly keeps the single-writer property.
-	if r.pend != nil {
-		if b := r.pend[shard]; b != nil {
-			for i, local := range b.dst {
-				mb.deliver(int(local), b.msg[i])
-			}
-			r.drainer.recycle(b)
-			r.pend[shard] = nil
-		}
-	}
 	ways, msgs := r.dst[shard], r.msg[shard]
 	for i, local := range ways {
 		if local >= 0 {
@@ -145,7 +99,7 @@ func (r *shardRouter[M]) drainShard(shard int, mb mailbox[M]) {
 // or no crash, before stats are gathered.
 func (r *shardRouter[M]) resetSuperstep() {
 	clear(r.sent)
-	r.cross, r.combined, r.earlyBatches = 0, 0, 0
+	r.cross, r.combined = 0, 0
 }
 
 func (r *shardRouter[M]) footprintBytes() uint64 {

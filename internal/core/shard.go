@@ -154,13 +154,10 @@ type shardSpan struct {
 //   - edge-balanced places those cuts at equal out-edge counts instead
 //     of equal slot counts;
 //   - dynamic cuts dynamicSpanFactor spans per worker, never finer than
-//     dynamicMinSpan items, so fast workers keep claiming;
-//   - work stealing cuts stealSpanFactor spans per worker: a one-per-
-//     worker split leaves nothing to steal once each queue holds one.
+//     dynamicMinSpan items, so fast workers keep claiming.
 const (
 	dynamicSpanFactor = 16
 	dynamicMinSpan    = 64
-	stealSpanFactor   = 4
 )
 
 // spanParts is the number of ranges a shard's n work items (local slots
@@ -172,8 +169,6 @@ func (e *Engine[V, M]) spanParts(n int) int {
 		return 1
 	case e.cfg.Schedule == ScheduleDynamic:
 		return max(1, min(t*dynamicSpanFactor, n/dynamicMinSpan))
-	case e.cfg.WorkStealing:
-		return t * stealSpanFactor
 	}
 	return t
 }
@@ -304,51 +299,6 @@ func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
 	})
 }
 
-// forTasks is parallelFor for the phases whose tasks have a home shard
-// (compute spans, hub-scatter chunks): under Config.WorkStealing each
-// worker's queue is seeded with the tasks of "its" shards (shard s ->
-// worker s mod threads, preserving cache affinity), owners pop from the
-// front in seeded order, and a worker whose queue runs dry pops from the
-// back of its neighbours' queues — the classic deque discipline, here
-// with a plain mutex per queue (task grains are thousands of vertices,
-// so queue ops are far off the hot path).
-func (e *Engine[V, M]) forTasks(n int, home func(k int) int, body func(w, k int)) {
-	t := e.threads
-	if !e.cfg.WorkStealing || t == 1 || n <= 1 {
-		e.parallelFor(n, body)
-		return
-	}
-	if e.stealQs == nil {
-		e.stealQs = make([]stealQueue, t)
-	}
-	for i := range e.stealQs {
-		e.stealQs[i].reset()
-	}
-	for k := 0; k < n; k++ {
-		e.stealQs[home(k)%t].push(int32(k))
-	}
-	e.dispatch(t, func(w int) {
-		e.guard(w, func() {
-			ctx := e.workers[w]
-			for {
-				k, ok := e.stealQs[w].popFront()
-				if !ok {
-					for off := 1; off < t; off++ {
-						if k, ok = e.stealQs[(w+off)%t].popBack(); ok {
-							ctx.stolen++
-							break
-						}
-					}
-				}
-				if !ok {
-					return
-				}
-				body(w, int(k))
-			}
-		})
-	})
-}
-
 // computePhase runs IP_compute over the selected vertices and returns
 // how many ran. Traditional selection scans every runnable shard's
 // slots and runs those that are active or have mail (§4's "unfruitful
@@ -364,23 +314,21 @@ func (e *Engine[V, M]) computePhase() int64 {
 		spans = e.frontierSpans(false)
 	}
 	work := e.selectSpans(spans, first)
-	e.forTasks(len(work),
-		func(k int) int { return int(spans[work[k]].shard) },
-		func(w, k int) {
-			sp := spans[work[k]]
-			ctx, sh := e.workers[w], e.shards[sp.shard]
-			if !fullScan {
-				sh.each(sh.frontier[sp.lo:sp.hi], func(local, global int32) {
-					e.runVertex(ctx, sh, local, global)
-				})
-				return
-			}
-			sh.scan(sp.lo, sp.hi, e.shift, func(local, global int32) {
-				if first || sh.active[local] != 0 || sh.mb.hasCurrent(int(local)) {
-					e.runVertex(ctx, sh, local, global)
-				}
+	e.parallelFor(len(work), func(w, k int) {
+		sp := spans[work[k]]
+		ctx, sh := e.workers[w], e.shards[sp.shard]
+		if !fullScan {
+			sh.each(sh.frontier[sp.lo:sp.hi], func(local, global int32) {
+				e.runVertex(ctx, sh, local, global)
 			})
+			return
+		}
+		sh.scan(sp.lo, sp.hi, e.shift, func(local, global int32) {
+			if first || sh.active[local] != 0 || sh.mb.hasCurrent(int(local)) {
+				e.runVertex(ctx, sh, local, global)
+			}
 		})
+	})
 	var ran int64
 	for _, w := range e.workers {
 		ran += w.ran
@@ -503,8 +451,8 @@ func (e *Engine[V, M]) auditShardActivity() error {
 // drainRouters flushes every worker's per-shard routing buffers at the
 // compute barrier. Parallelism is over DESTINATION shards: one worker
 // drains all routers' entries for shard d, so each shard mailbox sees a
-// single drainer and the flush itself is contention-free — the bulk-
-// combine counterpart of drainSenderCaches.
+// single flushing worker and the flush itself is contention-free — the
+// bulk-combine counterpart of drainSenderCaches.
 func (e *Engine[V, M]) drainRouters() {
 	e.parallelFor(e.nShards, func(_, d int) {
 		mb := e.shards[d].mb

@@ -3,34 +3,30 @@ package core
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
+
+	"ipregel/internal/graph"
 )
 
 // shardedVersions enumerates the multi-shard configurations the parity
 // tests sweep: both push combiners, scan and bypass, both partitioners,
-// 2 and 4 shards, and every delivery/scheduling mode (barrier-only,
-// overlapped drains, work stealing, and both together).
+// 2 and 4 shards.
 func shardedVersions() []Config {
 	var out []Config
 	for _, comb := range []Combiner{CombinerSpin, CombinerAtomic} {
 		for _, bypass := range []bool{false, true} {
 			for _, kind := range []Partition{PartitionRange, PartitionHash} {
 				for _, shards := range []int{2, 4} {
-					for _, mode := range []struct{ overlap, steal bool }{
-						{false, false}, {true, false}, {false, true}, {true, true},
-					} {
-						out = append(out, Config{
-							Combiner:        comb,
-							SelectionBypass: bypass,
-							Partition:       kind,
-							Shards:          shards,
-							Threads:         4,
-							CheckInvariants: true,
-							OverlapDelivery: mode.overlap,
-							WorkStealing:    mode.steal,
-						})
-					}
+					out = append(out, Config{
+						Combiner:        comb,
+						SelectionBypass: bypass,
+						Partition:       kind,
+						Shards:          shards,
+						Threads:         4,
+						CheckInvariants: true,
+					})
 				}
 			}
 		}
@@ -38,20 +34,23 @@ func shardedVersions() []Config {
 	return out
 }
 
-// TestShardedMatchesSingleShard is the tentpole parity gate: every
-// sharded configuration must produce values identical to the single-shard
-// reference, under CheckInvariants, for a program with real cross-shard
-// traffic (SSSP floods across the whole grid).
-func TestShardedMatchesSingleShard(t *testing.T) {
-	g := gridForCheckpoint(t)
-	ref, refRep, err := Run(g, Config{Combiner: CombinerSpin, Threads: 4, CheckInvariants: true}, ssspProg(1))
+// shardedParity runs prog on every sharded configuration and requires
+// the superstep count and values of the single-shard reference, under
+// CheckInvariants. Programs that keep vertices active (bypassable false)
+// skip the selection-bypass rows, which the paper rules out for them (§4).
+func shardedParity[V any](t *testing.T, g *graph.Graph, prog Program[V, V], bypassable bool, same func(got, want V) bool) {
+	t.Helper()
+	ref, refRep, err := Run(g, Config{Combiner: CombinerSpin, Threads: 4, CheckInvariants: true}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.ValuesDense()
 	for _, cfg := range shardedVersions() {
+		if cfg.SelectionBypass && !bypassable {
+			continue
+		}
 		name := cfg.VersionName()
-		e, rep, err := Run(g, cfg, ssspProg(1))
+		e, rep, err := Run(g, cfg, prog)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -63,11 +62,31 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 		}
 		got := e.ValuesDense()
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: dist[%d] = %d, want %d", name, i, got[i], want[i])
+			if !same(got[i], want[i]) {
+				t.Fatalf("%s: value[%d] = %v, want %v", name, i, got[i], want[i])
 			}
 		}
 	}
+}
+
+// TestShardedMatchesSingleShard is the sharding parity gate: every
+// sharded configuration must produce values identical to the single-shard
+// reference, under CheckInvariants, for programs with real cross-shard
+// traffic — SSSP flooding the checkpoint grid, and SSSP, min-label and a
+// PageRank-shaped float program (equal to summation-order noise) on the
+// fan-out graph, whose superstep-0 broadcast (32768 wide-stride messages
+// across 4 threads) overflows the routers' 512-way caches, so deliveries
+// reach the mailboxes through evictions during compute as well as
+// through the barrier flush.
+func TestShardedMatchesSingleShard(t *testing.T) {
+	exact := func(got, want uint32) bool { return got == want }
+	fan := fanoutGraph(4096, 8)
+	t.Run("sssp/grid", func(t *testing.T) { shardedParity(t, gridForCheckpoint(t), ssspProg(1), true, exact) })
+	t.Run("sssp/fanout", func(t *testing.T) { shardedParity(t, fan, ssspProg(1), true, exact) })
+	t.Run("minlabel/fanout", func(t *testing.T) { shardedParity(t, fan, minLabelProg(), true, exact) })
+	t.Run("rank/fanout", func(t *testing.T) {
+		shardedParity(t, fan, rankProg(5), false, func(got, want float64) bool { return math.Abs(got-want) <= 1e-9 })
+	})
 }
 
 // TestShardedStepStats checks the per-shard accounting: ShardMessages has
@@ -141,11 +160,8 @@ func TestSingleShardStatsStayFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for si, s := range rep.Steps {
-		if s.ShardMessages != nil || s.ShardNextFrontier != nil || s.CrossShardMessages != 0 {
+		if s.ShardMessages != nil || s.ShardNextFrontier != nil || s.CrossShardMessages != 0 || s.SkippedShards != 0 {
 			t.Fatalf("step %d: single-shard report has shard fields: %+v", si, s)
-		}
-		if s.EarlyDeliveredBatches != 0 || s.StolenTasks != 0 || s.SkippedShards != 0 {
-			t.Fatalf("step %d: single-shard report has overlap/scheduler fields: %+v", si, s)
 		}
 		if s.ShardImbalance() != 0 {
 			t.Fatalf("step %d: single-shard ShardImbalance = %v", si, s.ShardImbalance())
@@ -291,39 +307,6 @@ func TestShardTopologyMismatch(t *testing.T) {
 	}
 }
 
-// TestV1RestoreIntoShardedEngine checks the legacy flat v1 format scatters
-// correctly onto a sharded engine (v1 predates shard topology, so it is
-// accepted into any layout).
-func TestV1RestoreIntoShardedEngine(t *testing.T) {
-	g := gridForCheckpoint(t)
-	cfg := Config{Combiner: CombinerSpin, Threads: 2}
-	e, err := New(g, cfg, ssspProg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.writeCheckpointV1(&buf, u32Codec{}, u32Codec{}); err != nil {
-		t.Fatal(err)
-	}
-	scfg := Config{Combiner: CombinerSpin, Shards: 3, Threads: 2, CheckInvariants: true}
-	restored, err := Restore(bytes.NewReader(buf.Bytes()), g, scfg, ssspProg(1), u32Codec{}, u32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want, got := e.ValuesDense(), restored.ValuesDense()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dist[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 // TestShardConfigValidation pins the construction errors.
 func TestShardConfigValidation(t *testing.T) {
 	g := ringGraph(8, 0)
@@ -338,23 +321,9 @@ func TestShardConfigValidation(t *testing.T) {
 	} else if _, lockFree := e.shards[1].mb.(*pullMailbox[uint32]); e.cfg.Direction != DirectionPull || !lockFree {
 		t.Fatalf("pull+shards built direction=%v inbox=%T, want DirectionPull over *pullMailbox", e.cfg.Direction, e.shards[1].mb)
 	}
-	// Overlap and stealing are shard-scheduler features: meaningless (and
-	// rejected) on the flat engine, whether Shards is unset or exactly 1.
-	for _, shards := range []int{0, 1} {
-		if _, err := New(g, Config{Shards: shards, OverlapDelivery: true}, prog); err == nil || !strings.Contains(err.Error(), "OverlapDelivery") {
-			t.Fatalf("overlap with Shards=%d: %v", shards, err)
-		}
-		if _, err := New(g, Config{Shards: shards, WorkStealing: true}, prog); err == nil || !strings.Contains(err.Error(), "WorkStealing") {
-			t.Fatalf("stealing with Shards=%d: %v", shards, err)
-		}
-	}
 	cfg := Config{Shards: 4, Partition: PartitionHash}
 	if name := cfg.VersionName(); !strings.Contains(name, "shards4") || !strings.Contains(name, "hash") {
 		t.Fatalf("VersionName %q does not name the shard config", name)
-	}
-	cfg = Config{Shards: 4, OverlapDelivery: true, WorkStealing: true}
-	if name := cfg.VersionName(); !strings.Contains(name, "overlap") || !strings.Contains(name, "steal") {
-		t.Fatalf("VersionName %q does not name the overlap/steal modes", name)
 	}
 	if name := (Config{}).VersionName(); strings.Contains(name, "shards") {
 		t.Fatalf("single-shard VersionName %q mentions shards", name)
@@ -409,5 +378,215 @@ func TestMoreShardsThanSlots(t *testing.T) {
 				t.Fatalf("%v: value[%d] = %d, want 4", kind, i, v)
 			}
 		}
+	}
+}
+
+// fanoutGraph builds a strongly connected n-vertex graph (ids 1..n) whose
+// deg out-edges per vertex are spread across the whole id range: wide
+// strides defeat the router's direct-mapped combining cache, so sharded
+// runs deliver through cache evictions as well as the barrier flush, and
+// the range partition sees heavy cross-shard traffic in every direction.
+func fanoutGraph(n, deg int) *graph.Graph {
+	var b graph.Builder
+	b.BuildInEdges()
+	for i := 0; i < n; i++ {
+		for j := 0; j < deg; j++ {
+			dst := (i + 1 + j*(n/deg+13)) % n
+			if dst == i {
+				dst = (dst + 1) % n
+			}
+			b.AddEdge(graph.VertexID(1+i), graph.VertexID(1+dst))
+		}
+	}
+	return b.MustBuild()
+}
+
+// minLabelProg floods the minimum vertex id (hashmin/WCC on a connected
+// graph): every superstep each improved vertex broadcasts, so message
+// volume stays high — and the uint32 min-combine is order-independent,
+// making results exactly comparable across delivery schedules.
+func minLabelProg() Program[uint32, uint32] {
+	return Program[uint32, uint32]{
+		Combine: func(old *uint32, new uint32) {
+			if new < *old {
+				*old = new
+			}
+		},
+		Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			if ctx.IsFirstSuperstep() {
+				*v.Value() = uint32(v.ID())
+				ctx.Broadcast(v, *v.Value())
+				ctx.VoteToHalt(v)
+				return
+			}
+			best := *v.Value()
+			var m uint32
+			for ctx.NextMessage(v, &m) {
+				if m < best {
+					best = m
+				}
+			}
+			if best < *v.Value() {
+				*v.Value() = best
+				ctx.Broadcast(v, best)
+			}
+			ctx.VoteToHalt(v)
+		},
+	}
+}
+
+// rankProg is a PageRank-shaped float program: every vertex broadcasts
+// every superstep for a fixed round count. Float addition is not
+// associative, so cross-schedule comparison uses a tolerance.
+func rankProg(rounds int) Program[float64, float64] {
+	return Program[float64, float64]{
+		Combine: func(old *float64, new float64) { *old += new },
+		Compute: func(ctx *Context[float64, float64], v Vertex[float64, float64]) {
+			if ctx.IsFirstSuperstep() {
+				*v.Value() = 1
+			} else {
+				var sum, m float64
+				for ctx.NextMessage(v, &m) {
+					sum += m
+				}
+				*v.Value() = 0.15 + 0.85*sum
+			}
+			if ctx.Superstep() < rounds {
+				if d := v.OutDegree(); d > 0 {
+					ctx.Broadcast(v, *v.Value()/float64(d))
+				}
+			} else {
+				ctx.VoteToHalt(v)
+			}
+		},
+	}
+}
+
+// twoIslandGraph returns a graph whose high-id half is a separate
+// component from the low-id half: under a 2-shard range partition the
+// second shard receives no traffic from a flood started in the first.
+func twoIslandGraph() *graph.Graph {
+	var b graph.Builder
+	b.BuildInEdges()
+	const half = 32
+	for i := 0; i < half-1; i++ { // chain 1..32
+		b.AddEdge(graph.VertexID(1+i), graph.VertexID(2+i))
+		b.AddEdge(graph.VertexID(2+i), graph.VertexID(1+i))
+	}
+	for i := 0; i < half; i++ { // ring 1001..1032
+		b.AddEdge(graph.VertexID(1001+i), graph.VertexID(1001+(i+1)%half))
+	}
+	return b.MustBuild()
+}
+
+// TestFrontierAwareShardSkipping pins the skip decision: a shard whose
+// component went quiescent (no active vertices, no inbound deliveries)
+// must be skipped — visibly, via StepStats.SkippedShards — while the
+// flood in the other component proceeds to the exact flat-engine result.
+// The shard-activity audit (CheckInvariants) cross-checks the incremental
+// active counts against a full flag scan at every barrier.
+func TestFrontierAwareShardSkipping(t *testing.T) {
+	g := twoIslandGraph()
+	flatE, _, err := Run(g, Config{Combiner: CombinerSpin, Threads: 2, CheckInvariants: true}, ssspProg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := flatE.ValuesDense()
+	for _, bypass := range []bool{false, true} {
+		cfg := Config{
+			Combiner:        CombinerSpin,
+			Shards:          2,
+			Threads:         2,
+			SelectionBypass: bypass,
+			CheckInvariants: true,
+		}
+		e, rep, err := Run(g, cfg, ssspProg(1))
+		if err != nil {
+			t.Fatalf("bypass=%v: %v", bypass, err)
+		}
+		var skipped int64
+		for si, s := range rep.Steps {
+			if s.SkippedShards < 0 || s.SkippedShards > 2 {
+				t.Fatalf("bypass=%v step %d: SkippedShards = %d", bypass, si, s.SkippedShards)
+			}
+			skipped += s.SkippedShards
+		}
+		// The 31-superstep chain flood leaves the island shard idle
+		// from superstep 1 on; it must be skipped, not rescanned.
+		if skipped == 0 {
+			t.Fatalf("bypass=%v: quiescent shard was never skipped", bypass)
+		}
+		got := e.ValuesDense()
+		for i := range flat {
+			if got[i] != flat[i] {
+				t.Fatalf("bypass=%v: dist[%d] = %d, want %d", bypass, i, got[i], flat[i])
+			}
+		}
+	}
+}
+
+// TestRouterCombinePanicAbortsRun pins the failure path of sharded
+// delivery: a user Combine that panics when a routed message reaches an
+// occupied mailbox — inside a router-cache eviction during compute, or
+// inside drainRouters at the barrier — must come back from Run as the
+// contained-panic error with a sealed report, never crash the process.
+// One vertex does all the sending, so which phase hits the occupied
+// mailbox is decided by the send sequence, not by worker scheduling: d
+// and d2 share a destination shard and a cache way, so each send evicts
+// the other's entry into the mailbox.
+func TestRouterCombinePanicAbortsRun(t *testing.T) {
+	const n = 2000
+	g := fanoutGraph(n, 8)
+	cfg := Config{Combiner: CombinerSpin, Shards: 4, Threads: 4, CheckInvariants: true}
+	probe, err := New(g, cfg, minLabelProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := func(id graph.VertexID) (shard, way int) {
+		s, local := probe.part.locate(probe.addr.locate(id))
+		return s, routeIndex(local)
+	}
+	d, d2 := graph.VertexID(n), graph.VertexID(0)
+	dShard, dWay := home(d)
+	for id := d - 1; id > 1 && d2 == 0; id-- {
+		if s, way := home(id); s == dShard && way == dWay {
+			d2 = id
+		}
+	}
+	if d2 == 0 {
+		t.Fatal("no two vertices of one shard share a router-cache way")
+	}
+	for _, tc := range []struct {
+		name  string
+		sends []graph.VertexID
+	}{
+		// d cached; d2 evicts d (fills the mailbox); d evicts d2; the
+		// barrier flush delivers the cached d onto the filled slot.
+		{"drain", []graph.VertexID{d, d2, d}},
+		// One more send evicts that d during compute instead. The way
+		// must already hold d2 when the eviction panics: left holding d,
+		// the barrier flush would go back to d's dead lock and hang.
+		{"eviction", []graph.VertexID{d, d2, d, d2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := Program[uint32, uint32]{
+				Combine: func(*uint32, uint32) { panic("combiner exploded") },
+				Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+					if ctx.IsFirstSuperstep() && v.ID() == 1 {
+						for _, dst := range tc.sends {
+							ctx.Send(dst, 7)
+						}
+					}
+					ctx.VoteToHalt(v)
+				},
+			}
+			_, rep, err := Run(g, cfg, prog)
+			if err == nil || !strings.Contains(err.Error(), "compute panicked at superstep 0") || !strings.Contains(err.Error(), "combiner exploded") {
+				t.Fatalf("err = %v, want the contained combiner panic", err)
+			}
+			if !rep.Aborted || len(rep.Steps) != 1 || !rep.Steps[0].Partial {
+				t.Fatalf("report not sealed around the partial superstep: %+v", rep)
+			}
+		})
 	}
 }

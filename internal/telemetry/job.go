@@ -33,8 +33,6 @@ type JobCollector struct {
 	localCombines                    atomic.Uint64
 	casRetries                       atomic.Uint64
 	crossShardMessages               atomic.Uint64
-	earlyBatches                     atomic.Uint64
-	stolenTasks                      atomic.Int64
 	skippedShards                    atomic.Int64
 	directionSwitches                atomic.Int64
 	hubSplitTasks                    atomic.Int64
@@ -116,8 +114,6 @@ func (j *JobCollector) OnSuperstepEnd(superstep int, s core.StepStats) {
 	j.casRetries.Add(s.CASRetries)
 	j.verticesRan.Add(s.Ran)
 	j.crossShardMessages.Add(s.CrossShardMessages)
-	j.earlyBatches.Add(s.EarlyDeliveredBatches)
-	j.stolenTasks.Add(s.StolenTasks)
 	j.skippedShards.Add(s.SkippedShards)
 	if s.DirectionSwitched {
 		j.directionSwitches.Add(1)
@@ -162,28 +158,26 @@ func (j *JobCollector) RecordRecovery() {
 // the parent uses; WriteMetrics renders them with a job label.
 func (j *JobCollector) Snapshot() map[string]int64 {
 	return map[string]int64{
-		"ipregel_runs_total":                    j.runs.Load(),
-		"ipregel_runs_converged_total":          j.runsConverged.Load(),
-		"ipregel_runs_aborted_total":            j.runsAborted.Load(),
-		"ipregel_recoveries_total":              j.recoveries.Load(),
-		"ipregel_runs_active":                   j.running.Load(),
-		"ipregel_supersteps_total":              j.supersteps.Load(),
-		"ipregel_messages_total":                int64(j.messages.Load()),
-		"ipregel_local_combines_total":          int64(j.localCombines.Load()),
-		"ipregel_cas_retries_total":             int64(j.casRetries.Load()),
-		"ipregel_cross_shard_messages_total":    int64(j.crossShardMessages.Load()),
-		"ipregel_early_delivered_batches_total": int64(j.earlyBatches.Load()),
-		"ipregel_stolen_tasks_total":            j.stolenTasks.Load(),
-		"ipregel_skipped_shards_total":          j.skippedShards.Load(),
-		"ipregel_direction_switches_total":      j.directionSwitches.Load(),
-		"ipregel_hub_split_tasks_total":         j.hubSplitTasks.Load(),
-		"ipregel_vertices_ran_total":            j.verticesRan.Load(),
-		"ipregel_current_superstep":             j.currentSuperstep.Load(),
-		"ipregel_last_active_vertices":          j.lastActive.Load(),
-		"ipregel_last_ran_vertices":             j.lastRan.Load(),
-		"ipregel_last_frontier_size":            j.lastFrontier.Load(),
-		"ipregel_last_superstep_nanos":          j.lastStepNanos.Load(),
-		"ipregel_last_imbalance_millis":         j.lastImbalanceMil.Load(),
-		"ipregel_last_shard_imbalance_millis":   j.lastShardImbMil.Load(),
+		"ipregel_runs_total":                  j.runs.Load(),
+		"ipregel_runs_converged_total":        j.runsConverged.Load(),
+		"ipregel_runs_aborted_total":          j.runsAborted.Load(),
+		"ipregel_recoveries_total":            j.recoveries.Load(),
+		"ipregel_runs_active":                 j.running.Load(),
+		"ipregel_supersteps_total":            j.supersteps.Load(),
+		"ipregel_messages_total":              int64(j.messages.Load()),
+		"ipregel_local_combines_total":        int64(j.localCombines.Load()),
+		"ipregel_cas_retries_total":           int64(j.casRetries.Load()),
+		"ipregel_cross_shard_messages_total":  int64(j.crossShardMessages.Load()),
+		"ipregel_skipped_shards_total":        j.skippedShards.Load(),
+		"ipregel_direction_switches_total":    j.directionSwitches.Load(),
+		"ipregel_hub_split_tasks_total":       j.hubSplitTasks.Load(),
+		"ipregel_vertices_ran_total":          j.verticesRan.Load(),
+		"ipregel_current_superstep":           j.currentSuperstep.Load(),
+		"ipregel_last_active_vertices":        j.lastActive.Load(),
+		"ipregel_last_ran_vertices":           j.lastRan.Load(),
+		"ipregel_last_frontier_size":          j.lastFrontier.Load(),
+		"ipregel_last_superstep_nanos":        j.lastStepNanos.Load(),
+		"ipregel_last_imbalance_millis":       j.lastImbalanceMil.Load(),
+		"ipregel_last_shard_imbalance_millis": j.lastShardImbMil.Load(),
 	}
 }

@@ -63,8 +63,6 @@ type Collector struct {
 	localCombines                    atomic.Uint64
 	casRetries                       atomic.Uint64
 	crossShardMessages               atomic.Uint64
-	earlyBatches                     atomic.Uint64
-	stolenTasks                      atomic.Int64
 	skippedShards                    atomic.Int64
 	directionSwitches                atomic.Int64
 	hubSplitTasks                    atomic.Int64
@@ -130,8 +128,6 @@ func (c *Collector) OnSuperstepEnd(superstep int, s core.StepStats) {
 	c.lastStepNanos.Store(int64(s.Duration))
 	c.lastImbalanceMil.Store(int64(s.Imbalance() * 1000))
 	c.crossShardMessages.Add(s.CrossShardMessages)
-	c.earlyBatches.Add(s.EarlyDeliveredBatches)
-	c.stolenTasks.Add(s.StolenTasks)
 	c.skippedShards.Add(s.SkippedShards)
 	if s.DirectionSwitched {
 		c.directionSwitches.Add(1)
@@ -200,32 +196,30 @@ func (c *Collector) sampleHeap() {
 // Names follow the Prometheus convention (counters suffixed _total).
 func (c *Collector) Snapshot() map[string]int64 {
 	return map[string]int64{
-		"ipregel_runs_total":                    c.runs.Load(),
-		"ipregel_runs_converged_total":          c.runsConverged.Load(),
-		"ipregel_runs_aborted_total":            c.runsAborted.Load(),
-		"ipregel_recoveries_total":              c.recoveries.Load(),
-		"ipregel_runs_active":                   c.running.Load() + c.activeRuns.Load(),
-		"ipregel_supersteps_total":              c.supersteps.Load(),
-		"ipregel_messages_total":                int64(c.messages.Load()),
-		"ipregel_local_combines_total":          int64(c.localCombines.Load()),
-		"ipregel_cas_retries_total":             int64(c.casRetries.Load()),
-		"ipregel_cross_shard_messages_total":    int64(c.crossShardMessages.Load()),
-		"ipregel_early_delivered_batches_total": int64(c.earlyBatches.Load()),
-		"ipregel_stolen_tasks_total":            c.stolenTasks.Load(),
-		"ipregel_skipped_shards_total":          c.skippedShards.Load(),
-		"ipregel_direction_switches_total":      c.directionSwitches.Load(),
-		"ipregel_hub_split_tasks_total":         c.hubSplitTasks.Load(),
-		"ipregel_last_shard_imbalance_millis":   c.lastShardImbMil.Load(),
-		"ipregel_vertices_ran_total":            c.verticesRan.Load(),
-		"ipregel_current_superstep":             c.currentSuperstep.Load(),
-		"ipregel_last_active_vertices":          c.lastActive.Load(),
-		"ipregel_last_ran_vertices":             c.lastRan.Load(),
-		"ipregel_last_frontier_size":            c.lastFrontier.Load(),
-		"ipregel_last_superstep_nanos":          c.lastStepNanos.Load(),
-		"ipregel_last_imbalance_millis":         c.lastImbalanceMil.Load(),
-		"ipregel_heap_objects_bytes":            int64(c.heapBytes.Load()),
-		"ipregel_gc_cycles_total":               int64(c.gcCycles.Load()),
-		"ipregel_snapshot_unix_nanos":           time.Now().UnixNano(),
+		"ipregel_runs_total":                  c.runs.Load(),
+		"ipregel_runs_converged_total":        c.runsConverged.Load(),
+		"ipregel_runs_aborted_total":          c.runsAborted.Load(),
+		"ipregel_recoveries_total":            c.recoveries.Load(),
+		"ipregel_runs_active":                 c.running.Load() + c.activeRuns.Load(),
+		"ipregel_supersteps_total":            c.supersteps.Load(),
+		"ipregel_messages_total":              int64(c.messages.Load()),
+		"ipregel_local_combines_total":        int64(c.localCombines.Load()),
+		"ipregel_cas_retries_total":           int64(c.casRetries.Load()),
+		"ipregel_cross_shard_messages_total":  int64(c.crossShardMessages.Load()),
+		"ipregel_skipped_shards_total":        c.skippedShards.Load(),
+		"ipregel_direction_switches_total":    c.directionSwitches.Load(),
+		"ipregel_hub_split_tasks_total":       c.hubSplitTasks.Load(),
+		"ipregel_last_shard_imbalance_millis": c.lastShardImbMil.Load(),
+		"ipregel_vertices_ran_total":          c.verticesRan.Load(),
+		"ipregel_current_superstep":           c.currentSuperstep.Load(),
+		"ipregel_last_active_vertices":        c.lastActive.Load(),
+		"ipregel_last_ran_vertices":           c.lastRan.Load(),
+		"ipregel_last_frontier_size":          c.lastFrontier.Load(),
+		"ipregel_last_superstep_nanos":        c.lastStepNanos.Load(),
+		"ipregel_last_imbalance_millis":       c.lastImbalanceMil.Load(),
+		"ipregel_heap_objects_bytes":          int64(c.heapBytes.Load()),
+		"ipregel_gc_cycles_total":             int64(c.gcCycles.Load()),
+		"ipregel_snapshot_unix_nanos":         time.Now().UnixNano(),
 	}
 }
 

@@ -49,12 +49,10 @@ type Event struct {
 	Partial       bool    `json:"partial,omitempty"`
 	WorkerBusyNS  []int64 `json:"worker_busy_ns,omitempty"`
 	// shard breakdown (partitioned engines only; absent on single-shard)
-	ShardMessages         []uint64 `json:"shard_messages,omitempty"`
-	ShardNextFrontier     []int64  `json:"shard_next_frontier,omitempty"`
-	CrossShardMessages    uint64   `json:"cross_shard_messages,omitempty"`
-	EarlyDeliveredBatches uint64   `json:"early_delivered_batches,omitempty"`
-	StolenTasks           int64    `json:"stolen_tasks,omitempty"`
-	SkippedShards         int64    `json:"skipped_shards,omitempty"`
+	ShardMessages      []uint64 `json:"shard_messages,omitempty"`
+	ShardNextFrontier  []int64  `json:"shard_next_frontier,omitempty"`
+	CrossShardMessages uint64   `json:"cross_shard_messages,omitempty"`
+	SkippedShards      int64    `json:"skipped_shards,omitempty"`
 	// direction model (Config.Direction / Config.HubSplit); Direction is
 	// the core.Direction name and omitted when push (the zero direction),
 	// so pre-direction traces replay unchanged.
@@ -147,8 +145,6 @@ func (t *TraceWriter) OnSuperstepEnd(superstep int, s core.StepStats) {
 	if len(s.ShardMessages) > 0 {
 		ev.ShardMessages = append([]uint64(nil), s.ShardMessages...)
 		ev.CrossShardMessages = s.CrossShardMessages
-		ev.EarlyDeliveredBatches = s.EarlyDeliveredBatches
-		ev.StolenTasks = s.StolenTasks
 		ev.SkippedShards = s.SkippedShards
 	}
 	if len(s.ShardNextFrontier) > 0 {
@@ -276,8 +272,6 @@ func ReplayReport(events []Event) (core.Report, error) {
 			if len(ev.ShardMessages) > 0 {
 				step.ShardMessages = append([]uint64(nil), ev.ShardMessages...)
 				step.CrossShardMessages = ev.CrossShardMessages
-				step.EarlyDeliveredBatches = ev.EarlyDeliveredBatches
-				step.StolenTasks = ev.StolenTasks
 				step.SkippedShards = ev.SkippedShards
 			}
 			if len(ev.ShardNextFrontier) > 0 {

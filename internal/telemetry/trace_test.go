@@ -64,7 +64,7 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestTraceShardFields(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
-	cfg := core.Config{Threads: 2, Shards: 2, OverlapDelivery: true, WorkStealing: true, Observers: []core.Observer{tw}}
+	cfg := core.Config{Threads: 2, Shards: 2, Observers: []core.Observer{tw}}
 	_, rep, err := core.Run(ring(16), cfg, flood(4))
 	if err != nil {
 		t.Fatal(err)
@@ -106,29 +106,17 @@ func TestTraceShardFields(t *testing.T) {
 	}
 }
 
-// TestTraceOverlapFieldsRoundTrip feeds the writer a synthetic overlap
-// superstep (live small-graph runs rarely fill a 128-message batch) and
-// checks the scheduler counters survive encode → ReadTrace → replay.
-func TestTraceOverlapFieldsRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	tw.OnSuperstepStart(0)
-	step := core.StepStats{
-		Ran:                   8,
-		Messages:              10,
-		Active:                8,
-		ShardMessages:         []uint64{6, 4},
-		CrossShardMessages:    4,
-		EarlyDeliveredBatches: 2,
-		StolenTasks:           3,
-		SkippedShards:         1,
-	}
-	tw.OnSuperstepEnd(0, step)
-	tw.OnRunEnd(core.Report{Supersteps: 1, TotalMessages: 10, Converged: true}, nil)
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadTrace(&buf)
+// TestTraceLegacySchedulerFieldsReplay pins trace compatibility across
+// the removal of overlapped delivery and work stealing: a trace written
+// while superstep events still carried early_delivered_batches and
+// stolen_tasks validates and replays, the two fields are ignored, and
+// the shard fields beside them (skipped_shards) still reach the Report.
+func TestTraceLegacySchedulerFieldsReplay(t *testing.T) {
+	const legacy = `{"schema":"ipregel-trace/1","type":"run_start"}
+{"schema":"ipregel-trace/1","type":"superstep","ran":8,"messages":10,"active":8,"duration_ns":1200,"shard_messages":[6,4],"cross_shard_messages":4,"early_delivered_batches":2,"stolen_tasks":3,"skipped_shards":1}
+{"schema":"ipregel-trace/1","type":"run_end","version":"spinlock+shards2+overlap+steal","supersteps":1,"total_messages":10,"total_duration_ns":1500,"converged":true}
+`
+	events, err := ReadTrace(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +124,11 @@ func TestTraceOverlapFieldsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replay.Steps) != 1 {
-		t.Fatalf("replayed %d steps, want 1", len(replay.Steps))
+	if len(replay.Steps) != 1 || !replay.Converged || replay.TotalMessages != 10 {
+		t.Fatalf("legacy trace replayed as %+v", replay)
 	}
-	got := replay.Steps[0]
-	if got.EarlyDeliveredBatches != step.EarlyDeliveredBatches ||
-		got.StolenTasks != step.StolenTasks ||
-		got.SkippedShards != step.SkippedShards {
-		t.Fatalf("replayed overlap counters %d/%d/%d, want %d/%d/%d",
-			got.EarlyDeliveredBatches, got.StolenTasks, got.SkippedShards,
-			step.EarlyDeliveredBatches, step.StolenTasks, step.SkippedShards)
+	if got := replay.Steps[0]; got.SkippedShards != 1 || got.CrossShardMessages != 4 || len(got.ShardMessages) != 2 {
+		t.Fatalf("replayed shard fields %+v, want skipped 1, cross 4, two shard entries", got)
 	}
 }
 

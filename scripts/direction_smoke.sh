@@ -38,9 +38,9 @@ $REF"
 done
 
 # Sharded pull — the combination the engine used to reject.
-GOT="$(run_sssp -direction pull -shards 4 -steal)"
+GOT="$(run_sssp -direction pull -shards 4)"
 [ "$GOT" = "$REF" ] || fail "-direction pull -shards 4 diverged from push"
-echo "ok: -direction pull -shards 4 -steal matches push"
+echo "ok: -direction pull -shards 4 matches push"
 
 # 2. Hub splitting is semantically invisible on a skewed graph.
 run_hashmin() {
