@@ -5,7 +5,7 @@ GO ?= go
 # race-detector pass over the engine and algorithms, whose combiners,
 # sender caches and schedules must stay race-clean (the race targets run
 # with Config.CheckInvariants enabled in their configs).
-.PHONY: check vet ipregel-vet vet-json build test test-cores test-run race fuzz bench telemetry-smoke ipregeld-smoke membackend-smoke direction-smoke chaos
+.PHONY: check vet ipregel-vet vet-json build test test-cores test-run race race-one-thread fuzz bench bench-core telemetry-smoke ipregeld-smoke membackend-smoke direction-smoke chaos
 check: vet ipregel-vet build test race
 
 vet:
@@ -51,6 +51,13 @@ test-run:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/algorithms/... ./internal/telemetry/... ./internal/service/...
+
+# One-thread engines take the plain (lock-free) inbox; ipregeld runs
+# several of them at once over one resident graph. With GOMAXPROCS=1 every
+# engine whose config leaves Threads at 0 is one too, so the whole core
+# and service suites run that shape under the race detector.
+race-one-thread:
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core/... ./internal/service/...
 
 # End-to-end check of the live telemetry layer: run a small PageRank
 # with -telemetry/-trace on, scrape /metrics, expvar and pprof, and
@@ -103,3 +110,16 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The engine's hot-primitive microbenchmarks (mailbox deliver per inbox
+# version, interface call per message against the fused scatter; frontier
+# enrol), in ns/msg. It fails when one of them no longer exists; CI runs
+# it with BENCHTIME=1x so they cannot rot.
+BENCHTIME ?= 1s
+CORE_BENCHES = BenchmarkDeliver BenchmarkEnrol
+bench-core:
+	@for b in $(CORE_BENCHES); do \
+		$(GO) test ./internal/core/ -list "^$$b$$" | grep -q "^$$b$$" || \
+			{ echo "bench-core: $$b is gone from ./internal/core" >&2; exit 1; }; \
+	done
+	$(GO) test ./internal/core/ -run '^$$' -bench "^($$(echo $(CORE_BENCHES) | tr ' ' '|'))$$" -benchtime $(BENCHTIME) -cpu 1

@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 		all     = fs.Bool("all", false, "run every experiment")
 		list    = fs.Bool("list", false, "list experiments")
 		divisor = fs.Int("divisor", 0, "graph scale divisor (default 64 = 1/64 of the paper's graphs)")
-		threads = fs.Int("threads", 0, "iPregel worker threads (default GOMAXPROCS)")
+		threads = fs.Int("threads", 0, "iPregel worker threads (default GOMAXPROCS); with 1 every push combiner runs the same lock-free inbox, so fig7's mutex-vs-spinlock columns — a contention comparison — coincide")
 		shards  = fs.Int("shards", 1, "iPregel execution shards (1 = classic single-shard engine; pull-combiner cells stay single-shard)")
 		quick   = fs.Bool("quick", false, "fewer repetitions and smaller sweeps")
 		backend = fs.String("graph-backend", "flat", "adjacency storage for experiment graphs: flat | compressed | mmap")

@@ -356,7 +356,11 @@ func (c Config) shardCount() int {
 	return 1
 }
 
-func (c Config) threads() int {
+// ResolvedThreads is the worker count an engine built from c runs with:
+// Threads, or GOMAXPROCS when that is 0. It also decides the inbox — one
+// worker needs no lock (newMailbox) — so the footprint model reads it
+// rather than guessing the resolution.
+func (c Config) ResolvedThreads() int {
 	if c.Threads > 0 {
 		return c.Threads
 	}

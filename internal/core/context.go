@@ -117,7 +117,13 @@ type Context[V, M any] struct {
 	// backend: the scatter loop and the pull collect phase decode
 	// neighbour lists into it instead of sharing a CSR slice. On the
 	// flat backend it is never touched (the shared-slice fast path).
-	nbuf graph.NeighborBuf
+	// slotBuf holds the looked-up slots of one neighbour list under
+	// hashmap addressing (located); the arithmetic schemes never touch it.
+	// sendBuf is Send's list of one: a local array would escape through
+	// the inbox's scatter dispatch, one allocation per message.
+	nbuf    graph.NeighborBuf
+	slotBuf []graph.VertexID
+	sendBuf [1]graph.VertexID
 }
 
 // Superstep returns the current superstep number, starting at 0
@@ -137,7 +143,7 @@ func (c *Context[V, M]) VertexCount() int { return c.e.g.N() }
 // most one message (§6.3), so the usual `for ctx.NextMessage(v, &m)` drain
 // loop iterates at most once.
 func (c *Context[V, M]) NextMessage(v Vertex[V, M], m *M) bool {
-	return v.sh.mb.take(int(v.local), m)
+	return v.sh.take(int(v.local), m)
 }
 
 // Send delivers msg to the vertex with external identifier dst
@@ -155,38 +161,69 @@ func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 	if slot < 0 || slot >= e.slots || (e.shift > 0 && slot < e.shift) {
 		panic(fmt.Sprintf("core: message sent to unknown vertex %d", dst))
 	}
-	c.push(slot, msg)
-	c.msgs++
+	c.sendBuf[0] = graph.VertexID(slot)
+	c.scatter(c.sendBuf[:], 0, msg)
+}
+
+// scatter is the one push delivery routine — a Broadcast's fan-out, a
+// Send (a scatter of one) and a hub chunk alike: msg goes to slot
+// nb+shift for every nb, and under selection bypass each recipient is
+// enrolled in the next frontier. Everything that does not depend on the
+// recipient is decided once per call, the way the paper's module
+// versions are decided once per build (§3.1.1): through the
+// per-destination-shard routing caches when there are shards to route
+// between, and otherwise into the one shard's mailbox — via the
+// worker's combining cache when sender-side combining is on, or in the
+// mailbox version's own loop, one dispatch per call.
+func (c *Context[V, M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+	e := c.e
+	c.msgs += uint64(len(nbs))
+	switch {
+	case c.route != nil:
+		r := c.route
+		for _, nb := range nbs {
+			d, local := e.part.locate(int(nb) + shift)
+			r.sent[d]++
+			if int32(d) != c.curShard {
+				r.cross++
+			}
+			r.add(d, local, msg, e.shards[d].mb)
+		}
+	case c.cache != nil:
+		for _, nb := range nbs {
+			c.cache.add(int(nb)+shift, msg, c.direct)
+		}
+	default:
+		c.direct.scatter(nbs, shift, msg)
+	}
 	if e.cfg.SelectionBypass {
-		c.enroll(slot)
+		c.enrol(nbs, shift)
 	}
 }
 
-// push routes one delivery: through the per-destination-shard routing
-// caches when there are shards to route between, and otherwise straight
-// to the one shard's mailbox — or the worker's combining cache in front
-// of it when sender-side combining is on.
-func (c *Context[V, M]) push(slot int, msg M) {
-	if r := c.route; r != nil {
-		e := c.e
-		d, local := e.part.locate(slot)
-		r.sent[d]++
-		if int32(d) != c.curShard {
-			r.cross++
-		}
-		r.add(d, local, msg, e.shards[d].mb)
-		return
+// located passes a neighbour list through the addressing module like
+// any identifier-addressed message (§5). For direct, offset and desolate
+// mapping the lookup is pure arithmetic — slot = neighbour + shift,
+// which scatter folds into its loop — so the list is returned as it is;
+// the hashmap baseline pays its real lookup per neighbour, into the
+// worker's scratch list.
+func (c *Context[V, M]) located(nbs []graph.VertexID) []graph.VertexID {
+	h, hashed := c.e.addr.(*hashAddresser)
+	if !hashed {
+		return nbs
 	}
-	if c.cache != nil {
-		c.cache.add(slot, msg, c.direct)
-		return
+	base := c.e.g.Base()
+	slots := c.slotBuf[:0]
+	for _, nb := range nbs {
+		slots = append(slots, graph.VertexID(h.locate(base+nb)))
 	}
-	c.direct.deliver(slot, msg)
+	c.slotBuf = slots
+	return slots
 }
 
 // Broadcast sends msg to every out-neighbour of v (IP_broadcast). On a
-// push superstep it expands to one Send per out-neighbour; on a pull
-// superstep it buffers msg once in v's outbox, to be fetched by the
+// push superstep it is one scatter over the out-neighbour list; on a
+// pull superstep it buffers msg once in v's outbox, to be fetched by the
 // recipients' collect phase.
 func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 	e := c.e
@@ -205,34 +242,18 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 			// The sender knows every out-neighbour will receive a message,
 			// so it enrols them all for the next superstep (§4 applied to
 			// the broadcast version).
-			for _, nb := range e.g.OutNeighborsWith(&c.nbuf, idx) {
-				c.enroll(int(nb) + e.shift)
-			}
+			c.enrol(e.g.OutNeighborsWith(&c.nbuf, idx), e.shift)
 		}
 		return
 	}
-	if e.hubCut > 0 {
-		if deg := e.g.OutDegree(idx); deg > e.hubCut {
-			// Hub splitting: defer the scatter; hubScatterPhase fans it
-			// out as parallel chunks after the compute barrier (hub.go).
-			c.hubSlots = append(c.hubSlots, v.slot)
-			c.hubMsgs = append(c.hubMsgs, msg)
-			c.msgs += uint64(deg)
-			return
-		}
+	if e.hubCut > 0 && e.g.OutDegree(idx) > e.hubCut {
+		// Hub splitting: defer the scatter; hubScatterPhase fans it out
+		// as parallel chunks after the compute barrier (hub.go).
+		c.hubSlots = append(c.hubSlots, v.slot)
+		c.hubMsgs = append(c.hubMsgs, msg)
+		return
 	}
-	base := e.g.Base()
-	for _, nb := range e.g.OutNeighborsWith(&c.nbuf, idx) {
-		// Route through the addressing module like any identifier-addressed
-		// message (§5): for direct/offset/desolate mapping this folds into
-		// pure arithmetic, for the hashmap baseline it is a real lookup.
-		dst := e.addr.locate(base + nb)
-		c.push(dst, msg)
-		c.msgs++
-		if e.cfg.SelectionBypass {
-			c.enroll(dst)
-		}
-	}
+	c.scatter(c.located(e.g.OutNeighborsWith(&c.nbuf, idx)), e.shift, msg)
 }
 
 // VoteToHalt marks v inactive for the next superstep (IP_vote_to_halt);
@@ -248,13 +269,26 @@ func (c *Context[V, M]) VoteToHalt(v Vertex[V, M]) {
 	}
 }
 
-// enroll adds slot to the next frontier exactly once (CAS dedup). The
-// entry lands in the worker's enrol buffer for the destination shard as
-// a local slot; gatherFrontier concatenates per shard.
-func (c *Context[V, M]) enroll(slot int) {
-	sh, local := c.e.slotShard(slot)
-	if sh.tryMarkNext(local) {
-		c.enrolled[sh.id] = append(c.enrolled[sh.id], int32(local))
+// enrol adds slot nb+shift, for every nb, to the next frontier exactly
+// once (CAS dedup). An entry lands in the worker's enrol buffer for the
+// destination shard as a local slot; gatherFrontier concatenates per
+// shard.
+func (c *Context[V, M]) enrol(nbs []graph.VertexID, shift int) {
+	if c.e.nShards == 1 {
+		sh, buf := c.e.shards[0], c.enrolled[0]
+		for _, nb := range nbs {
+			if local := int(nb) + shift; sh.tryMarkNext(local) {
+				buf = append(buf, int32(local))
+			}
+		}
+		c.enrolled[0] = buf
+		return
+	}
+	for _, nb := range nbs {
+		sh, local := c.e.slotShard(int(nb) + shift)
+		if sh.tryMarkNext(local) {
+			c.enrolled[sh.id] = append(c.enrolled[sh.id], int32(local))
+		}
 	}
 }
 

@@ -360,7 +360,7 @@ func TestMailboxFootprintOrdering(t *testing.T) {
 	combine := func(old *uint32, new uint32) { *old += new }
 	mutex := newMutexMailbox[uint32](1000, combine, false)
 	spin := newSpinMailbox[uint32](1000, combine, false)
-	pull := &pullMailbox[uint32]{newPushBuffers[uint32](1000, combine, false)}
+	pull := &plainMailbox[uint32]{newPushBuffers[uint32](1000, combine, false)}
 	if !(spin.footprintBytes() < mutex.footprintBytes()) {
 		t.Fatalf("spinlock mailbox (%d B) should be lighter than mutex (%d B)", spin.footprintBytes(), mutex.footprintBytes())
 	}
@@ -455,24 +455,32 @@ func TestReportRendering(t *testing.T) {
 func TestFootprintPerVersion(t *testing.T) {
 	g := ringGraph(512, 0)
 	prog := counterProgram(0)
-	var spin, mutex uint64
-	for _, cfg := range []Config{{Combiner: CombinerSpin}, {Combiner: CombinerMutex}} {
+	footprint := func(cfg Config) uint64 {
+		t.Helper()
 		e, err := New(g, cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.Combiner == CombinerSpin {
-			spin = e.FootprintBytes()
-		} else {
-			mutex = e.FootprintBytes()
-		}
+		return e.FootprintBytes()
 	}
+	// The locks exist for concurrent senders, so the mutex-vs-spinlock
+	// comparison is one of engines that have some: two threads.
+	spin := footprint(Config{Combiner: CombinerSpin, Threads: 2})
+	mutex := footprint(Config{Combiner: CombinerMutex, Threads: 2})
 	if spin >= mutex {
 		t.Fatalf("spinlock engine (%d B) should be lighter than mutex engine (%d B)", spin, mutex)
 	}
 	// The difference is exactly the lock arrays: (8-4) bytes per slot.
 	if mutex-spin != 512*(mutexBytes-spinLockBytes) {
 		t.Fatalf("lock delta = %d, want %d", mutex-spin, 512*(mutexBytes-spinLockBytes))
+	}
+	// One thread allocates the plain inbox whatever the combiner: zero
+	// lock bytes, the same footprint for all of them.
+	plain := spin - 512*spinLockBytes
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+		if got := footprint(Config{Combiner: comb, Threads: 1}); got != plain {
+			t.Fatalf("%s at one thread: %d B, want the lock-free %d B", comb, got, plain)
+		}
 	}
 }
 

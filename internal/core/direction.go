@@ -11,16 +11,16 @@ package core
 //     touches only its own slot, which is what makes the outboxes
 //     shard-aware with zero locks) and fan out in a collect phase: every
 //     destination walks its in-neighbours and deposits flagged outbox
-//     entries into its own shard's inbox. Deposits go through the
-//     ordinary mailbox deliver path, so delivery counting — and with it
-//     the message-conservation audit — keeps working: a pull superstep's
+//     entries into its own shard's inbox. Deposits are counted like
+//     any delivery (pushBuffers.deposit, or the atomic deliver), so the
+//     message-conservation audit keeps working: a pull superstep's
 //     Messages count the logical fan-out (out-degree per broadcast),
 //     which equals the collect deposits exactly. That same counting makes
 //     push-only, pull-only and adaptive runs of one program
 //     Fingerprint-identical.
 //
 // This is the one pull transport. CombinerPull — the paper's §6.2
-// version — is the same transport over the lock-free inbox (pullMailbox),
+// version — is the same transport over the plain inbox (plainMailbox),
 // which is legal because collect deposits are owner-only; it therefore
 // fixes the direction to pull.
 //
@@ -87,7 +87,7 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	e.parallelFor(len(spans), func(w, k int) {
 		sh := e.shards[spans[k].shard]
 		sh.scan(spans[k].lo, spans[k].hi, e.shift, func(local, global int32) {
-			if sh.active[local] != 0 || sh.mb.hasCurrent(int(local)) {
+			if sh.active[local] != 0 || sh.hasMail(int(local)) {
 				sums[w] += uint64(e.g.OutDegree(int(global) - e.shift))
 			}
 		})
@@ -103,7 +103,8 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // its own inbox, then the outbox flags are cleared for the next pull
 // superstep. Each destination is processed by exactly one worker, so
 // every deposit is owner-only — race-free without any collect-side
-// locking, and what makes the lock-free pullMailbox a legal inbox.
+// locking on any inbox, and what makes the plain one legal under
+// CombinerPull at any thread count.
 //
 // Under selection bypass only enrolled recipients can have mail (the
 // pull broadcast enrolled its out-neighbours), so collection is bounded
@@ -133,13 +134,21 @@ func (e *Engine[V, M]) collectPull() {
 
 // collectSlot deposits every flagged in-neighbour outbox entry into the
 // destination's mailbox (local slot `local` of sh, global slot `global`).
+// The collecting worker is the slot's only depositor this phase, so it
+// writes the buffers directly whichever lock the inbox carries for push
+// supersteps; only the atomic version, whose next buffer holds packed
+// words, goes through its own deliver.
 func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], sh *engineShard[V, M], local, global int32) {
 	for _, nb := range e.g.InNeighborsWith(&ctx.nbuf, int(global)-e.shift) {
 		nbSlot := int(nb) + e.shift
 		if e.pullFlag[nbSlot] == 0 {
 			continue
 		}
-		sh.mb.deliver(int(local), e.pullOut[nbSlot])
+		if sh.buf != nil {
+			sh.buf.deposit(int(local), e.pullOut[nbSlot])
+		} else {
+			sh.cas.deliver(int(local), e.pullOut[nbSlot])
+		}
 		if ctx.pulled != nil {
 			ctx.pulled[sh.id]++
 			if src, _ := e.part.locate(nbSlot); int32(src) != sh.id {

@@ -167,7 +167,7 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 		addr:    addr,
 		shift:   addr.shift(),
 		slots:   addr.slots(),
-		threads: cfg.threads(),
+		threads: cfg.ResolvedThreads(),
 	}
 	e.part, err = newPartitioner(cfg, e.slots)
 	if err != nil {
@@ -326,8 +326,11 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			}
 		}
 		region(ctx, "ipregel.barrier", func() {
+			// Only the vertices that ran can have left mail unread: the
+			// frontier under selection bypass, anyone on a full scan.
+			fullScan := e.superstep == 0 || !e.cfg.SelectionBypass
 			for _, sh := range e.shards {
-				sh.mb.swap()
+				sh.mb.swap(sh.frontier, fullScan)
 			}
 			if !e.agg.empty() {
 				e.agg.barrier()

@@ -11,8 +11,8 @@ package core
 // 2010.01542). Deferral is invisible to the superstep's
 // semantics: push deliveries always land in the NEXT buffer, so whether
 // they happen during compute or just after changes nothing the current
-// superstep can observe, and the messages were already counted at
-// Broadcast time.
+// superstep can observe; the messages are counted by the chunks, like
+// those of any other scatter.
 
 // hubTask is one chunk of a deferred hub broadcast: pending entry
 // (worker, idx), out-neighbour positions [lo, hi).
@@ -57,14 +57,7 @@ func (e *Engine[V, M]) hubScatterPhase() {
 		hubShard, _ := e.slotShard(slot)
 		ctx.curShard = hubShard.id
 		ctx.hubTasks++
-		base := e.g.Base()
 		nbs := e.g.OutNeighborsWith(&ctx.nbuf, slot-e.shift)
-		for _, nb := range nbs[t.lo:t.hi] {
-			dst := e.addr.locate(base + nb)
-			ctx.push(dst, msg)
-			if e.cfg.SelectionBypass {
-				ctx.enroll(dst)
-			}
-		}
+		ctx.scatter(ctx.located(nbs[t.lo:t.hi]), e.shift, msg)
 	})
 }

@@ -16,7 +16,16 @@ type spinLock struct{ v uint32 }
 
 const spinTries = 64
 
+// lock keeps the uncontended acquire — the common case by far: most
+// mailboxes have one sender at a time — small enough to inline into the
+// delivery loops; waiting happens out of line.
 func (l *spinLock) lock() {
+	if !atomic.CompareAndSwapUint32(&l.v, 0, 1) {
+		l.lockSlow()
+	}
+}
+
+func (l *spinLock) lockSlow() {
 	for {
 		for i := 0; i < spinTries; i++ {
 			// Test-and-test-and-set: spin on a plain load and attempt the

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"ipregel/internal/graph"
 )
 
 // CombineFunc merges a newly received message into the single message a
@@ -19,7 +22,13 @@ type CombineFunc[M any] func(old *M, new M)
 // versions differ only in what makes a concurrent deliver safe, which is
 // also what the paper's memory analysis compares: one lock per vertex
 // (mutex 8 B, spinlock 4 B in Go), a CAS on the message word (atomic),
-// or nothing at all (pull, whose deposits are owner-only).
+// or nothing at all (plain: every slot has one depositor per phase).
+//
+// The version is chosen once (newMailbox) and the hot path pays for the
+// choice once per broadcast, not per message: scatter is each version's
+// own per-neighbour loop, and mail is read through the shard's concrete
+// pointers (engineShard.buf/cas). deliver serves the single deliveries
+// of the routing and combining caches' evictions and drains.
 //
 // All mailboxes are double-buffered: compute at superstep s reads the
 // "now" buffer (messages sent during s-1) while new messages land in the
@@ -27,9 +36,16 @@ type CombineFunc[M any] func(old *M, new M)
 type mailbox[M any] interface {
 	// deliver puts msg into slot dst's next-superstep inbox, combining if
 	// a message is already present. Safe for concurrent senders on the
-	// mutex, spinlock and atomic versions; on the pull version only for
-	// distinct dst (the collect phase's one-owner-per-destination rule).
+	// mutex, spinlock and atomic versions; on the plain version only
+	// while each dst has a single depositor.
 	deliver(dst int, msg M)
+	// scatter delivers msg to slot nb+shift for every nb: one broadcast's
+	// fan-out under a single dispatch (Context.scatter).
+	scatter(nbs []graph.VertexID, shift int, msg M)
+	// buffers returns the flag-and-message arrays of the plain and
+	// lock-based versions, nil on the atomic one: the engine reads mail
+	// and makes owner-only deposits through them without a dynamic call.
+	buffers() *pushBuffers[M]
 	// take moves the current message for slot into *m, reporting whether
 	// one existed. A second call in the same superstep returns false,
 	// matching IP_get_next_message's drain loop over the single-message
@@ -42,9 +58,12 @@ type mailbox[M any] interface {
 	peek(slot int) (M, bool)
 	// restoreCurrent reinstates a current message (checkpoint restore).
 	restoreCurrent(slot int, m M)
-	// swap publishes the next buffer as current. Stale unread flags from
-	// the previous superstep are cleared.
-	swap()
+	// swap publishes the next buffer as current and drops the stale
+	// flags of vertices that never drained their mail: those of the slots
+	// in ran (under selection bypass only the frontier that just ran can
+	// hold one, an O(frontier) clear), or of every slot when all is set
+	// (the |V|-sized clear of a full-scan superstep).
+	swap(ran []int32, all bool)
 	// footprintBytes reports the heap bytes of the mailbox arrays, for
 	// the §7.4 accounting.
 	footprintBytes() uint64
@@ -62,16 +81,17 @@ type mailbox[M any] interface {
 	// Always 0 for the lock-based and pull combiners, whose waiting
 	// happens inside locks (or not at all) rather than CAS retry loops.
 	contentionRetries() uint64
-	// auditBarrier verifies implementation-specific barrier invariants
-	// (e.g. the atomic mailbox's state machine holds no slot mid-
-	// publication once all workers have joined). Called single-threaded
+	// auditBarrier verifies the version's barrier invariants: the next
+	// buffer holds exactly one occupied slot per counted fill (so no flag
+	// outlived the previous swap), and the atomic mailbox's state machine
+	// holds no slot mid-publication. Called single-threaded
 	// between the compute phase and the buffer swap, only under
 	// Config.CheckInvariants.
 	auditBarrier() error
 }
 
-// pushBuffers is the double-buffered inbox state shared by the lock-based
-// and pull combiners.
+// pushBuffers is the double-buffered inbox state shared by the plain and
+// lock-based versions.
 type pushBuffers[M any] struct {
 	combine         CombineFunc[M]
 	now, next       []M
@@ -103,11 +123,19 @@ func (b *pushBuffers[M]) resetDeliveryCounts() {
 	atomic.StoreUint64(&b.nFills, 0)
 }
 
-// contentionRetries: the lock-based and pull combiners have no CAS retry
+// contentionRetries: the plain and lock-based versions have no CAS retry
 // loops; their contention shows up as lock wait time instead.
 func (b *pushBuffers[M]) contentionRetries() uint64 { return 0 }
 
-func (b *pushBuffers[M]) auditBarrier() error { return nil }
+// auditBarrier ties the occupancy flags to the counted deliveries: every
+// set flag of the next buffer is one fill of this superstep. A flag that
+// survived the last swap's frontier-sized clear has no fill to show.
+func (b *pushBuffers[M]) auditBarrier() error {
+	if set, fills := bytes.Count(b.hasNext, []byte{1}), atomic.LoadUint64(&b.nFills); uint64(set) != fills {
+		return fmt.Errorf("%d next-inbox slots are occupied but %d fills were counted: a stale flag survived the last swap, or a fill went uncounted", set, fills)
+	}
+	return nil
+}
 
 func (b *pushBuffers[M]) take(slot int, m *M) bool {
 	if b.hasNow[slot] == 0 {
@@ -133,8 +161,16 @@ func (b *pushBuffers[M]) restoreCurrent(slot int, m M) {
 	b.hasNow[slot] = 1
 }
 
-func (b *pushBuffers[M]) swap() {
-	clear(b.hasNow) // drop stale flags of vertices that never drained
+func (b *pushBuffers[M]) buffers() *pushBuffers[M] { return b }
+
+func (b *pushBuffers[M]) swap(ran []int32, all bool) {
+	if all {
+		clear(b.hasNow)
+	} else {
+		for _, slot := range ran {
+			b.hasNow[slot] = 0
+		}
+	}
 	b.now, b.next = b.next, b.now
 	b.hasNow, b.hasNext = b.hasNext, b.hasNow
 }
@@ -183,6 +219,15 @@ func (mb *mutexMailbox[M]) deliver(dst int, msg M) {
 	mb.locks[dst].Unlock()
 }
 
+func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+	for _, nb := range nbs {
+		dst := int(nb) + shift
+		mb.locks[dst].Lock()
+		mb.deposit(dst, msg)
+		mb.locks[dst].Unlock()
+	}
+}
+
 func (mb *mutexMailbox[M]) footprintBytes() uint64 {
 	return mb.buffersBytes() + uint64(len(mb.locks))*mutexBytes
 }
@@ -208,39 +253,85 @@ func (mb *spinMailbox[M]) deliver(dst int, msg M) {
 	mb.locks[dst].unlock()
 }
 
+func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+	for _, nb := range nbs {
+		dst := int(nb) + shift
+		mb.locks[dst].lock()
+		mb.deposit(dst, msg)
+		mb.locks[dst].unlock()
+	}
+}
+
 func (mb *spinMailbox[M]) footprintBytes() uint64 {
 	return mb.buffersBytes() + uint64(len(mb.locks))*spinLockBytes
 }
 
-// pullMailbox is the pull-based combiner's inbox (§6.2): no lock at all.
-// It is legal only under the pull transport, where every deposit comes
-// from the collect phase and each destination slot is collected by
-// exactly one worker; CombinerPull therefore implies Direction pull
-// (engine.New). All inter-vertex interaction is then read-only — the
-// paper's race-free design with zero data-race-protection memory (the
-// outboxes the senders write live on the engine, see direction.go).
-type pullMailbox[M any] struct {
+// plainMailbox is the inbox with no data-race protection: the bare
+// buffers, zero lock bytes. It is legal while every slot has a single
+// depositor per phase, which holds in two cases. Under CombinerPull (§6.2)
+// every deposit comes from the collect phase and each destination is
+// collected by exactly one worker — which is why CombinerPull implies
+// Direction pull (engine.New). And with one worker thread every phase
+// runs inline (parallelFor), so nothing can race whatever the combiner:
+// the per-vertex locks exist only because several senders may hit one
+// mailbox at once (§6.1).
+type plainMailbox[M any] struct {
 	pushBuffers[M]
 }
 
-func (mb *pullMailbox[M]) deliver(dst int, msg M) { mb.deposit(dst, msg) }
+func (mb *plainMailbox[M]) deliver(dst int, msg M) { mb.deposit(dst, msg) }
 
-func (mb *pullMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
+// scatter is deposit fused over one neighbour list: the buffers are
+// resolved and the audit counters bumped once per call, which leaves the
+// loop nothing but the flag test and the combine.
+func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+	next, hasNext, fills := mb.next, mb.hasNext, 0
+	for _, nb := range nbs {
+		dst := int(nb) + shift
+		if hasNext[dst] != 0 {
+			mb.combine(&next[dst], msg)
+		} else {
+			next[dst] = msg
+			hasNext[dst] = 1
+			fills++
+		}
+	}
+	if mb.check {
+		atomic.AddUint64(&mb.nFills, uint64(fills))
+		atomic.AddUint64(&mb.nCombines, uint64(len(nbs)-fills))
+	}
+}
 
-// newMailbox builds the combination module version chosen by cfg. It
-// fails when the version's assumptions do not hold for M (the atomic
-// combiner requires word-sized messages).
+func (mb *plainMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
+
+// newMailbox builds the combination module version chosen by cfg: the
+// plain inbox when nothing can race — CombinerPull, or any combiner on a
+// one-thread engine — and the configured protection otherwise. It fails
+// when the version's assumptions do not hold for M (the atomic combiner
+// requires word-sized messages), at every thread count: a configuration
+// valid on one thread stays valid on N.
 func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], error) {
 	check := cfg.CheckInvariants
+	racy := cfg.ResolvedThreads() > 1
 	switch cfg.Combiner {
 	case CombinerMutex:
-		return newMutexMailbox[M](slots, combine, check), nil
+		if racy {
+			return newMutexMailbox[M](slots, combine, check), nil
+		}
 	case CombinerSpin:
-		return newSpinMailbox[M](slots, combine, check), nil
-	case CombinerPull:
-		return &pullMailbox[M]{newPushBuffers[M](slots, combine, check)}, nil
+		if racy {
+			return newSpinMailbox[M](slots, combine, check), nil
+		}
 	case CombinerAtomic:
-		return newAtomicMailbox[M](slots, combine, check)
+		if racy {
+			return newAtomicMailbox[M](slots, combine, check)
+		}
+		if _, err := atomicWidth[M](); err != nil {
+			return nil, err
+		}
+	case CombinerPull:
+	default:
+		return nil, fmt.Errorf("core: unknown combiner %v", cfg.Combiner)
 	}
-	return nil, fmt.Errorf("core: unknown combiner %v", cfg.Combiner)
+	return &plainMailbox[M]{newPushBuffers[M](slots, combine, check)}, nil
 }

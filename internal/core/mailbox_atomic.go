@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"unsafe"
+
+	"ipregel/internal/graph"
 )
 
 // atomicMailbox is the lock-free push combiner the follow-up iPregel work
@@ -151,6 +153,14 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) {
 	}
 }
 
+func (mb *atomicMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+	for _, nb := range nbs {
+		mb.deliver(int(nb)+shift, msg)
+	}
+}
+
+func (mb *atomicMailbox[M]) buffers() *pushBuffers[M] { return nil }
+
 // The read side below runs after the superstep barrier (take/hasCurrent by
 // the slot's owner, peek/restoreCurrent/swap by the coordinator), so plain
 // accesses suffice: the barrier orders them after every atomic delivery.
@@ -179,8 +189,14 @@ func (mb *atomicMailbox[M]) restoreCurrent(slot int, m M) {
 	mb.stateNow[slot] = slotFull
 }
 
-func (mb *atomicMailbox[M]) swap() {
-	clear(mb.stateNow) // drop stale occupancy of vertices that never drained
+func (mb *atomicMailbox[M]) swap(ran []int32, all bool) {
+	if all {
+		clear(mb.stateNow)
+	} else {
+		for _, slot := range ran {
+			mb.stateNow[slot] = slotEmpty
+		}
+	}
 	mb.now, mb.next = mb.next, mb.now
 	mb.stateNow, mb.stateNext = mb.stateNext, mb.stateNow
 }
@@ -207,12 +223,20 @@ func (mb *atomicMailbox[M]) contentionRetries() uint64 {
 // auditBarrier verifies the per-slot state machine settled: once every
 // worker has joined the barrier, no slot may remain slotBusy — a busy slot
 // here means a deliverer won the empty→busy CAS and vanished before
-// publishing, which would hang the next superstep's senders.
+// publishing, which would hang the next superstep's senders. And, as on
+// pushBuffers, every full slot is one counted fill of this superstep.
 func (mb *atomicMailbox[M]) auditBarrier() error {
+	var full uint64
 	for i := range mb.stateNext {
-		if atomic.LoadUint32(&mb.stateNext[i]) == slotBusy {
+		switch atomic.LoadUint32(&mb.stateNext[i]) {
+		case slotBusy:
 			return fmt.Errorf("atomic mailbox slot %d stuck in slotBusy at the barrier: a delivery won the empty slot but never published its value", i)
+		case slotFull:
+			full++
 		}
+	}
+	if fills := atomic.LoadUint64(&mb.nFills); full != fills {
+		return fmt.Errorf("%d next-inbox slots are full but %d fills were counted: stale occupancy survived the last swap, or a fill went uncounted", full, fills)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ func hammerMailbox[M any](t *testing.T, mb mailbox[M], workers, perWorker, hot i
 		}(w)
 	}
 	wg.Wait()
-	mb.swap()
+	mb.swap(nil, true)
 	out := make([]M, hot)
 	for s := 0; s < hot; s++ {
 		if !mb.take(s, &out[s]) {
@@ -61,7 +61,7 @@ func TestPushCombinerHotSlotStress(t *testing.T) {
 	}
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		t.Run(comb.String(), func(t *testing.T) {
-			mb, err := newMailbox[uint32](Config{Combiner: comb}, hot, sum32)
+			mb, err := newMailbox[uint32](Config{Combiner: comb, Threads: workers}, hot, sum32)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestAtomicMailboxWideAndNarrow(t *testing.T) {
 				want[slot] += msg
 			}
 		}
-		mb, err := newMailbox[float64](Config{Combiner: CombinerAtomic}, hot, sumF)
+		mb, err := newMailbox[float64](Config{Combiner: CombinerAtomic, Threads: workers}, hot, sumF)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestAtomicMailboxWideAndNarrow(t *testing.T) {
 				}
 			}
 		}
-		mb, err := newMailbox[int64](Config{Combiner: CombinerAtomic}, hot, maxI)
+		mb, err := newMailbox[int64](Config{Combiner: CombinerAtomic, Threads: workers}, hot, maxI)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +190,8 @@ func TestSenderCacheEquivalence(t *testing.T) {
 	if cache.combined == 0 {
 		t.Fatal("hub-heavy stream produced zero local combines")
 	}
-	direct.swap()
-	cached.swap()
+	direct.swap(nil, true)
+	cached.swap(nil, true)
 	for s := 0; s < slots; s++ {
 		var a, b uint32
 		okA := direct.take(s, &a)
@@ -202,7 +202,7 @@ func TestSenderCacheEquivalence(t *testing.T) {
 	}
 	// a drained cache must be empty: a second drain delivers nothing
 	cache.drain(cached)
-	cached.swap()
+	cached.swap(nil, true)
 	var m uint32
 	for s := 0; s < slots; s++ {
 		if cached.take(s, &m) {

@@ -19,6 +19,12 @@ import (
 type engineShard[V, M any] struct {
 	id int32
 	mb mailbox[M]
+	// The mailbox's concrete read side, resolved once so that reading
+	// mail costs no dynamic call (and the program's message variable
+	// stays on its stack): buf on the plain and lock-based versions, cas
+	// on the atomic one.
+	buf *pushBuffers[M]
+	cas *atomicMailbox[M]
 
 	// values and active are local-slot indexed; indexing them with a
 	// global slot is the bug class the shardlocal analyzer flags.
@@ -75,10 +81,29 @@ func newEngineShard[V, M any](cfg Config, part partitioner, s int, combine Combi
 	if sh.mb, err = newMailbox[M](cfg, localN, combine); err != nil {
 		return nil, err
 	}
+	if sh.buf = sh.mb.buffers(); sh.buf == nil {
+		sh.cas = sh.mb.(*atomicMailbox[M])
+	}
 	if cfg.SelectionBypass {
 		sh.inNext = make([]uint32, localN)
 	}
 	return sh, nil
+}
+
+// take and hasMail are the mailbox's take and hasCurrent on the concrete
+// version.
+func (sh *engineShard[V, M]) take(local int, m *M) bool {
+	if sh.buf != nil {
+		return sh.buf.take(local, m)
+	}
+	return sh.cas.take(local, m)
+}
+
+func (sh *engineShard[V, M]) hasMail(local int) bool {
+	if sh.buf != nil {
+		return sh.buf.hasCurrent(local)
+	}
+	return sh.cas.hasCurrent(local)
 }
 
 // global translates one of this shard's local slots to its global slot.
@@ -324,7 +349,7 @@ func (e *Engine[V, M]) computePhase() int64 {
 			return
 		}
 		sh.scan(sp.lo, sp.hi, e.shift, func(local, global int32) {
-			if first || sh.active[local] != 0 || sh.mb.hasCurrent(int(local)) {
+			if first || sh.active[local] != 0 || sh.hasMail(int(local)) {
 				e.runVertex(ctx, sh, local, global)
 			}
 		})
@@ -424,7 +449,7 @@ func (e *Engine[V, M]) initShardActivity() {
 		sh.activeCount = sh.countActive()
 		received := false
 		for local := range sh.values {
-			if sh.mb.hasCurrent(local) {
+			if sh.hasMail(local) {
 				received = true
 				break
 			}

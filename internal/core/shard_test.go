@@ -318,8 +318,8 @@ func TestShardConfigValidation(t *testing.T) {
 	// pull direction it implies.
 	if e, err := New(g, Config{Shards: 2, Combiner: CombinerPull}, prog); err != nil {
 		t.Fatalf("pull+shards should construct: %v", err)
-	} else if _, lockFree := e.shards[1].mb.(*pullMailbox[uint32]); e.cfg.Direction != DirectionPull || !lockFree {
-		t.Fatalf("pull+shards built direction=%v inbox=%T, want DirectionPull over *pullMailbox", e.cfg.Direction, e.shards[1].mb)
+	} else if _, lockFree := e.shards[1].mb.(*plainMailbox[uint32]); e.cfg.Direction != DirectionPull || !lockFree {
+		t.Fatalf("pull+shards built direction=%v inbox=%T, want DirectionPull over *plainMailbox", e.cfg.Direction, e.shards[1].mb)
 	}
 	cfg := Config{Shards: 4, Partition: PartitionHash}
 	if name := cfg.VersionName(); !strings.Contains(name, "shards4") || !strings.Contains(name, "hash") {

@@ -143,14 +143,21 @@ func IPregelBytes(p IPregelParams) uint64 {
 	total := slots * p.ValueBytes // values
 	total += slots                // active flags
 
-	// mailbox: double-buffered single-message inboxes + flags
-	total += slots*2*p.MessageBytes + slots*2
-	switch p.Config.Combiner {
-	case core.CombinerMutex:
+	// mailbox: double-buffered single-message inboxes + flags, plus what
+	// protects them from concurrent senders — which a one-thread engine
+	// has none of, so it allocates the plain inbox whatever the combiner
+	racy := p.Config.ResolvedThreads() > 1
+	if p.Config.Combiner == core.CombinerAtomic && racy {
+		total += slots * (2*8 + 2*4) // packed value words + state words
+	} else {
+		total += slots*2*p.MessageBytes + slots*2
+	}
+	switch {
+	case p.Config.Combiner == core.CombinerMutex && racy:
 		total += slots * 8
-	case core.CombinerSpin:
+	case p.Config.Combiner == core.CombinerSpin && racy:
 		total += slots * 4
-	case core.CombinerPull:
+	case p.Config.Combiner == core.CombinerPull:
 		total += slots*p.MessageBytes + slots // outbox + flags, no locks
 	}
 	if p.Config.Addressing == core.AddressHashmap {

@@ -40,6 +40,14 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 		{Combiner: core.CombinerPull},
 		{Combiner: core.CombinerSpin, Addressing: core.AddressDesolate},
 		{Combiner: core.CombinerSpin, Addressing: core.AddressHashmap},
+		// One worker takes no lock, so it allocates none (the plain
+		// inbox); two pay for the configured protection.
+		{Combiner: core.CombinerMutex, Threads: 1},
+		{Combiner: core.CombinerSpin, Threads: 1},
+		{Combiner: core.CombinerAtomic, Threads: 1},
+		{Combiner: core.CombinerMutex, Threads: 2},
+		{Combiner: core.CombinerSpin, Threads: 2},
+		{Combiner: core.CombinerAtomic, Threads: 2},
 	} {
 		e, err := core.New(g, cfg, core.Program[uint32, uint32]{
 			Compute: func(*core.Context[uint32, uint32], core.Vertex[uint32, uint32]) {},
@@ -55,7 +63,7 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 		})
 		want := e.FootprintBytes() + g.MemoryBytes()
 		if got != want {
-			t.Fatalf("%s/%s: model %d != engine+graph %d", cfg.Combiner, cfg.Addressing, got, want)
+			t.Fatalf("%s/%s/threads=%d: model %d != engine+graph %d", cfg.Combiner, cfg.Addressing, cfg.Threads, got, want)
 		}
 	}
 }
@@ -63,8 +71,9 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 func TestIPregelModelVersionOrdering(t *testing.T) {
 	base := IPregelParams{V: 1 << 20, E: 1 << 23, Base: 1, ValueBytes: 8, MessageBytes: 8, OutAdjacency: true}
 	mutex, spin, pull := base, base, base
-	mutex.Config = core.Config{Combiner: core.CombinerMutex}
-	spin.Config = core.Config{Combiner: core.CombinerSpin}
+	// Threads: 2 — a one-thread engine allocates no lock to compare.
+	mutex.Config = core.Config{Combiner: core.CombinerMutex, Threads: 2}
+	spin.Config = core.Config{Combiner: core.CombinerSpin, Threads: 2}
 	pull.Config = core.Config{Combiner: core.CombinerPull}
 	pull.InAdjacency = true
 	bm, bs := IPregelBytes(mutex), IPregelBytes(spin)
