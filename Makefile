@@ -111,15 +111,17 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# The engine's hot-primitive microbenchmarks (mailbox deliver per inbox
-# version, interface call per message against the fused scatter; frontier
-# enrol), in ns/msg. It fails when one of them no longer exists; CI runs
-# it with BENCHTIME=1x so they cannot rot.
+# The hot-primitive microbenchmarks, one `package:name` each: mailbox
+# deliver per inbox version and interface call per message against the
+# fused scatter, frontier enrol (ns/msg); neighbour decode per backend
+# and access order (ns/edge). It fails when one of them no longer
+# exists; CI runs it with BENCHTIME=1x so they cannot rot.
 BENCHTIME ?= 1s
-CORE_BENCHES = BenchmarkDeliver BenchmarkEnrol
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/core/:BenchmarkEnrol ./internal/graph/:BenchmarkNeighborDecode
 bench-core:
-	@for b in $(CORE_BENCHES); do \
-		$(GO) test ./internal/core/ -list "^$$b$$" | grep -q "^$$b$$" || \
-			{ echo "bench-core: $$b is gone from ./internal/core" >&2; exit 1; }; \
+	@for pb in $(CORE_BENCHES); do \
+		p=$${pb%%:*}; b=$${pb##*:}; \
+		$(GO) test $$p -list "^$$b$$" | grep -q "^$$b$$" || \
+			{ echo "bench-core: $$b is gone from $$p" >&2; exit 1; }; \
+		$(GO) test $$p -run '^$$' -bench "^$$b$$" -benchtime $(BENCHTIME) -cpu 1 || exit 1; \
 	done
-	$(GO) test ./internal/core/ -run '^$$' -bench "^($$(echo $(CORE_BENCHES) | tr ' ' '|'))$$" -benchtime $(BENCHTIME) -cpu 1

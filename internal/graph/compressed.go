@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Compressed adjacency: the memory-efficiency tier of the follow-up
@@ -11,7 +14,10 @@ import (
 // CompressedBlockSize vertices: per-vertex degrees stay uncompressed (an
 // O(1) OutDegree, which PageRank's rank division needs on the hot path),
 // and each block records the byte offset and edge prefix of its first
-// vertex, so random access decodes at most one block's worth of varints.
+// vertex. Random access to vertex i sums the block's degrees before i and
+// skips that many varints a word at a time (locate); access in vertex
+// order skips nothing, because a NeighborBuf remembers where the vertex it
+// decoded last ended and blocks are contiguous.
 //
 // The encoding is order-preserving: deltas are signed (zigzag), so
 // compressing an existing flat CSR reproduces the exact neighbour order
@@ -32,7 +38,7 @@ import (
 
 // CompressedBlockSize is the number of vertices per compression block.
 // 64 keeps the block tables at ~0.25 bytes/vertex while bounding a
-// random access to one cache-resident varint run.
+// random access's skip to one cache-resident varint run.
 const CompressedBlockSize = 64
 
 // ErrCompressedAdjacency is panicked on by the shared-slice accessors
@@ -79,23 +85,6 @@ func appendUvarint(b []byte, x uint64) []byte {
 		x >>= 7
 	}
 	return append(b, byte(x))
-}
-
-// uvarint decodes the LEB128 value at pos. The fast path for validated
-// data: it relies on Go's bounds checks for safety but performs no
-// format checks of its own (the validating twin is readUvarint).
-func uvarint(b []byte, pos uint64) (uint64, uint64) {
-	var x uint64
-	var s uint
-	for {
-		c := b[pos]
-		pos++
-		if c < 0x80 {
-			return x | uint64(c)<<s, pos
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
 }
 
 // readUvarint is the hostile-input decoder: it errors on truncation and
@@ -203,13 +192,18 @@ func (c *compressedAdj) check() error {
 	if c.blockEdge[nb] != c.m {
 		return fmt.Errorf("graph: blockEdge[last] = %d, want m=%d", c.blockEdge[nb], c.m)
 	}
+	// The whole table before the first decode: the sweep below slices
+	// data by blockOff, so an interior entry past len(data) must be
+	// rejected here, not after the blocks before it have been walked.
 	for b := 0; b < nb; b++ {
-		if c.blockOff[b+1] < c.blockOff[b] {
-			return fmt.Errorf("graph: block byte offsets not monotone at %d", b)
+		if c.blockOff[b+1] < c.blockOff[b] || c.blockOff[b+1] > uint64(len(c.data)) {
+			return fmt.Errorf("graph: block byte offsets not monotone within the data at %d", b)
 		}
 		if c.blockEdge[b+1] < c.blockEdge[b] {
 			return fmt.Errorf("graph: block edge prefixes not monotone at %d", b)
 		}
+	}
+	for b := 0; b < nb; b++ {
 		// Degrees must reproduce the edge prefix.
 		end := (b + 1) * CompressedBlockSize
 		if end > c.n {
@@ -246,84 +240,137 @@ func (c *compressedAdj) check() error {
 	return nil
 }
 
+// blockPrefix returns vertex i's block and the number of edges (one
+// varint each) the block holds before i: at most one block of degree
+// additions.
+func (c *compressedAdj) blockPrefix(i int) (b int, k uint64) {
+	b = i / CompressedBlockSize
+	for _, d := range c.deg[b*CompressedBlockSize : i] {
+		k += uint64(d)
+	}
+	return b, k
+}
+
 // edgeOffset is OutEdgeOffset for the compressed layout: the block's
-// edge prefix plus at most one block of degree additions — O(block),
-// cheap enough for the edge-balanced scheduler's binary search.
+// edge prefix plus the degrees before i — O(block), cheap enough for the
+// edge-balanced scheduler's binary search.
 func (c *compressedAdj) edgeOffset(i int) uint64 {
 	if i >= c.n {
 		return c.m
 	}
-	b := i / CompressedBlockSize
-	e := c.blockEdge[b]
-	for j := b * CompressedBlockSize; j < i; j++ {
-		e += uint64(c.deg[j])
-	}
-	return e
+	b, k := c.blockPrefix(i)
+	return c.blockEdge[b] + k
 }
 
-// vertexPos skips to vertex i's first varint within its block.
-func (c *compressedAdj) vertexPos(i int) uint64 {
-	b := i / CompressedBlockSize
-	pos := c.blockOff[b]
-	data := c.data
-	for j := b * CompressedBlockSize; j < i; j++ {
-		for k := c.deg[j]; k > 0; k-- {
-			for data[pos]&0x80 != 0 {
-				pos++
-			}
+// locate returns the byte position of vertex i's first varint and the
+// edge index of its first neighbour, from one pass over the block's
+// degree prefix.
+func (c *compressedAdj) locate(i int) (pos, edge uint64) {
+	b, k := c.blockPrefix(i)
+	return skipVarints(c.data, c.blockOff[b], k), c.blockEdge[b] + k
+}
+
+// varintEnds selects the high bit of every byte in a word: clear on the
+// one byte that ends a varint.
+const varintEnds = 0x8080808080808080
+
+// wordEnds counts the varints that end within the little-endian word at
+// the front of b.
+func wordEnds(b []byte) uint64 {
+	return uint64(bits.OnesCount64(^binary.LittleEndian.Uint64(b) & varintEnds))
+}
+
+// skipVarints returns the position just past the k varints that start at
+// pos. A word is consumed whole only while it holds fewer than k ends —
+// at exactly k its tail may already belong to varint k+1 — so four words
+// go at once while k exceeds the 32 ends they can hold, one at a time
+// after that, and the byte loop finishes the last few varints and any
+// tail within 8 bytes of the end of data. Every load is bounds-checked,
+// so a mapped file is never over-read.
+func skipVarints(data []byte, pos, k uint64) uint64 {
+	for k > 32 && pos+32 <= uint64(len(data)) {
+		w := data[pos : pos+32]
+		k -= wordEnds(w) + wordEnds(w[8:]) + wordEnds(w[16:]) + wordEnds(w[24:])
+		pos += 32
+	}
+	for pos+8 <= uint64(len(data)) {
+		ends := wordEnds(data[pos:])
+		if ends >= k {
+			break
+		}
+		k -= ends
+		pos += 8
+	}
+	for ; k > 0; k-- {
+		for data[pos]&0x80 != 0 {
 			pos++
 		}
+		pos++
 	}
 	return pos
 }
 
-// appendNeighbors decodes vertex i's neighbour list onto dst.
-func (c *compressedAdj) appendNeighbors(i int, dst []VertexID) []VertexID {
-	pos := c.vertexPos(i)
-	prev := int64(0)
-	for k := c.deg[i]; k > 0; k-- {
-		u, np := uvarint(c.data, pos)
-		pos = np
-		prev += unzigzag(u)
-		if prev < 0 || prev >= int64(c.n) {
-			panic(errCorruptBlock)
-		}
-		dst = append(dst, VertexID(prev))
-	}
-	return dst
-}
-
-// visit streams vertex i's neighbours without a buffer.
-func (c *compressedAdj) visit(i int, fn func(VertexID)) {
-	pos := c.vertexPos(i)
-	prev := int64(0)
-	for k := c.deg[i]; k > 0; k-- {
-		u, np := uvarint(c.data, pos)
-		pos = np
-		prev += unzigzag(u)
-		if prev < 0 || prev >= int64(c.n) {
-			panic(errCorruptBlock)
-		}
-		fn(VertexID(prev))
-	}
-}
-
-// scan walks the whole stream in vertex order (blocks are contiguous,
-// so one linear pass covers everything). Stops early if fn returns
-// false.
-func (c *compressedAdj) scan(fn func(u int, v VertexID) bool) {
-	var pos uint64
-	data := c.data
-	for i := 0; i < c.n; i++ {
-		prev := int64(0)
-		for k := c.deg[i]; k > 0; k-- {
-			u, np := uvarint(data, pos)
-			pos = np
-			prev += unzigzag(u)
-			if prev < 0 || prev >= int64(c.n) {
-				panic(errCorruptBlock)
+// decode fills dst with the len(dst) neighbours whose deltas start at
+// pos, the first taken against prev (0 at a vertex's first neighbour),
+// and returns the position after them. It is the one hot decode loop: a
+// one-byte varint never enters the continuation loop, and every
+// neighbour is range-checked (errCorruptBlock).
+func (c *compressedAdj) decode(pos uint64, prev VertexID, dst []VertexID) uint64 {
+	data, n, v := c.data, uint64(c.n), int64(prev)
+	for j := range dst {
+		u := uint64(data[pos])
+		pos++
+		if u >= 0x80 {
+			u &= 0x7f
+			for s := uint(7); ; s += 7 {
+				b := data[pos]
+				pos++
+				u |= uint64(b&0x7f) << s
+				if b < 0x80 {
+					break
+				}
 			}
-			if !fn(i, VertexID(prev)) {
+		}
+		v += unzigzag(u)
+		if uint64(v) >= n {
+			panic(errCorruptBlock)
+		}
+		dst[j] = VertexID(v)
+	}
+	return pos
+}
+
+// visitFrom streams the d neighbours at pos through a stack buffer, no
+// heap buffer needed.
+func (c *compressedAdj) visitFrom(pos uint64, d uint32, fn func(VertexID)) {
+	var piece [64]VertexID
+	prev := VertexID(0)
+	for left := int(d); left > 0; {
+		part := piece[:min(left, len(piece))]
+		pos = c.decode(pos, prev, part)
+		for _, v := range part {
+			fn(v)
+		}
+		prev = part[len(part)-1]
+		left -= len(part)
+	}
+}
+
+// visit streams vertex i's neighbours.
+func (c *compressedAdj) visit(i int, fn func(VertexID)) {
+	pos, _ := c.locate(i)
+	c.visitFrom(pos, c.deg[i], fn)
+}
+
+// scan walks the whole stream in vertex order: the cursor makes every
+// step a continuation, so it is one linear pass. Stops early if fn
+// returns false.
+func (c *compressedAdj) scan(fn func(u int, v VertexID) bool) {
+	var nb NeighborBuf
+	for u := range c.deg {
+		ns, _ := nb.neighbors(c, u)
+		for _, v := range ns {
+			if !fn(u, v) {
 				return
 			}
 		}
@@ -380,21 +427,43 @@ func decompressAdj(c *compressedAdj) ([]uint64, []VertexID) {
 		off[i+1] = off[i] + uint64(d)
 	}
 	adj := make([]VertexID, c.m)
-	w := 0
-	c.scan(func(_ int, v VertexID) bool {
-		adj[w] = v
-		w++
-		return true
-	})
+	var pos uint64
+	for i := range c.deg {
+		pos = c.decode(pos, 0, adj[off[i]:off[i+1]])
+	}
 	return off, adj
 }
 
-// NeighborBuf is a caller-owned decode buffer for the *With accessors.
-// Each worker keeps its own; the zero value is ready to use. On a flat
-// graph the buffer is never touched (the shared CSR slice is returned
-// directly), so the flat path stays zero-copy and allocation-free.
+// NeighborBuf is a caller-owned decode buffer for the *With accessors;
+// the zero value is ready to use. It belongs to one goroutine (each
+// engine worker keeps its own), and a slice it returns is valid until the
+// next call with the same buffer. It may serve any mix of graphs and
+// directions: the cursor is keyed on the adjacency it last decoded. On a
+// flat graph the buffer is never touched (the shared CSR slice is
+// returned directly), so the flat path stays zero-copy and
+// allocation-free.
 type NeighborBuf struct {
 	buf []VertexID
+	// The cursor: blocks are contiguous, so the byte after vertex
+	// next-1's last varint is vertex next's first, across block
+	// boundaries too. A call for exactly next on the same adjacency
+	// continues from pos/edge with no skip.
+	adj       *compressedAdj
+	next      int
+	pos, edge uint64
+}
+
+// neighbors fills nb's buffer with vertex i's neighbours on c and returns
+// them with the edge index of the first.
+func (nb *NeighborBuf) neighbors(c *compressedAdj, i int) ([]VertexID, uint64) {
+	pos, edge := nb.pos, nb.edge
+	if nb.adj != c || nb.next != i {
+		pos, edge = c.locate(i)
+	}
+	d := int(c.deg[i])
+	nb.buf = slices.Grow(nb.buf[:0], d)[:d]
+	nb.adj, nb.next, nb.pos, nb.edge = c, i+1, c.decode(pos, 0, nb.buf), edge+uint64(d)
+	return nb.buf, edge
 }
 
 // OutNeighborsWith returns vertex i's out-neighbours: the shared CSR
@@ -405,8 +474,8 @@ func (g *Graph) OutNeighborsWith(nb *NeighborBuf, i int) []VertexID {
 	if g.outC == nil {
 		return g.OutNeighbors(i)
 	}
-	nb.buf = g.outC.appendNeighbors(i, nb.buf[:0])
-	return nb.buf
+	ns, _ := nb.neighbors(g.outC, i)
+	return ns
 }
 
 // InNeighborsWith is OutNeighborsWith for the in-direction. It panics
@@ -415,8 +484,8 @@ func (g *Graph) InNeighborsWith(nb *NeighborBuf, i int) []VertexID {
 	if g.inC == nil {
 		return g.InNeighbors(i)
 	}
-	nb.buf = g.inC.appendNeighbors(i, nb.buf[:0])
-	return nb.buf
+	ns, _ := nb.neighbors(g.inC, i)
+	return ns
 }
 
 // ForEachOutNeighbor streams vertex i's out-neighbours without a
@@ -454,9 +523,8 @@ func (g *Graph) OutEdgesWeightedWith(nb *NeighborBuf, i int) ([]VertexID, []uint
 	if g.outW == nil {
 		panic(ErrNoWeights)
 	}
-	lo := g.outC.edgeOffset(i)
-	nb.buf = g.outC.appendNeighbors(i, nb.buf[:0])
-	return nb.buf, g.outW[lo : lo+uint64(len(nb.buf))]
+	ns, lo := nb.neighbors(g.outC, i)
+	return ns, g.outW[lo : lo+uint64(len(ns))]
 }
 
 // ForEachOutEdgeWeighted streams vertex i's out-neighbours with their
@@ -467,8 +535,8 @@ func (g *Graph) ForEachOutEdgeWeighted(i int, fn func(VertexID, uint32)) {
 		panic(ErrNoWeights)
 	}
 	if g.outC != nil {
-		j := g.outC.edgeOffset(i)
-		g.outC.visit(i, func(v VertexID) {
+		pos, j := g.outC.locate(i)
+		g.outC.visitFrom(pos, g.outC.deg[i], func(v VertexID) {
 			fn(v, g.outW[j])
 			j++
 		})

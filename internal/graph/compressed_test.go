@@ -316,11 +316,32 @@ func blockDecodeSeed(g *Graph) (int, []byte, []byte, []byte) {
 	return c.n, degB, tbl, c.data
 }
 
+// referenceDecode walks an admitted adjacency's whole stream with the
+// validating decoder: independent of decode, skipVarints and the cursor.
+func referenceDecode(t *testing.T, c *compressedAdj) [][]VertexID {
+	t.Helper()
+	out := make([][]VertexID, c.n)
+	var pos uint64
+	for i, d := range c.deg {
+		prev := int64(0)
+		for ; d > 0; d-- {
+			u, np, err := readUvarint(c.data, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos = np
+			prev += unzigzag(u)
+			out[i] = append(out[i], VertexID(prev))
+		}
+	}
+	return out
+}
+
 // FuzzBlockDecode is the decoder-level fuzz target: hostile degree
 // arrays, block tables, and varint streams must be rejected with an
 // error — never a panic, never an out-of-range neighbour surviving into
-// the accessors. Accepted inputs must decode consistently across the
-// random-access and streaming paths.
+// the accessors. Accepted inputs must decode identically through scan and
+// through one NeighborBuf in every access order.
 func FuzzBlockDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	var b Builder
@@ -335,6 +356,10 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add(3, []byte{1, 2, 0}, []byte{}, []byte{0x80})                                                    // truncated varint
 	f.Add(2, []byte{1, 1}, []byte{}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // overflowing delta
 	f.Add(2, []byte{2, 0}, []byte{}, []byte{0x02, 0x03})                                                 // non-monotone run: 1 then -1 → out of range
+	hostileDeg := make([]byte, CompressedBlockSize+1)
+	hostileDeg[0] = 1
+	hostileTbl := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<40), 1)
+	f.Add(len(hostileDeg), hostileDeg, hostileTbl, []byte{0x00}) // blockOff {0, 1<<40, 1}: interior offset beyond the data
 
 	f.Fuzz(func(t *testing.T, n int, degB, tbl, data []byte) {
 		if n < 0 {
@@ -370,19 +395,30 @@ func FuzzBlockDecode(f *testing.F) {
 		if err != nil {
 			return // rejected, as hostile inputs should be
 		}
-		// Admitted: every access path must agree and stay in range.
-		var fromScan []VertexID
-		c.scan(func(_ int, v VertexID) bool { fromScan = append(fromScan, v); return true })
-		var fromAccess []VertexID
-		for i := 0; i < n; i++ {
-			fromAccess = c.appendNeighbors(i, fromAccess)
+		// Admitted: every access path must agree with the validating
+		// decoder and stay in range.
+		want := referenceDecode(t, c)
+		for _, ns := range want {
+			for _, v := range ns {
+				if int(v) >= n {
+					t.Fatalf("neighbour %d out of range (n=%d)", v, n)
+				}
+			}
 		}
-		if !equalIDs(fromScan, fromAccess) {
-			t.Fatalf("scan and random access disagree: %v vs %v", fromScan, fromAccess)
+		fromScan := make([][]VertexID, n)
+		c.scan(func(u int, v VertexID) bool { fromScan[u] = append(fromScan[u], v); return true })
+		for i := range want {
+			if !equalIDs(fromScan[i], want[i]) {
+				t.Fatalf("scan: vertex %d = %v, want %v", i, fromScan[i], want[i])
+			}
 		}
-		for _, v := range fromAccess {
-			if int(v) >= n {
-				t.Fatalf("neighbour %d out of range (n=%d)", v, n)
+		var nb NeighborBuf
+		for name, order := range accessOrders(seq(0, n)) {
+			for _, i := range order {
+				got, edge := nb.neighbors(c, i)
+				if !equalIDs(got, want[i]) || edge != c.edgeOffset(i) {
+					t.Fatalf("%s: vertex %d through the buffer = %v at edge %d, want %v at edge %d", name, i, got, edge, want[i], c.edgeOffset(i))
+				}
 			}
 		}
 		prev := uint64(0)
@@ -408,6 +444,7 @@ func FuzzCompressedRoundTrip(f *testing.F) {
 		var b Builder
 		b.ForceN = 256
 		b.SetBase(0)
+		b.BuildInEdges()
 		for i := 0; i+1 < len(raw); i += 2 {
 			b.AddEdge(VertexID(raw[i]), VertexID(raw[i+1]))
 		}
@@ -420,11 +457,7 @@ func FuzzCompressedRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		var nb NeighborBuf
-		for i := 0; i < g.N(); i++ {
-			if !equalIDs(cg.OutNeighborsWith(&nb, i), g.OutNeighbors(i)) {
-				t.Fatalf("neighbour order of %d not preserved", i)
-			}
-		}
+		checkAccessOrders(t, &nb, g, cg, seq(0, g.N()))
 		back := cg.Decompress()
 		if !reflect.DeepEqual(back.outOff, g.outOff) || !equalIDs(back.outAdj, g.outAdj) {
 			t.Fatal("round trip not the identity")

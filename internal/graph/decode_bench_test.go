@@ -1,0 +1,56 @@
+package graph_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"ipregel/internal/gen"
+	"ipregel/internal/graph"
+)
+
+var decodeSink uint64
+
+// BenchmarkNeighborDecode is the neighbour-decode microbenchmark: one
+// sweep of OutNeighborsWith over every vertex of an RMAT graph through
+// one NeighborBuf, in vertex order (a dense superstep, the graphio
+// writers) and in shuffled order (a bypass frontier), per backend, in
+// ns/edge. Run by `make bench-core`.
+func BenchmarkNeighborDecode(b *testing.B) {
+	flat := gen.RMAT(gen.DefaultRMAT(14, 8, 1))
+	compressed, err := flat.Compress()
+	if err != nil {
+		b.Fatal(err)
+	}
+	inOrder := make([]int, flat.N())
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	shuffled := append([]int(nil), inOrder...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	for _, backend := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"flat", flat}, {"compressed", compressed}} {
+		for _, order := range []struct {
+			name string
+			ids  []int
+		}{{"in-order", inOrder}, {"shuffled", shuffled}} {
+			b.Run(backend.name+"/"+order.name, func(b *testing.B) {
+				g := backend.g
+				var nb graph.NeighborBuf
+				var sum uint64
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					for _, i := range order.ids {
+						for _, v := range g.OutNeighborsWith(&nb, i) {
+							sum += uint64(v)
+						}
+					}
+				}
+				decodeSink += sum
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*g.M()), "ns/edge")
+			})
+		}
+	}
+}

@@ -289,21 +289,30 @@ func (g *Graph) WithInEdges() *Graph {
 
 // reverseCompressed builds the reversed flat CSR from a compressed
 // adjacency with the same two-pass counting construction as reverseCSR,
-// replacing the slice walks with decode scans.
+// replacing the slice walks with in-order decodes through one
+// NeighborBuf (every vertex a cursor continuation, no call per edge).
 func reverseCompressed(c *compressedAdj) ([]uint64, []VertexID) {
 	rOff := make([]uint64, c.n+1)
-	c.scan(func(_ int, v VertexID) bool { rOff[v+1]++; return true })
+	var nb NeighborBuf
+	for u := range c.deg {
+		ns, _ := nb.neighbors(c, u)
+		for _, v := range ns {
+			rOff[v+1]++
+		}
+	}
 	for i := 0; i < c.n; i++ {
 		rOff[i+1] += rOff[i]
 	}
 	rAdj := make([]VertexID, c.m)
 	cursor := make([]uint64, c.n)
 	copy(cursor, rOff[:c.n])
-	c.scan(func(u int, v VertexID) bool {
-		rAdj[cursor[v]] = VertexID(u)
-		cursor[v]++
-		return true
-	})
+	for u := range c.deg {
+		ns, _ := nb.neighbors(c, u)
+		for _, v := range ns {
+			rAdj[cursor[v]] = VertexID(u)
+			cursor[v]++
+		}
+	}
 	return rOff, rAdj
 }
 

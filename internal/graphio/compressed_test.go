@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"math/rand"
 	"os"
@@ -382,5 +383,39 @@ func assertValidOrFail(t *testing.T, m *Mapped) {
 	defer m.Close()
 	if err := m.Graph().Validate(); err != nil {
 		t.Fatalf("OpenMapped admitted a graph that fails Validate: %v", err)
+	}
+}
+
+// TestIPG3HostileBlockTable: an interior block offset far past the data
+// section, followed by a non-monotone one, must be rejected by both
+// loaders — the validator used to slice by it before reaching the entry
+// that would have failed the monotonicity check.
+func TestIPG3HostileBlockTable(t *testing.T) {
+	var b graph.Builder
+	b.ForceN = graph.CompressedBlockSize + 1 // two blocks
+	b.SetBase(0)
+	b.AddEdge(0, 0)
+	cg, err := b.MustBuild().Compress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, cg); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	l := computeIPG3Layout(uint64(cg.N()), cg.M(), 1, false)
+	binary.LittleEndian.PutUint64(raw[l.blockOffOff+8:], 1<<40) // blockOff = {0, 1<<40, 1}
+
+	if _, err := Read(bytes.NewReader(raw), FormatBinary, Options{}); err == nil {
+		t.Fatal("Read admitted a block offset beyond the data")
+	}
+	path := filepath.Join(t.TempDir(), "hostile.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := OpenMapped(path, Options{}); err == nil {
+		m.Close()
+		t.Fatal("OpenMapped admitted a block offset beyond the data")
 	}
 }
