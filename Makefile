@@ -2,9 +2,11 @@ GO ?= go
 
 # `make check` is the standard verification entry point (see README.md):
 # vet + the ipregel-vet analyzer suite + build + full test suite + a
-# race-detector pass over the engine and algorithms, whose combiners,
-# sender caches and schedules must stay race-clean (the race targets run
-# with Config.CheckInvariants enabled in their configs).
+# race-detector pass over the graph packages (an on-demand in-adjacency
+# is built under a lock by whichever reader comes first), the engine and
+# the algorithms, whose combiners, sender caches and schedules must stay
+# race-clean (the race targets run with Config.CheckInvariants enabled in
+# their configs).
 .PHONY: check vet ipregel-vet vet-json build test test-cores test-run race race-one-thread fuzz bench bench-core telemetry-smoke ipregeld-smoke membackend-smoke direction-smoke chaos
 check: vet ipregel-vet build test race
 
@@ -50,7 +52,7 @@ test-run:
 	$(GO) test $(FLAGS) $(PKG) -run '$(RUN)'
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/algorithms/... ./internal/telemetry/... ./internal/service/...
+	$(GO) test -race ./internal/graph/... ./internal/graphio/... ./internal/core/... ./internal/algorithms/... ./internal/telemetry/... ./internal/service/...
 
 # One-thread engines take the plain (lock-free) inbox; ipregeld runs
 # several of them at once over one resident graph. With GOMAXPROCS=1 every
@@ -114,10 +116,11 @@ bench:
 # The hot-primitive microbenchmarks, one `package:name` each: mailbox
 # deliver per inbox version and interface call per message against the
 # fused scatter, frontier enrol (ns/msg); neighbour decode per backend
-# and access order (ns/edge). It fails when one of them no longer
-# exists; CI runs it with BENCHTIME=1x so they cannot rot.
+# and access order, and the compressed adjacency's open-time validation
+# sweep (ns/edge). It fails when one of them no longer exists; CI runs
+# it with BENCHTIME=1x so they cannot rot.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/core/:BenchmarkEnrol ./internal/graph/:BenchmarkNeighborDecode
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/core/:BenchmarkEnrol ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck
 bench-core:
 	@for pb in $(CORE_BENCHES); do \
 		p=$${pb%%:*}; b=$${pb##*:}; \

@@ -145,8 +145,12 @@ func run(args []string, out io.Writer) error {
 		}
 		defer m.Close()
 		g = m.Graph()
-		fmt.Fprintf(out, "mapped %s read-only in %v (%s on file-backed pages, %s heap)\n",
-			*graphFile, time.Since(start).Round(time.Millisecond), memmodel.GB(m.MappedBytes()), memmodel.GB(g.MemoryBytes()))
+		inEdges := "no in-edges"
+		if g.HasInEdges() {
+			inEdges = "in-edges derived on demand"
+		}
+		fmt.Fprintf(out, "mapped %s read-only in %v (%s on file-backed pages, %s heap, %s)\n",
+			*graphFile, time.Since(start).Round(time.Millisecond), memmodel.GB(m.MappedBytes()), memmodel.GB(g.MemoryBytes()), inEdges)
 	default:
 		return fmt.Errorf("unknown graph backend %q (flat | compressed | mmap)", *backend)
 	}
@@ -230,6 +234,9 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out, rep)
 		fmt.Fprintf(out, "peak heap: %s (baseline %s)\n", memmodel.GB(peak), memmodel.GB(baseline))
+		if *backend == "mmap" {
+			printMappedAfterRun(out, g)
+		}
 		if *verbose {
 			fmt.Fprint(out, rep.Table())
 		}
@@ -320,10 +327,26 @@ func run(args []string, out io.Writer) error {
 			rep.TotalLocalCombines, rep.TotalMessages, 100*float64(rep.TotalLocalCombines)/float64(rep.TotalMessages))
 	}
 	fmt.Fprintf(out, "peak heap: %s (baseline %s)\n", memmodel.GB(peak), memmodel.GB(baseline))
+	if *backend == "mmap" {
+		printMappedAfterRun(out, g)
+	}
 	if *verbose {
 		fmt.Fprint(out, rep.Table())
 	}
 	return nil
+}
+
+// printMappedAfterRun says what a mapped graph's on-demand in-adjacency
+// ended up costing the run: nothing unless a superstep pulled.
+func printMappedAfterRun(out io.Writer, g *graph.Graph) {
+	if !g.HasInEdges() {
+		return
+	}
+	derived := "in-edges never derived"
+	if g.InEdgesResident() {
+		derived = "in-edges derived"
+	}
+	fmt.Fprintf(out, "mapped graph after the run: %s heap (%s)\n", memmodel.GB(g.MemoryBytes()), derived)
 }
 
 func loadGraph(out io.Writer, file, spec string, divisor int, weighted bool) (*graph.Graph, error) {

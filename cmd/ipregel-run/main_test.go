@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ipregel/internal/gen"
+	"ipregel/internal/graphio"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -193,6 +196,67 @@ func TestRunRecoverableErrors(t *testing.T) {
 	} {
 		if err := run(args, &sb); err == nil {
 			t.Fatalf("args %v: expected error", args)
+		}
+	}
+}
+
+// summaryLines keeps the lines of a run's output that must not depend on
+// the graph backend or the direction: the app's result and the superstep
+// and message totals (without the version name and the timing).
+func summaryLines(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "reached:"):
+			keep = append(keep, line)
+		case strings.Contains(line, "supersteps="):
+			fields := strings.Fields(line)
+			keep = append(keep, strings.Join(fields[1:len(fields)-1], " "))
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestRunMappedBackend covers -graph-backend mmap through the CLI:
+// wsssp over a mapped IPG2 file (it used to be refused at open) matches
+// the flat backend, an unweighted file fails it with the flat backend's
+// error, and sssp over a mapped IPG3 file derives the in-edges only when
+// the run pulls — same results either way.
+func TestRunMappedBackend(t *testing.T) {
+	dir := t.TempDir()
+	weighted := filepath.Join(dir, "w.bin")
+	if err := graphio.WriteFile(weighted, gen.WeightedRoad(gen.RoadParams{Rows: 20, Cols: 20, Base: 1, Seed: 1}, 1, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	road, err := gen.Road(gen.RoadParams{Rows: 20, Cols: 20, Base: 1, Seed: 1}).Compress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unweighted := filepath.Join(dir, "u.bin") // IPG3
+	if err := graphio.WriteFile(unweighted, road); err != nil {
+		t.Fatal(err)
+	}
+
+	wantW := summaryLines(runOK(t, "-app", "wsssp", "-graph-file", weighted, "-source", "1"))
+	gotW := runOK(t, "-app", "wsssp", "-graph-file", weighted, "-source", "1", "-graph-backend", "mmap")
+	if !strings.Contains(wantW, "reached: 400 of 400") || summaryLines(gotW) != wantW {
+		t.Fatalf("wsssp over the mapped IPG2 file:\n%s\nflat backend:\n%s", gotW, wantW)
+	}
+	var sb strings.Builder
+	flatErr := run([]string{"-app", "wsssp", "-graph-file", unweighted, "-source", "1"}, &sb)
+	mmapErr := run([]string{"-app", "wsssp", "-graph-file", unweighted, "-source", "1", "-graph-backend", "mmap"}, &sb)
+	if flatErr == nil || mmapErr == nil || flatErr.Error() != mmapErr.Error() {
+		t.Fatalf("wsssp on an unweighted file: flat backend says %v, mmap says %v; want the same error", flatErr, mmapErr)
+	}
+
+	want := summaryLines(runOK(t, "-app", "sssp", "-graph-file", unweighted, "-source", "1"))
+	for direction, derived := range map[string]string{"push": "(in-edges never derived)", "pull": "(in-edges derived)"} {
+		out := runOK(t, "-app", "sssp", "-graph-file", unweighted, "-source", "1", "-graph-backend", "mmap", "-direction", direction)
+		if !strings.Contains(out, "in-edges derived on demand") || !strings.Contains(out, derived) {
+			t.Fatalf("-direction %s: output should announce on-demand in-edges and end with %q:\n%s", direction, derived, out)
+		}
+		if got := summaryLines(out); got != want {
+			t.Fatalf("-direction %s over the mapped file:\n%s\nflat backend:\n%s", direction, got, want)
 		}
 	}
 }

@@ -192,6 +192,9 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 			mapped = append(mapped, m)
 			g = m.Graph()
 			how = " (mapped read-only)"
+			if needIn {
+				how = " (mapped read-only, in-edges derived on demand)"
+			}
 		} else {
 			if a.file {
 				g, err = graphio.ReadFile(a.src, graphio.Options{BuildInEdges: needIn})

@@ -103,9 +103,11 @@ func TestMemProjection(t *testing.T) {
 }
 
 func TestMemBackend(t *testing.T) {
-	out := runExp(t, "mem-backend", `"backend": "flat"`, `"backend": "compressed"`, `"backend": "mmap"`, "evictable")
+	out := runExp(t, "mem-backend", `"backend": "flat"`, `"backend": "compressed"`, `"backend": "mmap"`, `"backend": "mmap-out-only"`, "evictable")
 	// The headline claim the recorded results/BENCH_membackend.json makes:
-	// each tier strictly undercuts the previous one on resident heap.
+	// each tier strictly undercuts the previous one on resident heap, and
+	// a mapped graph nothing has pulled from undercuts one that serves
+	// in-edges.
 	var heaps []uint64
 	for _, line := range strings.Split(out, "\n") {
 		var h uint64
@@ -113,11 +115,11 @@ func TestMemBackend(t *testing.T) {
 			heaps = append(heaps, h)
 		}
 	}
-	if len(heaps) != 3 {
-		t.Fatalf("expected 3 heap_bytes rows, got %v", heaps)
+	if len(heaps) != 4 {
+		t.Fatalf("expected 4 heap_bytes rows, got %v", heaps)
 	}
-	if !(heaps[1] < heaps[0] && heaps[2] < heaps[1]) {
-		t.Fatalf("backend heap bytes not strictly decreasing: flat=%d compressed=%d mmap=%d", heaps[0], heaps[1], heaps[2])
+	if !(heaps[1] < heaps[0] && heaps[2] < heaps[1] && heaps[3] < heaps[2]) {
+		t.Fatalf("backend heap bytes not strictly decreasing: flat=%d compressed=%d mmap=%d mmap-out-only=%d", heaps[0], heaps[1], heaps[2], heaps[3])
 	}
 }
 

@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // The direction model (Config.Direction): whether a superstep's sends
 // travel push or pull is a transport decision the engine takes per
 // superstep, independent of which inbox combiner holds the mail.
@@ -35,13 +37,18 @@ package core
 // beginSuperstepDirection fixes the running superstep's transport and
 // the switch marker, before any worker starts. Deterministic: fixed
 // modes always pick their mode; adaptive compares the reseeded frontier
-// density against the edge threshold.
-func (e *Engine[V, M]) beginSuperstepDirection() {
+// density against the edge threshold. An adaptive run's first pull
+// superstep is also where an in-adjacency that is derived on demand gets
+// built (New built it already for a fixed pull run).
+func (e *Engine[V, M]) beginSuperstepDirection(ctx context.Context) {
 	switch {
 	case e.cfg.Direction == DirectionPull:
 		e.curDir = DirectionPull
 	case e.cfg.Direction == DirectionAdaptive && e.frontierEdges >= e.pullEdgeCut:
 		e.curDir = DirectionPull
+		if !e.g.InEdgesResident() {
+			region(ctx, "ipregel.inedges", func() { e.g.WithInEdges() })
+		}
 	default:
 		e.curDir = DirectionPush
 	}

@@ -135,6 +135,13 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.Direction != DirectionPush && !g.HasInEdges() {
 		return nil, fmt.Errorf("core: pull-direction supersteps fetch from in-neighbours (paper §6.2); load the graph with in-edges (Config.Direction pull/adaptive, or CombinerPull)")
 	}
+	if cfg.Direction == DirectionPull {
+		// Every superstep collects over in-neighbours: an in-adjacency
+		// that is derived on demand is built here, not inside superstep
+		// 0's timing. Adaptive runs build it at their first pull
+		// superstep (beginSuperstepDirection); push runs never do.
+		g = g.WithInEdges()
+	}
 	if cfg.SelectionBypass && !g.HasOutAdjacency() {
 		return nil, fmt.Errorf("core: selection bypass enrols out-neighbours (paper §4) and needs the out-adjacency, which this graph stripped")
 	}
@@ -287,7 +294,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 		if e.cfg.MaxSupersteps > 0 && e.superstep >= e.cfg.MaxSupersteps {
 			return e.finishRun(start, fmt.Errorf("%w (%d)", ErrMaxSupersteps, e.cfg.MaxSupersteps))
 		}
-		e.beginSuperstepDirection()
+		e.beginSuperstepDirection(ctx)
 		stepStart := time.Now()
 		e.observeSuperstepStart(e.superstep)
 		for _, w := range e.workers {

@@ -217,14 +217,34 @@ func (c *compressedAdj) check() error {
 			return fmt.Errorf("graph: block %d edge prefix %d != degree sum %d", b, got, sum)
 		}
 		// Decode sweep: every varint well-formed, every neighbour in
-		// range, and the block consumes exactly its byte span.
+		// range, and the block consumes exactly its byte span. Varints of
+		// one to three bytes — nearly every delta of a sorted adjacency —
+		// are taken inline when three bytes of the span remain; longer
+		// ones, and the span's last few, go through readUvarint, which
+		// also words every rejection.
+		blk := c.data[:c.blockOff[b+1]]
 		pos := c.blockOff[b]
 		for i := b * CompressedBlockSize; i < end; i++ {
 			prev := int64(0)
 			for k := c.deg[i]; k > 0; k-- {
-				u, np, err := readUvarint(c.data[:c.blockOff[b+1]], pos)
-				if err != nil {
-					return fmt.Errorf("graph: block %d vertex %d: %w", b, i, err)
+				var u uint64
+				np := pos
+				if pos+3 <= uint64(len(blk)) {
+					b0, b1, b2 := uint64(blk[pos]), uint64(blk[pos+1]), uint64(blk[pos+2])
+					switch {
+					case b0 < 0x80:
+						u, np = b0, pos+1
+					case b1 < 0x80:
+						u, np = b0&0x7f|b1<<7, pos+2
+					case b2 < 0x80:
+						u, np = b0&0x7f|(b1&0x7f)<<7|b2<<14, pos+3
+					}
+				}
+				if np == pos {
+					var err error
+					if u, np, err = readUvarint(blk, pos); err != nil {
+						return fmt.Errorf("graph: block %d vertex %d: %w", b, i, err)
+					}
 				}
 				pos = np
 				prev += unzigzag(u)
@@ -399,6 +419,7 @@ func (g *Graph) Compress() (*Graph, error) {
 	if g.outAdj == nil && g.M() > 0 {
 		return nil, ErrNoOutAdjacency
 	}
+	g = g.in()
 	ng := &Graph{n: g.n, base: g.base, outC: compressCSR(g.n, g.outOff, g.outAdj), outW: g.outW}
 	if g.inOff != nil {
 		ng.inC = compressCSR(g.n, g.inOff, g.inAdj)
@@ -413,6 +434,7 @@ func (g *Graph) Decompress() *Graph {
 	if g.outC == nil {
 		return g
 	}
+	g = g.in()
 	outOff, outAdj := decompressAdj(g.outC)
 	ng := &Graph{n: g.n, base: g.base, outOff: outOff, outAdj: outAdj, outW: g.outW}
 	if g.inC != nil {
@@ -481,6 +503,7 @@ func (g *Graph) OutNeighborsWith(nb *NeighborBuf, i int) []VertexID {
 // InNeighborsWith is OutNeighborsWith for the in-direction. It panics
 // with ErrNoInEdges if in-edges were not built.
 func (g *Graph) InNeighborsWith(nb *NeighborBuf, i int) []VertexID {
+	g = g.in()
 	if g.inC == nil {
 		return g.InNeighbors(i)
 	}
@@ -503,6 +526,7 @@ func (g *Graph) ForEachOutNeighbor(i int, fn func(VertexID)) {
 // ForEachInNeighbor streams vertex i's in-neighbours. It panics with
 // ErrNoInEdges if in-edges were not built.
 func (g *Graph) ForEachInNeighbor(i int, fn func(VertexID)) {
+	g = g.in()
 	if g.inC != nil {
 		g.inC.visit(i, fn)
 		return

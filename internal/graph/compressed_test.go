@@ -392,6 +392,9 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		blockEdge[nBlocks] = m
 		c, err := newCompressedAdj(n, deg, blockOff, blockEdge, data)
+		if ref := referenceAdmit(n, deg, blockOff, blockEdge, data); (err == nil) != (ref == nil) {
+			t.Fatalf("validators disagree: check says %v, the reference sweep says %v", err, ref)
+		}
 		if err != nil {
 			return // rejected, as hostile inputs should be
 		}

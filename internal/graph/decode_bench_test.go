@@ -54,3 +54,24 @@ func BenchmarkNeighborDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompressedCheck is the open-time validation sweep (every
+// varint well-formed, every neighbour in range, every block consuming
+// exactly its span) over a compressed out-adjacency, in ns/edge: what
+// graphio.OpenMapped pays per edge before it returns. The graph is the
+// RMAT Wikipedia stand-in at the divisor the repo benchmark's
+// load_sssp_mmap workload maps (1.3 M edges, 2.8 stream bytes per edge).
+// Run by `make bench-core`.
+func BenchmarkCompressedCheck(b *testing.B) {
+	g, err := gen.Wikipedia(gen.PresetParams{Divisor: 128, Seed: 1}).Compress()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := g.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*g.M()), "ns/edge")
+}

@@ -12,12 +12,15 @@
 // Out-adjacency is always present. In-adjacency is optional: it is required
 // only by the pull-based combiner and is a significant memory cost, which is
 // exactly the trade-off the paper's multi-version design exposes (§3.2,
-// §6.2). Call WithInEdges or Transpose to materialise it.
+// §6.2). Call WithInEdges or Transpose to materialise it, or
+// WithInEdgesOnDemand to have the first reader pay for it.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 )
 
 // VertexID is an external vertex identifier as found in input files.
@@ -47,11 +50,64 @@ type Graph struct {
 	// ErrCompressedAdjacency. inC likewise replaces inOff/inAdj.
 	outC *compressedAdj
 	inC  *compressedAdj
+
+	// deferred, when non-nil, stands for an in-adjacency that is derived
+	// from the out side by the first call that reads it
+	// (WithInEdgesOnDemand); the in fields above stay nil on such a graph.
+	deferred *deferredIn
+}
+
+// deferredIn guards the one build of an on-demand in-adjacency. It is
+// held through a pointer so that a Graph stays copyable.
+type deferredIn struct {
+	mu sync.Mutex
+	// built is the receiver's twin with the in fields filled and no
+	// deferral of its own; nil until the first in-side read.
+	built atomic.Pointer[Graph]
+}
+
+// in returns the graph whose in fields hold g's in-adjacency: g itself,
+// or on a deferred graph its built twin, building it on the first call.
+// Concurrent first callers block on the one build and then share its
+// slices. Every in-side reader starts here; without a deferral it costs
+// one nil test.
+func (g *Graph) in() *Graph {
+	if g.deferred == nil {
+		return g
+	}
+	return g.deferred.force(g)
+}
+
+func (d *deferredIn) force(g *Graph) *Graph {
+	if b := d.built.Load(); b != nil {
+		return b
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	b := d.built.Load()
+	if b == nil {
+		b = g.buildInEdges()
+		d.built.Store(b)
+	}
+	return b
+}
+
+// resident is in without the build: what is in memory now. The readers
+// that report on a graph rather than traverse it (MemoryBytes, Validate,
+// InEdgesResident and through it ComputeStats) use it, so they neither force a deferred in-adjacency nor
+// race with a first use in progress.
+func (g *Graph) resident() *Graph {
+	if d := g.deferred; d != nil {
+		if b := d.built.Load(); b != nil {
+			return b
+		}
+	}
+	return g
 }
 
 // ErrNoInEdges is returned or panicked on by operations that require the
 // in-adjacency when the graph was built without it.
-var ErrNoInEdges = errors.New("graph: in-edges were not built (use Builder.BuildInEdges or Transpose)")
+var ErrNoInEdges = errors.New("graph: in-edges were not built (use WithInEdges or Builder.BuildInEdges)")
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
@@ -74,8 +130,18 @@ func (g *Graph) Base() VertexID { return g.base }
 // ExternalID converts an internal index to the external identifier.
 func (g *Graph) ExternalID(i int) VertexID { return g.base + VertexID(i) }
 
-// HasInEdges reports whether the in-adjacency was materialised.
-func (g *Graph) HasInEdges() bool { return g.inOff != nil || g.inC != nil }
+// HasInEdges reports whether the graph serves in-side reads: the
+// in-adjacency was materialised, or is derived on demand
+// (WithInEdgesOnDemand).
+func (g *Graph) HasInEdges() bool { return g.inOff != nil || g.inC != nil || g.deferred != nil }
+
+// InEdgesResident reports whether the in-adjacency is in memory now. It
+// differs from HasInEdges only on a WithInEdgesOnDemand graph nothing has
+// read the in side of yet.
+func (g *Graph) InEdgesResident() bool {
+	g = g.resident()
+	return g.inOff != nil || g.inC != nil
+}
 
 // ErrNoOutAdjacency is panicked on by operations that enumerate
 // out-neighbours when the graph was reduced with StripOutAdjacency.
@@ -101,6 +167,7 @@ func (g *Graph) OutNeighbors(i int) []VertexID {
 // in-edges were not built, and with ErrCompressedAdjacency on the
 // compressed backend — use InNeighborsWith or ForEachInNeighbor there.
 func (g *Graph) InNeighbors(i int) []VertexID {
+	g = g.in()
 	if g.inC != nil {
 		panic(ErrCompressedAdjacency)
 	}
@@ -133,6 +200,7 @@ func (g *Graph) OutEdgeOffset(i int) uint64 {
 // InDegree returns the in-degree of vertex i. It panics with ErrNoInEdges
 // if in-edges were not built.
 func (g *Graph) InDegree(i int) int {
+	g = g.in()
 	if g.inC != nil {
 		return int(g.inC.deg[i])
 	}
@@ -161,8 +229,10 @@ func (g *Graph) Edges(fn func(src, dst VertexID) bool) {
 
 // Validate checks the structural invariants of the CSR arrays: monotone
 // offsets, terminal offset equal to the adjacency length, and neighbour
-// indices within range. It returns nil for a well-formed graph.
+// indices within range. It returns nil for a well-formed graph. An
+// in-adjacency still to be derived on demand has nothing to check.
 func (g *Graph) Validate() error {
+	g = g.resident()
 	if g.outC != nil || g.inC != nil {
 		return g.validateCompressed()
 	}
@@ -241,44 +311,64 @@ func validateCSR(kind string, n int, off []uint64, adj []VertexID) error {
 // only the weighted-compressed combination is unsupported, as weights are
 // stored edge-ordered against the out-CSR.
 func (g *Graph) Transpose() *Graph {
-	if g.IsCompressed() {
-		if g.outW != nil {
-			panic(ErrCompressedAdjacency)
-		}
-		inC := g.inC
-		if inC == nil {
-			inOff, inAdj := reverseCompressed(g.outC)
-			inC = compressCSR(g.n, inOff, inAdj)
-		}
-		return &Graph{n: g.n, base: g.base, outC: inC, inC: g.outC}
+	if g.IsCompressed() && g.outW != nil {
+		panic(ErrCompressedAdjacency)
 	}
 	if g.outW != nil {
 		rOff, rAdj, rW := reverseCSRWeighted(g.n, g.outOff, g.outAdj, g.outW)
 		return &Graph{n: g.n, base: g.base, outOff: rOff, outAdj: rAdj, outW: rW, inOff: g.outOff, inAdj: g.outAdj}
 	}
-	inOff, inAdj := g.inOff, g.inAdj
-	if inOff == nil {
-		inOff, inAdj = reverseCSR(g.n, g.outOff, g.outAdj)
+	if g = g.in(); !g.HasInEdges() {
+		g = g.buildInEdges()
 	}
 	return &Graph{
 		n:      g.n,
 		base:   g.base,
-		outOff: inOff,
-		outAdj: inAdj,
+		outOff: g.inOff,
+		outAdj: g.inAdj,
+		outC:   g.inC,
 		inOff:  g.outOff,
 		inAdj:  g.outAdj,
+		inC:    g.outC,
 	}
 }
 
 // WithInEdges returns a graph sharing the receiver's out-CSR with the
 // in-CSR materialised. If in-edges already exist the receiver is returned
-// unchanged. On a compressed receiver the in-adjacency is built by one
-// decode pass and stored compressed as well (so an mmap-loaded IPG3
-// graph can serve the pull combiner).
+// unchanged; if they are on demand (WithInEdgesOnDemand) they are built
+// now and the receiver is returned. On a compressed receiver the
+// in-adjacency is built by one decode pass and stored compressed as well
+// (so an mmap-loaded IPG3 graph can serve the pull combiner).
 func (g *Graph) WithInEdges() *Graph {
+	if g.in().HasInEdges() {
+		return g
+	}
+	return g.buildInEdges()
+}
+
+// WithInEdgesOnDemand returns a graph sharing the receiver's out-CSR whose
+// in-adjacency is built, exactly as WithInEdges builds it, by the first
+// call that reads the in side — InNeighbors, InDegree, InNeighborsWith,
+// ForEachInNeighbor, WithInEdges, Transpose, Compress, Decompress or
+// StripOutAdjacency — and kept from then on. HasInEdges is true at once;
+// MemoryBytes, Validate, IsCompressed and ComputeStats report what is
+// resident and never trigger the build. A run that never reads the in
+// side never pays for it, which is why the loaders that derive the
+// in-direction from a finished out-adjacency (graphio.OpenMapped, the
+// IPG3 reader) return this form. If in-edges already exist the receiver is
+// returned unchanged.
+func (g *Graph) WithInEdgesOnDemand() *Graph {
 	if g.HasInEdges() {
 		return g
 	}
+	ng := *g
+	ng.deferred = new(deferredIn)
+	return &ng
+}
+
+// buildInEdges is WithInEdges on a graph that has none resident; the
+// result never carries a deferral.
+func (g *Graph) buildInEdges() *Graph {
 	if g.outC != nil {
 		inOff, inAdj := reverseCompressed(g.outC)
 		return &Graph{n: g.n, base: g.base, outC: g.outC, outW: g.outW, inC: compressCSR(g.n, inOff, inAdj)}
@@ -318,7 +408,8 @@ func reverseCompressed(c *compressedAdj) ([]uint64, []VertexID) {
 
 // StripInEdges returns a graph sharing the receiver's out-CSR with no
 // in-adjacency, mirroring the paper's lightest vertex internals ("out
-// only", §3.2).
+// only", §3.2). An in-adjacency still to be derived on demand is dropped
+// with the rest.
 func (g *Graph) StripInEdges() *Graph {
 	return &Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: g.outAdj, outW: g.outW, outC: g.outC}
 }
@@ -338,14 +429,12 @@ func (g *Graph) StripOutAdjacency() (*Graph, error) {
 	if g.IsCompressed() {
 		return nil, ErrCompressedAdjacency
 	}
-	if g.inOff == nil {
+	if g = g.in(); g.inOff == nil {
 		return nil, ErrNoInEdges
 	}
 	return &Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: nil, inOff: g.inOff, inAdj: g.inAdj}, nil
 }
 
-// reverseCSR builds the reversed CSR using the classic two-pass counting
-// construction.
 // Symmetrize returns a new graph containing every edge in both
 // directions, deduplicated — the input Hashmin needs to label *weakly*
 // connected components on a directed graph. Weights are not carried (the
@@ -392,6 +481,8 @@ func reverseCSRWeighted(n int, off []uint64, adj []VertexID, w []uint32) ([]uint
 	return rOff, rAdj, rW
 }
 
+// reverseCSR builds the reversed CSR using the classic two-pass counting
+// construction.
 func reverseCSR(n int, off []uint64, adj []VertexID) ([]uint64, []VertexID) {
 	rOff := make([]uint64, n+1)
 	for _, v := range adj {
@@ -414,8 +505,10 @@ func reverseCSR(n int, off []uint64, adj []VertexID) ([]uint64, []VertexID) {
 
 // MemoryBytes returns the heap bytes held by the CSR arrays. It is used by
 // internal/memmodel when attributing footprint to the graph itself versus
-// framework overhead (paper §7.4.2 "graph binary size").
+// framework overhead (paper §7.4.2 "graph binary size"). An in-adjacency
+// derived on demand counts from the moment it is built.
 func (g *Graph) MemoryBytes() uint64 {
+	g = g.resident()
 	b := uint64(len(g.outOff))*8 + uint64(len(g.outAdj))*4 + uint64(len(g.outW))*4
 	if g.inOff != nil {
 		b += uint64(len(g.inOff))*8 + uint64(len(g.inAdj))*4

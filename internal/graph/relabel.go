@@ -50,7 +50,7 @@ func (g *Graph) Relabel(perm []int) *Graph {
 		}
 	}
 	out := &Graph{n: n, base: g.base, outOff: outOff, outAdj: outAdj, outW: outW}
-	if g.inOff != nil {
+	if g.HasInEdges() {
 		out.inOff, out.inAdj = reverseCSR(n, outOff, outAdj)
 	}
 	return out

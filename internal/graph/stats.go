@@ -18,8 +18,7 @@ type Stats struct {
 	MaxOutDegree int
 	// Density is |E| / (|V|*(|V|-1)).
 	Density float64
-	// Isolated counts vertices with neither in- nor out-edges (in-degree is
-	// approximated by out-degree when in-edges are absent).
+	// Isolated counts vertices with neither in- nor out-edges.
 	Isolated int
 }
 
@@ -29,22 +28,21 @@ func ComputeStats(name string, g *Graph) Stats {
 	if s.V == 0 {
 		return s
 	}
-	in := make([]uint32, g.N())
-	if !g.HasInEdges() {
+	// In-degrees come from the in-adjacency when it is in memory and from
+	// one out-edge scan otherwise: reporting on a graph must not be what
+	// builds an on-demand in-adjacency.
+	inDegree := g.InDegree
+	if !g.InEdgesResident() {
+		in := make([]uint32, g.N())
 		g.Edges(func(_, v VertexID) bool { in[v]++; return true })
+		inDegree = func(i int) int { return int(in[i]) }
 	}
 	for i := 0; i < g.N(); i++ {
 		d := g.OutDegree(i)
 		if d > s.MaxOutDegree {
 			s.MaxOutDegree = d
 		}
-		indeg := 0
-		if g.HasInEdges() {
-			indeg = g.InDegree(i)
-		} else {
-			indeg = int(in[i])
-		}
-		if d == 0 && indeg == 0 {
+		if d == 0 && inDegree(i) == 0 {
 			s.Isolated++
 		}
 	}

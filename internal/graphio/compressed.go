@@ -252,7 +252,9 @@ func readBinaryCompressed(br io.Reader, opts Options) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: IPG3: %w", err)
 	}
 	if opts.BuildInEdges {
-		g = g.WithInEdges()
+		// Derived from the finished out-adjacency by whoever first reads
+		// the in side, as in OpenMapped.
+		g = g.WithInEdgesOnDemand()
 	}
 	return g, nil
 }

@@ -328,7 +328,8 @@ func TestOpenMapped(t *testing.T) {
 		}
 	}
 
-	// BuildInEdges materialises a heap in-CSR over the mapped out-CSR.
+	// BuildInEdges serves a heap in-CSR over the mapped out-CSR (built by
+	// the first read below; TestOpenMappedDefersInEdges covers the timing).
 	m, err := OpenMapped(p3, Options{BuildInEdges: true})
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,11 @@ type Options struct {
 	// Undirected inserts the reverse of every edge (KONECT "sym" headers
 	// set this automatically).
 	Undirected bool
-	// BuildInEdges materialises the in-adjacency at load time.
+	// BuildInEdges makes the loaded graph serve in-side reads. The text
+	// and IPG1/IPG2 readers build the in-adjacency at load time; the
+	// loaders that start from a finished out-adjacency (OpenMapped, the
+	// IPG3 reader) leave it to the first in-side read
+	// (graph.WithInEdgesOnDemand).
 	BuildInEdges bool
 	// Dedup drops duplicate edges (implies sorted adjacency).
 	Dedup bool

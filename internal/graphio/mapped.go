@@ -52,16 +52,23 @@ func (m *Mapped) Close() error {
 // adjacency aliases the mapping. IPG3 aliases every section (the file
 // was written with natural alignment for exactly this); IPG1/IPG2 alias
 // the adjacency and weights but rebuild the 8-byte offset array in
-// memory, since the file stores 4-byte degrees. Options.BuildInEdges
-// materialises a heap-resident in-adjacency (the out direction stays
-// mapped); Options.MaxVertices bounds header-declared counts as in
-// Read. Only little-endian hosts can alias the (little-endian) file.
+// memory, since the file stores 4-byte degrees. Opening costs the
+// validation pass and nothing else: Options.BuildInEdges makes the graph
+// serve in-side reads from a heap-resident in-adjacency that the first
+// such read derives (graph.WithInEdgesOnDemand; the out direction stays
+// mapped), so a run that never pulls never builds it. That build reads
+// the mapping like any other access — after Close it is a use after
+// close. Options.KeepWeights is accepted and changes nothing, as for a
+// binary file in Read: the weight section of an IPG2 or weighted IPG3
+// file is always aliased, and an unweighted file yields an unweighted
+// graph. Options.MaxVertices bounds header-declared counts as in Read.
+// Only little-endian hosts can alias the (little-endian) file.
 func OpenMapped(path string, opts Options) (*Mapped, error) {
 	if hostIsBigEndian() {
 		return nil, fmt.Errorf("graphio: OpenMapped requires a little-endian host")
 	}
-	if opts.Undirected || opts.Dedup || opts.KeepWeights {
-		return nil, fmt.Errorf("graphio: OpenMapped supports only BuildInEdges and MaxVertices options")
+	if opts.Undirected || opts.Dedup {
+		return nil, fmt.Errorf("graphio: OpenMapped supports only BuildInEdges, KeepWeights and MaxVertices options")
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,7 +93,7 @@ func OpenMapped(path string, opts Options) (*Mapped, error) {
 		return nil, fmt.Errorf("graphio: %s: %w", path, err)
 	}
 	if opts.BuildInEdges {
-		g = g.WithInEdges()
+		g = g.WithInEdgesOnDemand()
 	}
 	m.g = g
 	return m, nil

@@ -1,0 +1,200 @@
+package graphio
+
+import (
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"ipregel/internal/graph"
+)
+
+// mappedFixtures writes one random graph as IPG1, a weighted one as IPG2,
+// and both compressed as IPG3, and returns the paths by format name.
+func mappedFixtures(t *testing.T) map[string]string {
+	t.Helper()
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(17))
+	var b graph.Builder
+	b.ForceN = 300
+	b.SetBase(1)
+	var wb graph.WeightedBuilder
+	wb.ForceN(300)
+	wb.SetBase(1)
+	for i := 0; i < 2500; i++ {
+		s, d := graph.VertexID(1+rng.Intn(300)), graph.VertexID(1+rng.Intn(300))
+		b.AddEdge(s, d)
+		wb.AddEdge(s, d, uint32(1+rng.Intn(1000)))
+	}
+	paths := map[string]string{}
+	for name, g := range map[string]*graph.Graph{"IPG1": b.MustBuild(), "IPG2": wb.MustBuild()} {
+		paths[name] = filepath.Join(dir, name+".bin")
+		if err := WriteFile(paths[name], g); err != nil {
+			t.Fatal(err)
+		}
+		cg, err := g.Compress()
+		if err != nil {
+			t.Fatal(err)
+		}
+		name3 := map[string]string{"IPG1": "IPG3", "IPG2": "IPG3-weighted"}[name]
+		paths[name3] = filepath.Join(dir, name3+".bin")
+		if err := WriteFile(paths[name3], cg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
+}
+
+func inLists(g *graph.Graph) [][]graph.VertexID {
+	var nb graph.NeighborBuf
+	out := make([][]graph.VertexID, g.N())
+	for i := range out {
+		out[i] = append([]graph.VertexID{}, g.InNeighborsWith(&nb, i)...)
+	}
+	return out
+}
+
+// TestOpenMappedDefersInEdges: opening with BuildInEdges costs the
+// out-only heap until something reads the in side; sixteen goroutines
+// doing so at once all see eager WithInEdges' lists while another polls
+// the non-forcing readers, and the heap settles at the eager figure.
+func TestOpenMappedDefersInEdges(t *testing.T) {
+	for format, path := range mappedFixtures(t) {
+		t.Run(format, func(t *testing.T) {
+			plain, err := OpenMapped(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plain.Close()
+			outOnly := plain.Graph().MemoryBytes()
+			eager := plain.Graph().WithInEdges()
+			want := inLists(eager)
+
+			m, err := OpenMapped(path, Options{BuildInEdges: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			g := m.Graph()
+			if !g.HasInEdges() || g.InEdgesResident() || g.MemoryBytes() != outOnly {
+				t.Fatalf("after open: HasInEdges=%v InEdgesResident=%v MemoryBytes=%d; want true, false, the out-only %d",
+					g.HasInEdges(), g.InEdgesResident(), g.MemoryBytes(), outOnly)
+			}
+			if g.HasWeights() != plain.Graph().HasWeights() {
+				t.Fatal("the deferral dropped the weights")
+			}
+
+			stop := make(chan struct{})
+			var poller sync.WaitGroup
+			poller.Add(1)
+			go func() {
+				defer poller.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if mb := g.MemoryBytes(); mb != outOnly && mb != eager.MemoryBytes() {
+						t.Errorf("MemoryBytes %d is neither the out-only %d nor the eager %d", mb, outOnly, eager.MemoryBytes())
+						return
+					}
+					if err := g.Validate(); err != nil {
+						t.Error(err)
+						return
+					}
+					if g.IsCompressed() != eager.IsCompressed() || !g.HasInEdges() {
+						t.Error("IsCompressed/HasInEdges changed under a concurrent first use")
+						return
+					}
+				}
+			}()
+			var readers sync.WaitGroup
+			for r := 0; r < 16; r++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					var nb graph.NeighborBuf
+					for i := 0; i < g.N(); i++ {
+						if got := g.InNeighborsWith(&nb, i); !reflect.DeepEqual(append([]graph.VertexID{}, got...), want[i]) || g.InDegree(i) != len(want[i]) {
+							t.Errorf("reader %d: in-neighbours of %d = %v (degree %d), want %v", r, i, got, g.InDegree(i), want[i])
+							return
+						}
+					}
+				}()
+			}
+			readers.Wait()
+			close(stop)
+			poller.Wait()
+			if !g.InEdgesResident() || g.MemoryBytes() != eager.MemoryBytes() {
+				t.Fatalf("after first use: InEdgesResident=%v MemoryBytes=%d, want true and the eager %d", g.InEdgesResident(), g.MemoryBytes(), eager.MemoryBytes())
+			}
+		})
+	}
+}
+
+// TestIPG3ReadDefersInEdges: the streaming IPG3 reader, the other loader
+// that starts from a finished out-adjacency, defers the same way; the
+// IPG1/IPG2 reader, which goes through a Builder, still builds at load.
+func TestIPG3ReadDefersInEdges(t *testing.T) {
+	for format, path := range mappedFixtures(t) {
+		t.Run(format, func(t *testing.T) {
+			g, err := ReadFile(path, Options{BuildInEdges: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !g.HasInEdges() {
+				t.Fatal("BuildInEdges ignored")
+			}
+			if deferred := !g.InEdgesResident(); deferred != g.IsCompressed() {
+				t.Fatalf("in-edges deferred = %v on a graph with IsCompressed = %v", deferred, g.IsCompressed())
+			}
+			plain, err := ReadFile(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := inLists(plain.WithInEdges()); !reflect.DeepEqual(inLists(g), want) {
+				t.Fatal("in-neighbour lists differ from eager WithInEdges")
+			}
+			if !g.InEdgesResident() {
+				t.Fatal("reading the in side left it unbuilt")
+			}
+		})
+	}
+}
+
+// TestOpenMappedKeepWeights: KeepWeights is accepted and, as for a binary
+// file in ReadFile, changes nothing — a weighted file's weights are
+// aliased whether or not it is set, an unweighted file gives an unweighted
+// graph without an error — while the options that would rewrite the
+// adjacency are still refused.
+func TestOpenMappedKeepWeights(t *testing.T) {
+	for format, path := range mappedFixtures(t) {
+		t.Run(format, func(t *testing.T) {
+			want, err := ReadFile(path, Options{KeepWeights: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if weighted := format == "IPG2" || format == "IPG3-weighted"; want.HasWeights() != weighted {
+				t.Fatalf("ReadFile: HasWeights = %v on an %s file", want.HasWeights(), format)
+			}
+			for _, opts := range []Options{{KeepWeights: true}, {KeepWeights: true, BuildInEdges: true}, {}} {
+				m, err := OpenMapped(path, opts)
+				if err != nil {
+					t.Fatalf("OpenMapped(%+v): %v", opts, err)
+				}
+				assertSameAdjacency(t, want, m.Graph()) // shape, neighbours and weights
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, opts := range []Options{{Undirected: true}, {Dedup: true}} {
+				if m, err := OpenMapped(path, opts); err == nil {
+					m.Close()
+					t.Fatalf("OpenMapped(%+v) succeeded; it cannot rewrite a mapped adjacency", opts)
+				}
+			}
+		})
+	}
+}

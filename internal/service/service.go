@@ -148,10 +148,14 @@ func (e *graphEntry) symmetrized(withInEdges bool) *graph.Graph {
 
 // GraphInfo describes one resident graph for /v1/graphs.
 type GraphInfo struct {
-	Name        string `json:"name"`
-	Vertices    int    `json:"vertices"`
-	Edges       uint64 `json:"edges"`
-	Base        uint64 `json:"base"`
+	Name     string `json:"name"`
+	Vertices int    `json:"vertices"`
+	Edges    uint64 `json:"edges"`
+	Base     uint64 `json:"base"`
+	// InEdges says the graph serves in-side reads; MemoryBytes is what is
+	// resident now — on a graph whose in-adjacency is derived on demand
+	// (a mapped file, an IPG3 read) it grows once, when the first pulling
+	// job builds it.
 	InEdges     bool   `json:"in_edges"`
 	MemoryBytes uint64 `json:"memory_bytes"`
 	Origin      string `json:"origin,omitempty"`

@@ -434,3 +434,66 @@ func TestJobRetention(t *testing.T) {
 		t.Fatal("newest job evicted")
 	}
 }
+
+// TestGraphsListingWhileInEdgesMaterialise: a graph registered with its
+// in-adjacency still to be derived lists in_edges true and its resident
+// (out-only) memory; a push job leaves that alone; a pull job builds the
+// in side while /v1/graphs is being listed from another goroutine, and the
+// listing then reports the full figure. Run under -race.
+func TestGraphsListingWhileInEdgesMaterialise(t *testing.T) {
+	const spec = "rmat:10:8"
+	flat := testGraph(t, spec)
+	outOnly, withIn := flat.StripInEdges().MemoryBytes(), flat.WithInEdges().MemoryBytes()
+	s := New(Options{Workers: 2})
+	if err := s.AddGraph("g", flat.StripInEdges().WithInEdgesOnDemand(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	listing := func() GraphInfo {
+		infos := s.Graphs()
+		if len(infos) != 1 || !infos[0].InEdges {
+			t.Fatalf("listing = %+v, want one graph with in_edges true", infos)
+		}
+		return infos[0]
+	}
+	run := func(direction string) JobView {
+		v, err := s.Submit(JobRequest{Graph: "g", Program: "sssp", Params: Params{Source: u64p(uint64(flat.Base())), Direction: direction}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	if got := listing().MemoryBytes; got != outOnly {
+		t.Fatalf("memory_bytes before any job = %d, want the out-only %d", got, outOnly)
+	}
+	push := waitTerminal(t, s, run("").ID)
+	if got := listing().MemoryBytes; push.State != StateDone || got != outOnly {
+		t.Fatalf("after a push job (%s %s): memory_bytes = %d, want the out-only %d", push.State, push.Error, got, outOnly)
+	}
+
+	pullID := run("pull").ID
+	for running := true; running; {
+		view, _ := s.Job(pullID)
+		running = view.State == StateQueued || view.State == StateRunning
+		if got := listing().MemoryBytes; got != outOnly && got != withIn {
+			t.Fatalf("memory_bytes = %d while the pull job ran; want %d or %d", got, outOnly, withIn)
+		}
+	}
+	pull := waitTerminal(t, s, pullID)
+	if pull.State != StateDone || pull.Result.Reached != push.Result.Reached {
+		t.Fatalf("pull job: %s %s, reached %d; the push job reached %d", pull.State, pull.Error, pull.Result.Reached, push.Result.Reached)
+	}
+	if got := listing().MemoryBytes; got != withIn {
+		t.Fatalf("memory_bytes after a pull job = %d, want %d", got, withIn)
+	}
+}

@@ -5,8 +5,9 @@
 # IPG3 file to be smaller, run SSSP from every backend (-graph-backend
 # flat | compressed | mmap) and require identical results and superstep
 # statistics, check the mem-backend experiment reports a strictly
-# smaller compressed heap, and boot ipregeld with the IPG3 file mapped
-# read-only.
+# smaller heap tier by tier (flat > compressed > mmap serving in-edges >
+# mmap nothing has pulled from), and boot ipregeld with the IPG3 file
+# mapped read-only.
 set -eu
 
 TMP="$(mktemp -d)"
@@ -59,10 +60,11 @@ echo "ok: IPG3 streaming read matches flat"
 "$TMP/ipregel-bench" -exp mem-backend -divisor 512 >"$TMP/membackend.out"
 HEAPS="$(sed -n 's/^ *"heap_bytes": \([0-9]*\),$/\1/p' "$TMP/membackend.out")"
 set -- $HEAPS
-[ "$#" -eq 3 ] || fail "expected 3 heap_bytes rows in mem-backend output, got $#"
+[ "$#" -eq 4 ] || fail "expected 4 heap_bytes rows in mem-backend output, got $#"
 [ "$2" -lt "$1" ] || fail "compressed heap ($2 B) not below flat ($1 B)"
-[ "$3" -lt "$2" ] || fail "mmap heap ($3 B) not below compressed ($2 B)"
-echo "ok: heap bytes flat=$1 > compressed=$2 > mmap=$3"
+[ "$3" -lt "$2" ] || fail "mmap heap with in-edges ($3 B) not below compressed ($2 B)"
+[ "$4" -lt "$3" ] || fail "mmap heap before any in-side read ($4 B) not below mmap with in-edges ($3 B)"
+echo "ok: heap bytes flat=$1 > compressed=$2 > mmap=$3 > mmap-out-only=$4"
 
 # 4. The daemon serves a mapped graph.
 "$TMP/ipregeld" -listen 127.0.0.1:0 -graph-file g="$TMP/comp.bin" \
