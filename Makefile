@@ -4,9 +4,8 @@ GO ?= go
 # vet + the ipregel-vet analyzer suite + build + full test suite + a
 # race-detector pass over the graph packages (an on-demand in-adjacency
 # is built under a lock by whichever reader comes first), the engine and
-# the algorithms, whose combiners, sender caches and schedules must stay
-# race-clean (the race targets run with Config.CheckInvariants enabled in
-# their configs).
+# the algorithms, whose combiners and schedules must stay race-clean (the
+# race targets run with Config.CheckInvariants enabled in their configs).
 .PHONY: check vet ipregel-vet vet-json build test test-cores test-run race race-one-thread fuzz bench bench-core telemetry-smoke ipregeld-smoke membackend-smoke direction-smoke chaos
 check: vet ipregel-vet build test race
 
@@ -40,7 +39,7 @@ test-cores:
 	done
 
 # `go test -run` that refuses an empty selection:
-#   make test-run PKG=./internal/core/ RUN='Shard|Partition' FLAGS='-race -count=1'
+#   make test-run PKG=./internal/core/ RUN='ThreadsParity|Desolate' FLAGS='-race -count=1'
 # go test exits 0 when the regex matches nothing, so a renamed test
 # silently drops out of its CI leg. RUN is a plain a|b|c alternation and
 # every alternative must select at least one test (go test -list).
@@ -81,20 +80,20 @@ membackend-smoke:
 	sh scripts/membackend_smoke.sh
 
 # End-to-end check of the direction model: -direction push/pull/adaptive
-# parity through the CLI (including sharded pull and -hub-split), the
-# adaptive JSONL trace recording pull steps and a switch, and the
-# push-vs-pull-vs-adaptive ablation written to results/BENCH_direction.json.
+# parity through the CLI, the adaptive JSONL trace recording pull steps
+# and a switch, and the push-vs-pull-vs-adaptive ablation written to
+# results/BENCH_direction.json.
 direction-smoke:
 	sh scripts/direction_smoke.sh
 
-# Fault-injection gauntlet: the kill-anywhere crash matrix (flat and
-# sharded — the CrashMatrix regex also matches TestCrashMatrixSharded)
-# under the race detector, the checkpoint Restore fuzz seeds, and a
+# Fault-injection gauntlet: the kill-anywhere crash matrix (two and
+# four threads, flat and compressed adjacency) under the race detector,
+# the checkpoint Restore fuzz seeds and rejection fixtures, and a
 # scripted kill-and-resume of the faulttolerance example and the CLI
-# recovery flags, flat and -shards 4 (scripts/chaos_smoke.sh).
+# recovery flags (scripts/chaos_smoke.sh).
 chaos:
-	$(MAKE) test-run PKG=./internal/core/ FLAGS=-race RUN='CrashMatrix|RunWithRecovery|FileSink'
-	$(MAKE) test-run PKG=./internal/core/ RUN='FuzzRestore|RestoreV2DetectsCorruption|RestoreRejectsLegacyV1|CheckpointV2Golden'
+	$(MAKE) test-run PKG=./internal/core/ FLAGS=-race RUN='CrashMatrix|RunWithRecovery|RecoverySkips|FileSink'
+	$(MAKE) test-run PKG=./internal/core/ RUN='FuzzRestore|RestoreV2DetectsCorruption|RestoreRejectsLegacyV1|CheckpointV2Golden|CheckpointRejectsMultiShard'
 	sh scripts/chaos_smoke.sh
 
 # Short fuzz pass over every graph parser, the compressed-block decoder
@@ -114,7 +113,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # The hot-primitive microbenchmarks, one `package:name` each: mailbox
-# deliver per inbox version and interface call per message against the
+# deliver per inbox version, a scatter of one per message against the
 # fused scatter, frontier enrol (ns/msg); neighbour decode per backend
 # and access order, and the compressed adjacency's open-time validation
 # sweep (ns/edge). It fails when one of them no longer exists; CI runs

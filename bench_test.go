@@ -219,75 +219,18 @@ func BenchmarkSchedule(b *testing.B) {
 // a transposed star sends every leaf's message to one hub mailbox, so the
 // whole superstep serialises on that mailbox's synchronisation — the
 // mutex blocks, the spinlock busy-waits, and the atomic combiner retries
-// a CAS (the hot-slot case where lock-free delivery should win). The
-// +combining variants add the sender-side caches, which pre-combine the
-// leaves' messages worker-locally and touch the hub mailbox only
-// once per worker per superstep.
+// a CAS (the hot-slot case where lock-free delivery should win).
 func BenchmarkContention(b *testing.B) {
 	g := gen.Star(1<<14, 1).Transpose() // leaves -> hub
 	for _, comb := range []core.Combiner{core.CombinerMutex, core.CombinerSpin, core.CombinerAtomic} {
-		for _, combining := range []bool{false, true} {
-			cfg := core.Config{Combiner: comb, SenderCombining: combining}
-			b.Run(cfg.VersionName(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := algorithms.Hashmin(g, cfg); err != nil {
-						b.Fatal(err)
-					}
+		cfg := core.Config{Combiner: comb}
+		b.Run(cfg.VersionName(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := algorithms.Hashmin(g, cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardScaling sweeps the partitioned execution core over shard
-// counts on the atomic combiner: per-shard mailboxes shrink the CAS
-// target set, so cas-retries/op should fall as shards grow while the
-// routing layer's batching keeps runtime competitive with the
-// single-shard engine. Each multi-shard point runs under both
-// partitioners (results recorded in results/BENCH_shards.json).
-func BenchmarkShardScaling(b *testing.B) {
-	wiki, _ := benchGraphs()
-	apps := []struct {
-		name string
-		run  func(cfg core.Config) (core.Report, error)
-	}{
-		{"PageRank", func(cfg core.Config) (core.Report, error) {
-			_, rep, err := algorithms.PageRank(wiki, cfg, benchPRRounds)
-			return rep, err
-		}},
-		{"WCC", func(cfg core.Config) (core.Report, error) {
-			_, rep, err := algorithms.WCC(wiki, cfg)
-			return rep, err
-		}},
-	}
-	for _, app := range apps {
-		for _, shards := range []int{1, 2, 4, 8} {
-			for _, part := range []core.Partition{core.PartitionRange, core.PartitionHash} {
-				if shards == 1 && part != core.PartitionRange {
-					continue // one shard has nothing to partition
-				}
-				cfg := core.Config{Combiner: core.CombinerAtomic, Shards: shards, Partition: part}
-				b.Run(fmt.Sprintf("%s/shards=%d/%s", app.name, shards, part), func(b *testing.B) {
-					var retries, cross, skipped float64
-					for i := 0; i < b.N; i++ {
-						rep, err := app.run(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						for _, s := range rep.Steps {
-							retries += float64(s.CASRetries)
-							cross += float64(s.CrossShardMessages)
-							skipped += float64(s.SkippedShards)
-						}
-					}
-					b.ReportMetric(retries/float64(b.N), "cas-retries/op")
-					b.ReportMetric(cross/float64(b.N), "cross-shard-msgs/op")
-					if shards > 1 {
-						b.ReportMetric(skipped/float64(b.N), "skipped-shards/op")
-					}
-				})
 			}
-		}
+		})
 	}
 }
 

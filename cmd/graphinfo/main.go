@@ -69,8 +69,8 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "binary size: %s (paper §7.4.2 accounting)\n", memmodel.GB(graphio.BinarySizeBytes(g.N(), g.M())))
 	fmt.Fprintf(out, "in-memory CSR: %s; degree inequality (Gini): %.3f\n", memmodel.GB(g.MemoryBytes()), graph.GiniOutDegree(g))
 	fmt.Fprintf(out, "isolated vertices: %d\n", s.Isolated)
-	// Degree skew: the quantities the hub-splitting scheduler keys on
-	// (core.Config.HubSplit defaults its cut to the p99.9).
+	// Degree skew: how far the tail sits above the bulk — what decides
+	// whether a vertex-count split of a scan is balanced (§4).
 	p99 := graph.OutDegreeQuantile(g, 0.99)
 	p999 := graph.OutDegreeQuantile(g, 0.999)
 	hubs := 0
@@ -79,7 +79,7 @@ func run(args []string, out io.Writer) error {
 			hubs++
 		}
 	}
-	fmt.Fprintf(out, "degree skew: max %d, p99 %d, p99.9 %d; %d hub vertices above the p99.9 split cut\n",
+	fmt.Fprintf(out, "degree skew: max %d, p99 %d, p99.9 %d; %d hub vertices above the p99.9\n",
 		s.MaxOutDegree, p99, p999, hubs)
 	if *hist {
 		fmt.Fprintln(out, "out-degree histogram (bucket k = degrees in [2^(k-1), 2^k)):")

@@ -39,7 +39,6 @@ func run(args []string, out io.Writer) error {
 		list    = fs.Bool("list", false, "list experiments")
 		divisor = fs.Int("divisor", 0, "graph scale divisor (default 64 = 1/64 of the paper's graphs)")
 		threads = fs.Int("threads", 0, "iPregel worker threads (default GOMAXPROCS); with 1 every push combiner runs the same lock-free inbox, so fig7's mutex-vs-spinlock columns — a contention comparison — coincide")
-		shards  = fs.Int("shards", 1, "iPregel execution shards (1 = classic single-shard engine; pull-combiner cells stay single-shard)")
 		quick   = fs.Bool("quick", false, "fewer repetitions and smaller sweeps")
 		backend = fs.String("graph-backend", "flat", "adjacency storage for experiment graphs: flat | compressed | mmap")
 		dirFlag = fs.String("direction", "push", "message transport for every iPregel engine: push | pull | adaptive (pull-combiner cells are all-pull already)")
@@ -70,14 +69,11 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
-	}
 	dir, err := core.ParseDirection(*dirFlag)
 	if err != nil {
 		return err
 	}
-	o := &bench.Options{Divisor: *divisor, Threads: *threads, Shards: *shards, Quick: *quick, PRRounds: *rounds, CSVDir: *csvDir, Observers: observers, Backend: *backend, Direction: dir}
+	o := &bench.Options{Divisor: *divisor, Threads: *threads, Quick: *quick, PRRounds: *rounds, CSVDir: *csvDir, Observers: observers, Backend: *backend, Direction: dir}
 	defer o.Close()
 	switch {
 	case *all:

@@ -53,27 +53,12 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestShardFlagValidation mirrors ipregel-run's check: -shards must be
-// positive, and a sharded experiment runs normally.
-func TestShardFlagValidation(t *testing.T) {
-	cases := []struct {
-		args    []string
-		wantSub string
-	}{
-		{[]string{"-exp", "table1", "-shards", "0"}, "-shards must be at least 1"},
-	}
-	for _, c := range cases {
-		var sb strings.Builder
-		err := run(c.args, &sb)
-		if err == nil {
-			t.Fatalf("args %v: expected error", c.args)
-		}
-		if !strings.Contains(err.Error(), c.wantSub) {
-			t.Fatalf("args %v: error %q does not mention %q", c.args, err, c.wantSub)
-		}
-	}
+// TestRemovedShardFlag: -shards went with the shard layer, so passing it
+// is the flag package's usage error, not a flag accepted and ignored.
+func TestRemovedShardFlag(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-exp", "table1", "-divisor", "4096", "-quick", "-shards", "2"}, &sb); err != nil {
-		t.Fatalf("sharded experiment: %v\n%s", err, sb.String())
+	err := run([]string{"-exp", "table1", "-shards", "2"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Fatalf("-shards: err = %v, want the flag package's not-defined error", err)
 	}
 }

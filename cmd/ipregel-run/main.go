@@ -52,15 +52,10 @@ func run(args []string, out io.Writer) error {
 		combiner  = fs.String("combiner", "spinlock", "iPregel combiner: mutex | spinlock | atomic | broadcast")
 		address   = fs.String("addressing", "offset", "iPregel addressing: direct | offset | desolate | hashmap")
 		schedule  = fs.String("schedule", "static", "iPregel compute-phase schedule: static | dynamic | edge-balanced")
-		combining = fs.Bool("sender-combining", false, "pre-combine repeated sends worker-locally before touching the shared mailbox (push combiners)")
 		bypass    = fs.Bool("bypass", false, "enable selection bypass (Hashmin/SSSP only)")
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
-		shards    = fs.Int("shards", 1, "iPregel execution shards: partitioned slot space with per-shard mailboxes (1 = classic single-shard engine)")
-		partition = fs.String("partition", "range", "iPregel shard partitioner: range | hash (with -shards > 1)")
 		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull | adaptive (density-switched; broadcast-only apps)")
 		dirThresh = fs.Float64("direction-threshold", 0, "adaptive direction: pull when the frontier's out-edges reach this fraction of |E| (default 0.05)")
-		hubSplit  = fs.Bool("hub-split", false, "fan high-out-degree broadcasts out as parallel chunked subtasks")
-		hubCut    = fs.Int("hub-cut", 0, "out-degree above which a broadcast is split (default: p99.9 of the degree distribution; with -hub-split)")
 		rounds    = fs.Int("rounds", 30, "PageRank iterations")
 		source    = fs.Uint("source", 2, "SSSP/BFS source vertex identifier")
 		nodes     = fs.Int("nodes", 1, "pregelplus: simulated node count")
@@ -89,12 +84,6 @@ func run(args []string, out io.Writer) error {
 	if threadsSet && *threads < 1 {
 		return fmt.Errorf("-threads must be at least 1 (got %d); omit the flag to use all processors", *threads)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
-	}
-	if *shards > 1 && *framework != "ipregel" {
-		return fmt.Errorf("-shards is an iPregel engine feature; -framework %s does not support it", *framework)
-	}
 	if *chaosSpec != "" && *ckptDir == "" {
 		return fmt.Errorf("-chaos needs -checkpoint-dir: injected faults are only survivable with checkpoints")
 	}
@@ -114,8 +103,8 @@ func run(args []string, out io.Writer) error {
 	if derr != nil {
 		return derr
 	}
-	if (dir != core.DirectionPush || *hubSplit) && *framework != "ipregel" {
-		return fmt.Errorf("-direction and -hub-split are iPregel engine features; -framework %s does not support them", *framework)
+	if dir != core.DirectionPush && *framework != "ipregel" {
+		return fmt.Errorf("-direction is an iPregel engine feature; -framework %s does not support it", *framework)
 	}
 
 	var g *graph.Graph
@@ -178,23 +167,14 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	part, err := core.ParsePartition(*partition)
-	if err != nil {
-		return err
-	}
 	cfg := core.Config{
 		Combiner:           comb,
 		Addressing:         addr,
 		Schedule:           sched,
-		SenderCombining:    *combining,
 		SelectionBypass:    *bypass,
 		Threads:            *threads,
-		Shards:             *shards,
-		Partition:          part,
 		Direction:          dir,
 		DirectionThreshold: *dirThresh,
-		HubSplit:           *hubSplit,
-		HubDegreeCut:       *hubCut,
 	}
 
 	// Telemetry sinks observe the engine via Config.Observers; all hooks
@@ -322,10 +302,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, rep)
-	if cfg.SenderCombining && rep.TotalMessages > 0 {
-		fmt.Fprintf(out, "sender-side combining: %d of %d sends combined worker-locally (%.0f%%)\n",
-			rep.TotalLocalCombines, rep.TotalMessages, 100*float64(rep.TotalLocalCombines)/float64(rep.TotalMessages))
-	}
 	fmt.Fprintf(out, "peak heap: %s (baseline %s)\n", memmodel.GB(peak), memmodel.GB(baseline))
 	if *backend == "mmap" {
 		printMappedAfterRun(out, g)

@@ -34,8 +34,7 @@ func TestRunAppsOnGeneratedGraphs(t *testing.T) {
 		{[]string{"-app", "sssp", "-graph", "ring:20", "-framework", "femtograph"}, "femtograph-style"},
 		{[]string{"-app", "hashmin", "-graph", "ring:10", "-v"}, "superstep"},
 		{[]string{"-app", "wcc", "-graph", "chain:10"}, "weak components: 1"},
-		{[]string{"-app", "sssp", "-graph", "road:10:10", "-combiner", "atomic", "-shards", "4", "-source", "1"}, "reached: 100 of 100"},
-		{[]string{"-app", "hashmin", "-graph", "ring:30", "-shards", "2", "-partition", "hash", "-bypass"}, "components: 1"},
+		{[]string{"-app", "sssp", "-graph", "road:10:10", "-combiner", "atomic", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
 		{[]string{"-app", "scc", "-graph", "ring:12"}, "strong components: 1"},
 		{[]string{"-app", "reach64", "-graph", "chain:10", "-source", "0"}, "reached: 10 of 10"},
 	}
@@ -91,12 +90,14 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunFlagValidation pins the -threads/-shards argument checks: an
-// explicit non-positive -threads is a usage error (the unset default 0
-// still means GOMAXPROCS), -shards must be positive and is an
-// iPregel-only feature, and a flag that only tunes another (-hub-cut,
-// -direction-threshold) is rejected by the engine when that other flag
-// is absent instead of being silently ignored.
+// TestRunFlagValidation pins the argument checks: an explicit
+// non-positive -threads is a usage error (the unset default 0 still
+// means GOMAXPROCS), -direction is an iPregel-only feature, a flag that
+// only tunes another (-direction-threshold) is rejected by the engine
+// when that other flag is absent instead of being silently ignored, and
+// the flags of the removed shard layer, sender cache and hub splitting
+// are the flag package's "provided but not defined", not accepted and
+// ignored.
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -104,11 +105,12 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-threads", "0", "-graph", "ring:5"}, "-threads must be at least 1"},
 		{[]string{"-threads", "-2", "-graph", "ring:5"}, "-threads must be at least 1"},
-		{[]string{"-shards", "0", "-graph", "ring:5"}, "-shards must be at least 1"},
-		{[]string{"-shards", "-1", "-graph", "ring:5"}, "-shards must be at least 1"},
-		{[]string{"-shards", "2", "-framework", "pregelplus", "-graph", "ring:5"}, "does not support"},
-		{[]string{"-shards", "2", "-partition", "bogus", "-graph", "ring:5"}, "partition"},
-		{[]string{"-app", "sssp", "-graph", "ring:5", "-hub-cut", "8"}, "HubDegreeCut"},
+		{[]string{"-direction", "pull", "-framework", "pregelplus", "-graph", "ring:5"}, "does not support"},
+		{[]string{"-shards", "4", "-graph", "ring:5"}, "flag provided but not defined: -shards"},
+		{[]string{"-partition", "hash", "-graph", "ring:5"}, "flag provided but not defined: -partition"},
+		{[]string{"-sender-combining", "-graph", "ring:5"}, "flag provided but not defined: -sender-combining"},
+		{[]string{"-hub-split", "-graph", "ring:5"}, "flag provided but not defined: -hub-split"},
+		{[]string{"-hub-cut", "8", "-graph", "ring:5"}, "flag provided but not defined: -hub-cut"},
 		{[]string{"-app", "sssp", "-graph", "ring:5", "-direction-threshold", "0.2"}, "DirectionThreshold"},
 	}
 	for _, c := range cases {
@@ -124,9 +126,6 @@ func TestRunFlagValidation(t *testing.T) {
 	// The untouched default (-threads omitted) must keep meaning "all
 	// processors" — no error.
 	runOK(t, "-app", "hashmin", "-graph", "ring:10")
-	// Sharded broadcast used to be rejected; it now normalises onto the
-	// shard-aware hybrid pull transport and runs.
-	runOK(t, "-app", "hashmin", "-graph", "ring:10", "-shards", "2", "-combiner", "broadcast")
 }
 
 // TestRunRecoverable drives the -checkpoint-dir / -chaos path: every
@@ -140,7 +139,7 @@ func TestRunRecoverable(t *testing.T) {
 	}{
 		{"sssp", []string{"-graph", "road:10:10", "-combiner", "spinlock", "-bypass", "-source", "1"}, "reached: 100 of 100"},
 		{"hashmin", []string{"-graph", "road:8:8", "-combiner", "atomic"}, "components: 1"},
-		{"sssp", []string{"-graph", "road:10:10", "-combiner", "atomic", "-shards", "4", "-source", "1"}, "reached: 100 of 100"},
+		{"sssp", []string{"-graph", "road:10:10", "-combiner", "atomic", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
 		{"pagerank", []string{"-graph", "rmat:7:4", "-rounds", "8"}, "ranks computed for 128 vertices"},
 		{"pagerank-converged", []string{"-graph", "rmat:7:4"}, "converged in"},
 	}

@@ -100,3 +100,40 @@ func TestRejectsBadInput(t *testing.T) {
 		t.Fatal("garbage trace accepted")
 	}
 }
+
+// TestReplaysTraceFromShardedEngine replays a trace that `ipregel-run
+// -app sssp -graph rmat:12:8 -combiner atomic -shards 4 -hub-split
+// -bypass` wrote at the last commit that had those flags: every
+// superstep line carries fields this version no longer knows
+// (shard_messages, shard_next_frontier, cross_shard_messages,
+// skipped_shards, local_combines, hub_split_tasks), and the file must
+// still validate and replay to the run it records.
+func TestReplaysTraceFromShardedEngine(t *testing.T) {
+	const fixture = "testdata/shards4_hubsplit.jsonl"
+	raw, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"shard_messages", "cross_shard_messages", "skipped_shards", "local_combines", "hub_split_tasks", "total_local_combines"} {
+		if !strings.Contains(string(raw), `"`+field+`"`) {
+			t.Fatalf("fixture carries no %s field; it would not test what it is here for", field)
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-validate", fixture}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "(7 supersteps, 1 run_start, 0 abort, 1 run_end)") {
+		t.Fatalf("event counts wrong:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run([]string{fixture}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{"atomic+hubsplit+bypass+shards4", "supersteps=7", "msgs=32109", "converged after 7 supersteps"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("replay does not show %q:\n%s", want, got)
+		}
+	}
+}

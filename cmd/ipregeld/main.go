@@ -87,10 +87,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		direction = fs.String("direction", "push", "default message transport per job engine: push | pull | adaptive (jobs override via params.direction; pull/adaptive load graphs with in-edges)")
 		address   = fs.String("addressing", "offset", "engine addressing: direct | offset | desolate | hashmap")
 		schedule  = fs.String("schedule", "static", "compute-phase schedule: static | dynamic | edge-balanced")
-		combining = fs.Bool("sender-combining", false, "pre-combine repeated sends worker-locally")
 		bypass    = fs.Bool("bypass", false, "selection bypass for halt-every-superstep programs (stripped per job for PageRank)")
 		threads   = fs.Int("threads", 0, "default worker threads per job (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 1, "execution shards per job engine")
 		workers   = fs.Int("workers", 2, "jobs executed concurrently")
 		queueLen  = fs.Int("queue", 64, "job queue depth (admission control rejects beyond it)")
 		cacheLen  = fs.Int("cache", 128, "LRU result-cache entries (-1 disables)")
@@ -154,10 +152,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 			Direction:       dir,
 			Addressing:      addr,
 			Schedule:        sched,
-			SenderCombining: *combining,
 			SelectionBypass: *bypass,
 			Threads:         *threads,
-			Shards:          *shards,
 		},
 		MaxSupersteps:   *maxSteps,
 		DefaultDeadline: *defDL,

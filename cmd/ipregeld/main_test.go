@@ -44,6 +44,10 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-graph", "g=ring:64", "-combiner", "bogus"}, "unknown combiner"},
 		{[]string{"-graph", "g=ring:64", "-addressing", "bogus"}, "unknown addressing"},
 		{[]string{"-graph", "g=ring:64", "-schedule", "bogus"}, "unknown schedule"},
+		// Flags of the removed shard layer and sender cache are usage
+		// errors, not accepted and ignored.
+		{[]string{"-graph", "g=ring:64", "-shards", "4"}, "flag provided but not defined: -shards"},
+		{[]string{"-graph", "g=ring:64", "-sender-combining"}, "flag provided but not defined: -sender-combining"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf, nil)

@@ -9,18 +9,17 @@ import (
 	"ipregel/internal/graph"
 )
 
-// Cross-engine parity for the lock-free CAS combiner and sender-side
-// combining: PageRank, SSSP and WCC must produce the same results under
-// CombinerAtomic (with and without the combining caches, across
-// schedules) as under the seed's mutex combiner.
+// Cross-engine parity for the lock-free CAS combiner: PageRank, SSSP and
+// WCC must produce the same results under CombinerAtomic, across
+// schedules and thread counts, as under the seed's mutex combiner.
 
 func atomicParityConfigs() []core.Config {
 	return []core.Config{
 		{Combiner: core.CombinerAtomic, Threads: 4},
-		{Combiner: core.CombinerAtomic, Threads: 4, SenderCombining: true},
-		{Combiner: core.CombinerAtomic, Threads: 3, SenderCombining: true, Schedule: core.ScheduleEdgeBalanced},
-		{Combiner: core.CombinerSpin, Threads: 4, SenderCombining: true},
-		{Combiner: core.CombinerMutex, Threads: 4, SenderCombining: true, Schedule: core.ScheduleEdgeBalanced},
+		{Combiner: core.CombinerAtomic, Threads: 2, Schedule: core.ScheduleDynamic},
+		{Combiner: core.CombinerAtomic, Threads: 3, Schedule: core.ScheduleEdgeBalanced},
+		{Combiner: core.CombinerSpin, Threads: 4},
+		{Combiner: core.CombinerMutex, Threads: 4, Schedule: core.ScheduleEdgeBalanced},
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 
 // Backend parity battery: the engine must be oblivious to how the
 // adjacency is stored. For PageRank, SSSP and WCC, every cell of
-// {flat, compressed, mmap} × {1, 4 shards} must produce the same Report
+// {flat, compressed, mmap} × {atomic inbox at four threads, spinlock
+// inbox at two} must produce the same Report
 // fingerprint (superstep counts, message totals, per-step
 // ran/messages/active/next-frontier) and the same values as the flat
 // run of the same configuration. g.Compress()
@@ -67,15 +68,14 @@ func backendVariants(t *testing.T, name string, g *graph.Graph) []backendVariant
 	}
 }
 
-// backendParityConfigs is the engine-configuration axis of the battery.
-// All cells use the CAS combiner (push; pull parity is covered by the
-// cross-engine tests) with invariant checking on.
+// backendParityConfigs is the engine-configuration axis of the battery:
+// push cells (pull parity is covered by the cross-engine tests) with
+// invariant checking on.
 func backendParityConfigs() []core.Config {
-	base := core.Config{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true}
-	single := base
-	sharded := base
-	sharded.Shards = 4
-	return []core.Config{single, sharded}
+	return []core.Config{
+		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true},
+		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true},
+	}
 }
 
 func backendParityGraphs() map[string]*graph.Graph {
@@ -87,11 +87,7 @@ func backendParityGraphs() map[string]*graph.Graph {
 
 // cellName labels one (config, backend) cell for failure messages.
 func cellName(cfg core.Config, backend string) string {
-	s := cfg.VersionName() + "/" + backend
-	if cfg.Shards > 1 {
-		s += "/sharded"
-	}
-	return s
+	return cfg.VersionName() + "/" + backend
 }
 
 func TestBackendParitySSSP(t *testing.T) {
@@ -194,22 +190,18 @@ func TestBackendParityPageRank(t *testing.T) {
 	}
 }
 
-// TestBackendParityDirection is the lifted-restriction battery: the
-// per-superstep direction axis {pull, adaptive} × {1, 4 shards} ×
-// every backend must match the push/flat oracle of the same shard
-// configuration — fingerprints and values — for SSSP, PageRank and WCC.
-// (Pull × shards is exactly the combination New used to hard-reject.)
+// TestBackendParityDirection is the direction battery: the
+// per-superstep direction axis {pull, adaptive} × every backend must
+// match the push/flat oracle of the same engine configuration —
+// fingerprints and values — for SSSP, PageRank and WCC.
 func TestBackendParityDirection(t *testing.T) {
-	single := core.Config{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true}
-	sharded := single
-	sharded.Shards = 4
-	configs := []core.Config{single, sharded}
+	configs := backendParityConfigs()
 
 	for gname, g := range backendParityGraphs() {
 		variants := backendVariants(t, gname, g)
 		for _, base := range configs {
 			// Push on the flat backend is the oracle for every
-			// (backend, direction) cell of this shard configuration.
+			// (backend, direction) cell of this configuration.
 			wantDist, repS, err := SSSP(g, base, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -283,7 +275,7 @@ func TestBackendParityAdaptiveResume(t *testing.T) {
 	// hub, so it never leaves pull and would prove nothing here.
 	g := backendParityGraphs()["road"]
 	cfg := core.Config{
-		Combiner: core.CombinerAtomic, Threads: 4, Shards: 4,
+		Combiner: core.CombinerAtomic, Threads: 4,
 		Direction: core.DirectionAdaptive, CheckInvariants: true,
 	}
 	prog := SSSPProgram(2)
@@ -352,11 +344,11 @@ func TestBackendParityPull(t *testing.T) {
 	for gname, g := range backendParityGraphs() {
 		variants := backendVariants(t, gname, g)
 		// One oracle per graph: the lock-free inbox is held to the same
-		// values and fingerprint on every backend AND every shard layout.
+		// values and fingerprint on every backend AND every thread count.
 		var wantVals []uint32
 		var wantFP string
-		for _, shards := range []int{0, 4} {
-			cfg := core.Config{Combiner: core.CombinerPull, Threads: 4, Shards: shards, CheckInvariants: true}
+		for _, threads := range []int{1, 4} {
+			cfg := core.Config{Combiner: core.CombinerPull, Threads: threads, CheckInvariants: true}
 			for _, v := range variants {
 				got, rep, err := SSSP(v.g, cfg, 2)
 				if err != nil {

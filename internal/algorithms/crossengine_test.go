@@ -173,15 +173,14 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// The post-paper engine additions: the lock-free CAS combiner,
-		// sender-side combining caches and edge-balanced scheduling, in
-		// combination.
+		// The post-paper engine additions: the lock-free CAS combiner and
+		// the dynamic and edge-balanced schedules, in combination.
 		for vi, cfg := range []core.Config{
 			{Combiner: core.CombinerAtomic},
-			{Combiner: core.CombinerAtomic, SenderCombining: true, Schedule: core.ScheduleEdgeBalanced},
-			{Combiner: core.CombinerAtomic, SelectionBypass: true, SenderCombining: true},
-			{Combiner: core.CombinerSpin, SenderCombining: true, Schedule: core.ScheduleDynamic},
-			{Combiner: core.CombinerMutex, SenderCombining: true, SelectionBypass: true},
+			{Combiner: core.CombinerAtomic, Schedule: core.ScheduleEdgeBalanced},
+			{Combiner: core.CombinerAtomic, SelectionBypass: true},
+			{Combiner: core.CombinerSpin, Schedule: core.ScheduleDynamic},
+			{Combiner: core.CombinerMutex, SelectionBypass: true},
 		} {
 			cfg.Threads = 2 + vi%3
 			cfg.CheckInvariants = true

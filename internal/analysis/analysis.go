@@ -4,9 +4,8 @@
 // run time: the atomic combiner needs word-sized messages, selection
 // bypass needs every vertex to vote to halt each superstep (§4), Context
 // and Vertex handles are slot views valid only inside the current Compute
-// call, combiners must be pure, the lock-free mailbox fields tolerate no
-// plain element access, and shard-owned arrays are indexed by local slot
-// only. The analyzers here move those contracts to lint time;
+// call, combiners must be pure, and the lock-free mailbox fields
+// tolerate no plain element access. The analyzers here move those contracts to lint time;
 // Config.CheckInvariants in internal/core is their runtime complement for
 // what lint cannot prove.
 //
@@ -96,7 +95,7 @@ func (d Diagnostic) String() string {
 
 // All returns the ipregel-vet analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MsgWord, CtxEscape, BypassHalt, SendPhase, NakedAtomic, ShardLocal, AtomicField, PhaseSafe, CombPure}
+	return []*Analyzer{MsgWord, CtxEscape, BypassHalt, SendPhase, NakedAtomic, AtomicField, PhaseSafe, CombPure}
 }
 
 // Run executes the analyzers over one target and returns the surviving

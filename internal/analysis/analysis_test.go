@@ -44,12 +44,12 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	}
 }
 
-// TestAllAnalyzersNamed guards the multichecker surface: nine analyzers,
+// TestAllAnalyzersNamed guards the multichecker surface: eight analyzers,
 // distinct names, non-empty docs.
 func TestAllAnalyzersNamed(t *testing.T) {
 	all := All()
-	if len(all) != 9 {
-		t.Fatalf("All() returned %d analyzers, want 9", len(all))
+	if len(all) != 8 {
+		t.Fatalf("All() returned %d analyzers, want 8", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -51,7 +51,6 @@ func TestCtxEscapeFixture(t *testing.T)   { testFixture(t, CtxEscape, "ctxescape
 func TestBypassHaltFixture(t *testing.T)  { testFixture(t, BypassHalt, "bypasshalt") }
 func TestSendPhaseFixture(t *testing.T)   { testFixture(t, SendPhase, "sendphase") }
 func TestNakedAtomicFixture(t *testing.T) { testFixture(t, NakedAtomic, "nakedatomic") }
-func TestShardLocalFixture(t *testing.T)  { testFixture(t, ShardLocal, "shardlocal") }
 func TestAtomicFieldFixture(t *testing.T) { testFixture(t, AtomicField, "atomicfield") }
 func TestPhaseSafeFixture(t *testing.T)   { testFixture(t, PhaseSafe, "phasesafe") }
 func TestCombPureFixture(t *testing.T)    { testFixture(t, CombPure, "combpure") }

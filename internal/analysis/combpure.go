@@ -6,10 +6,10 @@ import (
 )
 
 // CombPure enforces combiner determinism, the property that makes
-// sharded-vs-single-shard parity provable (TestShardedMatchesSingleShard
-// relies on it): a CombineFunc may run any number of times for one
-// logical message (CAS retries, sender-cache and router pre-combines,
-// barrier flushes) and in any interleaving, so besides not sending
+// one-thread-vs-many parity provable (TestThreadsParityTable relies on
+// it): a CombineFunc may run any number of times for one logical
+// message (the atomic inbox's CAS retries) and in any interleaving, so
+// besides not sending
 // (sendphase's domain) it must not write state it did not receive as an
 // argument, and must not consult nondeterminism sources. It reports,
 // through any chain of module-internal calls: writes to captured

@@ -18,7 +18,7 @@ func directLiteral(g *graph.Graph) {
 }
 
 func viaLocalConfig(g *graph.Graph) {
-	cfg := core.Config{Combiner: core.CombinerAtomic, SenderCombining: true}
+	cfg := core.Config{Combiner: core.CombinerAtomic, SelectionBypass: true}
 	_, _ = core.New(g, cfg, core.Program[int, myInt32]{}) // want `message type fixture/msgword\.myInt32 cannot be packed`
 }
 

@@ -27,7 +27,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:    "ablation-combiner-schedule",
-		Title: "ablation: four combiners × three schedules on a power-law graph, plus sender-side combining",
+		Title: "ablation: four combiners × three schedules on a power-law graph",
 		Run:   runAblationCombinerSchedule,
 	})
 	register(Experiment{
@@ -165,8 +165,7 @@ func runAblationSchedule(o *Options, w io.Writer) error {
 // from the CSR degree prefix sums) on the power-law wiki stand-in, where
 // hub in-degrees make mailbox contention and share imbalance maximal.
 // PageRank is the workload because it is broadcast-only, which every
-// combiner — including pull — admits. A second section measures what the
-// sender-side combining caches absorb for each push combiner.
+// combiner — including pull — admits.
 func runAblationCombinerSchedule(o *Options, w io.Writer) error {
 	g, err := o.Graph("wiki")
 	if err != nil {
@@ -185,28 +184,10 @@ func runAblationCombinerSchedule(o *Options, w io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(w, "  %-10s %-14s %s\n", comb, sched, m)
-			rows = append(rows, []string{comb.String(), sched.String(), "false",
-				itoa(int64(m.Mean)), itoa(int64(m.Margin)), utoa(0)})
+			rows = append(rows, []string{comb.String(), sched.String(), itoa(int64(m.Mean)), itoa(int64(m.Margin))})
 		}
 	}
-	fmt.Fprintln(w, "sender-side combining (static schedule, push combiners):")
-	for _, comb := range []core.Combiner{core.CombinerMutex, core.CombinerSpin, core.CombinerAtomic} {
-		cfg := core.Config{Combiner: comb, SenderCombining: true}
-		m, err := measureIP(o, app, g, cfg)
-		if err != nil {
-			return err
-		}
-		rep, err := app.runIP(o, g, cfg)
-		if err != nil {
-			return err
-		}
-		frac := float64(rep.TotalLocalCombines) / float64(rep.TotalMessages)
-		fmt.Fprintf(w, "  %-10s %-14s %s  (%.0f%% of sends combined locally)\n", comb, "+combining", m, 100*frac)
-		rows = append(rows, []string{comb.String(), core.ScheduleStatic.String(), "true",
-			itoa(int64(m.Mean)), itoa(int64(m.Margin)), utoa(rep.TotalLocalCombines)})
-	}
-	return saveCSV(o, "ablation-combiner-schedule",
-		[]string{"combiner", "schedule", "sender_combining", "mean_ns", "margin_ns", "local_combines"}, rows)
+	return saveCSV(o, "ablation-combiner-schedule", []string{"combiner", "schedule", "mean_ns", "margin_ns"}, rows)
 }
 
 // runAblationCombiner shows what the combiner buys the *baseline*: the

@@ -34,9 +34,6 @@ type Options struct {
 	// Threads is the iPregel worker count; 0 means GOMAXPROCS, matching
 	// the paper's one-thread-per-core setup.
 	Threads int
-	// Shards partitions each engine's slot space (core.Config.Shards);
-	// 0 or 1 is the classic single-shard engine.
-	Shards int
 	// Protocol is the measurement protocol; the zero value follows the
 	// paper (5 reps, 1% margin at 99%) with a practical cap. Quick sets a
 	// cheaper protocol suited to smoke runs.
@@ -184,9 +181,6 @@ func (o *Options) Close() error {
 
 func (o *Options) engineConfig(cfg core.Config) core.Config {
 	cfg.Threads = o.Threads
-	if o.Shards > 1 && cfg.Combiner != core.CombinerPull {
-		cfg.Shards = o.Shards
-	}
 	// The pull combiner fixes the direction to pull (adaptive would be a
 	// construction error), so only the other combiners take the
 	// sweep-wide override.

@@ -153,8 +153,7 @@ func TestAblations(t *testing.T) {
 }
 
 // TestAblationCombinerSchedule smoke-runs the 4-combiner × 3-schedule
-// cross and checks the CSV lands with one row per cell plus the
-// sender-combining section.
+// cross and checks the CSV lands with one row per cell.
 func TestAblationCombinerSchedule(t *testing.T) {
 	o := quickOpts()
 	o.CSVDir = t.TempDir()
@@ -163,7 +162,7 @@ func TestAblationCombinerSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, s := range []string{"atomic", "edge-balanced", "broadcast", "combined locally"} {
+	for _, s := range []string{"atomic", "edge-balanced", "broadcast"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("output missing %q:\n%s", s, out)
 		}
@@ -173,11 +172,11 @@ func TestAblationCombinerSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	// header + 4 combiners × 3 schedules + 3 sender-combining rows
-	if len(lines) != 1+4*3+3 {
-		t.Fatalf("csv has %d lines, want %d:\n%s", len(lines), 1+4*3+3, data)
+	// header + 4 combiners × 3 schedules
+	if len(lines) != 1+4*3 {
+		t.Fatalf("csv has %d lines, want %d:\n%s", len(lines), 1+4*3, data)
 	}
-	if lines[0] != "combiner,schedule,sender_combining,mean_ns,margin_ns,local_combines" {
+	if lines[0] != "combiner,schedule,mean_ns,margin_ns" {
 		t.Fatalf("csv header = %q", lines[0])
 	}
 }

@@ -155,13 +155,8 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(vc.Size()))
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(mc.Size()))
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(aggs)))
-	// hdr[28:32] is the shard count: 0 marks the one-shard layout (one
-	// values/activity/mailbox section triplet, byte-identical to
-	// checkpoints written before sharding existed), ≥2 the multi-shard
-	// layout (a topology section, then one triplet per shard).
-	if e.nShards > 1 {
-		binary.LittleEndian.PutUint32(hdr[28:], uint32(e.nShards))
-	}
+	// hdr[28:32] stays 0: it was the shard count of the removed
+	// multi-shard layout (readCheckpointHeader rejects ≥ 2 by name).
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -180,25 +175,63 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 		return writeU32(bw, cw.crc)
 	}
 
-	if err := e.writeShardSections(section, vc, mc); err != nil {
+	vbuf := make([]byte, vc.Size())
+	if err := section(uint64(e.slots)*uint64(vc.Size()), func(cw *crcWriter) error {
+		for _, v := range e.values {
+			vc.Encode(vbuf, v)
+			if _, err := cw.Write(vbuf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	if err := section(uint64(e.slots), func(cw *crcWriter) error {
+		_, err := cw.Write(e.active)
+		return err
+	}); err != nil {
+		return err
+	}
+	// Mailboxes: one flag byte per slot, the message payload after each
+	// set flag. The length is computed from a pre-scan so the reader can
+	// bound its work before parsing.
+	occupied := 0
+	for slot := 0; slot < e.slots; slot++ {
+		if e.mb.hasCurrent(slot) {
+			occupied++
+		}
+	}
+	mbuf := make([]byte, mc.Size())
+	if err := section(uint64(e.slots)+uint64(occupied)*uint64(mc.Size()), func(cw *crcWriter) error {
+		for slot := 0; slot < e.slots; slot++ {
+			m, ok := e.mb.peek(slot)
+			if !ok {
+				if _, err := cw.Write([]byte{0}); err != nil {
+					return err
+				}
+				continue
+			}
+			if _, err := cw.Write([]byte{1}); err != nil {
+				return err
+			}
+			mc.Encode(mbuf, m)
+			if _, err := cw.Write(mbuf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
 
-	// Bypass frontier, always in global slots: the per-shard local
-	// frontiers are translated on the way out, so the section's meaning
-	// is layout-independent.
-	var frontierLen uint64
-	for _, sh := range e.shards {
-		frontierLen += uint64(len(sh.frontier))
-	}
-	if err := section(frontierLen*4, func(cw *crcWriter) error {
+	// Bypass frontier.
+	if err := section(uint64(len(e.frontier))*4, func(cw *crcWriter) error {
 		var sbuf [4]byte
-		for _, sh := range e.shards {
-			for _, local := range sh.frontier {
-				binary.LittleEndian.PutUint32(sbuf[:], uint32(sh.global(local)))
-				if _, err := cw.Write(sbuf[:]); err != nil {
-					return err
-				}
+		for _, slot := range e.frontier {
+			binary.LittleEndian.PutUint32(sbuf[:], uint32(slot))
+			if _, err := cw.Write(sbuf[:]); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -234,87 +267,6 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	return bw.Flush()
 }
 
-// writeShardSections writes the v2 body: with more than one shard a
-// topology section (the partition kind and every shard's local slot
-// count, so restore can reject a shard-layout mismatch before parsing
-// state), then one values/activity/mailbox section triplet per shard in
-// local-slot order. Each section is CRC-sealed independently, so
-// corruption is localised to a shard at restore time.
-func (e *Engine[V, M]) writeShardSections(section func(length uint64, body func(cw *crcWriter) error) error, vc Codec[V], mc Codec[M]) error {
-	if e.nShards > 1 {
-		if err := section(1+8*uint64(e.nShards), func(cw *crcWriter) error {
-			if _, err := cw.Write([]byte{byte(e.cfg.Partition)}); err != nil {
-				return err
-			}
-			var b [8]byte
-			for s := 0; s < e.nShards; s++ {
-				binary.LittleEndian.PutUint64(b[:], uint64(e.part.localSlots(s)))
-				if _, err := cw.Write(b[:]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-
-	vsize, msize := vc.Size(), mc.Size()
-	vbuf := make([]byte, vsize)
-	mbuf := make([]byte, msize)
-	for _, sh := range e.shards {
-		localN := len(sh.values)
-		if err := section(uint64(localN)*uint64(vsize), func(cw *crcWriter) error {
-			for local := 0; local < localN; local++ {
-				vc.Encode(vbuf, sh.values[local])
-				if _, err := cw.Write(vbuf); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := section(uint64(len(sh.active)), func(cw *crcWriter) error {
-			_, err := cw.Write(sh.active)
-			return err
-		}); err != nil {
-			return err
-		}
-		// Mailboxes: one flag byte per slot, the message payload after
-		// each set flag. The length is computed from a pre-scan so the
-		// reader can bound its work before parsing.
-		occupied := 0
-		for local := 0; local < localN; local++ {
-			if sh.mb.hasCurrent(local) {
-				occupied++
-			}
-		}
-		if err := section(uint64(localN)+uint64(occupied)*uint64(msize), func(cw *crcWriter) error {
-			for local := 0; local < localN; local++ {
-				m, ok := sh.mb.peek(local)
-				if !ok {
-					if _, err := cw.Write([]byte{0}); err != nil {
-						return err
-					}
-					continue
-				}
-				if _, err := cw.Write([]byte{1}); err != nil {
-					return err
-				}
-				mc.Encode(mbuf, m)
-				if _, err := cw.Write(mbuf); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Restore rebuilds an engine from a checkpoint (format v2, "IPC2",
 // CRC-verified) taken with the same graph, configuration and program,
 // ready for Run to continue from the saved barrier. Run's Report then
@@ -331,30 +283,7 @@ func Restore[V, M any](r io.Reader, g *graph.Graph, cfg Config, prog Program[V, 
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if err := checkMagic(magic); err != nil {
-		return nil, err
-	}
-	return restoreV2(e, br, cfg, vc, mc)
-}
-
-// setSuperstep installs a restored superstep counter and carries the
-// absolute superstep base: observer events and the Report's Steps indices
-// from the resumed run continue the original numbering
-// (Report.FirstSuperstep) instead of silently restarting at 0. The
-// header's superstep counter is itself absolute, so a checkpoint of a
-// resumed run chains correctly through further resumes.
-func (e *Engine[V, M]) setSuperstep(superstep uint64) error {
-	if superstep > maxCheckpointSuperstep {
-		return fmt.Errorf("core: checkpoint superstep %d is implausible (corrupt header)", superstep)
-	}
-	e.superstep = int(superstep)
-	e.firstSuperstep = e.superstep
-	return nil
+	return restoreV2(e, bufio.NewReaderSize(r, 1<<16), cfg, vc, mc)
 }
 
 // restoreFrontier validates and installs a restored bypass frontier:
@@ -377,12 +306,7 @@ func (e *Engine[V, M]) restoreFrontier(frontier []int32, cfg Config) error {
 		}
 		seen[slot] = 1
 	}
-	// Scatter the global entries into the owning shards' local
-	// frontiers; the compute phase consumes them per shard.
-	for _, slot := range frontier {
-		sh, local := e.slotShard(int(slot))
-		sh.frontier = append(sh.frontier, int32(local))
-	}
+	e.frontier = frontier
 	return nil
 }
 
@@ -446,119 +370,118 @@ func (s *sectionReader) close(name string) error {
 	return nil
 }
 
-// readShardTopology validates the sharded checkpoint's shard layout
-// against the engine's: same partition kind, same per-shard slot
-// counts. A mismatch means the checkpoint was taken under a different
-// Config.Shards/Partition and its local slot numbering is meaningless
-// to this engine.
-func readShardTopology[V, M any](e *Engine[V, M], br *bufio.Reader) error {
-	want := 1 + 8*uint64(e.nShards)
-	sec, err := openSection(br, "topology", want, want)
-	if err != nil {
-		return err
-	}
-	kind, err := sec.ReadByte()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint topology: %w", err)
-	}
-	if Partition(kind) != e.cfg.Partition {
-		return fmt.Errorf("core: checkpoint partitioned by %v, engine by %v (shard topology mismatch)", Partition(kind), e.cfg.Partition)
-	}
-	var b [8]byte
-	for s := 0; s < e.nShards; s++ {
-		if err := sec.Read(b[:]); err != nil {
-			return fmt.Errorf("core: checkpoint topology: %w", err)
-		}
-		if got := binary.LittleEndian.Uint64(b[:]); got != uint64(e.part.localSlots(s)) {
-			return fmt.Errorf("core: checkpoint shard %d has %d slots, engine expects %d (shard topology mismatch)", s, got, e.part.localSlots(s))
-		}
-	}
-	return sec.close("topology")
-}
+// ErrShardedCheckpoint is the error (wrapped) with which Restore and
+// VerifyCheckpoint refuse a checkpoint written by a multi-shard engine
+// (Config.Shards ≥ 2): sharded execution was removed, and such a file's
+// per-shard section layout is no longer read.
+var ErrShardedCheckpoint = errors.New("core: checkpoint was written by a multi-shard engine (Config.Shards), a feature that has been removed")
 
-// readShardSections reads one values/activity/mailbox triplet per shard,
-// in local-slot order: values and activity flags of exact length, the
-// mailbox section between "all empty" and "all occupied".
-func readShardSections[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Codec[M]) error {
-	vsize := uint64(vc.Size())
-	msize := uint64(mc.Size())
-	vbuf := make([]byte, vc.Size())
-	mbuf := make([]byte, mc.Size())
-	for s, sh := range e.shards {
-		localN := len(sh.values)
-
-		want := uint64(localN) * vsize
-		sec, err := openSection(br, fmt.Sprintf("shard %d values", s), want, want)
-		if err != nil {
-			return err
-		}
-		for local := 0; local < localN; local++ {
-			if err := sec.Read(vbuf); err != nil {
-				return fmt.Errorf("core: checkpoint shard %d values: %w", s, err)
-			}
-			sh.values[local] = vc.Decode(vbuf)
-		}
-		if err := sec.close("values"); err != nil {
-			return err
-		}
-
-		want = uint64(localN)
-		if sec, err = openSection(br, fmt.Sprintf("shard %d activity", s), want, want); err != nil {
-			return err
-		}
-		if err := sec.Read(sh.active); err != nil {
-			return fmt.Errorf("core: checkpoint shard %d activity: %w", s, err)
-		}
-		if err := sec.close("activity"); err != nil {
-			return err
-		}
-		for local, a := range sh.active {
-			if a > 1 {
-				return fmt.Errorf("core: checkpoint activity flag %d at shard %d slot %d (corrupt)", a, s, local)
-			}
-		}
-
-		if sec, err = openSection(br, fmt.Sprintf("shard %d mailbox", s), uint64(localN), uint64(localN)*(1+msize)); err != nil {
-			return err
-		}
-		for local := 0; local < localN; local++ {
-			flag, err := sec.ReadByte()
-			if err != nil {
-				return fmt.Errorf("core: checkpoint shard %d mailboxes: %w", s, err)
-			}
-			switch flag {
-			case 0:
-			case 1:
-				if err := sec.Read(mbuf); err != nil {
-					return fmt.Errorf("core: checkpoint shard %d mailboxes: %w", s, err)
-				}
-				sh.mb.restoreCurrent(local, mc.Decode(mbuf))
-			default:
-				return fmt.Errorf("core: checkpoint mailbox flag %d at shard %d slot %d (corrupt)", flag, s, local)
-			}
-		}
-		if err := sec.close("mailbox"); err != nil {
-			return err
-		}
+// readCheckpointHeader reads and validates what every v2 stream starts
+// with — magic, the 32-byte header and its checksum — before any section
+// is parsed. Restore and VerifyCheckpoint share it, so a stream one
+// rejects here the other rejects with the same error.
+func readCheckpointHeader(br *bufio.Reader) (hdr [32]byte, err error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return hdr, fmt.Errorf("core: checkpoint header: %w", err)
 	}
-	return nil
-}
-
-func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec[V], mc Codec[M]) (*Engine[V, M], error) {
-	var hdr [32]byte
+	if err := checkMagic(magic); err != nil {
+		return hdr, err
+	}
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header: %w", err)
+		return hdr, fmt.Errorf("core: checkpoint header: %w", err)
 	}
 	var cbuf [4]byte
 	if _, err := io.ReadFull(br, cbuf[:]); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header checksum: %w", err)
+		return hdr, fmt.Errorf("core: checkpoint header checksum: %w", err)
 	}
 	if want := binary.LittleEndian.Uint32(cbuf[:]); want != crc32.Checksum(hdr[:], crcTable) {
-		return nil, fmt.Errorf("core: checkpoint header checksum mismatch (stored %08x)", want)
+		return hdr, fmt.Errorf("core: checkpoint header checksum mismatch (stored %08x)", want)
 	}
-	if err := e.setSuperstep(binary.LittleEndian.Uint64(hdr[0:])); err != nil {
+	if superstep := binary.LittleEndian.Uint64(hdr[0:]); superstep > maxCheckpointSuperstep {
+		return hdr, fmt.Errorf("core: checkpoint superstep %d is implausible (corrupt header)", superstep)
+	}
+	// hdr[28:32] was the shard count: 0 is the only layout ever written
+	// for one shard, 1 was never written, ≥ 2 is a multi-shard file.
+	switch shards := binary.LittleEndian.Uint32(hdr[28:]); {
+	case shards == 1:
+		return hdr, errors.New("core: checkpoint shard count 1 is invalid (corrupt header)")
+	case shards >= 2:
+		return hdr, fmt.Errorf("%w: header declares %d shards; re-run from the start", ErrShardedCheckpoint, shards)
+	}
+	return hdr, nil
+}
+
+// readState reads the values/activity/mailbox section triplet, in slot
+// order: values and activity flags of exact length, the mailbox section
+// between "all empty" and "all occupied".
+func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Codec[M]) error {
+	n, vsize, msize := uint64(e.slots), uint64(vc.Size()), uint64(mc.Size())
+
+	sec, err := openSection(br, "values", n*vsize, n*vsize)
+	if err != nil {
+		return err
+	}
+	vbuf := make([]byte, vsize)
+	for slot := range e.values {
+		if err := sec.Read(vbuf); err != nil {
+			return fmt.Errorf("core: checkpoint values: %w", err)
+		}
+		e.values[slot] = vc.Decode(vbuf)
+	}
+	if err := sec.close("values"); err != nil {
+		return err
+	}
+
+	if sec, err = openSection(br, "activity", n, n); err != nil {
+		return err
+	}
+	if err := sec.Read(e.active); err != nil {
+		return fmt.Errorf("core: checkpoint activity: %w", err)
+	}
+	if err := sec.close("activity"); err != nil {
+		return err
+	}
+	for slot, a := range e.active {
+		if a > 1 {
+			return fmt.Errorf("core: checkpoint activity flag %d at slot %d (corrupt)", a, slot)
+		}
+	}
+
+	if sec, err = openSection(br, "mailbox", n, n*(1+msize)); err != nil {
+		return err
+	}
+	mbuf := make([]byte, msize)
+	for slot := 0; slot < e.slots; slot++ {
+		flag, err := sec.ReadByte()
+		if err != nil {
+			return fmt.Errorf("core: checkpoint mailboxes: %w", err)
+		}
+		switch flag {
+		case 0:
+		case 1:
+			if err := sec.Read(mbuf); err != nil {
+				return fmt.Errorf("core: checkpoint mailboxes: %w", err)
+			}
+			e.mb.restoreCurrent(slot, mc.Decode(mbuf))
+		default:
+			return fmt.Errorf("core: checkpoint mailbox flag %d at slot %d (corrupt)", flag, slot)
+		}
+	}
+	return sec.close("mailbox")
+}
+
+func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec[V], mc Codec[M]) (*Engine[V, M], error) {
+	hdr, err := readCheckpointHeader(br)
+	if err != nil {
 		return nil, err
 	}
+	// The header's superstep counter is absolute, and becomes the resumed
+	// run's base: observer events and the Report's Steps indices continue
+	// the original numbering (Report.FirstSuperstep), and a checkpoint of
+	// a resumed run chains correctly through further resumes.
+	e.superstep = int(binary.LittleEndian.Uint64(hdr[0:]))
+	e.firstSuperstep = e.superstep
 	slots := binary.LittleEndian.Uint64(hdr[8:])
 	if slots != uint64(e.slots) {
 		return nil, fmt.Errorf("core: checkpoint has %d slots, engine has %d (graph or addressing mismatch)", slots, e.slots)
@@ -575,23 +498,7 @@ func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 	if naggs > maxCheckpointAggs {
 		return nil, fmt.Errorf("core: checkpoint declares %d aggregators (limit %d)", naggs, maxCheckpointAggs)
 	}
-	shardField := binary.LittleEndian.Uint32(hdr[28:])
-	if shardField == 1 {
-		return nil, errors.New("core: checkpoint shard count 1 is invalid (single-shard checkpoints use 0); corrupt header")
-	}
-	if shardField == 0 && e.nShards != 1 {
-		return nil, fmt.Errorf("core: checkpoint is single-shard but the engine is configured with %d shards (shard topology mismatch)", e.nShards)
-	}
-	if shardField != 0 && int64(shardField) != int64(e.nShards) {
-		return nil, fmt.Errorf("core: checkpoint has %d shards, engine has %d (shard topology mismatch)", shardField, e.nShards)
-	}
-
-	if shardField != 0 {
-		if err := readShardTopology(e, br); err != nil {
-			return nil, err
-		}
-	}
-	if err := readShardSections(e, br, vc, mc); err != nil {
+	if err := readState(e, br, vc, mc); err != nil {
 		return nil, err
 	}
 

@@ -2,28 +2,34 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/checkpoint_v2*.golden fixtures from the current writer")
 
-// goldenCases are the pinned layouts: the one-shard file (shard field 0,
-// one section triplet — the format checkpoints had before sharding) and
-// a 4-shard file (topology section, one triplet per shard). Both
-// fixtures were written by the engine as it stood before the flat and
-// sharded checkpoint bodies were merged into one, so they double as the
-// cross-version restore proof.
+// goldenCases are the pinned layouts: one file (header shard field 0,
+// one section triplet), written by the engine as it stood before
+// sharding came and went, so it doubles as the cross-version restore
+// proof.
 var goldenCases = []struct {
 	name, path string
-	shards     int
 }{
-	{"flat", "testdata/checkpoint_v2.golden", 0},
-	{"shards4", "testdata/checkpoint_v2_shards4.golden", 4},
+	{"flat", "testdata/checkpoint_v2.golden"},
 }
+
+// shardedFixture is a checkpoint a 4-shard run of goldenProg wrote at
+// the last commit that had Config.Shards (header shard field 4, a
+// topology section, one triplet per shard): a file this engine must
+// refuse by name and never misparse.
+const shardedFixture = "testdata/checkpoint_v2_shards4.rejected"
 
 // goldenProg is ssspProg plus two aggregators, so the fixture exercises
 // every v2 section: values, activity, mailboxes, the bypass frontier and
@@ -40,15 +46,15 @@ func goldenProg() Program[uint32, uint32] {
 	}
 }
 
-func goldenConfig(shards int) Config {
+func goldenConfig() Config {
 	// Single-threaded, spinlock, bypass: every byte of the barrier state
 	// is deterministic, so the fixture can be compared byte-for-byte.
-	return Config{Combiner: CombinerSpin, Threads: 1, SelectionBypass: true, Shards: shards}
+	return Config{Combiner: CombinerSpin, Threads: 1, SelectionBypass: true}
 }
 
-func goldenEngine(t testing.TB, shards int) *Engine[uint32, uint32] {
+func goldenEngine(t testing.TB) *Engine[uint32, uint32] {
 	t.Helper()
-	e, err := New(gridForCheckpoint(t), goldenConfig(shards), goldenProg())
+	e, err := New(gridForCheckpoint(t), goldenConfig(), goldenProg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +70,9 @@ func goldenEngine(t testing.TB, shards int) *Engine[uint32, uint32] {
 // goldenCheckpoint runs the golden engine and returns the checkpoint
 // taken at barrier 4 (mid-run: non-trivial values, mail in flight, a
 // non-empty frontier, aggregator state from barrier 3).
-func goldenCheckpoint(t testing.TB, shards int) []byte {
+func goldenCheckpoint(t testing.TB) []byte {
 	t.Helper()
-	e := goldenEngine(t, shards)
+	e := goldenEngine(t)
 	var dump []byte
 	if err := e.SetCheckpointer(Checkpointer[uint32, uint32]{
 		Every: 4,
@@ -101,7 +107,7 @@ func goldenCheckpoint(t testing.TB, shards int) []byte {
 func TestCheckpointV2Golden(t *testing.T) {
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {
-			got := goldenCheckpoint(t, gc.shards)
+			got := goldenCheckpoint(t)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(gc.path), 0o755); err != nil {
 					t.Fatal(err)
@@ -129,11 +135,9 @@ func TestCheckpointV2Golden(t *testing.T) {
 }
 
 // TestCheckpointV2GoldenRestores proves the fixtures are live: restoring
-// each and finishing the run must match an uninterrupted run exactly —
-// so the one-shard and the 4-shard file, both written before the
-// checkpoint bodies were unified, resume to the same values.
+// each and finishing the run must match an uninterrupted run exactly.
 func TestCheckpointV2GoldenRestores(t *testing.T) {
-	refE := goldenEngine(t, 0)
+	refE := goldenEngine(t)
 	refRep, err := refE.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +149,7 @@ func TestCheckpointV2GoldenRestores(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
 			}
-			restored, err := Restore(bytes.NewReader(fixture), gridForCheckpoint(t), goldenConfig(gc.shards), goldenProg(), u32Codec{}, u32Codec{})
+			restored, err := Restore(bytes.NewReader(fixture), gridForCheckpoint(t), goldenConfig(), goldenProg(), u32Codec{}, u32Codec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,5 +172,41 @@ func TestCheckpointV2GoldenRestores(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointRejectsMultiShard pins how a checkpoint from the removed
+// sharded engine fails: Restore and VerifyCheckpoint both return
+// ErrShardedCheckpoint, naming the feature, before any section is
+// parsed — while a shard field of 1, which no engine ever wrote, stays
+// the corrupt-header error it always was.
+func TestCheckpointRejectsMultiShard(t *testing.T) {
+	fixture, err := os.ReadFile(shardedFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrShardedCheckpoint) || !strings.Contains(err.Error(), "Config.Shards") || !strings.Contains(err.Error(), "4 shards") {
+			t.Fatalf("%s = %v, want ErrShardedCheckpoint naming Config.Shards and the file's 4 shards", what, err)
+		}
+	}
+	_, err = Restore(bytes.NewReader(fixture), gridForCheckpoint(t), goldenConfig(), goldenProg(), u32Codec{}, u32Codec{})
+	check("Restore", err)
+	_, err = VerifyCheckpoint(bytes.NewReader(fixture))
+	check("VerifyCheckpoint", err)
+	// The header alone decides: no section after it is looked at.
+	_, err = VerifyCheckpoint(bytes.NewReader(fixture[:4+32+4]))
+	check("VerifyCheckpoint(header only)", err)
+
+	one := append([]byte(nil), goldenCheckpoint(t)...)
+	binary.LittleEndian.PutUint32(one[4+28:], 1)
+	binary.LittleEndian.PutUint32(one[4+32:], crc32.Checksum(one[4:4+32], crcTable))
+	_, rerr := Restore(bytes.NewReader(one), gridForCheckpoint(t), goldenConfig(), goldenProg(), u32Codec{}, u32Codec{})
+	_, verr := VerifyCheckpoint(bytes.NewReader(one))
+	for what, err := range map[string]error{"Restore": rerr, "VerifyCheckpoint": verr} {
+		if err == nil || errors.Is(err, ErrShardedCheckpoint) || !strings.Contains(err.Error(), "corrupt header") {
+			t.Fatalf("%s(shard field 1) = %v, want the corrupt-header error", what, err)
+		}
 	}
 }

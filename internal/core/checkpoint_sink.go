@@ -290,47 +290,17 @@ func (fs *FileSink) Latest() (io.ReadCloser, int, bool, error) {
 // returns its superstep. Every section is streamed through its CRC32C
 // and the footer checked, so truncation and bit flips anywhere in the
 // record are detected without decoding values (and without large
-// allocations). A legacy v1 stream is rejected by name, like Restore
-// does, so LatestGood never offers a file Restore would refuse.
+// allocations). A legacy v1 stream and a multi-shard one
+// (ErrShardedCheckpoint) are rejected by name, like Restore does, so
+// LatestGood never offers a file Restore would refuse.
 func VerifyCheckpoint(r io.Reader) (int, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if err := checkMagic(magic); err != nil {
+	hdr, err := readCheckpointHeader(br)
+	if err != nil {
 		return 0, err
 	}
-
-	var hdr [32]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("core: checkpoint header: %w", err)
-	}
 	var cbuf [4]byte
-	if _, err := io.ReadFull(br, cbuf[:]); err != nil {
-		return 0, fmt.Errorf("core: checkpoint header checksum: %w", err)
-	}
-	if want := binary.LittleEndian.Uint32(cbuf[:]); want != crc32.Checksum(hdr[:], crcTable) {
-		return 0, fmt.Errorf("core: checkpoint header checksum mismatch (stored %08x)", want)
-	}
-	superstep := binary.LittleEndian.Uint64(hdr[0:])
-	if superstep > maxCheckpointSuperstep {
-		return 0, fmt.Errorf("core: checkpoint superstep %d is implausible (corrupt header)", superstep)
-	}
-	// The shard field selects the section layout: 0 is the flat
-	// single-shard stream (values/activity/mailbox/frontier/aggregators),
-	// n≥2 the partitioned one (topology, then one values/activity/mailbox
-	// triplet per shard, then frontier and aggregators).
-	shards := binary.LittleEndian.Uint32(hdr[28:])
-	if shards == 1 || uint64(shards) > binary.LittleEndian.Uint64(hdr[8:]) {
-		return 0, fmt.Errorf("core: checkpoint shard count %d is implausible (corrupt header)", shards)
-	}
-	nSections := sectionCount
-	if shards != 0 {
-		nSections = 3 + 3*int(shards)
-	}
-
-	for s := 0; s < nSections; s++ {
+	for s := 0; s < sectionCount; s++ {
 		var lbuf [8]byte
 		if _, err := io.ReadFull(br, lbuf[:]); err != nil {
 			return 0, fmt.Errorf("core: checkpoint section %d length: %w", s, err)
@@ -360,5 +330,5 @@ func VerifyCheckpoint(r io.Reader) (int, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return 0, errors.New("core: trailing bytes after checkpoint footer")
 	}
-	return int(superstep), nil
+	return int(binary.LittleEndian.Uint64(hdr[0:])), nil
 }

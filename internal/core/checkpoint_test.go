@@ -19,7 +19,7 @@ func (u32Codec) Encode(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v)
 func (u32Codec) Decode(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 
 // writeCheckpointV1 writes the legacy format (no integrity data, no
-// aggregator section, global slot order) for the v1 fuzz seeds and the
+// aggregator section) for the v1 fuzz seeds and the
 // rejection test; the engine itself writes and reads only v2.
 func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -29,19 +29,14 @@ func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) 
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.slots))
 	bw.Write(hdr[:])
 	vbuf := make([]byte, vc.Size())
-	for slot := 0; slot < e.slots; slot++ {
-		sh, local := e.slotShard(slot)
-		vc.Encode(vbuf, sh.values[local])
+	for _, v := range e.values {
+		vc.Encode(vbuf, v)
 		bw.Write(vbuf)
 	}
-	for slot := 0; slot < e.slots; slot++ {
-		sh, local := e.slotShard(slot)
-		bw.WriteByte(sh.active[local])
-	}
+	bw.Write(e.active)
 	mbuf := make([]byte, mc.Size())
 	for slot := 0; slot < e.slots; slot++ {
-		sh, local := e.slotShard(slot)
-		m, ok := sh.mb.peek(local)
+		m, ok := e.mb.peek(slot)
 		if !ok {
 			bw.WriteByte(0)
 			continue
@@ -50,16 +45,10 @@ func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) 
 		mc.Encode(mbuf, m)
 		bw.Write(mbuf)
 	}
-	var frontier []int32
-	for _, sh := range e.shards {
-		for _, local := range sh.frontier {
-			frontier = append(frontier, sh.global(local))
-		}
-	}
 	var flen [8]byte
-	binary.LittleEndian.PutUint64(flen[:], uint64(len(frontier)))
+	binary.LittleEndian.PutUint64(flen[:], uint64(len(e.frontier)))
 	bw.Write(flen[:])
-	for _, slot := range frontier {
+	for _, slot := range e.frontier {
 		var sbuf [4]byte
 		binary.LittleEndian.PutUint32(sbuf[:], uint32(slot))
 		bw.Write(sbuf[:])

@@ -35,7 +35,7 @@ const (
 	// outbox, receivers fetch and combine from their in-neighbours at the
 	// end of the superstep. Its inbox carries no lock at all, which is
 	// race-free only because every deposit is the receiver's own — so it
-	// implies Direction pull (and rejects adaptive), at any shard count.
+	// implies Direction pull (and rejects adaptive).
 	// Requires the graph's in-adjacency and a broadcast-only application.
 	CombinerPull
 	// CombinerAtomic is the lock-free push combiner the follow-up iPregel
@@ -178,12 +178,12 @@ func ParseAddressing(s string) (Addressing, error) {
 }
 
 // Schedule selects where and how finely a phase's work is cut into the
-// spans the threads claim (shard.go); the claiming itself is the same
+// spans the threads claim (schedule.go); the claiming itself is the same
 // for every schedule.
 type Schedule int
 
 const (
-	// ScheduleStatic cuts each shard's work into one equal contiguous
+	// ScheduleStatic cuts the work into one equal contiguous
 	// share per thread, the paper's model (§4: "each thread receives an
 	// equal share").
 	ScheduleStatic Schedule = iota
@@ -198,9 +198,8 @@ const (
 	// sums. On power-law graphs a vertex-count split can hand one worker
 	// the hubs and leave the rest idle ("Strategies to Deal with an
 	// Extreme Form of Irregularity", Capelli & Brown); an edge split
-	// equalises the message work instead. Needs a contiguous slot range
-	// (one shard, or range partitioning); hash-partitioned shards and
-	// frontier runs under selection bypass fall back to equal shares.
+	// equalises the message work instead. Frontier runs under selection
+	// bypass fall back to equal shares.
 	ScheduleEdgeBalanced
 )
 
@@ -238,10 +237,10 @@ type Config struct {
 	// Direction selects the send transport: push (the zero value), pull,
 	// or adaptive per-superstep switching. Pull and adaptive require the
 	// graph's in-adjacency and a broadcast-only program (Send panics on a
-	// pull superstep), and layer over any inbox combiner at any shard
-	// count: each vertex writes only its own outbox slot and the collect
-	// phase is owner-only per destination, so there is nothing to
-	// contend on. CombinerPull implies pull.
+	// pull superstep), and layer over any inbox combiner: each vertex
+	// writes only its own outbox slot and the collect phase is owner-only
+	// per destination, so there is nothing to contend on. CombinerPull
+	// implies pull.
 	Direction Direction
 	// DirectionThreshold tunes DirectionAdaptive: a superstep runs pull
 	// when the upcoming frontier's out-edges reach this fraction of |E|.
@@ -249,16 +248,6 @@ type Config struct {
 	// threshold on a run that is not adaptive, are rejected at
 	// construction.
 	DirectionThreshold float64
-	// HubSplit fans the scatter of high-out-degree vertices out as
-	// multiple subtasks instead of serialising one worker (hub splitting,
-	// arXiv 2010.01542): a push broadcast from a vertex with out-degree
-	// above the cut is deferred and executed in parallel chunks after the
-	// compute phase.
-	HubSplit bool
-	// HubDegreeCut overrides the hub-splitting degree cut; 0 derives it
-	// from the graph as the p99.9 of the out-degree distribution.
-	// Negative values, and a cut without HubSplit, are rejected.
-	HubDegreeCut int
 	// SelectionBypass enables the paper's §4 technique: senders enrol
 	// their recipients in the next superstep's work list, skipping the
 	// selection scan entirely. Only valid for applications in which every
@@ -270,14 +259,6 @@ type Config struct {
 	// Schedule controls work splitting; the zero value is the paper's
 	// static equal shares.
 	Schedule Schedule
-	// SenderCombining gives every worker a small direct-mapped combining
-	// cache (slot → pending message): repeated sends to the same hot
-	// destination are pre-combined worker-locally and reach the shared
-	// mailbox only on cache eviction and at the compute-phase barrier.
-	// This cuts lock/CAS traffic on high-in-degree vertices for all push
-	// combiners; it is rejected with the pull combiner, whose outboxes
-	// already make delivery contention-free.
-	SenderCombining bool
 	// MaxSupersteps aborts runs that exceed this many supersteps; 0 means
 	// no limit.
 	MaxSupersteps int
@@ -287,28 +268,17 @@ type Config struct {
 	// dedup-flag consistency (every enrolled slot flagged exactly once,
 	// no stray flags) and that no vertex holding a message was missed by
 	// the frontier, and message conservation in both directions (every
-	// Send is accounted for as a worker-local combine, a shared-mailbox
-	// combine, or a first fill of an empty mailbox). Violations abort the run with an *InvariantError. The
-	// stress and parity test suites run with this on; production runs
-	// leave it off — it adds O(slots) scans per superstep.
+	// Send is accounted for as a combine into an occupied mailbox or a
+	// first fill of an empty one). Violations abort the run with an
+	// *InvariantError. The stress and parity test suites run with this
+	// on; production runs leave it off — it adds O(slots) scans per
+	// superstep.
 	CheckInvariants bool
 	// TrackWorkerTime records each worker's busy time per superstep into
 	// StepStats.WorkerBusy, feeding Report.LoadImbalance — the measurable
 	// form of §4's load-balancing argument. Off by default (it adds two
 	// clock reads per worker per phase).
 	TrackWorkerTime bool
-	// Shards splits the slot space into independently-owned partitions:
-	// each shard has its own mailbox, values/active segments and frontier
-	// buffers, so intra-shard delivery never contends with other shards,
-	// and cross-shard sends are batched in per-(worker, destination)
-	// routing buffers flushed at the barrier. 0 or 1 means one shard: the
-	// same engine with nothing to route, whose sends go straight to the
-	// shard's mailbox and whose checkpoints keep the pre-shard byte
-	// layout. Negative values are rejected.
-	Shards int
-	// Partition selects how global slots map to shards when Shards > 1;
-	// the zero value is contiguous range partitioning.
-	Partition Partition
 	// Observers are lifecycle sinks registered at construction, ahead of
 	// any added later with Engine.AddObserver. Carrying them in Config
 	// lets callers that build engines indirectly (the algorithms helpers,
@@ -327,33 +297,16 @@ func (c Config) VersionName() string {
 	if c.Direction != DirectionPush && c.Combiner != CombinerPull { // "broadcast" already says pull
 		name += "+" + c.Direction.String()
 	}
-	if c.HubSplit {
-		name += "+hubsplit"
-	}
-	if c.SenderCombining {
-		name += "+combining"
-	}
 	if c.SelectionBypass {
 		name += "+bypass"
 	}
-	if c.Schedule == ScheduleEdgeBalanced {
+	switch c.Schedule {
+	case ScheduleDynamic:
+		name += "+dynamic"
+	case ScheduleEdgeBalanced:
 		name += "+edgebal"
 	}
-	if c.Shards > 1 {
-		name += fmt.Sprintf("+shards%d", c.Shards)
-		if c.Partition != PartitionRange {
-			name += ":" + c.Partition.String()
-		}
-	}
 	return name
-}
-
-// shardCount normalizes Config.Shards: 0 means 1.
-func (c Config) shardCount() int {
-	if c.Shards > 1 {
-		return c.Shards
-	}
-	return 1
 }
 
 // ResolvedThreads is the worker count an engine built from c runs with:

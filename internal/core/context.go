@@ -11,14 +11,12 @@ import (
 type ComputeFunc[V, M any] func(ctx *Context[V, M], v Vertex[V, M])
 
 // Vertex is a handle on one vertex's state, passed to ComputeFunc. It is
-// a cheap value (two pointers + two slots); the actual state lives in the
-// owning shard's flat arrays, the Go equivalent of the paper's
-// plain-struct vertices with no hidden virtual-table pointer (§3.2).
+// a cheap value (a pointer and a slot); the actual state lives in the
+// engine's flat arrays, the Go equivalent of the paper's plain-struct
+// vertices with no hidden virtual-table pointer (§3.2).
 type Vertex[V, M any] struct {
-	e     *Engine[V, M]
-	sh    *engineShard[V, M] // owning shard
-	slot  int32              // global slot
-	local int32              // slot within sh (== slot with one shard)
+	e    *Engine[V, M]
+	slot int32
 }
 
 // ID returns the vertex's external identifier.
@@ -26,7 +24,7 @@ func (v Vertex[V, M]) ID() graph.VertexID { return v.e.addr.idOf(int(v.slot)) }
 
 // Value returns a pointer to the vertex's user-defined value, the
 // equivalent of the user members of struct IP_vertex_t.
-func (v Vertex[V, M]) Value() *V { return &v.sh.values[v.local] }
+func (v Vertex[V, M]) Value() *V { return &v.e.values[v.slot] }
 
 // OutDegree returns the number of out-neighbours.
 func (v Vertex[V, M]) OutDegree() int { return v.e.g.OutDegree(int(v.slot) - v.e.shift) }
@@ -73,45 +71,9 @@ type Context[V, M any] struct {
 	ran   int64
 	votes int64
 
-	// enrolled holds the LOCAL slots this worker enrolled in the next
-	// frontier, per destination shard (selection bypass, §4; nil
-	// otherwise), concatenated by gatherFrontier.
-	enrolled [][]int32
-
-	// Push delivery path, fixed at construction. With more than one
-	// shard, route is the worker's per-destination-shard routing state
-	// and direct/cache are nil. With one shard there is nothing to
-	// route: direct is that shard's mailbox, and cache the worker-local
-	// combining cache in front of it (Config.SenderCombining; nil when
-	// off). curShard is the shard of the vertex currently computing,
-	// maintained by runVertex for the cross-shard traffic counter.
-	route    *shardRouter[M]
-	direct   mailbox[M]
-	cache    *senderCache[M]
-	curShard int32
-
-	// Multi-shard activity counters (nil otherwise): activated/halted
-	// are per-shard deltas of the active-flag population, folded into
-	// each shard's incremental active count at the barrier
-	// (frontier-aware shard skipping).
-	activated []int64
-	halted    []int64
-
-	// Pull-transport counters (Config.Direction != DirectionPush with
-	// more than one shard): pulled counts this worker's collect-phase deposits
-	// per destination shard (pull deliveries bypass the routers, so the
-	// shard-skip decision needs its own tally), pulledCross those whose
-	// source vertex lives in another shard.
-	pulled      []uint64
-	pulledCross uint64
-
-	// Pending hub broadcasts (Config.HubSplit): parallel slot/message
-	// lists appended during compute, chunked and executed by
-	// hubScatterPhase. hubTasks counts the chunks this worker executed
-	// (StepStats.HubSplitTasks).
-	hubSlots []int32
-	hubMsgs  []M
-	hubTasks int64
+	// enrolled holds the slots this worker enrolled in the next frontier
+	// (selection bypass, §4), concatenated by gatherFrontier.
+	enrolled []int32
 
 	// nbuf is this worker's decode buffer for the compressed graph
 	// backend: the scatter loop and the pull collect phase decode
@@ -143,7 +105,7 @@ func (c *Context[V, M]) VertexCount() int { return c.e.g.N() }
 // most one message (§6.3), so the usual `for ctx.NextMessage(v, &m)` drain
 // loop iterates at most once.
 func (c *Context[V, M]) NextMessage(v Vertex[V, M], m *M) bool {
-	return v.sh.take(int(v.local), m)
+	return v.e.take(int(v.slot), m)
 }
 
 // Send delivers msg to the vertex with external identifier dst
@@ -165,38 +127,16 @@ func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 	c.scatter(c.sendBuf[:], 0, msg)
 }
 
-// scatter is the one push delivery routine — a Broadcast's fan-out, a
-// Send (a scatter of one) and a hub chunk alike: msg goes to slot
-// nb+shift for every nb, and under selection bypass each recipient is
-// enrolled in the next frontier. Everything that does not depend on the
-// recipient is decided once per call, the way the paper's module
-// versions are decided once per build (§3.1.1): through the
-// per-destination-shard routing caches when there are shards to route
-// between, and otherwise into the one shard's mailbox — via the
-// worker's combining cache when sender-side combining is on, or in the
-// mailbox version's own loop, one dispatch per call.
+// scatter is the one push delivery routine — a Broadcast's fan-out and
+// a Send (a scatter of one) alike: msg goes to slot nb+shift for every
+// nb, in the mailbox version's own loop (one dispatch per call, the way
+// the paper's module versions are decided once per build, §3.1.1), and
+// under selection bypass each recipient is enrolled in the next
+// frontier.
 func (c *Context[V, M]) scatter(nbs []graph.VertexID, shift int, msg M) {
-	e := c.e
 	c.msgs += uint64(len(nbs))
-	switch {
-	case c.route != nil:
-		r := c.route
-		for _, nb := range nbs {
-			d, local := e.part.locate(int(nb) + shift)
-			r.sent[d]++
-			if int32(d) != c.curShard {
-				r.cross++
-			}
-			r.add(d, local, msg, e.shards[d].mb)
-		}
-	case c.cache != nil:
-		for _, nb := range nbs {
-			c.cache.add(int(nb)+shift, msg, c.direct)
-		}
-	default:
-		c.direct.scatter(nbs, shift, msg)
-	}
-	if e.cfg.SelectionBypass {
+	c.e.mb.scatter(nbs, shift, msg)
+	if c.e.cfg.SelectionBypass {
 		c.enrol(nbs, shift)
 	}
 }
@@ -246,68 +186,31 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 		}
 		return
 	}
-	if e.hubCut > 0 && e.g.OutDegree(idx) > e.hubCut {
-		// Hub splitting: defer the scatter; hubScatterPhase fans it out
-		// as parallel chunks after the compute barrier (hub.go).
-		c.hubSlots = append(c.hubSlots, v.slot)
-		c.hubMsgs = append(c.hubMsgs, msg)
-		return
-	}
 	c.scatter(c.located(e.g.OutNeighborsWith(&c.nbuf, idx)), e.shift, msg)
 }
 
 // VoteToHalt marks v inactive for the next superstep (IP_vote_to_halt);
 // an incoming message will reactivate it.
 func (c *Context[V, M]) VoteToHalt(v Vertex[V, M]) {
-	sh := v.sh
-	if sh.active[v.local] != 0 {
-		sh.active[v.local] = 0
+	if active := &v.e.active[v.slot]; *active != 0 {
+		*active = 0
 		c.votes++
-		if c.halted != nil {
-			c.halted[sh.id]++
-		}
 	}
 }
 
 // enrol adds slot nb+shift, for every nb, to the next frontier exactly
-// once (CAS dedup). An entry lands in the worker's enrol buffer for the
-// destination shard as a local slot; gatherFrontier concatenates per
-// shard.
+// once (CAS dedup), through the worker's enrol buffer.
 func (c *Context[V, M]) enrol(nbs []graph.VertexID, shift int) {
-	if c.e.nShards == 1 {
-		sh, buf := c.e.shards[0], c.enrolled[0]
-		for _, nb := range nbs {
-			if local := int(nb) + shift; sh.tryMarkNext(local) {
-				buf = append(buf, int32(local))
-			}
-		}
-		c.enrolled[0] = buf
-		return
-	}
+	e, buf := c.e, c.enrolled
 	for _, nb := range nbs {
-		sh, local := c.e.slotShard(int(nb) + shift)
-		if sh.tryMarkNext(local) {
-			c.enrolled[sh.id] = append(c.enrolled[sh.id], int32(local))
+		if slot := int(nb) + shift; e.tryMarkNext(slot) {
+			buf = append(buf, int32(slot))
 		}
 	}
+	c.enrolled = buf
 }
 
 func (c *Context[V, M]) resetSuperstep() {
 	c.msgs, c.ran, c.votes = 0, 0, 0
-	for d := range c.enrolled {
-		c.enrolled[d] = c.enrolled[d][:0]
-	}
-	clear(c.pulled)
-	c.pulledCross = 0
-	c.hubSlots = c.hubSlots[:0]
-	c.hubMsgs = c.hubMsgs[:0]
-	c.hubTasks = 0
-	if c.cache != nil {
-		c.cache.combined = 0
-	}
-	if c.route != nil {
-		c.route.resetSuperstep()
-	}
-	clear(c.activated)
-	clear(c.halted)
+	c.enrolled = c.enrolled[:0]
 }

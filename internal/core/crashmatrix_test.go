@@ -218,26 +218,16 @@ func TestCrashMatrixPageRank(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixSharded repeats the kill-anywhere sweep on partitioned
-// engines: a crash at every superstep barrier of a 4-shard SSSP run must
-// recover through the per-shard checkpoint sections to the exact values
-// and statistics of the uninterrupted sharded run.
-func TestCrashMatrixSharded(t *testing.T) {
+// TestCrashMatrixFourThreads repeats the kill-anywhere sweep with four
+// workers, so the frontier a checkpoint carries was gathered from four
+// enrol buffers and the resumed run cuts it into four spans again: a
+// crash at every superstep barrier must recover to the exact values and
+// statistics of the uninterrupted four-thread run.
+func TestCrashMatrixFourThreads(t *testing.T) {
 	g := crashGrid(t)
 	prog := algorithms.SSSPProgram(1)
-	var configs []core.Config
 	for _, cfg := range matrixConfigs(true) {
-		cfg.Shards = 4
-		configs = append(configs, cfg)
-	}
-	// One hash-partitioned cell: local slot numbering is non-contiguous,
-	// so a restore bug that survives range partitioning shows up here.
-	configs = append(configs, core.Config{
-		Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
-		Shards: 3, Partition: core.PartitionHash,
-	})
-	for _, cfg := range configs {
-		cfg := cfg
+		cfg.Threads = 4
 		t.Run(cfg.VersionName(), func(t *testing.T) {
 			t.Parallel()
 			refE, refRep, err := core.Run(g, cfg, prog)
@@ -267,23 +257,22 @@ func TestCrashMatrixSharded(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixShardedCompressed repeats the kill-anywhere sweep on the
+// TestCrashMatrixCompressed repeats the kill-anywhere sweep on the
 // block-compressed graph backend: the same grid with its adjacency (both
 // directions) varint-delta encoded. Checkpoints never persist the graph,
 // so recovery must rebuild every superstep through the compressed decode
 // path — per-worker neighbour buffers in scatter and, for the pull cell,
 // the collect phase — and still land on the exact values and statistics
 // of the uninterrupted compressed run.
-func TestCrashMatrixShardedCompressed(t *testing.T) {
+func TestCrashMatrixCompressed(t *testing.T) {
 	cg, err := crashGrid(t).Compress()
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := algorithms.SSSPProgram(1)
 	configs := []core.Config{
-		{Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
-			Shards: 4, SelectionBypass: true},
-		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true, Shards: 4},
+		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true, SelectionBypass: true},
+		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true},
 		{Combiner: core.CombinerPull, Threads: 2, CheckInvariants: true},
 	}
 	for _, cfg := range configs {
@@ -335,9 +324,8 @@ func TestCrashMatrixAdaptiveDirection(t *testing.T) {
 			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1},
 		{Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
 			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1, SelectionBypass: true},
-		{Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
-			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1,
-			Shards: 4},
+		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true,
+			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

@@ -34,9 +34,9 @@ func benchDests(random bool) [][]graph.VertexID {
 }
 
 // BenchmarkDeliver is the mailbox-deliver microbenchmark of ROADMAP's
-// "layer by layer" aim: ns per message into each inbox version, called
-// per message through the mailbox interface (what cache evictions and
-// drains pay) against the fused per-list scatter (what a broadcast pays).
+// "layer by layer" aim: ns per message into each inbox version, as a
+// scatter of one per message (what a Send pays) against the fused
+// per-list scatter (what a broadcast pays).
 // One goroutine, so the lock-based and atomic cells read the uncontended
 // cost of their protection; plain is what any combiner gets at
 // Threads == 1. Each pass ends with the barrier swap, so fills and
@@ -57,7 +57,7 @@ func BenchmarkDeliver(b *testing.B) {
 		order := map[bool]string{false: "seq", true: "random"}[random]
 		for _, v := range versions {
 			for _, fused := range []bool{false, true} {
-				path := map[bool]string{false: "interface", true: "scatter"}[fused]
+				path := map[bool]string{false: "send", true: "scatter"}[fused]
 				b.Run(fmt.Sprintf("%s/%s/%s", v.name, path, order), func(b *testing.B) {
 					mb, err := newMailbox[float64](v.cfg, benchSlots, sum)
 					if err != nil {
@@ -70,8 +70,8 @@ func BenchmarkDeliver(b *testing.B) {
 								mb.scatter(nbs, 0, 1)
 								continue
 							}
-							for _, nb := range nbs {
-								mb.deliver(int(nb), 1)
+							for i := range nbs {
+								mb.scatter(nbs[i:i+1], 0, 1)
 							}
 						}
 						mb.swap(nil, true)
@@ -93,27 +93,24 @@ func BenchmarkEnrol(b *testing.B) {
 		gb.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%benchSlots))
 	}
 	g := gb.MustBuild()
-	for _, shards := range []int{1, 4} {
-		for _, random := range []bool{false, true} {
-			lists := benchDests(random)
-			order := map[bool]string{false: "seq", true: "random"}[random]
-			b.Run(fmt.Sprintf("shards%d/%s", shards, order), func(b *testing.B) {
-				e, err := New(g, Config{SelectionBypass: true, Threads: 1, Shards: shards}, haltingFlood(1))
-				if err != nil {
-					b.Fatal(err)
+	for _, random := range []bool{false, true} {
+		lists := benchDests(random)
+		b.Run(map[bool]string{false: "seq", true: "random"}[random], func(b *testing.B) {
+			e, err := New(g, Config{SelectionBypass: true, Threads: 1}, haltingFlood(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := e.workers[0]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, nbs := range lists {
+					ctx.enrol(nbs, 0)
 				}
-				ctx := e.workers[0]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, nbs := range lists {
-						ctx.enrol(nbs, 0)
-					}
-					e.gatherFrontier()
-					e.swapFrontiers()
-					ctx.resetSuperstep()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
-			})
-		}
+				e.gatherFrontier()
+				e.swapFrontiers()
+				ctx.resetSuperstep()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
+		})
 	}
 }

@@ -7,13 +7,12 @@ import "context"
 // superstep, independent of which inbox combiner holds the mail.
 //
 //   - Push supersteps: Broadcast expands to per-neighbour deliveries
-//     through the routing/caching layers.
+//     into the recipients' inboxes (Context.scatter).
 //   - Pull supersteps buffer one outbox entry per broadcasting vertex
-//     (pullOut/pullFlag, global-slot indexed, owner-written — a vertex
-//     touches only its own slot, which is what makes the outboxes
-//     shard-aware with zero locks) and fan out in a collect phase: every
-//     destination walks its in-neighbours and deposits flagged outbox
-//     entries into its own shard's inbox. Deposits are counted like
+//     (pullOut/pullFlag, slot indexed, owner-written — a vertex touches
+//     only its own slot, so they need no lock) and fan out in a collect
+//     phase: every destination walks its in-neighbours and deposits
+//     flagged outbox entries into its own inbox. Deposits are counted like
 //     any delivery (pushBuffers.deposit, or the atomic deliver), so the
 //     message-conservation audit keeps working: a pull superstep's
 //     Messages count the logical fan-out (out-degree per broadcast),
@@ -78,10 +77,8 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	}
 	var total uint64
 	if e.cfg.SelectionBypass {
-		for _, sh := range e.shards {
-			sh.each(sh.frontier, func(_, global int32) {
-				total += uint64(e.g.OutDegree(int(global) - e.shift))
-			})
+		for _, slot := range e.frontier {
+			total += uint64(e.g.OutDegree(int(slot) - e.shift))
 		}
 		return total
 	}
@@ -92,12 +89,11 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	}
 	sums, spans := e.dirSums, e.scanSpans
 	e.parallelFor(len(spans), func(w, k int) {
-		sh := e.shards[spans[k].shard]
-		sh.scan(spans[k].lo, spans[k].hi, e.shift, func(local, global int32) {
-			if sh.active[local] != 0 || sh.hasMail(int(local)) {
-				sums[w] += uint64(e.g.OutDegree(int(global) - e.shift))
+		for slot := spans[k].lo; slot < spans[k].hi; slot++ {
+			if e.active[slot] != 0 || e.hasMail(int(slot)) {
+				sums[w] += uint64(e.g.OutDegree(int(slot) - e.shift))
 			}
-		})
+		}
 	})
 	for _, s := range sums {
 		total += s
@@ -116,10 +112,7 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // Under selection bypass only enrolled recipients can have mail (the
 // pull broadcast enrolled its out-neighbours), so collection is bounded
 // by the gathered next frontier; otherwise it covers the full scan
-// spans — including shards the compute phase skipped: receiving mail is
-// exactly what makes a skipped shard runnable again, and the deposits
-// are counted into the per-worker pulled[] so updateShardActivity sees
-// them.
+// spans.
 func (e *Engine[V, M]) collectPull() {
 	bypass := e.cfg.SelectionBypass
 	spans := e.scanSpans
@@ -127,40 +120,35 @@ func (e *Engine[V, M]) collectPull() {
 		spans = e.frontierSpans(true)
 	}
 	e.parallelFor(len(spans), func(w, k int) {
-		sp := spans[k]
-		ctx, sh := e.workers[w], e.shards[sp.shard]
-		collect := func(local, global int32) { e.collectSlot(ctx, sh, local, global) }
+		sp, ctx := spans[k], e.workers[w]
 		if bypass {
-			sh.each(sh.frontierNext[sp.lo:sp.hi], collect)
-		} else {
-			sh.scan(sp.lo, sp.hi, e.shift, collect)
+			for _, slot := range e.frontierNext[sp.lo:sp.hi] {
+				e.collectSlot(ctx, int(slot))
+			}
+			return
+		}
+		for slot := sp.lo; slot < sp.hi; slot++ {
+			e.collectSlot(ctx, int(slot))
 		}
 	})
 	clear(e.pullFlag)
 }
 
-// collectSlot deposits every flagged in-neighbour outbox entry into the
-// destination's mailbox (local slot `local` of sh, global slot `global`).
-// The collecting worker is the slot's only depositor this phase, so it
-// writes the buffers directly whichever lock the inbox carries for push
-// supersteps; only the atomic version, whose next buffer holds packed
-// words, goes through its own deliver.
-func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], sh *engineShard[V, M], local, global int32) {
-	for _, nb := range e.g.InNeighborsWith(&ctx.nbuf, int(global)-e.shift) {
+// collectSlot deposits every flagged in-neighbour outbox entry into
+// slot's mailbox. The collecting worker is the slot's only depositor
+// this phase, so it writes the buffers directly whichever lock the inbox
+// carries for push supersteps; only the atomic version, whose next
+// buffer holds packed words, goes through its own deliver.
+func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
+	for _, nb := range e.g.InNeighborsWith(&ctx.nbuf, slot-e.shift) {
 		nbSlot := int(nb) + e.shift
 		if e.pullFlag[nbSlot] == 0 {
 			continue
 		}
-		if sh.buf != nil {
-			sh.buf.deposit(int(local), e.pullOut[nbSlot])
+		if e.buf != nil {
+			e.buf.deposit(slot, e.pullOut[nbSlot])
 		} else {
-			sh.cas.deliver(int(local), e.pullOut[nbSlot])
-		}
-		if ctx.pulled != nil {
-			ctx.pulled[sh.id]++
-			if src, _ := e.part.locate(nbSlot); int32(src) != sh.id {
-				ctx.pulledCross++
-			}
+			e.cas.deliver(slot, e.pullOut[nbSlot])
 		}
 	}
 }

@@ -43,18 +43,13 @@ func TestVersionNameDirection(t *testing.T) {
 	if name := (Config{Direction: DirectionPull}).VersionName(); !strings.Contains(name, "pull") {
 		t.Fatalf("VersionName %q does not name the pull direction", name)
 	}
-	if name := (Config{HubSplit: true}).VersionName(); !strings.Contains(name, "hubsplit") {
-		t.Fatalf("VersionName %q does not name hub splitting", name)
-	}
 	if name := (Config{}).VersionName(); strings.Contains(name, "push") {
 		t.Fatalf("default VersionName %q should not name a direction", name)
 	}
 }
 
 // hubGraph is a skewed directed graph: vertex 0 broadcasts to every
-// other vertex (out-degree n-1, several hubChunkEdges chunks when n is
-// large) while the rest form a ring, so the degree distribution has the
-// extreme tail hub splitting targets.
+// other vertex (out-degree n-1) while the rest form a ring.
 func hubGraph(n int) *graph.Graph {
 	var b graph.Builder
 	b.BuildInEdges()
@@ -69,12 +64,11 @@ func hubGraph(n int) *graph.Graph {
 // TestDirectionParity pins the direction oracle at the engine level:
 // push-only, pull-only and adaptive runs of the same broadcast-only
 // program produce identical values and identical Report fingerprints,
-// across sharding and bypass configurations, with the invariant audits
+// across inbox and bypass configurations, with the invariant audits
 // (including message conservation on pull supersteps) enabled
 // throughout. The CombinerPull rows run the same pull transport
-// over the lock-free inbox at every shard layout: its Messages count the
-// logical fan-out like every other direction, so it is held to the same
-// push fingerprint.
+// over the lock-free inbox: its Messages count the logical fan-out like
+// every other direction, so it is held to the same push fingerprint.
 func TestDirectionParity(t *testing.T) {
 	g := gridForCheckpoint(t)
 	type cell struct {
@@ -90,18 +84,13 @@ func TestDirectionParity(t *testing.T) {
 		directions(Config{Combiner: CombinerSpin, Threads: 3}),
 		directions(Config{Combiner: CombinerAtomic, Threads: 4}),
 		directions(Config{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true}),
-		directions(Config{Combiner: CombinerAtomic, Threads: 4, Shards: 4}),
-		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4, SelectionBypass: true}),
-		directions(Config{Combiner: CombinerSpin, Threads: 4, Shards: 4}),
+		directions(Config{Combiner: CombinerMutex, Threads: 2, SelectionBypass: true}),
 	}
 	for _, bypass := range []bool{false, true} {
-		c := cell{base: Config{Combiner: CombinerSpin, Threads: 3, SelectionBypass: bypass}}
-		for _, shards := range []int{0, 1, 4} {
-			for _, part := range []Partition{PartitionRange, PartitionHash} {
-				c.vs = append(c.vs, Config{Combiner: CombinerPull, Threads: 4, Shards: shards, Partition: part, SelectionBypass: bypass})
-			}
-		}
-		cells = append(cells, c)
+		cells = append(cells, cell{
+			base: Config{Combiner: CombinerSpin, Threads: 3, SelectionBypass: bypass},
+			vs:   []Config{{Combiner: CombinerPull, Threads: 4, SelectionBypass: bypass}},
+		})
 	}
 	for _, c := range cells {
 		c.base.CheckInvariants = true
@@ -134,10 +123,10 @@ func TestDirectionParity(t *testing.T) {
 // contract (DESIGN.md §5.1). A pull superstep's combine order is a
 // property of the graph, not of the run: each destination's one owner
 // folds its in-neighbours' outboxes in CSR order. So float programs run
-// all-pull agree bit for bit across thread counts, inbox combiners,
-// schedules and shard layouts — where the same program pushed agrees
-// with them only to the 1e-9 the push clause allows, because its
-// combine order is whatever order the cores delivered in.
+// all-pull agree bit for bit across thread counts, inbox combiners and
+// schedules — where the same program pushed agrees with them only to
+// the 1e-9 the push clause allows, because its combine order is whatever
+// order the cores delivered in.
 func TestPullFloatRunsBitExact(t *testing.T) {
 	// A hub with in-degree n-1 plus pseudo-random edges: long, uneven
 	// float sums, so a changed summation order would show in the low bits.
@@ -163,10 +152,10 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 	for _, cfg := range []Config{
 		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4},
 		{Combiner: CombinerMutex, Direction: DirectionPull, Threads: 3, Schedule: ScheduleDynamic},
-		{Combiner: CombinerAtomic, Direction: DirectionPull, Threads: 4, Shards: 4},
-		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4, Shards: 3},
+		{Combiner: CombinerAtomic, Direction: DirectionPull, Threads: 4},
+		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 3, Schedule: ScheduleEdgeBalanced},
 		{Combiner: CombinerPull, Threads: 4, Schedule: ScheduleEdgeBalanced},
-		{Combiner: CombinerPull, Threads: 4, Shards: 4, Partition: PartitionHash},
+		{Combiner: CombinerPull, Threads: 2, Schedule: ScheduleDynamic},
 		{Combiner: CombinerSpin, Threads: 4}, // push: tolerance-exact only
 	} {
 		cfg.CheckInvariants = true
@@ -223,69 +212,6 @@ func TestAdaptiveSwitches(t *testing.T) {
 	}
 	if !sawPush || switches == 0 {
 		t.Fatalf("adaptive SSSP never switched (push seen: %v, switches: %d)\n%v", sawPush, switches, rep.Table())
-	}
-}
-
-// TestHubSplitParity checks hub splitting is semantically invisible
-// (identical values and fingerprints with it on or off) while actually
-// fanning out chunked subtasks on a skewed graph.
-func TestHubSplitParity(t *testing.T) {
-	g := hubGraph(3000)
-	prog := ssspProg(0)
-	cfgs := []Config{
-		{Combiner: CombinerSpin, Threads: 4},
-		{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true},
-		{Combiner: CombinerAtomic, Threads: 4, Shards: 4},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4},
-	}
-	for _, base := range cfgs {
-		base.CheckInvariants = true
-		t.Run(base.VersionName(), func(t *testing.T) {
-			ePlain, repPlain, err := Run(g, base, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := base
-			cfg.HubSplit = true
-			eHub, repHub, err := Run(g, cfg, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if repHub.Fingerprint() != repPlain.Fingerprint() {
-				t.Fatalf("fingerprint diverged:\n--- plain ---\n%s--- hubsplit ---\n%s", repPlain.Fingerprint(), repHub.Fingerprint())
-			}
-			want := ePlain.ValuesDense()
-			for i, v := range eHub.ValuesDense() {
-				if v != want[i] {
-					t.Fatalf("dist[%d] = %d, want %d", i, v, want[i])
-				}
-			}
-			var tasks int64
-			for _, s := range repHub.Steps {
-				tasks += s.HubSplitTasks
-			}
-			// Vertex 0 broadcasts once; out-degree 2999 > any sane p99.9
-			// cut on this graph, chunked at 1024 edges = 3 subtasks.
-			if tasks < 3 {
-				t.Fatalf("HubSplitTasks = %d, want >= 3 (the hub's scatter must have been chunked)", tasks)
-			}
-		})
-	}
-}
-
-// TestHubSplitExplicitCut checks Config.HubDegreeCut overrides the
-// quantile default.
-func TestHubSplitExplicitCut(t *testing.T) {
-	g := ringGraph(16, 0) // uniform degree 1: the default p99.9 cut is 1, no hubs
-	cfg := Config{HubSplit: true, HubDegreeCut: 0, CheckInvariants: true}
-	_, rep, err := Run(g, cfg, counterProgram(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range rep.Steps {
-		if s.HubSplitTasks != 0 {
-			t.Fatalf("uniform ring produced %d hub tasks, want 0", s.HubSplitTasks)
-		}
 	}
 }
 

@@ -30,34 +30,46 @@ type Engine[V, M any] struct {
 	cfg     Config
 	prog    Program[V, M]
 	addr    addresser
-	part    partitioner
-	nShards int
-	// shards owns all per-vertex state (always len nShards ≥ 1): values,
-	// activity flags, mailboxes and frontiers live in engineShard and
-	// nowhere else.
-	shards  []*engineShard[V, M]
 	shift   int // slot = internal index + shift (non-zero only for desolate)
 	slots   int
 	threads int
 
+	// Per-vertex state: one set of flat, slot-indexed arrays — the Go
+	// equivalent of the paper's plain-struct vertices (§3.2) — and the one
+	// mailbox of the configured combiner version (§6.3).
+	values []V
+	active []uint8
+	mb     mailbox[M]
+	// The mailbox's concrete read side, resolved once so that reading
+	// mail costs no dynamic call (and the program's message variable
+	// stays on its stack): buf on the plain and lock-based versions, cas
+	// on the atomic one.
+	buf *pushBuffers[M]
+	cas *atomicMailbox[M]
+
+	// Selection bypass (§4; all nil otherwise). inNext holds the CAS
+	// flags deduplicating the next frontier's entries, element access
+	// through sync/atomic; frontier and frontierNext list the slots
+	// running this superstep and enrolled for the next.
+	//
+	//ipregel:atomic
+	inNext       []uint32
+	frontier     []int32
+	frontierNext []int32
+
 	auditSeen []uint8 // slot-indexed scratch for the bypass audits
 
-	// Work lists: scanSpans is the precomputed full-scan split of every
-	// shard (where the schedule's balance decision lives, see
-	// buildScanSpans), frontierSpanBuf the reusable buffer for the per-
-	// superstep frontier split. workBuf holds the per-superstep span
-	// selection (runnable shards only); lastSkipped is the shard-skip
-	// count it produced (StepStats.SkippedShards).
-	scanSpans       []shardSpan
-	frontierSpanBuf []shardSpan
-	workBuf         []int32
-	lastSkipped     int64
+	// Work lists: scanSpans is the precomputed full-scan split (where the
+	// schedule's balance decision lives, see buildScanSpans),
+	// frontierSpanBuf the reusable buffer for the per-superstep frontier
+	// split.
+	scanSpans       []span
+	frontierSpanBuf []span
 
 	// Direction state (see direction.go). pullOut/pullFlag are the pull
-	// transport's global-slot-indexed outbox arrays (nil on push-only
-	// engines), serving every pull superstep without reallocating: each
-	// vertex writes only its own slot, so the outboxes are shard-aware
-	// by construction. curDir is the running
+	// transport's slot-indexed outbox arrays (nil on push-only engines),
+	// serving every pull superstep without reallocating: each vertex
+	// writes only its own slot. curDir is the running
 	// superstep's transport; frontierEdges the out-edge count of the
 	// upcoming frontier (adaptive); pullEdgeCut the switch threshold in
 	// edges. dirSums is countFrontierEdges' per-worker scratch.
@@ -71,13 +83,6 @@ type Engine[V, M any] struct {
 	frontierEdges uint64
 	pullEdgeCut   uint64
 	dirSums       []uint64
-
-	// hubCut is the out-degree above which a push broadcast's scatter is
-	// deferred and fanned out as parallel subtasks (Config.HubSplit);
-	// 0 disables splitting. hubTaskBuf is hubScatterPhase's reusable
-	// task list.
-	hubCut     int
-	hubTaskBuf []hubTask
 
 	workers    []*Context[V, M]
 	agg        *aggregators
@@ -145,23 +150,11 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.SelectionBypass && !g.HasOutAdjacency() {
 		return nil, fmt.Errorf("core: selection bypass enrols out-neighbours (paper §4) and needs the out-adjacency, which this graph stripped")
 	}
-	if cfg.SenderCombining && cfg.Direction == DirectionPull {
-		return nil, fmt.Errorf("core: sender-side combining pre-combines push deliveries; an all-pull run (Config.Direction pull, or CombinerPull) has none — its outboxes are already contention-free (§6.2)")
-	}
 	if cfg.DirectionThreshold < 0 || cfg.DirectionThreshold > 1 {
 		return nil, fmt.Errorf("core: Config.DirectionThreshold is a fraction of |E| and must be in [0, 1] (0 means the default %v), got %v", DefaultDirectionThreshold, cfg.DirectionThreshold)
 	}
 	if cfg.DirectionThreshold != 0 && cfg.Direction != DirectionAdaptive {
 		return nil, fmt.Errorf("core: Config.DirectionThreshold tunes the per-superstep switch of Direction adaptive and has no effect on a %s run; set Direction adaptive or leave the threshold 0", cfg.Direction)
-	}
-	if cfg.HubDegreeCut < 0 {
-		return nil, fmt.Errorf("core: Config.HubDegreeCut must be non-negative (0 derives the p99.9 out-degree), got %d", cfg.HubDegreeCut)
-	}
-	if cfg.HubDegreeCut > 0 && !cfg.HubSplit {
-		return nil, fmt.Errorf("core: Config.HubDegreeCut sets the degree above which HubSplit splits a broadcast and has no effect without it; set HubSplit or leave the cut 0")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: Config.Shards must be non-negative (0 means 1), got %d", cfg.Shards)
 	}
 	addr, err := newAddresser(g, cfg.Addressing)
 	if err != nil {
@@ -176,46 +169,21 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 		slots:   addr.slots(),
 		threads: cfg.ResolvedThreads(),
 	}
-	e.part, err = newPartitioner(cfg, e.slots)
-	if err != nil {
+	if e.mb, err = newMailbox[M](cfg, e.slots, prog.Combine); err != nil {
 		return nil, err
 	}
-	e.nShards = e.part.shards()
-	e.shards = make([]*engineShard[V, M], e.nShards)
-	for s := range e.shards {
-		if e.shards[s], err = newEngineShard[V, M](cfg, e.part, s, prog.Combine); err != nil {
-			return nil, err
-		}
+	if e.buf = e.mb.buffers(); e.buf == nil {
+		e.cas = e.mb.(*atomicMailbox[M])
+	}
+	e.values = make([]V, e.slots)
+	e.active = make([]uint8, e.slots)
+	if cfg.SelectionBypass {
+		e.inNext = make([]uint32, e.slots)
 	}
 	e.buildScanSpans()
 	e.workers = make([]*Context[V, M], e.threads)
 	for i := range e.workers {
-		w := &Context[V, M]{e: e, worker: i}
-		e.workers[i] = w
-		if cfg.SelectionBypass {
-			w.enrolled = make([][]int32, e.nShards)
-		}
-		if e.nShards == 1 {
-			// One shard has no cross-shard traffic to batch: sends go
-			// straight to its mailbox, or through the sender cache.
-			w.direct = e.shards[0].mb
-			if cfg.SenderCombining {
-				w.cache = newSenderCache[M](prog.Combine)
-			}
-			continue
-		}
-		// The routing layer subsumes the single sender-combining cache:
-		// per-destination-shard caches combine worker-locally whether or
-		// not SenderCombining is set.
-		w.route = newShardRouter[M](prog.Combine, e.nShards)
-		w.activated = make([]int64, e.nShards)
-		w.halted = make([]int64, e.nShards)
-		if cfg.Direction != DirectionPush {
-			// Pull deliveries bypass the routing layer (the collect phase
-			// deposits owner-locally), so shard-skipping needs its own
-			// per-worker delivery counters to keep runnable exact.
-			w.pulled = make([]uint64, e.nShards)
-		}
+		e.workers[i] = &Context[V, M]{e: e, worker: i}
 	}
 	if cfg.Direction != DirectionPush {
 		e.pullOut = make([]M, e.slots)
@@ -230,16 +198,6 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 				e.pullEdgeCut = 1 // an empty frontier never forces pull
 			}
 		}
-	}
-	if cfg.HubSplit {
-		cut := cfg.HubDegreeCut
-		if cut == 0 {
-			cut = graph.OutDegreeQuantile(g, 0.999)
-		}
-		if cut < 1 {
-			cut = 1
-		}
-		e.hubCut = cut
 	}
 	e.agg = newAggregators(e.threads)
 	if cfg.TrackWorkerTime {
@@ -277,14 +235,9 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 	e.report.Version = e.cfg.VersionName()
 	e.report.FirstSuperstep = e.firstSuperstep
 	start := time.Now()
-	if e.nShards > 1 {
-		// Seed the shard-skipping activity summary: zero for a fresh
-		// engine, the restored flags/mailboxes for a resumed one.
-		e.initShardActivity()
-	}
-	// Seed the adaptive direction decision the same way: the density is
-	// recomputed from current engine state, so a Restored run re-derives
-	// exactly the per-superstep choices the original made at this barrier.
+	// Seed the adaptive direction decision: the density is recomputed
+	// from current engine state, so a Restored run re-derives exactly the
+	// per-superstep choices the original made at this barrier.
 	e.reseedFrontierDensity()
 
 	for {
@@ -306,17 +259,6 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 
 		var ranTotal int64
 		region(ctx, "ipregel.compute", func() { ranTotal = e.computePhase() })
-		if e.hubCut > 0 {
-			// Deferred hub scatters run before the router/cache drains so
-			// their pushes are flushed by the same barrier machinery.
-			region(ctx, "ipregel.hubscatter", e.hubScatterPhase)
-		}
-		if e.nShards > 1 {
-			region(ctx, "ipregel.route", e.drainRouters)
-		} else if e.cfg.SenderCombining {
-			region(ctx, "ipregel.drain", e.drainSenderCaches)
-		}
-
 		if e.cfg.SelectionBypass {
 			region(ctx, "ipregel.gather", e.gatherFrontier)
 		}
@@ -335,10 +277,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 		region(ctx, "ipregel.barrier", func() {
 			// Only the vertices that ran can have left mail unread: the
 			// frontier under selection bypass, anyone on a full scan.
-			fullScan := e.superstep == 0 || !e.cfg.SelectionBypass
-			for _, sh := range e.shards {
-				sh.mb.swap(sh.frontier, fullScan)
-			}
+			e.mb.swap(e.frontier, e.superstep == 0 || !e.cfg.SelectionBypass)
 			if !e.agg.empty() {
 				e.agg.barrier()
 			}
@@ -351,11 +290,6 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 		step := e.gatherStepStats(stepStart, ranTotal, false)
 		e.recordStep(step)
 		activeAfter := step.Active
-		if e.nShards > 1 {
-			if err := e.updateShardActivity(step); err != nil {
-				return e.finishRun(start, err)
-			}
-		}
 
 		if e.cfg.SelectionBypass {
 			if activeAfter > 0 {
@@ -393,68 +327,28 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 // paths that stop mid-superstep (partial=true: a contained compute
 // panic, an invariant violation).
 func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial bool) StepStats {
-	var msgs, localCombines uint64
+	var msgs uint64
 	var votes int64
 	for _, w := range e.workers {
 		msgs += w.msgs
 		votes += w.votes
-		if w.cache != nil {
-			localCombines += w.cache.combined
-		}
-		if w.route != nil {
-			localCombines += w.route.combined
-		}
 	}
 	step := StepStats{
 		Ran:               ran,
 		Messages:          msgs,
 		Active:            ran - votes,
-		LocalCombines:     localCombines,
+		NextFrontier:      int64(len(e.frontierNext)),
 		Duration:          time.Since(stepStart),
 		Partial:           partial,
 		Direction:         e.curDir,
 		DirectionSwitched: e.dirSwitched,
 	}
-	for _, w := range e.workers {
-		step.HubSplitTasks += w.hubTasks
-	}
-	var retries uint64
-	for _, sh := range e.shards {
-		retries += sh.mb.contentionRetries()
-	}
-	if retries > e.casRetriesSeen {
+	if retries := e.mb.contentionRetries(); retries > e.casRetriesSeen {
 		step.CASRetries = retries - e.casRetriesSeen
 		e.casRetriesSeen = retries
 	}
-	if e.cfg.SelectionBypass {
-		for _, sh := range e.shards {
-			step.NextFrontier += int64(len(sh.frontierNext))
-		}
-	}
 	if e.busy != nil {
 		step.WorkerBusy = append([]time.Duration(nil), e.busy...)
-	}
-	if e.nShards > 1 {
-		step.ShardMessages = make([]uint64, e.nShards)
-		step.SkippedShards = e.lastSkipped
-		for _, w := range e.workers {
-			step.CrossShardMessages += w.route.cross + w.pulledCross
-			for d, n := range w.route.sent {
-				step.ShardMessages[d] += n
-			}
-			// Pull-superstep deliveries bypass the routers; the collect
-			// phase counts them per destination shard so the shard-skip
-			// decision (updateShardActivity) stays exact.
-			for d, n := range w.pulled {
-				step.ShardMessages[d] += n
-			}
-		}
-		if e.cfg.SelectionBypass {
-			step.ShardNextFrontier = make([]int64, e.nShards)
-			for d, sh := range e.shards {
-				step.ShardNextFrontier[d] = int64(len(sh.frontierNext))
-			}
-		}
 	}
 	return step
 }
@@ -465,7 +359,6 @@ func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial b
 func (e *Engine[V, M]) recordStep(step StepStats) {
 	e.report.Steps = append(e.report.Steps, step)
 	e.report.TotalMessages += step.Messages
-	e.report.TotalLocalCombines += step.LocalCombines
 	e.observeSuperstepEnd(e.superstep, step)
 }
 
@@ -497,7 +390,7 @@ func (e *Engine[V, M]) finishRun(start time.Time, err error) (Report, error) {
 }
 
 // region wraps one engine phase in a runtime/trace region so that phase
-// boundaries (compute, drain, gather, collect, barrier) show up in `go
+// boundaries (compute, gather, collect, barrier) show up in `go
 // tool trace` output whenever tracing is active — a `go test -trace`
 // run, trace.Start, or the /debug/pprof/trace endpoint the telemetry
 // layer serves. With tracing off the guard is one atomic load per phase
@@ -546,20 +439,13 @@ func (e *Engine[V, M]) dispatch(t int, perWorker func(w int)) {
 // Value returns the final user value of the vertex with external
 // identifier id. Valid after Run.
 func (e *Engine[V, M]) Value(id graph.VertexID) V {
-	sh, local := e.slotShard(e.addr.locate(id))
-	return sh.values[local]
+	return e.values[e.addr.locate(id)]
 }
 
 // ValuesDense copies the vertex values out in internal-index order
 // (index i holds the value of external identifier Base()+i).
 func (e *Engine[V, M]) ValuesDense() []V {
-	out := make([]V, e.g.N())
-	for _, sh := range e.shards {
-		sh.scan(0, int32(len(sh.values)), e.shift, func(local, global int32) {
-			out[int(global)-e.shift] = sh.values[local]
-		})
-	}
-	return out
+	return append([]V(nil), e.values[e.shift:]...)
 }
 
 // Graph returns the engine's graph.
@@ -570,31 +456,19 @@ func (e *Engine[V, M]) Config() Config { return e.cfg }
 
 // FootprintBytes reports the engine's own heap bytes — vertex values,
 // activity flags, the mailbox arrays of the selected combiner version,
-// the pull outboxes, the addressing and partition structures, the bypass
-// state and the workers' combining caches. The O(threads·shards)
-// scheduling work lists are not per-vertex state and are not counted.
+// the pull outboxes, the addressing structure and the bypass state. The
+// O(threads) scheduling work lists are not per-vertex state and are not
+// counted.
 // The graph's CSR arrays are excluded, matching the paper's separation
 // of "graph binary size" from framework overhead (§7.4.2); add
 // graph.MemoryBytes() for the total.
 func (e *Engine[V, M]) FootprintBytes() uint64 {
 	var v V
 	var m M
-	b := e.addr.overheadBytes() + e.part.overheadBytes()
-	for _, sh := range e.shards {
-		b += uint64(len(sh.values)) * uint64(unsafe.Sizeof(v))
-		b += uint64(len(sh.active))
-		b += sh.mb.footprintBytes()
-		b += uint64(len(sh.inNext)+cap(sh.frontier)+cap(sh.frontierNext)) * 4
-	}
+	b := e.addr.overheadBytes() + e.mb.footprintBytes()
+	b += uint64(len(e.values))*uint64(unsafe.Sizeof(v)) + uint64(len(e.active))
+	b += uint64(len(e.inNext)+cap(e.frontier)+cap(e.frontierNext)) * 4
 	b += uint64(len(e.pullOut))*uint64(unsafe.Sizeof(m)) + uint64(len(e.pullFlag))
-	for _, w := range e.workers {
-		if w.cache != nil {
-			b += w.cache.footprintBytes()
-		}
-		if w.route != nil {
-			b += w.route.footprintBytes()
-		}
-	}
 	return b
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -127,9 +128,15 @@ func FuzzRestore(f *testing.F) {
 	v2bypass := captureCheckpoints(f, Config{Combiner: CombinerSpin, SelectionBypass: true}, 3)
 	v1 := captureV1(f, Config{Combiner: CombinerSpin})
 
+	sharded, err := os.ReadFile(shardedFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Add(v2[0])
 	f.Add(v2bypass[0])
 	f.Add(v1)
+	f.Add(sharded)
 	// Truncations at structure boundaries.
 	for _, cut := range []int{0, 3, 4, 20, 36, 40, 48, len(v2[0]) - 5, len(v2[0]) - 1} {
 		if cut <= len(v2[0]) {

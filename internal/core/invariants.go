@@ -26,19 +26,16 @@ func (e *InvariantError) Error() string {
 
 // auditInvariants is the Config.CheckInvariants barrier audit. It runs
 // single-threaded after every worker has joined the compute barrier (and
-// after the sender caches drained and the frontier was gathered) but
-// before the mailbox buffer swap, so the "next" side still holds this
-// superstep's deliveries.
+// after the frontier was gathered) but before the mailbox buffer swap,
+// so the "next" side still holds this superstep's deliveries.
 func (e *Engine[V, M]) auditInvariants() error {
 	if e.panicked.Load() != nil {
 		// A worker died mid-phase; its counters are incomplete and every
 		// check below could fire spuriously. Run reports the panic.
 		return nil
 	}
-	for _, sh := range e.shards {
-		if err := sh.mb.auditBarrier(); err != nil {
-			return &InvariantError{Superstep: e.superstep, Invariant: "mailbox-state", Detail: err.Error()}
-		}
+	if err := e.mb.auditBarrier(); err != nil {
+		return &InvariantError{Superstep: e.superstep, Invariant: "mailbox-state", Detail: err.Error()}
 	}
 	if err := e.auditConservation(); err != nil {
 		return err
@@ -52,41 +49,26 @@ func (e *Engine[V, M]) auditInvariants() error {
 }
 
 // auditConservation checks that every Send this superstep is accounted
-// for: it was either absorbed by a worker's combining cache, combined into
-// an occupied shared mailbox, or filled an empty one. Pull supersteps are
+// for: it was either combined into an occupied mailbox or filled an
+// empty one. Pull supersteps are
 // audited like push ones: they count Messages as the logical fan-out
 // (out-degree per broadcast) and the collect phase deposits exactly that
 // many entries through the counted deliver path, so the same formula
 // holds — and additionally pins the broadcast-at-most-once-per-superstep
 // contract the outbox-overwrite semantics require.
 func (e *Engine[V, M]) auditConservation() error {
-	defer func() {
-		for _, sh := range e.shards {
-			sh.mb.resetDeliveryCounts()
-		}
-	}()
-	var sent, local uint64
+	defer e.mb.resetDeliveryCounts()
+	var sent uint64
 	for _, w := range e.workers {
 		sent += w.msgs
-		if w.cache != nil {
-			local += w.cache.combined
-		}
-		if w.route != nil {
-			local += w.route.combined
-		}
 	}
-	var combines, fills uint64
-	for _, sh := range e.shards {
-		c, f := sh.mb.deliveryCounts()
-		combines += c
-		fills += f
-	}
-	if sent != local+combines+fills {
+	combines, fills := e.mb.deliveryCounts()
+	if sent != combines+fills {
 		return &InvariantError{
 			Superstep: e.superstep,
 			Invariant: "message-conservation",
-			Detail: fmt.Sprintf("sent %d != local combines %d + mailbox combines %d + mailbox fills %d (= %d); a delivery was lost or double-counted",
-				sent, local, combines, fills, local+combines+fills),
+			Detail: fmt.Sprintf("sent %d != mailbox combines %d + mailbox fills %d (= %d); a delivery was lost or double-counted",
+				sent, combines, fills, combines+fills),
 		}
 	}
 	return nil
@@ -110,49 +92,43 @@ func (e *Engine[V, M]) resetAuditSeen() []uint8 {
 // and every set flag must correspond to an enrolled slot. A duplicate
 // would run a vertex twice next superstep; a stray flag would silently
 // suppress a future enrolment (§4's correctness hinges on exactly-once
-// membership). Enrolled local slots are deduplicated against the global
-// scratch array and each shard's flag count must equal its enrolments.
+// membership). The set flags must number exactly the enrolments.
 func (e *Engine[V, M]) auditFrontierDedup() error {
 	seen := e.resetAuditSeen()
 	fail := func(format string, args ...any) error {
 		return &InvariantError{Superstep: e.superstep, Invariant: "frontier-dedup", Detail: fmt.Sprintf(format, args...)}
 	}
-	for s, sh := range e.shards {
-		for _, local := range sh.frontierNext {
-			slot := sh.global(local)
-			if seen[slot] != 0 {
-				return fail("vertex %d enrolled twice in the next frontier", e.addr.idOf(int(slot)))
-			}
-			seen[slot] = 1
-			if atomic.LoadUint32(&sh.inNext[local]) == 0 {
-				return fail("vertex %d is in the next frontier but its dedup flag is clear", e.addr.idOf(int(slot)))
-			}
+	for _, slot := range e.frontierNext {
+		if seen[slot] != 0 {
+			return fail("vertex %d enrolled twice in the next frontier", e.addr.idOf(int(slot)))
 		}
-		var flagged uint64
-		for i := range sh.inNext {
-			if atomic.LoadUint32(&sh.inNext[i]) != 0 {
-				flagged++
-			}
+		seen[slot] = 1
+		if atomic.LoadUint32(&e.inNext[slot]) == 0 {
+			return fail("vertex %d is in the next frontier but its dedup flag is clear", e.addr.idOf(int(slot)))
 		}
-		if flagged != uint64(len(sh.frontierNext)) {
-			return fail("shard %d: %d dedup flags set but %d vertices enrolled; a flag leaked without an enrolment", s, flagged, len(sh.frontierNext))
+	}
+	var flagged uint64
+	for i := range e.inNext {
+		if atomic.LoadUint32(&e.inNext[i]) != 0 {
+			flagged++
 		}
+	}
+	if flagged != uint64(len(e.frontierNext)) {
+		return fail("%d dedup flags set but %d vertices enrolled; a flag leaked without an enrolment", flagged, len(e.frontierNext))
 	}
 	return nil
 }
 
 // auditBypass verifies the §4 implication after the frontier swap: every
-// vertex holding a message is in its shard's new frontier.
+// vertex holding a message is in the new frontier.
 func (e *Engine[V, M]) auditBypass() error {
 	seen := e.resetAuditSeen()
-	for _, sh := range e.shards {
-		for _, local := range sh.frontier {
-			seen[sh.global(local)] = 1
-		}
-		for local := range sh.values {
-			if slot := sh.global(int32(local)); sh.mb.hasCurrent(local) && seen[slot] == 0 {
-				return fmt.Errorf("core: bypass audit: vertex %d has mail but is not in the frontier", e.addr.idOf(int(slot)))
-			}
+	for _, slot := range e.frontier {
+		seen[slot] = 1
+	}
+	for slot := range seen {
+		if e.mb.hasCurrent(slot) && seen[slot] == 0 {
+			return fmt.Errorf("core: bypass audit: vertex %d has mail but is not in the frontier", e.addr.idOf(slot))
 		}
 	}
 	return nil

@@ -5,29 +5,25 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"ipregel/internal/graph"
 )
 
 // TestCheckInvariantsCleanAcrossVersions runs every combiner (with and
-// without bypass, sender combining and multiple schedules) under the full
-// audit: a correct engine must never trip it.
+// without bypass) under the full audit: a correct engine must never trip
+// it.
 func TestCheckInvariantsCleanAcrossVersions(t *testing.T) {
 	g := ringGraph(64, 0)
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull, CombinerAtomic} {
 		for _, bypass := range []bool{false, true} {
-			for _, sc := range []bool{false, true} {
-				if sc && comb == CombinerPull {
-					continue // rejected combination
-				}
-				cfg := Config{
-					Combiner:        comb,
-					SelectionBypass: bypass,
-					SenderCombining: sc,
-					CheckInvariants: true,
-					Threads:         4,
-				}
-				if _, _, err := Run(g, cfg, haltingFlood(6)); err != nil {
-					t.Fatalf("%s: clean run tripped the audit: %v", cfg.VersionName(), err)
-				}
+			cfg := Config{
+				Combiner:        comb,
+				SelectionBypass: bypass,
+				CheckInvariants: true,
+				Threads:         4,
+			}
+			if _, _, err := Run(g, cfg, haltingFlood(6)); err != nil {
+				t.Fatalf("%s: clean run tripped the audit: %v", cfg.VersionName(), err)
 			}
 		}
 	}
@@ -44,7 +40,7 @@ func TestInvariantConservationDetectsLostDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A rogue deposit the per-worker counters never saw.
-	e.shards[0].mb.deliver(3, 99)
+	e.mb.scatter([]graph.VertexID{3}, 0, 99)
 	_, err = e.Run()
 	var inv *InvariantError
 	if !errors.As(err, &inv) {
@@ -88,23 +84,23 @@ func TestInvariantFrontierDedupDetectsCorruptState(t *testing.T) {
 
 	// A set flag with no matching frontier entry: would silently suppress
 	// a future enrolment.
-	atomic.StoreUint32(&e.shards[0].inNext[2], 1)
+	atomic.StoreUint32(&e.inNext[2], 1)
 	wantDedup("leaked")
-	atomic.StoreUint32(&e.shards[0].inNext[2], 0)
+	atomic.StoreUint32(&e.inNext[2], 0)
 
 	// The same vertex enrolled twice: would run it twice next superstep.
-	atomic.StoreUint32(&e.shards[0].inNext[3], 1)
-	e.shards[0].frontierNext = []int32{3, 3}
+	atomic.StoreUint32(&e.inNext[3], 1)
+	e.frontierNext = []int32{3, 3}
 	wantDedup("enrolled twice")
-	atomic.StoreUint32(&e.shards[0].inNext[3], 0)
+	atomic.StoreUint32(&e.inNext[3], 0)
 
 	// An enrolment whose dedup flag is clear: exactly-once membership no
 	// longer holds for the next superstep's sends.
-	e.shards[0].frontierNext = []int32{4}
+	e.frontierNext = []int32{4}
 	wantDedup("flag is clear")
 
 	// Consistent state must pass.
-	atomic.StoreUint32(&e.shards[0].inNext[4], 1)
+	atomic.StoreUint32(&e.inNext[4], 1)
 	if err := e.auditInvariants(); err != nil {
 		t.Fatalf("audit rejected consistent frontier state: %v", err)
 	}
@@ -122,9 +118,9 @@ func TestInvariantMailboxStateDetectsStuckSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amb, ok := e.shards[0].mb.(*atomicMailbox[uint32])
+	amb, ok := e.mb.(*atomicMailbox[uint32])
 	if !ok {
-		t.Fatalf("engine built %T, want *atomicMailbox", e.shards[0].mb)
+		t.Fatalf("engine built %T, want *atomicMailbox", e.mb)
 	}
 	atomic.StoreUint32(&amb.stateNext[5], slotBusy)
 	auditErr := e.auditInvariants()
@@ -156,7 +152,7 @@ func TestInvariantCountersIdleWhenOff(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	c, f := e.shards[0].mb.deliveryCounts()
+	c, f := e.mb.deliveryCounts()
 	if c != 0 || f != 0 {
 		t.Fatalf("counters ran with CheckInvariants off: combines=%d fills=%d", c, f)
 	}

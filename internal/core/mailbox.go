@@ -26,21 +26,18 @@ type CombineFunc[M any] func(old *M, new M)
 //
 // The version is chosen once (newMailbox) and the hot path pays for the
 // choice once per broadcast, not per message: scatter is each version's
-// own per-neighbour loop, and mail is read through the shard's concrete
-// pointers (engineShard.buf/cas). deliver serves the single deliveries
-// of the routing and combining caches' evictions and drains.
+// own per-neighbour loop, and mail is read through the engine's concrete
+// pointers (Engine.buf/cas).
 //
 // All mailboxes are double-buffered: compute at superstep s reads the
 // "now" buffer (messages sent during s-1) while new messages land in the
 // "next" buffer, swapped at the barrier.
 type mailbox[M any] interface {
-	// deliver puts msg into slot dst's next-superstep inbox, combining if
-	// a message is already present. Safe for concurrent senders on the
-	// mutex, spinlock and atomic versions; on the plain version only
-	// while each dst has a single depositor.
-	deliver(dst int, msg M)
-	// scatter delivers msg to slot nb+shift for every nb: one broadcast's
-	// fan-out under a single dispatch (Context.scatter).
+	// scatter puts msg into the next-superstep inbox of slot nb+shift for
+	// every nb, combining where a message is already present: one
+	// broadcast's fan-out under a single dispatch (Context.scatter). Safe
+	// for concurrent senders on the mutex, spinlock and atomic versions;
+	// on the plain version only while each slot has a single depositor.
 	scatter(nbs []graph.VertexID, shift int, msg M)
 	// buffers returns the flag-and-message arrays of the plain and
 	// lock-based versions, nil on the atomic one: the engine reads mail
@@ -213,12 +210,6 @@ func newMutexMailbox[M any](slots int, combine CombineFunc[M], check bool) *mute
 	}
 }
 
-func (mb *mutexMailbox[M]) deliver(dst int, msg M) {
-	mb.locks[dst].Lock()
-	mb.deposit(dst, msg)
-	mb.locks[dst].Unlock()
-}
-
 func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
 	for _, nb := range nbs {
 		dst := int(nb) + shift
@@ -247,12 +238,6 @@ func newSpinMailbox[M any](slots int, combine CombineFunc[M], check bool) *spinM
 	}
 }
 
-func (mb *spinMailbox[M]) deliver(dst int, msg M) {
-	mb.locks[dst].lock()
-	mb.deposit(dst, msg)
-	mb.locks[dst].unlock()
-}
-
 func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
 	for _, nb := range nbs {
 		dst := int(nb) + shift
@@ -278,8 +263,6 @@ func (mb *spinMailbox[M]) footprintBytes() uint64 {
 type plainMailbox[M any] struct {
 	pushBuffers[M]
 }
-
-func (mb *plainMailbox[M]) deliver(dst int, msg M) { mb.deposit(dst, msg) }
 
 // scatter is deposit fused over one neighbour list: the buffers are
 // resolved and the audit counters bumped once per call, which leaves the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +8,7 @@ import (
 	"ipregel/internal/graph"
 )
 
-// hammerMailbox drives deliver from `workers` goroutines, each sending
+// hammerMailbox drives delivery from `workers` goroutines, each sending
 // `perWorker` messages into `hot` slots, and returns the per-slot values
 // the mailbox ends up holding. The message sequence is deterministic, so
 // callers can compare against a sequential reference.
@@ -22,7 +21,7 @@ func hammerMailbox[M any](t *testing.T, mb mailbox[M], workers, perWorker, hot i
 			defer wg.Done()
 			for k := 0; k < perWorker; k++ {
 				slot, msg := msgAt(w, k)
-				mb.deliver(slot, msg)
+				mb.scatter([]graph.VertexID{graph.VertexID(slot)}, 0, msg)
 			}
 		}(w)
 	}
@@ -149,68 +148,6 @@ func TestAtomicCombinerRejectsOversizedMessage(t *testing.T) {
 	}
 }
 
-func TestSenderCombiningRejectsPull(t *testing.T) {
-	g := ringGraph(4, 0)
-	_, err := New(g, Config{Combiner: CombinerPull, SenderCombining: true}, counterProgram(1))
-	if err == nil || !strings.Contains(err.Error(), "sender-side combining") {
-		t.Fatalf("want sender-combining rejection, got %v", err)
-	}
-}
-
-// TestSenderCacheEquivalence feeds an identical random send stream
-// directly into one mailbox and through a combining cache into another;
-// after the drain both must hold identical slot contents, and the cache
-// must report the local combines it absorbed.
-func TestSenderCacheEquivalence(t *testing.T) {
-	const slots = 1 << 12
-	sum32 := func(old *uint32, new uint32) { *old += new }
-	direct, err := newMailbox[uint32](Config{Combiner: CombinerSpin}, slots, sum32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := newMailbox[uint32](Config{Combiner: CombinerSpin}, slots, sum32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := newSenderCache[uint32](sum32)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200_000; i++ {
-		// zipf-ish: half the traffic hits 8 hub slots, the rest is uniform
-		var slot int
-		if rng.Intn(2) == 0 {
-			slot = rng.Intn(8)
-		} else {
-			slot = rng.Intn(slots)
-		}
-		msg := uint32(rng.Intn(1000))
-		direct.deliver(slot, msg)
-		cache.add(slot, msg, cached)
-	}
-	cache.drain(cached)
-	if cache.combined == 0 {
-		t.Fatal("hub-heavy stream produced zero local combines")
-	}
-	direct.swap(nil, true)
-	cached.swap(nil, true)
-	for s := 0; s < slots; s++ {
-		var a, b uint32
-		okA := direct.take(s, &a)
-		okB := cached.take(s, &b)
-		if okA != okB || a != b {
-			t.Fatalf("slot %d: direct=(%d,%v) cached=(%d,%v)", s, a, okA, b, okB)
-		}
-	}
-	// a drained cache must be empty: a second drain delivers nothing
-	cache.drain(cached)
-	cached.swap(nil, true)
-	var m uint32
-	for s := 0; s < slots; s++ {
-		if cached.take(s, &m) {
-			t.Fatalf("slot %d: message after draining an empty cache", s)
-		}
-	}
-}
-
 // skewGraph builds a star-plus-ring: vertex 0 has out-degree n-1 (the
 // hub), everyone else degree ~2 — the degree shape that breaks
 // vertex-count splits.
@@ -227,7 +164,7 @@ func skewGraph(n int) *graph.Graph {
 func TestEdgeBalancedCuts(t *testing.T) {
 	g := skewGraph(1024)
 	const threads = 4
-	cuts := edgeBalancedCuts(g, threads, 0, g.N())
+	cuts := edgeBalancedCuts(g, threads)
 	if len(cuts) != threads+1 || cuts[0] != 0 || cuts[threads] != int32(g.N()) {
 		t.Fatalf("cuts = %v", cuts)
 	}
@@ -267,16 +204,14 @@ func TestEdgeBalancedScheduleResults(t *testing.T) {
 	want := ref.ValuesDense()
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		for _, threads := range []int{2, 5} {
-			for _, sc := range []bool{false, true} {
-				cfg := Config{Combiner: comb, Schedule: ScheduleEdgeBalanced, Threads: threads, SenderCombining: sc, CheckInvariants: true}
-				e, _, err := Run(g, cfg, counterProgram(4))
-				if err != nil {
-					t.Fatalf("%s: %v", cfg.VersionName(), err)
-				}
-				for i, v := range e.ValuesDense() {
-					if v != want[i] {
-						t.Fatalf("%s threads=%d: vertex %d = %d, want %d", cfg.VersionName(), threads, i, v, want[i])
-					}
+			cfg := Config{Combiner: comb, Schedule: ScheduleEdgeBalanced, Threads: threads, CheckInvariants: true}
+			e, _, err := Run(g, cfg, counterProgram(4))
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.VersionName(), err)
+			}
+			for i, v := range e.ValuesDense() {
+				if v != want[i] {
+					t.Fatalf("%s threads=%d: vertex %d = %d, want %d", cfg.VersionName(), threads, i, v, want[i])
 				}
 			}
 		}
@@ -285,7 +220,7 @@ func TestEdgeBalancedScheduleResults(t *testing.T) {
 
 // TestAtomicEngineHotHubStress runs a full engine superstep loop where
 // every vertex floods the single hub vertex — end-to-end contention over
-// the CAS mailbox and the sender caches, meaningful under -race.
+// the CAS mailbox, meaningful under -race.
 func TestAtomicEngineHotHubStress(t *testing.T) {
 	const n = 2000
 	var b graph.Builder
@@ -313,21 +248,13 @@ func TestAtomicEngineHotHubStress(t *testing.T) {
 		want += uint64(i) + 1
 	}
 	want *= 3 // three broadcasting supersteps
-	for _, sc := range []bool{false, true} {
-		cfg := Config{Combiner: CombinerAtomic, Threads: 8, SenderCombining: sc, CheckInvariants: true}
-		e, rep, err := Run(g, cfg, prog)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.VersionName(), err)
-		}
-		if got := e.ValuesDense()[0]; got != want {
-			t.Fatalf("%s: hub accumulated %d, want %d", cfg.VersionName(), got, want)
-		}
-		if sc && rep.TotalLocalCombines == 0 {
-			t.Fatal("sender combining absorbed no deliveries on an all-to-one workload")
-		}
-		if !sc && rep.TotalLocalCombines != 0 {
-			t.Fatal("TotalLocalCombines nonzero with sender combining off")
-		}
+	cfg := Config{Combiner: CombinerAtomic, Threads: 8, CheckInvariants: true}
+	e, _, err := Run(g, cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.ValuesDense()[0]; got != want {
+		t.Fatalf("hub accumulated %d, want %d", got, want)
 	}
 }
 
@@ -347,8 +274,8 @@ func TestParseCombinerAndSchedule(t *testing.T) {
 	if _, err := ParseSchedule("nope"); err == nil {
 		t.Fatal("ParseSchedule accepted garbage")
 	}
-	got := Config{Combiner: CombinerAtomic, SenderCombining: true, Schedule: ScheduleEdgeBalanced}.VersionName()
-	if got != "atomic+combining+edgebal" {
+	got := Config{Combiner: CombinerAtomic, SelectionBypass: true, Schedule: ScheduleEdgeBalanced}.VersionName()
+	if got != "atomic+bypass+edgebal" {
 		t.Fatalf("VersionName = %q", got)
 	}
 }

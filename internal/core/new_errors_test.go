@@ -78,32 +78,11 @@ func TestNewConstructionErrors(t *testing.T) {
 			want: "DirectionThreshold tunes the per-superstep switch of Direction adaptive",
 		},
 		{
-			name: "negative hub degree cut",
-			g:    ringGraph(4, 0),
-			cfg:  Config{HubSplit: true, HubDegreeCut: -3},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "HubDegreeCut",
-		},
-		{
-			name: "hub degree cut without HubSplit",
-			g:    ringGraph(4, 0),
-			cfg:  Config{HubDegreeCut: 64},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "HubDegreeCut sets the degree above which HubSplit splits",
-		},
-		{
 			name: "selection bypass without out-adjacency",
 			g:    noOut(),
 			cfg:  Config{SelectionBypass: true},
 			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
 			want: "selection bypass enrols out-neighbours",
-		},
-		{
-			name: "sender combining with pull combiner",
-			g:    ringGraph(4, 0).WithInEdges(),
-			cfg:  Config{Combiner: CombinerPull, SenderCombining: true},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "sender-side combining pre-combines push deliveries",
 		},
 		{
 			name: "unknown combiner",
@@ -164,5 +143,41 @@ func TestAtomicConstructionErrorDistinct(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "notWord") {
 		t.Fatalf("error should name the offending message type: %v", err)
+	}
+}
+
+// TestVersionNameSeparatesModuleVersions: Report.Version, trace events
+// and benchmark names identify a run by Config.VersionName, so two
+// configurations that differ in any module field — combiner, direction,
+// selection, schedule — must not share a name. CombinerPull fixes the
+// direction (New rewrites it to pull), so its rows are taken at the one
+// direction it can run.
+func TestVersionNameSeparatesModuleVersions(t *testing.T) {
+	type modules struct {
+		Combiner  Combiner
+		Direction Direction
+		Bypass    bool
+		Schedule  Schedule
+	}
+	seen := map[string]modules{}
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull, CombinerAtomic} {
+		for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
+			if comb == CombinerPull && dir != DirectionPull {
+				continue
+			}
+			for _, bypass := range []bool{false, true} {
+				for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleEdgeBalanced} {
+					m := modules{comb, dir, bypass, sched}
+					name := Config{Combiner: comb, Direction: dir, SelectionBypass: bypass, Schedule: sched}.VersionName()
+					if other, dup := seen[name]; dup {
+						t.Fatalf("VersionName %q names both %+v and %+v", name, other, m)
+					}
+					seen[name] = m
+				}
+			}
+		}
+	}
+	if name := (Config{Schedule: ScheduleDynamic}).VersionName(); name != "mutex+dynamic" {
+		t.Fatalf("dynamic schedule is named %q, want mutex+dynamic", name)
 	}
 }

@@ -117,11 +117,10 @@ func (r *recObs) stepEnds() []obsEvent {
 // Converged/Aborted is set, and only a trailing step may be partial.
 func assertConsistent(t *testing.T, rep Report) {
 	t.Helper()
-	var msgs, combines uint64
+	var msgs uint64
 	completed := 0
 	for i, s := range rep.Steps {
 		msgs += s.Messages
-		combines += s.LocalCombines
 		if s.Partial {
 			if i != len(rep.Steps)-1 {
 				t.Fatalf("partial step record at %d is not trailing", i)
@@ -132,9 +131,6 @@ func assertConsistent(t *testing.T, rep Report) {
 	}
 	if rep.TotalMessages != msgs {
 		t.Fatalf("TotalMessages = %d, steps sum to %d", rep.TotalMessages, msgs)
-	}
-	if rep.TotalLocalCombines != combines {
-		t.Fatalf("TotalLocalCombines = %d, steps sum to %d", rep.TotalLocalCombines, combines)
 	}
 	if rep.Supersteps != rep.FirstSuperstep+completed {
 		t.Fatalf("Supersteps = %d, want FirstSuperstep %d + %d completed", rep.Supersteps, rep.FirstSuperstep, completed)
@@ -271,7 +267,7 @@ func TestObserverAbortPaths(t *testing.T) {
 				// superstep's barrier.
 				if err := e.AddObserver(ObserverFuncs{SuperstepStart: func(s int) {
 					if s == 2 {
-						atomic.StoreUint32(&e.shards[0].inNext[10], 1)
+						atomic.StoreUint32(&e.inNext[10], 1)
 					}
 				}}); err != nil {
 					t.Fatal(err)

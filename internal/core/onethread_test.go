@@ -38,9 +38,10 @@ func sendSSSPProg(source graph.VertexID) Program[uint32, uint32] {
 	}
 }
 
-// oneVsTwo runs prog under cfg on one thread and on two and demands the
-// same Fingerprint and the same values under same.
-func oneVsTwo[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[V, V], same func(one, two V) bool) {
+// oneVsThreads runs prog under cfg on one thread and on threads and
+// demands the same Fingerprint and the same values under same, with the
+// barrier audits on.
+func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[V, V], same func(one, many V) bool, threads int) {
 	t.Helper()
 	cfg.CheckInvariants = true
 	cfg.Threads = 1
@@ -48,18 +49,18 @@ func oneVsTwo[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[V, V
 	if err != nil {
 		t.Fatalf("%s threads=1: %v", cfg.VersionName(), err)
 	}
-	cfg.Threads = 2
-	e2, rep2, err := Run(g, cfg, prog)
+	cfg.Threads = threads
+	eN, repN, err := Run(g, cfg, prog)
 	if err != nil {
-		t.Fatalf("%s threads=2: %v", cfg.VersionName(), err)
+		t.Fatalf("%s threads=%d: %v", cfg.VersionName(), threads, err)
 	}
-	if fp1, fp2 := rep1.Fingerprint(), rep2.Fingerprint(); fp1 != fp2 {
-		t.Fatalf("%s: fingerprints differ\n--- one thread ---\n%s--- two ---\n%s", cfg.VersionName(), fp1, fp2)
+	if fp1, fpN := rep1.Fingerprint(), repN.Fingerprint(); fp1 != fpN {
+		t.Fatalf("%s: fingerprints differ\n--- one thread ---\n%s--- %d threads ---\n%s", cfg.VersionName(), fp1, threads, fpN)
 	}
-	v1, v2 := e1.ValuesDense(), e2.ValuesDense()
+	v1, vN := e1.ValuesDense(), eN.ValuesDense()
 	for i := range v1 {
-		if !same(v1[i], v2[i]) {
-			t.Fatalf("%s: value[%d] = %v on one thread, %v on two", cfg.VersionName(), i, v1[i], v2[i])
+		if !same(v1[i], vN[i]) {
+			t.Fatalf("%s: value[%d] = %v on one thread, %v on %d", cfg.VersionName(), i, v1[i], vN[i], threads)
 		}
 	}
 }
@@ -67,9 +68,8 @@ func oneVsTwo[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[V, V
 // TestOneThreadInboxParity: a one-thread engine builds the plain inbox
 // whatever the combiner (newMailbox), so every configuration must compute
 // on it what it computes on the configured lock-based or atomic inbox at
-// two threads — through every delivery route the fused scatter takes
-// (direct, sender cache, shard routers, hub chunks), every addressing
-// mode and every direction. Integers are bit-exact; float sums agree to
+// two threads — through a Broadcast's scatter and a Send's scatter of
+// one, every addressing mode and every direction. Integers are bit-exact; float sums agree to
 // the 1e-9 of DESIGN.md §5.1 when a push superstep was involved and bit
 // for bit when every superstep pulled.
 func TestOneThreadInboxParity(t *testing.T) {
@@ -77,34 +77,23 @@ func TestOneThreadInboxParity(t *testing.T) {
 	sameInt := func(a, b uint32) bool { return a == b }
 	sameFloat := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
 	bitExact := func(a, b float64) bool { return a == b }
-	routes := []Config{
-		{},
-		{SenderCombining: true},
-		{HubSplit: true, HubDegreeCut: 3}, // every vertex (out-degree 5) is split
-		{Shards: 4},
-	}
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
 			for _, addr := range []Addressing{AddressOffset, AddressDesolate, AddressHashmap} {
-				for _, cfg := range routes {
-					if cfg.SenderCombining && dir == DirectionPull {
-						continue // rejected by New: nothing to pre-combine
+				cfg := Config{Combiner: comb, Direction: dir, Addressing: addr}
+				for _, bypass := range []bool{false, true} {
+					cfg.SelectionBypass = bypass
+					oneVsThreads(t, g, cfg, ssspProg(1), sameInt, 2)
+					oneVsThreads(t, g, cfg, minLabelProg(), sameInt, 2)
+					if dir == DirectionPush {
+						oneVsThreads(t, g, cfg, sendSSSPProg(1), sameInt, 2)
 					}
-					cfg.Combiner, cfg.Direction, cfg.Addressing = comb, dir, addr
-					for _, bypass := range []bool{false, true} {
-						cfg.SelectionBypass = bypass
-						oneVsTwo(t, g, cfg, ssspProg(1), sameInt)
-						oneVsTwo(t, g, cfg, minLabelProg(), sameInt)
-						if dir == DirectionPush {
-							oneVsTwo(t, g, cfg, sendSSSPProg(1), sameInt)
-						}
-					}
-					cfg.SelectionBypass = false // rankProg never halts before its last round
-					if dir == DirectionPull {
-						oneVsTwo(t, g, cfg, rankProg(5), bitExact)
-					} else {
-						oneVsTwo(t, g, cfg, rankProg(5), sameFloat)
-					}
+				}
+				cfg.SelectionBypass = false // rankProg never halts before its last round
+				if dir == DirectionPull {
+					oneVsThreads(t, g, cfg, rankProg(5), bitExact, 2)
+				} else {
+					oneVsThreads(t, g, cfg, rankProg(5), sameFloat, 2)
 				}
 			}
 		}
@@ -125,7 +114,7 @@ func TestOneThreadFloatPushBitExact(t *testing.T) {
 	want := pull.ValuesDense()
 	for _, cfg := range []Config{
 		{Combiner: CombinerSpin, Threads: 1},
-		{Combiner: CombinerAtomic, Threads: 1, HubSplit: true, HubDegreeCut: 3},
+		{Combiner: CombinerAtomic, Threads: 1},
 	} {
 		push, _, err := Run(g, cfg, rankProg(6))
 		if err != nil {
@@ -173,7 +162,7 @@ func TestCheckpointCrossesThreadCounts(t *testing.T) {
 	for _, base := range []Config{
 		{Combiner: CombinerSpin, SelectionBypass: true},
 		{Combiner: CombinerMutex},
-		{Combiner: CombinerAtomic, SelectionBypass: true, Shards: 4},
+		{Combiner: CombinerAtomic, SelectionBypass: true},
 	} {
 		for _, threads := range [][2]int{{2, 1}, {1, 2}} {
 			writeCfg, readCfg := base, base
@@ -272,7 +261,7 @@ func TestInvariantMailboxStateDetectsStaleFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.shards[0].buf.hasNext[5] = 1
+	e.buf.hasNext[5] = 1
 	_, err = e.Run()
 	if err == nil || !strings.Contains(err.Error(), "mailbox-state") || !strings.Contains(err.Error(), "stale flag") {
 		t.Fatalf("want a mailbox-state violation naming the stale flag, got %v", err)

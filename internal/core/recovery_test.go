@@ -212,3 +212,70 @@ func TestFileSinkPrunesAndSkipsCorrupt(t *testing.T) {
 	}
 	r.Close()
 }
+
+// TestRecoverySkipsMultiShardCheckpoint: a checkpoint directory that
+// still holds a file written by the removed sharded engine must not fail
+// every recovery attempt (a restore error is fatal to the supervisor).
+// VerifyCheckpoint rejects the file by name, so LatestGood never offers
+// it: the run resumes from an older good barrier when there is one and
+// starts fresh when there is not.
+func TestRecoverySkipsMultiShardCheckpoint(t *testing.T) {
+	sharded, err := os.ReadFile(shardedFixture) // barrier 4 of a 4-shard run
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gridForCheckpoint(t)
+	cfg := Config{Combiner: CombinerSpin, Threads: 2, CheckInvariants: true}
+	refE, refRep, err := Run(g, cfg, ssspProg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refE.ValuesDense()
+	barrier2 := captureCheckpoints(t, cfg, 2)[0]
+
+	for _, tc := range []struct {
+		name     string
+		older    []byte // a good barrier-2 checkpoint beside the sharded file, or nil
+		resumeAt int
+	}{
+		{"falls back to an older good barrier", barrier2, 2},
+		{"starts fresh", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink, err := NewFileSink(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sink.Close()
+			if err := os.WriteFile(filepath.Join(sink.dir, sink.checkpointName(4)), sharded, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.older != nil {
+				if err := os.WriteFile(filepath.Join(sink.dir, sink.checkpointName(2)), tc.older, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r, step, found, err := sink.LatestGood()
+			if err != nil || found != (tc.older != nil) || step != tc.resumeAt {
+				t.Fatalf("LatestGood = barrier %d, found %v, err %v; want barrier %d, found %v", step, found, err, tc.resumeAt, tc.older != nil)
+			}
+			if found {
+				r.Close()
+			}
+			cp := Checkpointer[uint32, uint32]{Every: 1, Sink: sink.Sink, VCodec: u32Codec{}, MCodec: u32Codec{}}
+			e, rep, err := RunWithRecovery(context.Background(), g, cfg, ssspProg(1), cp, sink, RecoveryOptions[uint32, uint32]{MaxAttempts: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Attempts != 1 || rep.FirstSuperstep != tc.resumeAt || rep.Supersteps != refRep.Supersteps {
+				t.Fatalf("attempts=%d, resumed from barrier %d, ended at %d; want 1 attempt from barrier %d ending at %d",
+					rep.Attempts, rep.FirstSuperstep, rep.Supersteps, tc.resumeAt, refRep.Supersteps)
+			}
+			for i, got := range e.ValuesDense() {
+				if got != want[i] {
+					t.Fatalf("dist[%d] = %d, want %d", i, got, want[i])
+				}
+			}
+		})
+	}
+}

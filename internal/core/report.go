@@ -16,11 +16,6 @@ type StepStats struct {
 	Messages uint64
 	// Active is the number of vertices still active after the superstep.
 	Active int64
-	// LocalCombines counts sends that were merged inside a worker's
-	// combining cache (Config.SenderCombining) and therefore never
-	// touched the shared mailbox — the lock/CAS traffic the feature
-	// removed this superstep. Always 0 when sender combining is off.
-	LocalCombines uint64
 	// CASRetries counts failed compare-and-swap attempts in the atomic
 	// mailbox this superstep (value-word combine retries plus lost
 	// empty-slot claims) — the live contention signal. Always 0 for the
@@ -30,24 +25,6 @@ type StepStats struct {
 	// selection bypass (0 when bypass is off): how many vertices received
 	// a message and will run next.
 	NextFrontier int64
-	// ShardMessages counts the deliveries routed to each shard this
-	// superstep, indexed by shard (len = Config.Shards; nil on
-	// single-shard runs). The sum over shards equals Messages for the
-	// push combiners.
-	ShardMessages []uint64
-	// ShardNextFrontier is the per-shard next-frontier size under
-	// selection bypass on a sharded engine (nil otherwise); the sum over
-	// shards equals NextFrontier.
-	ShardNextFrontier []int64
-	// CrossShardMessages counts the sends whose destination shard
-	// differed from the sending vertex's shard — the traffic the routing
-	// layer batches at the barrier. Always 0 on single-shard runs.
-	CrossShardMessages uint64
-	// SkippedShards counts the shards the compute phase dropped entirely
-	// this superstep because nothing in them could run: no active vertex
-	// and no delivery last superstep (under selection bypass, an empty
-	// shard frontier). Always 0 on single-shard runs.
-	SkippedShards int64
 	// Direction is the transport this superstep's sends travelled: push
 	// (deliveries at send time) or pull (outbox buffering, collect-phase
 	// fan-out). Fixed for the whole run except under Config.Direction
@@ -58,10 +35,6 @@ type StepStats struct {
 	// ipregel_direction_switches_total counts. Always false on a run's
 	// first superstep (a resumed run restarts the comparison).
 	DirectionSwitched bool
-	// HubSplitTasks counts the scatter chunks hub splitting fanned out
-	// this superstep (Config.HubSplit); 0 when off or when no broadcast
-	// crossed the degree cut.
-	HubSplitTasks int64
 	// Duration is the wall-clock time of the superstep.
 	Duration time.Duration
 	// WorkerBusy holds each worker's busy time this superstep when
@@ -95,32 +68,10 @@ func (s StepStats) Imbalance() float64 {
 	return float64(max) / mean
 }
 
-// ShardImbalance returns max/mean of the per-shard delivery counts
-// (1 = perfectly balanced; 0 on single-shard runs or message-free
-// supersteps) — the partition-quality analogue of Imbalance.
-func (s StepStats) ShardImbalance() float64 {
-	if len(s.ShardMessages) == 0 {
-		return 0
-	}
-	var sum, max uint64
-	for _, n := range s.ShardMessages {
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.ShardMessages))
-	return float64(max) / mean
-}
-
 // Report summarises one engine run. It is internally consistent on
-// every exit path, aborted or converged: TotalMessages and
-// TotalLocalCombines always equal the sums over Steps, and Duration
-// covers exactly the supersteps Steps records (plus any trailing
-// partial one).
+// every exit path, aborted or converged: TotalMessages always equals
+// the sum over Steps, and Duration covers exactly the supersteps Steps
+// records (plus any trailing partial one).
 type Report struct {
 	// Version is the Fig. 7 legend name of the configuration, e.g.
 	// "spinlock+bypass".
@@ -138,11 +89,6 @@ type Report struct {
 	Supersteps int
 	// TotalMessages counts all messages sent across the run.
 	TotalMessages uint64
-	// TotalLocalCombines counts the sends absorbed by the workers'
-	// combining caches across the run (see StepStats.LocalCombines);
-	// TotalMessages - TotalLocalCombines deliveries reached the shared
-	// mailbox.
-	TotalLocalCombines uint64
 	// Duration is the superstep execution time — like the paper's
 	// methodology it excludes graph loading and preprocessing (§7.1.2).
 	Duration time.Duration
@@ -223,13 +169,12 @@ func (r Report) LoadImbalance() float64 {
 // comparable string: superstep counts, message totals and the
 // per-superstep ran/messages/active/next-frontier series. Two runs of the
 // same program on the same graph must produce equal fingerprints
-// regardless of thread count, combiner, sharding, schedule or graph
-// backend (flat, compressed, mmap) — this is what the backend parity
-// battery asserts. Timing- and contention-dependent fields (Duration,
-// CASRetries, LocalCombines, WorkerBusy, SkippedShards,
-// Attempts/Recoveries) are deliberately excluded: they legitimately vary
-// between equivalent runs.
-// Direction/DirectionSwitched/HubSplitTasks are excluded too — they
+// regardless of thread count, combiner, schedule or graph backend (flat,
+// compressed, mmap) — this is what the backend parity battery asserts.
+// Timing- and contention-dependent fields (Duration, CASRetries,
+// WorkerBusy, Attempts/Recoveries) are deliberately excluded: they
+// legitimately vary between equivalent runs.
+// Direction/DirectionSwitched are excluded too — they
 // describe HOW a superstep's messages travelled, and the whole point of
 // the direction model is that push-only, pull-only and adaptive runs
 // produce equal fingerprints.

@@ -1,0 +1,244 @@
+package core
+
+import (
+	"sort"
+	"sync/atomic"
+
+	"ipregel/internal/graph"
+)
+
+// span is one unit of compute/collect work: the slot range [lo, hi) —
+// or, for a frontier span, that index range of the frontier list. The
+// scan spans are precomputed at construction; frontier spans are rebuilt
+// each superstep from the frontier's length.
+type span struct {
+	lo, hi int32
+}
+
+// Span granularity. The span list is where the schedules differ — the
+// claiming loop (parallelFor) is the same for all of them:
+//
+//   - static cuts the work into one span per worker (the paper's "equal
+//     share" split, §4);
+//   - edge-balanced places those cuts at equal out-edge counts instead
+//     of equal slot counts;
+//   - dynamic cuts dynamicSpanFactor spans per worker, never finer than
+//     dynamicMinSpan items, so fast workers keep claiming.
+const (
+	dynamicSpanFactor = 16
+	dynamicMinSpan    = 64
+)
+
+// spanParts is the number of ranges n work items (slots or frontier
+// entries) are cut into.
+func (e *Engine[V, M]) spanParts(n int) int {
+	t := e.threads
+	switch {
+	case t == 1:
+		return 1
+	case e.cfg.Schedule == ScheduleDynamic:
+		return max(1, min(t*dynamicSpanFactor, n/dynamicMinSpan))
+	}
+	return t
+}
+
+// cutSpans appends the n items starting at lo cut into at most parts
+// equal ranges.
+func cutSpans(spans []span, lo, n, parts int) []span {
+	parts = min(parts, n)
+	for c := 0; c < parts; c++ {
+		spans = append(spans, span{int32(lo + c*n/parts), int32(lo + (c+1)*n/parts)})
+	}
+	return spans
+}
+
+// buildScanSpans precomputes the full-scan work list: the slots that
+// hold a vertex — [shift, slots); the desolate dead zone below shift
+// holds none (§5) — cut into spanParts ranges.
+func (e *Engine[V, M]) buildScanSpans() {
+	n := e.g.N()
+	parts := e.spanParts(n)
+	if e.cfg.Schedule != ScheduleEdgeBalanced || parts == 1 {
+		e.scanSpans = cutSpans(nil, e.shift, n, parts)
+		return
+	}
+	// The CSR degree prefix sums cut internal-index space into ranges of
+	// ~equal out-edge counts; slot = index + shift.
+	cuts := edgeBalancedCuts(e.g, parts)
+	for c := 0; c < parts; c++ {
+		if lo, hi := cuts[c]+int32(e.shift), cuts[c+1]+int32(e.shift); lo < hi {
+			e.scanSpans = append(e.scanSpans, span{lo, hi})
+		}
+	}
+}
+
+// edgeBalancedCuts splits the graph's internal indices into t contiguous
+// ranges of ~equal out-edge counts. The CSR out-offsets are already the
+// degree prefix sums, so each boundary is one binary search for the
+// smallest vertex whose offset reaches its share — on power-law graphs a
+// vertex-count split hands whichever worker owns the hubs almost all of
+// the message work.
+func edgeBalancedCuts(g *graph.Graph, t int) []int32 {
+	n := g.N()
+	cuts := make([]int32, t+1)
+	cuts[t] = int32(n)
+	m := g.M()
+	for w := 1; w < t; w++ {
+		target := m * uint64(w) / uint64(t)
+		cuts[w] = int32(sort.Search(n, func(i int) bool { return g.OutEdgeOffset(i) >= target }))
+	}
+	for w := 1; w <= t; w++ { // collapse degenerate boundaries monotonically
+		if cuts[w] < cuts[w-1] {
+			cuts[w] = cuts[w-1]
+		}
+	}
+	return cuts
+}
+
+// frontierSpans cuts the current (or, with next set, upcoming) frontier
+// into spanParts ranges, reusing the span buffer.
+func (e *Engine[V, M]) frontierSpans(next bool) []span {
+	n := len(e.frontier)
+	if next {
+		n = len(e.frontierNext)
+	}
+	e.frontierSpanBuf = cutSpans(e.frontierSpanBuf[:0], 0, n, e.spanParts(n))
+	return e.frontierSpanBuf
+}
+
+// paddedCursor is the shared claim counter, padded to its own cache line
+// on both sides: under high thread counts an unpadded counter
+// false-shares its line with whatever the allocator placed next to it,
+// and every AddInt64 then invalidates innocent data.
+type paddedCursor struct {
+	_ [64]byte
+	n int64
+	_ [56]byte
+}
+
+// parallelFor runs body over task indices 0..n-1, claimed one at a time
+// from a shared cursor — the engine's one scheduler. How finely the work
+// was cut is the caller's decision; with one worker the tasks run inline
+// in order.
+func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
+	t := min(e.threads, n)
+	if t <= 1 {
+		if n > 0 {
+			e.guard(0, func() {
+				for k := 0; k < n; k++ {
+					body(0, k)
+				}
+			})
+		}
+		return
+	}
+	cursor := new(paddedCursor)
+	e.dispatch(t, func(w int) {
+		e.guard(w, func() {
+			for {
+				k := int(atomic.AddInt64(&cursor.n, 1)) - 1
+				if k >= n {
+					return
+				}
+				body(w, k)
+			}
+		})
+	})
+}
+
+// computePhase runs IP_compute over the selected vertices and returns
+// how many ran. Traditional selection scans every slot and runs those
+// that are active or have mail (§4's "unfruitful checks" when inactive);
+// superstep 0 runs everything in both modes, since all vertices start
+// active. Under selection bypass the frontier holds exactly the vertices
+// that received a message, so workers run every vertex they are given
+// (§4's load-balance property).
+func (e *Engine[V, M]) computePhase() int64 {
+	first := e.superstep == 0
+	fullScan := first || !e.cfg.SelectionBypass
+	spans := e.scanSpans
+	if !fullScan {
+		spans = e.frontierSpans(false)
+	}
+	e.parallelFor(len(spans), func(w, k int) {
+		sp, ctx := spans[k], e.workers[w]
+		if !fullScan {
+			for _, slot := range e.frontier[sp.lo:sp.hi] {
+				e.runVertex(ctx, slot)
+			}
+			return
+		}
+		for slot := sp.lo; slot < sp.hi; slot++ {
+			if first || e.active[slot] != 0 || e.hasMail(int(slot)) {
+				e.runVertex(ctx, slot)
+			}
+		}
+	})
+	var ran int64
+	for _, w := range e.workers {
+		ran += w.ran
+	}
+	return ran
+}
+
+func (e *Engine[V, M]) runVertex(ctx *Context[V, M], slot int32) {
+	e.active[slot] = 1
+	ctx.ran++
+	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: slot})
+}
+
+// take and hasMail are the mailbox's take and hasCurrent on the concrete
+// version.
+func (e *Engine[V, M]) take(slot int, m *M) bool {
+	if e.buf != nil {
+		return e.buf.take(slot, m)
+	}
+	return e.cas.take(slot, m)
+}
+
+func (e *Engine[V, M]) hasMail(slot int) bool {
+	if e.buf != nil {
+		return e.buf.hasCurrent(slot)
+	}
+	return e.cas.hasCurrent(slot)
+}
+
+// tryMarkNext claims slot's membership of the next frontier.
+// Test-and-test-and-set: most messages target already-enrolled vertices,
+// so the common path is a single relaxed load rather than a contended
+// compare-and-swap.
+func (e *Engine[V, M]) tryMarkNext(slot int) bool {
+	p := &e.inNext[slot]
+	if atomic.LoadUint32(p) != 0 {
+		return false
+	}
+	return atomic.CompareAndSwapUint32(p, 0, 1)
+}
+
+// gatherFrontier concatenates the workers' enrol buffers into the next
+// frontier. The buffer is sized exactly: frontiers reach |V| entries,
+// and append's growth slack on that is live heap for the rest of the run.
+func (e *Engine[V, M]) gatherFrontier() {
+	total := 0
+	for _, w := range e.workers {
+		total += len(w.enrolled)
+	}
+	buf := e.frontierNext[:0]
+	if cap(buf) < total {
+		buf = make([]int32, 0, total)
+	}
+	for _, w := range e.workers {
+		buf = append(buf, w.enrolled...)
+	}
+	e.frontierNext = buf
+}
+
+// swapFrontiers is the bypass barrier work: promote the next frontier
+// and reset the dedup flags of the (new) current frontier so the next
+// superstep can enrol the same vertices again.
+func (e *Engine[V, M]) swapFrontiers() {
+	e.frontier, e.frontierNext = e.frontierNext, e.frontier[:0]
+	for _, slot := range e.frontier {
+		atomic.StoreUint32(&e.inNext[slot], 0)
+	}
+}

@@ -1,0 +1,220 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"ipregel/internal/graph"
+)
+
+// TestThreadsParityTable is the multi-thread parity gate: every
+// combination of inbox version, selection mode, arithmetic addressing
+// and direction must compute at two and at four threads what it computes
+// on one — where the engine builds the plain inbox and every phase runs
+// inline — with the barrier audits (mailbox state, message conservation,
+// frontier dedup, the bypass implication) on throughout. Min-combining
+// integer programs are bit-exact; the float program follows DESIGN.md
+// §5.1: bit-exact when every superstep pulled, 1e-9 when any pushed.
+// The fan-out graph's identifiers start at 1, so desolate addressing
+// carries a dead slot through every span cut and frontier.
+func TestThreadsParityTable(t *testing.T) {
+	g := fanoutGraph(1200, 6)
+	sameInt := func(a, b uint32) bool { return a == b }
+	sameFloat := func(a, b float64) bool { return a-b <= 1e-9 && b-a <= 1e-9 }
+	bitExact := func(a, b float64) bool { return a == b }
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+		for _, bypass := range []bool{false, true} {
+			for _, addr := range []Addressing{AddressOffset, AddressDesolate} {
+				for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
+					cfg := Config{Combiner: comb, SelectionBypass: bypass, Addressing: addr, Direction: dir}
+					t.Run(fmt.Sprintf("%s/%s", cfg.VersionName(), addr), func(t *testing.T) {
+						for _, threads := range []int{2, 4} {
+							oneVsThreads(t, g, cfg, ssspProg(1), sameInt, threads)
+							oneVsThreads(t, g, cfg, minLabelProg(), sameInt, threads)
+							if bypass {
+								continue // rankProg never halts before its last round
+							}
+							if dir == DirectionPull {
+								oneVsThreads(t, g, cfg, rankProg(5), bitExact, threads)
+							} else {
+								oneVsThreads(t, g, cfg, rankProg(5), sameFloat, threads)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestDesolateDeadZoneNeverRuns covers the desolate-addressing shift
+// against everything that walks slots: with base-3 identifiers slots 0-2
+// hold no vertex, so no span, frontier or collect may touch them, under
+// any schedule, with and without bypass, at two and four threads — and
+// the values must be those of offset addressing, which has no dead zone.
+func TestDesolateDeadZoneNeverRuns(t *testing.T) {
+	g := ringGraph(40, 3)
+	for _, schedule := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleEdgeBalanced} {
+		for _, dir := range []Direction{DirectionPush, DirectionPull} {
+			for _, bypass := range []bool{false, true} {
+				for _, threads := range []int{2, 4} {
+					cfg := Config{Combiner: CombinerSpin, Schedule: schedule, Direction: dir, SelectionBypass: bypass, Threads: threads, CheckInvariants: true}
+					ref, _, err := Run(g, cfg, ssspProg(3))
+					if err != nil {
+						t.Fatalf("%s threads=%d offset: %v", cfg.VersionName(), threads, err)
+					}
+					cfg.Addressing = AddressDesolate
+					e, _, err := Run(g, cfg, ssspProg(3))
+					if err != nil {
+						t.Fatalf("%s threads=%d desolate: %v", cfg.VersionName(), threads, err)
+					}
+					if e.shift != 3 || e.slots != g.N()+3 {
+						t.Fatalf("desolate engine has shift %d over %d slots, want 3 over %d", e.shift, e.slots, g.N()+3)
+					}
+					for slot := 0; slot < e.shift; slot++ {
+						if e.active[slot] != 0 || e.values[slot] != 0 || e.mb.hasCurrent(slot) {
+							t.Fatalf("%s threads=%d: dead slot %d was touched", cfg.VersionName(), threads, slot)
+						}
+					}
+					want, got := ref.ValuesDense(), e.ValuesDense()
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s threads=%d: value[%d] = %d under desolate addressing, %d under offset", cfg.VersionName(), threads, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCombinePanicAbortsRun pins the failure path of push delivery at
+// two threads: a user Combine that panics inside the mailbox's scatter
+// loop — under the slot's lock on the mutex and spinlock versions, inside
+// the CAS loop on the atomic one — must come back from Run as the
+// contained-panic error with a sealed report, not hang the barrier or
+// crash the process. One vertex does all the sending and no other worker
+// ever sends to its destination, so nothing waits on the lock that died
+// with its holder (that hang is ROADMAP item 5(a)).
+func TestCombinePanicAbortsRun(t *testing.T) {
+	g := fanoutGraph(2000, 8)
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+		for _, bypass := range []bool{false, true} {
+			cfg := Config{Combiner: comb, Threads: 2, SelectionBypass: bypass, CheckInvariants: true}
+			t.Run(cfg.VersionName(), func(t *testing.T) {
+				prog := Program[uint32, uint32]{
+					Combine: func(*uint32, uint32) { panic("combiner exploded") },
+					Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+						if ctx.IsFirstSuperstep() && v.ID() == 1 {
+							ctx.Send(2000, 7) // fills the empty mailbox
+							ctx.Send(2000, 7) // combines into it: panics
+						}
+						ctx.VoteToHalt(v)
+					},
+				}
+				type result struct {
+					rep Report
+					err error
+				}
+				done := make(chan result, 1)
+				go func() {
+					_, rep, err := Run(g, cfg, prog)
+					done <- result{rep, err}
+				}()
+				select {
+				case r := <-done:
+					if r.err == nil || !strings.Contains(r.err.Error(), "compute panicked at superstep 0") || !strings.Contains(r.err.Error(), "combiner exploded") {
+						t.Fatalf("err = %v, want the contained combiner panic", r.err)
+					}
+					if !r.rep.Aborted || len(r.rep.Steps) != 1 || !r.rep.Steps[0].Partial {
+						t.Fatalf("report not sealed around the partial superstep: %+v", r.rep)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("run did not return: the barrier is waiting on the slot whose Combine panicked")
+				}
+			})
+		}
+	}
+}
+
+// fanoutGraph builds a strongly connected n-vertex graph (ids 1..n) whose
+// deg out-edges per vertex are spread across the whole id range, so every
+// worker's span sends into every other worker's span and concurrent
+// deliveries to one mailbox are the norm, not the exception.
+func fanoutGraph(n, deg int) *graph.Graph {
+	var b graph.Builder
+	b.BuildInEdges()
+	for i := 0; i < n; i++ {
+		for j := 0; j < deg; j++ {
+			dst := (i + 1 + j*(n/deg+13)) % n
+			if dst == i {
+				dst = (dst + 1) % n
+			}
+			b.AddEdge(graph.VertexID(1+i), graph.VertexID(1+dst))
+		}
+	}
+	return b.MustBuild()
+}
+
+// minLabelProg floods the minimum vertex id (hashmin/WCC on a connected
+// graph): every superstep each improved vertex broadcasts, so message
+// volume stays high — and the uint32 min-combine is order-independent,
+// making results exactly comparable across delivery schedules.
+func minLabelProg() Program[uint32, uint32] {
+	return Program[uint32, uint32]{
+		Combine: func(old *uint32, new uint32) {
+			if new < *old {
+				*old = new
+			}
+		},
+		Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			if ctx.IsFirstSuperstep() {
+				*v.Value() = uint32(v.ID())
+				ctx.Broadcast(v, *v.Value())
+				ctx.VoteToHalt(v)
+				return
+			}
+			best := *v.Value()
+			var m uint32
+			for ctx.NextMessage(v, &m) {
+				if m < best {
+					best = m
+				}
+			}
+			if best < *v.Value() {
+				*v.Value() = best
+				ctx.Broadcast(v, best)
+			}
+			ctx.VoteToHalt(v)
+		},
+	}
+}
+
+// rankProg is a PageRank-shaped float program: every vertex broadcasts
+// every superstep for a fixed round count. Float addition is not
+// associative, so cross-schedule comparison uses a tolerance.
+func rankProg(rounds int) Program[float64, float64] {
+	return Program[float64, float64]{
+		Combine: func(old *float64, new float64) { *old += new },
+		Compute: func(ctx *Context[float64, float64], v Vertex[float64, float64]) {
+			if ctx.IsFirstSuperstep() {
+				*v.Value() = 1
+			} else {
+				var sum, m float64
+				for ctx.NextMessage(v, &m) {
+					sum += m
+				}
+				*v.Value() = 0.15 + 0.85*sum
+			}
+			if ctx.Superstep() < rounds {
+				if d := v.OutDegree(); d > 0 {
+					ctx.Broadcast(v, *v.Value()/float64(d))
+				}
+			} else {
+				ctx.VoteToHalt(v)
+			}
+		},
+	}
+}

@@ -82,9 +82,9 @@ func DegreeHistogram(g *Graph) []int {
 
 // OutDegreeQuantile returns the q-quantile of the out-degree
 // distribution (0 < q <= 1): the smallest degree d such that at least
-// q·N vertices have out-degree <= d. The engine's hub-splitting default
-// cut is the p99.9 (q = 0.999) — vertices above it are the extreme tail
-// a scale-free graph concentrates its edges in. Returns 0 on an empty
+// q·N vertices have out-degree <= d. Vertices above the p99.9
+// (q = 0.999) are the extreme tail a scale-free graph concentrates its
+// edges in (graphinfo's "degree skew" line). Returns 0 on an empty
 // graph.
 func OutDegreeQuantile(g *Graph, q float64) int {
 	n := g.N()

@@ -27,7 +27,7 @@ func TestOutDegreeQuantile(t *testing.T) {
 		{0.5, 1},   // median
 		{0.9, 1},   // ceil(0.9·10) = 9 → degs[8], still below the hub
 		{0.95, 9},  // ceil rounds into the top vertex
-		{0.999, 9}, // the hub-split default cut picks the tail
+		{0.999, 9}, // the p99.9 picks the tail
 		{1, 9},     // maximum
 	}
 	for _, tc := range cases {
@@ -39,8 +39,8 @@ func TestOutDegreeQuantile(t *testing.T) {
 		t.Fatalf("empty graph quantile = %d, want 0", got)
 	}
 
-	// Uniform degrees: every quantile is that degree (the hub-split
-	// default then finds no hubs, since no vertex exceeds it).
+	// Uniform degrees: every quantile is that degree (no vertex exceeds
+	// the p99.9, so graphinfo counts no hubs).
 	ring := func() *Graph {
 		var b Builder
 		for i := 0; i < 8; i++ {

@@ -30,12 +30,8 @@ type JobCollector struct {
 	runs, runsConverged, runsAborted atomic.Int64
 	supersteps                       atomic.Int64
 	messages                         atomic.Uint64
-	localCombines                    atomic.Uint64
 	casRetries                       atomic.Uint64
-	crossShardMessages               atomic.Uint64
-	skippedShards                    atomic.Int64
 	directionSwitches                atomic.Int64
-	hubSplitTasks                    atomic.Int64
 	verticesRan                      atomic.Int64
 	recoveries                       atomic.Int64
 
@@ -47,7 +43,6 @@ type JobCollector struct {
 	lastFrontier     atomic.Int64
 	lastStepNanos    atomic.Int64
 	lastImbalanceMil atomic.Int64
-	lastShardImbMil  atomic.Int64
 	running          atomic.Int64
 }
 
@@ -110,21 +105,16 @@ func (j *JobCollector) OnSuperstepEnd(superstep int, s core.StepStats) {
 		j.supersteps.Add(1)
 	}
 	j.messages.Add(s.Messages)
-	j.localCombines.Add(s.LocalCombines)
 	j.casRetries.Add(s.CASRetries)
 	j.verticesRan.Add(s.Ran)
-	j.crossShardMessages.Add(s.CrossShardMessages)
-	j.skippedShards.Add(s.SkippedShards)
 	if s.DirectionSwitched {
 		j.directionSwitches.Add(1)
 	}
-	j.hubSplitTasks.Add(s.HubSplitTasks)
 	j.lastActive.Store(s.Active)
 	j.lastRan.Store(s.Ran)
 	j.lastFrontier.Store(s.NextFrontier)
 	j.lastStepNanos.Store(int64(s.Duration))
 	j.lastImbalanceMil.Store(int64(s.Imbalance() * 1000))
-	j.lastShardImbMil.Store(int64(s.ShardImbalance() * 1000))
 	j.parent.OnSuperstepEnd(superstep, s)
 }
 
@@ -158,26 +148,21 @@ func (j *JobCollector) RecordRecovery() {
 // the parent uses; WriteMetrics renders them with a job label.
 func (j *JobCollector) Snapshot() map[string]int64 {
 	return map[string]int64{
-		"ipregel_runs_total":                  j.runs.Load(),
-		"ipregel_runs_converged_total":        j.runsConverged.Load(),
-		"ipregel_runs_aborted_total":          j.runsAborted.Load(),
-		"ipregel_recoveries_total":            j.recoveries.Load(),
-		"ipregel_runs_active":                 j.running.Load(),
-		"ipregel_supersteps_total":            j.supersteps.Load(),
-		"ipregel_messages_total":              int64(j.messages.Load()),
-		"ipregel_local_combines_total":        int64(j.localCombines.Load()),
-		"ipregel_cas_retries_total":           int64(j.casRetries.Load()),
-		"ipregel_cross_shard_messages_total":  int64(j.crossShardMessages.Load()),
-		"ipregel_skipped_shards_total":        j.skippedShards.Load(),
-		"ipregel_direction_switches_total":    j.directionSwitches.Load(),
-		"ipregel_hub_split_tasks_total":       j.hubSplitTasks.Load(),
-		"ipregel_vertices_ran_total":          j.verticesRan.Load(),
-		"ipregel_current_superstep":           j.currentSuperstep.Load(),
-		"ipregel_last_active_vertices":        j.lastActive.Load(),
-		"ipregel_last_ran_vertices":           j.lastRan.Load(),
-		"ipregel_last_frontier_size":          j.lastFrontier.Load(),
-		"ipregel_last_superstep_nanos":        j.lastStepNanos.Load(),
-		"ipregel_last_imbalance_millis":       j.lastImbalanceMil.Load(),
-		"ipregel_last_shard_imbalance_millis": j.lastShardImbMil.Load(),
+		"ipregel_runs_total":               j.runs.Load(),
+		"ipregel_runs_converged_total":     j.runsConverged.Load(),
+		"ipregel_runs_aborted_total":       j.runsAborted.Load(),
+		"ipregel_recoveries_total":         j.recoveries.Load(),
+		"ipregel_runs_active":              j.running.Load(),
+		"ipregel_supersteps_total":         j.supersteps.Load(),
+		"ipregel_messages_total":           int64(j.messages.Load()),
+		"ipregel_cas_retries_total":        int64(j.casRetries.Load()),
+		"ipregel_direction_switches_total": j.directionSwitches.Load(),
+		"ipregel_vertices_ran_total":       j.verticesRan.Load(),
+		"ipregel_current_superstep":        j.currentSuperstep.Load(),
+		"ipregel_last_active_vertices":     j.lastActive.Load(),
+		"ipregel_last_ran_vertices":        j.lastRan.Load(),
+		"ipregel_last_frontier_size":       j.lastFrontier.Load(),
+		"ipregel_last_superstep_nanos":     j.lastStepNanos.Load(),
+		"ipregel_last_imbalance_millis":    j.lastImbalanceMil.Load(),
 	}
 }

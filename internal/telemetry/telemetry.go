@@ -1,8 +1,8 @@
 // Package telemetry is the live observability layer over internal/core:
 // stdlib-only sinks for the engine's Observer hook that (a) maintain
-// counters and gauges — supersteps, messages, local combines, mailbox
-// CAS retries, frontier size, per-worker busy time, heap stats sampled
-// at each superstep barrier — published through expvar and a plain-text
+// counters and gauges — supersteps, messages, mailbox CAS retries,
+// frontier size, per-worker busy time, heap stats sampled at each
+// superstep barrier — published through expvar and a plain-text
 // /metrics endpoint, (b) stream per-superstep trace events as
 // schema-versioned JSONL (replayable by cmd/ipregel-trace), and (c)
 // serve net/http/pprof for on-line profiling of a running computation.
@@ -60,12 +60,8 @@ type Collector struct {
 	runs, runsConverged, runsAborted atomic.Int64
 	supersteps                       atomic.Int64
 	messages                         atomic.Uint64
-	localCombines                    atomic.Uint64
 	casRetries                       atomic.Uint64
-	crossShardMessages               atomic.Uint64
-	skippedShards                    atomic.Int64
 	directionSwitches                atomic.Int64
-	hubSplitTasks                    atomic.Int64
 	verticesRan                      atomic.Int64
 	recoveries                       atomic.Int64
 
@@ -76,7 +72,6 @@ type Collector struct {
 	lastFrontier     atomic.Int64
 	lastStepNanos    atomic.Int64
 	lastImbalanceMil atomic.Int64 // StepStats.Imbalance ×1000
-	lastShardImbMil  atomic.Int64 // StepStats.ShardImbalance ×1000 (0 on single-shard runs)
 	heapBytes        atomic.Uint64
 	gcCycles         atomic.Uint64
 	// running is a best-effort in-a-run flag (1 between the first
@@ -119,7 +114,6 @@ func (c *Collector) OnSuperstepEnd(superstep int, s core.StepStats) {
 		c.supersteps.Add(1)
 	}
 	c.messages.Add(s.Messages)
-	c.localCombines.Add(s.LocalCombines)
 	c.casRetries.Add(s.CASRetries)
 	c.verticesRan.Add(s.Ran)
 	c.lastActive.Store(s.Active)
@@ -127,13 +121,9 @@ func (c *Collector) OnSuperstepEnd(superstep int, s core.StepStats) {
 	c.lastFrontier.Store(s.NextFrontier)
 	c.lastStepNanos.Store(int64(s.Duration))
 	c.lastImbalanceMil.Store(int64(s.Imbalance() * 1000))
-	c.crossShardMessages.Add(s.CrossShardMessages)
-	c.skippedShards.Add(s.SkippedShards)
 	if s.DirectionSwitched {
 		c.directionSwitches.Add(1)
 	}
-	c.hubSplitTasks.Add(s.HubSplitTasks)
-	c.lastShardImbMil.Store(int64(s.ShardImbalance() * 1000))
 	c.sampleHeap()
 }
 
@@ -196,30 +186,25 @@ func (c *Collector) sampleHeap() {
 // Names follow the Prometheus convention (counters suffixed _total).
 func (c *Collector) Snapshot() map[string]int64 {
 	return map[string]int64{
-		"ipregel_runs_total":                  c.runs.Load(),
-		"ipregel_runs_converged_total":        c.runsConverged.Load(),
-		"ipregel_runs_aborted_total":          c.runsAborted.Load(),
-		"ipregel_recoveries_total":            c.recoveries.Load(),
-		"ipregel_runs_active":                 c.running.Load() + c.activeRuns.Load(),
-		"ipregel_supersteps_total":            c.supersteps.Load(),
-		"ipregel_messages_total":              int64(c.messages.Load()),
-		"ipregel_local_combines_total":        int64(c.localCombines.Load()),
-		"ipregel_cas_retries_total":           int64(c.casRetries.Load()),
-		"ipregel_cross_shard_messages_total":  int64(c.crossShardMessages.Load()),
-		"ipregel_skipped_shards_total":        c.skippedShards.Load(),
-		"ipregel_direction_switches_total":    c.directionSwitches.Load(),
-		"ipregel_hub_split_tasks_total":       c.hubSplitTasks.Load(),
-		"ipregel_last_shard_imbalance_millis": c.lastShardImbMil.Load(),
-		"ipregel_vertices_ran_total":          c.verticesRan.Load(),
-		"ipregel_current_superstep":           c.currentSuperstep.Load(),
-		"ipregel_last_active_vertices":        c.lastActive.Load(),
-		"ipregel_last_ran_vertices":           c.lastRan.Load(),
-		"ipregel_last_frontier_size":          c.lastFrontier.Load(),
-		"ipregel_last_superstep_nanos":        c.lastStepNanos.Load(),
-		"ipregel_last_imbalance_millis":       c.lastImbalanceMil.Load(),
-		"ipregel_heap_objects_bytes":          int64(c.heapBytes.Load()),
-		"ipregel_gc_cycles_total":             int64(c.gcCycles.Load()),
-		"ipregel_snapshot_unix_nanos":         time.Now().UnixNano(),
+		"ipregel_runs_total":               c.runs.Load(),
+		"ipregel_runs_converged_total":     c.runsConverged.Load(),
+		"ipregel_runs_aborted_total":       c.runsAborted.Load(),
+		"ipregel_recoveries_total":         c.recoveries.Load(),
+		"ipregel_runs_active":              c.running.Load() + c.activeRuns.Load(),
+		"ipregel_supersteps_total":         c.supersteps.Load(),
+		"ipregel_messages_total":           int64(c.messages.Load()),
+		"ipregel_cas_retries_total":        int64(c.casRetries.Load()),
+		"ipregel_direction_switches_total": c.directionSwitches.Load(),
+		"ipregel_vertices_ran_total":       c.verticesRan.Load(),
+		"ipregel_current_superstep":        c.currentSuperstep.Load(),
+		"ipregel_last_active_vertices":     c.lastActive.Load(),
+		"ipregel_last_ran_vertices":        c.lastRan.Load(),
+		"ipregel_last_frontier_size":       c.lastFrontier.Load(),
+		"ipregel_last_superstep_nanos":     c.lastStepNanos.Load(),
+		"ipregel_last_imbalance_millis":    c.lastImbalanceMil.Load(),
+		"ipregel_heap_objects_bytes":       int64(c.heapBytes.Load()),
+		"ipregel_gc_cycles_total":          int64(c.gcCycles.Load()),
+		"ipregel_snapshot_unix_nanos":      time.Now().UnixNano(),
 	}
 }
 

@@ -106,15 +106,51 @@ func TestCollectorTracksRun(t *testing.T) {
 	}
 }
 
-// TestCollectorSkippedShardsCounter pins the fold of
-// StepStats.SkippedShards into its /metrics counter (fed directly — a
-// live run only skips a shard once a whole partition goes quiet).
-func TestCollectorSkippedShardsCounter(t *testing.T) {
+// TestMetricNames pins the /metrics and expvar name set: the global
+// snapshot and a job scope's publish the same engine series (the job
+// scope has no process-level ones), and the series of the removed shard
+// layer, sender cache and hub splitting are gone from both.
+func TestMetricNames(t *testing.T) {
+	engine := []string{
+		"ipregel_cas_retries_total",
+		"ipregel_current_superstep",
+		"ipregel_direction_switches_total",
+		"ipregel_last_active_vertices",
+		"ipregel_last_frontier_size",
+		"ipregel_last_imbalance_millis",
+		"ipregel_last_ran_vertices",
+		"ipregel_last_superstep_nanos",
+		"ipregel_messages_total",
+		"ipregel_recoveries_total",
+		"ipregel_runs_aborted_total",
+		"ipregel_runs_active",
+		"ipregel_runs_converged_total",
+		"ipregel_runs_total",
+		"ipregel_supersteps_total",
+		"ipregel_vertices_ran_total",
+	}
+	process := []string{"ipregel_gc_cycles_total", "ipregel_heap_objects_bytes", "ipregel_snapshot_unix_nanos"}
 	c := NewCollector()
-	c.OnSuperstepEnd(0, core.StepStats{SkippedShards: 2})
-	c.OnSuperstepEnd(1, core.StepStats{SkippedShards: 1})
-	if got := c.Snapshot()["ipregel_skipped_shards_total"]; got != 3 {
-		t.Fatalf("skipped_shards_total = %d, want 3", got)
+	j, err := c.Job("names")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	for what, tc := range map[string]struct {
+		got  map[string]int64
+		want []string
+	}{
+		"collector": {c.Snapshot(), append(append([]string(nil), engine...), process...)},
+		"job scope": {j.Snapshot(), engine},
+	} {
+		for _, name := range tc.want {
+			if _, ok := tc.got[name]; !ok {
+				t.Errorf("%s: %s missing", what, name)
+			}
+		}
+		if len(tc.got) != len(tc.want) {
+			t.Errorf("%s publishes %d series, want exactly %d: %v", what, len(tc.got), len(tc.want), tc.got)
+		}
 	}
 }
 
@@ -149,22 +185,18 @@ func TestWriteMetricsFormat(t *testing.T) {
 }
 
 // TestCollectorDirectionCounters feeds the collector supersteps with
-// direction switches and hub-split tasks and checks the dedicated
-// counters accumulate them.
+// direction switches and checks the dedicated counter accumulates them.
 func TestCollectorDirectionCounters(t *testing.T) {
 	c := NewCollector()
 	c.OnSuperstepStart(0)
 	c.OnSuperstepEnd(0, core.StepStats{Ran: 4, Direction: core.DirectionPull})
 	c.OnSuperstepStart(1)
-	c.OnSuperstepEnd(1, core.StepStats{Ran: 4, Direction: core.DirectionPush, DirectionSwitched: true, HubSplitTasks: 5})
+	c.OnSuperstepEnd(1, core.StepStats{Ran: 4, Direction: core.DirectionPush, DirectionSwitched: true})
 	c.OnSuperstepStart(2)
-	c.OnSuperstepEnd(2, core.StepStats{Ran: 4, Direction: core.DirectionPull, DirectionSwitched: true, HubSplitTasks: 2})
+	c.OnSuperstepEnd(2, core.StepStats{Ran: 4, Direction: core.DirectionPull, DirectionSwitched: true})
 	snap := c.Snapshot()
 	if got := snap["ipregel_direction_switches_total"]; got != 2 {
 		t.Fatalf("ipregel_direction_switches_total = %d, want 2", got)
-	}
-	if got := snap["ipregel_hub_split_tasks_total"]; got != 7 {
-		t.Fatalf("ipregel_hub_split_tasks_total = %d, want 7", got)
 	}
 }
 

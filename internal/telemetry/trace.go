@@ -38,37 +38,29 @@ type Event struct {
 	FirstSuperstep int    `json:"first_superstep,omitempty"`
 
 	// superstep (absolute numbering; also set on abort)
-	Superstep     int     `json:"superstep,omitempty"`
-	Ran           int64   `json:"ran,omitempty"`
-	Messages      uint64  `json:"messages,omitempty"`
-	Active        int64   `json:"active,omitempty"`
-	LocalCombines uint64  `json:"local_combines,omitempty"`
-	CASRetries    uint64  `json:"cas_retries,omitempty"`
-	NextFrontier  int64   `json:"next_frontier,omitempty"`
-	DurationNS    int64   `json:"duration_ns,omitempty"`
-	Partial       bool    `json:"partial,omitempty"`
-	WorkerBusyNS  []int64 `json:"worker_busy_ns,omitempty"`
-	// shard breakdown (partitioned engines only; absent on single-shard)
-	ShardMessages      []uint64 `json:"shard_messages,omitempty"`
-	ShardNextFrontier  []int64  `json:"shard_next_frontier,omitempty"`
-	CrossShardMessages uint64   `json:"cross_shard_messages,omitempty"`
-	SkippedShards      int64    `json:"skipped_shards,omitempty"`
-	// direction model (Config.Direction / Config.HubSplit); Direction is
-	// the core.Direction name and omitted when push (the zero direction),
-	// so pre-direction traces replay unchanged.
+	Superstep    int     `json:"superstep,omitempty"`
+	Ran          int64   `json:"ran,omitempty"`
+	Messages     uint64  `json:"messages,omitempty"`
+	Active       int64   `json:"active,omitempty"`
+	CASRetries   uint64  `json:"cas_retries,omitempty"`
+	NextFrontier int64   `json:"next_frontier,omitempty"`
+	DurationNS   int64   `json:"duration_ns,omitempty"`
+	Partial      bool    `json:"partial,omitempty"`
+	WorkerBusyNS []int64 `json:"worker_busy_ns,omitempty"`
+	// direction model (Config.Direction); Direction is the
+	// core.Direction name and omitted when push (the zero direction), so
+	// pre-direction traces replay unchanged.
 	Direction         string `json:"direction,omitempty"`
 	DirectionSwitched bool   `json:"direction_switched,omitempty"`
-	HubSplitTasks     int64  `json:"hub_split_tasks,omitempty"`
 
 	// abort
 	Reason string `json:"reason,omitempty"`
 
 	// run_end
-	Supersteps         int    `json:"supersteps,omitempty"`
-	TotalMessages      uint64 `json:"total_messages,omitempty"`
-	TotalLocalCombines uint64 `json:"total_local_combines,omitempty"`
-	TotalDurationNS    int64  `json:"total_duration_ns,omitempty"`
-	Converged          bool   `json:"converged,omitempty"`
+	Supersteps      int    `json:"supersteps,omitempty"`
+	TotalMessages   uint64 `json:"total_messages,omitempty"`
+	TotalDurationNS int64  `json:"total_duration_ns,omitempty"`
+	Converged       bool   `json:"converged,omitempty"`
 }
 
 // TraceWriter is a core.Observer that streams one JSONL event per
@@ -120,35 +112,25 @@ func (t *TraceWriter) OnSuperstepStart(superstep int) {
 // OnSuperstepEnd emits one superstep event.
 func (t *TraceWriter) OnSuperstepEnd(superstep int, s core.StepStats) {
 	ev := Event{
-		Type:          EventSuperstep,
-		Superstep:     superstep,
-		Ran:           s.Ran,
-		Messages:      s.Messages,
-		Active:        s.Active,
-		LocalCombines: s.LocalCombines,
-		CASRetries:    s.CASRetries,
-		NextFrontier:  s.NextFrontier,
-		DurationNS:    int64(s.Duration),
-		Partial:       s.Partial,
+		Type:         EventSuperstep,
+		Superstep:    superstep,
+		Ran:          s.Ran,
+		Messages:     s.Messages,
+		Active:       s.Active,
+		CASRetries:   s.CASRetries,
+		NextFrontier: s.NextFrontier,
+		DurationNS:   int64(s.Duration),
+		Partial:      s.Partial,
 	}
 	if s.Direction != core.DirectionPush {
 		ev.Direction = s.Direction.String()
 	}
 	ev.DirectionSwitched = s.DirectionSwitched
-	ev.HubSplitTasks = s.HubSplitTasks
 	if len(s.WorkerBusy) > 0 {
 		ev.WorkerBusyNS = make([]int64, len(s.WorkerBusy))
 		for i, b := range s.WorkerBusy {
 			ev.WorkerBusyNS[i] = int64(b)
 		}
-	}
-	if len(s.ShardMessages) > 0 {
-		ev.ShardMessages = append([]uint64(nil), s.ShardMessages...)
-		ev.CrossShardMessages = s.CrossShardMessages
-		ev.SkippedShards = s.SkippedShards
-	}
-	if len(s.ShardNextFrontier) > 0 {
-		ev.ShardNextFrontier = append([]int64(nil), s.ShardNextFrontier...)
 	}
 	t.emit(ev)
 }
@@ -161,14 +143,13 @@ func (t *TraceWriter) OnAbort(superstep int, reason string, err error) {
 // OnRunEnd emits the run_end event and flushes.
 func (t *TraceWriter) OnRunEnd(r core.Report, err error) {
 	t.emit(Event{
-		Type:               EventRunEnd,
-		Version:            r.Version,
-		FirstSuperstep:     r.FirstSuperstep,
-		Supersteps:         r.Supersteps,
-		TotalMessages:      r.TotalMessages,
-		TotalLocalCombines: r.TotalLocalCombines,
-		TotalDurationNS:    int64(r.Duration),
-		Converged:          r.Converged,
+		Type:            EventRunEnd,
+		Version:         r.Version,
+		FirstSuperstep:  r.FirstSuperstep,
+		Supersteps:      r.Supersteps,
+		TotalMessages:   r.TotalMessages,
+		TotalDurationNS: int64(r.Duration),
+		Converged:       r.Converged,
 	})
 	t.Flush()
 }
@@ -187,7 +168,9 @@ func (t *TraceWriter) Flush() error {
 // ReadTrace parses and validates a JSONL trace stream: every line must
 // be valid JSON carrying the supported schema and a known event type,
 // superstep events must be consecutive in absolute numbering, and a
-// partial superstep record may only be the last one.
+// partial superstep record may only be the last one. Fields this version
+// does not know — the shard, local-combine and hub-task counters older
+// engines wrote — are ignored.
 func ReadTrace(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -251,14 +234,13 @@ func ReplayReport(events []Event) (core.Report, error) {
 			r.FirstSuperstep = ev.FirstSuperstep
 		case EventSuperstep:
 			step := core.StepStats{
-				Ran:           ev.Ran,
-				Messages:      ev.Messages,
-				Active:        ev.Active,
-				LocalCombines: ev.LocalCombines,
-				CASRetries:    ev.CASRetries,
-				NextFrontier:  ev.NextFrontier,
-				Duration:      time.Duration(ev.DurationNS),
-				Partial:       ev.Partial,
+				Ran:          ev.Ran,
+				Messages:     ev.Messages,
+				Active:       ev.Active,
+				CASRetries:   ev.CASRetries,
+				NextFrontier: ev.NextFrontier,
+				Duration:     time.Duration(ev.DurationNS),
+				Partial:      ev.Partial,
 			}
 			if ev.Direction != "" {
 				dir, err := core.ParseDirection(ev.Direction)
@@ -268,21 +250,11 @@ func ReplayReport(events []Event) (core.Report, error) {
 				step.Direction = dir
 			}
 			step.DirectionSwitched = ev.DirectionSwitched
-			step.HubSplitTasks = ev.HubSplitTasks
-			if len(ev.ShardMessages) > 0 {
-				step.ShardMessages = append([]uint64(nil), ev.ShardMessages...)
-				step.CrossShardMessages = ev.CrossShardMessages
-				step.SkippedShards = ev.SkippedShards
-			}
-			if len(ev.ShardNextFrontier) > 0 {
-				step.ShardNextFrontier = append([]int64(nil), ev.ShardNextFrontier...)
-			}
 			for _, b := range ev.WorkerBusyNS {
 				step.WorkerBusy = append(step.WorkerBusy, time.Duration(b))
 			}
 			r.Steps = append(r.Steps, step)
 			r.TotalMessages += ev.Messages
-			r.TotalLocalCombines += ev.LocalCombines
 		case EventAbort:
 			r.Aborted = true
 			r.AbortReason = ev.Reason

@@ -59,58 +59,11 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceShardFields checks that a partitioned run's per-shard
-// breakdown survives the write → read → replay cycle.
-func TestTraceShardFields(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	cfg := core.Config{Threads: 2, Shards: 2, Observers: []core.Observer{tw}}
-	_, rep, err := core.Run(ring(16), cfg, flood(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := ReplayReport(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replay.Steps) != len(rep.Steps) {
-		t.Fatalf("replayed %d steps, want %d", len(replay.Steps), len(rep.Steps))
-	}
-	sawShards := false
-	for i, s := range replay.Steps {
-		want := rep.Steps[i]
-		if len(s.ShardMessages) != len(want.ShardMessages) {
-			t.Fatalf("step %d: replayed %d shard entries, want %d", i, len(s.ShardMessages), len(want.ShardMessages))
-		}
-		for j := range want.ShardMessages {
-			if s.ShardMessages[j] != want.ShardMessages[j] {
-				t.Fatalf("step %d shard %d: %d messages, want %d", i, j, s.ShardMessages[j], want.ShardMessages[j])
-			}
-		}
-		if s.CrossShardMessages != want.CrossShardMessages {
-			t.Fatalf("step %d: cross-shard %d, want %d", i, s.CrossShardMessages, want.CrossShardMessages)
-		}
-		if len(want.ShardMessages) > 0 {
-			sawShards = true
-		}
-	}
-	if !sawShards {
-		t.Fatal("no superstep carried a shard breakdown")
-	}
-}
-
 // TestTraceLegacySchedulerFieldsReplay pins trace compatibility across
-// the removal of overlapped delivery and work stealing: a trace written
-// while superstep events still carried early_delivered_batches and
-// stolen_tasks validates and replays, the two fields are ignored, and
-// the shard fields beside them (skipped_shards) still reach the Report.
+// the removal of overlapped delivery, work stealing and then the shard
+// layer itself: a trace written while superstep events still carried
+// early_delivered_batches, stolen_tasks and the per-shard breakdown
+// validates and replays, with those fields ignored.
 func TestTraceLegacySchedulerFieldsReplay(t *testing.T) {
 	const legacy = `{"schema":"ipregel-trace/1","type":"run_start"}
 {"schema":"ipregel-trace/1","type":"superstep","ran":8,"messages":10,"active":8,"duration_ns":1200,"shard_messages":[6,4],"cross_shard_messages":4,"early_delivered_batches":2,"stolen_tasks":3,"skipped_shards":1}
@@ -127,21 +80,21 @@ func TestTraceLegacySchedulerFieldsReplay(t *testing.T) {
 	if len(replay.Steps) != 1 || !replay.Converged || replay.TotalMessages != 10 {
 		t.Fatalf("legacy trace replayed as %+v", replay)
 	}
-	if got := replay.Steps[0]; got.SkippedShards != 1 || got.CrossShardMessages != 4 || len(got.ShardMessages) != 2 {
-		t.Fatalf("replayed shard fields %+v, want skipped 1, cross 4, two shard entries", got)
+	if got := replay.Steps[0]; got.Ran != 8 || got.Messages != 10 || got.Active != 8 {
+		t.Fatalf("replayed step %+v, want ran 8, messages 10, active 8", got)
 	}
 }
 
 // TestTraceDirectionFieldsRoundTrip checks the per-step direction
-// fields survive encode → ReadTrace → replay: a pull superstep, a
-// switch back to push, and hub-split task counts. Push is the omitted
+// fields survive encode → ReadTrace → replay: a pull superstep and a
+// switch back to push. Push is the omitted
 // default on the wire, so a pre-direction trace replays as all-push.
 func TestTraceDirectionFieldsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
 	steps := []core.StepStats{
 		{Ran: 8, Messages: 10, Active: 8, Direction: core.DirectionPull},
-		{Ran: 8, Messages: 6, Active: 8, Direction: core.DirectionPush, DirectionSwitched: true, HubSplitTasks: 3},
+		{Ran: 8, Messages: 6, Active: 8, Direction: core.DirectionPush, DirectionSwitched: true},
 		{Ran: 6, Messages: 0, Active: 0, Direction: core.DirectionPush},
 	}
 	for i, s := range steps {
@@ -177,10 +130,9 @@ func TestTraceDirectionFieldsRoundTrip(t *testing.T) {
 	}
 	for i, got := range replay.Steps {
 		want := steps[i]
-		if got.Direction != want.Direction || got.DirectionSwitched != want.DirectionSwitched || got.HubSplitTasks != want.HubSplitTasks {
-			t.Fatalf("step %d: replayed direction %v/%v/%d, want %v/%v/%d", i,
-				got.Direction, got.DirectionSwitched, got.HubSplitTasks,
-				want.Direction, want.DirectionSwitched, want.HubSplitTasks)
+		if got.Direction != want.Direction || got.DirectionSwitched != want.DirectionSwitched {
+			t.Fatalf("step %d: replayed direction %v/%v, want %v/%v", i,
+				got.Direction, got.DirectionSwitched, want.Direction, want.DirectionSwitched)
 		}
 	}
 }
