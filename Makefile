@@ -113,13 +113,14 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # The hot-primitive microbenchmarks, one `package:name` each: mailbox
-# deliver per inbox version, a scatter of one per message against the
-# fused scatter, frontier enrol (ns/msg); neighbour decode per backend
-# and access order, and the compressed adjacency's open-time validation
-# sweep (ns/edge). It fails when one of them no longer exists; CI runs
-# it with BENCHTIME=1x so they cannot rot.
+# deliver per inbox version — a scatter of one per message, the fused
+# scatter, and the fused scatter under bypass, whose fills are the
+# frontier enrolment (ns/msg); neighbour decode per backend and access
+# order, and the compressed adjacency's open-time validation sweep
+# (ns/edge). It fails when one of them no longer exists; CI runs it with
+# BENCHTIME=1x so they cannot rot.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/core/:BenchmarkEnrol ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck
 bench-core:
 	@for pb in $(CORE_BENCHES); do \
 		p=$${pb%%:*}; b=$${pb##*:}; \

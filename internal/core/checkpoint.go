@@ -198,7 +198,7 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	// bound its work before parsing.
 	occupied := 0
 	for slot := 0; slot < e.slots; slot++ {
-		if e.mb.hasCurrent(slot) {
+		if e.hasMail(slot) {
 			occupied++
 		}
 	}

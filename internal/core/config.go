@@ -264,10 +264,10 @@ type Config struct {
 	MaxSupersteps int
 	// CheckInvariants enables the engine's full runtime audit: at every
 	// superstep barrier the engine verifies the mailbox state machine (no
-	// slot stuck mid-publication), under selection bypass the frontier
-	// dedup-flag consistency (every enrolled slot flagged exactly once,
-	// no stray flags) and that no vertex holding a message was missed by
-	// the frontier, and message conservation in both directions (every
+	// slot stuck mid-publication), under selection bypass the enrolment
+	// rule (the next frontier is duplicate-free and equals the set of
+	// occupied next-inbox slots; no pull dedup flag outlives its collect),
+	// and message conservation in both directions (every
 	// Send is accounted for as a combine into an occupied mailbox or a
 	// first fill of an empty one). Violations abort the run with an
 	// *InvariantError. The stress and parity test suites run with this

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ipregel/internal/graph"
 )
@@ -130,15 +131,16 @@ func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 // scatter is the one push delivery routine — a Broadcast's fan-out and
 // a Send (a scatter of one) alike: msg goes to slot nb+shift for every
 // nb, in the mailbox version's own loop (one dispatch per call, the way
-// the paper's module versions are decided once per build, §3.1.1), and
-// under selection bypass each recipient is enrolled in the next
-// frontier.
+// the paper's module versions are decided once per build, §3.1.1), which
+// under selection bypass also enrols each slot it fills in the next
+// frontier; without bypass no enrol buffer is carried in or out.
 func (c *Context[V, M]) scatter(nbs []graph.VertexID, shift int, msg M) {
 	c.msgs += uint64(len(nbs))
-	c.e.mb.scatter(nbs, shift, msg)
-	if c.e.cfg.SelectionBypass {
-		c.enrol(nbs, shift)
+	if !c.e.cfg.SelectionBypass {
+		c.e.mb.scatter(nbs, shift, msg, nil)
+		return
 	}
+	c.enrolled = c.e.mb.scatter(nbs, shift, msg, c.enrolled)
 }
 
 // located passes a neighbour list through the addressing module like
@@ -179,10 +181,15 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 		e.pullFlag[slot] = 1
 		c.msgs += uint64(e.g.OutDegree(idx))
 		if e.cfg.SelectionBypass {
-			// The sender knows every out-neighbour will receive a message,
-			// so it enrols them all for the next superstep (§4 applied to
-			// the broadcast version).
-			c.enrol(e.g.OutNeighborsWith(&c.nbuf, idx), e.shift)
+			// No deposit exists yet to enrol the out-neighbours (§4 on the
+			// broadcast version): each is enrolled once, by whichever
+			// broadcaster wins the test-and-CAS on its pullEnrol flag.
+			for _, nb := range e.g.OutNeighborsWith(&c.nbuf, idx) {
+				flag := &e.pullEnrol[int(nb)+e.shift]
+				if atomic.LoadUint32(flag) == 0 && atomic.CompareAndSwapUint32(flag, 0, 1) {
+					c.enrolled = append(c.enrolled, int32(nb)+int32(e.shift))
+				}
+			}
 		}
 		return
 	}
@@ -196,18 +203,6 @@ func (c *Context[V, M]) VoteToHalt(v Vertex[V, M]) {
 		*active = 0
 		c.votes++
 	}
-}
-
-// enrol adds slot nb+shift, for every nb, to the next frontier exactly
-// once (CAS dedup), through the worker's enrol buffer.
-func (c *Context[V, M]) enrol(nbs []graph.VertexID, shift int) {
-	e, buf := c.e, c.enrolled
-	for _, nb := range nbs {
-		if slot := int(nb) + shift; e.tryMarkNext(slot) {
-			buf = append(buf, int32(slot))
-		}
-	}
-	c.enrolled = buf
 }
 
 func (c *Context[V, M]) resetSuperstep() {

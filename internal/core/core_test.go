@@ -358,9 +358,9 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 
 func TestMailboxFootprintOrdering(t *testing.T) {
 	combine := func(old *uint32, new uint32) { *old += new }
-	mutex := newMutexMailbox[uint32](1000, combine, false)
-	spin := newSpinMailbox[uint32](1000, combine, false)
-	pull := &plainMailbox[uint32]{newPushBuffers[uint32](1000, combine, false)}
+	mutex := newMutexMailbox[uint32](1000, combine, Config{})
+	spin := newSpinMailbox[uint32](1000, combine, Config{})
+	pull := &plainMailbox[uint32]{newPushBuffers[uint32](1000, combine, Config{})}
 	if !(spin.footprintBytes() < mutex.footprintBytes()) {
 		t.Fatalf("spinlock mailbox (%d B) should be lighter than mutex (%d B)", spin.footprintBytes(), mutex.footprintBytes())
 	}
@@ -480,6 +480,24 @@ func TestFootprintPerVersion(t *testing.T) {
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		if got := footprint(Config{Combiner: comb, Threads: 1}); got != plain {
 			t.Fatalf("%s at one thread: %d B, want the lock-free %d B", comb, got, plain)
+		}
+	}
+	// A push-only bypass engine enrols at the first inbox fill: no dedup
+	// flags, so before its first frontier it weighs what the engine without
+	// bypass does. One that can pull carries 4 B/slot of pull enrolment
+	// flags beside its outbox.
+	for _, threads := range []int{1, 2} {
+		for _, dir := range []Direction{DirectionPush, DirectionAdaptive} {
+			cfg := Config{Combiner: CombinerSpin, Direction: dir, Threads: threads}
+			base := footprint(cfg)
+			cfg.SelectionBypass = true
+			want := base
+			if dir != DirectionPush {
+				want += 512 * 4
+			}
+			if got := footprint(cfg); got != want {
+				t.Fatalf("%s threads=%d: %d B, want %d B", cfg.VersionName(), threads, got, want)
+			}
 		}
 	}
 }

@@ -35,12 +35,15 @@ func benchDests(random bool) [][]graph.VertexID {
 
 // BenchmarkDeliver is the mailbox-deliver microbenchmark of ROADMAP's
 // "layer by layer" aim: ns per message into each inbox version, as a
-// scatter of one per message (what a Send pays) against the fused
-// per-list scatter (what a broadcast pays).
+// scatter of one per message (send: what a Send pays), the fused
+// per-list scatter (scatter: what a broadcast pays), and that scatter
+// under selection bypass (bypass: its fills also enrol into a worker
+// buffer — the whole cost of a bypass broadcast's frontier enrolment).
 // One goroutine, so the lock-based and atomic cells read the uncontended
 // cost of their protection; plain is what any combiner gets at
-// Threads == 1. Each pass ends with the barrier swap, so fills and
-// combines both occur.
+// Threads == 1. Each pass ends with the barrier swap — the full clear, or
+// under bypass the clear of the slots the previous pass enrolled — so
+// fills and combines both occur.
 func BenchmarkDeliver(b *testing.B) {
 	sum := func(old *float64, new float64) { *old += new }
 	versions := []struct {
@@ -56,61 +59,36 @@ func BenchmarkDeliver(b *testing.B) {
 		lists := benchDests(random)
 		order := map[bool]string{false: "seq", true: "random"}[random]
 		for _, v := range versions {
-			for _, fused := range []bool{false, true} {
-				path := map[bool]string{false: "send", true: "scatter"}[fused]
+			for _, path := range []string{"send", "scatter", "bypass"} {
 				b.Run(fmt.Sprintf("%s/%s/%s", v.name, path, order), func(b *testing.B) {
-					mb, err := newMailbox[float64](v.cfg, benchSlots, sum)
+					cfg := v.cfg
+					cfg.SelectionBypass = path == "bypass"
+					mb, err := newMailbox[float64](cfg, benchSlots, sum)
 					if err != nil {
 						b.Fatal(err)
 					}
+					var ran, enrolled []int32
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						for _, nbs := range lists {
-							if fused {
-								mb.scatter(nbs, 0, 1)
+							if path != "send" {
+								enrolled = mb.scatter(nbs, 0, 1, enrolled)
 								continue
 							}
 							for i := range nbs {
-								mb.scatter(nbs[i:i+1], 0, 1)
+								mb.scatter(nbs[i:i+1], 0, 1, nil)
 							}
 						}
-						mb.swap(nil, true)
+						if cfg.SelectionBypass {
+							mb.swap(ran, false)
+							ran, enrolled = enrolled, ran[:0]
+						} else {
+							mb.swap(nil, true)
+						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkEnrol is the frontier-enrol microbenchmark: ns per recipient
-// for Context.enrol's dedup-and-append, with the barrier's gather and
-// frontier swap (which resets the dedup flags) closing each pass. The
-// random cells enrol most slots once; the sequential ones revisit nothing.
-func BenchmarkEnrol(b *testing.B) {
-	var gb graph.Builder
-	for i := 0; i < benchSlots; i++ {
-		gb.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%benchSlots))
-	}
-	g := gb.MustBuild()
-	for _, random := range []bool{false, true} {
-		lists := benchDests(random)
-		b.Run(map[bool]string{false: "seq", true: "random"}[random], func(b *testing.B) {
-			e, err := New(g, Config{SelectionBypass: true, Threads: 1}, haltingFlood(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := e.workers[0]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, nbs := range lists {
-					ctx.enrol(nbs, 0)
-				}
-				e.gatherFrontier()
-				e.swapFrontiers()
-				ctx.resetSuperstep()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
-		})
 	}
 }

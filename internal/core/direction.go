@@ -1,6 +1,9 @@
 package core
 
-import "context"
+import (
+	"context"
+	"sync/atomic"
+)
 
 // The direction model (Config.Direction): whether a superstep's sends
 // travel push or pull is a transport decision the engine takes per
@@ -112,7 +115,7 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // Under selection bypass only enrolled recipients can have mail (the
 // pull broadcast enrolled its out-neighbours), so collection is bounded
 // by the gathered next frontier; otherwise it covers the full scan
-// spans.
+// spans — and each slot's collector clears its pullEnrol flag.
 func (e *Engine[V, M]) collectPull() {
 	bypass := e.cfg.SelectionBypass
 	spans := e.scanSpans
@@ -124,6 +127,7 @@ func (e *Engine[V, M]) collectPull() {
 		if bypass {
 			for _, slot := range e.frontierNext[sp.lo:sp.hi] {
 				e.collectSlot(ctx, int(slot))
+				atomic.StoreUint32(&e.pullEnrol[slot], 0)
 			}
 			return
 		}

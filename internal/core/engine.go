@@ -47,17 +47,13 @@ type Engine[V, M any] struct {
 	buf *pushBuffers[M]
 	cas *atomicMailbox[M]
 
-	// Selection bypass (§4; all nil otherwise). inNext holds the CAS
-	// flags deduplicating the next frontier's entries, element access
-	// through sync/atomic; frontier and frontierNext list the slots
-	// running this superstep and enrolled for the next.
-	//
-	//ipregel:atomic
-	inNext       []uint32
+	// Selection bypass (§4; nil otherwise): the slots running this
+	// superstep and those enrolled for the next — on a push superstep,
+	// exactly the next-inbox slots that filled (mailbox.scatter).
 	frontier     []int32
 	frontierNext []int32
 
-	auditSeen []uint8 // slot-indexed scratch for the bypass audits
+	auditSeen []uint8 // slot-indexed scratch for the frontier audit
 
 	// Work lists: scanSpans is the precomputed full-scan split (where the
 	// schedule's balance decision lives, see buildScanSpans),
@@ -69,12 +65,15 @@ type Engine[V, M any] struct {
 	// Direction state (see direction.go). pullOut/pullFlag are the pull
 	// transport's slot-indexed outbox arrays (nil on push-only engines),
 	// serving every pull superstep without reallocating: each vertex
-	// writes only its own slot. curDir is the running
-	// superstep's transport; frontierEdges the out-edge count of the
-	// upcoming frontier (adaptive); pullEdgeCut the switch threshold in
-	// edges. dirSums is countFrontierEdges' per-worker scratch.
-	pullOut     []M
-	pullFlag    []uint8
+	// writes only its own slot; pullEnrol (bypass only) the CAS flags of
+	// a pull broadcast's enrolments, cleared by each slot's collect.
+	// curDir is the running superstep's transport; frontierEdges the
+	// out-edge count of the upcoming frontier (adaptive); pullEdgeCut the
+	// switch threshold in edges. dirSums is countFrontierEdges' scratch.
+	pullOut  []M
+	pullFlag []uint8
+	//ipregel:atomic
+	pullEnrol   []uint32
 	curDir      Direction
 	lastDir     Direction
 	haveLastDir bool
@@ -177,9 +176,6 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	}
 	e.values = make([]V, e.slots)
 	e.active = make([]uint8, e.slots)
-	if cfg.SelectionBypass {
-		e.inNext = make([]uint32, e.slots)
-	}
 	e.buildScanSpans()
 	e.workers = make([]*Context[V, M], e.threads)
 	for i := range e.workers {
@@ -188,6 +184,9 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.Direction != DirectionPush {
 		e.pullOut = make([]M, e.slots)
 		e.pullFlag = make([]uint8, e.slots)
+		if cfg.SelectionBypass {
+			e.pullEnrol = make([]uint32, e.slots)
+		}
 		if cfg.Direction == DirectionAdaptive {
 			thr := cfg.DirectionThreshold
 			if thr == 0 {
@@ -295,12 +294,9 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			if activeAfter > 0 {
 				return e.finishRun(start, ErrBypassViolation)
 			}
-			e.swapFrontiers()
-			if e.cfg.CheckInvariants {
-				if err := e.auditBypass(); err != nil {
-					return e.finishRun(start, err)
-				}
-			}
+			// Nothing to reset: the swap emptied the next inbox, and each
+			// collect cleared its slot's pull flag.
+			e.frontier, e.frontierNext = e.frontierNext, e.frontier[:0]
 		}
 
 		e.superstep++
@@ -467,8 +463,8 @@ func (e *Engine[V, M]) FootprintBytes() uint64 {
 	var m M
 	b := e.addr.overheadBytes() + e.mb.footprintBytes()
 	b += uint64(len(e.values))*uint64(unsafe.Sizeof(v)) + uint64(len(e.active))
-	b += uint64(len(e.inNext)+cap(e.frontier)+cap(e.frontierNext)) * 4
-	b += uint64(len(e.pullOut))*uint64(unsafe.Sizeof(m)) + uint64(len(e.pullFlag))
+	b += uint64(cap(e.frontier)+cap(e.frontierNext)) * 4
+	b += uint64(len(e.pullOut))*uint64(unsafe.Sizeof(m)) + uint64(len(e.pullFlag)) + uint64(len(e.pullEnrol))*4
 	return b
 }
 

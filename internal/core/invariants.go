@@ -41,21 +41,19 @@ func (e *Engine[V, M]) auditInvariants() error {
 		return err
 	}
 	if e.cfg.SelectionBypass {
-		if err := e.auditFrontierDedup(); err != nil {
-			return err
-		}
+		return e.auditFrontierDedup()
 	}
 	return nil
 }
 
 // auditConservation checks that every Send this superstep is accounted
 // for: it was either combined into an occupied mailbox or filled an
-// empty one. Pull supersteps are
-// audited like push ones: they count Messages as the logical fan-out
-// (out-degree per broadcast) and the collect phase deposits exactly that
-// many entries through the counted deliver path, so the same formula
-// holds — and additionally pins the broadcast-at-most-once-per-superstep
-// contract the outbox-overwrite semantics require.
+// empty one. Pull supersteps are audited like push ones: they count
+// Messages as the logical fan-out (out-degree per broadcast) and the
+// collect phase deposits exactly that many entries through the counted
+// deliver path, so the same formula holds — and additionally pins the
+// broadcast-at-most-once-per-superstep contract the outbox-overwrite
+// semantics require.
 func (e *Engine[V, M]) auditConservation() error {
 	defer e.mb.resetDeliveryCounts()
 	var sent uint64
@@ -74,27 +72,22 @@ func (e *Engine[V, M]) auditConservation() error {
 	return nil
 }
 
-// resetAuditSeen returns the zeroed slot-indexed membership scratch the
-// frontier audits share. It is a byte array reused across supersteps —
-// a map here allocates per superstep and dominates the audit on
-// million-vertex graphs.
-func (e *Engine[V, M]) resetAuditSeen() []uint8 {
+// auditFrontierDedup checks the gathered next frontier against the
+// enrolment rule: it is duplicate-free and equals the set of occupied
+// next-inbox slots. A duplicate would run a vertex twice next superstep,
+// an enrolled slot with an empty inbox is an enrolment without its fill,
+// and a filled slot missing from the frontier is mail §4 would never
+// deliver (after the swap, the frontier must cover every current inbox).
+// The rule holds on pull supersteps too — every enrolled slot has a
+// flagged in-neighbour its collect deposits from — and no pull dedup flag
+// may outlive its collect, or a later pull broadcast could not enrol it.
+// seen is reused scratch: a map would allocate every superstep.
+func (e *Engine[V, M]) auditFrontierDedup() error {
 	if e.auditSeen == nil {
 		e.auditSeen = make([]uint8, e.slots)
-	} else {
-		clear(e.auditSeen)
 	}
-	return e.auditSeen
-}
-
-// auditFrontierDedup checks the selection-bypass dedup flags against the
-// gathered next frontier: every enrolled slot must appear exactly once,
-// and every set flag must correspond to an enrolled slot. A duplicate
-// would run a vertex twice next superstep; a stray flag would silently
-// suppress a future enrolment (§4's correctness hinges on exactly-once
-// membership). The set flags must number exactly the enrolments.
-func (e *Engine[V, M]) auditFrontierDedup() error {
-	seen := e.resetAuditSeen()
+	seen := e.auditSeen
+	clear(seen)
 	fail := func(format string, args ...any) error {
 		return &InvariantError{Superstep: e.superstep, Invariant: "frontier-dedup", Detail: fmt.Sprintf(format, args...)}
 	}
@@ -103,33 +96,27 @@ func (e *Engine[V, M]) auditFrontierDedup() error {
 			return fail("vertex %d enrolled twice in the next frontier", e.addr.idOf(int(slot)))
 		}
 		seen[slot] = 1
-		if atomic.LoadUint32(&e.inNext[slot]) == 0 {
-			return fail("vertex %d is in the next frontier but its dedup flag is clear", e.addr.idOf(int(slot)))
+		if !e.nextOccupied(int(slot)) {
+			return fail("vertex %d is in the next frontier but its next inbox is empty", e.addr.idOf(int(slot)))
 		}
 	}
-	var flagged uint64
-	for i := range e.inNext {
-		if atomic.LoadUint32(&e.inNext[i]) != 0 {
-			flagged++
+	for slot := range seen {
+		if seen[slot] == 0 && e.nextOccupied(slot) {
+			return fail("vertex %d has a message for the next superstep but is missing from the next frontier", e.addr.idOf(slot))
 		}
 	}
-	if flagged != uint64(len(e.frontierNext)) {
-		return fail("%d dedup flags set but %d vertices enrolled; a flag leaked without an enrolment", flagged, len(e.frontierNext))
+	for slot := range e.pullEnrol {
+		if atomic.LoadUint32(&e.pullEnrol[slot]) != 0 {
+			return fail("pull dedup flag of vertex %d leaked past the collect", e.addr.idOf(slot))
+		}
 	}
 	return nil
 }
 
-// auditBypass verifies the §4 implication after the frontier swap: every
-// vertex holding a message is in the new frontier.
-func (e *Engine[V, M]) auditBypass() error {
-	seen := e.resetAuditSeen()
-	for _, slot := range e.frontier {
-		seen[slot] = 1
+// nextOccupied reports whether slot's next inbox holds a message.
+func (e *Engine[V, M]) nextOccupied(slot int) bool {
+	if e.buf != nil {
+		return e.buf.hasNext[slot] != 0
 	}
-	for slot := range seen {
-		if e.mb.hasCurrent(slot) && seen[slot] == 0 {
-			return fmt.Errorf("core: bypass audit: vertex %d has mail but is not in the frontier", e.addr.idOf(slot))
-		}
-	}
-	return nil
+	return atomic.LoadUint32(&e.cas.stateNext[slot]) == slotFull
 }

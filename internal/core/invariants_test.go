@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,7 +41,7 @@ func TestInvariantConservationDetectsLostDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A rogue deposit the per-worker counters never saw.
-	e.mb.scatter([]graph.VertexID{3}, 0, 99)
+	e.mb.scatter([]graph.VertexID{3}, 0, 99, nil)
 	_, err = e.Run()
 	var inv *InvariantError
 	if !errors.As(err, &inv) {
@@ -54,22 +55,35 @@ func TestInvariantConservationDetectsLostDelivery(t *testing.T) {
 	}
 }
 
-// TestInvariantFrontierDedupDetectsCorruptState drives the barrier audit
-// directly against hand-planted frontier state. A full run cannot stage
-// these corruptions deterministically: a leaked flag is indistinguishable
-// while a flood keeps every flag legitimately set, so each violation is
-// planted on a freshly constructed engine and the audit invoked as the
-// barrier would.
+// TestInvariantFrontierDedupDetectsCorruptState drives the frontier audit
+// directly against hand-planted state. A full run cannot stage these
+// corruptions deterministically, so a consistent next frontier is built
+// on a freshly constructed engine through the real push path — two
+// workers' scatters fill and enrol, gatherFrontier concatenates — and
+// each violation is planted on top of it and the audit invoked as the
+// barrier would. The engine is adaptive, so it carries the pull dedup
+// flags the last case leaks.
 func TestInvariantFrontierDedupDetectsCorruptState(t *testing.T) {
 	g := ringGraph(16, 0)
-	cfg := Config{Combiner: CombinerSpin, SelectionBypass: true, CheckInvariants: true, Threads: 2}
+	cfg := Config{Combiner: CombinerSpin, Direction: DirectionAdaptive, SelectionBypass: true, CheckInvariants: true, Threads: 2}
 	e, err := New(g, cfg, haltingFlood(5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.workers[0].scatter([]graph.VertexID{3, 4, 3}, 0, 7)
+	e.workers[1].scatter([]graph.VertexID{4, 9}, 0, 7)
+	e.gatherFrontier()
+	staged := append([]int32(nil), e.frontierNext...)
+	if fmt.Sprint(staged) != "[3 4 9]" {
+		t.Fatalf("fills enrolled %v, want [3 4 9]: each filled slot once, in fill order", staged)
+	}
+	// The staged state passes the whole barrier audit.
+	if err := e.auditInvariants(); err != nil {
+		t.Fatalf("audit rejected consistent frontier state: %v", err)
+	}
 	wantDedup := func(detail string) {
 		t.Helper()
-		err := e.auditInvariants()
+		err := e.auditFrontierDedup()
 		var inv *InvariantError
 		if !errors.As(err, &inv) {
 			t.Fatalf("want *InvariantError, got %v", err)
@@ -80,29 +94,29 @@ func TestInvariantFrontierDedupDetectsCorruptState(t *testing.T) {
 		if !strings.Contains(inv.Detail, detail) {
 			t.Fatalf("detail %q does not mention %q", inv.Detail, detail)
 		}
+		e.frontierNext = append(e.frontierNext[:0], staged...)
 	}
 
-	// A set flag with no matching frontier entry: would silently suppress
-	// a future enrolment.
-	atomic.StoreUint32(&e.inNext[2], 1)
-	wantDedup("leaked")
-	atomic.StoreUint32(&e.inNext[2], 0)
-
 	// The same vertex enrolled twice: would run it twice next superstep.
-	atomic.StoreUint32(&e.inNext[3], 1)
-	e.frontierNext = []int32{3, 3}
+	e.frontierNext = append(e.frontierNext, 4)
 	wantDedup("enrolled twice")
-	atomic.StoreUint32(&e.inNext[3], 0)
 
-	// An enrolment whose dedup flag is clear: exactly-once membership no
-	// longer holds for the next superstep's sends.
-	e.frontierNext = []int32{4}
-	wantDedup("flag is clear")
+	// An enrolment without its fill: the vertex would run with no mail.
+	e.frontierNext = append(e.frontierNext, 5)
+	wantDedup("next inbox is empty")
 
-	// Consistent state must pass.
-	atomic.StoreUint32(&e.inNext[4], 1)
-	if err := e.auditInvariants(); err != nil {
-		t.Fatalf("audit rejected consistent frontier state: %v", err)
+	// A fill without its enrolment: §4 would never deliver that message.
+	e.frontierNext = e.frontierNext[:2]
+	wantDedup("missing from the next frontier")
+
+	// A pull dedup flag that outlived its collect: a later pull broadcast
+	// would silently skip that enrolment.
+	atomic.StoreUint32(&e.pullEnrol[12], 1)
+	wantDedup("leaked")
+	atomic.StoreUint32(&e.pullEnrol[12], 0)
+
+	if err := e.auditFrontierDedup(); err != nil {
+		t.Fatalf("audit rejected the restored consistent state: %v", err)
 	}
 }
 

@@ -38,7 +38,11 @@ type mailbox[M any] interface {
 	// broadcast's fan-out under a single dispatch (Context.scatter). Safe
 	// for concurrent senders on the mutex, spinlock and atomic versions;
 	// on the plain version only while each slot has a single depositor.
-	scatter(nbs []graph.VertexID, shift int, msg M)
+	// Under selection bypass it returns enrolled plus each slot it filled:
+	// a push superstep starts on an empty next inbox, so that first fill
+	// (one depositor sees it) is the slot's one enrolment (§4). Without
+	// bypass nothing is enrolled; the caller passes nil and gets nil.
+	scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32
 	// buffers returns the flag-and-message arrays of the plain and
 	// lock-based versions, nil on the atomic one: the engine reads mail
 	// and makes owner-only deposits through them without a dynamic call.
@@ -48,8 +52,6 @@ type mailbox[M any] interface {
 	// matching IP_get_next_message's drain loop over the single-message
 	// mailbox (§6.3).
 	take(slot int, m *M) bool
-	// hasCurrent reports whether slot has an unread current message.
-	hasCurrent(slot int) bool
 	// peek reads slot's current message without consuming it (used by
 	// checkpointing at barriers).
 	peek(slot int) (M, bool)
@@ -87,37 +89,54 @@ type mailbox[M any] interface {
 	auditBarrier() error
 }
 
+// delivery is what every inbox version keeps beside its buffers: whether
+// scatter enrols the slots it fills (SelectionBypass), and the delivery
+// counters of the conservation audit, maintained only under
+// CheckInvariants — through sync/atomic, since depositors own only their
+// target slot and race on the counters.
+type delivery struct {
+	enrol, check      bool
+	nCombines, nFills uint64
+}
+
+func newDelivery(cfg Config) delivery {
+	return delivery{enrol: cfg.SelectionBypass, check: cfg.CheckInvariants}
+}
+
+func (d *delivery) count(combines, fills int) {
+	if d.check {
+		atomic.AddUint64(&d.nCombines, uint64(combines))
+		atomic.AddUint64(&d.nFills, uint64(fills))
+	}
+}
+
+func (d *delivery) deliveryCounts() (combines, fills uint64) {
+	return atomic.LoadUint64(&d.nCombines), atomic.LoadUint64(&d.nFills)
+}
+
+func (d *delivery) resetDeliveryCounts() {
+	atomic.StoreUint64(&d.nCombines, 0)
+	atomic.StoreUint64(&d.nFills, 0)
+}
+
 // pushBuffers is the double-buffered inbox state shared by the plain and
 // lock-based versions.
 type pushBuffers[M any] struct {
 	combine         CombineFunc[M]
 	now, next       []M
 	hasNow, hasNext []uint8
-	// check enables the delivery counters (Config.CheckInvariants).
-	// Increments use sync/atomic: deposit's caller owns only the target
-	// slot, so deposits to different slots race on the counters.
-	check             bool
-	nCombines, nFills uint64
+	delivery
 }
 
-func newPushBuffers[M any](slots int, combine CombineFunc[M], check bool) pushBuffers[M] {
+func newPushBuffers[M any](slots int, combine CombineFunc[M], cfg Config) pushBuffers[M] {
 	return pushBuffers[M]{
-		combine: combine,
-		now:     make([]M, slots),
-		next:    make([]M, slots),
-		hasNow:  make([]uint8, slots),
-		hasNext: make([]uint8, slots),
-		check:   check,
+		combine:  combine,
+		now:      make([]M, slots),
+		next:     make([]M, slots),
+		hasNow:   make([]uint8, slots),
+		hasNext:  make([]uint8, slots),
+		delivery: newDelivery(cfg),
 	}
-}
-
-func (b *pushBuffers[M]) deliveryCounts() (combines, fills uint64) {
-	return atomic.LoadUint64(&b.nCombines), atomic.LoadUint64(&b.nFills)
-}
-
-func (b *pushBuffers[M]) resetDeliveryCounts() {
-	atomic.StoreUint64(&b.nCombines, 0)
-	atomic.StoreUint64(&b.nFills, 0)
 }
 
 // contentionRetries: the plain and lock-based versions have no CAS retry
@@ -172,21 +191,17 @@ func (b *pushBuffers[M]) swap(ran []int32, all bool) {
 	b.hasNow, b.hasNext = b.hasNext, b.hasNow
 }
 
-// deposit combines msg into slot's next inbox; the caller must own the
-// slot — hold its lock, or be its only depositor this phase.
-func (b *pushBuffers[M]) deposit(dst int, msg M) {
+// deposit combines msg into slot's next inbox, reporting a fill; the
+// caller must own the slot — hold its lock, or be its only depositor.
+func (b *pushBuffers[M]) deposit(dst int, msg M) bool {
 	if b.hasNext[dst] != 0 {
 		b.combine(&b.next[dst], msg)
-		if b.check {
-			atomic.AddUint64(&b.nCombines, 1)
-		}
-	} else {
-		b.next[dst] = msg
-		b.hasNext[dst] = 1
-		if b.check {
-			atomic.AddUint64(&b.nFills, 1)
-		}
+		b.count(1, 0)
+		return false
 	}
+	b.next[dst], b.hasNext[dst] = msg, 1
+	b.count(0, 1)
+	return true
 }
 
 func (b *pushBuffers[M]) buffersBytes() uint64 {
@@ -203,20 +218,34 @@ type mutexMailbox[M any] struct {
 	locks []sync.Mutex
 }
 
-func newMutexMailbox[M any](slots int, combine CombineFunc[M], check bool) *mutexMailbox[M] {
+func newMutexMailbox[M any](slots int, combine CombineFunc[M], cfg Config) *mutexMailbox[M] {
 	return &mutexMailbox[M]{
-		pushBuffers: newPushBuffers[M](slots, combine, check),
+		pushBuffers: newPushBuffers[M](slots, combine, cfg),
 		locks:       make([]sync.Mutex, slots),
 	}
 }
 
-func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+// scatter deposits under each slot's lock. Only Combine can panic in the
+// loop, and it does so holding dst's lock: the deferred release keeps
+// later senders from stranding on it (ROADMAP 5(a)), then re-raises.
+func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
+	dst := 0
+	defer func() {
+		if r := recover(); r != nil {
+			mb.locks[dst].Unlock()
+			panic(r)
+		}
+	}()
 	for _, nb := range nbs {
-		dst := int(nb) + shift
+		dst = int(nb) + shift
 		mb.locks[dst].Lock()
-		mb.deposit(dst, msg)
+		filled := mb.deposit(dst, msg)
 		mb.locks[dst].Unlock()
+		if filled && mb.enrol {
+			enrolled = append(enrolled, int32(dst))
+		}
 	}
+	return enrolled
 }
 
 func (mb *mutexMailbox[M]) footprintBytes() uint64 {
@@ -231,20 +260,32 @@ type spinMailbox[M any] struct {
 	locks []spinLock
 }
 
-func newSpinMailbox[M any](slots int, combine CombineFunc[M], check bool) *spinMailbox[M] {
+func newSpinMailbox[M any](slots int, combine CombineFunc[M], cfg Config) *spinMailbox[M] {
 	return &spinMailbox[M]{
-		pushBuffers: newPushBuffers[M](slots, combine, check),
+		pushBuffers: newPushBuffers[M](slots, combine, cfg),
 		locks:       make([]spinLock, slots),
 	}
 }
 
-func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+// scatter is the mutex version's loop, panic release included.
+func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
+	dst := 0
+	defer func() {
+		if r := recover(); r != nil {
+			mb.locks[dst].unlock()
+			panic(r)
+		}
+	}()
 	for _, nb := range nbs {
-		dst := int(nb) + shift
+		dst = int(nb) + shift
 		mb.locks[dst].lock()
-		mb.deposit(dst, msg)
+		filled := mb.deposit(dst, msg)
 		mb.locks[dst].unlock()
+		if filled && mb.enrol {
+			enrolled = append(enrolled, int32(dst))
+		}
 	}
+	return enrolled
 }
 
 func (mb *spinMailbox[M]) footprintBytes() uint64 {
@@ -265,24 +306,35 @@ type plainMailbox[M any] struct {
 }
 
 // scatter is deposit fused over one neighbour list: the buffers are
-// resolved and the audit counters bumped once per call, which leaves the
-// loop nothing but the flag test and the combine.
-func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
-	next, hasNext, fills := mb.next, mb.hasNext, 0
+// resolved and the audit counters bumped once per call, and the loop is
+// chosen once per call too. Without bypass it is the bare flag test and
+// combine: one loop carrying the enrol buffer as well costs every combine
+// a few reloads, ~9 % of a PageRank run that never enrols.
+func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
+	next, hasNext, n, fills := mb.next, mb.hasNext, len(enrolled), 0
+	if !mb.enrol {
+		for _, nb := range nbs {
+			if dst := int(nb) + shift; hasNext[dst] != 0 {
+				mb.combine(&next[dst], msg)
+			} else {
+				next[dst], hasNext[dst] = msg, 1
+				fills++
+			}
+		}
+		mb.count(len(nbs)-fills, fills)
+		return nil
+	}
 	for _, nb := range nbs {
-		dst := int(nb) + shift
-		if hasNext[dst] != 0 {
+		if dst := int(nb) + shift; hasNext[dst] != 0 {
 			mb.combine(&next[dst], msg)
 		} else {
-			next[dst] = msg
-			hasNext[dst] = 1
-			fills++
+			next[dst], hasNext[dst] = msg, 1
+			enrolled = append(enrolled, int32(dst))
 		}
 	}
-	if mb.check {
-		atomic.AddUint64(&mb.nFills, uint64(fills))
-		atomic.AddUint64(&mb.nCombines, uint64(len(nbs)-fills))
-	}
+	fills = len(enrolled) - n
+	mb.count(len(nbs)-fills, fills)
+	return enrolled
 }
 
 func (mb *plainMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
@@ -294,20 +346,19 @@ func (mb *plainMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
 // requires word-sized messages), at every thread count: a configuration
 // valid on one thread stays valid on N.
 func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], error) {
-	check := cfg.CheckInvariants
 	racy := cfg.ResolvedThreads() > 1
 	switch cfg.Combiner {
 	case CombinerMutex:
 		if racy {
-			return newMutexMailbox[M](slots, combine, check), nil
+			return newMutexMailbox[M](slots, combine, cfg), nil
 		}
 	case CombinerSpin:
 		if racy {
-			return newSpinMailbox[M](slots, combine, check), nil
+			return newSpinMailbox[M](slots, combine, cfg), nil
 		}
 	case CombinerAtomic:
 		if racy {
-			return newAtomicMailbox[M](slots, combine, check)
+			return newAtomicMailbox[M](slots, combine, cfg)
 		}
 		if _, err := atomicWidth[M](); err != nil {
 			return nil, err
@@ -316,5 +367,5 @@ func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M
 	default:
 		return nil, fmt.Errorf("core: unknown combiner %v", cfg.Combiner)
 	}
-	return &plainMailbox[M]{newPushBuffers[M](slots, combine, check)}, nil
+	return &plainMailbox[M]{newPushBuffers[M](slots, combine, cfg)}, nil
 }

@@ -48,9 +48,7 @@ type atomicMailbox[M any] struct {
 	stateNext []uint32
 	// wide selects 8-byte bit conversion (4-byte otherwise)
 	wide bool
-	// check enables the delivery counters (Config.CheckInvariants).
-	check             bool
-	nCombines, nFills uint64
+	delivery
 	// nRetries counts failed CAS attempts (value-word combine retries and
 	// lost empty-slot claims). Unlike the delivery counters it is always
 	// maintained: the increments sit exclusively on the already-contended
@@ -78,7 +76,7 @@ func atomicWidth[M any]() (wide bool, err error) {
 	return false, fmt.Errorf("core: the atomic combiner packs each mailbox into one machine word and supports int32, uint32, float32, int64, uint64 and float64 messages; message type %T does not qualify — pick the mutex or spinlock combiner", zero)
 }
 
-func newAtomicMailbox[M any](slots int, combine CombineFunc[M], check bool) (*atomicMailbox[M], error) {
+func newAtomicMailbox[M any](slots int, combine CombineFunc[M], cfg Config) (*atomicMailbox[M], error) {
 	wide, err := atomicWidth[M]()
 	if err != nil {
 		return nil, err
@@ -90,7 +88,7 @@ func newAtomicMailbox[M any](slots int, combine CombineFunc[M], check bool) (*at
 		stateNow:  make([]uint32, slots),
 		stateNext: make([]uint32, slots),
 		wide:      wide,
-		check:     check,
+		delivery:  newDelivery(cfg),
 	}, nil
 }
 
@@ -111,7 +109,8 @@ func (mb *atomicMailbox[M]) value(b uint64) M {
 	return m
 }
 
-func (mb *atomicMailbox[M]) deliver(dst int, msg M) {
+// deliver reports whether it filled dst: won the slotEmpty → slotBusy CAS.
+func (mb *atomicMailbox[M]) deliver(dst int, msg M) (filled bool) {
 	state := &mb.stateNext[dst]
 	word := &mb.next[dst]
 	for spins := 0; ; {
@@ -125,12 +124,12 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) {
 				if newBits == oldBits {
 					// combine left the mailbox unchanged (e.g. min with a
 					// larger candidate): nothing to publish
-					mb.countCombine()
-					return
+					mb.count(1, 0)
+					return false
 				}
 				if atomic.CompareAndSwapUint64(word, oldBits, newBits) {
-					mb.countCombine()
-					return
+					mb.count(1, 0)
+					return false
 				}
 				atomic.AddUint64(&mb.nRetries, 1)
 			}
@@ -138,10 +137,8 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) {
 			if atomic.CompareAndSwapUint32(state, slotEmpty, slotBusy) {
 				atomic.StoreUint64(word, mb.bits(msg))
 				atomic.StoreUint32(state, slotFull)
-				if mb.check {
-					atomic.AddUint64(&mb.nFills, 1)
-				}
-				return
+				mb.count(0, 1)
+				return true
 			}
 			atomic.AddUint64(&mb.nRetries, 1)
 		default: // slotBusy: the first deliverer is publishing its value
@@ -153,10 +150,13 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) {
 	}
 }
 
-func (mb *atomicMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+func (mb *atomicMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
 	for _, nb := range nbs {
-		mb.deliver(int(nb)+shift, msg)
+		if dst := int(nb) + shift; mb.deliver(dst, msg) && mb.enrol {
+			enrolled = append(enrolled, int32(dst))
+		}
 	}
+	return enrolled
 }
 
 func (mb *atomicMailbox[M]) buffers() *pushBuffers[M] { return nil }
@@ -199,21 +199,6 @@ func (mb *atomicMailbox[M]) swap(ran []int32, all bool) {
 	}
 	mb.now, mb.next = mb.next, mb.now
 	mb.stateNow, mb.stateNext = mb.stateNext, mb.stateNow
-}
-
-func (mb *atomicMailbox[M]) countCombine() {
-	if mb.check {
-		atomic.AddUint64(&mb.nCombines, 1)
-	}
-}
-
-func (mb *atomicMailbox[M]) deliveryCounts() (combines, fills uint64) {
-	return atomic.LoadUint64(&mb.nCombines), atomic.LoadUint64(&mb.nFills)
-}
-
-func (mb *atomicMailbox[M]) resetDeliveryCounts() {
-	atomic.StoreUint64(&mb.nCombines, 0)
-	atomic.StoreUint64(&mb.nFills, 0)
 }
 
 func (mb *atomicMailbox[M]) contentionRetries() uint64 {

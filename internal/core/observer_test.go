@@ -257,17 +257,17 @@ func TestObserverAbortPaths(t *testing.T) {
 		{
 			name: "invariant-error",
 			run: func(t *testing.T, rec *recObs) (Report, error) {
-				cfg := Config{Combiner: CombinerSpin, SelectionBypass: true, CheckInvariants: true, Threads: 2, Observers: []Observer{rec}}
+				cfg := Config{Combiner: CombinerSpin, Direction: DirectionPull, SelectionBypass: true, CheckInvariants: true, Threads: 2, Observers: []Observer{rec}}
 				e, err := New(ringGraph(16, 0), cfg, haltingFlood(10))
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Corrupt a frontier dedup flag for a slot the flood has not
-				// reached: the frontier-dedup audit must trip at this
-				// superstep's barrier.
+				// Corrupt a pull dedup flag for a slot the flood has not
+				// reached: no collect clears it, so the frontier-dedup audit
+				// must trip at this superstep's barrier.
 				if err := e.AddObserver(ObserverFuncs{SuperstepStart: func(s int) {
 					if s == 2 {
-						atomic.StoreUint32(&e.inNext[10], 1)
+						atomic.StoreUint32(&e.pullEnrol[10], 1)
 					}
 				}}); err != nil {
 					t.Fatal(err)

@@ -39,9 +39,11 @@ func sendSSSPProg(source graph.VertexID) Program[uint32, uint32] {
 }
 
 // oneVsThreads runs prog under cfg on one thread and on threads and
-// demands the same Fingerprint and the same values under same, with the
-// barrier audits on.
-func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[V, V], same func(one, many V) bool, threads int) {
+// demands, with the barrier audits on, the same next-frontier size at
+// every superstep (under selection bypass the set of slots whose inbox
+// filled does not depend on the schedule), the same Fingerprint and the
+// same values under same. It returns the one-thread report.
+func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[V, V], same func(one, many V) bool, threads int) Report {
 	t.Helper()
 	cfg.CheckInvariants = true
 	cfg.Threads = 1
@@ -54,6 +56,11 @@ func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[
 	if err != nil {
 		t.Fatalf("%s threads=%d: %v", cfg.VersionName(), threads, err)
 	}
+	for i := range min(len(rep1.Steps), len(repN.Steps)) {
+		if n1, nN := rep1.Steps[i].NextFrontier, repN.Steps[i].NextFrontier; n1 != nN {
+			t.Fatalf("%s: superstep %d enrolled %d vertices on one thread, %d on %d", cfg.VersionName(), i, n1, nN, threads)
+		}
+	}
 	if fp1, fpN := rep1.Fingerprint(), repN.Fingerprint(); fp1 != fpN {
 		t.Fatalf("%s: fingerprints differ\n--- one thread ---\n%s--- %d threads ---\n%s", cfg.VersionName(), fp1, threads, fpN)
 	}
@@ -63,6 +70,7 @@ func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[
 			t.Fatalf("%s: value[%d] = %v on one thread, %v on %d", cfg.VersionName(), i, v1[i], vN[i], threads)
 		}
 	}
+	return rep1
 }
 
 // TestOneThreadInboxParity: a one-thread engine builds the plain inbox

@@ -203,18 +203,6 @@ func (e *Engine[V, M]) hasMail(slot int) bool {
 	return e.cas.hasCurrent(slot)
 }
 
-// tryMarkNext claims slot's membership of the next frontier.
-// Test-and-test-and-set: most messages target already-enrolled vertices,
-// so the common path is a single relaxed load rather than a contended
-// compare-and-swap.
-func (e *Engine[V, M]) tryMarkNext(slot int) bool {
-	p := &e.inNext[slot]
-	if atomic.LoadUint32(p) != 0 {
-		return false
-	}
-	return atomic.CompareAndSwapUint32(p, 0, 1)
-}
-
 // gatherFrontier concatenates the workers' enrol buffers into the next
 // frontier. The buffer is sized exactly: frontiers reach |V| entries,
 // and append's growth slack on that is live heap for the rest of the run.
@@ -231,14 +219,4 @@ func (e *Engine[V, M]) gatherFrontier() {
 		buf = append(buf, w.enrolled...)
 	}
 	e.frontierNext = buf
-}
-
-// swapFrontiers is the bypass barrier work: promote the next frontier
-// and reset the dedup flags of the (new) current frontier so the next
-// superstep can enrol the same vertices again.
-func (e *Engine[V, M]) swapFrontiers() {
-	e.frontier, e.frontierNext = e.frontierNext, e.frontier[:0]
-	for _, slot := range e.frontier {
-		atomic.StoreUint32(&e.inNext[slot], 0)
-	}
 }

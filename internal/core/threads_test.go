@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +15,11 @@ import (
 // and direction must compute at two and at four threads what it computes
 // on one — where the engine builds the plain inbox and every phase runs
 // inline — with the barrier audits (mailbox state, message conservation,
-// frontier dedup, the bypass implication) on throughout. Min-combining
+// the enrolment rule, the bypass implication) on throughout, and with the
+// same next frontier superstep by superstep (oneVsThreads): under bypass
+// a push superstep enrols whichever depositor fills a slot and a pull
+// one whichever broadcaster wins its flag, but the enrolled set is the
+// schedule-independent set of recipients. Min-combining
 // integer programs are bit-exact; the float program follows DESIGN.md
 // §5.1: bit-exact when every superstep pulled, 1e-9 when any pushed.
 // The fan-out graph's identifiers start at 1, so desolate addressing
@@ -31,9 +36,12 @@ func TestThreadsParityTable(t *testing.T) {
 					cfg := Config{Combiner: comb, SelectionBypass: bypass, Addressing: addr, Direction: dir}
 					t.Run(fmt.Sprintf("%s/%s", cfg.VersionName(), addr), func(t *testing.T) {
 						for _, threads := range []int{2, 4} {
-							oneVsThreads(t, g, cfg, ssspProg(1), sameInt, threads)
+							rep := oneVsThreads(t, g, cfg, ssspProg(1), sameInt, threads)
 							oneVsThreads(t, g, cfg, minLabelProg(), sameInt, threads)
 							if bypass {
+								if len(rep.Steps) < 3 || rep.Steps[1].NextFrontier == 0 {
+									t.Fatalf("bypass run enrolled nothing after superstep 0, so its frontier parity proves nothing: %+v", rep.Steps)
+								}
 								continue // rankProg never halts before its last round
 							}
 							if dir == DirectionPull {
@@ -74,7 +82,7 @@ func TestDesolateDeadZoneNeverRuns(t *testing.T) {
 						t.Fatalf("desolate engine has shift %d over %d slots, want 3 over %d", e.shift, e.slots, g.N()+3)
 					}
 					for slot := 0; slot < e.shift; slot++ {
-						if e.active[slot] != 0 || e.values[slot] != 0 || e.mb.hasCurrent(slot) {
+						if e.active[slot] != 0 || e.values[slot] != 0 || e.hasMail(slot) {
 							t.Fatalf("%s threads=%d: dead slot %d was touched", cfg.VersionName(), threads, slot)
 						}
 					}
@@ -95,47 +103,68 @@ func TestDesolateDeadZoneNeverRuns(t *testing.T) {
 // loop — under the slot's lock on the mutex and spinlock versions, inside
 // the CAS loop on the atomic one — must come back from Run as the
 // contained-panic error with a sealed report, not hang the barrier or
-// crash the process. One vertex does all the sending and no other worker
-// ever sends to its destination, so nothing waits on the lock that died
-// with its holder (that hang is ROADMAP item 5(a)).
+// crash the process. Vertex 1 (the first span's worker) fills vertex
+// 2000's mailbox and panics combining into it. In the second-sender case
+// vertex 1999, on the other worker, waits for that panic and then sends
+// to the same slot: the lock the panic interrupted must have been
+// released (ROADMAP item 5(a)), or that send waits forever.
 func TestCombinePanicAbortsRun(t *testing.T) {
 	g := fanoutGraph(2000, 8)
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		for _, bypass := range []bool{false, true} {
 			cfg := Config{Combiner: comb, Threads: 2, SelectionBypass: bypass, CheckInvariants: true}
 			t.Run(cfg.VersionName(), func(t *testing.T) {
-				prog := Program[uint32, uint32]{
-					Combine: func(*uint32, uint32) { panic("combiner exploded") },
-					Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
-						if ctx.IsFirstSuperstep() && v.ID() == 1 {
-							ctx.Send(2000, 7) // fills the empty mailbox
-							ctx.Send(2000, 7) // combines into it: panics
-						}
-						ctx.VoteToHalt(v)
-					},
-				}
-				type result struct {
-					rep Report
-					err error
-				}
-				done := make(chan result, 1)
-				go func() {
-					_, rep, err := Run(g, cfg, prog)
-					done <- result{rep, err}
-				}()
-				select {
-				case r := <-done:
-					if r.err == nil || !strings.Contains(r.err.Error(), "compute panicked at superstep 0") || !strings.Contains(r.err.Error(), "combiner exploded") {
-						t.Fatalf("err = %v, want the contained combiner panic", r.err)
-					}
-					if !r.rep.Aborted || len(r.rep.Steps) != 1 || !r.rep.Steps[0].Partial {
-						t.Fatalf("report not sealed around the partial superstep: %+v", r.rep)
-					}
-				case <-time.After(30 * time.Second):
-					t.Fatal("run did not return: the barrier is waiting on the slot whose Combine panicked")
+				for _, second := range []bool{false, true} {
+					t.Run(map[bool]string{false: "one-sender", true: "second-sender"}[second], func(t *testing.T) {
+						combinePanicRun(t, g, cfg, second)
+					})
 				}
 			})
 		}
+	}
+}
+
+func combinePanicRun(t *testing.T, g *graph.Graph, cfg Config, second bool) {
+	exploded := make(chan struct{})
+	var once sync.Once
+	prog := Program[uint32, uint32]{
+		Combine: func(*uint32, uint32) {
+			once.Do(func() { close(exploded) })
+			panic("combiner exploded")
+		},
+		Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			if ctx.IsFirstSuperstep() {
+				switch {
+				case v.ID() == 1:
+					ctx.Send(2000, 7) // fills the empty mailbox
+					ctx.Send(2000, 7) // combines into it: panics
+				case v.ID() == 1999 && second:
+					<-exploded
+					ctx.Send(2000, 7) // takes the slot's lock after the panic
+				}
+			}
+			ctx.VoteToHalt(v)
+		},
+	}
+	type result struct {
+		rep Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, rep, err := Run(g, cfg, prog)
+		done <- result{rep, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err == nil || !strings.Contains(r.err.Error(), "compute panicked at superstep 0") || !strings.Contains(r.err.Error(), "combiner exploded") {
+			t.Fatalf("err = %v, want the contained combiner panic", r.err)
+		}
+		if !r.rep.Aborted || len(r.rep.Steps) != 1 || !r.rep.Steps[0].Partial {
+			t.Fatalf("report not sealed around the partial superstep: %+v", r.rep)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return: a sender is waiting on the slot whose Combine panicked")
 	}
 }
 

@@ -157,14 +157,22 @@ func IPregelBytes(p IPregelParams) uint64 {
 		total += slots * 8
 	case p.Config.Combiner == core.CombinerSpin && racy:
 		total += slots * 4
-	case p.Config.Combiner == core.CombinerPull:
-		total += slots*p.MessageBytes + slots // outbox + flags, no locks
+	}
+	// the pull transport of an engine that can pull (CombinerPull implies
+	// pull): outbox + flags, no locks, and under bypass the CAS flags that
+	// dedup a pull broadcast's enrolments — a push superstep enrols at the
+	// first inbox fill and needs none
+	pulls := p.Config.Combiner == core.CombinerPull || p.Config.Direction != core.DirectionPush
+	if pulls {
+		total += slots*p.MessageBytes + slots
 	}
 	if p.Config.Addressing == core.AddressHashmap {
 		total += p.V * (4 + 4 + 10 + 4) // map entries + ids slice (see core)
 	}
 	if p.Config.SelectionBypass {
-		total += slots * 4   // dedup flags
+		if pulls {
+			total += slots * 4 // pull enrolment dedup flags
+		}
 		total += 2 * p.V * 4 // frontier double buffer, worst case
 	}
 	// graph

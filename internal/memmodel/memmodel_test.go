@@ -32,12 +32,16 @@ func TestGraphBinaryBytesMatchesPaper(t *testing.T) {
 
 // The analytic iPregel model must agree exactly with the engine's own
 // accounting plus the graph's CSR cost (no drift between model and code).
+// The model counts the bypass frontier buffers at their worst case; a
+// freshly built engine has allocated none of them, so bypass rows add that
+// worst case to the engine's side.
 func TestIPregelModelMatchesEngine(t *testing.T) {
 	g := gen.RMATN(500, 3000, 11, 1, true)
 	for _, cfg := range []core.Config{
 		{Combiner: core.CombinerMutex},
 		{Combiner: core.CombinerSpin},
 		{Combiner: core.CombinerPull},
+		{Combiner: core.CombinerPull, SelectionBypass: true},
 		{Combiner: core.CombinerSpin, Addressing: core.AddressDesolate},
 		{Combiner: core.CombinerSpin, Addressing: core.AddressHashmap},
 		// One worker takes no lock, so it allocates none (the plain
@@ -48,6 +52,15 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 		{Combiner: core.CombinerMutex, Threads: 2},
 		{Combiner: core.CombinerSpin, Threads: 2},
 		{Combiner: core.CombinerAtomic, Threads: 2},
+		// A push-only bypass engine enrols at the first inbox fill and
+		// allocates no dedup flags; one that can pull does, beside its
+		// outbox.
+		{Combiner: core.CombinerSpin, SelectionBypass: true, Threads: 1},
+		{Combiner: core.CombinerSpin, SelectionBypass: true, Threads: 2},
+		{Combiner: core.CombinerAtomic, SelectionBypass: true, Threads: 2},
+		{Combiner: core.CombinerSpin, Direction: core.DirectionAdaptive, SelectionBypass: true, Threads: 1},
+		{Combiner: core.CombinerSpin, Direction: core.DirectionAdaptive, SelectionBypass: true, Threads: 2},
+		{Combiner: core.CombinerMutex, Direction: core.DirectionPull, Threads: 2},
 	} {
 		e, err := core.New(g, cfg, core.Program[uint32, uint32]{
 			Compute: func(*core.Context[uint32, uint32], core.Vertex[uint32, uint32]) {},
@@ -62,8 +75,11 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 			InAdjacency: true, OutAdjacency: true,
 		})
 		want := e.FootprintBytes() + g.MemoryBytes()
+		if cfg.SelectionBypass {
+			want += 2 * 500 * 4
+		}
 		if got != want {
-			t.Fatalf("%s/%s/threads=%d: model %d != engine+graph %d", cfg.Combiner, cfg.Addressing, cfg.Threads, got, want)
+			t.Fatalf("%s/%s/threads=%d: model %d != engine+graph %d", cfg.VersionName(), cfg.Addressing, cfg.Threads, got, want)
 		}
 	}
 }
