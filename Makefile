@@ -117,10 +117,11 @@ bench:
 # scatter, and the fused scatter under bypass, whose fills are the
 # frontier enrolment (ns/msg); neighbour decode per backend and access
 # order, and the compressed adjacency's open-time validation sweep
-# (ns/edge). It fails when one of them no longer exists; CI runs it with
+# (ns/edge); the pull collect's fold per inbox version (ns per in-edge).
+# It fails when one of them no longer exists; CI runs it with
 # BENCHTIME=1x so they cannot rot.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect
 bench-core:
 	@for pb in $(CORE_BENCHES); do \
 		p=$${pb%%:*}; b=$${pb##*:}; \

@@ -83,10 +83,12 @@ type Context[V, M any] struct {
 	// slotBuf holds the looked-up slots of one neighbour list under
 	// hashmap addressing (located); the arithmetic schemes never touch it.
 	// sendBuf is Send's list of one: a local array would escape through
-	// the inbox's scatter dispatch, one allocation per message.
+	// the inbox's scatter dispatch, one allocation per message. acc is
+	// collectSlot's fold: a local would escape through Combine.
 	nbuf    graph.NeighborBuf
 	slotBuf []graph.VertexID
 	sendBuf [1]graph.VertexID
+	acc     M
 }
 
 // Superstep returns the current superstep number, starting at 0
@@ -172,11 +174,11 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 	slot := int(v.slot)
 	idx := slot - e.shift
 	if e.curDir == DirectionPull {
-		// Buffer once in the vertex-owned outbox slot; the collect phase
-		// fans out to the out-neighbours' inboxes. Messages counts the
-		// logical fan-out, so push, pull and adaptive runs of the same
-		// program stay Fingerprint-comparable — and the collect deposits
-		// conserve it exactly.
+		// Buffer once in the vertex-owned outbox slot; each out-neighbour's
+		// collect folds it into its own inbox. Messages counts the logical
+		// fan-out, so push, pull and adaptive runs of the same program stay
+		// Fingerprint-comparable — and the collect's audit counts conserve
+		// it exactly.
 		e.pullOut[slot] = msg
 		e.pullFlag[slot] = 1
 		c.msgs += uint64(e.g.OutDegree(idx))

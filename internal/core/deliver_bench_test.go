@@ -33,6 +33,18 @@ func benchDests(random bool) [][]graph.VertexID {
 	return lists
 }
 
+// benchInboxes builds each inbox version: a one-thread engine gets the
+// plain inbox whatever the combiner, two threads the configured one.
+var benchInboxes = []struct {
+	name string
+	cfg  Config
+}{
+	{"plain", Config{Combiner: CombinerSpin, Threads: 1}},
+	{"spin", Config{Combiner: CombinerSpin, Threads: 2}},
+	{"mutex", Config{Combiner: CombinerMutex, Threads: 2}},
+	{"atomic", Config{Combiner: CombinerAtomic, Threads: 2}},
+}
+
 // BenchmarkDeliver is the mailbox-deliver microbenchmark of ROADMAP's
 // "layer by layer" aim: ns per message into each inbox version, as a
 // scatter of one per message (send: what a Send pays), the fused
@@ -46,19 +58,10 @@ func benchDests(random bool) [][]graph.VertexID {
 // fills and combines both occur.
 func BenchmarkDeliver(b *testing.B) {
 	sum := func(old *float64, new float64) { *old += new }
-	versions := []struct {
-		name string
-		cfg  Config
-	}{
-		{"plain", Config{Combiner: CombinerSpin, Threads: 1}},
-		{"spin", Config{Combiner: CombinerSpin, Threads: 2}},
-		{"mutex", Config{Combiner: CombinerMutex, Threads: 2}},
-		{"atomic", Config{Combiner: CombinerAtomic, Threads: 2}},
-	}
 	for _, random := range []bool{false, true} {
 		lists := benchDests(random)
 		order := map[bool]string{false: "seq", true: "random"}[random]
-		for _, v := range versions {
+		for _, v := range benchInboxes {
 			for _, path := range []string{"send", "scatter", "bypass"} {
 				b.Run(fmt.Sprintf("%s/%s/%s", v.name, path, order), func(b *testing.B) {
 					cfg := v.cfg
@@ -89,6 +92,53 @@ func BenchmarkDeliver(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkCollect is the pull side of BenchmarkDeliver: ns per in-edge
+// of the collect phase (collectSlot) into each inbox version. Receiver i's
+// in-neighbours are benchDests' list i, every one of them broadcast, so
+// each receiver folds benchDegree outbox entries and fills its inbox
+// once — a PageRank pull superstep. One goroutine; each pass ends with the
+// barrier's full swap.
+func BenchmarkCollect(b *testing.B) {
+	prog := Program[float64, float64]{
+		Compute: func(*Context[float64, float64], Vertex[float64, float64]) {},
+		Combine: func(old *float64, new float64) { *old += new },
+	}
+	for _, random := range []bool{false, true} {
+		var gb graph.Builder
+		gb.BuildInEdges().SetBase(0)
+		lists := benchDests(random)
+		for dst, srcs := range lists {
+			for _, src := range srcs {
+				gb.AddEdge(src, graph.VertexID(dst))
+			}
+		}
+		g := gb.MustBuild()
+		order := map[bool]string{false: "seq", true: "random"}[random]
+		for _, v := range benchInboxes {
+			b.Run(v.name+"/"+order, func(b *testing.B) {
+				cfg := v.cfg
+				cfg.Direction = DirectionPull
+				e, err := New(g, cfg, prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := range e.pullFlag {
+					e.pullOut[i], e.pullFlag[i] = 1, 1
+				}
+				ctx := e.workers[0]
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for dst := range lists {
+						e.collectSlot(ctx, dst)
+					}
+					e.mb.swap(nil, true)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/edge")
+			})
 		}
 	}
 }

@@ -14,12 +14,12 @@ import (
 //   - Pull supersteps buffer one outbox entry per broadcasting vertex
 //     (pullOut/pullFlag, slot indexed, owner-written — a vertex touches
 //     only its own slot, so they need no lock) and fan out in a collect
-//     phase: every destination walks its in-neighbours and deposits
-//     flagged outbox entries into its own inbox. Deposits are counted like
-//     any delivery (pushBuffers.deposit, or the atomic deliver), so the
+//     phase: every destination folds its flagged in-neighbours' entries
+//     in in-neighbour order and writes its own inbox once (collectSlot).
+//     The fold counts k entries as k-1 combines and one fill, so the
 //     message-conservation audit keeps working: a pull superstep's
 //     Messages count the logical fan-out (out-degree per broadcast),
-//     which equals the collect deposits exactly. That same counting makes
+//     which equals the entries folded exactly. That same counting makes
 //     push-only, pull-only and adaptive runs of one program
 //     Fingerprint-identical.
 //
@@ -105,10 +105,10 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 }
 
 // collectPull is the pull superstep's fan-out: every destination vertex
-// walks its in-neighbours and deposits the flagged outbox entries into
-// its own inbox, then the outbox flags are cleared for the next pull
+// folds its in-neighbours' flagged outbox entries into its own inbox
+// (collectSlot), then the outbox flags are cleared for the next pull
 // superstep. Each destination is processed by exactly one worker, so
-// every deposit is owner-only — race-free without any collect-side
+// every inbox write is owner-only — race-free without any collect-side
 // locking on any inbox, and what makes the plain one legal under
 // CombinerPull at any thread count.
 //
@@ -138,21 +138,36 @@ func (e *Engine[V, M]) collectPull() {
 	clear(e.pullFlag)
 }
 
-// collectSlot deposits every flagged in-neighbour outbox entry into
-// slot's mailbox. The collecting worker is the slot's only depositor
-// this phase, so it writes the buffers directly whichever lock the inbox
-// carries for push supersteps; only the atomic version, whose next
-// buffer holds packed words, goes through its own deliver.
+// collectSlot is the pull combiner (§6.2): it folds slot's flagged
+// in-neighbour outbox entries, in in-neighbour order, into the worker's
+// accumulator — the first copied, each later one combined — and writes
+// slot's inbox once. The next inbox is empty when a pull superstep starts
+// and the collector is the slot's only depositor, so on the plain and
+// lock-based versions that is a plain store; the atomic version, whose
+// buffer holds packed words, takes one deliver.
 func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
-	for _, nb := range e.g.InNeighborsWith(&ctx.nbuf, slot-e.shift) {
-		nbSlot := int(nb) + e.shift
-		if e.pullFlag[nbSlot] == 0 {
-			continue
-		}
-		if e.buf != nil {
-			e.buf.deposit(slot, e.pullOut[nbSlot])
-		} else {
-			e.cas.deliver(slot, e.pullOut[nbSlot])
+	flag, out, shift, combine := e.pullFlag, e.pullOut, e.shift, e.prog.Combine
+	nbs := e.g.InNeighborsWith(&ctx.nbuf, slot-shift)
+	i := 0
+	for i < len(nbs) && flag[int(nbs[i])+shift] == 0 {
+		i++
+	}
+	if i == len(nbs) {
+		return
+	}
+	ctx.acc = out[int(nbs[i])+shift]
+	k := 1
+	for _, nb := range nbs[i+1:] {
+		if s := int(nb) + shift; flag[s] != 0 {
+			combine(&ctx.acc, out[s])
+			k++
 		}
 	}
+	if b := e.buf; b != nil {
+		b.next[slot], b.hasNext[slot] = ctx.acc, 1
+		b.count(k-1, 1)
+		return
+	}
+	e.cas.deliver(slot, ctx.acc)
+	e.cas.count(k-1, 0)
 }

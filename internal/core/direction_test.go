@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -172,6 +173,75 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 			}
 			if math.Abs(got-want[i]) > 1e-9 {
 				t.Fatalf("%s: rank[%d] = %v, want %v within 1e-9", cfg.VersionName(), i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestPullCollectFoldOrder pins what the collect phase writes: every
+// receiver's inbox is the left fold of its flagged in-neighbours' outbox
+// entries in InNeighbors order — the first copied, each later one
+// combined. The combine is order-sensitive, so a reordered, dropped or
+// doubled entry changes the value. It holds on the plain inbox at one
+// thread and on every inbox version at two and four threads, over flat
+// and compressed adjacency, with and without bypass, and CheckInvariants
+// audits each fold as k-1 combines plus one fill.
+func TestPullCollectFoldOrder(t *testing.T) {
+	const none = ^uint64(0)
+	flat := fanoutGraph(600, 7)
+	compressed, err := flat.Compress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := func(id graph.VertexID) bool { return id%3 != 0 } // the rest leave their flag clear
+	msg := func(id graph.VertexID) uint64 { return uint64(id)*2654435761 + 1 }
+	prog := Program[uint64, uint64]{
+		Combine: func(old *uint64, new uint64) { *old = *old*31 + new },
+		Compute: func(ctx *Context[uint64, uint64], v Vertex[uint64, uint64]) {
+			if ctx.IsFirstSuperstep() {
+				*v.Value() = none
+				if sends(v.ID()) {
+					ctx.Broadcast(v, msg(v.ID()))
+				}
+			} else {
+				ctx.NextMessage(v, v.Value())
+			}
+			ctx.VoteToHalt(v)
+		},
+	}
+	want := make([]uint64, flat.N())
+	for i := range want {
+		want[i] = none
+		folded := false
+		for _, nb := range flat.InNeighbors(i) {
+			if id := flat.ExternalID(int(nb)); !sends(id) {
+				continue
+			} else if folded {
+				want[i] = want[i]*31 + msg(id)
+			} else {
+				want[i], folded = msg(id), true
+			}
+		}
+	}
+	for _, g := range []*graph.Graph{flat, compressed} {
+		for _, comb := range []Combiner{CombinerSpin, CombinerMutex, CombinerAtomic, CombinerPull} {
+			for _, threads := range []int{1, 2, 4} {
+				for _, bypass := range []bool{false, true} {
+					cfg := Config{Combiner: comb, Direction: DirectionPull, Threads: threads, SelectionBypass: bypass, CheckInvariants: true}
+					name := fmt.Sprintf("%s threads=%d compressed=%v", cfg.VersionName(), threads, g.IsCompressed())
+					e, rep, err := Run(g, cfg, prog)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(rep.Steps) != 2 || rep.Steps[1].Direction != DirectionPull {
+						t.Fatalf("%s: want two pull supersteps, got %+v", name, rep.Steps)
+					}
+					for i, got := range e.ValuesDense() {
+						if got != want[i] {
+							t.Fatalf("%s: inbox of vertex %d = %#x, want the in-order fold %#x", name, flat.ExternalID(i), got, want[i])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -50,8 +50,8 @@ func (e *Engine[V, M]) auditInvariants() error {
 // for: it was either combined into an occupied mailbox or filled an
 // empty one. Pull supersteps are audited like push ones: they count
 // Messages as the logical fan-out (out-degree per broadcast) and the
-// collect phase deposits exactly that many entries through the counted
-// deliver path, so the same formula holds — and additionally pins the
+// collect phase folds exactly that many entries, k per receiver counted
+// as k-1 combines and one fill, so the same formula holds — and pins the
 // broadcast-at-most-once-per-superstep contract the outbox-overwrite
 // semantics require.
 func (e *Engine[V, M]) auditConservation() error {
