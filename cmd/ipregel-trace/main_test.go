@@ -87,6 +87,34 @@ func TestValidateOnly(t *testing.T) {
 	}
 }
 
+// TestShowsSlotOrder: the replayed table marks the supersteps a trace
+// records as run in slot order, and only those.
+func TestShowsSlotOrder(t *testing.T) {
+	const trace = `{"schema":"ipregel-trace/1","type":"run_start"}
+{"schema":"ipregel-trace/1","type":"superstep","ran":141,"messages":40,"next_frontier":40,"duration_ns":9000}
+{"schema":"ipregel-trace/1","type":"superstep","superstep":1,"ran":40,"messages":1,"next_frontier":1,"duration_ns":4000,"slot_order":true}
+{"schema":"ipregel-trace/1","type":"superstep","superstep":2,"ran":1,"duration_ns":1000}
+{"schema":"ipregel-trace/1","type":"run_end","version":"mutex+bypass","supersteps":3,"total_messages":41,"total_duration_ns":15000,"converged":true}
+`
+	path := filepath.Join(t.TempDir(), "slot.jsonl")
+	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var marked []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasSuffix(line, " (slot order)") {
+			marked = append(marked, strings.Fields(line)[0])
+		}
+	}
+	if len(marked) != 1 || marked[0] != "1" {
+		t.Fatalf("supersteps marked slot order: %v, want [1]\n%s", marked, out.String())
+	}
+}
+
 func TestRejectsBadInput(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{filepath.Join(t.TempDir(), "missing.jsonl")}, &out); err == nil {

@@ -198,8 +198,8 @@ const (
 	// sums. On power-law graphs a vertex-count split can hand one worker
 	// the hubs and leave the rest idle ("Strategies to Deal with an
 	// Extreme Form of Irregularity", Capelli & Brown); an edge split
-	// equalises the message work instead. Frontier runs under selection
-	// bypass fall back to equal shares.
+	// equalises the message work instead. A bypass frontier list falls
+	// back to equal shares; a slot-order frontier scans these spans.
 	ScheduleEdgeBalanced
 )
 

@@ -73,7 +73,7 @@ func (e *Engine[V, M]) reseedFrontierDensity() {
 // superstep will run: everything on superstep 0 (all vertices start
 // active), the promoted frontier under selection bypass, and otherwise
 // an exact parallel scan of the active flags and post-swap mailboxes —
-// the same `active || hasCurrent` guard the compute scan applies.
+// the same `active || hasMail` guard the compute scan applies.
 func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	if e.superstep == 0 {
 		return e.g.M()

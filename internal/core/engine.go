@@ -49,9 +49,11 @@ type Engine[V, M any] struct {
 
 	// Selection bypass (§4; nil otherwise): the slots running this
 	// superstep and those enrolled for the next — on a push superstep,
-	// exactly the next-inbox slots that filled (mailbox.scatter).
+	// exactly the next-inbox slots that filled (mailbox.scatter) — and
+	// whether this superstep runs them in slot order (computePhase).
 	frontier     []int32
 	frontierNext []int32
+	slotOrder    bool
 
 	auditSeen []uint8 // slot-indexed scratch for the frontier audit
 
@@ -252,9 +254,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 		for _, w := range e.workers {
 			w.resetSuperstep()
 		}
-		if e.busy != nil {
-			clear(e.busy)
-		}
+		clear(e.busy)
 
 		var ranTotal int64
 		region(ctx, "ipregel.compute", func() { ranTotal = e.computePhase() })
@@ -338,6 +338,7 @@ func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial b
 		Partial:           partial,
 		Direction:         e.curDir,
 		DirectionSwitched: e.dirSwitched,
+		SlotOrder:         e.slotOrder,
 	}
 	if retries := e.mb.contentionRetries(); retries > e.casRetriesSeen {
 		step.CASRetries = retries - e.casRetriesSeen

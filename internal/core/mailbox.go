@@ -47,11 +47,6 @@ type mailbox[M any] interface {
 	// lock-based versions, nil on the atomic one: the engine reads mail
 	// and makes owner-only deposits through them without a dynamic call.
 	buffers() *pushBuffers[M]
-	// take moves the current message for slot into *m, reporting whether
-	// one existed. A second call in the same superstep returns false,
-	// matching IP_get_next_message's drain loop over the single-message
-	// mailbox (§6.3).
-	take(slot int, m *M) bool
 	// peek reads slot's current message without consuming it (used by
 	// checkpointing at barriers).
 	peek(slot int) (M, bool)
@@ -161,8 +156,6 @@ func (b *pushBuffers[M]) take(slot int, m *M) bool {
 	b.hasNow[slot] = 0
 	return true
 }
-
-func (b *pushBuffers[M]) hasCurrent(slot int) bool { return b.hasNow[slot] != 0 }
 
 func (b *pushBuffers[M]) peek(slot int) (M, bool) {
 	var m M

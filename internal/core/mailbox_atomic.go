@@ -161,7 +161,7 @@ func (mb *atomicMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enro
 
 func (mb *atomicMailbox[M]) buffers() *pushBuffers[M] { return nil }
 
-// The read side below runs after the superstep barrier (take/hasCurrent by
+// The read side below runs after the superstep barrier (take/hasMail by
 // the slot's owner, peek/restoreCurrent/swap by the coordinator), so plain
 // accesses suffice: the barrier orders them after every atomic delivery.
 
@@ -173,8 +173,6 @@ func (mb *atomicMailbox[M]) take(slot int, m *M) bool {
 	mb.stateNow[slot] = slotEmpty
 	return true
 }
-
-func (mb *atomicMailbox[M]) hasCurrent(slot int) bool { return mb.stateNow[slot] == slotFull }
 
 func (mb *atomicMailbox[M]) peek(slot int) (M, bool) {
 	var m M

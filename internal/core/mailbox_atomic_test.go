@@ -29,7 +29,8 @@ func hammerMailbox[M any](t *testing.T, mb mailbox[M], workers, perWorker, hot i
 	mb.swap(nil, true)
 	out := make([]M, hot)
 	for s := 0; s < hot; s++ {
-		if !mb.take(s, &out[s]) {
+		var ok bool
+		if out[s], ok = mb.peek(s); !ok {
 			t.Fatalf("slot %d: no message after hammering", s)
 		}
 	}

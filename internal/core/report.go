@@ -35,6 +35,9 @@ type StepStats struct {
 	// ipregel_direction_switches_total counts. Always false on a run's
 	// first superstep (a resumed run restarts the comparison).
 	DirectionSwitched bool
+	// SlotOrder marks a bypass superstep whose frontier reached the cut and
+	// ran as a scan of the occupied inboxes in slot order (DESIGN.md §9.1).
+	SlotOrder bool
 	// Duration is the wall-clock time of the superstep.
 	Duration time.Duration
 	// WorkerBusy holds each worker's busy time this superstep when
@@ -51,21 +54,16 @@ type StepStats struct {
 // Imbalance returns max/mean of the workers' busy times (1 = perfectly
 // balanced; 0 when untracked or idle).
 func (s StepStats) Imbalance() float64 {
-	if len(s.WorkerBusy) == 0 {
-		return 0
-	}
-	var sum, max time.Duration
+	var sum, peak time.Duration
 	for _, b := range s.WorkerBusy {
 		sum += b
-		if b > max {
-			max = b
-		}
+		peak = max(peak, b)
 	}
 	if sum == 0 {
 		return 0
 	}
 	mean := float64(sum) / float64(len(s.WorkerBusy))
-	return float64(max) / mean
+	return float64(peak) / mean
 }
 
 // Report summarises one engine run. It is internally consistent on
@@ -174,9 +172,9 @@ func (r Report) LoadImbalance() float64 {
 // Timing- and contention-dependent fields (Duration, CASRetries,
 // WorkerBusy, Attempts/Recoveries) are deliberately excluded: they
 // legitimately vary between equivalent runs.
-// Direction/DirectionSwitched are excluded too — they
-// describe HOW a superstep's messages travelled, and the whole point of
-// the direction model is that push-only, pull-only and adaptive runs
+// Direction, DirectionSwitched and SlotOrder are excluded too — they
+// describe HOW a superstep's messages travelled and in what order its
+// vertices ran: push-only, pull-only and adaptive runs in either order
 // produce equal fingerprints.
 func (r Report) Fingerprint() string {
 	var b strings.Builder
@@ -190,14 +188,17 @@ func (r Report) Fingerprint() string {
 }
 
 // Table renders the per-superstep statistics for debugging. Superstep
-// numbers are absolute (FirstSuperstep + row index), a trailing partial
-// record is marked, and an aborted run carries a final line naming the
-// abort reason.
+// numbers are absolute (FirstSuperstep + row index), a superstep run in
+// slot order and a trailing partial record are marked, and an aborted run
+// carries a final line naming the abort reason.
 func (r Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "superstep %8s %12s %8s %12s\n", "ran", "messages", "active", "time")
 	for i, s := range r.Steps {
 		fmt.Fprintf(&b, "%9d %8d %12d %8d %12v", r.FirstSuperstep+i, s.Ran, s.Messages, s.Active, s.Duration.Round(time.Microsecond))
+		if s.SlotOrder {
+			b.WriteString(" (slot order)")
+		}
 		if s.Partial {
 			b.WriteString(" (partial)")
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -146,31 +148,40 @@ func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
 	})
 }
 
+// A bypass frontier of at least |V|/slotOrderCut vertices runs in slot
+// order (runOccupied): below that the measured per-vertex saving stops
+// paying for the scan's per-slot cost (DESIGN.md §9.1). Only tests set it.
+var slotOrderCut = 32
+
 // computePhase runs IP_compute over the selected vertices and returns
 // how many ran. Traditional selection scans every slot and runs those
 // that are active or have mail (§4's "unfruitful checks" when inactive);
 // superstep 0 runs everything in both modes, since all vertices start
 // active. Under selection bypass the frontier holds exactly the vertices
 // that received a message, so workers run every vertex they are given
-// (§4's load-balance property).
+// (§4's load-balance property), or scan for them from slotOrderCut up.
 func (e *Engine[V, M]) computePhase() int64 {
 	first := e.superstep == 0
 	fullScan := first || !e.cfg.SelectionBypass
+	e.slotOrder = !fullScan && len(e.frontier)*slotOrderCut >= e.g.N()
 	spans := e.scanSpans
-	if !fullScan {
+	if !fullScan && !e.slotOrder {
 		spans = e.frontierSpans(false)
 	}
 	e.parallelFor(len(spans), func(w, k int) {
 		sp, ctx := spans[k], e.workers[w]
-		if !fullScan {
+		switch {
+		case e.slotOrder:
+			e.runOccupied(ctx, sp)
+		case !fullScan:
 			for _, slot := range e.frontier[sp.lo:sp.hi] {
 				e.runVertex(ctx, slot)
 			}
-			return
-		}
-		for slot := sp.lo; slot < sp.hi; slot++ {
-			if first || e.active[slot] != 0 || e.hasMail(int(slot)) {
-				e.runVertex(ctx, slot)
+		default:
+			for slot := sp.lo; slot < sp.hi; slot++ {
+				if first || e.active[slot] != 0 || e.hasMail(int(slot)) {
+					e.runVertex(ctx, slot)
+				}
 			}
 		}
 	})
@@ -181,14 +192,38 @@ func (e *Engine[V, M]) computePhase() int64 {
 	return ran
 }
 
+// runOccupied runs sp's slots with current mail (under bypass, sp's share
+// of the frontier) in slot order. The plain and lock-based inboxes' 0/1
+// flags are gathered into one bit mask per 64 slots, a load per eight and
+// never past sp (other workers drain theirs): one mail branch per 64 slots.
+func (e *Engine[V, M]) runOccupied(ctx *Context[V, M], sp span) {
+	s, hi := int(sp.lo), int(sp.hi)
+	if b := e.buf; b != nil {
+		for ; s+64 <= hi; s += 64 {
+			var mask uint64
+			for j := 0; j < 64; j += 8 {
+				mask |= (binary.LittleEndian.Uint64(b.hasNow[s+j:]) & 0x0101010101010101 * 0x0102040810204080 >> 56) << j
+			}
+			for ; mask != 0; mask &= mask - 1 {
+				e.runVertex(ctx, int32(s+bits.TrailingZeros64(mask)))
+			}
+		}
+	}
+	for ; s < hi; s++ {
+		if e.hasMail(s) {
+			e.runVertex(ctx, int32(s))
+		}
+	}
+}
+
 func (e *Engine[V, M]) runVertex(ctx *Context[V, M], slot int32) {
 	e.active[slot] = 1
 	ctx.ran++
 	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: slot})
 }
 
-// take and hasMail are the mailbox's take and hasCurrent on the concrete
-// version.
+// take and hasMail read the concrete version's current inbox. take empties
+// it, so IP_get_next_message's drain loop runs at most once (§6.3).
 func (e *Engine[V, M]) take(slot int, m *M) bool {
 	if e.buf != nil {
 		return e.buf.take(slot, m)
@@ -198,9 +233,9 @@ func (e *Engine[V, M]) take(slot int, m *M) bool {
 
 func (e *Engine[V, M]) hasMail(slot int) bool {
 	if e.buf != nil {
-		return e.buf.hasCurrent(slot)
+		return e.buf.hasNow[slot] != 0
 	}
-	return e.cas.hasCurrent(slot)
+	return e.cas.stateNow[slot] == slotFull
 }
 
 // gatherFrontier concatenates the workers' enrol buffers into the next

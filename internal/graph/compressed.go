@@ -17,7 +17,8 @@ import (
 // vertex. Random access to vertex i sums the block's degrees before i and
 // skips that many varints a word at a time (locate); access in vertex
 // order skips nothing, because a NeighborBuf remembers where the vertex it
-// decoded last ended and blocks are contiguous.
+// decoded last ended and blocks are contiguous, and access to a later
+// vertex of the same block skips only the varints in between.
 //
 // The encoding is order-preserving: deltas are signed (zigzag), so
 // compressing an existing flat CSR reproduces the exact neighbour order
@@ -469,18 +470,30 @@ type NeighborBuf struct {
 	// The cursor: blocks are contiguous, so the byte after vertex
 	// next-1's last varint is vertex next's first, across block
 	// boundaries too. A call for exactly next on the same adjacency
-	// continues from pos/edge with no skip.
+	// continues from pos/edge with no skip; one for a later vertex of
+	// next's block skips only the varints in between.
 	adj       *compressedAdj
 	next      int
 	pos, edge uint64
 }
 
 // neighbors fills nb's buffer with vertex i's neighbours on c and returns
-// them with the edge index of the first.
+// them with the edge index of the first. A request behind the cursor or
+// in another block starts from i's block (locate); one ahead of it in the
+// same block skips forward from it, which is never longer, so a sorted
+// walk with gaps costs one pass per block. The block test goes first: under
+// random access it is the one the branch predictor gets right.
 func (nb *NeighborBuf) neighbors(c *compressedAdj, i int) ([]VertexID, uint64) {
 	pos, edge := nb.pos, nb.edge
-	if nb.adj != c || nb.next != i {
+	switch {
+	case nb.adj != c || i/CompressedBlockSize != nb.next/CompressedBlockSize || i < nb.next:
 		pos, edge = c.locate(i)
+	case i > nb.next:
+		var k uint64
+		for _, d := range c.deg[nb.next:i] {
+			k += uint64(d)
+		}
+		pos, edge = skipVarints(c.data, pos, k), edge+k
 	}
 	d := int(c.deg[i])
 	nb.buf = slices.Grow(nb.buf[:0], d)[:d]

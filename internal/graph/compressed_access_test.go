@@ -258,6 +258,92 @@ func TestSkipVarints(t *testing.T) {
 	}
 }
 
+// freshNeighbors decodes vertex i of c through a new buffer, so through
+// locate and never through a cursor.
+func freshNeighbors(c *compressedAdj, i int) ([]VertexID, uint64) {
+	var nb NeighborBuf
+	ns, edge := nb.neighbors(c, i)
+	return append([]VertexID(nil), ns...), edge
+}
+
+// TestCursorForwardSkip walks random strictly increasing vertex sequences
+// — the order a slot-order superstep asks for — through one NeighborBuf:
+// gaps of one vertex, of a few, of most of a block and of several blocks,
+// degree-0 vertices, hubs whose varints run past a word, always the last
+// vertex, and calls that alternate between the out and in adjacencies.
+// Every list and edge index must equal a fresh locate decode.
+func TestCursorForwardSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(900)
+		var b Builder
+		b.ForceN = n
+		b.SetBase(0)
+		b.BuildInEdges()
+		for u := 0; u < n; u++ {
+			d := rng.Intn(6)
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				d = 0
+			case 3:
+				d = 40 + rng.Intn(200)
+			}
+			for j := 0; j < d; j++ {
+				b.AddEdge(VertexID(u), VertexID(rng.Intn(n)))
+			}
+		}
+		cg, err := b.MustBuild().Compress()
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxGap := []int{1, 4, CompressedBlockSize, 4 * CompressedBlockSize}[trial%4]
+		var seq []int
+		for i := rng.Intn(3); i < n-1; i += 1 + rng.Intn(maxGap) {
+			seq = append(seq, i)
+		}
+		seq = append(seq, n-1)
+		var nb NeighborBuf
+		for _, i := range seq {
+			dirs := [][]*compressedAdj{{cg.outC}, {cg.inC}, {cg.outC, cg.inC}}[rng.Intn(3)]
+			for _, c := range dirs {
+				got, gotEdge := nb.neighbors(c, i)
+				want, wantEdge := freshNeighbors(c, i)
+				if !equalIDs(got, want) || gotEdge != wantEdge {
+					t.Fatalf("trial %d (n=%d, gaps ≤ %d): vertex %d = %v at edge %d, a fresh decode gives %v at edge %d",
+						trial, n, maxGap, i, got, gotEdge, want, wantEdge)
+				}
+			}
+		}
+	}
+}
+
+// TestCursorForwardSkipCorruptBlock is the corrupt-block seed: vertex 1's
+// two varints never end inside data, and the bytes after data — still
+// within its capacity — would decode as a valid list. Continuing from
+// vertex 0 to vertex 2 skips forward across vertex 1, and that skip must
+// stop at the end of data with a panic, never decode past it.
+func TestCursorForwardSkipCorruptBlock(t *testing.T) {
+	backing := []byte{0x02, 0x80, 0x80, 0x02, 0x02, 0x02, 0x02, 0x02}
+	c := &compressedAdj{
+		n: 3, m: 4,
+		deg:       []uint32{1, 2, 1},
+		blockOff:  []uint64{0, 3},
+		blockEdge: []uint64{0, 4},
+		data:      backing[:3],
+	}
+	var nb NeighborBuf
+	if got, _ := nb.neighbors(c, 0); !equalIDs(got, []VertexID{1}) {
+		t.Fatalf("vertex 0 = %v, want [1]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the forward skip ran past the end of data without panicking")
+		}
+	}()
+	got, _ := nb.neighbors(c, 2)
+	t.Fatalf("vertex 2 decoded as %v from bytes past the end of data", got)
+}
+
 // TestCompressedHostileBlockTable: an interior block offset beyond the
 // data, in front of a non-monotone one, is an error from the validator —
 // it used to slice data by it and panic.

@@ -10,11 +10,12 @@ import (
 
 var decodeSink uint64
 
-// BenchmarkNeighborDecode is the neighbour-decode microbenchmark: one
-// sweep of OutNeighborsWith over every vertex of an RMAT graph through
-// one NeighborBuf, in vertex order (a dense superstep, the graphio
-// writers) and in shuffled order (a bypass frontier), per backend, in
-// ns/edge. Run by `make bench-core`.
+// BenchmarkNeighborDecode is the neighbour-decode microbenchmark: a
+// sweep of OutNeighborsWith over vertices of an RMAT graph through one
+// NeighborBuf, per backend, in ns per edge decoded. The orders are every
+// vertex in order (the graphio writers), every vertex shuffled (a bypass
+// frontier walked in fill order) and every third vertex in increasing
+// order (a dense frontier walked in slot order). Run by `make bench-core`.
 func BenchmarkNeighborDecode(b *testing.B) {
 	flat := gen.RMAT(gen.DefaultRMAT(14, 8, 1))
 	compressed, err := flat.Compress()
@@ -22,8 +23,12 @@ func BenchmarkNeighborDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	inOrder := make([]int, flat.N())
+	var sortedSparse []int
 	for i := range inOrder {
 		inOrder[i] = i
+		if i%3 == 0 {
+			sortedSparse = append(sortedSparse, i)
+		}
 	}
 	shuffled := append([]int(nil), inOrder...)
 	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -35,9 +40,13 @@ func BenchmarkNeighborDecode(b *testing.B) {
 		for _, order := range []struct {
 			name string
 			ids  []int
-		}{{"in-order", inOrder}, {"shuffled", shuffled}} {
+		}{{"in-order", inOrder}, {"shuffled", shuffled}, {"sorted-sparse", sortedSparse}} {
 			b.Run(backend.name+"/"+order.name, func(b *testing.B) {
 				g := backend.g
+				var edges uint64
+				for _, i := range order.ids {
+					edges += uint64(g.OutDegree(i))
+				}
 				var nb graph.NeighborBuf
 				var sum uint64
 				b.ResetTimer()
@@ -49,7 +58,7 @@ func BenchmarkNeighborDecode(b *testing.B) {
 					}
 				}
 				decodeSink += sum
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*g.M()), "ns/edge")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*edges), "ns/edge")
 			})
 		}
 	}

@@ -64,6 +64,9 @@ type deferredIn struct {
 	// built is the receiver's twin with the in fields filled and no
 	// deferral of its own; nil until the first in-side read.
 	built atomic.Pointer[Graph]
+	// closed (guarded by mu) forbids the build: the storage the out side
+	// aliases is gone (MarkClosed).
+	closed bool
 }
 
 // in returns the graph whose in fields hold g's in-adjacency: g itself,
@@ -86,10 +89,32 @@ func (d *deferredIn) force(g *Graph) *Graph {
 	defer d.mu.Unlock()
 	b := d.built.Load()
 	if b == nil {
+		if d.closed {
+			panic(ErrClosed)
+		}
 		b = g.buildInEdges()
 		d.built.Store(b)
 	}
 	return b
+}
+
+// ErrClosed is panicked on by the in-side read that would build a
+// deferred in-adjacency (WithInEdgesOnDemand) after MarkClosed: the build
+// reads the out-adjacency, whose storage is gone.
+var ErrClosed = errors.New("graph: the storage this graph's adjacency aliases was closed; its deferred in-edges can no longer be built")
+
+// MarkClosed records that the storage g's out-adjacency aliases is about
+// to be released (graphio.Mapped.Close calls it before unmapping). An
+// in-adjacency still deferred is never built: the read that would build it
+// panics with ErrClosed instead of reading released memory. A build in
+// progress finishes first, and one already done stays usable. On a graph
+// without a deferral it does nothing.
+func (g *Graph) MarkClosed() {
+	if d := g.deferred; d != nil {
+		d.mu.Lock()
+		d.closed = true
+		d.mu.Unlock()
+	}
 }
 
 // resident is in without the build: what is in memory now. The readers

@@ -36,14 +36,16 @@ func (m *Mapped) Path() string { return m.path }
 // MappedBytes returns the size of the file mapping backing the graph.
 func (m *Mapped) MappedBytes() uint64 { return uint64(len(m.mapping)) }
 
-// Close unmaps the file. The Graph is invalid afterwards. Close is
-// idempotent.
+// Close unmaps the file. The Graph is invalid afterwards; an in-side read
+// that would build its deferred in-adjacency panics with graph.ErrClosed
+// instead of reading the unmapped file. Close is idempotent.
 func (m *Mapped) Close() error {
 	if m.mapping == nil {
 		return nil
 	}
 	data := m.mapping
 	m.mapping = nil
+	m.g.MarkClosed()
 	m.g = nil
 	return munmapFile(data)
 }
@@ -57,11 +59,12 @@ func (m *Mapped) Close() error {
 // serve in-side reads from a heap-resident in-adjacency that the first
 // such read derives (graph.WithInEdgesOnDemand; the out direction stays
 // mapped), so a run that never pulls never builds it. That build reads
-// the mapping like any other access — after Close it is a use after
-// close. Options.KeepWeights is accepted and changes nothing, as for a
-// binary file in Read: the weight section of an IPG2 or weighted IPG3
-// file is always aliased, and an unweighted file yields an unweighted
-// graph. Options.MaxVertices bounds header-declared counts as in Read.
+// the mapping like any other access, so after Close it panics with
+// graph.ErrClosed instead. Options.KeepWeights is accepted and changes
+// nothing, as for a binary file in Read: the weight section of an IPG2 or
+// weighted IPG3 file is always aliased, and an unweighted file yields an
+// unweighted graph. Options.MaxVertices bounds header-declared counts as
+// in Read.
 // Only little-endian hosts can alias the (little-endian) file.
 func OpenMapped(path string, opts Options) (*Mapped, error) {
 	if hostIsBigEndian() {

@@ -1,6 +1,7 @@
 package graphio
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -129,6 +130,58 @@ func TestOpenMappedDefersInEdges(t *testing.T) {
 			poller.Wait()
 			if !g.InEdgesResident() || g.MemoryBytes() != eager.MemoryBytes() {
 				t.Fatalf("after first use: InEdgesResident=%v MemoryBytes=%d, want true and the eager %d", g.InEdgesResident(), g.MemoryBytes(), eager.MemoryBytes())
+			}
+		})
+	}
+}
+
+// TestOpenMappedCloseFailsDeferredBuild: Close poisons the deferred
+// in-edge build. Every in-side read that would derive the in-adjacency
+// from the unmapped file panics with graph.ErrClosed and builds nothing,
+// while a graph whose in-edges were built before Close keeps serving them
+// from the heap.
+func TestOpenMappedCloseFailsDeferredBuild(t *testing.T) {
+	for format, path := range mappedFixtures(t) {
+		t.Run(format, func(t *testing.T) {
+			m, err := OpenMapped(path, Options{BuildInEdges: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := m.Graph()
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var nb graph.NeighborBuf
+			for name, read := range map[string]func(){
+				"InDegree":          func() { g.InDegree(0) },
+				"InNeighborsWith":   func() { g.InNeighborsWith(&nb, 0) },
+				"ForEachInNeighbor": func() { g.ForEachInNeighbor(0, func(graph.VertexID) {}) },
+				"WithInEdges":       func() { g.WithInEdges() },
+			} {
+				func() {
+					defer func() {
+						if err, _ := recover().(error); !errors.Is(err, graph.ErrClosed) {
+							t.Fatalf("%s after Close panicked with %v, want graph.ErrClosed", name, err)
+						}
+					}()
+					read()
+				}()
+			}
+			if g.InEdgesResident() {
+				t.Fatal("an in-side read after Close built the in-adjacency")
+			}
+
+			built, err := OpenMapped(path, Options{BuildInEdges: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bg := built.Graph()
+			want := inLists(bg)
+			if err := built.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := inLists(bg); !reflect.DeepEqual(got, want) {
+				t.Fatal("in-edges built before Close changed after it")
 			}
 		})
 	}

@@ -52,6 +52,9 @@ type Event struct {
 	// pre-direction traces replay unchanged.
 	Direction         string `json:"direction,omitempty"`
 	DirectionSwitched bool   `json:"direction_switched,omitempty"`
+	// SlotOrder marks a bypass superstep that ran in slot order; omitted
+	// when false, so traces written before it existed replay unchanged.
+	SlotOrder bool `json:"slot_order,omitempty"`
 
 	// abort
 	Reason string `json:"reason,omitempty"`
@@ -126,6 +129,7 @@ func (t *TraceWriter) OnSuperstepEnd(superstep int, s core.StepStats) {
 		ev.Direction = s.Direction.String()
 	}
 	ev.DirectionSwitched = s.DirectionSwitched
+	ev.SlotOrder = s.SlotOrder
 	if len(s.WorkerBusy) > 0 {
 		ev.WorkerBusyNS = make([]int64, len(s.WorkerBusy))
 		for i, b := range s.WorkerBusy {
@@ -250,6 +254,7 @@ func ReplayReport(events []Event) (core.Report, error) {
 				step.Direction = dir
 			}
 			step.DirectionSwitched = ev.DirectionSwitched
+			step.SlotOrder = ev.SlotOrder
 			for _, b := range ev.WorkerBusyNS {
 				step.WorkerBusy = append(step.WorkerBusy, time.Duration(b))
 			}

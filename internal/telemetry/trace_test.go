@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ipregel/internal/core"
+	"ipregel/internal/graph"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -134,6 +135,84 @@ func TestTraceDirectionFieldsRoundTrip(t *testing.T) {
 			t.Fatalf("step %d: replayed direction %v/%v, want %v/%v", i,
 				got.Direction, got.DirectionSwitched, want.Direction, want.DirectionSwitched)
 		}
+	}
+}
+
+// TestTraceSlotOrderRoundTrip runs a bypass program whose first frontier
+// (a star's 40 leaves out of 141 vertices) reaches the slot-order cut and
+// whose later ones (one vertex down a chain) do not: slot_order is on the
+// wire for exactly the marked supersteps, and the replay reproduces the
+// marks and the table that shows them.
+func TestTraceSlotOrderRoundTrip(t *testing.T) {
+	var b graph.Builder
+	for i := 1; i <= 40; i++ {
+		b.AddEdge(0, graph.VertexID(i))
+	}
+	for i := 40; i < 140; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
+	}
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	_, rep, err := core.Run(b.MustBuild(), core.Config{Threads: 1, SelectionBypass: true, Observers: []core.Observer{tw}}, hops(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	marked := 0
+	for _, s := range rep.Steps {
+		if s.SlotOrder {
+			marked++
+		}
+	}
+	if marked == 0 || marked == len(rep.Steps)-1 {
+		t.Fatalf("%d of %d supersteps ran in slot order; the trace must carry both kinds:\n%s", marked, len(rep.Steps), rep.Table())
+	}
+	if got := strings.Count(buf.String(), `"slot_order":true`); got != marked {
+		t.Fatalf("trace marks %d supersteps slot_order, the run %d", got, marked)
+	}
+	events, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := ReplayReport(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range replay.Steps {
+		if s.SlotOrder != rep.Steps[i].SlotOrder {
+			t.Fatalf("step %d: replayed SlotOrder %v, want %v", i, s.SlotOrder, rep.Steps[i].SlotOrder)
+		}
+	}
+	if replay.Table() != rep.Table() || !strings.Contains(rep.Table(), "(slot order)") {
+		t.Fatalf("replayed table differs or shows no slot-order mark:\n got:\n%s\nwant:\n%s", replay.Table(), rep.Table())
+	}
+}
+
+// hops is breadth-first hop counting from src under selection bypass:
+// every vertex votes to halt every superstep.
+func hops(src graph.VertexID) core.Program[uint32, uint32] {
+	return core.Program[uint32, uint32]{
+		Combine: func(old *uint32, new uint32) { *old = min(*old, new) },
+		Compute: func(ctx *core.Context[uint32, uint32], v core.Vertex[uint32, uint32]) {
+			best := ^uint32(0)
+			if ctx.IsFirstSuperstep() {
+				*v.Value() = best
+				if v.ID() == src {
+					best = 0
+				}
+			}
+			var m uint32
+			for ctx.NextMessage(v, &m) {
+				best = min(best, m)
+			}
+			if best < *v.Value() {
+				*v.Value() = best
+				ctx.Broadcast(v, best+1)
+			}
+			ctx.VoteToHalt(v)
+		},
 	}
 }
 
