@@ -4,7 +4,7 @@ GO ?= go
 # vet + the ipregel-vet analyzer suite + build + full test suite + a
 # race-detector pass over the graph packages (an on-demand in-adjacency
 # is built under a lock by whichever reader comes first), the engine and
-# the algorithms, whose combiners and schedules must stay race-clean (the
+# the algorithms, whose combiners and span cuts must stay race-clean (the
 # race targets run with Config.CheckInvariants enabled in their configs).
 .PHONY: check vet ipregel-vet vet-json build test test-cores test-run race race-one-thread fuzz bench bench-core telemetry-smoke ipregeld-smoke membackend-smoke direction-smoke chaos
 check: vet ipregel-vet build test race

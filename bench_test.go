@@ -198,23 +198,6 @@ func BenchmarkAddressing(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedule compares the paper's static equal shares with dynamic
-// chunking (§8's load-balancing future work) and the edge-balanced split
-// from the CSR degree prefix sums on SSSP's skewed frontiers.
-func BenchmarkSchedule(b *testing.B) {
-	wiki, _ := benchGraphs()
-	for _, sched := range []core.Schedule{core.ScheduleStatic, core.ScheduleDynamic, core.ScheduleEdgeBalanced} {
-		cfg := core.Config{Combiner: core.CombinerSpin, Schedule: sched}
-		b.Run(sched.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := algorithms.SSSP(wiki, cfg, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkContention stresses the push combiners where they differ most:
 // a transposed star sends every leaf's message to one hub mailbox, so the
 // whole superstep serialises on that mailbox's synchronisation — the

@@ -51,7 +51,6 @@ func run(args []string, out io.Writer) error {
 		framework = fs.String("framework", "ipregel", "ipregel | pregelplus | femtograph (see DESIGN.md)")
 		combiner  = fs.String("combiner", "spinlock", "iPregel combiner: mutex | spinlock | atomic | broadcast")
 		address   = fs.String("addressing", "offset", "iPregel addressing: direct | offset | desolate | hashmap")
-		schedule  = fs.String("schedule", "static", "iPregel compute-phase schedule: static | dynamic | edge-balanced")
 		bypass    = fs.Bool("bypass", false, "enable selection bypass (Hashmin/SSSP only)")
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
 		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull | adaptive (density-switched; broadcast-only apps)")
@@ -163,14 +162,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sched, err := core.ParseSchedule(*schedule)
-	if err != nil {
-		return err
-	}
 	cfg := core.Config{
 		Combiner:           comb,
 		Addressing:         addr,
-		Schedule:           sched,
 		SelectionBypass:    *bypass,
 		Threads:            *threads,
 		Direction:          dir,

@@ -86,7 +86,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		combiner  = fs.String("combiner", "spinlock", "engine combiner: mutex | spinlock | atomic | broadcast")
 		direction = fs.String("direction", "push", "default message transport per job engine: push | pull | adaptive (jobs override via params.direction; pull/adaptive load graphs with in-edges)")
 		address   = fs.String("addressing", "offset", "engine addressing: direct | offset | desolate | hashmap")
-		schedule  = fs.String("schedule", "static", "compute-phase schedule: static | dynamic | edge-balanced")
 		bypass    = fs.Bool("bypass", false, "selection bypass for halt-every-superstep programs (stripped per job for PageRank)")
 		threads   = fs.Int("threads", 0, "default worker threads per job (0 = GOMAXPROCS)")
 		workers   = fs.Int("workers", 2, "jobs executed concurrently")
@@ -113,10 +112,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		return err
 	}
 	addr, err := core.ParseAddressing(*address)
-	if err != nil {
-		return err
-	}
-	sched, err := core.ParseSchedule(*schedule)
 	if err != nil {
 		return err
 	}
@@ -151,7 +146,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 			Combiner:        comb,
 			Direction:       dir,
 			Addressing:      addr,
-			Schedule:        sched,
 			SelectionBypass: *bypass,
 			Threads:         *threads,
 		},

@@ -43,7 +43,6 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-graph", "g=nosuchspec"}, "unknown graph spec"},
 		{[]string{"-graph", "g=ring:64", "-combiner", "bogus"}, "unknown combiner"},
 		{[]string{"-graph", "g=ring:64", "-addressing", "bogus"}, "unknown addressing"},
-		{[]string{"-graph", "g=ring:64", "-schedule", "bogus"}, "unknown schedule"},
 		// Flags of the removed shard layer and sender cache are usage
 		// errors, not accepted and ignored.
 		{[]string{"-graph", "g=ring:64", "-shards", "4"}, "flag provided but not defined: -shards"},

@@ -10,16 +10,16 @@ import (
 )
 
 // Cross-engine parity for the lock-free CAS combiner: PageRank, SSSP and
-// WCC must produce the same results under CombinerAtomic, across
-// schedules and thread counts, as under the seed's mutex combiner.
+// WCC must produce the same results under CombinerAtomic, across thread
+// counts, as under the seed's mutex combiner.
 
 func atomicParityConfigs() []core.Config {
 	return []core.Config{
 		{Combiner: core.CombinerAtomic, Threads: 4},
-		{Combiner: core.CombinerAtomic, Threads: 2, Schedule: core.ScheduleDynamic},
-		{Combiner: core.CombinerAtomic, Threads: 3, Schedule: core.ScheduleEdgeBalanced},
+		{Combiner: core.CombinerAtomic, Threads: 2},
+		{Combiner: core.CombinerAtomic, Threads: 3},
 		{Combiner: core.CombinerSpin, Threads: 4},
-		{Combiner: core.CombinerMutex, Threads: 4, Schedule: core.ScheduleEdgeBalanced},
+		{Combiner: core.CombinerMutex, Threads: 2},
 	}
 }
 

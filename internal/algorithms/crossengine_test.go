@@ -158,10 +158,9 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 			return true
 		}
 
-		// All six iPregel versions, varying threads and schedule.
+		// All six iPregel versions, varying threads.
 		for vi, cfg := range core.AllVersions() {
 			cfg.Threads = 1 + vi%3
-			cfg.Schedule = core.Schedule(vi % 2)
 			cfg.CheckInvariants = true
 			e, _, err := core.Run(g, cfg, potentialProgram(seed))
 			if err != nil {
@@ -173,13 +172,12 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// The post-paper engine additions: the lock-free CAS combiner and
-		// the dynamic and edge-balanced schedules, in combination.
+		// The post-paper lock-free CAS combiner, with and without bypass,
+		// beside the lock-based inboxes at the same thread counts.
 		for vi, cfg := range []core.Config{
 			{Combiner: core.CombinerAtomic},
-			{Combiner: core.CombinerAtomic, Schedule: core.ScheduleEdgeBalanced},
 			{Combiner: core.CombinerAtomic, SelectionBypass: true},
-			{Combiner: core.CombinerSpin, Schedule: core.ScheduleDynamic},
+			{Combiner: core.CombinerSpin},
 			{Combiner: core.CombinerMutex, SelectionBypass: true},
 		} {
 			cfg.Threads = 2 + vi%3

@@ -16,19 +16,14 @@ func init() {
 		Run:   runAblationAddressing,
 	})
 	register(Experiment{
-		ID:    "ablation-schedule",
-		Title: "ablation (§4/§8): static equal shares vs dynamic chunked scheduling of the selection",
-		Run:   runAblationSchedule,
-	})
-	register(Experiment{
 		ID:    "ablation-combiner",
 		Title: "ablation (§6): Pregel+ with and without sender-side combining",
 		Run:   runAblationCombiner,
 	})
 	register(Experiment{
-		ID:    "ablation-combiner-schedule",
-		Title: "ablation: four combiners × three schedules on a power-law graph",
-		Run:   runAblationCombinerSchedule,
+		ID:    "ablation-inbox",
+		Title: "ablation (§6): the four inbox combiners on a power-law graph",
+		Run:   runAblationInbox,
 	})
 	register(Experiment{
 		ID:    "ablation-balance",
@@ -60,21 +55,17 @@ func runAblationBalance(o *Options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "SSSP on usa, %d workers, spinlock combiner:\n", threads)
 	for _, bypass := range []bool{false, true} {
-		for _, sched := range []core.Schedule{core.ScheduleStatic, core.ScheduleDynamic} {
-			cfg := core.Config{
-				Combiner:        core.CombinerSpin,
-				SelectionBypass: bypass,
-				Schedule:        sched,
-				Threads:         threads,
-				TrackWorkerTime: true,
-			}
-			_, rep, err := algorithms.SSSP(g, cfg, o.SSSPSource)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "  bypass=%-5v schedule=%-8s imbalance=%.3f (runtime %v)\n",
-				bypass, sched, rep.LoadImbalance(), rep.Duration)
+		cfg := core.Config{
+			Combiner:        core.CombinerSpin,
+			SelectionBypass: bypass,
+			Threads:         threads,
+			TrackWorkerTime: true,
 		}
+		_, rep, err := algorithms.SSSP(g, cfg, o.SSSPSource)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  bypass=%-5v imbalance=%.3f (runtime %v)\n", bypass, rep.LoadImbalance(), rep.Duration)
 	}
 	return nil
 }
@@ -135,59 +126,28 @@ func runAblationAddressing(o *Options, w io.Writer) error {
 	return nil
 }
 
-// runAblationSchedule probes the load-balancing future work of §8: with
-// selection bypass, static equal shares are already balanced (threads run
-// every vertex they are given, §4); without it, share imbalance shows up
-// on skewed frontiers.
-func runAblationSchedule(o *Options, w io.Writer) error {
-	g, err := o.Graph("wiki")
-	if err != nil {
-		return err
-	}
-	app := apps(o)[2] // SSSP: skewed, shrinking frontiers
-	fmt.Fprintf(w, "SSSP on wiki (spinlock):\n")
-	for _, bypass := range []bool{false, true} {
-		for _, sched := range []core.Schedule{core.ScheduleStatic, core.ScheduleDynamic} {
-			cfg := core.Config{Combiner: core.CombinerSpin, SelectionBypass: bypass, Schedule: sched}
-			m, err := measureIP(o, app, g, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "  bypass=%-5v schedule=%-8s %s\n", bypass, sched, m)
-		}
-	}
-	return nil
-}
-
-// runAblationCombinerSchedule crosses every combination module version
-// (mutex, spinlock, atomic/CAS, broadcast) with every compute-phase
-// schedule (static vertex shares, dynamic chunks, edge-balanced shares
-// from the CSR degree prefix sums) on the power-law wiki stand-in, where
-// hub in-degrees make mailbox contention and share imbalance maximal.
-// PageRank is the workload because it is broadcast-only, which every
-// combiner — including pull — admits.
-func runAblationCombinerSchedule(o *Options, w io.Writer) error {
+// runAblationInbox runs every combination module version (mutex,
+// spinlock, atomic/CAS, broadcast) on the power-law wiki stand-in, where
+// hub in-degrees make mailbox contention maximal. PageRank is the
+// workload because it is broadcast-only, which every combiner —
+// including pull — admits.
+func runAblationInbox(o *Options, w io.Writer) error {
 	g, err := o.Graph("wiki")
 	if err != nil {
 		return err
 	}
 	app := apps(o)[0] // PageRank
-	combiners := []core.Combiner{core.CombinerMutex, core.CombinerSpin, core.CombinerAtomic, core.CombinerPull}
-	schedules := []core.Schedule{core.ScheduleStatic, core.ScheduleDynamic, core.ScheduleEdgeBalanced}
 	var rows [][]string
-	fmt.Fprintf(w, "PageRank on wiki (power-law), %-9s per combiner × schedule:\n", "runtime")
-	for _, comb := range combiners {
-		for _, sched := range schedules {
-			cfg := core.Config{Combiner: comb, Schedule: sched}
-			m, err := measureIP(o, app, g, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "  %-10s %-14s %s\n", comb, sched, m)
-			rows = append(rows, []string{comb.String(), sched.String(), itoa(int64(m.Mean)), itoa(int64(m.Margin))})
+	fmt.Fprintf(w, "PageRank on wiki (power-law), %-9s per combiner:\n", "runtime")
+	for _, comb := range []core.Combiner{core.CombinerMutex, core.CombinerSpin, core.CombinerAtomic, core.CombinerPull} {
+		m, err := measureIP(o, app, g, core.Config{Combiner: comb})
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(w, "  %-10s %s\n", comb, m)
+		rows = append(rows, []string{comb.String(), itoa(int64(m.Mean)), itoa(int64(m.Margin))})
 	}
-	return saveCSV(o, "ablation-combiner-schedule", []string{"combiner", "schedule", "mean_ns", "margin_ns"}, rows)
+	return saveCSV(o, "ablation-inbox", []string{"combiner", "mean_ns", "margin_ns"}, rows)
 }
 
 // runAblationCombiner shows what the combiner buys the *baseline*: the

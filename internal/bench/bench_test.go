@@ -25,8 +25,8 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "table2", "fig7", "fig8", "fig9",
 		"mem-versions", "mem-projection", "mem-backend", "speedups",
-		"ablation-addressing", "ablation-schedule", "ablation-combiner",
-		"ablation-combiner-schedule", "ablation-balance",
+		"ablation-addressing", "ablation-combiner",
+		"ablation-inbox", "ablation-balance",
 		"ablation-mirroring", "shm-baseline", "active-curves",
 		"direction",
 	}
@@ -146,37 +146,35 @@ func TestSpeedups(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	runExp(t, "ablation-addressing", "hashmap penalty")
-	runExp(t, "ablation-schedule", "schedule=static", "schedule=dynamic")
 	runExp(t, "ablation-combiner", "with combiner", "no combiner")
 	runExp(t, "ablation-balance", "imbalance=", "bypass=true")
 	runExp(t, "ablation-mirroring", "no mirroring", "mirror deg>=64")
 }
 
-// TestAblationCombinerSchedule smoke-runs the 4-combiner × 3-schedule
-// cross and checks the CSV lands with one row per cell.
-func TestAblationCombinerSchedule(t *testing.T) {
+// TestAblationInbox smoke-runs the four combiners and checks the CSV
+// lands with one row per combiner.
+func TestAblationInbox(t *testing.T) {
 	o := quickOpts()
 	o.CSVDir = t.TempDir()
 	var sb strings.Builder
-	if err := Run("ablation-combiner-schedule", o, &sb); err != nil {
+	if err := Run("ablation-inbox", o, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, s := range []string{"atomic", "edge-balanced", "broadcast"} {
+	for _, s := range []string{"mutex", "spinlock", "atomic", "broadcast"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("output missing %q:\n%s", s, out)
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(o.CSVDir, "ablation-combiner-schedule.csv"))
+	data, err := os.ReadFile(filepath.Join(o.CSVDir, "ablation-inbox.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	// header + 4 combiners × 3 schedules
-	if len(lines) != 1+4*3 {
-		t.Fatalf("csv has %d lines, want %d:\n%s", len(lines), 1+4*3, data)
+	if len(lines) != 1+4 { // header + 4 combiners
+		t.Fatalf("csv has %d lines, want %d:\n%s", len(lines), 1+4, data)
 	}
-	if lines[0] != "combiner,schedule,mean_ns,margin_ns" {
+	if lines[0] != "combiner,mean_ns,margin_ns" {
 		t.Fatalf("csv header = %q", lines[0])
 	}
 }

@@ -132,20 +132,18 @@ func TestUnknownAggregatorIsContainedPanic(t *testing.T) {
 func TestComputePanicBecomesError(t *testing.T) {
 	g := ringGraph(16, 0)
 	for _, threads := range []int{1, 4} {
-		for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic} {
-			prog := Program[uint32, uint32]{
-				Combine: func(old *uint32, new uint32) { *old += new },
-				Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
-					if v.ID() == 7 {
-						panic("boom at vertex 7")
-					}
-					ctx.VoteToHalt(v)
-				},
-			}
-			_, _, err := Run(g, Config{Threads: threads, Schedule: sched}, prog)
-			if err == nil || !strings.Contains(err.Error(), "boom at vertex 7") {
-				t.Fatalf("threads=%d sched=%v: want contained panic, got %v", threads, sched, err)
-			}
+		prog := Program[uint32, uint32]{
+			Combine: func(old *uint32, new uint32) { *old += new },
+			Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+				if v.ID() == 7 {
+					panic("boom at vertex 7")
+				}
+				ctx.VoteToHalt(v)
+			},
+		}
+		_, _, err := Run(g, Config{Threads: threads}, prog)
+		if err == nil || !strings.Contains(err.Error(), "boom at vertex 7") {
+			t.Fatalf("threads=%d: want contained panic, got %v", threads, err)
 		}
 	}
 }

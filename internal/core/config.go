@@ -177,58 +177,6 @@ func ParseAddressing(s string) (Addressing, error) {
 	return 0, fmt.Errorf("core: unknown addressing %q", s)
 }
 
-// Schedule selects where and how finely a phase's work is cut into the
-// spans the threads claim (schedule.go); the claiming itself is the same
-// for every schedule.
-type Schedule int
-
-const (
-	// ScheduleStatic cuts the work into one equal contiguous
-	// share per thread, the paper's model (§4: "each thread receives an
-	// equal share").
-	ScheduleStatic Schedule = iota
-	// ScheduleDynamic cuts the same work into many small chunks, so
-	// threads that finish early keep claiming — the load-balancing
-	// alternative the paper's conclusion points to as future work. Kept
-	// for the ablation benchmarks.
-	ScheduleDynamic
-	// ScheduleEdgeBalanced splits the full-scan compute phase so that each
-	// worker receives an equal share of *out-edges* rather than vertices,
-	// with contiguous boundaries computed once from the CSR degree prefix
-	// sums. On power-law graphs a vertex-count split can hand one worker
-	// the hubs and leave the rest idle ("Strategies to Deal with an
-	// Extreme Form of Irregularity", Capelli & Brown); an edge split
-	// equalises the message work instead. A bypass frontier list falls
-	// back to equal shares; a slot-order frontier scans these spans.
-	ScheduleEdgeBalanced
-)
-
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleStatic:
-		return "static"
-	case ScheduleDynamic:
-		return "dynamic"
-	case ScheduleEdgeBalanced:
-		return "edge-balanced"
-	}
-	return fmt.Sprintf("Schedule(%d)", int(s))
-}
-
-// ParseSchedule converts "static", "dynamic", or
-// "edge-balanced"/"edgebal"/"edges" to a Schedule.
-func ParseSchedule(s string) (Schedule, error) {
-	switch strings.ToLower(s) {
-	case "static":
-		return ScheduleStatic, nil
-	case "dynamic":
-		return ScheduleDynamic, nil
-	case "edge-balanced", "edgebal", "edges":
-		return ScheduleEdgeBalanced, nil
-	}
-	return 0, fmt.Errorf("core: unknown schedule %q", s)
-}
-
 // Config selects the module versions of an Engine, the Go equivalent of
 // the paper's compilation defines (§3.1.1).
 type Config struct {
@@ -256,9 +204,6 @@ type Config struct {
 	SelectionBypass bool
 	// Threads is the number of worker goroutines; 0 means GOMAXPROCS.
 	Threads int
-	// Schedule controls work splitting; the zero value is the paper's
-	// static equal shares.
-	Schedule Schedule
 	// MaxSupersteps aborts runs that exceed this many supersteps; 0 means
 	// no limit.
 	MaxSupersteps int
@@ -299,12 +244,6 @@ func (c Config) VersionName() string {
 	}
 	if c.SelectionBypass {
 		name += "+bypass"
-	}
-	switch c.Schedule {
-	case ScheduleDynamic:
-		name += "+dynamic"
-	case ScheduleEdgeBalanced:
-		name += "+edgebal"
 	}
 	return name
 }

@@ -393,11 +393,8 @@ func TestConfigStringsAndParsing(t *testing.T) {
 	if (Config{Combiner: CombinerSpin, SelectionBypass: true}).VersionName() != "spinlock+bypass" {
 		t.Fatal("VersionName mismatch")
 	}
-	if Combiner(42).String() == "" || Addressing(42).String() == "" || Schedule(42).String() == "" {
+	if Combiner(42).String() == "" || Addressing(42).String() == "" {
 		t.Fatal("unknown enum String empty")
-	}
-	if ScheduleStatic.String() != "static" || ScheduleDynamic.String() != "dynamic" {
-		t.Fatal("schedule names")
 	}
 }
 
@@ -413,23 +410,6 @@ func TestAllVersions(t *testing.T) {
 	for _, want := range []string{"mutex", "mutex+bypass", "spinlock", "spinlock+bypass", "broadcast", "broadcast+bypass"} {
 		if !seen[want] {
 			t.Fatalf("missing version %s", want)
-		}
-	}
-}
-
-func TestSchedulesEquivalent(t *testing.T) {
-	g := ringGraph(64, 0)
-	var results [][]uint32
-	for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic} {
-		e, _, err := Run(g, Config{Schedule: sched, Threads: 4}, counterProgram(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, e.ValuesDense())
-	}
-	for i := range results[0] {
-		if results[0][i] != results[1][i] {
-			t.Fatalf("schedules disagree at %d", i)
 		}
 	}
 }

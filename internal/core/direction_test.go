@@ -124,8 +124,8 @@ func TestDirectionParity(t *testing.T) {
 // contract (DESIGN.md §5.1). A pull superstep's combine order is a
 // property of the graph, not of the run: each destination's one owner
 // folds its in-neighbours' outboxes in CSR order. So float programs run
-// all-pull agree bit for bit across thread counts, inbox combiners and
-// schedules — where the same program pushed agrees with them only to
+// all-pull agree bit for bit across thread counts and inbox combiners —
+// where the same program pushed agrees with them only to
 // the 1e-9 the push clause allows, because its combine order is whatever
 // order the cores delivered in.
 func TestPullFloatRunsBitExact(t *testing.T) {
@@ -152,11 +152,10 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 	want := refE.ValuesDense()
 	for _, cfg := range []Config{
 		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4},
-		{Combiner: CombinerMutex, Direction: DirectionPull, Threads: 3, Schedule: ScheduleDynamic},
+		{Combiner: CombinerMutex, Direction: DirectionPull, Threads: 3},
 		{Combiner: CombinerAtomic, Direction: DirectionPull, Threads: 4},
-		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 3, Schedule: ScheduleEdgeBalanced},
-		{Combiner: CombinerPull, Threads: 4, Schedule: ScheduleEdgeBalanced},
-		{Combiner: CombinerPull, Threads: 2, Schedule: ScheduleDynamic},
+		{Combiner: CombinerPull, Threads: 4},
+		{Combiner: CombinerPull, Threads: 2},
 		{Combiner: CombinerSpin, Threads: 4}, // push: tolerance-exact only
 	} {
 		cfg.CheckInvariants = true

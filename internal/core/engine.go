@@ -57,10 +57,10 @@ type Engine[V, M any] struct {
 
 	auditSeen []uint8 // slot-indexed scratch for the frontier audit
 
-	// Work lists: scanSpans is the precomputed full-scan split (where the
-	// schedule's balance decision lives, see buildScanSpans),
-	// frontierSpanBuf the reusable buffer for the per-superstep frontier
-	// split.
+	// Work lists (schedule.go): scanSpans is the full-scan split of the
+	// slots that hold a vertex, [shift, slots) — the desolate dead zone
+	// below shift holds none (§5); frontierSpanBuf the reusable buffer for
+	// the per-superstep frontier split.
 	scanSpans       []span
 	frontierSpanBuf []span
 
@@ -178,7 +178,7 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	}
 	e.values = make([]V, e.slots)
 	e.active = make([]uint8, e.slots)
-	e.buildScanSpans()
+	e.scanSpans = cutSpans(nil, e.shift, g.N(), e.threads)
 	e.workers = make([]*Context[V, M], e.threads)
 	for i := range e.workers {
 		e.workers[i] = &Context[V, M]{e: e, worker: i}
@@ -454,8 +454,8 @@ func (e *Engine[V, M]) Config() Config { return e.cfg }
 // FootprintBytes reports the engine's own heap bytes — vertex values,
 // activity flags, the mailbox arrays of the selected combiner version,
 // the pull outboxes, the addressing structure and the bypass state. The
-// O(threads) scheduling work lists are not per-vertex state and are not
-// counted.
+// span lists (at most 16 per thread, 8 B each) are not per-vertex state
+// and are not counted.
 // The graph's CSR arrays are excluded, matching the paper's separation
 // of "graph binary size" from framework overhead (§7.4.2); add
 // graph.MemoryBytes() for the total.

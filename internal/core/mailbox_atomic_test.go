@@ -149,76 +149,6 @@ func TestAtomicCombinerRejectsOversizedMessage(t *testing.T) {
 	}
 }
 
-// skewGraph builds a star-plus-ring: vertex 0 has out-degree n-1 (the
-// hub), everyone else degree ~2 — the degree shape that breaks
-// vertex-count splits.
-func skewGraph(n int) *graph.Graph {
-	var b graph.Builder
-	b.BuildInEdges()
-	for i := 1; i < n; i++ {
-		b.AddEdge(0, graph.VertexID(i))
-		b.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%n))
-	}
-	return b.MustBuild()
-}
-
-func TestEdgeBalancedCuts(t *testing.T) {
-	g := skewGraph(1024)
-	const threads = 4
-	cuts := edgeBalancedCuts(g, threads)
-	if len(cuts) != threads+1 || cuts[0] != 0 || cuts[threads] != int32(g.N()) {
-		t.Fatalf("cuts = %v", cuts)
-	}
-	m := g.M()
-	maxShare := uint64(0)
-	for w := 0; w < threads; w++ {
-		if cuts[w+1] < cuts[w] {
-			t.Fatalf("cuts not monotone: %v", cuts)
-		}
-		share := g.OutEdgeOffset(int(cuts[w+1])) - g.OutEdgeOffset(int(cuts[w]))
-		if share > maxShare {
-			maxShare = share
-		}
-	}
-	// every share is at most the ideal share plus one vertex's degree
-	// (boundaries land on vertex granularity; the hub bounds the slack)
-	ideal := m/threads + uint64(g.OutDegree(0))
-	if maxShare > ideal {
-		t.Fatalf("max edge share %d exceeds ideal+hub %d (cuts %v)", maxShare, ideal, cuts)
-	}
-	// a vertex-count split would give worker 0 the hub plus a quarter of
-	// the ring: strictly more than the edge-balanced maximum
-	vertexShare := g.OutEdgeOffset(g.N()/threads) - g.OutEdgeOffset(0)
-	if vertexShare <= maxShare {
-		t.Fatalf("edge-balanced split (max %d) does not improve on vertex split (%d)", maxShare, vertexShare)
-	}
-}
-
-// TestEdgeBalancedScheduleResults checks the schedule changes only the
-// work split, never the results, across combiners and thread counts.
-func TestEdgeBalancedScheduleResults(t *testing.T) {
-	g := skewGraph(300)
-	ref, _, err := Run(g, Config{Combiner: CombinerMutex, Threads: 1}, counterProgram(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.ValuesDense()
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
-		for _, threads := range []int{2, 5} {
-			cfg := Config{Combiner: comb, Schedule: ScheduleEdgeBalanced, Threads: threads, CheckInvariants: true}
-			e, _, err := Run(g, cfg, counterProgram(4))
-			if err != nil {
-				t.Fatalf("%s: %v", cfg.VersionName(), err)
-			}
-			for i, v := range e.ValuesDense() {
-				if v != want[i] {
-					t.Fatalf("%s threads=%d: vertex %d = %d, want %d", cfg.VersionName(), threads, i, v, want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestAtomicEngineHotHubStress runs a full engine superstep loop where
 // every vertex floods the single hub vertex — end-to-end contention over
 // the CAS mailbox, meaningful under -race.
@@ -259,24 +189,15 @@ func TestAtomicEngineHotHubStress(t *testing.T) {
 	}
 }
 
-func TestParseCombinerAndSchedule(t *testing.T) {
+func TestParseCombiner(t *testing.T) {
 	if c, err := ParseCombiner("atomic"); err != nil || c != CombinerAtomic {
 		t.Fatalf("ParseCombiner(atomic) = %v, %v", c, err)
 	}
 	if c, err := ParseCombiner("cas"); err != nil || c != CombinerAtomic {
 		t.Fatalf("ParseCombiner(cas) = %v, %v", c, err)
 	}
-	for in, want := range map[string]Schedule{"static": ScheduleStatic, "dynamic": ScheduleDynamic, "edge-balanced": ScheduleEdgeBalanced, "edgebal": ScheduleEdgeBalanced} {
-		s, err := ParseSchedule(in)
-		if err != nil || s != want {
-			t.Fatalf("ParseSchedule(%q) = %v, %v", in, s, err)
-		}
-	}
-	if _, err := ParseSchedule("nope"); err == nil {
-		t.Fatal("ParseSchedule accepted garbage")
-	}
-	got := Config{Combiner: CombinerAtomic, SelectionBypass: true, Schedule: ScheduleEdgeBalanced}.VersionName()
-	if got != "atomic+bypass+edgebal" {
+	got := Config{Combiner: CombinerAtomic, SelectionBypass: true}.VersionName()
+	if got != "atomic+bypass" {
 		t.Fatalf("VersionName = %q", got)
 	}
 }

@@ -149,7 +149,7 @@ func TestAtomicConstructionErrorDistinct(t *testing.T) {
 // TestVersionNameSeparatesModuleVersions: Report.Version, trace events
 // and benchmark names identify a run by Config.VersionName, so two
 // configurations that differ in any module field — combiner, direction,
-// selection, schedule — must not share a name. CombinerPull fixes the
+// selection — must not share a name. CombinerPull fixes the
 // direction (New rewrites it to pull), so its rows are taken at the one
 // direction it can run.
 func TestVersionNameSeparatesModuleVersions(t *testing.T) {
@@ -157,7 +157,6 @@ func TestVersionNameSeparatesModuleVersions(t *testing.T) {
 		Combiner  Combiner
 		Direction Direction
 		Bypass    bool
-		Schedule  Schedule
 	}
 	seen := map[string]modules{}
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull, CombinerAtomic} {
@@ -166,18 +165,13 @@ func TestVersionNameSeparatesModuleVersions(t *testing.T) {
 				continue
 			}
 			for _, bypass := range []bool{false, true} {
-				for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleEdgeBalanced} {
-					m := modules{comb, dir, bypass, sched}
-					name := Config{Combiner: comb, Direction: dir, SelectionBypass: bypass, Schedule: sched}.VersionName()
-					if other, dup := seen[name]; dup {
-						t.Fatalf("VersionName %q names both %+v and %+v", name, other, m)
-					}
-					seen[name] = m
+				m := modules{comb, dir, bypass}
+				name := Config{Combiner: comb, Direction: dir, SelectionBypass: bypass}.VersionName()
+				if other, dup := seen[name]; dup {
+					t.Fatalf("VersionName %q names both %+v and %+v", name, other, m)
 				}
+				seen[name] = m
 			}
 		}
-	}
-	if name := (Config{Schedule: ScheduleDynamic}).VersionName(); name != "mutex+dynamic" {
-		t.Fatalf("dynamic schedule is named %q, want mutex+dynamic", name)
 	}
 }

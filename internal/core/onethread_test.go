@@ -41,7 +41,7 @@ func sendSSSPProg(source graph.VertexID) Program[uint32, uint32] {
 // oneVsThreads runs prog under cfg on one thread and on threads and
 // demands, with the barrier audits on, the same next-frontier size at
 // every superstep (under selection bypass the set of slots whose inbox
-// filled does not depend on the schedule), the same Fingerprint and the
+// filled does not depend on the delivery order), the same Fingerprint and the
 // same values under same. It returns the one-thread report.
 func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[V, V], same func(one, many V) bool, threads int) Report {
 	t.Helper()

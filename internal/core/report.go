@@ -167,7 +167,7 @@ func (r Report) LoadImbalance() float64 {
 // comparable string: superstep counts, message totals and the
 // per-superstep ran/messages/active/next-frontier series. Two runs of the
 // same program on the same graph must produce equal fingerprints
-// regardless of thread count, combiner, schedule or graph backend (flat,
+// regardless of thread count, combiner, direction or graph backend (flat,
 // compressed, mmap) — this is what the backend parity battery asserts.
 // Timing- and contention-dependent fields (Duration, CASRetries,
 // WorkerBusy, Attempts/Recoveries) are deliberately excluded: they

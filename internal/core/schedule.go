@@ -3,108 +3,56 @@ package core
 import (
 	"encoding/binary"
 	"math/bits"
-	"sort"
 	"sync/atomic"
-
-	"ipregel/internal/graph"
 )
 
 // span is one unit of compute/collect work: the slot range [lo, hi) —
 // or, for a frontier span, that index range of the frontier list. The
-// scan spans are precomputed at construction; frontier spans are rebuilt
-// each superstep from the frontier's length.
+// scan spans are cut once at construction; frontier spans are recut each
+// superstep from the frontier's length.
 type span struct {
 	lo, hi int32
 }
 
-// Span granularity. The span list is where the schedules differ — the
-// claiming loop (parallelFor) is the same for all of them:
-//
-//   - static cuts the work into one span per worker (the paper's "equal
-//     share" split, §4);
-//   - edge-balanced places those cuts at equal out-edge counts instead
-//     of equal slot counts;
-//   - dynamic cuts dynamicSpanFactor spans per worker, never finer than
-//     dynamicMinSpan items, so fast workers keep claiming.
+// The span rule is the engine's one cut decision, the same for every
+// list of spans (the full scan, a bypass frontier, a bypass collect): one
+// worker takes the work as one span; from two workers up the work is cut
+// into equal item counts — t spans while each would hold fewer than
+// minSpan items, then one span per minSpan items, at most spansPerThread
+// per worker, so that workers finishing early keep claiming. minSpan is
+// derived in DESIGN.md §9: an extra span costs about 1 µs at two threads,
+// which at 1 024 items is under 5 % of a span of road-graph SSSP work.
 const (
-	dynamicSpanFactor = 16
-	dynamicMinSpan    = 64
+	spansPerThread = 16
+	minSpan        = 1024
 )
 
-// spanParts is the number of ranges n work items (slots or frontier
-// entries) are cut into.
-func (e *Engine[V, M]) spanParts(n int) int {
-	t := e.threads
-	switch {
-	case t == 1:
+// spanParts is the number of ranges n work items are cut into at t workers.
+func spanParts(n, t int) int {
+	if t == 1 {
 		return 1
-	case e.cfg.Schedule == ScheduleDynamic:
-		return max(1, min(t*dynamicSpanFactor, n/dynamicMinSpan))
 	}
-	return t
+	return min(t*spansPerThread, max(t, n/minSpan))
 }
 
-// cutSpans appends the n items starting at lo cut into at most parts
-// equal ranges.
-func cutSpans(spans []span, lo, n, parts int) []span {
-	parts = min(parts, n)
+// cutSpans appends the n items starting at lo, cut by the span rule for t
+// workers into equal, contiguous, non-empty ranges.
+func cutSpans(spans []span, lo, n, t int) []span {
+	parts := min(spanParts(n, t), n)
 	for c := 0; c < parts; c++ {
 		spans = append(spans, span{int32(lo + c*n/parts), int32(lo + (c+1)*n/parts)})
 	}
 	return spans
 }
 
-// buildScanSpans precomputes the full-scan work list: the slots that
-// hold a vertex — [shift, slots); the desolate dead zone below shift
-// holds none (§5) — cut into spanParts ranges.
-func (e *Engine[V, M]) buildScanSpans() {
-	n := e.g.N()
-	parts := e.spanParts(n)
-	if e.cfg.Schedule != ScheduleEdgeBalanced || parts == 1 {
-		e.scanSpans = cutSpans(nil, e.shift, n, parts)
-		return
-	}
-	// The CSR degree prefix sums cut internal-index space into ranges of
-	// ~equal out-edge counts; slot = index + shift.
-	cuts := edgeBalancedCuts(e.g, parts)
-	for c := 0; c < parts; c++ {
-		if lo, hi := cuts[c]+int32(e.shift), cuts[c+1]+int32(e.shift); lo < hi {
-			e.scanSpans = append(e.scanSpans, span{lo, hi})
-		}
-	}
-}
-
-// edgeBalancedCuts splits the graph's internal indices into t contiguous
-// ranges of ~equal out-edge counts. The CSR out-offsets are already the
-// degree prefix sums, so each boundary is one binary search for the
-// smallest vertex whose offset reaches its share — on power-law graphs a
-// vertex-count split hands whichever worker owns the hubs almost all of
-// the message work.
-func edgeBalancedCuts(g *graph.Graph, t int) []int32 {
-	n := g.N()
-	cuts := make([]int32, t+1)
-	cuts[t] = int32(n)
-	m := g.M()
-	for w := 1; w < t; w++ {
-		target := m * uint64(w) / uint64(t)
-		cuts[w] = int32(sort.Search(n, func(i int) bool { return g.OutEdgeOffset(i) >= target }))
-	}
-	for w := 1; w <= t; w++ { // collapse degenerate boundaries monotonically
-		if cuts[w] < cuts[w-1] {
-			cuts[w] = cuts[w-1]
-		}
-	}
-	return cuts
-}
-
 // frontierSpans cuts the current (or, with next set, upcoming) frontier
-// into spanParts ranges, reusing the span buffer.
+// by the span rule, reusing the span buffer.
 func (e *Engine[V, M]) frontierSpans(next bool) []span {
 	n := len(e.frontier)
 	if next {
 		n = len(e.frontierNext)
 	}
-	e.frontierSpanBuf = cutSpans(e.frontierSpanBuf[:0], 0, n, e.spanParts(n))
+	e.frontierSpanBuf = cutSpans(e.frontierSpanBuf[:0], 0, n, e.threads)
 	return e.frontierSpanBuf
 }
 
@@ -120,8 +68,8 @@ type paddedCursor struct {
 
 // parallelFor runs body over task indices 0..n-1, claimed one at a time
 // from a shared cursor — the engine's one scheduler. How finely the work
-// was cut is the caller's decision; with one worker the tasks run inline
-// in order.
+// was cut is the span rule's decision; with one worker the tasks run
+// inline in order.
 func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
 	t := min(e.threads, n)
 	if t <= 1 {

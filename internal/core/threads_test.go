@@ -19,7 +19,7 @@ import (
 // same next frontier superstep by superstep (oneVsThreads): under bypass
 // a push superstep enrols whichever depositor fills a slot and a pull
 // one whichever broadcaster wins its flag, but the enrolled set is the
-// schedule-independent set of recipients. Min-combining
+// thread-independent set of recipients. Min-combining
 // integer programs are bit-exact; the float program follows DESIGN.md
 // §5.1: bit-exact when every superstep pulled, 1e-9 when any pushed.
 // The fan-out graph's identifiers start at 1, so desolate addressing
@@ -60,37 +60,35 @@ func TestThreadsParityTable(t *testing.T) {
 // TestDesolateDeadZoneNeverRuns covers the desolate-addressing shift
 // against everything that walks slots: with base-3 identifiers slots 0-2
 // hold no vertex, so no span, frontier or collect may touch them, under
-// any schedule, with and without bypass, at two and four threads — and
+// either direction, with and without bypass, at two and four threads — and
 // the values must be those of offset addressing, which has no dead zone.
 func TestDesolateDeadZoneNeverRuns(t *testing.T) {
 	g := ringGraph(40, 3)
-	for _, schedule := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleEdgeBalanced} {
-		for _, dir := range []Direction{DirectionPush, DirectionPull} {
-			for _, bypass := range []bool{false, true} {
-				for _, threads := range []int{2, 4} {
-					cfg := Config{Combiner: CombinerSpin, Schedule: schedule, Direction: dir, SelectionBypass: bypass, Threads: threads, CheckInvariants: true}
-					ref, _, err := Run(g, cfg, ssspProg(3))
-					if err != nil {
-						t.Fatalf("%s threads=%d offset: %v", cfg.VersionName(), threads, err)
+	for _, dir := range []Direction{DirectionPush, DirectionPull} {
+		for _, bypass := range []bool{false, true} {
+			for _, threads := range []int{2, 4} {
+				cfg := Config{Combiner: CombinerSpin, Direction: dir, SelectionBypass: bypass, Threads: threads, CheckInvariants: true}
+				ref, _, err := Run(g, cfg, ssspProg(3))
+				if err != nil {
+					t.Fatalf("%s threads=%d offset: %v", cfg.VersionName(), threads, err)
+				}
+				cfg.Addressing = AddressDesolate
+				e, _, err := Run(g, cfg, ssspProg(3))
+				if err != nil {
+					t.Fatalf("%s threads=%d desolate: %v", cfg.VersionName(), threads, err)
+				}
+				if e.shift != 3 || e.slots != g.N()+3 {
+					t.Fatalf("desolate engine has shift %d over %d slots, want 3 over %d", e.shift, e.slots, g.N()+3)
+				}
+				for slot := 0; slot < e.shift; slot++ {
+					if e.active[slot] != 0 || e.values[slot] != 0 || e.hasMail(slot) {
+						t.Fatalf("%s threads=%d: dead slot %d was touched", cfg.VersionName(), threads, slot)
 					}
-					cfg.Addressing = AddressDesolate
-					e, _, err := Run(g, cfg, ssspProg(3))
-					if err != nil {
-						t.Fatalf("%s threads=%d desolate: %v", cfg.VersionName(), threads, err)
-					}
-					if e.shift != 3 || e.slots != g.N()+3 {
-						t.Fatalf("desolate engine has shift %d over %d slots, want 3 over %d", e.shift, e.slots, g.N()+3)
-					}
-					for slot := 0; slot < e.shift; slot++ {
-						if e.active[slot] != 0 || e.values[slot] != 0 || e.hasMail(slot) {
-							t.Fatalf("%s threads=%d: dead slot %d was touched", cfg.VersionName(), threads, slot)
-						}
-					}
-					want, got := ref.ValuesDense(), e.ValuesDense()
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s threads=%d: value[%d] = %d under desolate addressing, %d under offset", cfg.VersionName(), threads, i, got[i], want[i])
-						}
+				}
+				want, got := ref.ValuesDense(), e.ValuesDense()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s threads=%d: value[%d] = %d under desolate addressing, %d under offset", cfg.VersionName(), threads, i, got[i], want[i])
 					}
 				}
 			}
@@ -223,7 +221,7 @@ func minLabelProg() Program[uint32, uint32] {
 
 // rankProg is a PageRank-shaped float program: every vertex broadcasts
 // every superstep for a fixed round count. Float addition is not
-// associative, so cross-schedule comparison uses a tolerance.
+// associative, so cross-thread comparison uses a tolerance.
 func rankProg(rounds int) Program[float64, float64] {
 	return Program[float64, float64]{
 		Combine: func(old *float64, new float64) { *old += new },

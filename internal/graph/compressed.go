@@ -261,33 +261,15 @@ func (c *compressedAdj) check() error {
 	return nil
 }
 
-// blockPrefix returns vertex i's block and the number of edges (one
-// varint each) the block holds before i: at most one block of degree
-// additions.
-func (c *compressedAdj) blockPrefix(i int) (b int, k uint64) {
-	b = i / CompressedBlockSize
+// locate returns the byte position of vertex i's first varint and the
+// edge index of its first neighbour, from one pass over the block's
+// degree prefix: the k edges (one varint each) the block holds before i.
+func (c *compressedAdj) locate(i int) (pos, edge uint64) {
+	b := i / CompressedBlockSize
+	var k uint64
 	for _, d := range c.deg[b*CompressedBlockSize : i] {
 		k += uint64(d)
 	}
-	return b, k
-}
-
-// edgeOffset is OutEdgeOffset for the compressed layout: the block's
-// edge prefix plus the degrees before i — O(block), cheap enough for the
-// edge-balanced scheduler's binary search.
-func (c *compressedAdj) edgeOffset(i int) uint64 {
-	if i >= c.n {
-		return c.m
-	}
-	b, k := c.blockPrefix(i)
-	return c.blockEdge[b] + k
-}
-
-// locate returns the byte position of vertex i's first varint and the
-// edge index of its first neighbour, from one pass over the block's
-// degree prefix.
-func (c *compressedAdj) locate(i int) (pos, edge uint64) {
-	b, k := c.blockPrefix(i)
 	return skipVarints(c.data, c.blockOff[b], k), c.blockEdge[b] + k
 }
 
@@ -410,7 +392,7 @@ func (g *Graph) IsCompressed() bool { return g.outC != nil || g.inC != nil }
 // Compress returns a graph storing the same adjacency (both directions,
 // when in-edges are present) in block-compressed form, preserving
 // neighbour order exactly. Weights stay flat (a parallel per-edge
-// array, addressed via OutEdgeOffset). The receiver is unchanged; a
+// array, addressed by the edge index locate returns). The receiver is unchanged; a
 // compressed receiver is returned as-is. It fails on a graph reduced by
 // StripOutAdjacency, whose neighbour lists no longer exist.
 func (g *Graph) Compress() (*Graph, error) {

@@ -95,8 +95,10 @@ func TestCompressRoundTrip(t *testing.T) {
 				if cg.OutDegree(i) != g.OutDegree(i) {
 					t.Fatalf("OutDegree(%d) = %d, want %d", i, cg.OutDegree(i), g.OutDegree(i))
 				}
-				if cg.OutEdgeOffset(i) != g.OutEdgeOffset(i) {
-					t.Fatalf("OutEdgeOffset(%d) = %d, want %d", i, cg.OutEdgeOffset(i), g.OutEdgeOffset(i))
+				if cg.outC != nil {
+					if _, edge := cg.outC.locate(i); edge != g.outOff[i] {
+						t.Fatalf("locate(%d) edge = %d, want %d", i, edge, g.outOff[i])
+					}
 				}
 				want := g.OutNeighbors(i)
 				got := cg.OutNeighborsWith(&nb, i)
@@ -123,9 +125,6 @@ func TestCompressRoundTrip(t *testing.T) {
 						t.Fatalf("OutEdgesWeightedWith(%d) mismatch", i)
 					}
 				}
-			}
-			if cg.OutEdgeOffset(g.N()) != g.M() {
-				t.Fatalf("OutEdgeOffset(n) = %d, want %d", cg.OutEdgeOffset(g.N()), g.M())
 			}
 			// flat → compressed → flat is the identity on the arrays
 			// (the zero-value empty graph normalises nil offsets to [0]).
@@ -419,15 +418,15 @@ func FuzzBlockDecode(f *testing.F) {
 		for name, order := range accessOrders(seq(0, n)) {
 			for _, i := range order {
 				got, edge := nb.neighbors(c, i)
-				if !equalIDs(got, want[i]) || edge != c.edgeOffset(i) {
-					t.Fatalf("%s: vertex %d through the buffer = %v at edge %d, want %v at edge %d", name, i, got, edge, want[i], c.edgeOffset(i))
+				if _, wantEdge := c.locate(i); !equalIDs(got, want[i]) || edge != wantEdge {
+					t.Fatalf("%s: vertex %d through the buffer = %v at edge %d, want %v at edge %d", name, i, got, edge, want[i], wantEdge)
 				}
 			}
 		}
 		prev := uint64(0)
-		for i := 0; i <= n; i++ {
-			if e := c.edgeOffset(i); e < prev {
-				t.Fatalf("edgeOffset not monotone at %d", i)
+		for i := 0; i < n; i++ {
+			if _, e := c.locate(i); e < prev || e > c.m {
+				t.Fatalf("locate's edge index not monotone within [0, m] at %d", i)
 			} else {
 				prev = e
 			}

@@ -210,18 +210,6 @@ func (g *Graph) OutDegree(i int) int {
 	return int(g.outOff[i+1] - g.outOff[i])
 }
 
-// OutEdgeOffset returns the CSR offset of vertex i's first out-edge —
-// the out-degree prefix sum, valid for 0 ≤ i ≤ N() with
-// OutEdgeOffset(N()) == M(). Schedulers use it to cut the vertex range
-// into equal-edge shares without materialising their own prefix sums.
-// On the compressed backend it costs O(CompressedBlockSize).
-func (g *Graph) OutEdgeOffset(i int) uint64 {
-	if g.outC != nil {
-		return g.outC.edgeOffset(i)
-	}
-	return g.outOff[i]
-}
-
 // InDegree returns the in-degree of vertex i. It panics with ErrNoInEdges
 // if in-edges were not built.
 func (g *Graph) InDegree(i int) int {
