@@ -22,24 +22,13 @@ import (
 // UINT_MAX.
 const Infinity = math.MaxUint32
 
-// MinCombine is the min-combiner shared by Hashmin, SSSP and BFS (the
-// paper's Fig. 5 ip_combine).
-func MinCombine(old *uint32, new uint32) {
-	if *old > new {
-		*old = new
-	}
-}
-
-// SumCombine is PageRank's combiner (the paper's Fig. 6 ip_combine).
-func SumCombine(old *float64, new float64) { *old += new }
-
 // PageRankProgram returns the paper's Fig. 6 PageRank: `rounds` damping
 // iterations with d = 0.85, after which every vertex votes to halt.
 // Vertices without out-neighbours simply do not broadcast (their rank mass
 // is dropped, as in the paper's formulation).
 func PageRankProgram(rounds int) core.Program[float64, float64] {
 	return core.Program[float64, float64]{
-		Combine: SumCombine,
+		Combine: core.Sum,
 		Compute: func(ctx *core.Context[float64, float64], v core.Vertex[float64, float64]) {
 			n := float64(ctx.VertexCount())
 			val := v.Value()
@@ -81,7 +70,7 @@ func PageRank(g *graph.Graph, cfg core.Config, rounds int) ([]float64, core.Repo
 // selection bypass.
 func HashminProgram() core.Program[uint32, uint32] {
 	return core.Program[uint32, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *core.Context[uint32, uint32], v core.Vertex[uint32, uint32]) {
 			val := v.Value()
 			if ctx.IsFirstSuperstep() {
@@ -122,7 +111,7 @@ func Hashmin(g *graph.Graph, cfg core.Config) ([]uint32, core.Report, error) {
 // vertex votes to halt at every superstep.
 func SSSPProgram(source graph.VertexID) core.Program[uint32, uint32] {
 	return core.Program[uint32, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *core.Context[uint32, uint32], v core.Vertex[uint32, uint32]) {
 			val := v.Value()
 			if ctx.IsFirstSuperstep() {
@@ -173,7 +162,7 @@ type BFSState struct {
 // broadcasts only, so it runs under every engine version.
 func BFSProgram(source graph.VertexID) core.Program[BFSState, uint32] {
 	return core.Program[BFSState, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *core.Context[BFSState, uint32], v core.Vertex[BFSState, uint32]) {
 			val := v.Value()
 			if ctx.IsFirstSuperstep() {

@@ -60,7 +60,7 @@ func refPotential(g *graph.Graph, seed int64) []uint32 {
 
 func potentialProgram(seed int64) core.Program[uint32, uint32] {
 	return core.Program[uint32, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *core.Context[uint32, uint32], v core.Vertex[uint32, uint32]) {
 			val := v.Value()
 			improved := false
@@ -85,7 +85,7 @@ func potentialProgram(seed int64) core.Program[uint32, uint32] {
 
 func potentialProgramPP(seed int64) pregelplus.Program[uint32, uint32] {
 	return pregelplus.Program[uint32, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *pregelplus.Context[uint32, uint32], v *pregelplus.Vertex[uint32, uint32]) {
 			improved := false
 			if ctx.Superstep() == 0 {

@@ -23,7 +23,7 @@ import (
 // RegisterAggregator("delta", core.AggSum) before Run.
 func PageRankConvergedProgram(tol float64) core.Program[float64, float64] {
 	return core.Program[float64, float64]{
-		Combine: SumCombine,
+		Combine: core.Sum,
 		Compute: func(ctx *core.Context[float64, float64], v core.Vertex[float64, float64]) {
 			n := float64(ctx.VertexCount())
 			val := v.Value()

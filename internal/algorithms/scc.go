@@ -112,12 +112,12 @@ func SCC(g *graph.Graph, cfg core.Config) ([]uint32, error) {
 
 // maxForward propagates the maximum unassigned identifier along
 // out-edges within the unassigned subgraph. Implemented as min-propagation
-// over bit-negated identifiers so the shared MinCombine applies.
+// over bit-negated identifiers so the shared core.Min applies.
 func maxForward(g *graph.Graph, cfg core.Config, labels []uint32) ([]uint32, error) {
 	const unassigned = ^uint32(0)
 	base := g.Base()
 	prog := core.Program[uint32, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *core.Context[uint32, uint32], v core.Vertex[uint32, uint32]) {
 			idx := int(v.ID() - base)
 			val := v.Value()
@@ -170,7 +170,7 @@ func backwardReach(tr *graph.Graph, cfg core.Config, labels, colors []uint32) ([
 	n := tr.N()
 	member := make([]uint8, n)
 	prog := core.Program[uint32, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *core.Context[uint32, uint32], v core.Vertex[uint32, uint32]) {
 			idx := int(v.ID() - base)
 			if labels[idx] != unassigned {

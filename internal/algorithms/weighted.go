@@ -21,7 +21,7 @@ import (
 // WeightedSSSPProgram relaxes weighted out-edges from source.
 func WeightedSSSPProgram(source graph.VertexID) core.Program[uint32, uint32] {
 	return core.Program[uint32, uint32]{
-		Combine: MinCombine,
+		Combine: core.Min,
 		Compute: func(ctx *core.Context[uint32, uint32], v core.Vertex[uint32, uint32]) {
 			val := v.Value()
 			if ctx.IsFirstSuperstep() {

@@ -77,8 +77,9 @@ func runCombPure(pass *Pass) error {
 			for _, reached := range sub.Reach(sum.Calls) {
 				pass.reportReached(reached, e.Pos(), reported)
 			}
-		case *ast.Ident, *ast.SelectorExpr:
-			fn, _ := calleeFunc(pass.TypesInfo, &ast.CallExpr{Fun: e.(ast.Expr)})
+		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.IndexListExpr:
+			// calleeFunc unwraps an explicit instantiation, f[T], to f.
+			fn, _ := calleeFunc(pass.TypesInfo, &ast.CallExpr{Fun: e})
 			ref := FuncRef(fn)
 			if ref == "" || sub.Func(ref) == nil {
 				continue

@@ -46,7 +46,7 @@ func (pass *Pass) scanCombinerPurity(fn ast.Expr, visited map[any]bool) {
 	switch e := ast.Unparen(fn).(type) {
 	case *ast.FuncLit:
 		pass.scanCombinerBody(e, e.Body, visited)
-	case *ast.Ident, *ast.SelectorExpr:
+	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.IndexListExpr:
 		f, _ := calleeFunc(pass.TypesInfo, &ast.CallExpr{Fun: e})
 		if f == nil {
 			return // unresolvable reference

@@ -35,14 +35,19 @@ func benchDests(random bool) [][]graph.VertexID {
 
 // benchInboxes builds each inbox version: a one-thread engine gets the
 // plain inbox whatever the combiner, two threads the configured one.
+// Every version combines with a func literal, which the inbox calls per
+// delivery; plain-inline is the plain inbox given the paper's combiner,
+// which it folds in the loop instead.
 var benchInboxes = []struct {
-	name string
-	cfg  Config
+	name   string
+	cfg    Config
+	inline bool
 }{
-	{"plain", Config{Combiner: CombinerSpin, Threads: 1}},
-	{"spin", Config{Combiner: CombinerSpin, Threads: 2}},
-	{"mutex", Config{Combiner: CombinerMutex, Threads: 2}},
-	{"atomic", Config{Combiner: CombinerAtomic, Threads: 2}},
+	{"plain", Config{Combiner: CombinerSpin, Threads: 1}, false},
+	{"plain-inline", Config{Combiner: CombinerSpin, Threads: 1}, true},
+	{"spin", Config{Combiner: CombinerSpin, Threads: 2}, false},
+	{"mutex", Config{Combiner: CombinerMutex, Threads: 2}, false},
+	{"atomic", Config{Combiner: CombinerAtomic, Threads: 2}, false},
 }
 
 // BenchmarkDeliver is the mailbox-deliver microbenchmark of ROADMAP's
@@ -53,9 +58,12 @@ var benchInboxes = []struct {
 // buffer — the whole cost of a bypass broadcast's frontier enrolment).
 // One goroutine, so the lock-based and atomic cells read the uncontended
 // cost of their protection; plain is what any combiner gets at
-// Threads == 1. Each pass ends with the barrier swap — the full clear, or
-// under bypass the clear of the slots the previous pass enrolled — so
-// fills and combines both occur.
+// Threads == 1. The messages are a float64 sum, except plain-inline's
+// bypass cells: the plain inbox folds Sum only without bypass (PageRank)
+// and Min only under it (Hashmin, SSSP, BFS), so those cells deliver
+// uint32 messages to Min. Each pass ends with the barrier swap — the full
+// clear, or under bypass the clear of the slots the previous pass
+// enrolled — so fills and combines both occur.
 func BenchmarkDeliver(b *testing.B) {
 	sum := func(old *float64, new float64) { *old += new }
 	for _, random := range []bool{false, true} {
@@ -66,47 +74,63 @@ func BenchmarkDeliver(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%s/%s", v.name, path, order), func(b *testing.B) {
 					cfg := v.cfg
 					cfg.SelectionBypass = path == "bypass"
-					mb, err := newMailbox[float64](cfg, benchSlots, sum)
-					if err != nil {
-						b.Fatal(err)
+					switch {
+					case !v.inline:
+						benchDeliver(b, cfg, sum, lists, path)
+					case cfg.SelectionBypass:
+						benchDeliver(b, cfg, Min, lists, path)
+					default:
+						benchDeliver(b, cfg, Sum, lists, path)
 					}
-					var ran, enrolled []int32
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for _, nbs := range lists {
-							if path != "send" {
-								enrolled = mb.scatter(nbs, 0, 1, enrolled)
-								continue
-							}
-							for i := range nbs {
-								mb.scatter(nbs[i:i+1], 0, 1, nil)
-							}
-						}
-						if cfg.SelectionBypass {
-							mb.swap(ran, false)
-							ran, enrolled = enrolled, ran[:0]
-						} else {
-							mb.swap(nil, true)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
 				})
 			}
 		}
 	}
 }
 
+// benchDeliver is one BenchmarkDeliver cell: every list delivered along
+// path into an inbox built for cfg and combine, message 1.
+func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineFunc[M], lists [][]graph.VertexID, path string) {
+	mb, err := newMailbox[M](cfg, benchSlots, combine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ran, enrolled []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, nbs := range lists {
+			if path != "send" {
+				enrolled = mb.scatter(nbs, 0, 1, enrolled)
+				continue
+			}
+			for i := range nbs {
+				mb.scatter(nbs[i:i+1], 0, 1, nil)
+			}
+		}
+		if cfg.SelectionBypass {
+			mb.swap(ran, false)
+			ran, enrolled = enrolled, ran[:0]
+		} else {
+			mb.swap(nil, true)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
+}
+
 // BenchmarkCollect is the pull side of BenchmarkDeliver: ns per in-edge
 // of the collect phase (collectSlot) into each inbox version. Receiver i's
 // in-neighbours are benchDests' list i, every one of them broadcast, so
 // each receiver folds benchDegree outbox entries and fills its inbox
-// once — a PageRank pull superstep. One goroutine; each pass ends with the
-// barrier's full swap.
+// once — a PageRank pull superstep. plain-inline combines with Sum, which
+// the fold adds in place; the other versions call a literal. One
+// goroutine; each pass ends with the barrier's full swap.
 func BenchmarkCollect(b *testing.B) {
-	prog := Program[float64, float64]{
+	called := Program[float64, float64]{
 		Compute: func(*Context[float64, float64], Vertex[float64, float64]) {},
 		Combine: func(old *float64, new float64) { *old += new },
 	}
+	inline := called
+	inline.Combine = Sum
 	for _, random := range []bool{false, true} {
 		var gb graph.Builder
 		gb.BuildInEdges().SetBase(0)
@@ -122,6 +146,10 @@ func BenchmarkCollect(b *testing.B) {
 			b.Run(v.name+"/"+order, func(b *testing.B) {
 				cfg := v.cfg
 				cfg.Direction = DirectionPull
+				prog := called
+				if v.inline {
+					prog = inline
+				}
 				e, err := New(g, cfg, prog)
 				if err != nil {
 					b.Fatal(err)

@@ -144,7 +144,9 @@ func (e *Engine[V, M]) collectPull() {
 // slot's inbox once. The next inbox is empty when a pull superstep starts
 // and the collector is the slot's only depositor, so on the plain and
 // lock-based versions that is a plain store; the atomic version, whose
-// buffer holds packed words, takes one deliver.
+// buffer holds packed words, takes one deliver. With Sum the fold adds in
+// a register over sumOut; both folds add in in-neighbour order, so they
+// agree to the bit.
 func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
 	flag, out, shift, combine := e.pullFlag, e.pullOut, e.shift, e.prog.Combine
 	nbs := e.g.InNeighborsWith(&ctx.nbuf, slot-shift)
@@ -157,10 +159,22 @@ func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
 	}
 	ctx.acc = out[int(nbs[i])+shift]
 	k := 1
-	for _, nb := range nbs[i+1:] {
-		if s := int(nb) + shift; flag[s] != 0 {
-			combine(&ctx.acc, out[s])
-			k++
+	if sumOut := e.sumOut; sumOut != nil {
+		acc := any(&ctx.acc).(*float64)
+		sum := *acc
+		for _, nb := range nbs[i+1:] {
+			if s := int(nb) + shift; flag[s] != 0 {
+				sum += sumOut[s]
+				k++
+			}
+		}
+		*acc = sum
+	} else {
+		for _, nb := range nbs[i+1:] {
+			if s := int(nb) + shift; flag[s] != 0 {
+				combine(&ctx.acc, out[s])
+				k++
+			}
 		}
 	}
 	if b := e.buf; b != nil {

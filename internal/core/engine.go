@@ -74,6 +74,9 @@ type Engine[V, M any] struct {
 	// switch threshold in edges. dirSums is countFrontierEdges' scratch.
 	pullOut  []M
 	pullFlag []uint8
+	// sumOut is pullOut itself when the program combines with Sum (nil
+	// otherwise): collectSlot's fold adds over it without a Combine call.
+	sumOut []float64
 	//ipregel:atomic
 	pullEnrol   []uint32
 	curDir      Direction
@@ -186,6 +189,9 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.Direction != DirectionPush {
 		e.pullOut = make([]M, e.slots)
 		e.pullFlag = make([]uint8, e.slots)
+		if sameFunc(prog.Combine, Sum) {
+			e.sumOut, _ = any(e.pullOut).([]float64)
+		}
 		if cfg.SelectionBypass {
 			e.pullEnrol = make([]uint32, e.slots)
 		}

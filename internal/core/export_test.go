@@ -10,3 +10,13 @@ func SetSlotOrderCut(t testing.TB, cut int) {
 	slotOrderCut = cut
 	t.Cleanup(func() { slotOrderCut = old })
 }
+
+// InlinedCombine reports where e folds its program's combiner in the loop
+// instead of calling it: in the push inbox's scatter, in the pull collect.
+func InlinedCombine[V, M any](e *Engine[V, M]) (scatter, collect bool) {
+	switch any(e.mb).(type) {
+	case *sumInbox, *minInbox:
+		scatter = true
+	}
+	return scatter, e.sumOut != nil
+}

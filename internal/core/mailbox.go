@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -14,6 +15,27 @@ import (
 // mailbox holds (paper Fig. 4, IP_combine). It must be commutative and
 // associative for the result to be independent of delivery order.
 type CombineFunc[M any] func(old *M, new M)
+
+// Min is the paper's Fig. 5 combiner (Hashmin, SSSP, BFS): the inbox
+// keeps the smaller message. New recognises it, so the one-thread inbox's
+// bypass loop compares in place instead of calling it (sameFunc).
+func Min(old *uint32, new uint32) {
+	if new < *old {
+		*old = new
+	}
+}
+
+// Sum is the paper's Fig. 6 combiner (PageRank): the inbox keeps the sum.
+// New recognises it, so the one-thread inbox's loop and the pull
+// collector add in place instead of calling it (sameFunc).
+func Sum(old *float64, new float64) { *old += new }
+
+// sameFunc reports whether combine is f itself. It compares code
+// pointers, so a literal with f's body, a wrapper that calls f and a
+// method value are all not f: they keep the called loop.
+func sameFunc[M, T any](combine CombineFunc[M], f func(*T, T)) bool {
+	return reflect.ValueOf(combine).Pointer() == reflect.ValueOf(f).Pointer()
+}
 
 // mailbox is the combination module (paper §6): a vertex INBOX holding
 // at most one combined message. How messages reach it — pushed at send
@@ -332,6 +354,61 @@ func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrol
 
 func (mb *plainMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
 
+// sumInbox is the plain inbox with Sum written into its non-bypass loop:
+// PageRank's push delivery, which §4 keeps out of bypass.
+type sumInbox struct{ plainMailbox[float64] }
+
+func (mb *sumInbox) scatter(nbs []graph.VertexID, shift int, msg float64, _ []int32) []int32 {
+	next, hasNext, fills := mb.next, mb.hasNext, 0
+	for _, nb := range nbs {
+		if dst := int(nb) + shift; hasNext[dst] != 0 {
+			next[dst] += msg
+		} else {
+			next[dst], hasNext[dst] = msg, 1
+			fills++
+		}
+	}
+	mb.count(len(nbs)-fills, fills)
+	return nil
+}
+
+// minInbox is the plain inbox with Min written into its bypass loop:
+// Hashmin's, SSSP's and BFS's push delivery.
+type minInbox struct{ plainMailbox[uint32] }
+
+func (mb *minInbox) scatter(nbs []graph.VertexID, shift int, msg uint32, enrolled []int32) []int32 {
+	next, hasNext, n := mb.next, mb.hasNext, len(enrolled)
+	for _, nb := range nbs {
+		if dst := int(nb) + shift; hasNext[dst] == 0 {
+			next[dst], hasNext[dst] = msg, 1
+			enrolled = append(enrolled, int32(dst))
+		} else if msg < next[dst] {
+			next[dst] = msg
+		}
+	}
+	fills := len(enrolled) - n
+	mb.count(len(nbs)-fills, fills)
+	return enrolled
+}
+
+// newPlainMailbox builds the plain inbox. For the two pairings the paper's
+// applications run — Sum without bypass, Min under bypass — it is the
+// version with the combiner written into the loop; every other combiner
+// and pairing gets the loop that calls combine per delivery.
+func newPlainMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) mailbox[M] {
+	var inline any
+	switch {
+	case !cfg.SelectionBypass && sameFunc(combine, Sum):
+		inline = &sumInbox{plainMailbox[float64]{newPushBuffers[float64](slots, Sum, cfg)}}
+	case cfg.SelectionBypass && sameFunc(combine, Min):
+		inline = &minInbox{plainMailbox[uint32]{newPushBuffers[uint32](slots, Min, cfg)}}
+	}
+	if mb, ok := inline.(mailbox[M]); ok {
+		return mb
+	}
+	return &plainMailbox[M]{newPushBuffers[M](slots, combine, cfg)}
+}
+
 // newMailbox builds the combination module version chosen by cfg: the
 // plain inbox when nothing can race — CombinerPull, or any combiner on a
 // one-thread engine — and the configured protection otherwise. It fails
@@ -360,5 +437,5 @@ func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M
 	default:
 		return nil, fmt.Errorf("core: unknown combiner %v", cfg.Combiner)
 	}
-	return &plainMailbox[M]{newPushBuffers[M](slots, combine, cfg)}, nil
+	return newPlainMailbox(cfg, slots, combine), nil
 }
