@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ipregel-vet [-only name[,name]] [-json] [package-dir|dir/...]...
+//	ipregel-vet [-json] [package-dir|dir/...]...
 //	ipregel-vet help
 //
 // With no arguments it checks ./... from the current directory. Findings
@@ -48,7 +48,6 @@ func main() {
 func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("ipregel-vet", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array (includes suppressed findings)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -60,12 +59,6 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	analyzers, err := selectAnalyzers(*only)
-	if err != nil {
-		fmt.Fprintln(errw, "ipregel-vet:", err)
-		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -102,7 +95,7 @@ func run(args []string, out, errw io.Writer) int {
 			return 2
 		}
 		for _, target := range targets {
-			diags, err := analysis.RunAll(analyzers, loader, target)
+			diags, err := analysis.RunAll(analysis.All(), loader, target)
 			if err != nil {
 				fmt.Fprintf(errw, "ipregel-vet: %v\n", err)
 				return 2
@@ -188,35 +181,6 @@ func diagString(d analysis.Diagnostic, cwd string) string {
 		pos.Filename = rel
 	}
 	return fmt.Sprintf("%s: %s: %s", pos, d.Analyzer, d.Message)
-}
-
-func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
-	all := analysis.All()
-	if only == "" {
-		return all, nil
-	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var picked []*analysis.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have: %s)", name, analyzerNames(all))
-		}
-		picked = append(picked, a)
-	}
-	return picked, nil
-}
-
-func analyzerNames(all []*analysis.Analyzer) string {
-	names := make([]string, len(all))
-	for i, a := range all {
-		names[i] = a.Name
-	}
-	return strings.Join(names, ", ")
 }
 
 func printHelp(out io.Writer) {

@@ -1,5 +1,5 @@
 // Package jsonsrc is the golden-test input for ipregel-vet's -json
-// output: one live atomicfield finding and one suppressed one, so the
+// output: one live nakedatomic finding and one suppressed one, so the
 // golden file pins the schema of both shapes (see main_test.go).
 package jsonsrc
 
@@ -11,11 +11,7 @@ type counter struct {
 
 func (c *counter) inc() { atomic.AddUint64(&c.n, 1) }
 
-func read(c *counter) uint64 {
-	return c.n
-}
-
 func audited(c *counter) uint64 {
-	//ipregel:ignore atomicfield read-only snapshot taken after shutdown
-	return c.n
+	//ipregel:ignore nakedatomic read-only snapshot taken after shutdown
+	return atomic.LoadUint64(&c.n)
 }

@@ -1,13 +1,15 @@
 // Package analysis is ipregel-vet: a static-analysis suite enforcing the
 // framework contracts the Go compiler cannot see. iPregel's performance
 // rests on preconditions stated in the paper and checked — if at all — at
-// run time: the atomic combiner needs word-sized messages, selection
-// bypass needs every vertex to vote to halt each superstep (§4), Context
-// and Vertex handles are slot views valid only inside the current Compute
-// call, combiners must be pure, and the lock-free mailbox fields
-// tolerate no plain element access. The analyzers here move those contracts to lint time;
-// Config.CheckInvariants in internal/core is their runtime complement for
-// what lint cannot prove.
+// run time. There is one analyzer per contract: the atomic combiner needs
+// word-sized messages (msgword), Context and Vertex handles are slot views
+// valid only inside the current Compute call (ctxescape), selection bypass
+// needs every vertex to vote to halt each superstep, §4 (bypasshalt), the
+// lock-free mailbox fields tolerate no plain element access (nakedatomic),
+// and combiners must be pure reductions (combpure). Each checks one
+// package at a time; bypasshalt and combpure read a callee's body in a
+// sibling package through the loader. Config.CheckInvariants in
+// internal/core is their runtime complement for what lint cannot prove.
 //
 // The Analyzer/Pass/Diagnostic shapes deliberately mirror
 // golang.org/x/tools/go/analysis so the analyzers could be ported to a
@@ -42,7 +44,7 @@ type Pass struct {
 	// Analyzer is the analyzer being run.
 	Analyzer *Analyzer
 	// Fset resolves the positions of every file the pass can see,
-	// including dependency syntax obtained through PackageFiles.
+	// including dependency syntax obtained through dependency.
 	Fset *token.FileSet
 	// Files is the target package's syntax.
 	Files []*ast.File
@@ -52,21 +54,23 @@ type Pass struct {
 	TypesInfo *types.Info
 	// loader grants read access to dependency syntax.
 	loader *Loader
-	// sub, when set by Run, returns the target's interprocedural
-	// substrate, built once and shared by every analyzer of the target.
-	sub func() (*Substrate, error)
 	// diags collects the diagnostics reported so far.
 	diags []Diagnostic
 }
 
-// PackageFiles returns the parsed non-test syntax of another module
-// package (nil when unavailable). Analyzers use it to follow references —
-// e.g. into a Program-constructor defined in a sibling package.
-func (p *Pass) PackageFiles(path string) []*ast.File {
-	if p.loader == nil {
+// dependency returns the loader's type-checked non-test view of another
+// module package, nil when path is outside the module or does not load.
+// Analyzers use it to follow a reference into a sibling package: a
+// Program constructor (bypasshalt), a combiner's callee (combpure).
+func (p *Pass) dependency(path string) *depPkg {
+	if p.loader == nil || !p.loader.internal(path) {
 		return nil
 	}
-	return p.loader.PackageFiles(path)
+	dep, err := p.loader.dep(path)
+	if err != nil {
+		return nil
+	}
+	return dep
 }
 
 // Reportf records a diagnostic at pos.
@@ -95,7 +99,7 @@ func (d Diagnostic) String() string {
 
 // All returns the ipregel-vet analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MsgWord, CtxEscape, BypassHalt, SendPhase, NakedAtomic, AtomicField, PhaseSafe, CombPure}
+	return []*Analyzer{MsgWord, CtxEscape, BypassHalt, NakedAtomic, CombPure}
 }
 
 // Run executes the analyzers over one target and returns the surviving
@@ -121,18 +125,6 @@ func Run(analyzers []*Analyzer, loader *Loader, target *Target) ([]Diagnostic, e
 // result, marked Suppressed, so machine-readable consumers (-json) can
 // audit every directive-silenced diagnostic.
 func RunAll(analyzers []*Analyzer, loader *Loader, target *Target) ([]Diagnostic, error) {
-	// The interprocedural substrate is built on demand by the first
-	// analyzer asking for it, then shared by the rest of this target's
-	// passes (the module-wide part is further memoized on the Loader).
-	var sub *Substrate
-	var subErr error
-	subFn := func() (*Substrate, error) {
-		if sub == nil && subErr == nil {
-			sub, subErr = buildTargetSubstrate(loader, loader.Fset, target.Files, target.Types, target.Info)
-		}
-		return sub, subErr
-	}
-
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -142,7 +134,6 @@ func RunAll(analyzers []*Analyzer, loader *Loader, target *Target) ([]Diagnostic
 			Pkg:       target.Types,
 			TypesInfo: target.Info,
 			loader:    loader,
-			sub:       subFn,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", target.PkgPath, a.Name, err)

@@ -44,12 +44,12 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	}
 }
 
-// TestAllAnalyzersNamed guards the multichecker surface: eight analyzers,
-// distinct names, non-empty docs.
+// TestAllAnalyzersNamed guards the multichecker surface: five analyzers,
+// one per contract, distinct names, non-empty docs.
 func TestAllAnalyzersNamed(t *testing.T) {
 	all := All()
-	if len(all) != 8 {
-		t.Fatalf("All() returned %d analyzers, want 8", len(all))
+	if len(all) != 5 {
+		t.Fatalf("All() returned %d analyzers, want 5", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -49,10 +49,7 @@ func moduleRoot() (string, error) {
 func TestMsgWordFixture(t *testing.T)     { testFixture(t, MsgWord, "msgword") }
 func TestCtxEscapeFixture(t *testing.T)   { testFixture(t, CtxEscape, "ctxescape") }
 func TestBypassHaltFixture(t *testing.T)  { testFixture(t, BypassHalt, "bypasshalt") }
-func TestSendPhaseFixture(t *testing.T)   { testFixture(t, SendPhase, "sendphase") }
 func TestNakedAtomicFixture(t *testing.T) { testFixture(t, NakedAtomic, "nakedatomic") }
-func TestAtomicFieldFixture(t *testing.T) { testFixture(t, AtomicField, "atomicfield") }
-func TestPhaseSafeFixture(t *testing.T)   { testFixture(t, PhaseSafe, "phasesafe") }
 func TestCombPureFixture(t *testing.T)    { testFixture(t, CombPure, "combpure") }
 func TestSuppressFixture(t *testing.T)    { testFixture(t, MsgWord, "suppress") }
 

@@ -88,10 +88,10 @@ func (pass *Pass) resolveCompute(path []ast.Node, progArg ast.Expr) *computeFn {
 	var fnInfo *types.Info
 	if fn.Pkg() == pass.Pkg {
 		files, fnInfo = pass.Files, info
-	} else if fn.Pkg() != nil {
-		files = pass.PackageFiles(fn.Pkg().Path())
+	} else if dep := pass.dependency(fn.Pkg().Path()); dep != nil {
+		files = dep.files
 	}
-	decl := funcDeclByName(files, fn.Name())
+	decl := funcDecl(files, fn)
 	if decl == nil || decl.Body == nil {
 		return nil
 	}
@@ -122,7 +122,7 @@ func (pass *Pass) computeFromExpr(expr ast.Expr, info *types.Info, files []*ast.
 	case *ast.FuncLit:
 		return newComputeFn(e, e.Type, e.Body, info)
 	case *ast.Ident:
-		if decl := funcDeclByName(files, e.Name); decl != nil && decl.Body != nil {
+		if decl := funcDeclByName(files, "", e.Name); decl != nil && decl.Body != nil {
 			return newComputeFn(decl, decl.Type, decl.Body, info)
 		}
 	case *ast.SelectorExpr:
@@ -130,9 +130,10 @@ func (pass *Pass) computeFromExpr(expr ast.Expr, info *types.Info, files []*ast.
 		// analyzed package, where type info identifies the target.
 		if info != nil {
 			if fn, ok := info.Uses[e.Sel].(*types.Func); ok && fn.Pkg() != nil {
-				depFiles := pass.PackageFiles(fn.Pkg().Path())
-				if decl := funcDeclByName(depFiles, fn.Name()); decl != nil && decl.Body != nil {
-					return newComputeFn(decl, decl.Type, decl.Body, nil)
+				if dep := pass.dependency(fn.Pkg().Path()); dep != nil {
+					if decl := funcDecl(dep.files, fn); decl != nil && decl.Body != nil {
+						return newComputeFn(decl, decl.Type, decl.Body, nil)
+					}
 				}
 			}
 		}

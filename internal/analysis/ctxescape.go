@@ -21,7 +21,10 @@ var CtxEscape = &Analyzer{
 valid only inside the Compute invocation they were passed to. This
 analyzer reports them being stored into struct fields (including
 composite literals), package variables, channels, and goroutine
-closures or arguments.`,
+closures or arguments, in whichever function does it: a helper that
+parks the handle it was passed is reported in the helper. A handle
+passed as an interface argument is reported at the call, since its
+type, and with it this check, ends there.`,
 	Run: runCtxEscape,
 }
 
@@ -83,6 +86,22 @@ func runCtxEscape(pass *Pass) error {
 			}
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				reportCaptures(pass, lit)
+			}
+		case *ast.CallExpr:
+			// A handle passed as an interface value leaves the types
+			// this analyzer follows: the callee may park it anywhere.
+			sig, ok := types.Unalias(info.TypeOf(n.Fun)).(*types.Signature)
+			if !ok {
+				return true // a conversion
+			}
+			for i, arg := range n.Args {
+				param := sig.Params().At(min(i, sig.Params().Len()-1)).Type()
+				if s, ok := param.(*types.Slice); ok && sig.Variadic() && i >= sig.Params().Len()-1 {
+					param = s.Elem()
+				}
+				if t := handleType(arg); t != nil && types.IsInterface(param) {
+					pass.Reportf(arg.Pos(), "%s converted to an interface value: the callee may store it, and the handle is a per-superstep slot view that must not outlive the Compute call", t)
+				}
 			}
 		}
 		return true

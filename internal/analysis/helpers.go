@@ -227,17 +227,65 @@ func walkWithStack(files []*ast.File, visit func(n ast.Node, stack []ast.Node) b
 	}
 }
 
-// funcDeclByName finds a top-level function declaration by (optionally
-// qualified) name within the given files.
-func funcDeclByName(files []*ast.File, name string) *ast.FuncDecl {
+// funcDecl finds fn's declaration among files by receiver type name and
+// name, which stay stable across the loader's separately checked views of
+// one package (object identity does not).
+func funcDecl(files []*ast.File, fn *types.Func) *ast.FuncDecl {
+	return funcDeclByName(files, recvName(fn), fn.Name())
+}
+
+// funcDeclByName finds a top-level declaration: a function when recv is
+// "", else a method of the receiver type named recv.
+func funcDeclByName(files []*ast.File, recv, name string) *ast.FuncDecl {
 	for _, f := range files {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == name {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name && declRecvName(fd) == recv {
 				return fd
 			}
 		}
 	}
 	return nil
+}
+
+// recvName is the receiver's type name of a method ("" for a function),
+// pointer and type arguments erased.
+func recvName(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := types.Unalias(t).(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+// declRecvName is recvName read from syntax.
+func declRecvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	e := fd.Recv.List[0].Type
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // directiveOn reports whether the comment group carries the given

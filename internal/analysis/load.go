@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Loader parses and type-checks packages of one module using only the
@@ -24,9 +23,10 @@ import (
 // deliberately does not depend on.
 //
 // A Loader memoizes dependency packages (compiled from their non-test
-// files, matching the go build graph) and retains their syntax trees, so
-// analyzers can follow references into other packages of the module —
-// bypasshalt uses this to look inside Program-constructor functions.
+// files, matching the go build graph) and retains their syntax trees and
+// type information, so analyzers can follow references into other
+// packages of the module — bypasshalt into Program constructors, combpure
+// into a combiner's callees.
 type Loader struct {
 	// Fset is the file set shared by every package the loader touches;
 	// all diagnostic positions resolve through it.
@@ -39,11 +39,6 @@ type Loader struct {
 	std  types.Importer
 	pkgs map[string]*depPkg
 
-	// sub is the memoized module-wide interprocedural substrate
-	// (summary.go); every analysis pass of every target shares it.
-	sub     *Substrate
-	subOnce sync.Once
-
 	// base and augmented are set on the throwaway sub-loader LoadDir
 	// builds for an external test package: deps that do not
 	// (transitively) import the test-augmented package are shared from
@@ -53,7 +48,9 @@ type Loader struct {
 	augmented string
 }
 
-// depPkg is a memoized dependency package: non-test files only.
+// depPkg is one package's syntax and type information: a memoized
+// dependency (non-test files only), or a pass's own target where an
+// analyzer reads both alike.
 type depPkg struct {
 	files []*ast.File
 	types *types.Package
@@ -171,20 +168,6 @@ func (l *Loader) dep(path string) (*depPkg, error) {
 	p.info = newInfo()
 	p.types, p.err = l.check(path, files, p.info)
 	return p, p.err
-}
-
-// PackageFiles returns the parsed non-test syntax of a module-internal
-// package, loading it on demand (nil if the package cannot be loaded).
-// Analyzers use it to follow references across packages of the module.
-func (l *Loader) PackageFiles(path string) []*ast.File {
-	if !l.internal(path) {
-		return nil
-	}
-	p, err := l.dep(path)
-	if err != nil {
-		return nil
-	}
-	return p.files
 }
 
 // LoadDir parses and type-checks the package in dir as an analysis

@@ -1,7 +1,7 @@
 // Fixture for the combpure analyzer: combiner hooks must be
-// deterministic pure reductions of their two arguments — no writes to
-// captured or package-level state, no map ranges, no time/rand — through
-// any chain of module-internal calls.
+// deterministic pure reductions of their two arguments — no sends (see
+// send.go), no writes to captured or package-level state, no map ranges,
+// no time/rand — through any chain of calls.
 package combpure
 
 import (

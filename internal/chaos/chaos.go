@@ -102,8 +102,6 @@ type Injector struct {
 	// armedPanic holds superstep+1 while a ComputePanic event is armed
 	// (0 = disarmed). Workers race to Swap it back to 0, so exactly one
 	// panics. Accessed from worker goroutines, hence atomic.
-	//
-	//ipregel:atomic
 	armedPanic atomic.Int64
 }
 

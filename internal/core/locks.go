@@ -12,7 +12,7 @@ import (
 // Gosched after a bounded spin keeps the scheduler live if the runtime is
 // oversubscribed (the paper runs exactly one OpenMP thread per core and
 // never parks).
-type spinLock struct{ v uint32 }
+type spinLock struct{ v atomic.Uint32 }
 
 const spinTries = 64
 
@@ -20,7 +20,7 @@ const spinTries = 64
 // mailboxes have one sender at a time — small enough to inline into the
 // delivery loops; waiting happens out of line.
 func (l *spinLock) lock() {
-	if !atomic.CompareAndSwapUint32(&l.v, 0, 1) {
+	if !l.v.CompareAndSwap(0, 1) {
 		l.lockSlow()
 	}
 }
@@ -31,7 +31,7 @@ func (l *spinLock) lockSlow() {
 			// Test-and-test-and-set: spin on a plain load and attempt the
 			// read-modify-write only when the lock looks free, keeping the
 			// cache line shared while waiting.
-			if atomic.LoadUint32(&l.v) == 0 && atomic.CompareAndSwapUint32(&l.v, 0, 1) {
+			if l.v.Load() == 0 && l.v.CompareAndSwap(0, 1) {
 				return
 			}
 		}
@@ -40,7 +40,7 @@ func (l *spinLock) lockSlow() {
 }
 
 func (l *spinLock) unlock() {
-	atomic.StoreUint32(&l.v, 0)
+	l.v.Store(0)
 }
 
 // spinLockBytes and mutexBytes are the per-lock sizes used by the

@@ -113,7 +113,7 @@ type mailbox[M any] interface {
 // target slot and race on the counters.
 type delivery struct {
 	enrol, check      bool
-	nCombines, nFills uint64
+	nCombines, nFills atomic.Uint64
 }
 
 func newDelivery(cfg Config) delivery {
@@ -122,18 +122,18 @@ func newDelivery(cfg Config) delivery {
 
 func (d *delivery) count(combines, fills int) {
 	if d.check {
-		atomic.AddUint64(&d.nCombines, uint64(combines))
-		atomic.AddUint64(&d.nFills, uint64(fills))
+		d.nCombines.Add(uint64(combines))
+		d.nFills.Add(uint64(fills))
 	}
 }
 
 func (d *delivery) deliveryCounts() (combines, fills uint64) {
-	return atomic.LoadUint64(&d.nCombines), atomic.LoadUint64(&d.nFills)
+	return d.nCombines.Load(), d.nFills.Load()
 }
 
 func (d *delivery) resetDeliveryCounts() {
-	atomic.StoreUint64(&d.nCombines, 0)
-	atomic.StoreUint64(&d.nFills, 0)
+	d.nCombines.Store(0)
+	d.nFills.Store(0)
 }
 
 // pushBuffers is the double-buffered inbox state shared by the plain and
@@ -164,7 +164,7 @@ func (b *pushBuffers[M]) contentionRetries() uint64 { return 0 }
 // set flag of the next buffer is one fill of this superstep. A flag that
 // survived the last swap's frontier-sized clear has no fill to show.
 func (b *pushBuffers[M]) auditBarrier() error {
-	if set, fills := bytes.Count(b.hasNext, []byte{1}), atomic.LoadUint64(&b.nFills); uint64(set) != fills {
+	if set, fills := bytes.Count(b.hasNext, []byte{1}), b.nFills.Load(); uint64(set) != fills {
 		return fmt.Errorf("%d next-inbox slots are occupied but %d fills were counted: a stale flag survived the last swap, or a fill went uncounted", set, fills)
 	}
 	return nil
@@ -242,7 +242,7 @@ func newMutexMailbox[M any](slots int, combine CombineFunc[M], cfg Config) *mute
 
 // scatter deposits under each slot's lock. Only Combine can panic in the
 // loop, and it does so holding dst's lock: the deferred release keeps
-// later senders from stranding on it (ROADMAP 5(a)), then re-raises.
+// later senders from stranding on it, then re-raises.
 func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
 	dst := 0
 	defer func() {

@@ -54,7 +54,7 @@ type atomicMailbox[M any] struct {
 	// maintained: the increments sit exclusively on the already-contended
 	// failure paths, so the uncontended fast path pays nothing, and the
 	// telemetry layer reads it live as the contention signal.
-	nRetries uint64
+	nRetries atomic.Uint64
 }
 
 const (
@@ -131,7 +131,7 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) (filled bool) {
 					mb.count(1, 0)
 					return false
 				}
-				atomic.AddUint64(&mb.nRetries, 1)
+				mb.nRetries.Add(1)
 			}
 		case slotEmpty:
 			if atomic.CompareAndSwapUint32(state, slotEmpty, slotBusy) {
@@ -140,7 +140,7 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) (filled bool) {
 				mb.count(0, 1)
 				return true
 			}
-			atomic.AddUint64(&mb.nRetries, 1)
+			mb.nRetries.Add(1)
 		default: // slotBusy: the first deliverer is publishing its value
 			spins++
 			if spins%spinTries == 0 {
@@ -200,7 +200,7 @@ func (mb *atomicMailbox[M]) swap(ran []int32, all bool) {
 }
 
 func (mb *atomicMailbox[M]) contentionRetries() uint64 {
-	return atomic.LoadUint64(&mb.nRetries)
+	return mb.nRetries.Load()
 }
 
 // auditBarrier verifies the per-slot state machine settled: once every
@@ -218,7 +218,7 @@ func (mb *atomicMailbox[M]) auditBarrier() error {
 			full++
 		}
 	}
-	if fills := atomic.LoadUint64(&mb.nFills); full != fills {
+	if fills := mb.nFills.Load(); full != fills {
 		return fmt.Errorf("%d next-inbox slots are full but %d fills were counted: stale occupancy survived the last swap, or a fill went uncounted", full, fills)
 	}
 	return nil

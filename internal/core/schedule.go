@@ -59,10 +59,10 @@ func (e *Engine[V, M]) frontierSpans(next bool) []span {
 // paddedCursor is the shared claim counter, padded to its own cache line
 // on both sides: under high thread counts an unpadded counter
 // false-shares its line with whatever the allocator placed next to it,
-// and every AddInt64 then invalidates innocent data.
+// and every Add then invalidates innocent data.
 type paddedCursor struct {
 	_ [64]byte
-	n int64
+	n atomic.Int64
 	_ [56]byte
 }
 
@@ -86,7 +86,7 @@ func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
 	e.dispatch(t, func(w int) {
 		e.guard(w, func() {
 			for {
-				k := int(atomic.AddInt64(&cursor.n, 1)) - 1
+				k := int(cursor.n.Add(1)) - 1
 				if k >= n {
 					return
 				}

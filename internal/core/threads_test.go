@@ -105,7 +105,7 @@ func TestDesolateDeadZoneNeverRuns(t *testing.T) {
 // 2000's mailbox and panics combining into it. In the second-sender case
 // vertex 1999, on the other worker, waits for that panic and then sends
 // to the same slot: the lock the panic interrupted must have been
-// released (ROADMAP item 5(a)), or that send waits forever.
+// released, or that send waits forever.
 func TestCombinePanicAbortsRun(t *testing.T) {
 	g := fanoutGraph(2000, 8)
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
