@@ -39,7 +39,7 @@ test-cores:
 	done
 
 # `go test -run` that refuses an empty selection:
-#   make test-run PKG=./internal/core/ RUN='ThreadsParity|Desolate' FLAGS='-race -count=1'
+#   make test-run PKG=./internal/core/ RUN='ThreadsParity|CombinePanic' FLAGS='-race -count=1'
 # go test exits 0 when the regex matches nothing, so a renamed test
 # silently drops out of its CI leg. RUN is a plain a|b|c alternation and
 # every alternative must select at least one test (go test -list).

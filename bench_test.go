@@ -181,23 +181,6 @@ func BenchmarkFig9MemoryFootprint(b *testing.B) {
 	}
 }
 
-// BenchmarkAddressing isolates the §5 ablation: the same Hashmin run
-// under each addressing scheme (hashmap is the conventional baseline the
-// paper replaces).
-func BenchmarkAddressing(b *testing.B) {
-	wiki, _ := benchGraphs()
-	for _, addr := range []core.Addressing{core.AddressOffset, core.AddressDesolate, core.AddressHashmap} {
-		cfg := core.Config{Combiner: core.CombinerSpin, Addressing: addr}
-		b.Run(addr.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := algorithms.Hashmin(wiki, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkContention stresses the push combiners where they differ most:
 // a transposed star sends every leaf's message to one hub mailbox, so the
 // whole superstep serialises on that mailbox's synchronisation — the

@@ -61,11 +61,7 @@ func run(args []string, out io.Writer) error {
 	}
 	s := graph.ComputeStats(name, g)
 	fmt.Fprintln(out, s)
-	direct := "needs offset or desolate mapping (§5)"
-	if g.Base() == 0 {
-		direct = "possible"
-	}
-	fmt.Fprintf(out, "base identifier: %d (direct mapping %s)\n", g.Base(), direct)
+	fmt.Fprintf(out, "base identifier: %d\n", g.Base())
 	fmt.Fprintf(out, "binary size: %s (paper §7.4.2 accounting)\n", memmodel.GB(graphio.BinarySizeBytes(g.N(), g.M())))
 	fmt.Fprintf(out, "in-memory CSR: %s; degree inequality (Gini): %.3f\n", memmodel.GB(g.MemoryBytes()), graph.GiniOutDegree(g))
 	fmt.Fprintf(out, "isolated vertices: %d\n", s.Isolated)

@@ -34,8 +34,8 @@ func TestGraphinfoFile(t *testing.T) {
 	if !strings.Contains(sb.String(), "|V|=3") {
 		t.Fatalf("unexpected output:\n%s", sb.String())
 	}
-	if !strings.Contains(sb.String(), "direct mapping possible") {
-		t.Fatalf("base-0 graph should allow direct mapping:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "base identifier: 0\n") {
+		t.Fatalf("base-0 graph should report base identifier 0:\n%s", sb.String())
 	}
 }
 

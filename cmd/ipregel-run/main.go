@@ -50,7 +50,6 @@ func run(args []string, out io.Writer) error {
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
 		framework = fs.String("framework", "ipregel", "ipregel | pregelplus | femtograph (see DESIGN.md)")
 		combiner  = fs.String("combiner", "spinlock", "iPregel combiner: mutex | spinlock | atomic | broadcast")
-		address   = fs.String("addressing", "offset", "iPregel addressing: direct | offset | desolate | hashmap")
 		bypass    = fs.Bool("bypass", false, "enable selection bypass (Hashmin/SSSP only)")
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
 		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull | adaptive (density-switched; broadcast-only apps)")
@@ -158,13 +157,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	addr, err := core.ParseAddressing(*address)
-	if err != nil {
-		return err
-	}
 	cfg := core.Config{
 		Combiner:           comb,
-		Addressing:         addr,
 		SelectionBypass:    *bypass,
 		Threads:            *threads,
 		Direction:          dir,

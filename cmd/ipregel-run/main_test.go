@@ -76,7 +76,6 @@ func TestRunErrors(t *testing.T) {
 		{"-app", "nope", "-graph", "ring:5"},
 		{"-graph", "bogus"},
 		{"-combiner", "bogus", "-graph", "ring:5"},
-		{"-addressing", "bogus", "-graph", "ring:5"},
 		{"-framework", "bogus", "-graph", "ring:5"},
 		{"-app", "wsssp", "-graph", "ring:5"},                           // weighted needs road spec or file
 		{"-app", "bfs", "-graph", "ring:5", "-framework", "pregelplus"}, // unsupported on baseline
@@ -95,9 +94,9 @@ func TestRunErrors(t *testing.T) {
 // means GOMAXPROCS), -direction is an iPregel-only feature, a flag that
 // only tunes another (-direction-threshold) is rejected by the engine
 // when that other flag is absent instead of being silently ignored, and
-// the flags of the removed shard layer, sender cache and hub splitting
-// are the flag package's "provided but not defined", not accepted and
-// ignored.
+// the flags of the removed shard layer, addressing option, sender cache
+// and hub splitting are the flag package's "provided but not defined", not
+// accepted and ignored.
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -107,6 +106,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-threads", "-2", "-graph", "ring:5"}, "-threads must be at least 1"},
 		{[]string{"-direction", "pull", "-framework", "pregelplus", "-graph", "ring:5"}, "does not support"},
 		{[]string{"-shards", "4", "-graph", "ring:5"}, "flag provided but not defined: -shards"},
+		{[]string{"-addressing", "offset", "-graph", "ring:5"}, "flag provided but not defined: -addressing"},
 		{[]string{"-partition", "hash", "-graph", "ring:5"}, "flag provided but not defined: -partition"},
 		{[]string{"-sender-combining", "-graph", "ring:5"}, "flag provided but not defined: -sender-combining"},
 		{[]string{"-hub-split", "-graph", "ring:5"}, "flag provided but not defined: -hub-split"},

@@ -85,7 +85,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
 		combiner  = fs.String("combiner", "spinlock", "engine combiner: mutex | spinlock | atomic | broadcast")
 		direction = fs.String("direction", "push", "default message transport per job engine: push | pull | adaptive (jobs override via params.direction; pull/adaptive load graphs with in-edges)")
-		address   = fs.String("addressing", "offset", "engine addressing: direct | offset | desolate | hashmap")
 		bypass    = fs.Bool("bypass", false, "selection bypass for halt-every-superstep programs (stripped per job for PageRank)")
 		threads   = fs.Int("threads", 0, "default worker threads per job (0 = GOMAXPROCS)")
 		workers   = fs.Int("workers", 2, "jobs executed concurrently")
@@ -108,10 +107,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 
 	comb, err := core.ParseCombiner(*combiner)
-	if err != nil {
-		return err
-	}
-	addr, err := core.ParseAddressing(*address)
 	if err != nil {
 		return err
 	}
@@ -145,7 +140,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		Engine: core.Config{
 			Combiner:        comb,
 			Direction:       dir,
-			Addressing:      addr,
 			SelectionBypass: *bypass,
 			Threads:         *threads,
 		},

@@ -42,10 +42,10 @@ func TestRunValidation(t *testing.T) {
 		{nil, "no graphs"},
 		{[]string{"-graph", "g=nosuchspec"}, "unknown graph spec"},
 		{[]string{"-graph", "g=ring:64", "-combiner", "bogus"}, "unknown combiner"},
-		{[]string{"-graph", "g=ring:64", "-addressing", "bogus"}, "unknown addressing"},
-		// Flags of the removed shard layer and sender cache are usage
-		// errors, not accepted and ignored.
+		// Flags of the removed shard layer, addressing option and sender
+		// cache are usage errors, not accepted and ignored.
 		{[]string{"-graph", "g=ring:64", "-shards", "4"}, "flag provided but not defined: -shards"},
+		{[]string{"-graph", "g=ring:64", "-addressing", "offset"}, "flag provided but not defined: -addressing"},
 		{[]string{"-graph", "g=ring:64", "-sender-combining"}, "flag provided but not defined: -sender-combining"},
 	} {
 		var buf bytes.Buffer

@@ -12,7 +12,7 @@ import (
 
 // testGraphs returns small instances of the three structural shapes the
 // paper evaluates on, all with in-edges (so every combiner version runs)
-// and base-1 identifiers (so offset/desolate mapping is exercised).
+// and base-1 identifiers (so offset mapping's id − base is exercised).
 func testGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"rmat": gen.RMATN(200, 1200, 7, 1, true),
@@ -238,47 +238,28 @@ func TestBFSMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAddressingModesAgree: offset mapping (§5) is the engine's one
+// addressing mode. On a base-1 and a base-0 graph, pushed and pulled SSSP
+// must match the reference: the pull collect indexes outboxes by
+// in-neighbour the same way the push scatter indexes inboxes.
 func TestAddressingModesAgree(t *testing.T) {
-	g := gen.RMATN(150, 900, 21, 1, true) // base-1
-	var first []uint32
-	for _, addr := range []core.Addressing{core.AddressOffset, core.AddressDesolate, core.AddressHashmap} {
-		got, _, err := SSSP(g, core.Config{Addressing: addr, Combiner: core.CombinerSpin}, 2)
-		if err != nil {
-			t.Fatalf("%v: %v", addr, err)
-		}
-		if first == nil {
-			first = got
-			continue
-		}
-		for i := range first {
-			if got[i] != first[i] {
-				t.Fatalf("%v: dist[%d] differs", addr, i)
+	for _, base := range []graph.VertexID{1, 0} {
+		g := gen.RMATN(150, 900, 21, base, true)
+		want := RefSSSP(g, 2)
+		for _, cfg := range []core.Config{
+			{Combiner: core.CombinerSpin},
+			{Combiner: core.CombinerPull},
+			{Combiner: core.CombinerPull, SelectionBypass: true, CheckInvariants: true},
+		} {
+			got, _, err := SSSP(g, cfg, 2)
+			if err != nil {
+				t.Fatalf("base %d %s: %v", base, cfg.VersionName(), err)
 			}
-		}
-	}
-	// Desolate memory combined with the pull combiner: the collect phase
-	// must translate between shifted slots and graph indices correctly.
-	for _, bypass := range []bool{false, true} {
-		got, _, err := SSSP(g, core.Config{Addressing: core.AddressDesolate, Combiner: core.CombinerPull, SelectionBypass: bypass, CheckInvariants: bypass}, 2)
-		if err != nil {
-			t.Fatalf("desolate+pull bypass=%v: %v", bypass, err)
-		}
-		for i := range first {
-			if got[i] != first[i] {
-				t.Fatalf("desolate+pull bypass=%v: dist[%d] differs", bypass, i)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("base %d %s: dist[%d] = %d, want %d", base, cfg.VersionName(), i, got[i], want[i])
+				}
 			}
-		}
-	}
-	// Direct mapping needs base 0.
-	g0 := gen.RMATN(150, 900, 21, 0, true)
-	a, _, err := SSSP(g0, core.Config{Addressing: core.AddressDirect, Combiner: core.CombinerSpin}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := RefSSSP(g0, 2)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("direct mapping: dist[%d] = %d, want %d", i, a[i], b[i])
 		}
 	}
 }

@@ -31,7 +31,6 @@ func TestWeightedSSSPMatchesDijkstra(t *testing.T) {
 		{Combiner: core.CombinerSpin},
 		{Combiner: core.CombinerMutex, SelectionBypass: true},
 		{Combiner: core.CombinerSpin, SelectionBypass: true, CheckInvariants: true},
-		{Combiner: core.CombinerSpin, Addressing: core.AddressHashmap},
 	} {
 		cfg.Threads = 3
 		got, rep, err := WeightedSSSP(g, cfg, 2)

@@ -11,11 +11,6 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "ablation-addressing",
-		Title: "ablation (§5): direct vs offset vs desolate vs hashmap vertex addressing",
-		Run:   runAblationAddressing,
-	})
-	register(Experiment{
 		ID:    "ablation-combiner",
 		Title: "ablation (§6): Pregel+ with and without sender-side combining",
 		Run:   runAblationCombiner,
@@ -91,38 +86,6 @@ func runAblationMirroring(o *Options, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "  %-16s %-36s wire=%-12d messages=%d\n", label, m.String(), rep.WireBytes, rep.Messages)
 	}
-	return nil
-}
-
-// runAblationAddressing quantifies §5's claims: offset mapping's
-// subtraction is a "marginal overhead" over direct/desolate mapping,
-// while the conventional hashmap costs real lookups on every message.
-// Hashmin on the wiki stand-in delivers millions of identifier-addressed
-// messages, making the addressing path hot.
-func runAblationAddressing(o *Options, w io.Writer) error {
-	g, err := o.Graph("wiki")
-	if err != nil {
-		return err
-	}
-	app := apps(o)[1] // Hashmin
-	fmt.Fprintf(w, "%-12s %s\n", "addressing", "Hashmin on wiki (spinlock combiner)")
-	var hashmap, offset float64
-	for _, addr := range []core.Addressing{core.AddressOffset, core.AddressDesolate, core.AddressHashmap} {
-		cfg := core.Config{Combiner: core.CombinerSpin, Addressing: addr}
-		m, err := measureIP(o, app, g, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-12s %s\n", addr, m)
-		switch addr {
-		case core.AddressOffset:
-			offset = float64(m.Mean)
-		case core.AddressHashmap:
-			hashmap = float64(m.Mean)
-		}
-	}
-	fmt.Fprintf(w, "hashmap penalty over offset mapping: %.2fx\n", hashmap/offset)
-	fmt.Fprintln(w, "(direct mapping requires base-0 identifiers; the wiki stand-in starts at 1, which is why the paper processes it with offset/desolate mapping, §7.1.3)")
 	return nil
 }
 

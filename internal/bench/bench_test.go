@@ -25,7 +25,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "table2", "fig7", "fig8", "fig9",
 		"mem-versions", "mem-projection", "mem-backend", "speedups",
-		"ablation-addressing", "ablation-combiner",
+		"ablation-combiner",
 		"ablation-inbox", "ablation-balance",
 		"ablation-mirroring", "shm-baseline", "active-curves",
 		"direction",
@@ -145,7 +145,6 @@ func TestSpeedups(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	runExp(t, "ablation-addressing", "hashmap penalty")
 	runExp(t, "ablation-combiner", "with combiner", "no combiner")
 	runExp(t, "ablation-balance", "imbalance=", "bypass=true")
 	runExp(t, "ablation-mirroring", "no mirroring", "mirror deg>=64")

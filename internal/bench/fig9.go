@@ -95,7 +95,6 @@ func runFig9(o *Options, w io.Writer) error {
 		Config:       core.Config{Combiner: core.CombinerPull},
 		V:            gen.TwitterV,
 		E:            gen.TwitterE,
-		Base:         1,
 		ValueBytes:   8,
 		MessageBytes: 8,
 		InAdjacency:  true,

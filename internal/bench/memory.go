@@ -61,7 +61,7 @@ func runMemProjection(o *Options, w io.Writer) error {
 	rows := []row{
 		{"iPregel (pull, in-only)", memmodel.IPregelBytes(memmodel.IPregelParams{
 			Config: core.Config{Combiner: core.CombinerPull},
-			V:      gen.TwitterV, E: gen.TwitterE, Base: 1,
+			V:      gen.TwitterV, E: gen.TwitterE,
 			ValueBytes: 8, MessageBytes: 8, InAdjacency: true,
 		}), "11.01GB"},
 		{"Pregel+ (32 procs)", memmodel.PregelPlusBytes(memmodel.PregelPlusParams{
@@ -81,7 +81,7 @@ func runMemProjection(o *Options, w io.Writer) error {
 
 	fr := memmodel.IPregelBytes(memmodel.IPregelParams{
 		Config: core.Config{Combiner: core.CombinerPull},
-		V:      gen.FriendsterV, E: gen.FriendsterE, Base: 1,
+		V:      gen.FriendsterV, E: gen.FriendsterE,
 		ValueBytes: 8, MessageBytes: 8, InAdjacency: true,
 	})
 	fmt.Fprintf(w, "Friendster (%d vertices, %d edges): projected %s under 16GB = %v (paper measures 14.45GB)\n",

@@ -151,7 +151,7 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 
 	var hdr [32]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(e.superstep))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.slots))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.g.N()))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(vc.Size()))
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(mc.Size()))
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(aggs)))
@@ -176,7 +176,7 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	}
 
 	vbuf := make([]byte, vc.Size())
-	if err := section(uint64(e.slots)*uint64(vc.Size()), func(cw *crcWriter) error {
+	if err := section(uint64(e.g.N())*uint64(vc.Size()), func(cw *crcWriter) error {
 		for _, v := range e.values {
 			vc.Encode(vbuf, v)
 			if _, err := cw.Write(vbuf); err != nil {
@@ -187,7 +187,7 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	}); err != nil {
 		return err
 	}
-	if err := section(uint64(e.slots), func(cw *crcWriter) error {
+	if err := section(uint64(e.g.N()), func(cw *crcWriter) error {
 		_, err := cw.Write(e.active)
 		return err
 	}); err != nil {
@@ -197,14 +197,14 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	// set flag. The length is computed from a pre-scan so the reader can
 	// bound its work before parsing.
 	occupied := 0
-	for slot := 0; slot < e.slots; slot++ {
+	for slot := 0; slot < e.g.N(); slot++ {
 		if e.hasMail(slot) {
 			occupied++
 		}
 	}
 	mbuf := make([]byte, mc.Size())
-	if err := section(uint64(e.slots)+uint64(occupied)*uint64(mc.Size()), func(cw *crcWriter) error {
-		for slot := 0; slot < e.slots; slot++ {
+	if err := section(uint64(e.g.N())+uint64(occupied)*uint64(mc.Size()), func(cw *crcWriter) error {
+		for slot := 0; slot < e.g.N(); slot++ {
 			m, ok := e.mb.peek(slot)
 			if !ok {
 				if _, err := cw.Write([]byte{0}); err != nil {
@@ -296,10 +296,10 @@ func (e *Engine[V, M]) restoreFrontier(frontier []int32, cfg Config) error {
 	if !cfg.SelectionBypass {
 		return errors.New("core: checkpoint carries a frontier but the engine has no selection bypass")
 	}
-	seen := make([]uint8, e.slots)
+	seen := make([]uint8, e.g.N())
 	for _, slot := range frontier {
-		if slot < 0 || int(slot) >= e.slots {
-			return fmt.Errorf("core: checkpoint frontier entry %d out of range (slots %d)", slot, e.slots)
+		if slot < 0 || int(slot) >= e.g.N() {
+			return fmt.Errorf("core: checkpoint frontier entry %d out of range (slots %d)", slot, e.g.N())
 		}
 		if seen[slot] != 0 {
 			return fmt.Errorf("core: checkpoint frontier lists slot %d twice", slot)
@@ -416,7 +416,7 @@ func readCheckpointHeader(br *bufio.Reader) (hdr [32]byte, err error) {
 // order: values and activity flags of exact length, the mailbox section
 // between "all empty" and "all occupied".
 func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Codec[M]) error {
-	n, vsize, msize := uint64(e.slots), uint64(vc.Size()), uint64(mc.Size())
+	n, vsize, msize := uint64(e.g.N()), uint64(vc.Size()), uint64(mc.Size())
 
 	sec, err := openSection(br, "values", n*vsize, n*vsize)
 	if err != nil {
@@ -452,7 +452,7 @@ func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Code
 		return err
 	}
 	mbuf := make([]byte, msize)
-	for slot := 0; slot < e.slots; slot++ {
+	for slot := 0; slot < e.g.N(); slot++ {
 		flag, err := sec.ReadByte()
 		if err != nil {
 			return fmt.Errorf("core: checkpoint mailboxes: %w", err)
@@ -483,8 +483,8 @@ func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 	e.superstep = int(binary.LittleEndian.Uint64(hdr[0:]))
 	e.firstSuperstep = e.superstep
 	slots := binary.LittleEndian.Uint64(hdr[8:])
-	if slots != uint64(e.slots) {
-		return nil, fmt.Errorf("core: checkpoint has %d slots, engine has %d (graph or addressing mismatch)", slots, e.slots)
+	if slots != uint64(e.g.N()) {
+		return nil, fmt.Errorf("core: checkpoint has %d slots, engine has %d (graph mismatch)", slots, e.g.N())
 	}
 	vsize := uint64(vc.Size())
 	msize := uint64(mc.Size())
@@ -503,7 +503,7 @@ func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 	}
 
 	// Frontier: at most one entry per slot.
-	sec, err := openSection(br, "frontier", 0, uint64(e.slots)*4)
+	sec, err := openSection(br, "frontier", 0, uint64(e.g.N())*4)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -26,7 +28,7 @@ func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) 
 	bw.Write(checkpointMagicV1[:])
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(e.superstep))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.slots))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.g.N()))
 	bw.Write(hdr[:])
 	vbuf := make([]byte, vc.Size())
 	for _, v := range e.values {
@@ -35,7 +37,7 @@ func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) 
 	}
 	bw.Write(e.active)
 	mbuf := make([]byte, mc.Size())
-	for slot := 0; slot < e.slots; slot++ {
+	for slot := 0; slot < e.g.N(); slot++ {
 		m, ok := e.mb.peek(slot)
 		if !ok {
 			bw.WriteByte(0)
@@ -229,6 +231,39 @@ func TestRestoreErrors(t *testing.T) {
 	sg := small.MustBuild()
 	if _, err := Restore(bytes.NewReader(data), sg, Config{}, prog, u32Codec{}, u32Codec{}); err == nil {
 		t.Fatal("graph mismatch accepted")
+	}
+}
+
+// TestRestoreRejectsDesolateLayout: engines with desolate addressing,
+// since removed, allocated one dead slot below a base-1 graph's first
+// vertex, so their checkpoints of the 64-vertex grid declare 65 slots and
+// carry 65 entries in every per-slot section. Such a record is otherwise
+// well formed (VerifyCheckpoint accepts it); Restore refuses it with the
+// slot-count error before reading a section.
+func TestRestoreRejectsDesolateLayout(t *testing.T) {
+	g := gridForCheckpoint(t)
+	slots := uint64(g.N() + 1)
+	var hdr [32]byte
+	binary.LittleEndian.PutUint64(hdr[0:], 2) // superstep
+	binary.LittleEndian.PutUint64(hdr[8:], slots)
+	binary.LittleEndian.PutUint32(hdr[16:], 4) // value size
+	binary.LittleEndian.PutUint32(hdr[20:], 4) // message size
+	rec := append(checkpointMagicV2[:], hdr[:]...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(hdr[:], crcTable))
+	// values, activity, mailboxes (all empty), frontier, aggregators
+	for _, body := range [][]byte{make([]byte, slots*4), make([]byte, slots), make([]byte, slots), nil, nil} {
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(len(body)))
+		rec = append(rec, body...)
+		rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(body, crcTable))
+	}
+	rec = append(rec, checkpointFooter[:]...)
+	if _, err := VerifyCheckpoint(bytes.NewReader(rec)); err != nil {
+		t.Fatalf("VerifyCheckpoint: %v, want the hand-built record accepted", err)
+	}
+	_, err := Restore(bytes.NewReader(rec), g, Config{}, ssspProg(1), u32Codec{}, u32Codec{})
+	want := fmt.Sprintf("core: checkpoint has %d slots, engine has %d (graph mismatch)", slots, g.N())
+	if err == nil || err.Error() != want {
+		t.Fatalf("Restore = %v, want %q", err, want)
 	}
 }
 

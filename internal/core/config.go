@@ -1,7 +1,9 @@
 // Package core implements the iPregel vertex-centric framework of the
 // paper: a Bulk-Synchronous-Parallel, in-memory, shared-memory engine whose
 // three optimisation modules — vertex selection, vertex addressing and
-// combination — each exist in several versions (paper Fig. 2).
+// combination — each exist in several versions (paper Fig. 2). Here
+// addressing has one: offset mapping (§5), under which a vertex's slot in
+// the engine's arrays is its internal graph index, slot = id − base.
 //
 // The original C framework selects module versions with compile-time
 // defines (§3.1.1). Go has no preprocessor, so the selection moves into
@@ -130,58 +132,10 @@ func ParseDirection(s string) (Direction, error) {
 // upcoming frontier's out-edges reach this fraction of |E|.
 const DefaultDirectionThreshold = 0.05
 
-// Addressing selects the vertex addressing module version (paper §5).
-type Addressing int
-
-const (
-	// AddressOffset subtracts the graph's base identifier to find a
-	// vertex's slot — the paper's Offset Mapping, a "marginal overhead"
-	// of one subtraction. This is the default because it works for any
-	// consecutive identifier range.
-	AddressOffset Addressing = iota
-	// AddressDirect uses the identifier itself as the slot — Direct
-	// Mapping. It requires identifiers to start at 0.
-	AddressDirect
-	// AddressDesolate forces direct mapping on graphs whose identifiers
-	// start above 0 by allocating (and wasting) the slots below the base
-	// — Desolate Memory. For base-1 graphs such as the paper's Wikipedia
-	// and USA-road inputs the waste is a single element per array.
-	AddressDesolate
-	// AddressHashmap is the conventional scheme the paper argues against
-	// (§5): a hash map from identifier to slot consulted on every message
-	// delivery. Provided as the ablation baseline.
-	AddressHashmap
-)
-
-var addressingNames = map[Addressing]string{
-	AddressOffset:   "offset",
-	AddressDirect:   "direct",
-	AddressDesolate: "desolate",
-	AddressHashmap:  "hashmap",
-}
-
-func (a Addressing) String() string {
-	if s, ok := addressingNames[a]; ok {
-		return s
-	}
-	return fmt.Sprintf("Addressing(%d)", int(a))
-}
-
-// ParseAddressing converts an addressing name to an Addressing.
-func ParseAddressing(s string) (Addressing, error) {
-	for a, name := range addressingNames {
-		if name == strings.ToLower(s) {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown addressing %q", s)
-}
-
 // Config selects the module versions of an Engine, the Go equivalent of
 // the paper's compilation defines (§3.1.1).
 type Config struct {
-	Combiner   Combiner
-	Addressing Addressing
+	Combiner Combiner
 	// Direction selects the send transport: push (the zero value), pull,
 	// or adaptive per-superstep switching. Pull and adaptive require the
 	// graph's in-adjacency and a broadcast-only program (Send panics on a

@@ -20,20 +20,20 @@ type Vertex[V, M any] struct {
 	slot int32
 }
 
-// ID returns the vertex's external identifier.
-func (v Vertex[V, M]) ID() graph.VertexID { return v.e.addr.idOf(int(v.slot)) }
+// ID returns the vertex's external identifier, base + slot (§5).
+func (v Vertex[V, M]) ID() graph.VertexID { return v.e.g.ExternalID(int(v.slot)) }
 
 // Value returns a pointer to the vertex's user-defined value, the
 // equivalent of the user members of struct IP_vertex_t.
 func (v Vertex[V, M]) Value() *V { return &v.e.values[v.slot] }
 
 // OutDegree returns the number of out-neighbours.
-func (v Vertex[V, M]) OutDegree() int { return v.e.g.OutDegree(int(v.slot) - v.e.shift) }
+func (v Vertex[V, M]) OutDegree() int { return v.e.g.OutDegree(int(v.slot)) }
 
 // InDegree returns the number of in-neighbours; it panics if the graph
 // was loaded without in-edges (paper §3.2: in-neighbour storage is a
 // per-version decision).
-func (v Vertex[V, M]) InDegree() int { return v.e.g.InDegree(int(v.slot) - v.e.shift) }
+func (v Vertex[V, M]) InDegree() int { return v.e.g.InDegree(int(v.slot)) }
 
 // OutNeighborIDs calls fn with the external identifier of every
 // out-neighbour. It goes through the backend-agnostic iterator path so
@@ -41,7 +41,7 @@ func (v Vertex[V, M]) InDegree() int { return v.e.g.InDegree(int(v.slot) - v.e.s
 func (v Vertex[V, M]) OutNeighborIDs(fn func(graph.VertexID)) {
 	e := v.e
 	base := e.g.Base()
-	e.g.ForEachOutNeighbor(int(v.slot)-e.shift, func(nb graph.VertexID) {
+	e.g.ForEachOutNeighbor(int(v.slot), func(nb graph.VertexID) {
 		fn(base + nb)
 	})
 }
@@ -53,7 +53,7 @@ func (v Vertex[V, M]) OutNeighborIDs(fn func(graph.VertexID)) {
 func (v Vertex[V, M]) OutEdgesWeighted(fn func(graph.VertexID, uint32)) {
 	e := v.e
 	base := e.g.Base()
-	e.g.ForEachOutEdgeWeighted(int(v.slot)-e.shift, func(nb graph.VertexID, w uint32) {
+	e.g.ForEachOutEdgeWeighted(int(v.slot), func(nb graph.VertexID, w uint32) {
 		fn(base+nb, w)
 	})
 }
@@ -80,13 +80,10 @@ type Context[V, M any] struct {
 	// backend: the scatter loop and the pull collect phase decode
 	// neighbour lists into it instead of sharing a CSR slice. On the
 	// flat backend it is never touched (the shared-slice fast path).
-	// slotBuf holds the looked-up slots of one neighbour list under
-	// hashmap addressing (located); the arithmetic schemes never touch it.
 	// sendBuf is Send's list of one: a local array would escape through
 	// the inbox's scatter dispatch, one allocation per message. acc is
 	// collectSlot's fold: a local would escape through Combine.
 	nbuf    graph.NeighborBuf
-	slotBuf []graph.VertexID
 	sendBuf [1]graph.VertexID
 	acc     M
 }
@@ -122,47 +119,29 @@ func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 	if e.curDir == DirectionPull {
 		panic("core: IP_send_message is not available on a pull-direction superstep (Config.Direction pull/adaptive, or CombinerPull); pull transport is broadcast-only (§6.2)")
 	}
-	slot := e.addr.locate(dst)
-	if slot < 0 || slot >= e.slots || (e.shift > 0 && slot < e.shift) {
+	// Offset mapping (§5): slot = dst − base, and an id below base wraps
+	// past N, so one unsigned compare rejects both sides of the range.
+	slot := dst - e.g.Base()
+	if uint(slot) >= uint(e.g.N()) {
 		panic(fmt.Sprintf("core: message sent to unknown vertex %d", dst))
 	}
-	c.sendBuf[0] = graph.VertexID(slot)
-	c.scatter(c.sendBuf[:], 0, msg)
+	c.sendBuf[0] = slot
+	c.scatter(c.sendBuf[:], msg)
 }
 
 // scatter is the one push delivery routine — a Broadcast's fan-out and
-// a Send (a scatter of one) alike: msg goes to slot nb+shift for every
-// nb, in the mailbox version's own loop (one dispatch per call, the way
+// a Send (a scatter of one) alike: msg goes to slot nb for every nb, in
+// the mailbox version's own loop (one dispatch per call, the way
 // the paper's module versions are decided once per build, §3.1.1), which
 // under selection bypass also enrols each slot it fills in the next
 // frontier; without bypass no enrol buffer is carried in or out.
-func (c *Context[V, M]) scatter(nbs []graph.VertexID, shift int, msg M) {
+func (c *Context[V, M]) scatter(nbs []graph.VertexID, msg M) {
 	c.msgs += uint64(len(nbs))
 	if !c.e.cfg.SelectionBypass {
-		c.e.mb.scatter(nbs, shift, msg, nil)
+		c.e.mb.scatter(nbs, msg, nil)
 		return
 	}
-	c.enrolled = c.e.mb.scatter(nbs, shift, msg, c.enrolled)
-}
-
-// located passes a neighbour list through the addressing module like
-// any identifier-addressed message (§5). For direct, offset and desolate
-// mapping the lookup is pure arithmetic — slot = neighbour + shift,
-// which scatter folds into its loop — so the list is returned as it is;
-// the hashmap baseline pays its real lookup per neighbour, into the
-// worker's scratch list.
-func (c *Context[V, M]) located(nbs []graph.VertexID) []graph.VertexID {
-	h, hashed := c.e.addr.(*hashAddresser)
-	if !hashed {
-		return nbs
-	}
-	base := c.e.g.Base()
-	slots := c.slotBuf[:0]
-	for _, nb := range nbs {
-		slots = append(slots, graph.VertexID(h.locate(base+nb)))
-	}
-	c.slotBuf = slots
-	return slots
+	c.enrolled = c.e.mb.scatter(nbs, msg, c.enrolled)
 }
 
 // Broadcast sends msg to every out-neighbour of v (IP_broadcast). On a
@@ -172,7 +151,6 @@ func (c *Context[V, M]) located(nbs []graph.VertexID) []graph.VertexID {
 func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 	e := c.e
 	slot := int(v.slot)
-	idx := slot - e.shift
 	if e.curDir == DirectionPull {
 		// Buffer once in the vertex-owned outbox slot; each out-neighbour's
 		// collect folds it into its own inbox. Messages counts the logical
@@ -181,21 +159,21 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 		// it exactly.
 		e.pullOut[slot] = msg
 		e.pullFlag[slot] = 1
-		c.msgs += uint64(e.g.OutDegree(idx))
+		c.msgs += uint64(e.g.OutDegree(slot))
 		if e.cfg.SelectionBypass {
 			// No deposit exists yet to enrol the out-neighbours (§4 on the
 			// broadcast version): each is enrolled once, by whichever
 			// broadcaster wins the test-and-CAS on its pullEnrol flag.
-			for _, nb := range e.g.OutNeighborsWith(&c.nbuf, idx) {
-				flag := &e.pullEnrol[int(nb)+e.shift]
+			for _, nb := range e.g.OutNeighborsWith(&c.nbuf, slot) {
+				flag := &e.pullEnrol[nb]
 				if atomic.LoadUint32(flag) == 0 && atomic.CompareAndSwapUint32(flag, 0, 1) {
-					c.enrolled = append(c.enrolled, int32(nb)+int32(e.shift))
+					c.enrolled = append(c.enrolled, int32(nb))
 				}
 			}
 		}
 		return
 	}
-	c.scatter(c.located(e.g.OutNeighborsWith(&c.nbuf, idx)), e.shift, msg)
+	c.scatter(e.g.OutNeighborsWith(&c.nbuf, slot), msg)
 }
 
 // VoteToHalt marks v inactive for the next superstep (IP_vote_to_halt);

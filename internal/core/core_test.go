@@ -43,7 +43,7 @@ func TestEngineBasicFlood(t *testing.T) {
 	g := ringGraph(8, 0)
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull} {
 		t.Run(comb.String(), func(t *testing.T) {
-			e, rep, err := Run(g, Config{Combiner: comb, Addressing: AddressDirect, Threads: 3}, counterProgram(5))
+			e, rep, err := Run(g, Config{Combiner: comb, Threads: 3}, counterProgram(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,26 +75,16 @@ func TestEngineValueByID(t *testing.T) {
 			ctx.VoteToHalt(v)
 		},
 	}
-	for _, addr := range []Addressing{AddressOffset, AddressDesolate, AddressHashmap} {
-		e, _, err := Run(g, Config{Addressing: addr}, prog)
-		if err != nil {
-			t.Fatalf("%v: %v", addr, err)
-		}
-		if got := e.Value(3); got != 30 {
-			t.Fatalf("%v: Value(3) = %d, want 30", addr, got)
-		}
-		vals := e.ValuesDense()
-		if vals[0] != 10 || vals[3] != 40 {
-			t.Fatalf("%v: ValuesDense = %v", addr, vals)
-		}
+	e, _, err := Run(g, Config{}, prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestDirectMappingRequiresBaseZero(t *testing.T) {
-	g := ringGraph(4, 1)
-	_, err := New(g, Config{Addressing: AddressDirect}, counterProgram(1))
-	if err == nil || !strings.Contains(err.Error(), "direct mapping") {
-		t.Fatalf("want direct-mapping error, got %v", err)
+	if got := e.Value(3); got != 30 {
+		t.Fatalf("Value(3) = %d, want 30", got)
+	}
+	vals := e.ValuesDense()
+	if vals[0] != 10 || vals[3] != 40 {
+		t.Fatalf("ValuesDense = %v", vals)
 	}
 }
 
@@ -276,65 +266,6 @@ func TestSendToUnknownVertexPanics(t *testing.T) {
 	}
 }
 
-func TestDesolateSlots(t *testing.T) {
-	g := ringGraph(4, 1)
-	a, err := newAddresser(g, AddressDesolate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.slots() != 5 {
-		t.Fatalf("desolate slots = %d, want 5 (one wasted)", a.slots())
-	}
-	if a.shift() != 1 {
-		t.Fatalf("desolate shift = %d, want 1", a.shift())
-	}
-	if a.locate(3) != 3 {
-		t.Fatalf("desolate locate(3) = %d, want 3", a.locate(3))
-	}
-}
-
-func TestAddresserRoundTrip(t *testing.T) {
-	g := ringGraph(6, 2)
-	for _, kind := range []Addressing{AddressOffset, AddressDesolate, AddressHashmap} {
-		a, err := newAddresser(g, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < g.N(); i++ {
-			id := g.ExternalID(i)
-			slot := a.locate(id)
-			if slot < 0 || slot >= a.slots() {
-				t.Fatalf("%v: locate(%d) = %d out of range", kind, id, slot)
-			}
-			if back := a.idOf(slot); back != id {
-				t.Fatalf("%v: idOf(locate(%d)) = %d", kind, id, back)
-			}
-			if slot-a.shift() != i {
-				t.Fatalf("%v: slot %d does not map to internal %d", kind, slot, i)
-			}
-		}
-	}
-	g0 := ringGraph(6, 0)
-	a, err := newAddresser(g0, AddressDirect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.locate(5) != 5 || a.idOf(5) != 5 {
-		t.Fatal("direct mapping is not the identity")
-	}
-}
-
-func TestHashmapUnknownID(t *testing.T) {
-	g := ringGraph(4, 0)
-	a, _ := newAddresser(g, AddressHashmap)
-	if a.locate(77) != -1 {
-		t.Fatal("hashmap should return -1 for unknown identifiers")
-	}
-	if a.overheadBytes() == 0 {
-		t.Fatal("hashmap overhead should be non-zero")
-	}
-}
-
 func TestSpinLockMutualExclusion(t *testing.T) {
 	var l spinLock
 	counter := 0
@@ -378,22 +309,13 @@ func TestConfigStringsAndParsing(t *testing.T) {
 			t.Fatalf("combiner roundtrip %v: %v %v", c, got, err)
 		}
 	}
-	for _, a := range []Addressing{AddressOffset, AddressDirect, AddressDesolate, AddressHashmap} {
-		got, err := ParseAddressing(a.String())
-		if err != nil || got != a {
-			t.Fatalf("addressing roundtrip %v: %v %v", a, got, err)
-		}
-	}
 	if _, err := ParseCombiner("bogus"); err == nil {
 		t.Fatal("bogus combiner accepted")
-	}
-	if _, err := ParseAddressing("bogus"); err == nil {
-		t.Fatal("bogus addressing accepted")
 	}
 	if (Config{Combiner: CombinerSpin, SelectionBypass: true}).VersionName() != "spinlock+bypass" {
 		t.Fatal("VersionName mismatch")
 	}
-	if Combiner(42).String() == "" || Addressing(42).String() == "" {
+	if Combiner(42).String() == "" {
 		t.Fatal("unknown enum String empty")
 	}
 }

@@ -100,11 +100,11 @@ func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineF
 	for i := 0; i < b.N; i++ {
 		for _, nbs := range lists {
 			if path != "send" {
-				enrolled = mb.scatter(nbs, 0, 1, enrolled)
+				enrolled = mb.scatter(nbs, 1, enrolled)
 				continue
 			}
 			for i := range nbs {
-				mb.scatter(nbs[i:i+1], 0, 1, nil)
+				mb.scatter(nbs[i:i+1], 1, nil)
 			}
 		}
 		if cfg.SelectionBypass {

@@ -81,7 +81,7 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	var total uint64
 	if e.cfg.SelectionBypass {
 		for _, slot := range e.frontier {
-			total += uint64(e.g.OutDegree(int(slot) - e.shift))
+			total += uint64(e.g.OutDegree(int(slot)))
 		}
 		return total
 	}
@@ -94,7 +94,7 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	e.parallelFor(len(spans), func(w, k int) {
 		for slot := spans[k].lo; slot < spans[k].hi; slot++ {
 			if e.active[slot] != 0 || e.hasMail(int(slot)) {
-				sums[w] += uint64(e.g.OutDegree(int(slot) - e.shift))
+				sums[w] += uint64(e.g.OutDegree(int(slot)))
 			}
 		}
 	})
@@ -148,31 +148,31 @@ func (e *Engine[V, M]) collectPull() {
 // a register over sumOut; both folds add in in-neighbour order, so they
 // agree to the bit.
 func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
-	flag, out, shift, combine := e.pullFlag, e.pullOut, e.shift, e.prog.Combine
-	nbs := e.g.InNeighborsWith(&ctx.nbuf, slot-shift)
+	flag, out, combine := e.pullFlag, e.pullOut, e.prog.Combine
+	nbs := e.g.InNeighborsWith(&ctx.nbuf, slot)
 	i := 0
-	for i < len(nbs) && flag[int(nbs[i])+shift] == 0 {
+	for i < len(nbs) && flag[nbs[i]] == 0 {
 		i++
 	}
 	if i == len(nbs) {
 		return
 	}
-	ctx.acc = out[int(nbs[i])+shift]
+	ctx.acc = out[nbs[i]]
 	k := 1
 	if sumOut := e.sumOut; sumOut != nil {
 		acc := any(&ctx.acc).(*float64)
 		sum := *acc
 		for _, nb := range nbs[i+1:] {
-			if s := int(nb) + shift; flag[s] != 0 {
-				sum += sumOut[s]
+			if flag[nb] != 0 {
+				sum += sumOut[nb]
 				k++
 			}
 		}
 		*acc = sum
 	} else {
 		for _, nb := range nbs[i+1:] {
-			if s := int(nb) + shift; flag[s] != 0 {
-				combine(&ctx.acc, out[s])
+			if flag[nb] != 0 {
+				combine(&ctx.acc, out[nb])
 				k++
 			}
 		}

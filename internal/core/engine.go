@@ -23,15 +23,13 @@ type Program[V, M any] struct {
 }
 
 // Engine is one configured instance of the iPregel framework: a graph, a
-// program, and one concrete version of each module (selection, addressing,
-// combination) chosen by Config.
+// program, and one concrete version of the selection and combination
+// modules chosen by Config. Addressing is offset mapping (§5): a vertex's
+// slot is its internal graph index, slot = id − base.
 type Engine[V, M any] struct {
 	g       *graph.Graph
 	cfg     Config
 	prog    Program[V, M]
-	addr    addresser
-	shift   int // slot = internal index + shift (non-zero only for desolate)
-	slots   int
 	threads int
 
 	// Per-vertex state: one set of flat, slot-indexed arrays — the Go
@@ -58,9 +56,8 @@ type Engine[V, M any] struct {
 	auditSeen []uint8 // slot-indexed scratch for the frontier audit
 
 	// Work lists (schedule.go): scanSpans is the full-scan split of the
-	// slots that hold a vertex, [shift, slots) — the desolate dead zone
-	// below shift holds none (§5); frontierSpanBuf the reusable buffer for
-	// the per-superstep frontier split.
+	// slots; frontierSpanBuf the reusable buffer for the per-superstep
+	// frontier split.
 	scanSpans       []span
 	frontierSpanBuf []span
 
@@ -120,8 +117,8 @@ var ErrBypassViolation = errors.New("core: selection bypass requires every verte
 var ErrMaxSupersteps = errors.New("core: superstep limit exceeded")
 
 // New builds an engine. It validates that the chosen module versions are
-// compatible with the graph: the pull combiner needs in-edges, direct
-// mapping needs base-0 identifiers.
+// compatible with the graph: the pull combiner needs in-edges, selection
+// bypass the out-adjacency.
 func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M], error) {
 	if prog.Compute == nil {
 		return nil, errors.New("core: Program.Compute is required")
@@ -160,40 +157,35 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.DirectionThreshold != 0 && cfg.Direction != DirectionAdaptive {
 		return nil, fmt.Errorf("core: Config.DirectionThreshold tunes the per-superstep switch of Direction adaptive and has no effect on a %s run; set Direction adaptive or leave the threshold 0", cfg.Direction)
 	}
-	addr, err := newAddresser(g, cfg.Addressing)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine[V, M]{
 		g:       g,
 		cfg:     cfg,
 		prog:    prog,
-		addr:    addr,
-		shift:   addr.shift(),
-		slots:   addr.slots(),
 		threads: cfg.ResolvedThreads(),
 	}
-	if e.mb, err = newMailbox[M](cfg, e.slots, prog.Combine); err != nil {
+	n := g.N()
+	var err error
+	if e.mb, err = newMailbox[M](cfg, n, prog.Combine); err != nil {
 		return nil, err
 	}
 	if e.buf = e.mb.buffers(); e.buf == nil {
 		e.cas = e.mb.(*atomicMailbox[M])
 	}
-	e.values = make([]V, e.slots)
-	e.active = make([]uint8, e.slots)
-	e.scanSpans = cutSpans(nil, e.shift, g.N(), e.threads)
+	e.values = make([]V, n)
+	e.active = make([]uint8, n)
+	e.scanSpans = cutSpans(nil, n, e.threads)
 	e.workers = make([]*Context[V, M], e.threads)
 	for i := range e.workers {
 		e.workers[i] = &Context[V, M]{e: e, worker: i}
 	}
 	if cfg.Direction != DirectionPush {
-		e.pullOut = make([]M, e.slots)
-		e.pullFlag = make([]uint8, e.slots)
+		e.pullOut = make([]M, n)
+		e.pullFlag = make([]uint8, n)
 		if sameFunc(prog.Combine, Sum) {
 			e.sumOut, _ = any(e.pullOut).([]float64)
 		}
 		if cfg.SelectionBypass {
-			e.pullEnrol = make([]uint32, e.slots)
+			e.pullEnrol = make([]uint32, n)
 		}
 		if cfg.Direction == DirectionAdaptive {
 			thr := cfg.DirectionThreshold
@@ -442,13 +434,13 @@ func (e *Engine[V, M]) dispatch(t int, perWorker func(w int)) {
 // Value returns the final user value of the vertex with external
 // identifier id. Valid after Run.
 func (e *Engine[V, M]) Value(id graph.VertexID) V {
-	return e.values[e.addr.locate(id)]
+	return e.values[id-e.g.Base()]
 }
 
 // ValuesDense copies the vertex values out in internal-index order
 // (index i holds the value of external identifier Base()+i).
 func (e *Engine[V, M]) ValuesDense() []V {
-	return append([]V(nil), e.values[e.shift:]...)
+	return append([]V(nil), e.values...)
 }
 
 // Graph returns the engine's graph.
@@ -459,7 +451,7 @@ func (e *Engine[V, M]) Config() Config { return e.cfg }
 
 // FootprintBytes reports the engine's own heap bytes — vertex values,
 // activity flags, the mailbox arrays of the selected combiner version,
-// the pull outboxes, the addressing structure and the bypass state. The
+// the pull outboxes and the bypass state. The
 // span lists (at most 16 per thread, 8 B each) are not per-vertex state
 // and are not counted.
 // The graph's CSR arrays are excluded, matching the paper's separation
@@ -468,7 +460,7 @@ func (e *Engine[V, M]) Config() Config { return e.cfg }
 func (e *Engine[V, M]) FootprintBytes() uint64 {
 	var v V
 	var m M
-	b := e.addr.overheadBytes() + e.mb.footprintBytes()
+	b := e.mb.footprintBytes()
 	b += uint64(len(e.values))*uint64(unsafe.Sizeof(v)) + uint64(len(e.active))
 	b += uint64(cap(e.frontier)+cap(e.frontierNext)) * 4
 	b += uint64(len(e.pullOut))*uint64(unsafe.Sizeof(m)) + uint64(len(e.pullFlag)) + uint64(len(e.pullEnrol))*4

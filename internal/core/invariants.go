@@ -84,7 +84,7 @@ func (e *Engine[V, M]) auditConservation() error {
 // seen is reused scratch: a map would allocate every superstep.
 func (e *Engine[V, M]) auditFrontierDedup() error {
 	if e.auditSeen == nil {
-		e.auditSeen = make([]uint8, e.slots)
+		e.auditSeen = make([]uint8, e.g.N())
 	}
 	seen := e.auditSeen
 	clear(seen)
@@ -93,21 +93,21 @@ func (e *Engine[V, M]) auditFrontierDedup() error {
 	}
 	for _, slot := range e.frontierNext {
 		if seen[slot] != 0 {
-			return fail("vertex %d enrolled twice in the next frontier", e.addr.idOf(int(slot)))
+			return fail("vertex %d enrolled twice in the next frontier", e.g.ExternalID(int(slot)))
 		}
 		seen[slot] = 1
 		if !e.nextOccupied(int(slot)) {
-			return fail("vertex %d is in the next frontier but its next inbox is empty", e.addr.idOf(int(slot)))
+			return fail("vertex %d is in the next frontier but its next inbox is empty", e.g.ExternalID(int(slot)))
 		}
 	}
 	for slot := range seen {
 		if seen[slot] == 0 && e.nextOccupied(slot) {
-			return fail("vertex %d has a message for the next superstep but is missing from the next frontier", e.addr.idOf(slot))
+			return fail("vertex %d has a message for the next superstep but is missing from the next frontier", e.g.ExternalID(slot))
 		}
 	}
 	for slot := range e.pullEnrol {
 		if atomic.LoadUint32(&e.pullEnrol[slot]) != 0 {
-			return fail("pull dedup flag of vertex %d leaked past the collect", e.addr.idOf(slot))
+			return fail("pull dedup flag of vertex %d leaked past the collect", e.g.ExternalID(slot))
 		}
 	}
 	return nil

@@ -41,7 +41,7 @@ func TestInvariantConservationDetectsLostDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A rogue deposit the per-worker counters never saw.
-	e.mb.scatter([]graph.VertexID{3}, 0, 99, nil)
+	e.mb.scatter([]graph.VertexID{3}, 99, nil)
 	_, err = e.Run()
 	var inv *InvariantError
 	if !errors.As(err, &inv) {
@@ -70,8 +70,8 @@ func TestInvariantFrontierDedupDetectsCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.workers[0].scatter([]graph.VertexID{3, 4, 3}, 0, 7)
-	e.workers[1].scatter([]graph.VertexID{4, 9}, 0, 7)
+	e.workers[0].scatter([]graph.VertexID{3, 4, 3}, 7)
+	e.workers[1].scatter([]graph.VertexID{4, 9}, 7)
 	e.gatherFrontier()
 	staged := append([]int32(nil), e.frontierNext...)
 	if fmt.Sprint(staged) != "[3 4 9]" {

@@ -55,8 +55,8 @@ func sameFunc[M, T any](combine CombineFunc[M], f func(*T, T)) bool {
 // "now" buffer (messages sent during s-1) while new messages land in the
 // "next" buffer, swapped at the barrier.
 type mailbox[M any] interface {
-	// scatter puts msg into the next-superstep inbox of slot nb+shift for
-	// every nb, combining where a message is already present: one
+	// scatter puts msg into the next-superstep inbox of slot nb for every
+	// nb, combining where a message is already present: one
 	// broadcast's fan-out under a single dispatch (Context.scatter). Safe
 	// for concurrent senders on the mutex, spinlock and atomic versions;
 	// on the plain version only while each slot has a single depositor.
@@ -64,7 +64,7 @@ type mailbox[M any] interface {
 	// a push superstep starts on an empty next inbox, so that first fill
 	// (one depositor sees it) is the slot's one enrolment (§4). Without
 	// bypass nothing is enrolled; the caller passes nil and gets nil.
-	scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32
+	scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32
 	// buffers returns the flag-and-message arrays of the plain and
 	// lock-based versions, nil on the atomic one: the engine reads mail
 	// and makes owner-only deposits through them without a dynamic call.
@@ -243,7 +243,7 @@ func newMutexMailbox[M any](slots int, combine CombineFunc[M], cfg Config) *mute
 // scatter deposits under each slot's lock. Only Combine can panic in the
 // loop, and it does so holding dst's lock: the deferred release keeps
 // later senders from stranding on it, then re-raises.
-func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
+func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32 {
 	dst := 0
 	defer func() {
 		if r := recover(); r != nil {
@@ -252,7 +252,7 @@ func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrol
 		}
 	}()
 	for _, nb := range nbs {
-		dst = int(nb) + shift
+		dst = int(nb)
 		mb.locks[dst].Lock()
 		filled := mb.deposit(dst, msg)
 		mb.locks[dst].Unlock()
@@ -283,7 +283,7 @@ func newSpinMailbox[M any](slots int, combine CombineFunc[M], cfg Config) *spinM
 }
 
 // scatter is the mutex version's loop, panic release included.
-func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
+func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32 {
 	dst := 0
 	defer func() {
 		if r := recover(); r != nil {
@@ -292,7 +292,7 @@ func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enroll
 		}
 	}()
 	for _, nb := range nbs {
-		dst = int(nb) + shift
+		dst = int(nb)
 		mb.locks[dst].lock()
 		filled := mb.deposit(dst, msg)
 		mb.locks[dst].unlock()
@@ -325,11 +325,11 @@ type plainMailbox[M any] struct {
 // chosen once per call too. Without bypass it is the bare flag test and
 // combine: one loop carrying the enrol buffer as well costs every combine
 // a few reloads, ~9 % of a PageRank run that never enrols.
-func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
+func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32 {
 	next, hasNext, n, fills := mb.next, mb.hasNext, len(enrolled), 0
 	if !mb.enrol {
-		for _, nb := range nbs {
-			if dst := int(nb) + shift; hasNext[dst] != 0 {
+		for _, dst := range nbs {
+			if hasNext[dst] != 0 {
 				mb.combine(&next[dst], msg)
 			} else {
 				next[dst], hasNext[dst] = msg, 1
@@ -339,8 +339,8 @@ func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrol
 		mb.count(len(nbs)-fills, fills)
 		return nil
 	}
-	for _, nb := range nbs {
-		if dst := int(nb) + shift; hasNext[dst] != 0 {
+	for _, dst := range nbs {
+		if hasNext[dst] != 0 {
 			mb.combine(&next[dst], msg)
 		} else {
 			next[dst], hasNext[dst] = msg, 1
@@ -358,10 +358,10 @@ func (mb *plainMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
 // PageRank's push delivery, which §4 keeps out of bypass.
 type sumInbox struct{ plainMailbox[float64] }
 
-func (mb *sumInbox) scatter(nbs []graph.VertexID, shift int, msg float64, _ []int32) []int32 {
+func (mb *sumInbox) scatter(nbs []graph.VertexID, msg float64, _ []int32) []int32 {
 	next, hasNext, fills := mb.next, mb.hasNext, 0
-	for _, nb := range nbs {
-		if dst := int(nb) + shift; hasNext[dst] != 0 {
+	for _, dst := range nbs {
+		if hasNext[dst] != 0 {
 			next[dst] += msg
 		} else {
 			next[dst], hasNext[dst] = msg, 1
@@ -376,10 +376,10 @@ func (mb *sumInbox) scatter(nbs []graph.VertexID, shift int, msg float64, _ []in
 // Hashmin's, SSSP's and BFS's push delivery.
 type minInbox struct{ plainMailbox[uint32] }
 
-func (mb *minInbox) scatter(nbs []graph.VertexID, shift int, msg uint32, enrolled []int32) []int32 {
+func (mb *minInbox) scatter(nbs []graph.VertexID, msg uint32, enrolled []int32) []int32 {
 	next, hasNext, n := mb.next, mb.hasNext, len(enrolled)
-	for _, nb := range nbs {
-		if dst := int(nb) + shift; hasNext[dst] == 0 {
+	for _, dst := range nbs {
+		if hasNext[dst] == 0 {
 			next[dst], hasNext[dst] = msg, 1
 			enrolled = append(enrolled, int32(dst))
 		} else if msg < next[dst] {

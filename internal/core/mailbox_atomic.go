@@ -150,9 +150,9 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) (filled bool) {
 	}
 }
 
-func (mb *atomicMailbox[M]) scatter(nbs []graph.VertexID, shift int, msg M, enrolled []int32) []int32 {
+func (mb *atomicMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32 {
 	for _, nb := range nbs {
-		if dst := int(nb) + shift; mb.deliver(dst, msg) && mb.enrol {
+		if dst := int(nb); mb.deliver(dst, msg) && mb.enrol {
 			enrolled = append(enrolled, int32(dst))
 		}
 	}

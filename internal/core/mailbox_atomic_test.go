@@ -21,7 +21,7 @@ func hammerMailbox[M any](t *testing.T, mb mailbox[M], workers, perWorker, hot i
 			defer wg.Done()
 			for k := 0; k < perWorker; k++ {
 				slot, msg := msgAt(w, k)
-				mb.scatter([]graph.VertexID{graph.VertexID(slot)}, 0, msg, nil)
+				mb.scatter([]graph.VertexID{graph.VertexID(slot)}, msg, nil)
 			}
 		}(w)
 	}

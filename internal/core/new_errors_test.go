@@ -91,20 +91,6 @@ func TestNewConstructionErrors(t *testing.T) {
 			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
 			want: "unknown combiner",
 		},
-		{
-			name: "unknown addressing",
-			g:    ringGraph(4, 0),
-			cfg:  Config{Addressing: Addressing(97)},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "unknown addressing",
-		},
-		{
-			name: "direct addressing with non-zero base",
-			g:    ringGraph(4, 1),
-			cfg:  Config{Addressing: AddressDirect},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "direct mapping requires identifiers starting at 0",
-		},
 	}
 
 	seen := map[string]string{}

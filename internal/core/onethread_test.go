@@ -77,32 +77,30 @@ func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[
 // whatever the combiner (newMailbox), so every configuration must compute
 // on it what it computes on the configured lock-based or atomic inbox at
 // two threads — through a Broadcast's scatter and a Send's scatter of
-// one, every addressing mode and every direction. Integers are bit-exact; float sums agree to
+// one, in every direction. Integers are bit-exact; float sums agree to
 // the 1e-9 of DESIGN.md §5.1 when a push superstep was involved and bit
 // for bit when every superstep pulled.
 func TestOneThreadInboxParity(t *testing.T) {
-	g := fanoutGraph(240, 5) // identifiers from 1: desolate mapping has a dead slot
+	g := fanoutGraph(240, 5) // identifiers from 1: every Send goes through id − base
 	sameInt := func(a, b uint32) bool { return a == b }
 	sameFloat := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
 	bitExact := func(a, b float64) bool { return a == b }
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
-			for _, addr := range []Addressing{AddressOffset, AddressDesolate, AddressHashmap} {
-				cfg := Config{Combiner: comb, Direction: dir, Addressing: addr}
-				for _, bypass := range []bool{false, true} {
-					cfg.SelectionBypass = bypass
-					oneVsThreads(t, g, cfg, ssspProg(1), sameInt, 2)
-					oneVsThreads(t, g, cfg, minLabelProg(), sameInt, 2)
-					if dir == DirectionPush {
-						oneVsThreads(t, g, cfg, sendSSSPProg(1), sameInt, 2)
-					}
+			cfg := Config{Combiner: comb, Direction: dir}
+			for _, bypass := range []bool{false, true} {
+				cfg.SelectionBypass = bypass
+				oneVsThreads(t, g, cfg, ssspProg(1), sameInt, 2)
+				oneVsThreads(t, g, cfg, minLabelProg(), sameInt, 2)
+				if dir == DirectionPush {
+					oneVsThreads(t, g, cfg, sendSSSPProg(1), sameInt, 2)
 				}
-				cfg.SelectionBypass = false // rankProg never halts before its last round
-				if dir == DirectionPull {
-					oneVsThreads(t, g, cfg, rankProg(5), bitExact, 2)
-				} else {
-					oneVsThreads(t, g, cfg, rankProg(5), sameFloat, 2)
-				}
+			}
+			cfg.SelectionBypass = false // rankProg never halts before its last round
+			if dir == DirectionPull {
+				oneVsThreads(t, g, cfg, rankProg(5), bitExact, 2)
+			} else {
+				oneVsThreads(t, g, cfg, rankProg(5), sameFloat, 2)
 			}
 		}
 	}
@@ -136,26 +134,25 @@ func TestOneThreadFloatPushBitExact(t *testing.T) {
 	}
 }
 
-// TestSendUnknownVertexEveryAddressing: Send is a scatter of one behind a
-// bounds check that reports the same message on every addressing mode,
-// the desolate dead zone included.
+// TestSendUnknownVertexEveryAddressing: Send is a scatter of one behind
+// offset mapping's single unsigned bounds check, which must catch an id on
+// either side of [base, base+N): below base, where id − base wraps, and
+// one past the last vertex.
 func TestSendUnknownVertexEveryAddressing(t *testing.T) {
 	g := ringGraph(4, 1)
-	for _, addr := range []Addressing{AddressOffset, AddressDesolate, AddressHashmap} {
-		for _, dst := range []graph.VertexID{0, 99} {
-			prog := Program[uint32, uint32]{
-				Combine: func(old *uint32, new uint32) { *old += new },
-				Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
-					ctx.Send(dst, 1)
-					ctx.VoteToHalt(v)
-				},
-			}
-			for _, threads := range []int{1, 2} {
-				_, _, err := Run(g, Config{Addressing: addr, Threads: threads}, prog)
-				want := fmt.Sprintf("core: message sent to unknown vertex %d", dst)
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Fatalf("%s threads=%d Send(%d): got %v, want %q", addr, threads, dst, err, want)
-				}
+	for _, dst := range []graph.VertexID{0, 5} {
+		prog := Program[uint32, uint32]{
+			Combine: func(old *uint32, new uint32) { *old += new },
+			Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+				ctx.Send(dst, 1)
+				ctx.VoteToHalt(v)
+			},
+		}
+		for _, threads := range []int{1, 2} {
+			_, _, err := Run(g, Config{Threads: threads}, prog)
+			want := fmt.Sprintf("core: message sent to unknown vertex %d", dst)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("threads=%d Send(%d): got %v, want %q", threads, dst, err, want)
 			}
 		}
 	}
@@ -250,7 +247,6 @@ func TestSuperstepAllocatesConstant(t *testing.T) {
 		{Combiner: CombinerSpin, Threads: 1},
 		{Combiner: CombinerMutex, Threads: 2},
 		{Combiner: CombinerSpin, Threads: 1, Direction: DirectionPull},
-		{Combiner: CombinerSpin, Threads: 1, Addressing: AddressHashmap},
 	} {
 		check(cfg, "rank", func() error { _, _, err := Run(g, cfg, rankProg(rounds)); return err })
 		if cfg.Direction == DirectionPush {

@@ -35,12 +35,12 @@ func spanParts(n, t int) int {
 	return min(t*spansPerThread, max(t, n/minSpan))
 }
 
-// cutSpans appends the n items starting at lo, cut by the span rule for t
-// workers into equal, contiguous, non-empty ranges.
-func cutSpans(spans []span, lo, n, t int) []span {
+// cutSpans appends the items [0, n), cut by the span rule for t workers
+// into equal, contiguous, non-empty ranges.
+func cutSpans(spans []span, n, t int) []span {
 	parts := min(spanParts(n, t), n)
 	for c := 0; c < parts; c++ {
-		spans = append(spans, span{int32(lo + c*n/parts), int32(lo + (c+1)*n/parts)})
+		spans = append(spans, span{int32(c * n / parts), int32((c + 1) * n / parts)})
 	}
 	return spans
 }
@@ -52,7 +52,7 @@ func (e *Engine[V, M]) frontierSpans(next bool) []span {
 	if next {
 		n = len(e.frontierNext)
 	}
-	e.frontierSpanBuf = cutSpans(e.frontierSpanBuf[:0], 0, n, e.threads)
+	e.frontierSpanBuf = cutSpans(e.frontierSpanBuf[:0], n, e.threads)
 	return e.frontierSpanBuf
 }
 

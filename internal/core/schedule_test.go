@@ -8,11 +8,10 @@ import (
 
 // TestSpanRule pins the engine's one cut decision (spanParts/cutSpans)
 // for item counts from 0 to 10⁶ at 1, 2, 4 and 8 workers: the spans tile
-// [lo, lo+n) exactly once, in order and with none empty, and their sizes
+// [0, n) exactly once, in order and with none empty, and their sizes
 // differ by at most one item. One worker gets one span; below t·minSpan
 // items t workers get t spans (one per item when there are fewer); above
-// it no worker gets more than spansPerThread. lo = 3 is a desolate
-// engine's shift, which every span must start at or above.
+// it no worker gets more than spansPerThread.
 func TestSpanRule(t *testing.T) {
 	var ns []int
 	for n := 0; n <= 1_000_000; n += 1 + n/64 {
@@ -25,43 +24,41 @@ func TestSpanRule(t *testing.T) {
 		}
 	}
 	for _, th := range []int{1, 2, 4, 8} {
-		for _, lo := range []int{0, 3} {
-			for _, n := range ns {
-				spans := cutSpans(nil, lo, n, th)
-				want := spanParts(n, th)
-				switch {
-				case th == 1 && want != 1:
-					t.Fatalf("t=1 n=%d: %d parts, want one", n, want)
-				case th > 1 && n < th*minSpan && want != th:
-					t.Fatalf("t=%d n=%d: %d parts, want t below t·minSpan", th, n, want)
-				case want < 1 || want > th*spansPerThread:
-					t.Fatalf("t=%d n=%d: %d parts, outside [1, t·%d]", th, n, want, spansPerThread)
-				case th > 1 && n >= th*spansPerThread*minSpan && want != th*spansPerThread:
-					t.Fatalf("t=%d n=%d: %d parts, want t·%d", th, n, want, spansPerThread)
-				case len(spans) != min(want, n):
-					t.Fatalf("t=%d n=%d: %d spans for %d parts", th, n, len(spans), want)
+		for _, n := range ns {
+			spans := cutSpans(nil, n, th)
+			want := spanParts(n, th)
+			switch {
+			case th == 1 && want != 1:
+				t.Fatalf("t=1 n=%d: %d parts, want one", n, want)
+			case th > 1 && n < th*minSpan && want != th:
+				t.Fatalf("t=%d n=%d: %d parts, want t below t·minSpan", th, n, want)
+			case want < 1 || want > th*spansPerThread:
+				t.Fatalf("t=%d n=%d: %d parts, outside [1, t·%d]", th, n, want, spansPerThread)
+			case th > 1 && n >= th*spansPerThread*minSpan && want != th*spansPerThread:
+				t.Fatalf("t=%d n=%d: %d parts, want t·%d", th, n, want, spansPerThread)
+			case len(spans) != min(want, n):
+				t.Fatalf("t=%d n=%d: %d spans for %d parts", th, n, len(spans), want)
+			}
+			next := 0
+			for _, sp := range spans {
+				size := int(sp.hi - sp.lo)
+				if int(sp.lo) != next || size <= 0 || size < n/len(spans) || size > n/len(spans)+1 {
+					t.Fatalf("t=%d n=%d: span %v after %d is not the next equal share of %d spans", th, n, sp, next, len(spans))
 				}
-				next := lo
-				for _, sp := range spans {
-					size := int(sp.hi - sp.lo)
-					if int(sp.lo) != next || size <= 0 || size < n/len(spans) || size > n/len(spans)+1 {
-						t.Fatalf("t=%d lo=%d n=%d: span %v after %d is not the next equal share of %d spans", th, lo, n, sp, next, len(spans))
-					}
-					next = int(sp.hi)
-				}
-				if next != lo+n {
-					t.Fatalf("t=%d lo=%d n=%d: spans end at %d, want %d", th, lo, n, next, lo+n)
-				}
+				next = int(sp.hi)
+			}
+			if next != n {
+				t.Fatalf("t=%d n=%d: spans end at %d, want %d", th, n, next, n)
 			}
 		}
 	}
 }
 
 // TestThreadsParityManySpans runs the span rule where it over-decomposes:
-// a power-law graph of 16·4·minSpan vertices (identifiers from 1, so the
-// desolate shift is 1) gives the full scan t·spansPerThread spans at two
-// and at four workers, and its bypass frontiers grow past (t+1)·minSpan,
-// so a collect cuts more spans than there are workers.
+// a power-law graph of 16·4·minSpan vertices (identifiers from 1) gives
+// the full scan t·spansPerThread spans at two and at four workers, and
+// its bypass frontiers grow past (t+1)·minSpan, so a collect cuts more
+// spans than there are workers.
 // Every direction and selection mode must compute what one thread does,
 // with the barrier audits on.
 func TestThreadsParityManySpans(t *testing.T) {
@@ -70,7 +67,7 @@ func TestThreadsParityManySpans(t *testing.T) {
 	sameInt := func(a, b uint32) bool { return a == b }
 	for _, dir := range []Direction{DirectionPush, DirectionPull} {
 		for _, bypass := range []bool{false, true} {
-			cfg := Config{Combiner: CombinerSpin, Direction: dir, SelectionBypass: bypass, Addressing: AddressDesolate}
+			cfg := Config{Combiner: CombinerSpin, Direction: dir, SelectionBypass: bypass}
 			t.Run(cfg.VersionName(), func(t *testing.T) {
 				for _, threads := range []int{2, 4} {
 					cfg.Threads = threads

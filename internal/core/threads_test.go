@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,10 +10,9 @@ import (
 )
 
 // TestThreadsParityTable is the multi-thread parity gate: every
-// combination of inbox version, selection mode, arithmetic addressing
-// and direction must compute at two and at four threads what it computes
-// on one — where the engine builds the plain inbox and every phase runs
-// inline — with the barrier audits (mailbox state, message conservation,
+// combination of inbox version, selection mode and direction must
+// compute at two and at four threads what it computes on one — where the
+// engine builds the plain inbox and every phase runs inline — with the barrier audits (mailbox state, message conservation,
 // the enrolment rule, the bypass implication) on throughout, and with the
 // same next frontier superstep by superstep (oneVsThreads): under bypass
 // a push superstep enrols whichever depositor fills a slot and a pull
@@ -22,8 +20,8 @@ import (
 // thread-independent set of recipients. Min-combining
 // integer programs are bit-exact; the float program follows DESIGN.md
 // §5.1: bit-exact when every superstep pulled, 1e-9 when any pushed.
-// The fan-out graph's identifiers start at 1, so desolate addressing
-// carries a dead slot through every span cut and frontier.
+// The fan-out graph's identifiers start at 1, so offset mapping's
+// id − base runs in every cell, which is named after it.
 func TestThreadsParityTable(t *testing.T) {
 	g := fanoutGraph(1200, 6)
 	sameInt := func(a, b uint32) bool { return a == b }
@@ -31,66 +29,25 @@ func TestThreadsParityTable(t *testing.T) {
 	bitExact := func(a, b float64) bool { return a == b }
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		for _, bypass := range []bool{false, true} {
-			for _, addr := range []Addressing{AddressOffset, AddressDesolate} {
-				for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
-					cfg := Config{Combiner: comb, SelectionBypass: bypass, Addressing: addr, Direction: dir}
-					t.Run(fmt.Sprintf("%s/%s", cfg.VersionName(), addr), func(t *testing.T) {
-						for _, threads := range []int{2, 4} {
-							rep := oneVsThreads(t, g, cfg, ssspProg(1), sameInt, threads)
-							oneVsThreads(t, g, cfg, minLabelProg(), sameInt, threads)
-							if bypass {
-								if len(rep.Steps) < 3 || rep.Steps[1].NextFrontier == 0 {
-									t.Fatalf("bypass run enrolled nothing after superstep 0, so its frontier parity proves nothing: %+v", rep.Steps)
-								}
-								continue // rankProg never halts before its last round
+			for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
+				cfg := Config{Combiner: comb, SelectionBypass: bypass, Direction: dir}
+				t.Run(cfg.VersionName()+"/offset", func(t *testing.T) {
+					for _, threads := range []int{2, 4} {
+						rep := oneVsThreads(t, g, cfg, ssspProg(1), sameInt, threads)
+						oneVsThreads(t, g, cfg, minLabelProg(), sameInt, threads)
+						if bypass {
+							if len(rep.Steps) < 3 || rep.Steps[1].NextFrontier == 0 {
+								t.Fatalf("bypass run enrolled nothing after superstep 0, so its frontier parity proves nothing: %+v", rep.Steps)
 							}
-							if dir == DirectionPull {
-								oneVsThreads(t, g, cfg, rankProg(5), bitExact, threads)
-							} else {
-								oneVsThreads(t, g, cfg, rankProg(5), sameFloat, threads)
-							}
+							continue // rankProg never halts before its last round
 						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestDesolateDeadZoneNeverRuns covers the desolate-addressing shift
-// against everything that walks slots: with base-3 identifiers slots 0-2
-// hold no vertex, so no span, frontier or collect may touch them, under
-// either direction, with and without bypass, at two and four threads — and
-// the values must be those of offset addressing, which has no dead zone.
-func TestDesolateDeadZoneNeverRuns(t *testing.T) {
-	g := ringGraph(40, 3)
-	for _, dir := range []Direction{DirectionPush, DirectionPull} {
-		for _, bypass := range []bool{false, true} {
-			for _, threads := range []int{2, 4} {
-				cfg := Config{Combiner: CombinerSpin, Direction: dir, SelectionBypass: bypass, Threads: threads, CheckInvariants: true}
-				ref, _, err := Run(g, cfg, ssspProg(3))
-				if err != nil {
-					t.Fatalf("%s threads=%d offset: %v", cfg.VersionName(), threads, err)
-				}
-				cfg.Addressing = AddressDesolate
-				e, _, err := Run(g, cfg, ssspProg(3))
-				if err != nil {
-					t.Fatalf("%s threads=%d desolate: %v", cfg.VersionName(), threads, err)
-				}
-				if e.shift != 3 || e.slots != g.N()+3 {
-					t.Fatalf("desolate engine has shift %d over %d slots, want 3 over %d", e.shift, e.slots, g.N()+3)
-				}
-				for slot := 0; slot < e.shift; slot++ {
-					if e.active[slot] != 0 || e.values[slot] != 0 || e.hasMail(slot) {
-						t.Fatalf("%s threads=%d: dead slot %d was touched", cfg.VersionName(), threads, slot)
+						if dir == DirectionPull {
+							oneVsThreads(t, g, cfg, rankProg(5), bitExact, threads)
+						} else {
+							oneVsThreads(t, g, cfg, rankProg(5), sameFloat, threads)
+						}
 					}
-				}
-				want, got := ref.ValuesDense(), e.ValuesDense()
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s threads=%d: value[%d] = %d under desolate addressing, %d under offset", cfg.VersionName(), threads, i, got[i], want[i])
-					}
-				}
+				})
 			}
 		}
 	}

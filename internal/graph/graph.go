@@ -5,9 +5,9 @@
 // A Graph stores vertices under dense internal indices 0..N()-1. The
 // external identifiers found in input files may start at an arbitrary base
 // (the paper's Wikipedia and USA-road graphs start at 1); the base is
-// recorded so the addressing schemes of package core (direct, offset and
-// desolate-memory mapping, see paper §5) can translate between external
-// identifiers and internal slots.
+// recorded so package core's offset mapping (paper §5) can translate
+// between external identifiers and its slots, which are the internal
+// indices: slot = id − base.
 //
 // Out-adjacency is always present. In-adjacency is optional: it is required
 // only by the pull-based combiner and is a significant memory cost, which is

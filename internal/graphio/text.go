@@ -118,8 +118,8 @@ func readKONECT(r io.Reader, opts Options) (*graph.Graph, error) {
 // network: "c" comment lines, one "p sp <n> <m>" problem line, and
 // "a <src> <dst> <weight>" arc lines. Edge weights are ignored (the paper's
 // SSSP assumes unit weights, §4 footnote 1). Vertex identifiers are
-// 1-based, exactly the case that motivates the paper's offset and
-// desolate-memory mappings (§5).
+// 1-based, exactly the case that motivates the paper's offset mapping
+// (§5).
 func readDIMACS(r io.Reader, opts Options) (*graph.Graph, error) {
 	var b graph.Builder
 	var wb graph.WeightedBuilder

@@ -120,9 +120,8 @@ func BytesPerVertex(bytes uint64, v int) float64 {
 // IPregelParams describes an engine instantiation for the analytic model.
 type IPregelParams struct {
 	Config core.Config
-	// V, E are the graph dimensions; Base is the smallest identifier
-	// (desolate mapping wastes Base slots).
-	V, E, Base uint64
+	// V, E are the graph dimensions.
+	V, E uint64
 	// ValueBytes and MessageBytes are the user value and message sizes.
 	ValueBytes, MessageBytes uint64
 	// InAdjacency / OutAdjacency say which CSR directions are resident
@@ -136,10 +135,7 @@ type IPregelParams struct {
 // selection-bypass frontier arrays are counted at their worst case (every
 // vertex enrolled).
 func IPregelBytes(p IPregelParams) uint64 {
-	slots := p.V
-	if p.Config.Addressing == core.AddressDesolate {
-		slots += p.Base
-	}
+	slots := p.V                  // one per vertex: offset mapping (§5)
 	total := slots * p.ValueBytes // values
 	total += slots                // active flags
 
@@ -165,9 +161,6 @@ func IPregelBytes(p IPregelParams) uint64 {
 	pulls := p.Config.Combiner == core.CombinerPull || p.Config.Direction != core.DirectionPush
 	if pulls {
 		total += slots*p.MessageBytes + slots
-	}
-	if p.Config.Addressing == core.AddressHashmap {
-		total += p.V * (4 + 4 + 10 + 4) // map entries + ids slice (see core)
 	}
 	if p.Config.SelectionBypass {
 		if pulls {

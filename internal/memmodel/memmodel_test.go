@@ -42,8 +42,6 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 		{Combiner: core.CombinerSpin},
 		{Combiner: core.CombinerPull},
 		{Combiner: core.CombinerPull, SelectionBypass: true},
-		{Combiner: core.CombinerSpin, Addressing: core.AddressDesolate},
-		{Combiner: core.CombinerSpin, Addressing: core.AddressHashmap},
 		// One worker takes no lock, so it allocates none (the plain
 		// inbox); two pay for the configured protection.
 		{Combiner: core.CombinerMutex, Threads: 1},
@@ -70,7 +68,7 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		got := IPregelBytes(IPregelParams{
-			Config: cfg, V: 500, E: 3000, Base: 1,
+			Config: cfg, V: 500, E: 3000,
 			ValueBytes: 4, MessageBytes: 4,
 			InAdjacency: true, OutAdjacency: true,
 		})
@@ -79,13 +77,13 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 			want += 2 * 500 * 4
 		}
 		if got != want {
-			t.Fatalf("%s/%s/threads=%d: model %d != engine+graph %d", cfg.VersionName(), cfg.Addressing, cfg.Threads, got, want)
+			t.Fatalf("%s/threads=%d: model %d != engine+graph %d", cfg.VersionName(), cfg.Threads, got, want)
 		}
 	}
 }
 
 func TestIPregelModelVersionOrdering(t *testing.T) {
-	base := IPregelParams{V: 1 << 20, E: 1 << 23, Base: 1, ValueBytes: 8, MessageBytes: 8, OutAdjacency: true}
+	base := IPregelParams{V: 1 << 20, E: 1 << 23, ValueBytes: 8, MessageBytes: 8, OutAdjacency: true}
 	mutex, spin, pull := base, base, base
 	// Threads: 2 — a one-thread engine allocates no lock to compare.
 	mutex.Config = core.Config{Combiner: core.CombinerMutex, Threads: 2}
@@ -113,7 +111,6 @@ func TestFullScaleProjectionsMatchPaper(t *testing.T) {
 		Config:       core.Config{Combiner: core.CombinerPull},
 		V:            gen.TwitterV,
 		E:            gen.TwitterE,
-		Base:         1,
 		ValueBytes:   8,
 		MessageBytes: 8,
 		InAdjacency:  true,
@@ -149,7 +146,6 @@ func TestFriendsterFitsSixteenGB(t *testing.T) {
 		Config:       core.Config{Combiner: core.CombinerPull},
 		V:            gen.FriendsterV,
 		E:            gen.FriendsterE,
-		Base:         1,
 		ValueBytes:   8,
 		MessageBytes: 8,
 		InAdjacency:  true,
