@@ -133,7 +133,7 @@ func BenchmarkFig8Reference(b *testing.B) {
 	wiki, usa := benchGraphs()
 	b.Run("PageRank/wiki/broadcast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := algorithms.PageRank(wiki, core.Config{Combiner: core.CombinerPull}, benchPRRounds); err != nil {
+			if _, _, err := algorithms.PageRank(wiki, core.Config{Direction: core.DirectionPull}, benchPRRounds); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -170,7 +170,7 @@ func BenchmarkFig9MemoryFootprint(b *testing.B) {
 			var peakSum float64
 			for i := 0; i < b.N; i++ {
 				peak, _ := memmodel.MeasurePeakHeap(func() {
-					if _, _, err := algorithms.PageRank(inOnly, core.Config{Combiner: core.CombinerPull}, 3); err != nil {
+					if _, _, err := algorithms.PageRank(inOnly, core.Config{Direction: core.DirectionPull}, 3); err != nil {
 						b.Fatal(err)
 					}
 				})
@@ -228,9 +228,8 @@ func BenchmarkCombinerBaseline(b *testing.B) {
 func BenchmarkMailboxDeliver(b *testing.B) {
 	g := gen.Ring(1<<16, 0).WithInEdges()
 	prog := algorithms.SSSPProgram(0)
-	for _, comb := range []core.Combiner{core.CombinerMutex, core.CombinerSpin, core.CombinerAtomic, core.CombinerPull} {
-		cfg := core.Config{Combiner: comb}
-		b.Run(comb.String(), func(b *testing.B) {
+	for _, cfg := range []core.Config{{Combiner: core.CombinerMutex}, {Combiner: core.CombinerSpin}, {Combiner: core.CombinerAtomic}, {Direction: core.DirectionPull}} {
+		b.Run(cfg.VersionName(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.Run(g, cfg, prog); err != nil {
 					b.Fatal(err)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ipregel-run -app pagerank -graph wiki -combiner broadcast
+//	ipregel-run -app pagerank -graph wiki -direction pull
 //	ipregel-run -app sssp -graph usa -combiner spinlock -bypass -source 2
 //	ipregel-run -app hashmin -graph-file path/to/usa.gr.gz -combiner mutex
 //	ipregel-run -app wsssp -graph road:200:200 -combiner spinlock -bypass
@@ -49,11 +49,10 @@ func run(args []string, out io.Writer) error {
 		backend   = fs.String("graph-backend", "flat", "adjacency storage: flat | compressed (delta+varint blocks) | mmap (map a .bin graph file read-only; requires -graph-file)")
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
 		framework = fs.String("framework", "ipregel", "ipregel | pregelplus | femtograph (see DESIGN.md)")
-		combiner  = fs.String("combiner", "spinlock", "iPregel combiner: mutex | spinlock | atomic | broadcast")
+		combiner  = fs.String("combiner", "spinlock", "iPregel push inbox: mutex | spinlock | atomic (the broadcast version is -direction pull)")
 		bypass    = fs.Bool("bypass", false, "enable selection bypass (Hashmin/SSSP only)")
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
-		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull | adaptive (density-switched; broadcast-only apps)")
-		dirThresh = fs.Float64("direction-threshold", 0, "adaptive direction: pull when the frontier's out-edges reach this fraction of |E| (default 0.05)")
+		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull (the paper's broadcast version) | adaptive (density-switched); pull and adaptive need broadcast-only apps")
 		rounds    = fs.Int("rounds", 30, "PageRank iterations")
 		source    = fs.Uint("source", 2, "SSSP/BFS source vertex identifier")
 		nodes     = fs.Int("nodes", 1, "pregelplus: simulated node count")
@@ -158,11 +157,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := core.Config{
-		Combiner:           comb,
-		SelectionBypass:    *bypass,
-		Threads:            *threads,
-		Direction:          dir,
-		DirectionThreshold: *dirThresh,
+		Combiner:        comb,
+		SelectionBypass: *bypass,
+		Threads:         *threads,
+		Direction:       dir,
 	}
 
 	// Telemetry sinks observe the engine via Config.Observers; all hooks

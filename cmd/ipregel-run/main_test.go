@@ -24,7 +24,7 @@ func TestRunAppsOnGeneratedGraphs(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-app", "pagerank", "-graph", "rmat:8:4", "-combiner", "broadcast", "-rounds", "5"}, "broadcast"},
+		{[]string{"-app", "pagerank", "-graph", "rmat:8:4", "-direction", "pull", "-rounds", "5"}, "broadcast"},
 		{[]string{"-app", "hashmin", "-graph", "ring:30", "-combiner", "spinlock", "-bypass"}, "components: 1"},
 		{[]string{"-app", "sssp", "-graph", "road:10:10", "-combiner", "mutex", "-source", "1"}, "reached: 100 of 100"},
 		{[]string{"-app", "bfs", "-graph", "chain:10", "-source", "0"}, "reached: 10 of 10"},
@@ -91,12 +91,11 @@ func TestRunErrors(t *testing.T) {
 
 // TestRunFlagValidation pins the argument checks: an explicit
 // non-positive -threads is a usage error (the unset default 0 still
-// means GOMAXPROCS), -direction is an iPregel-only feature, a flag that
-// only tunes another (-direction-threshold) is rejected by the engine
-// when that other flag is absent instead of being silently ignored, and
-// the flags of the removed shard layer, addressing option, sender cache
-// and hub splitting are the flag package's "provided but not defined", not
-// accepted and ignored.
+// means GOMAXPROCS), -direction is an iPregel-only feature, the removed
+// broadcast combiner points at -direction pull, and the flags of the
+// removed shard layer, addressing option, adaptive threshold, sender
+// cache and hub splitting are the flag package's "provided but not
+// defined", not accepted and ignored.
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -111,7 +110,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-sender-combining", "-graph", "ring:5"}, "flag provided but not defined: -sender-combining"},
 		{[]string{"-hub-split", "-graph", "ring:5"}, "flag provided but not defined: -hub-split"},
 		{[]string{"-hub-cut", "8", "-graph", "ring:5"}, "flag provided but not defined: -hub-cut"},
-		{[]string{"-app", "sssp", "-graph", "ring:5", "-direction-threshold", "0.2"}, "DirectionThreshold"},
+		{[]string{"-app", "sssp", "-graph", "ring:5", "-direction-threshold", "0.2"}, "flag provided but not defined: -direction-threshold"},
+		{[]string{"-app", "pagerank", "-graph", "ring:5", "-combiner", "broadcast"}, "direction pull"},
 	}
 	for _, c := range cases {
 		var sb strings.Builder

@@ -42,6 +42,7 @@ func TestRunValidation(t *testing.T) {
 		{nil, "no graphs"},
 		{[]string{"-graph", "g=nosuchspec"}, "unknown graph spec"},
 		{[]string{"-graph", "g=ring:64", "-combiner", "bogus"}, "unknown combiner"},
+		{[]string{"-graph", "g=ring:64", "-combiner", "broadcast"}, "direction pull"},
 		// Flags of the removed shard layer, addressing option and sender
 		// cache are usage errors, not accepted and ignored.
 		{[]string{"-graph", "g=ring:64", "-shards", "4"}, "flag provided but not defined: -shards"},

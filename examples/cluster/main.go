@@ -30,7 +30,7 @@ func main() {
 
 	// iPregel reference: the broadcast (pull) version, PageRank's winner.
 	start := time.Now()
-	ranks, rep, err := algorithms.PageRank(g, core.Config{Combiner: core.CombinerPull}, *rounds)
+	ranks, rep, err := algorithms.PageRank(g, core.Config{Direction: core.DirectionPull}, *rounds)
 	if err != nil {
 		log.Fatal(err)
 	}

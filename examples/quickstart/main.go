@@ -17,7 +17,7 @@ func main() {
 	// A toy citation graph; identifiers start at 1, like the paper's
 	// datasets, so the engine uses offset mapping (§5).
 	var b graph.Builder
-	b.BuildInEdges() // the pull combiner fetches from in-neighbours (§6.2)
+	b.BuildInEdges() // the pull transport fetches from in-neighbours (§6.2)
 	for _, e := range [][2]graph.VertexID{
 		{1, 2}, {1, 3}, {2, 3}, {3, 1}, {4, 3}, {5, 3}, {5, 1}, {2, 5},
 	} {
@@ -28,8 +28,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run the paper's Fig. 6 PageRank with the race-free pull combiner.
-	cfg := core.Config{Combiner: core.CombinerPull}
+	// Run the paper's Fig. 6 PageRank as its broadcast version: pulled,
+	// over the lock-free inbox.
+	cfg := core.Config{Direction: core.DirectionPull}
 	ranks, report, err := algorithms.PageRank(g, cfg, 30)
 	if err != nil {
 		log.Fatal(err)

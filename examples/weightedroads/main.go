@@ -75,10 +75,11 @@ func main() {
 			cfg.VersionName(), time.Since(start).Round(time.Microsecond), rep.Supersteps, rep.TotalMessages)
 	}
 
-	// The pull combiner cannot run this workload: per-edge messages break
-	// the broadcast-only contract (§6.2) — the multi-version design makes
-	// that a loud error rather than a wrong answer.
-	if _, _, err := algorithms.WeightedSSSP(loaded, core.Config{Combiner: core.CombinerPull}, source); err != nil {
-		fmt.Println("pull combiner correctly rejected:", err)
+	// The broadcast (pull) version cannot run this workload: per-edge
+	// messages break the broadcast-only contract (§6.2) — the
+	// multi-version design makes that a loud error rather than a wrong
+	// answer.
+	if _, _, err := algorithms.WeightedSSSP(loaded, core.Config{Direction: core.DirectionPull}, source); err != nil {
+		fmt.Println("pull transport correctly rejected:", err)
 	}
 }

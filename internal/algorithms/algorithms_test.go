@@ -27,7 +27,7 @@ func pushVersions() []core.Config {
 	return []core.Config{
 		{Combiner: core.CombinerMutex},
 		{Combiner: core.CombinerSpin},
-		{Combiner: core.CombinerPull},
+		{Direction: core.DirectionPull},
 	}
 }
 
@@ -66,7 +66,7 @@ func TestPageRankMatchesReferenceAllVersions(t *testing.T) {
 
 func TestPageRankRanksSumBounded(t *testing.T) {
 	g := gen.RMATN(300, 2000, 9, 1, true)
-	got, _, err := PageRank(g, core.Config{Combiner: core.CombinerPull}, 20)
+	got, _, err := PageRank(g, core.Config{Direction: core.DirectionPull}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +248,8 @@ func TestAddressingModesAgree(t *testing.T) {
 		want := RefSSSP(g, 2)
 		for _, cfg := range []core.Config{
 			{Combiner: core.CombinerSpin},
-			{Combiner: core.CombinerPull},
-			{Combiner: core.CombinerPull, SelectionBypass: true, CheckInvariants: true},
+			{Direction: core.DirectionPull},
+			{Direction: core.DirectionPull, SelectionBypass: true, CheckInvariants: true},
 		} {
 			got, _, err := SSSP(g, cfg, 2)
 			if err != nil {
@@ -275,7 +275,7 @@ func TestPageRankPullOnInOnlyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := PageRank(stripped, core.Config{Combiner: core.CombinerPull, Threads: 2}, 10)
+	got, _, err := PageRank(stripped, core.Config{Direction: core.DirectionPull, Threads: 2}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,12 +286,12 @@ func TestPageRankPullOnInOnlyGraph(t *testing.T) {
 	}
 	// Bypass needs out-neighbour enrolment, so it must be rejected on
 	// this layout.
-	_, _, err = SSSP(stripped, core.Config{Combiner: core.CombinerPull, SelectionBypass: true}, 2)
+	_, _, err = SSSP(stripped, core.Config{Direction: core.DirectionPull, SelectionBypass: true}, 2)
 	if err == nil {
 		t.Fatal("bypass on stripped graph should fail")
 	}
 	// ...but non-bypass pull SSSP also works in-only.
-	gotD, _, err := SSSP(stripped, core.Config{Combiner: core.CombinerPull}, 2)
+	gotD, _, err := SSSP(stripped, core.Config{Direction: core.DirectionPull}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,7 +348,7 @@ func TestBackendParityPull(t *testing.T) {
 		var wantVals []uint32
 		var wantFP string
 		for _, threads := range []int{1, 4} {
-			cfg := core.Config{Combiner: core.CombinerPull, Threads: threads, CheckInvariants: true}
+			cfg := core.Config{Direction: core.DirectionPull, Threads: threads, CheckInvariants: true}
 			for _, v := range variants {
 				got, rep, err := SSSP(v.g, cfg, 2)
 				if err != nil {

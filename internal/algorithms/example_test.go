@@ -53,7 +53,7 @@ func ExampleHashmin() {
 	if err != nil {
 		panic(err)
 	}
-	labels, _, err := algorithms.Hashmin(g, core.Config{Combiner: core.CombinerPull, Threads: 1})
+	labels, _, err := algorithms.Hashmin(g, core.Config{Direction: core.DirectionPull, Threads: 1})
 	if err != nil {
 		panic(err)
 	}

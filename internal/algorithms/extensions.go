@@ -123,11 +123,9 @@ func Reach64(g *graph.Graph, cfg core.Config, seeds []graph.VertexID) ([]uint64,
 // edge direction too. Each vertex's label is the smallest external
 // identifier in its weak component.
 func WCC(g *graph.Graph, cfg core.Config) ([]uint32, core.Report, error) {
-	// Pull-direction supersteps (CombinerPull, or any
-	// Config.Direction that can pick pull) collect from in-neighbours, so
-	// the symmetrized graph needs in-edges.
-	needIn := cfg.Combiner == core.CombinerPull || cfg.Direction != core.DirectionPush
-	sym := g.Symmetrize(needIn)
+	// Pull-direction supersteps (any Config.Direction that can pick pull)
+	// collect from in-neighbours, so the symmetrized graph needs in-edges.
+	sym := g.Symmetrize(cfg.Direction != core.DirectionPush)
 	return Hashmin(sym, cfg)
 }
 

@@ -12,8 +12,10 @@ import (
 func TestPageRankConvergedMatchesFixedPoint(t *testing.T) {
 	g := gen.RMATN(300, 1800, 17, 1, true)
 	const tol = 1e-10
-	for _, comb := range []core.Combiner{core.CombinerMutex, core.CombinerSpin, core.CombinerPull} {
-		got, rep, err := PageRankConverged(g, core.Config{Combiner: comb, Threads: 2, MaxSupersteps: 2000}, tol)
+	for _, cfg := range []core.Config{{Combiner: core.CombinerMutex}, {Combiner: core.CombinerSpin}, {Direction: core.DirectionPull}} {
+		comb := cfg.VersionName()
+		cfg.Threads, cfg.MaxSupersteps = 2, 2000
+		got, rep, err := PageRankConverged(g, cfg, tol)
 		if err != nil {
 			t.Fatalf("%v: %v", comb, err)
 		}
@@ -167,11 +169,11 @@ func TestDegreeOrderedRelabelEquivalence(t *testing.T) {
 			t.Fatalf("relabel changed dist of old vertex %d: %d vs %d", old, got[perm[old]], want[old])
 		}
 	}
-	pr, _, err := PageRank(g, core.Config{Combiner: core.CombinerPull}, 10)
+	pr, _, err := PageRank(g, core.Config{Direction: core.DirectionPull}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prR, _, err := PageRank(r, core.Config{Combiner: core.CombinerPull}, 10)
+	prR, _, err := PageRank(r, core.Config{Direction: core.DirectionPull}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestSCCMatchesTarjanFixedGraphs(t *testing.T) {
 		for _, cfg := range []core.Config{
 			{Combiner: core.CombinerSpin},
 			{Combiner: core.CombinerSpin, SelectionBypass: true},
-			{Combiner: core.CombinerPull},
+			{Direction: core.DirectionPull},
 			{Combiner: core.CombinerMutex, Threads: 3},
 		} {
 			got, err := SCC(g, cfg)

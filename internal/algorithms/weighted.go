@@ -50,14 +50,14 @@ func WeightedSSSPProgram(source graph.VertexID) core.Program[uint32, uint32] {
 	}
 }
 
-// WeightedSSSP runs weighted shortest paths; cfg must use a push
-// combiner (mutex or spinlock).
+// WeightedSSSP runs weighted shortest paths; cfg must push every
+// superstep (Direction push).
 func WeightedSSSP(g *graph.Graph, cfg core.Config, source graph.VertexID) ([]uint32, core.Report, error) {
 	if !g.HasWeights() {
 		return nil, core.Report{}, graph.ErrNoWeights
 	}
-	if cfg.Combiner == core.CombinerPull {
-		return nil, core.Report{}, fmt.Errorf("algorithms: weighted SSSP sends per-edge messages and cannot use the pull combiner (paper §6.2's broadcast-only contract)")
+	if cfg.Direction != core.DirectionPush {
+		return nil, core.Report{}, fmt.Errorf("algorithms: weighted SSSP sends per-edge messages and cannot use the pull transport (direction %v; paper §6.2's broadcast-only contract)", cfg.Direction)
 	}
 	e, rep, err := core.Run(g, cfg, WeightedSSSPProgram(source))
 	if err != nil {

@@ -73,8 +73,8 @@ func TestWeightedSSSPProperty(t *testing.T) {
 
 func TestWeightedSSSPRejectsPull(t *testing.T) {
 	g := randomWeightedGraph(3, 20, 60, true)
-	if _, _, err := WeightedSSSP(g, core.Config{Combiner: core.CombinerPull}, 1); err == nil {
-		t.Fatal("pull combiner accepted for weighted SSSP")
+	if _, _, err := WeightedSSSP(g, core.Config{Direction: core.DirectionPull}, 1); err == nil {
+		t.Fatal("pull transport accepted for weighted SSSP")
 	}
 }
 

@@ -90,10 +90,10 @@ func runAblationMirroring(o *Options, w io.Writer) error {
 }
 
 // runAblationInbox runs every combination module version (mutex,
-// spinlock, atomic/CAS, broadcast) on the power-law wiki stand-in, where
-// hub in-degrees make mailbox contention maximal. PageRank is the
-// workload because it is broadcast-only, which every combiner —
-// including pull — admits.
+// spinlock, atomic/CAS, and broadcast — Direction pull over the plain
+// inbox) on the power-law wiki stand-in, where hub in-degrees make
+// mailbox contention maximal. PageRank is the workload because it is
+// broadcast-only, which every version — including pull — admits.
 func runAblationInbox(o *Options, w io.Writer) error {
 	g, err := o.Graph("wiki")
 	if err != nil {
@@ -102,13 +102,13 @@ func runAblationInbox(o *Options, w io.Writer) error {
 	app := apps(o)[0] // PageRank
 	var rows [][]string
 	fmt.Fprintf(w, "PageRank on wiki (power-law), %-9s per combiner:\n", "runtime")
-	for _, comb := range []core.Combiner{core.CombinerMutex, core.CombinerSpin, core.CombinerAtomic, core.CombinerPull} {
-		m, err := measureIP(o, app, g, core.Config{Combiner: comb})
+	for _, cfg := range []core.Config{{Combiner: core.CombinerMutex}, {Combiner: core.CombinerSpin}, {Combiner: core.CombinerAtomic}, {Direction: core.DirectionPull}} {
+		m, err := measureIP(o, app, g, cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "  %-10s %s\n", comb, m)
-		rows = append(rows, []string{comb.String(), itoa(int64(m.Mean)), itoa(int64(m.Margin))})
+		fmt.Fprintf(w, "  %-10s %s\n", cfg.VersionName(), m)
+		rows = append(rows, []string{cfg.VersionName(), itoa(int64(m.Mean)), itoa(int64(m.Margin))})
 	}
 	return saveCSV(o, "ablation-inbox", []string{"combiner", "mean_ns", "margin_ns"}, rows)
 }

@@ -30,7 +30,7 @@ func runActiveCurves(o *Options, w io.Writer) error {
 		cfg       core.Config
 	}
 	curves := []curve{
-		{"PageRank", "wiki", core.Config{Combiner: core.CombinerPull}},
+		{"PageRank", "wiki", core.Config{Direction: core.DirectionPull}},
 		{"Hashmin", "wiki", core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}},
 		{"SSSP", "wiki", core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}},
 		{"SSSP", "usa", core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}},

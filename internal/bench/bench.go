@@ -181,10 +181,9 @@ func (o *Options) Close() error {
 
 func (o *Options) engineConfig(cfg core.Config) core.Config {
 	cfg.Threads = o.Threads
-	// The pull combiner fixes the direction to pull (adaptive would be a
-	// construction error), so only the other combiners take the
-	// sweep-wide override.
-	if o.Direction != core.DirectionPush && cfg.Combiner != core.CombinerPull {
+	// The broadcast version is pull by definition, so only push versions
+	// take the sweep-wide override.
+	if cfg.Direction == core.DirectionPush {
 		cfg.Direction = o.Direction
 	}
 	cfg.Observers = append(cfg.Observers, o.Observers...)
@@ -262,7 +261,7 @@ func bestVersionFor(app appSpec) core.Config {
 	if app.bypassCompatible {
 		return core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}
 	}
-	return core.Config{Combiner: core.CombinerPull}
+	return core.Config{Direction: core.DirectionPull}
 }
 
 // measureIP runs one iPregel configuration under the measurement

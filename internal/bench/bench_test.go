@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ipregel/internal/core"
 	"ipregel/internal/stats"
 )
 
@@ -290,7 +291,7 @@ func TestVersionsForAndBest(t *testing.T) {
 	if len(versionsFor(as[1])) != 6 {
 		t.Fatal("Hashmin should admit 6 versions")
 	}
-	if bestVersionFor(as[0]).Combiner != 2 { // pull
+	if bestVersionFor(as[0]).Direction != core.DirectionPull {
 		t.Fatal("PageRank best version should be broadcast")
 	}
 	best := bestVersionFor(as[2])

@@ -61,7 +61,7 @@ func runDirection(o *Options, w io.Writer) error {
 		Graph:      graphName,
 		Vertices:   g.N(),
 		Edges:      g.M(),
-		Threshold:  core.DefaultDirectionThreshold,
+		Threshold:  core.AdaptiveThreshold,
 	}
 	runs := []struct {
 		app string

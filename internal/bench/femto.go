@@ -80,7 +80,7 @@ func runShmBaseline(o *Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ie, err := core.New(g, o.engineConfig(core.Config{Combiner: core.CombinerPull}), algorithms.PageRankProgram(1))
+		ie, err := core.New(g, o.engineConfig(core.Config{Direction: core.DirectionPull}), algorithms.PageRankProgram(1))
 		if err != nil {
 			return err
 		}

@@ -53,7 +53,7 @@ func runFig9(o *Options, w io.Writer) error {
 		g = nil // release the out-adjacency: only the "in only" layout stays resident
 		var runErr error
 		peakAbs, baseline := memmodel.MeasurePeakHeap(func() {
-			_, _, runErr = algorithms.PageRank(inOnly, o.engineConfig(core.Config{Combiner: core.CombinerPull}), rounds)
+			_, _, runErr = algorithms.PageRank(inOnly, o.engineConfig(core.Config{Direction: core.DirectionPull}), rounds)
 		})
 		if runErr != nil {
 			return runErr
@@ -92,7 +92,7 @@ func runFig9(o *Options, w io.Writer) error {
 
 	// Analytic cross-check at full scale, from the same array layouts.
 	full := memmodel.IPregelBytes(memmodel.IPregelParams{
-		Config:       core.Config{Combiner: core.CombinerPull},
+		Config:       core.Config{Direction: core.DirectionPull},
 		V:            gen.TwitterV,
 		E:            gen.TwitterE,
 		ValueBytes:   8,

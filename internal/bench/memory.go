@@ -60,7 +60,7 @@ func runMemProjection(o *Options, w io.Writer) error {
 	}
 	rows := []row{
 		{"iPregel (pull, in-only)", memmodel.IPregelBytes(memmodel.IPregelParams{
-			Config: core.Config{Combiner: core.CombinerPull},
+			Config: core.Config{Direction: core.DirectionPull},
 			V:      gen.TwitterV, E: gen.TwitterE,
 			ValueBytes: 8, MessageBytes: 8, InAdjacency: true,
 		}), "11.01GB"},
@@ -80,7 +80,7 @@ func runMemProjection(o *Options, w io.Writer) error {
 		float64(rows[1].bytes)/float64(ip), float64(rows[2].bytes)/float64(ip))
 
 	fr := memmodel.IPregelBytes(memmodel.IPregelParams{
-		Config: core.Config{Combiner: core.CombinerPull},
+		Config: core.Config{Direction: core.DirectionPull},
 		V:      gen.FriendsterV, E: gen.FriendsterE,
 		ValueBytes: 8, MessageBytes: 8, InAdjacency: true,
 	})
@@ -95,7 +95,7 @@ func runMemProjection(o *Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	e, err := core.New(inOnly, o.engineConfig(core.Config{Combiner: core.CombinerPull}), core.Program[float64, float64]{
+	e, err := core.New(inOnly, o.engineConfig(core.Config{Direction: core.DirectionPull}), core.Program[float64, float64]{
 		Compute: func(*core.Context[float64, float64], core.Vertex[float64, float64]) {},
 		Combine: func(*float64, float64) {},
 	})

@@ -22,7 +22,11 @@ import (
 	"strings"
 )
 
-// Combiner selects the combination module version (paper §6).
+// Combiner selects what makes a concurrent push delivery safe (paper
+// §6.1, and the CAS version of the follow-up work). It matters only where
+// several workers can deliver into one inbox at once: a one-thread engine
+// and a pull-only engine (Direction pull, the paper's §6.2 broadcast
+// version) build the plain inbox whatever it says.
 type Combiner int
 
 const (
@@ -32,27 +36,19 @@ const (
 	// CombinerSpin is the push-based combiner with busy-waiting
 	// synchronisation (§6.1): one 4-byte spinlock per vertex mailbox.
 	CombinerSpin
-	// CombinerPull is the pull-based combiner (§6.2), the paper's
-	// "broadcast" version: senders buffer one outgoing message in an
-	// outbox, receivers fetch and combine from their in-neighbours at the
-	// end of the superstep. Its inbox carries no lock at all, which is
-	// race-free only because every deposit is the receiver's own — so it
-	// implies Direction pull (and rejects adaptive).
-	// Requires the graph's in-adjacency and a broadcast-only application.
-	CombinerPull
 	// CombinerAtomic is the lock-free push combiner the follow-up iPregel
 	// work moves to: delivery combines into the mailbox word with a
 	// compare-and-swap retry loop instead of taking a per-vertex lock.
 	// It requires the message type to fit a machine word
 	// (int32/uint32/float32/int64/uint64/float64); engine construction
-	// fails with a clear error otherwise.
+	// fails with a clear error otherwise, at every thread count and
+	// direction.
 	CombinerAtomic
 )
 
 var combinerNames = map[Combiner]string{
 	CombinerMutex:  "mutex",
 	CombinerSpin:   "spinlock",
-	CombinerPull:   "broadcast",
 	CombinerAtomic: "atomic",
 }
 
@@ -63,20 +59,19 @@ func (c Combiner) String() string {
 	return fmt.Sprintf("Combiner(%d)", int(c))
 }
 
-// ParseCombiner converts "mutex", "spinlock"/"spin", "broadcast"/"pull",
-// or "atomic"/"cas" to a Combiner.
+// ParseCombiner converts "mutex", "spinlock"/"spin", or "atomic"/"cas" to
+// a Combiner. The paper's broadcast version is a transport, not an inbox:
+// it is Direction pull.
 func ParseCombiner(s string) (Combiner, error) {
 	switch strings.ToLower(s) {
 	case "mutex":
 		return CombinerMutex, nil
 	case "spinlock", "spin":
 		return CombinerSpin, nil
-	case "broadcast", "pull":
-		return CombinerPull, nil
 	case "atomic", "cas":
 		return CombinerAtomic, nil
 	}
-	return 0, fmt.Errorf("core: unknown combiner %q", s)
+	return 0, fmt.Errorf("core: unknown combiner %q (mutex | spinlock | atomic; the broadcast version is direction pull)", s)
 }
 
 // Direction selects the transport of a superstep's sends: push delivers
@@ -84,20 +79,21 @@ func ParseCombiner(s string) (Combiner, error) {
 // entry per broadcasting vertex and fans out at the end-of-superstep
 // collect phase. It is a per-run — and, with DirectionAdaptive,
 // per-superstep — engine decision layered over any inbox combiner (the
-// follow-up iPregel work on extreme irregularity, arXiv 2010.01542);
-// only CombinerPull, whose lock-free inbox cannot take push deliveries,
-// pins it to pull.
+// follow-up iPregel work on extreme irregularity, arXiv 2010.01542).
 type Direction int
 
 const (
 	// DirectionPush delivers every send at send time (the default).
 	DirectionPush Direction = iota
 	// DirectionPull runs every superstep through the outbox/collect
-	// transport. Requires in-edges and a broadcast-only program.
+	// transport: the paper's broadcast version (§6.2). Every deposit is
+	// then the receiver's own collect, so the engine builds the plain
+	// inbox at any thread count. Requires in-edges and a broadcast-only
+	// program.
 	DirectionPull
 	// DirectionAdaptive picks the transport per superstep from the exact
 	// frontier density: pull when the upcoming frontier's out-edges reach
-	// DirectionThreshold·|E|, push otherwise (Beamer-style switching).
+	// AdaptiveThreshold·|E|, push otherwise (Beamer-style switching).
 	DirectionAdaptive
 )
 
@@ -127,10 +123,9 @@ func ParseDirection(s string) (Direction, error) {
 	return 0, fmt.Errorf("core: unknown direction %q (push | pull | adaptive)", s)
 }
 
-// DefaultDirectionThreshold is the adaptive pull threshold when
-// Config.DirectionThreshold is zero: a superstep goes pull when the
-// upcoming frontier's out-edges reach this fraction of |E|.
-const DefaultDirectionThreshold = 0.05
+// AdaptiveThreshold is DirectionAdaptive's switch: a superstep goes pull
+// when the upcoming frontier's out-edges reach this fraction of |E|.
+const AdaptiveThreshold = 0.05
 
 // Config selects the module versions of an Engine, the Go equivalent of
 // the paper's compilation defines (§3.1.1).
@@ -139,17 +134,12 @@ type Config struct {
 	// Direction selects the send transport: push (the zero value), pull,
 	// or adaptive per-superstep switching. Pull and adaptive require the
 	// graph's in-adjacency and a broadcast-only program (Send panics on a
-	// pull superstep), and layer over any inbox combiner: each vertex
-	// writes only its own outbox slot and the collect phase is owner-only
-	// per destination, so there is nothing to contend on. CombinerPull
-	// implies pull.
+	// pull superstep): each vertex writes only its own outbox slot and the
+	// collect phase is owner-only per destination, so there is nothing to
+	// contend on. A pull-only engine therefore builds the plain inbox and
+	// ignores Combiner; an adaptive one builds Combiner's inbox for its
+	// push supersteps.
 	Direction Direction
-	// DirectionThreshold tunes DirectionAdaptive: a superstep runs pull
-	// when the upcoming frontier's out-edges reach this fraction of |E|.
-	// 0 means DefaultDirectionThreshold; values outside [0, 1], and a
-	// threshold on a run that is not adaptive, are rejected at
-	// construction.
-	DirectionThreshold float64
 	// SelectionBypass enables the paper's §4 technique: senders enrol
 	// their recipients in the next superstep's work list, skipping the
 	// selection scan entirely. Only valid for applications in which every
@@ -190,11 +180,15 @@ type Config struct {
 }
 
 // VersionName returns the short name used in Fig. 7's legend, e.g.
-// "spinlock+bypass" or "broadcast".
+// "spinlock+bypass" or "broadcast" — the paper's name for a pull-only
+// engine, which has no Combiner to name.
 func (c Config) VersionName() string {
 	name := c.Combiner.String()
-	if c.Direction != DirectionPush && c.Combiner != CombinerPull { // "broadcast" already says pull
-		name += "+" + c.Direction.String()
+	switch c.Direction {
+	case DirectionPull:
+		name = "broadcast"
+	case DirectionAdaptive:
+		name += "+adaptive"
 	}
 	if c.SelectionBypass {
 		name += "+bypass"
@@ -203,9 +197,9 @@ func (c Config) VersionName() string {
 }
 
 // ResolvedThreads is the worker count an engine built from c runs with:
-// Threads, or GOMAXPROCS when that is 0. It also decides the inbox — one
-// worker needs no lock (newMailbox) — so the footprint model reads it
-// rather than guessing the resolution.
+// Threads, or GOMAXPROCS when that is 0. It also decides the inbox of a
+// push or adaptive engine — one worker needs no lock (newMailbox) — so
+// the footprint model reads it rather than guessing the resolution.
 func (c Config) ResolvedThreads() int {
 	if c.Threads > 0 {
 		return c.Threads
@@ -214,12 +208,14 @@ func (c Config) ResolvedThreads() int {
 }
 
 // AllVersions returns the six iPregel versions of the paper's Fig. 7
-// evaluation: three combiners, each with and without selection bypass.
+// evaluation: mutex, spinlock and broadcast (pull), each with and without
+// selection bypass.
 func AllVersions() []Config {
 	var out []Config
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull} {
+	for _, v := range []Config{{Combiner: CombinerMutex}, {Combiner: CombinerSpin}, {Direction: DirectionPull}} {
 		for _, bypass := range []bool{false, true} {
-			out = append(out, Config{Combiner: comb, SelectionBypass: bypass})
+			v.SelectionBypass = bypass
+			out = append(out, v)
 		}
 	}
 	return out

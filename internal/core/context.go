@@ -110,14 +110,14 @@ func (c *Context[V, M]) NextMessage(v Vertex[V, M], m *M) bool {
 
 // Send delivers msg to the vertex with external identifier dst
 // (IP_send_message). It is unavailable on pull-direction supersteps
-// (CombinerPull, Config.Direction pull, and the pull steps of adaptive
-// runs), whose contract is broadcast-only communication
+// (Config.Direction pull, and the pull steps of adaptive runs), whose
+// contract is broadcast-only communication
 // (§6.2) — an adaptive run must therefore be broadcast-only throughout,
 // or its push and pull supersteps would not be equivalent.
 func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 	e := c.e
 	if e.curDir == DirectionPull {
-		panic("core: IP_send_message is not available on a pull-direction superstep (Config.Direction pull/adaptive, or CombinerPull); pull transport is broadcast-only (§6.2)")
+		panic("core: IP_send_message is not available on a pull-direction superstep (Config.Direction pull or adaptive); pull transport is broadcast-only (§6.2)")
 	}
 	// Offset mapping (§5): slot = dst − base, and an id below base wraps
 	// past N, so one unsigned compare rejects both sides of the range.

@@ -41,9 +41,10 @@ func counterProgram(steps int) Program[uint32, uint32] {
 
 func TestEngineBasicFlood(t *testing.T) {
 	g := ringGraph(8, 0)
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull} {
-		t.Run(comb.String(), func(t *testing.T) {
-			e, rep, err := Run(g, Config{Combiner: comb, Threads: 3}, counterProgram(5))
+	for _, cfg := range []Config{{Combiner: CombinerMutex}, {Combiner: CombinerSpin}, {Direction: DirectionPull}} {
+		cfg.Threads = 3
+		t.Run(cfg.VersionName(), func(t *testing.T) {
+			e, rep, err := Run(g, cfg, counterProgram(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +91,7 @@ func TestEngineValueByID(t *testing.T) {
 
 func TestPullRequiresInEdges(t *testing.T) {
 	g := ringGraph(4, 0).StripInEdges()
-	_, err := New(g, Config{Combiner: CombinerPull}, counterProgram(1))
+	_, err := New(g, Config{Direction: DirectionPull}, counterProgram(1))
 	if err == nil || !strings.Contains(err.Error(), "in-neighbours") {
 		t.Fatalf("want in-edge error, got %v", err)
 	}
@@ -191,11 +192,13 @@ func haltingFlood(hops uint32) Program[uint32, uint32] {
 
 func TestBypassMatchesScan(t *testing.T) {
 	g := ringGraph(16, 0)
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull} {
+	for _, version := range []Config{{Combiner: CombinerMutex}, {Combiner: CombinerSpin}, {Direction: DirectionPull}} {
+		comb := version.VersionName()
 		var dense [][]uint32
 		var ran [][]int64
 		for _, bypass := range []bool{false, true} {
-			cfg := Config{Combiner: comb, SelectionBypass: bypass, CheckInvariants: true, Threads: 4}
+			cfg := version
+			cfg.SelectionBypass, cfg.CheckInvariants, cfg.Threads = bypass, true, 4
 			e, rep, err := Run(g, cfg, haltingFlood(10))
 			if err != nil {
 				t.Fatalf("%s bypass=%v: %v", comb, bypass, err)
@@ -228,13 +231,13 @@ func TestSendOnPullPanics(t *testing.T) {
 		Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
 			defer func() {
 				if recover() == nil {
-					t.Error("Send with pull combiner should panic")
+					t.Error("Send on a pull-only engine should panic")
 				}
 			}()
 			ctx.Send(1, 1)
 		},
 	}
-	e, err := New(g, Config{Combiner: CombinerPull, MaxSupersteps: 1}, prog)
+	e, err := New(g, Config{Direction: DirectionPull, MaxSupersteps: 1}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +306,7 @@ func TestMailboxFootprintOrdering(t *testing.T) {
 }
 
 func TestConfigStringsAndParsing(t *testing.T) {
-	for _, c := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull} {
+	for _, c := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		got, err := ParseCombiner(c.String())
 		if err != nil || got != c {
 			t.Fatalf("combiner roundtrip %v: %v %v", c, got, err)
@@ -311,6 +314,12 @@ func TestConfigStringsAndParsing(t *testing.T) {
 	}
 	if _, err := ParseCombiner("bogus"); err == nil {
 		t.Fatal("bogus combiner accepted")
+	}
+	// The broadcast version is a transport: the error says where it went.
+	for _, s := range []string{"broadcast", "pull"} {
+		if _, err := ParseCombiner(s); err == nil || !strings.Contains(err.Error(), "direction pull") {
+			t.Fatalf("ParseCombiner(%q) err = %v, want a pointer to direction pull", s, err)
+		}
 	}
 	if (Config{Combiner: CombinerSpin, SelectionBypass: true}).VersionName() != "spinlock+bypass" {
 		t.Fatal("VersionName mismatch")
@@ -513,8 +522,9 @@ func TestSingleVertexSelfLoop(t *testing.T) {
 	b.BuildInEdges()
 	b.AddEdge(5, 5)
 	g := b.MustBuild()
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull} {
-		e, rep, err := Run(g, Config{Combiner: comb}, counterProgram(4))
+	for _, cfg := range []Config{{Combiner: CombinerMutex}, {Combiner: CombinerSpin}, {Direction: DirectionPull}} {
+		comb := cfg.VersionName()
+		e, rep, err := Run(g, cfg, counterProgram(4))
 		if err != nil {
 			t.Fatalf("%v: %v", comb, err)
 		}

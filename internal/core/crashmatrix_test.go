@@ -27,9 +27,14 @@ import (
 // supersteps (SSSP eccentricity 10) to give the matrix real barriers.
 func crashGrid(t *testing.T) *graph.Graph {
 	t.Helper()
+	return bidiGrid(6, 6)
+}
+
+// bidiGrid is a rows×cols grid with both edge directions, identifiers
+// from 1 in row-major order.
+func bidiGrid(rows, cols int) *graph.Graph {
 	var b graph.Builder
 	b.BuildInEdges()
-	const rows, cols = 6, 6
 	id := func(r, c int) graph.VertexID { return graph.VertexID(1 + r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -273,7 +278,7 @@ func TestCrashMatrixCompressed(t *testing.T) {
 	configs := []core.Config{
 		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true, SelectionBypass: true},
 		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true},
-		{Combiner: core.CombinerPull, Threads: 2, CheckInvariants: true},
+		{Direction: core.DirectionPull, Threads: 2, CheckInvariants: true},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -312,20 +317,21 @@ func TestCrashMatrixCompressed(t *testing.T) {
 // values of the uninterrupted run, and the recovered tail must re-derive
 // the same per-superstep direction decisions from the restored state.
 func TestCrashMatrixAdaptiveDirection(t *testing.T) {
-	g := crashGrid(t)
+	// The 5% threshold puts the cut of the 6×6 crash grid at 6 out-edges,
+	// which its SSSP wavefront never drops below after superstep 0. On an
+	// 8×8 grid the cut is 11 edges: the run opens pull, falls to push on
+	// the narrow early wavefront, pulls again at the broad middle and
+	// finishes push — several real switches for the kill-anywhere sweep
+	// to straddle.
+	g := bidiGrid(8, 8)
 	prog := algorithms.SSSPProgram(1)
-	// The default 5%% threshold puts the cut at 6 out-edges, which the
-	// grid's SSSP wavefront never drops below after superstep 0; a 10%%
-	// cut (12 edges) makes the run open pull, fall to push on the narrow
-	// early wavefront, pull again at the broad middle and finish push —
-	// several real switches for the kill-anywhere sweep to straddle.
 	configs := []core.Config{
 		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true,
-			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1},
+			Direction: core.DirectionAdaptive},
 		{Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
-			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1, SelectionBypass: true},
+			Direction: core.DirectionAdaptive, SelectionBypass: true},
 		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true,
-			Direction: core.DirectionAdaptive, DirectionThreshold: 0.1},
+			Direction: core.DirectionAdaptive},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

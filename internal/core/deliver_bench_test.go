@@ -122,8 +122,10 @@ func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineF
 // in-neighbours are benchDests' list i, every one of them broadcast, so
 // each receiver folds benchDegree outbox entries and fills its inbox
 // once — a PageRank pull superstep. plain-inline combines with Sum, which
-// the fold adds in place; the other versions call a literal. One
-// goroutine; each pass ends with the barrier's full swap.
+// the fold adds in place; the other versions call a literal. The engines
+// are adaptive, since a pull-only one builds the plain inbox whatever
+// the combiner. One goroutine; each pass ends with the barrier's full
+// swap.
 func BenchmarkCollect(b *testing.B) {
 	called := Program[float64, float64]{
 		Compute: func(*Context[float64, float64], Vertex[float64, float64]) {},
@@ -145,7 +147,7 @@ func BenchmarkCollect(b *testing.B) {
 		for _, v := range benchInboxes {
 			b.Run(v.name+"/"+order, func(b *testing.B) {
 				cfg := v.cfg
-				cfg.Direction = DirectionPull
+				cfg.Direction = DirectionAdaptive
 				prog := called
 				if v.inline {
 					prog = inline

@@ -23,14 +23,14 @@ import (
 //     push-only, pull-only and adaptive runs of one program
 //     Fingerprint-identical.
 //
-// This is the one pull transport. CombinerPull — the paper's §6.2
-// version — is the same transport over the plain inbox (plainMailbox),
-// which is legal because collect deposits are owner-only; it therefore
-// fixes the direction to pull.
+// This is the one pull transport, and Direction pull — every superstep
+// pulled — is the paper's §6.2 broadcast version: collect deposits are
+// owner-only, so a pull-only engine runs it over the plain inbox
+// (plainMailbox) at any thread count.
 //
 // DirectionAdaptive picks per superstep from the exact density of the
 // upcoming frontier: pull when its out-edge count reaches
-// pullEdgeCut (= DirectionThreshold·|E|), push otherwise. The density
+// pullEdgeCut (= AdaptiveThreshold·|E|), push otherwise. The density
 // is recomputed from barrier state (post-swap mail, promoted frontier),
 // which checkpoints capture in full — a Restored engine reseeds from
 // the same state and re-derives the same decisions, so crash/resume
@@ -109,8 +109,8 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // (collectSlot), then the outbox flags are cleared for the next pull
 // superstep. Each destination is processed by exactly one worker, so
 // every inbox write is owner-only — race-free without any collect-side
-// locking on any inbox, and what makes the plain one legal under
-// CombinerPull at any thread count.
+// locking on any inbox, and what makes the plain one legal on a pull-only
+// engine at any thread count.
 //
 // Under selection bypass only enrolled recipients can have mail (the
 // pull broadcast enrolled its out-neighbours), so collection is bounded

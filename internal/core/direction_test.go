@@ -41,11 +41,60 @@ func TestVersionNameDirection(t *testing.T) {
 	if name := (Config{Direction: DirectionAdaptive}).VersionName(); !strings.Contains(name, "adaptive") {
 		t.Fatalf("VersionName %q does not name the adaptive direction", name)
 	}
-	if name := (Config{Direction: DirectionPull}).VersionName(); !strings.Contains(name, "pull") {
-		t.Fatalf("VersionName %q does not name the pull direction", name)
+	// A pull-only engine is the paper's broadcast version whatever its
+	// Combiner: it builds the plain inbox.
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+		if name := (Config{Combiner: comb, Direction: DirectionPull}).VersionName(); name != "broadcast" {
+			t.Fatalf("%s pull-only VersionName = %q, want broadcast", comb, name)
+		}
 	}
 	if name := (Config{}).VersionName(); strings.Contains(name, "push") {
 		t.Fatalf("default VersionName %q should not name a direction", name)
+	}
+}
+
+// cellName names a test cell by the Config as written. VersionName calls
+// every pull-only engine "broadcast", since it builds the plain inbox
+// whatever Combiner says; the cell name keeps the Combiner the row set.
+func cellName(cfg Config) string {
+	if cfg.Direction != DirectionPull {
+		return cfg.VersionName()
+	}
+	name := cfg.Combiner.String() + "+pull"
+	if cfg.SelectionBypass {
+		name += "+bypass"
+	}
+	return name
+}
+
+// TestPullOnlyBuildsPlainInbox pins the broadcast version's inbox: a
+// pull-only engine's every deposit is a collect by the slot's one owner,
+// so at any thread count and under any Combiner it builds the lock-free
+// plain inbox and weighs what the one-thread engine does. An adaptive
+// engine still builds the configured inbox for its push supersteps.
+func TestPullOnlyBuildsPlainInbox(t *testing.T) {
+	g := ringGraph(512, 1)
+	build := func(cfg Config) (e *Engine[uint32, uint32], plain bool) {
+		t.Helper()
+		e, err := New(g, cfg, counterProgram(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, plain = e.mb.(*plainMailbox[uint32])
+		return e, plain
+	}
+	one, _ := build(Config{Direction: DirectionPull, Threads: 1})
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+		for _, threads := range []int{1, 2, 4} {
+			cfg := Config{Combiner: comb, Direction: DirectionPull, Threads: threads}
+			if e, plain := build(cfg); !plain || e.FootprintBytes() != one.FootprintBytes() {
+				t.Fatalf("%s threads=%d: inbox %T, %d B; want the plain inbox, %d B", cellName(cfg), threads, e.mb, e.FootprintBytes(), one.FootprintBytes())
+			}
+			cfg.Direction = DirectionAdaptive
+			if _, plain := build(cfg); plain && threads > 1 {
+				t.Fatalf("%s threads=%d: the adaptive engine built the plain inbox", cfg.VersionName(), threads)
+			}
+		}
 	}
 }
 
@@ -67,19 +116,21 @@ func hubGraph(n int) *graph.Graph {
 // program produce identical values and identical Report fingerprints,
 // across inbox and bypass configurations, with the invariant audits
 // (including message conservation on pull supersteps) enabled
-// throughout. The CombinerPull rows run the same pull transport
-// over the lock-free inbox: its Messages count the logical fan-out like
-// every other direction, so it is held to the same push fingerprint.
+// throughout. A pull-only engine runs over the plain inbox whatever its
+// Combiner; the broadcast rows name it as the paper does. Its Messages
+// count the logical fan-out like every other direction, so it is held to
+// the same push fingerprint.
 func TestDirectionParity(t *testing.T) {
 	g := gridForCheckpoint(t)
 	type cell struct {
 		base Config   // run push-only as the oracle
 		vs   []Config // must match the oracle's values and fingerprint
+		name func(Config) string
 	}
 	directions := func(base Config) cell {
 		pull, adaptive := base, base
 		pull.Direction, adaptive.Direction = DirectionPull, DirectionAdaptive
-		return cell{base, []Config{pull, adaptive}}
+		return cell{base, []Config{pull, adaptive}, cellName}
 	}
 	cells := []cell{
 		directions(Config{Combiner: CombinerSpin, Threads: 3}),
@@ -90,7 +141,8 @@ func TestDirectionParity(t *testing.T) {
 	for _, bypass := range []bool{false, true} {
 		cells = append(cells, cell{
 			base: Config{Combiner: CombinerSpin, Threads: 3, SelectionBypass: bypass},
-			vs:   []Config{{Combiner: CombinerPull, Threads: 4, SelectionBypass: bypass}},
+			vs:   []Config{{Direction: DirectionPull, Threads: 4, SelectionBypass: bypass}},
+			name: Config.VersionName,
 		})
 	}
 	for _, c := range cells {
@@ -102,13 +154,13 @@ func TestDirectionParity(t *testing.T) {
 		want := ePush.ValuesDense()
 		for _, cfg := range c.vs {
 			cfg.CheckInvariants = true
-			t.Run(cfg.VersionName(), func(t *testing.T) {
+			t.Run(c.name(cfg), func(t *testing.T) {
 				e, rep, err := Run(g, cfg, ssspProg(1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if fp, fpPush := rep.Fingerprint(), repPush.Fingerprint(); fp != fpPush {
-					t.Fatalf("fingerprint diverged from push run:\n--- push ---\n%s--- %s ---\n%s", fpPush, cfg.VersionName(), fp)
+					t.Fatalf("fingerprint diverged from push run:\n--- push ---\n%s--- %s ---\n%s", fpPush, c.name(cfg), fp)
 				}
 				for i, v := range e.ValuesDense() {
 					if v != want[i] {
@@ -154,8 +206,7 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4},
 		{Combiner: CombinerMutex, Direction: DirectionPull, Threads: 3},
 		{Combiner: CombinerAtomic, Direction: DirectionPull, Threads: 4},
-		{Combiner: CombinerPull, Threads: 4},
-		{Combiner: CombinerPull, Threads: 2},
+		{Direction: DirectionPull, Threads: 2},
 		{Combiner: CombinerSpin, Threads: 4}, // push: tolerance-exact only
 	} {
 		cfg.CheckInvariants = true
@@ -181,9 +232,10 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 // receiver's inbox is the left fold of its flagged in-neighbours' outbox
 // entries in InNeighbors order — the first copied, each later one
 // combined. The combine is order-sensitive, so a reordered, dropped or
-// doubled entry changes the value. It holds on the plain inbox at one
-// thread and on every inbox version at two and four threads, over flat
-// and compressed adjacency, with and without bypass, and CheckInvariants
+// doubled entry changes the value. It holds on the plain inbox of every
+// pull-only engine, and on every inbox version at two and four threads
+// under adaptive, whose superstep 0 always pulls — over flat and
+// compressed adjacency, with and without bypass, and CheckInvariants
 // audits each fold as k-1 combines plus one fill.
 func TestPullCollectFoldOrder(t *testing.T) {
 	const none = ^uint64(0)
@@ -223,21 +275,23 @@ func TestPullCollectFoldOrder(t *testing.T) {
 		}
 	}
 	for _, g := range []*graph.Graph{flat, compressed} {
-		for _, comb := range []Combiner{CombinerSpin, CombinerMutex, CombinerAtomic, CombinerPull} {
-			for _, threads := range []int{1, 2, 4} {
-				for _, bypass := range []bool{false, true} {
-					cfg := Config{Combiner: comb, Direction: DirectionPull, Threads: threads, SelectionBypass: bypass, CheckInvariants: true}
-					name := fmt.Sprintf("%s threads=%d compressed=%v", cfg.VersionName(), threads, g.IsCompressed())
-					e, rep, err := Run(g, cfg, prog)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if len(rep.Steps) != 2 || rep.Steps[1].Direction != DirectionPull {
-						t.Fatalf("%s: want two pull supersteps, got %+v", name, rep.Steps)
-					}
-					for i, got := range e.ValuesDense() {
-						if got != want[i] {
-							t.Fatalf("%s: inbox of vertex %d = %#x, want the in-order fold %#x", name, flat.ExternalID(i), got, want[i])
+		for _, comb := range []Combiner{CombinerSpin, CombinerMutex, CombinerAtomic} {
+			for _, dir := range []Direction{DirectionPull, DirectionAdaptive} {
+				for _, threads := range []int{1, 2, 4} {
+					for _, bypass := range []bool{false, true} {
+						cfg := Config{Combiner: comb, Direction: dir, Threads: threads, SelectionBypass: bypass, CheckInvariants: true}
+						name := fmt.Sprintf("%s threads=%d compressed=%v", cellName(cfg), threads, g.IsCompressed())
+						e, rep, err := Run(g, cfg, prog)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if len(rep.Steps) != 2 || rep.Steps[0].Direction != DirectionPull {
+							t.Fatalf("%s: want two supersteps, the first pulled, got %+v", name, rep.Steps)
+						}
+						for i, got := range e.ValuesDense() {
+							if got != want[i] {
+								t.Fatalf("%s: inbox of vertex %d = %#x, want the in-order fold %#x", name, flat.ExternalID(i), got, want[i])
+							}
 						}
 					}
 				}

@@ -117,7 +117,7 @@ var ErrBypassViolation = errors.New("core: selection bypass requires every verte
 var ErrMaxSupersteps = errors.New("core: superstep limit exceeded")
 
 // New builds an engine. It validates that the chosen module versions are
-// compatible with the graph: the pull combiner needs in-edges, selection
+// compatible with the graph: the pull transport needs in-edges, selection
 // bypass the out-adjacency.
 func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M], error) {
 	if prog.Compute == nil {
@@ -129,17 +129,8 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.Direction < DirectionPush || cfg.Direction > DirectionAdaptive {
 		return nil, fmt.Errorf("core: unknown direction %s", cfg.Direction)
 	}
-	if cfg.Combiner == CombinerPull {
-		// The pull combiner's inbox takes no lock, which is legal only
-		// while every deposit is the owner-only collect of a pull
-		// superstep (§6.2) — so selecting it fixes the direction.
-		if cfg.Direction == DirectionAdaptive {
-			return nil, fmt.Errorf("core: CombinerPull's lock-free inbox cannot take the concurrent deliveries of a push superstep, so it cannot run Direction adaptive; pick an inbox combiner (mutex/spinlock/atomic) for adaptive runs")
-		}
-		cfg.Direction = DirectionPull
-	}
 	if cfg.Direction != DirectionPush && !g.HasInEdges() {
-		return nil, fmt.Errorf("core: pull-direction supersteps fetch from in-neighbours (paper §6.2); load the graph with in-edges (Config.Direction pull/adaptive, or CombinerPull)")
+		return nil, fmt.Errorf("core: pull-direction supersteps fetch from in-neighbours (paper §6.2); load the graph with in-edges (Config.Direction pull or adaptive)")
 	}
 	if cfg.Direction == DirectionPull {
 		// Every superstep collects over in-neighbours: an in-adjacency
@@ -150,12 +141,6 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	}
 	if cfg.SelectionBypass && !g.HasOutAdjacency() {
 		return nil, fmt.Errorf("core: selection bypass enrols out-neighbours (paper §4) and needs the out-adjacency, which this graph stripped")
-	}
-	if cfg.DirectionThreshold < 0 || cfg.DirectionThreshold > 1 {
-		return nil, fmt.Errorf("core: Config.DirectionThreshold is a fraction of |E| and must be in [0, 1] (0 means the default %v), got %v", DefaultDirectionThreshold, cfg.DirectionThreshold)
-	}
-	if cfg.DirectionThreshold != 0 && cfg.Direction != DirectionAdaptive {
-		return nil, fmt.Errorf("core: Config.DirectionThreshold tunes the per-superstep switch of Direction adaptive and has no effect on a %s run; set Direction adaptive or leave the threshold 0", cfg.Direction)
 	}
 	e := &Engine[V, M]{
 		g:       g,
@@ -188,14 +173,8 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 			e.pullEnrol = make([]uint32, n)
 		}
 		if cfg.Direction == DirectionAdaptive {
-			thr := cfg.DirectionThreshold
-			if thr == 0 {
-				thr = DefaultDirectionThreshold
-			}
-			e.pullEdgeCut = uint64(thr * float64(g.M()))
-			if e.pullEdgeCut == 0 {
-				e.pullEdgeCut = 1 // an empty frontier never forces pull
-			}
+			// An empty frontier never forces pull.
+			e.pullEdgeCut = max(1, uint64(AdaptiveThreshold*float64(g.M())))
 		}
 	}
 	e.agg = newAggregators(e.threads)
@@ -399,8 +378,8 @@ func region(ctx context.Context, name string, f func()) {
 }
 
 // guard wraps one worker's share of a phase: a panic in body (a buggy
-// user program, or the framework's own misuse panics such as Send on the
-// pull combiner) is contained — the offending worker stops, the phase
+// user program, or the framework's own misuse panics such as Send on a
+// pull superstep) is contained — the offending worker stops, the phase
 // completes, and Run reports the panic as an error instead of tearing the
 // process down.
 func (e *Engine[V, M]) guard(w int, loop func()) {

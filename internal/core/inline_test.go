@@ -106,8 +106,8 @@ func TestInlineCombinerRecognition(t *testing.T) {
 }
 
 // TestInlineCombinerParity: every path the fold serves — PageRank push at
-// one thread, PageRank pull at one, two and four threads on the plain and
-// atomic inboxes, Hashmin, SSSP and BFS under bypass — computes
+// one thread, PageRank pull at one, two and four threads on the plain
+// inbox and (adaptive) the atomic one, Hashmin, SSSP and BFS under bypass — computes
 // bit-identical values and the same fingerprint whether the engine folds
 // core.Min or core.Sum in the loop or calls a literal with its body, on
 // the flat and compressed backends, with the barrier audits on.
@@ -128,8 +128,10 @@ func TestInlineCombinerParity(t *testing.T) {
 			g := backend.g
 			checkFold(t, g, core.Config{Threads: 1, CheckInvariants: true}, algorithms.PageRankProgram(10), "scatter", sumLit)
 			for _, threads := range []int{1, 2, 4} {
-				for _, comb := range []core.Combiner{core.CombinerPull, core.CombinerAtomic} {
-					cfg := core.Config{Combiner: comb, Direction: core.DirectionPull, Threads: threads, CheckInvariants: true}
+				// Adaptive pulls every PageRank superstep, over the atomic
+				// inbox from two threads.
+				for _, cfg := range []core.Config{{Direction: core.DirectionPull}, {Combiner: core.CombinerAtomic, Direction: core.DirectionAdaptive}} {
+					cfg.Threads, cfg.CheckInvariants = threads, true
 					checkFold(t, g, cfg, algorithms.PageRankProgram(10), "collect", sumLit)
 				}
 			}

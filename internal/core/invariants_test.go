@@ -10,19 +10,15 @@ import (
 	"ipregel/internal/graph"
 )
 
-// TestCheckInvariantsCleanAcrossVersions runs every combiner (with and
-// without bypass) under the full audit: a correct engine must never trip
+// TestCheckInvariantsCleanAcrossVersions runs every inbox version (with
+// and without bypass) under the full audit: a correct engine must never trip
 // it.
 func TestCheckInvariantsCleanAcrossVersions(t *testing.T) {
 	g := ringGraph(64, 0)
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull, CombinerAtomic} {
+	for _, version := range []Config{{Combiner: CombinerMutex}, {Combiner: CombinerSpin}, {Direction: DirectionPull}, {Combiner: CombinerAtomic}} {
 		for _, bypass := range []bool{false, true} {
-			cfg := Config{
-				Combiner:        comb,
-				SelectionBypass: bypass,
-				CheckInvariants: true,
-				Threads:         4,
-			}
+			cfg := version
+			cfg.SelectionBypass, cfg.CheckInvariants, cfg.Threads = bypass, true, 4
 			if _, _, err := Run(g, cfg, haltingFlood(6)); err != nil {
 				t.Fatalf("%s: clean run tripped the audit: %v", cfg.VersionName(), err)
 			}

@@ -94,7 +94,7 @@ type mailbox[M any] interface {
 	// compare-and-swap attempts in delivery (the atomic combiner's
 	// value-word combine retries and lost empty-slot claims) — the live
 	// contention signal StepStats.CASRetries exposes per superstep.
-	// Always 0 for the lock-based and pull combiners, whose waiting
+	// Always 0 for the lock-based and plain inboxes, whose waiting
 	// happens inside locks (or not at all) rather than CAS retry loops.
 	contentionRetries() uint64
 	// auditBarrier verifies the version's barrier invariants: the next
@@ -309,12 +309,12 @@ func (mb *spinMailbox[M]) footprintBytes() uint64 {
 
 // plainMailbox is the inbox with no data-race protection: the bare
 // buffers, zero lock bytes. It is legal while every slot has a single
-// depositor per phase, which holds in two cases. Under CombinerPull (§6.2)
-// every deposit comes from the collect phase and each destination is
-// collected by exactly one worker — which is why CombinerPull implies
-// Direction pull (engine.New). And with one worker thread every phase
-// runs inline (parallelFor), so nothing can race whatever the combiner:
-// the per-vertex locks exist only because several senders may hit one
+// depositor per phase, which holds in two cases. On a pull-only engine
+// (Direction pull, the paper's broadcast version, §6.2) every deposit
+// comes from the collect phase and each destination is collected by
+// exactly one worker. And with one worker thread every phase runs inline
+// (parallelFor), so nothing can race whatever the combiner: the
+// per-vertex locks exist only because several senders may hit one
 // mailbox at once (§6.1).
 type plainMailbox[M any] struct {
 	pushBuffers[M]
@@ -410,32 +410,30 @@ func newPlainMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) mailb
 }
 
 // newMailbox builds the combination module version chosen by cfg: the
-// plain inbox when nothing can race — CombinerPull, or any combiner on a
-// one-thread engine — and the configured protection otherwise. It fails
-// when the version's assumptions do not hold for M (the atomic combiner
-// requires word-sized messages), at every thread count: a configuration
-// valid on one thread stays valid on N.
+// plain inbox when nothing can race — a pull-only engine, or any
+// combiner on a one-thread engine — and the configured protection
+// otherwise. It fails when the combiner's assumptions do not hold for M
+// (the atomic combiner requires word-sized messages) at every thread
+// count and direction: a configuration valid on one thread, or pulled,
+// stays valid pushed on N.
 func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], error) {
-	racy := cfg.ResolvedThreads() > 1
 	switch cfg.Combiner {
-	case CombinerMutex:
-		if racy {
-			return newMutexMailbox[M](slots, combine, cfg), nil
-		}
-	case CombinerSpin:
-		if racy {
-			return newSpinMailbox[M](slots, combine, cfg), nil
-		}
+	case CombinerMutex, CombinerSpin:
 	case CombinerAtomic:
-		if racy {
-			return newAtomicMailbox[M](slots, combine, cfg)
-		}
 		if _, err := atomicWidth[M](); err != nil {
 			return nil, err
 		}
-	case CombinerPull:
 	default:
 		return nil, fmt.Errorf("core: unknown combiner %v", cfg.Combiner)
 	}
-	return newPlainMailbox(cfg, slots, combine), nil
+	if cfg.Direction == DirectionPull || cfg.ResolvedThreads() == 1 {
+		return newPlainMailbox(cfg, slots, combine), nil
+	}
+	switch cfg.Combiner {
+	case CombinerMutex:
+		return newMutexMailbox[M](slots, combine, cfg), nil
+	case CombinerSpin:
+		return newSpinMailbox[M](slots, combine, cfg), nil
+	}
+	return newAtomicMailbox[M](slots, combine, cfg)
 }

@@ -45,7 +45,7 @@ func TestNewConstructionErrors(t *testing.T) {
 		{
 			name: "pull combiner without in-edges",
 			g:    ringGraph(4, 0).StripInEdges(),
-			cfg:  Config{Combiner: CombinerPull},
+			cfg:  Config{Direction: DirectionPull},
 			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
 			want: "pull-direction supersteps fetch from in-neighbours",
 		},
@@ -55,27 +55,6 @@ func TestNewConstructionErrors(t *testing.T) {
 			cfg:  Config{Direction: Direction(97)},
 			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
 			want: "unknown direction",
-		},
-		{
-			name: "CombinerPull with adaptive Direction",
-			g:    ringGraph(4, 0).WithInEdges(),
-			cfg:  Config{Combiner: CombinerPull, Direction: DirectionAdaptive},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "cannot run Direction adaptive",
-		},
-		{
-			name: "direction threshold out of range",
-			g:    ringGraph(4, 0).WithInEdges(),
-			cfg:  Config{Direction: DirectionAdaptive, DirectionThreshold: 1.5},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "DirectionThreshold",
-		},
-		{
-			name: "direction threshold without adaptive Direction",
-			g:    ringGraph(4, 0).WithInEdges(),
-			cfg:  Config{Direction: DirectionPull, DirectionThreshold: 0.2},
-			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
-			want: "DirectionThreshold tunes the per-superstep switch of Direction adaptive",
 		},
 		{
 			name: "selection bypass without out-adjacency",
@@ -134,10 +113,9 @@ func TestAtomicConstructionErrorDistinct(t *testing.T) {
 
 // TestVersionNameSeparatesModuleVersions: Report.Version, trace events
 // and benchmark names identify a run by Config.VersionName, so two
-// configurations that differ in any module field — combiner, direction,
-// selection — must not share a name. CombinerPull fixes the
-// direction (New rewrites it to pull), so its rows are taken at the one
-// direction it can run.
+// configurations that build different engines — combiner, direction,
+// selection — must not share a name. A pull-only engine builds the plain
+// inbox whatever Combiner says, so its rows share "broadcast" by design.
 func TestVersionNameSeparatesModuleVersions(t *testing.T) {
 	type modules struct {
 		Combiner  Combiner
@@ -145,15 +123,15 @@ func TestVersionNameSeparatesModuleVersions(t *testing.T) {
 		Bypass    bool
 	}
 	seen := map[string]modules{}
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerPull, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
-			if comb == CombinerPull && dir != DirectionPull {
-				continue
-			}
 			for _, bypass := range []bool{false, true} {
 				m := modules{comb, dir, bypass}
+				if dir == DirectionPull {
+					m.Combiner = CombinerMutex // ignored: the plain inbox
+				}
 				name := Config{Combiner: comb, Direction: dir, SelectionBypass: bypass}.VersionName()
-				if other, dup := seen[name]; dup {
+				if other, dup := seen[name]; dup && other != m {
 					t.Fatalf("VersionName %q names both %+v and %+v", name, other, m)
 				}
 				seen[name] = m

@@ -19,7 +19,7 @@ type StepStats struct {
 	// CASRetries counts failed compare-and-swap attempts in the atomic
 	// mailbox this superstep (value-word combine retries plus lost
 	// empty-slot claims) — the live contention signal. Always 0 for the
-	// lock-based and pull combiners.
+	// lock-based and plain inboxes.
 	CASRetries uint64
 	// NextFrontier is the size of the next superstep's frontier under
 	// selection bypass (0 when bypass is off): how many vertices received

@@ -68,7 +68,7 @@ func TestThreadsParityManySpans(t *testing.T) {
 	for _, dir := range []Direction{DirectionPush, DirectionPull} {
 		for _, bypass := range []bool{false, true} {
 			cfg := Config{Combiner: CombinerSpin, Direction: dir, SelectionBypass: bypass}
-			t.Run(cfg.VersionName(), func(t *testing.T) {
+			t.Run(cellName(cfg), func(t *testing.T) {
 				for _, threads := range []int{2, 4} {
 					cfg.Threads = threads
 					e, err := New(g, cfg, ssspProg(1))

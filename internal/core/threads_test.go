@@ -21,7 +21,8 @@ import (
 // integer programs are bit-exact; the float program follows DESIGN.md
 // §5.1: bit-exact when every superstep pulled, 1e-9 when any pushed.
 // The fan-out graph's identifiers start at 1, so offset mapping's
-// id − base runs in every cell, which is named after it.
+// id − base runs in every cell, which is named after it. The pull cells
+// of every combiner build the one plain inbox of a pull-only engine.
 func TestThreadsParityTable(t *testing.T) {
 	g := fanoutGraph(1200, 6)
 	sameInt := func(a, b uint32) bool { return a == b }
@@ -31,7 +32,7 @@ func TestThreadsParityTable(t *testing.T) {
 		for _, bypass := range []bool{false, true} {
 			for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
 				cfg := Config{Combiner: comb, SelectionBypass: bypass, Direction: dir}
-				t.Run(cfg.VersionName()+"/offset", func(t *testing.T) {
+				t.Run(cellName(cfg)+"/offset", func(t *testing.T) {
 					for _, threads := range []int{2, 4} {
 						rep := oneVsThreads(t, g, cfg, ssspProg(1), sameInt, threads)
 						oneVsThreads(t, g, cfg, minLabelProg(), sameInt, threads)

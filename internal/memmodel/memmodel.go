@@ -141,8 +141,10 @@ func IPregelBytes(p IPregelParams) uint64 {
 
 	// mailbox: double-buffered single-message inboxes + flags, plus what
 	// protects them from concurrent senders — which a one-thread engine
-	// has none of, so it allocates the plain inbox whatever the combiner
-	racy := p.Config.ResolvedThreads() > 1
+	// and a pull-only one (every deposit is its owner's collect) have none
+	// of, so they allocate the plain inbox whatever the combiner
+	pulls := p.Config.Direction != core.DirectionPush
+	racy := p.Config.ResolvedThreads() > 1 && p.Config.Direction != core.DirectionPull
 	if p.Config.Combiner == core.CombinerAtomic && racy {
 		total += slots * (2*8 + 2*4) // packed value words + state words
 	} else {
@@ -154,11 +156,10 @@ func IPregelBytes(p IPregelParams) uint64 {
 	case p.Config.Combiner == core.CombinerSpin && racy:
 		total += slots * 4
 	}
-	// the pull transport of an engine that can pull (CombinerPull implies
-	// pull): outbox + flags, no locks, and under bypass the CAS flags that
-	// dedup a pull broadcast's enrolments — a push superstep enrols at the
-	// first inbox fill and needs none
-	pulls := p.Config.Combiner == core.CombinerPull || p.Config.Direction != core.DirectionPush
+	// the pull transport of an engine that can pull: outbox + flags, no
+	// locks, and under bypass the CAS flags that dedup a pull broadcast's
+	// enrolments — a push superstep enrols at the first inbox fill and
+	// needs none
 	if pulls {
 		total += slots*p.MessageBytes + slots
 	}

@@ -40,8 +40,8 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{Combiner: core.CombinerMutex},
 		{Combiner: core.CombinerSpin},
-		{Combiner: core.CombinerPull},
-		{Combiner: core.CombinerPull, SelectionBypass: true},
+		{Direction: core.DirectionPull},
+		{Direction: core.DirectionPull, SelectionBypass: true},
 		// One worker takes no lock, so it allocates none (the plain
 		// inbox); two pay for the configured protection.
 		{Combiner: core.CombinerMutex, Threads: 1},
@@ -58,7 +58,10 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 		{Combiner: core.CombinerAtomic, SelectionBypass: true, Threads: 2},
 		{Combiner: core.CombinerSpin, Direction: core.DirectionAdaptive, SelectionBypass: true, Threads: 1},
 		{Combiner: core.CombinerSpin, Direction: core.DirectionAdaptive, SelectionBypass: true, Threads: 2},
+		// A pull-only engine takes no lock at any thread count.
 		{Combiner: core.CombinerMutex, Direction: core.DirectionPull, Threads: 2},
+		{Combiner: core.CombinerAtomic, Direction: core.DirectionPull, Threads: 2},
+		{Combiner: core.CombinerAtomic, Direction: core.DirectionAdaptive, Threads: 2},
 	} {
 		e, err := core.New(g, cfg, core.Program[uint32, uint32]{
 			Compute: func(*core.Context[uint32, uint32], core.Vertex[uint32, uint32]) {},
@@ -88,7 +91,7 @@ func TestIPregelModelVersionOrdering(t *testing.T) {
 	// Threads: 2 — a one-thread engine allocates no lock to compare.
 	mutex.Config = core.Config{Combiner: core.CombinerMutex, Threads: 2}
 	spin.Config = core.Config{Combiner: core.CombinerSpin, Threads: 2}
-	pull.Config = core.Config{Combiner: core.CombinerPull}
+	pull.Config = core.Config{Direction: core.DirectionPull}
 	pull.InAdjacency = true
 	bm, bs := IPregelBytes(mutex), IPregelBytes(spin)
 	if bs >= bm {
@@ -108,7 +111,7 @@ func TestIPregelModelVersionOrdering(t *testing.T) {
 // paper's reported numbers.
 func TestFullScaleProjectionsMatchPaper(t *testing.T) {
 	ip := IPregelBytes(IPregelParams{
-		Config:       core.Config{Combiner: core.CombinerPull},
+		Config:       core.Config{Direction: core.DirectionPull},
 		V:            gen.TwitterV,
 		E:            gen.TwitterE,
 		ValueBytes:   8,
@@ -143,7 +146,7 @@ func TestFullScaleProjectionsMatchPaper(t *testing.T) {
 // §7.4.3: the Friendster graph fits under 16 GB with the pull version.
 func TestFriendsterFitsSixteenGB(t *testing.T) {
 	ip := IPregelBytes(IPregelParams{
-		Config:       core.Config{Combiner: core.CombinerPull},
+		Config:       core.Config{Direction: core.DirectionPull},
 		V:            gen.FriendsterV,
 		E:            gen.FriendsterE,
 		ValueBytes:   8,

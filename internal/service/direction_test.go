@@ -129,8 +129,8 @@ func TestDirectionParamValidation(t *testing.T) {
 }
 
 // TestDirectionTemplateValidation: the engine-template direction gates
-// AddGraph the same way the pull combiner does, and a pull-combiner
-// template rejects per-job overrides.
+// AddGraph, and a pull-only template (the broadcast version) takes
+// per-job overrides like any other: each job builds its own engine.
 func TestDirectionTemplateValidation(t *testing.T) {
 	s := New(Options{Engine: core.Config{Direction: core.DirectionAdaptive}})
 	if err := s.AddGraph("g", testGraph(t, "ring:64"), "generated"); err == nil ||
@@ -160,13 +160,34 @@ func TestDirectionTemplateValidation(t *testing.T) {
 		t.Fatal("omitted direction should share the explicit template-default cache entry")
 	}
 
-	pullOnly := New(Options{Engine: core.Config{Combiner: core.CombinerPull}})
-	t.Cleanup(func() { closeService(t, pullOnly) })
+	pullOnly := New(Options{Engine: core.Config{Direction: core.DirectionPull}})
+	if err := pullOnly.AddGraph("g", testGraph(t, "ring:64"), "generated"); err == nil ||
+		!strings.Contains(err.Error(), "in-edges") {
+		t.Fatalf("pull template accepted an in-edge-less graph: %v", err)
+	}
 	if err := pullOnly.AddGraph("g", inEdgeGraph(t, "ring:64"), "generated"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pullOnly.Submit(JobRequest{Graph: "g", Program: "pagerank", Params: Params{Direction: "pull"}}); err == nil ||
-		!strings.Contains(err.Error(), "cannot be overridden per job") {
-		t.Fatalf("pull-combiner template accepted a direction override: %v", err)
+	if err := pullOnly.Start(); err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { closeService(t, pullOnly) })
+	pulled := waitSubmitted(t, pullOnly, JobRequest{Graph: "g", Program: "pagerank", Params: Params{Rounds: 5}})
+	pushed := waitSubmitted(t, pullOnly, JobRequest{Graph: "g", Program: "pagerank", Params: Params{Rounds: 5, Direction: "push"}})
+	if pushed.Cached || !sameRank(pushed.Result.RankSum, pulled.Result.RankSum) || pushed.Result.Messages != pulled.Result.Messages {
+		t.Fatalf("push override on a pull template: %+v, pull-only run %+v", pushed.Result, pulled.Result)
+	}
+}
+
+// waitSubmitted submits req and waits for it to finish successfully.
+func waitSubmitted(t *testing.T, s *Service, req JobRequest) JobView {
+	t.Helper()
+	v, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v = waitTerminal(t, s, v.ID); v.State != StateDone {
+		t.Fatalf("%s/%q: state %s (%s)", req.Program, req.Params.Direction, v.State, v.Error)
+	}
+	return v
 }

@@ -111,9 +111,6 @@ func (s *Service) canonDirection(entry *graphEntry, program, raw string) (string
 	if err != nil {
 		return "", reqErrorf("params.direction: %v", err)
 	}
-	if s.opts.Engine.Combiner == core.CombinerPull {
-		return "", reqErrorf("params.direction: the engine template selects the pull combiner, whose lock-free inbox only takes pull supersteps; the transport cannot be overridden per job")
-	}
 	if dir == s.opts.Engine.Direction {
 		return "", nil
 	}
@@ -457,9 +454,7 @@ func runHashmin(ctx context.Context, s *Service, jb *Job) (*Result, core.Report,
 }
 
 func runWCC(ctx context.Context, s *Service, jb *Job) (*Result, core.Report, error) {
-	needIn := s.opts.Engine.Combiner == core.CombinerPull ||
-		s.opts.Engine.Direction != core.DirectionPush ||
-		jb.params.Direction != ""
+	needIn := s.opts.Engine.Direction != core.DirectionPush || jb.params.Direction != ""
 	sym := jb.entry.symmetrized(needIn)
 	return runLabels(ctx, s, jb, sym)
 }

@@ -203,8 +203,9 @@ func New(opts Options) *Service {
 // Collector returns the telemetry collector every job reports into.
 func (s *Service) Collector() *telemetry.Collector { return s.opts.Collector }
 
-// AddGraph registers g under name. The pull combiner reads in-edges, so
-// an Engine template selecting it requires graphs loaded with them.
+// AddGraph registers g under name. The pull transport reads in-edges, so
+// an Engine template whose direction can pull requires graphs loaded with
+// them.
 func (s *Service) AddGraph(name string, g *graph.Graph, origin string) error {
 	if name == "" {
 		return fmt.Errorf("service: graph name must be non-empty")
@@ -212,13 +213,8 @@ func (s *Service) AddGraph(name string, g *graph.Graph, origin string) error {
 	if g == nil || g.N() == 0 {
 		return fmt.Errorf("service: graph %q is empty", name)
 	}
-	if !g.HasInEdges() {
-		switch {
-		case s.opts.Engine.Combiner == core.CombinerPull:
-			return fmt.Errorf("service: graph %q has no in-edges but the engine template selects the pull combiner", name)
-		case s.opts.Engine.Direction != core.DirectionPush:
-			return fmt.Errorf("service: graph %q has no in-edges but the engine template's direction is %v", name, s.opts.Engine.Direction)
-		}
+	if !g.HasInEdges() && s.opts.Engine.Direction != core.DirectionPush {
+		return fmt.Errorf("service: graph %q has no in-edges but the engine template's direction is %v", name, s.opts.Engine.Direction)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
