@@ -74,15 +74,14 @@ ipregeld-smoke:
 
 # End-to-end check of the memory-efficiency tier: IPG3 files smaller
 # than IPG1, identical SSSP results across -graph-backend
-# flat/compressed/mmap, the mem-backend footprint ordering, and
-# ipregeld serving a mapped graph.
+# flat/compressed/mmap, and ipregeld serving a mapped graph (the
+# per-backend heap ordering is memmodel's TestCompressedBackendFootprint).
 membackend-smoke:
 	sh scripts/membackend_smoke.sh
 
 # End-to-end check of the direction model: -direction push/pull/adaptive
-# parity through the CLI, the adaptive JSONL trace recording pull steps
-# and a switch, and the push-vs-pull-vs-adaptive ablation written to
-# results/BENCH_direction.json.
+# parity through the CLI, and the adaptive JSONL trace recording pull
+# steps and a switch.
 direction-smoke:
 	sh scripts/direction_smoke.sh
 
@@ -109,19 +108,23 @@ fuzz:
 	done
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=$(FUZZTIME)
 
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
 # The hot-primitive microbenchmarks, one `package:name` each: mailbox
 # deliver per inbox version — a scatter of one per message, the fused
 # scatter, and the fused scatter under bypass, whose fills are the
 # frontier enrolment (ns/msg); neighbour decode per backend and access
 # order, and the compressed adjacency's open-time validation sweep
-# (ns/edge); the pull collect's fold per inbox version (ns per in-edge).
-# It fails when one of them no longer exists; CI runs it with
-# BENCHTIME=1x so they cannot rot.
+# (ns/edge); the pull collect's fold per inbox version (ns per in-edge);
+# and Hashmin on a transposed star, every leaf delivering into one hub
+# slot, per push combiner (the one concurrent hot-slot cell; at -cpu 1
+# the engines resolve to one thread and its rows coincide, so compare
+# the combiners with `go test ./internal/algorithms/ -run '^$' -bench
+# Contention -cpu 4`). It fails when one of them no longer exists; CI
+# runs it with BENCHTIME=1x so they cannot rot. `make bench` is the same
+# list.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention
+bench: bench-core
+
 bench-core:
 	@for pb in $(CORE_BENCHES); do \
 		p=$${pb%%:*}; b=$${pb##*:}; \

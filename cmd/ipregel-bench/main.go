@@ -40,8 +40,6 @@ func run(args []string, out io.Writer) error {
 		divisor = fs.Int("divisor", 0, "graph scale divisor (default 64 = 1/64 of the paper's graphs)")
 		threads = fs.Int("threads", 0, "iPregel worker threads (default GOMAXPROCS); with 1 every push combiner runs the same lock-free inbox, so fig7's mutex-vs-spinlock columns — a contention comparison — coincide")
 		quick   = fs.Bool("quick", false, "fewer repetitions and smaller sweeps")
-		backend = fs.String("graph-backend", "flat", "adjacency storage for experiment graphs: flat | compressed | mmap")
-		dirFlag = fs.String("direction", "push", "message transport for every iPregel engine: push | pull | adaptive (pull-combiner cells are all-pull already)")
 		rounds  = fs.Int("pagerank-rounds", 0, "PageRank iterations (default 30, as in the paper)")
 		csvDir  = fs.String("csv", "", "also write figure data series as CSV files into this directory")
 		telAddr = fs.String("telemetry", "", "serve live /metrics, expvar and /debug/pprof on this address (e.g. :8080) while experiments run")
@@ -69,12 +67,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	dir, err := core.ParseDirection(*dirFlag)
-	if err != nil {
-		return err
-	}
-	o := &bench.Options{Divisor: *divisor, Threads: *threads, Quick: *quick, PRRounds: *rounds, CSVDir: *csvDir, Observers: observers, Backend: *backend, Direction: dir}
-	defer o.Close()
+	o := &bench.Options{Divisor: *divisor, Threads: *threads, Quick: *quick, PRRounds: *rounds, CSVDir: *csvDir, Observers: observers}
 	switch {
 	case *all:
 		return bench.RunAll(o, out)

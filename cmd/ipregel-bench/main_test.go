@@ -12,7 +12,7 @@ func TestList(t *testing.T) {
 	if err := run([]string{"-list"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig7", "fig8", "fig9", "table1", "table2", "mem-projection", "shm-baseline"} {
+	for _, want := range []string{"fig7", "fig8", "fig9", "table1", "table2", "mem-projection"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("list missing %q:\n%s", want, sb.String())
 		}
@@ -53,12 +53,20 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestRemovedShardFlag: -shards went with the shard layer, so passing it
-// is the flag package's usage error, not a flag accepted and ignored.
+// TestRemovedShardFlag: -shards went with the shard layer, and the
+// sweep-wide -graph-backend and -direction overrides with the harness
+// options they set, so passing any of them is the flag package's usage
+// error, not a flag accepted and ignored.
 func TestRemovedShardFlag(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-exp", "table1", "-shards", "2"}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
-		t.Fatalf("-shards: err = %v, want the flag package's not-defined error", err)
+	for _, c := range []struct{ flag, value string }{
+		{"-shards", "2"},
+		{"-graph-backend", "mmap"},
+		{"-direction", "pull"},
+	} {
+		var sb strings.Builder
+		err := run([]string{"-exp", "table1", c.flag, c.value}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+c.flag) {
+			t.Fatalf("%s: err = %v, want the flag package's not-defined error", c.flag, err)
+		}
 	}
 }

@@ -196,7 +196,6 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 		for _, cc := range []pregelplus.ClusterConfig{
 			{Nodes: 1, ProcsPerNode: 2},
 			{Nodes: 4, ProcsPerNode: 2, DisableCombiner: true},
-			{Nodes: 4, ProcsPerNode: 2, MirrorThreshold: 4},
 		} {
 			cl, err := pregelplus.NewCluster(g, cc, potentialProgramPP(seed), pregelplus.Uint32Codec{})
 			if err != nil {

@@ -1,18 +1,13 @@
 // Package bench is the experiment harness: one registered experiment per
-// table and figure of the paper's evaluation (§7), plus the ablations
-// DESIGN.md calls out. Each experiment prints the same rows/series the
-// paper reports, at the configured graph scale.
-//
-// The harness is used two ways: the cmd/ipregel-bench binary runs
-// experiments by identifier, and the repository-root bench_test.go wraps
-// them in testing.B benchmarks.
+// table and figure of the paper's evaluation (§7), plus the inbox
+// ablation DESIGN.md calls out. Each experiment prints the same
+// rows/series the paper reports, at the configured graph scale; the
+// cmd/ipregel-bench binary runs them by identifier.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
@@ -21,7 +16,6 @@ import (
 	"ipregel/internal/core"
 	"ipregel/internal/gen"
 	"ipregel/internal/graph"
-	"ipregel/internal/graphio"
 	"ipregel/internal/pregelplus"
 	"ipregel/internal/stats"
 )
@@ -54,21 +48,8 @@ type Options struct {
 	// telemetry.Collector through here), so long sweeps expose the same
 	// /metrics view as single ipregel-run invocations.
 	Observers []core.Observer
-	// Backend selects the adjacency storage every experiment graph uses:
-	// "" or "flat" is the classic CSR, "compressed" re-encodes it into
-	// delta+varint blocks (graph.Compress), and "mmap" writes the
-	// compressed form to a temporary IPG3 file and maps it read-only
-	// (graphio.OpenMapped). Call Close when done with an Options whose
-	// Backend is "mmap" to release the mappings.
-	Backend string
-	// Direction applies core.Config.Direction to every iPregel engine the
-	// experiments build (push when zero); the direction experiment runs
-	// its own push/pull/adaptive sweep regardless.
-	Direction core.Direction
 
-	cache   map[string]*graph.Graph
-	mapped  []*graphio.Mapped
-	tmpDirs []string
+	cache map[string]*graph.Graph
 }
 
 func (o *Options) withDefaults() *Options {
@@ -105,8 +86,7 @@ func (o *Options) withDefaults() *Options {
 }
 
 // Graph returns (and caches) a paper-graph stand-in at the configured
-// scale, always with in-edges so every engine version can run, stored
-// under the configured Backend.
+// scale, always with in-edges so every engine version can run.
 func (o *Options) Graph(name string) (*graph.Graph, error) {
 	if g, ok := o.cache[name]; ok {
 		return g, nil
@@ -115,77 +95,12 @@ func (o *Options) Graph(name string) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch o.Backend {
-	case "", "flat":
-	case "compressed":
-		if g, err = g.Compress(); err != nil {
-			return nil, err
-		}
-	case "mmap":
-		cg, err := g.Compress()
-		if err != nil {
-			return nil, err
-		}
-		dir, err := os.MkdirTemp("", "ipregel-bench-mmap-")
-		if err != nil {
-			return nil, err
-		}
-		o.tmpDirs = append(o.tmpDirs, dir)
-		path := filepath.Join(dir, name+".bin")
-		if err := writeGraphFile(path, cg); err != nil {
-			return nil, err
-		}
-		m, err := graphio.OpenMapped(path, graphio.Options{BuildInEdges: true})
-		if err != nil {
-			return nil, err
-		}
-		o.mapped = append(o.mapped, m)
-		g = m.Graph()
-	default:
-		return nil, fmt.Errorf("bench: unknown graph backend %q (flat, compressed, mmap)", o.Backend)
-	}
 	o.cache[name] = g
 	return g, nil
 }
 
-func writeGraphFile(path string, g *graph.Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := graphio.WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Close releases the memory mappings and temporary files the "mmap"
-// backend created. Safe on any Options, any number of times.
-func (o *Options) Close() error {
-	var first error
-	for _, m := range o.mapped {
-		if err := m.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	o.mapped = nil
-	for _, d := range o.tmpDirs {
-		if err := os.RemoveAll(d); err != nil && first == nil {
-			first = err
-		}
-	}
-	o.tmpDirs = nil
-	return first
-}
-
 func (o *Options) engineConfig(cfg core.Config) core.Config {
 	cfg.Threads = o.Threads
-	// The broadcast version is pull by definition, so only push versions
-	// take the sweep-wide override.
-	if cfg.Direction == core.DirectionPush {
-		cfg.Direction = o.Direction
-	}
 	cfg.Observers = append(cfg.Observers, o.Observers...)
 	return cfg
 }
@@ -265,20 +180,15 @@ func bestVersionFor(app appSpec) core.Config {
 }
 
 // measureIP runs one iPregel configuration under the measurement
-// protocol, returning the stable mean. A GC cycle runs before each
-// repetition so collector pauses triggered by the previous repetition's
-// garbage do not land inside the next measurement.
+// protocol (superstep time only, like the paper §7.1.2), returning the
+// stable mean. A GC cycle runs before each repetition so collector
+// pauses triggered by the previous repetition's garbage do not land
+// inside the next measurement.
 func measureIP(o *Options, app appSpec, g *graph.Graph, cfg core.Config) (stats.Measurement, error) {
-	return measureIPFunc(o, func() (core.Report, error) { return app.runIP(o, g, cfg) })
-}
-
-// measureIPFunc runs an arbitrary engine invocation under the
-// measurement protocol (superstep time only, like the paper §7.1.2).
-func measureIPFunc(o *Options, run func() (core.Report, error)) (stats.Measurement, error) {
 	var runErr error
 	m := stats.RunUntilStable(o.Protocol, func() time.Duration {
 		runtime.GC()
-		rep, err := run()
+		rep, err := app.runIP(o, g, cfg)
 		if err != nil {
 			runErr = err
 			return 0

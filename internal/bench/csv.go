@@ -44,7 +44,6 @@ func saveCSV(o *Options, name string, header []string, rows [][]string) error {
 	return f.Close()
 }
 
-func itoa(v int64) string   { return fmt.Sprintf("%d", v) }
-func utoa(v uint64) string  { return fmt.Sprintf("%d", v) }
-func ftoa(v float64) string { return fmt.Sprintf("%g", v) }
-func btoa(v bool) string    { return fmt.Sprintf("%v", v) }
+func itoa(v int64) string  { return fmt.Sprintf("%d", v) }
+func utoa(v uint64) string { return fmt.Sprintf("%d", v) }
+func btoa(v bool) string   { return fmt.Sprintf("%v", v) }

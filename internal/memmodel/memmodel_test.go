@@ -1,11 +1,14 @@
 package memmodel
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ipregel/internal/core"
 	"ipregel/internal/gen"
 	"ipregel/internal/graph"
+	"ipregel/internal/graphio"
 )
 
 func TestMeasurePeakHeapSeesAllocation(t *testing.T) {
@@ -196,11 +199,13 @@ func TestFitsBudget(t *testing.T) {
 	}
 }
 
-// Footprint regression for the compressed graph backend: on a power-law
-// graph with sorted adjacency, the measured resident bytes of the
-// block-compressed graph must come in strictly under the flat CSR, and
-// both the measured and the structural footprints must agree with the
-// analytic models within slack for allocator rounding.
+// Footprint regression for the graph backends: on a power-law graph
+// with sorted adjacency and both directions, the measured resident heap
+// must fall strictly tier by tier — flat CSR > block-compressed > an IPG3
+// file mapped read-only serving in-edges (only the derived in-adjacency
+// is on the heap) > the same mapping before anything read its in side —
+// and the flat and compressed measured and structural footprints must
+// agree with the analytic models within slack for allocator rounding.
 func TestCompressedBackendFootprint(t *testing.T) {
 	build := func() *graph.Graph {
 		// Sorted adjacency (what Builder.Compress would produce) so the
@@ -208,6 +213,7 @@ func TestCompressedBackendFootprint(t *testing.T) {
 		src := gen.RMATN(20_000, 160_000, 7, 0, false)
 		var b graph.Builder
 		b.SortAdjacency()
+		b.BuildInEdges()
 		src.Edges(func(u, v graph.VertexID) bool {
 			b.AddEdge(u, v)
 			return true
@@ -231,8 +237,46 @@ func TestCompressedBackendFootprint(t *testing.T) {
 	t.Logf("flat: measured=%s structural=%s (%.1f B/vertex)", GB(measuredFlat), GB(flat.MemoryBytes()), BytesPerVertex(measuredFlat, flat.N()))
 	t.Logf("compressed: measured=%s structural=%s (%.1f B/vertex)", GB(measuredComp), GB(compressed.MemoryBytes()), BytesPerVertex(measuredComp, flat.N()))
 
-	if measuredComp >= measuredFlat {
-		t.Fatalf("compressed backend measured %d bytes, flat %d: compression saved nothing", measuredComp, measuredFlat)
+	// The mmap rows: the compressed graph as an IPG3 file, opened as
+	// ipregel-run -graph-backend mmap opens it. "mmap" has its in-side
+	// derived, what a run that pulls retains; "mmap out-only" has not,
+	// what a push-only run retains. Only the heap counts: the mapped
+	// pages are file-backed and evictable.
+	path := filepath.Join(t.TempDir(), "g.ipg3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphio.WriteBinary(f, compressed); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	measureMapped := func(inEdges bool) uint64 {
+		var m *graphio.Mapped
+		heap := MeasureRetained(func() any {
+			var err error
+			if m, err = graphio.OpenMapped(path, graphio.Options{BuildInEdges: true}); err != nil {
+				t.Fatal(err)
+			}
+			if inEdges {
+				m.Graph().WithInEdges()
+			}
+			return m
+		})
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return heap
+	}
+	measuredMmap := measureMapped(true)
+	measuredOutOnly := measureMapped(false)
+	t.Logf("mmap with in-edges: measured=%s; mmap out-only: measured=%s", GB(measuredMmap), GB(measuredOutOnly))
+
+	if !(measuredComp < measuredFlat && measuredMmap < measuredComp && measuredOutOnly < measuredMmap) {
+		t.Fatalf("backend heap bytes not strictly decreasing: flat=%d compressed=%d mmap=%d mmap-out-only=%d",
+			measuredFlat, measuredComp, measuredMmap, measuredOutOnly)
 	}
 
 	// Measured vs structural: the allocator may round spans up, but the

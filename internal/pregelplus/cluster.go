@@ -71,31 +71,8 @@ func NewCluster[V, M any](g *graph.Graph, cfg ClusterConfig, prog Program[V, M],
 		v := &Vertex[V, M]{ID: id, active: true, outEdges: out}
 		owner := cl.workers[cl.ownerOf(id)]
 		owner.addVertex(v)
-		if cfg.MirrorThreshold > 0 && len(out) >= cfg.MirrorThreshold {
-			cl.mirror(v)
-		}
 	}
 	return cl, nil
-}
-
-// mirror replicates v's adjacency across the workers owning its
-// neighbours: broadcasts then travel once per worker and fan out locally
-// (Pregel+'s message-reduction technique).
-func (cl *Cluster[V, M]) mirror(v *Vertex[V, M]) {
-	perWorker := make(map[int][]graph.VertexID)
-	for _, nb := range v.outEdges {
-		dw := cl.ownerOf(nb)
-		perWorker[dw] = append(perWorker[dw], nb)
-	}
-	v.mirrorTargets = make([]int32, 0, len(perWorker))
-	for dw, local := range perWorker {
-		v.mirrorTargets = append(v.mirrorTargets, int32(dw))
-		w := cl.workers[dw]
-		if w.mirrorAdj == nil {
-			w.mirrorAdj = make(map[graph.VertexID][]graph.VertexID)
-		}
-		w.mirrorAdj[v.ID] = local
-	}
 }
 
 // ownerOf assigns an identifier to a worker according to the configured
@@ -127,7 +104,6 @@ func (cl *Cluster[V, M]) Run() (Report, error) {
 	outBytes := make([]uint64, cl.nodeCount)
 	inBytes := make([]uint64, cl.nodeCount)
 	incoming := make([][][]byte, cl.workerCount)
-	incomingMirror := make([][][]byte, cl.workerCount)
 
 	for {
 		if cl.cfg.MaxSupersteps > 0 && cl.superstep >= cl.cfg.MaxSupersteps {
@@ -153,15 +129,6 @@ func (cl *Cluster[V, M]) Run() (Report, error) {
 		clear(inBytes)
 		for i := range incoming {
 			incoming[i] = incoming[i][:0]
-			incomingMirror[i] = incomingMirror[i][:0]
-		}
-		charge := func(src *worker[V, M], dw int, buf []byte) {
-			srcNode, dstNode := src.node, dw/cl.procsPerNode
-			if srcNode != dstNode {
-				outBytes[srcNode] += uint64(len(buf))
-				inBytes[dstNode] += uint64(len(buf))
-				cl.report.WireBytes += uint64(len(buf))
-			}
 		}
 		for _, src := range cl.workers {
 			for dw, buf := range src.rawOut {
@@ -169,14 +136,12 @@ func (cl *Cluster[V, M]) Run() (Report, error) {
 					continue
 				}
 				incoming[dw] = append(incoming[dw], buf)
-				charge(src, dw, buf)
-			}
-			for dw, buf := range src.mirrorOut {
-				if len(buf) == 0 {
-					continue
+				srcNode, dstNode := src.node, dw/cl.procsPerNode
+				if srcNode != dstNode {
+					outBytes[srcNode] += uint64(len(buf))
+					inBytes[dstNode] += uint64(len(buf))
+					cl.report.WireBytes += uint64(len(buf))
 				}
-				incomingMirror[dw] = append(incomingMirror[dw], buf)
-				charge(src, dw, buf)
 			}
 		}
 		netDur := net.TransferTime(cl.nodeCount, outBytes, inBytes)
@@ -186,9 +151,6 @@ func (cl *Cluster[V, M]) Run() (Report, error) {
 		var delivered uint64
 		for _, w := range cl.workers {
 			d, n := w.deliverPhase(incoming[w.id])
-			dm, nm := w.deliverMirrors(incomingMirror[w.id])
-			d += dm
-			n += nm
 			if d > maxDeliver {
 				maxDeliver = d
 			}

@@ -77,15 +77,10 @@ type ClusterConfig struct {
 	Net NetModel
 	// MaxSupersteps aborts runaway programs; 0 means no limit.
 	MaxSupersteps int
-	// DisableCombiner turns off sender-side combining (for the ablation
-	// measuring how combiners reduce wire volume and inbox growth).
+	// DisableCombiner turns off sender-side combining, so every message
+	// travels wrapped and uncombined (wire volume and inbox growth then
+	// scale with the edge count).
 	DisableCombiner bool
-	// MirrorThreshold enables Pregel+'s vertex mirroring (Yan et al.,
-	// WWW'15): a vertex whose out-degree reaches the threshold is
-	// replicated, so a broadcast ships one wire message per worker owning
-	// neighbours instead of one per neighbour; the receiving worker fans
-	// the message out locally. 0 disables mirroring.
-	MirrorThreshold int
 	// Partition selects the vertex-to-worker assignment.
 	Partition Partitioning
 }

@@ -250,104 +250,6 @@ func TestPartitionCoversAllVertices(t *testing.T) {
 	}
 }
 
-// Mirroring must not change results, and must slash wire traffic for
-// high-degree broadcasters.
-func TestMirroringEquivalentAndCheaper(t *testing.T) {
-	// Power-law graph with real hubs. Mirroring pays off when a vertex's
-	// degree exceeds the worker count (one message per worker instead of
-	// one per edge), so the threshold is set above 16 workers; combiners
-	// are disabled as in Pregel+'s mirroring mode (mirroring replaces
-	// sender-side combining for broadcast applications).
-	g := gen.RMATN(250, 2500, 31, 1, false)
-	base := ClusterConfig{Nodes: 8, ProcsPerNode: 2, DisableCombiner: true}
-	mirrored := base
-	mirrored.MirrorThreshold = 32
-
-	plainR, plainRep, err := PageRank(g, base, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirR, mirRep, err := PageRank(g, mirrored, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plainR {
-		diff := plainR[i] - mirR[i]
-		if diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("mirroring changed rank[%d]: %g vs %g", i, plainR[i], mirR[i])
-		}
-	}
-	if mirRep.WireBytes >= plainRep.WireBytes {
-		t.Fatalf("mirroring did not reduce wire bytes: %d vs %d", mirRep.WireBytes, plainRep.WireBytes)
-	}
-
-	// Hashmin and SSSP too (mirrored Broadcast path under min-combining apps).
-	pl, _, err := Hashmin(g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, _, err := Hashmin(g, mirrored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pl {
-		if pl[i] != ml[i] {
-			t.Fatalf("mirroring changed hashmin label[%d]", i)
-		}
-	}
-}
-
-func TestMirroringStarWireBytes(t *testing.T) {
-	// A hub broadcasting to 63 leaves across 8 workers: unmirrored wire
-	// carries ~63 records, mirrored at most 8 (minus intra-node ones).
-	g := gen.Star(64, 0)
-	plain, _, err := Hashmin(g, ClusterConfig{Nodes: 4, ProcsPerNode: 2, DisableCombiner: true})
-	_ = plain
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl1, err := NewCluster(g, ClusterConfig{Nodes: 4, ProcsPerNode: 2, DisableCombiner: true}, HashminProgram(), Uint32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := cl1.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl2, err := NewCluster(g, ClusterConfig{Nodes: 4, ProcsPerNode: 2, DisableCombiner: true, MirrorThreshold: 10}, HashminProgram(), Uint32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := cl2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.WireBytes*4 > rep1.WireBytes {
-		t.Fatalf("star mirroring should cut wire bytes ~8x: %d vs %d", rep2.WireBytes, rep1.WireBytes)
-	}
-	// Results identical.
-	for i, v := range cl1.ValuesDense() {
-		if cl2.ValuesDense()[i] != v {
-			t.Fatalf("mirroring changed star label[%d]", i)
-		}
-	}
-}
-
-func TestMirrorMemoryAccounted(t *testing.T) {
-	g := gen.Star(64, 0)
-	plain, err := NewCluster(g, ClusterConfig{Nodes: 4, ProcsPerNode: 2}, HashminProgram(), Uint32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mir, err := NewCluster(g, ClusterConfig{Nodes: 4, ProcsPerNode: 2, MirrorThreshold: 5}, HashminProgram(), Uint32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mir.MemoryBytes() <= plain.MemoryBytes() {
-		t.Fatal("mirror tables should add accounted memory")
-	}
-}
-
 // Block partitioning keeps grid neighbours on the same worker: identical
 // results, materially less wire traffic on spatially ordered inputs.
 func TestBlockPartitioningLocality(t *testing.T) {

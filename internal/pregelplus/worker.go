@@ -20,9 +20,6 @@ type Vertex[V, M any] struct {
 	active   bool
 	inbox    []M
 	outEdges []graph.VertexID
-	// mirrorTargets lists the workers holding this vertex's mirrors; nil
-	// when the vertex is not mirrored (see ClusterConfig.MirrorThreshold).
-	mirrorTargets []int32
 }
 
 // Messages returns the messages received at the start of the current
@@ -51,17 +48,9 @@ func (c *Context[V, M]) NumVertices() int { return c.cl.totalVertices }
 // buffer.
 func (c *Context[V, M]) SendTo(dst graph.VertexID, msg M) { c.w.send(dst, msg) }
 
-// Broadcast sends msg to every out-neighbour of v. For a mirrored vertex
-// (out-degree ≥ ClusterConfig.MirrorThreshold) one message per mirror
-// worker is shipped and fanned out at the receiver; otherwise one wrapped
-// message per neighbour is buffered.
+// Broadcast sends msg to every out-neighbour of v: one wrapped message
+// per neighbour is buffered.
 func (c *Context[V, M]) Broadcast(v *Vertex[V, M], msg M) {
-	if v.mirrorTargets != nil {
-		for _, dw := range v.mirrorTargets {
-			c.w.sendMirror(int(dw), v.ID, msg)
-		}
-		return
-	}
 	for _, nb := range v.outEdges {
 		c.w.send(nb, msg)
 	}
@@ -90,11 +79,6 @@ type worker[V, M any] struct {
 	// send state, one entry per destination worker
 	rawOut  [][]byte               // wire-format buffers (no combiner)
 	combOut []map[graph.VertexID]M // combiner mode: per-recipient fold
-
-	// mirroring state: outgoing mirror buffers per destination worker, and
-	// the local fan-out table src-vertex → local neighbours.
-	mirrorOut [][]byte
-	mirrorAdj map[graph.VertexID][]graph.VertexID
 
 	ran, votes int64
 	msgsSent   uint64
@@ -171,44 +155,6 @@ func (w *worker[V, M]) computePhase(first bool) time.Duration {
 	return time.Since(start)
 }
 
-// sendMirror buffers one broadcast payload for the mirror of src held by
-// worker dw; the receiver fans it out to src's local neighbours.
-func (w *worker[V, M]) sendMirror(dw int, src graph.VertexID, msg M) {
-	if w.mirrorOut == nil {
-		w.mirrorOut = make([][]byte, w.cl.workerCount)
-	}
-	sz := w.cl.codec.Size()
-	b := w.mirrorOut[dw]
-	off := len(b)
-	b = append(b, make([]byte, wrapIDBytes+sz)...)
-	putUint32(b[off:], uint32(src))
-	w.cl.codec.Encode(b[off+wrapIDBytes:], msg)
-	w.mirrorOut[dw] = b
-	w.msgsSent++
-}
-
-// deliverMirrors fans incoming mirror records out to their local
-// recipients, returning measured duration and messages enqueued.
-func (w *worker[V, M]) deliverMirrors(incoming [][]byte) (time.Duration, uint64) {
-	start := time.Now()
-	var delivered uint64
-	sz := w.cl.codec.Size()
-	rec := wrapIDBytes + sz
-	for _, buf := range incoming {
-		for off := 0; off+rec <= len(buf); off += rec {
-			src := graph.VertexID(getUint32(buf[off:]))
-			msg := w.cl.codec.Decode(buf[off+wrapIDBytes:])
-			for _, nb := range w.mirrorAdj[src] {
-				if v, ok := w.verts[nb]; ok {
-					v.inbox = append(v.inbox, msg)
-					delivered++
-				}
-			}
-		}
-	}
-	return time.Since(start), delivered
-}
-
 // serializeCombined flushes the combiner maps into wire buffers.
 func (w *worker[V, M]) serializeCombined() {
 	sz := w.cl.codec.Size()
@@ -262,9 +208,6 @@ func (w *worker[V, M]) resetSendBuffers() {
 	for i := range w.rawOut {
 		w.rawOut[i] = w.rawOut[i][:0]
 	}
-	for i := range w.mirrorOut {
-		w.mirrorOut[i] = w.mirrorOut[i][:0]
-	}
 	w.ran, w.votes, w.msgsSent = 0, 0, 0
 }
 
@@ -293,16 +236,8 @@ func (w *worker[V, M]) memoryBytes() uint64 {
 	for _, b := range w.rawOut {
 		total += uint64(cap(b))
 	}
-	for _, b := range w.mirrorOut {
-		total += uint64(cap(b))
-	}
 	for _, m := range w.combOut {
 		total += uint64(len(m)) * (mapEntryBytes + msgBytes)
-	}
-	// mirror fan-out tables: one map entry plus the local neighbour list
-	// per mirrored source vertex.
-	for _, adj := range w.mirrorAdj {
-		total += mapEntryBytes + uint64(cap(adj))*4 + allocHeaderBytes
 	}
 	return total
 }
