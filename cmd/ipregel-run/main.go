@@ -48,7 +48,7 @@ func run(args []string, out io.Writer) error {
 		graphFile = fs.String("graph-file", "", "load a graph file instead of generating")
 		backend   = fs.String("graph-backend", "flat", "adjacency storage: flat | compressed (delta+varint blocks) | mmap (map a .bin graph file read-only; requires -graph-file)")
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
-		framework = fs.String("framework", "ipregel", "ipregel | pregelplus | femtograph (see DESIGN.md)")
+		framework = fs.String("framework", "ipregel", "ipregel | pregelplus (see DESIGN.md)")
 		combiner  = fs.String("combiner", "spinlock", "iPregel push inbox: mutex | spinlock | atomic (the broadcast version is -direction pull)")
 		bypass    = fs.Bool("bypass", false, "enable selection bypass (Hashmin/SSSP only)")
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
@@ -89,7 +89,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *backend != "flat" {
 		// The non-flat backends drop the shared-slice adjacency accessors,
-		// which the comparison frameworks rely on; every iPregel app
+		// which the Pregel+ baseline relies on; every iPregel app
 		// (including scc's trim/Tarjan walks) goes through the iterator
 		// path and runs on any backend.
 		if *framework != "ipregel" {
@@ -145,8 +145,6 @@ func run(args []string, out io.Writer) error {
 	switch *framework {
 	case "pregelplus":
 		return runPregelPlus(out, g, *app, *rounds, graph.VertexID(*source), *nodes)
-	case "femtograph":
-		return runFemtograph(out, g, *app, *rounds, graph.VertexID(*source), *threads)
 	case "ipregel":
 	default:
 		return fmt.Errorf("unknown framework %q", *framework)
@@ -356,34 +354,6 @@ func runPregelPlus(out io.Writer, g *graph.Graph, app string, rounds int, source
 	fmt.Fprintf(out, "Pregel+ %d node(s): simulated %v (compute %v + network %v), %d supersteps, %d messages, %s on the wire, peak framework memory %s\n",
 		nodes, rep.SimTime.Round(time.Microsecond), rep.ComputeTime.Round(time.Microsecond), rep.NetTime.Round(time.Microsecond),
 		rep.Supersteps, rep.Messages, memmodel.GB(rep.WireBytes), memmodel.GB(rep.PeakMemoryBytes))
-	return nil
-}
-
-func runFemtograph(out io.Writer, g *graph.Graph, app string, rounds int, source graph.VertexID, threads int) error {
-	// Imported lazily via the bench experiment normally; direct runs go
-	// through the same public helpers.
-	cfg := femtographConfig(threads)
-	var err error
-	var dur time.Duration
-	var supersteps int
-	var peakQ uint64
-	switch app {
-	case "pagerank":
-		_, rep, e := femtographPageRank(g, cfg, rounds)
-		dur, supersteps, peakQ, err = rep.Duration, rep.Supersteps, rep.PeakQueuedMessages, e
-	case "hashmin":
-		_, rep, e := femtographHashmin(g, cfg)
-		dur, supersteps, peakQ, err = rep.Duration, rep.Supersteps, rep.PeakQueuedMessages, e
-	case "sssp":
-		_, rep, e := femtographSSSP(g, cfg, source)
-		dur, supersteps, peakQ, err = rep.Duration, rep.Supersteps, rep.PeakQueuedMessages, e
-	default:
-		return fmt.Errorf("femtograph supports pagerank | hashmin | sssp, not %q", app)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "femtograph-style: %v, %d supersteps, peak queued messages %d\n", dur.Round(time.Microsecond), supersteps, peakQ)
 	return nil
 }
 

@@ -31,7 +31,6 @@ func TestRunAppsOnGeneratedGraphs(t *testing.T) {
 		{[]string{"-app", "wsssp", "-graph", "road:8:8", "-combiner", "spinlock", "-source", "1"}, "reached: 64 of 64"},
 		{[]string{"-app", "pagerank-converged", "-graph", "rmat:7:4", "-combiner", "spinlock"}, "converged in"},
 		{[]string{"-app", "pagerank", "-graph", "ring:20", "-framework", "pregelplus", "-nodes", "3", "-rounds", "3"}, "Pregel+ 3 node(s)"},
-		{[]string{"-app", "sssp", "-graph", "ring:20", "-framework", "femtograph"}, "femtograph-style"},
 		{[]string{"-app", "hashmin", "-graph", "ring:10", "-v"}, "superstep"},
 		{[]string{"-app", "wcc", "-graph", "chain:10"}, "weak components: 1"},
 		{[]string{"-app", "sssp", "-graph", "road:10:10", "-combiner", "atomic", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
@@ -79,7 +78,6 @@ func TestRunErrors(t *testing.T) {
 		{"-framework", "bogus", "-graph", "ring:5"},
 		{"-app", "wsssp", "-graph", "ring:5"},                           // weighted needs road spec or file
 		{"-app", "bfs", "-graph", "ring:5", "-framework", "pregelplus"}, // unsupported on baseline
-		{"-app", "bfs", "-graph", "ring:5", "-framework", "femtograph"}, // unsupported on baseline
 		{"-app", "pagerank", "-graph", "ring:5", "-bypass"},             // PageRank under bypass (§4)
 		{"-badflag"},
 	} {
@@ -92,10 +90,11 @@ func TestRunErrors(t *testing.T) {
 // TestRunFlagValidation pins the argument checks: an explicit
 // non-positive -threads is a usage error (the unset default 0 still
 // means GOMAXPROCS), -direction is an iPregel-only feature, the removed
-// broadcast combiner points at -direction pull, and the flags of the
-// removed shard layer, addressing option, adaptive threshold, sender
-// cache and hub splitting are the flag package's "provided but not
-// defined", not accepted and ignored.
+// FemtoGraph-style framework is unknown, the removed broadcast combiner
+// points at -direction pull, and the flags of the removed shard layer,
+// addressing option, adaptive threshold, sender cache and hub splitting
+// are the flag package's "provided but not defined", not accepted and
+// ignored.
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -104,6 +103,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-threads", "0", "-graph", "ring:5"}, "-threads must be at least 1"},
 		{[]string{"-threads", "-2", "-graph", "ring:5"}, "-threads must be at least 1"},
 		{[]string{"-direction", "pull", "-framework", "pregelplus", "-graph", "ring:5"}, "does not support"},
+		{[]string{"-framework", "femtograph", "-graph", "ring:5"}, "unknown framework"},
 		{[]string{"-shards", "4", "-graph", "ring:5"}, "flag provided but not defined: -shards"},
 		{[]string{"-addressing", "offset", "-graph", "ring:5"}, "flag provided but not defined: -addressing"},
 		{[]string{"-partition", "hash", "-graph", "ring:5"}, "flag provided but not defined: -partition"},

@@ -1,0 +1,123 @@
+package ipregel_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// checkedDocs are the documents whose file, package and section
+// references TestDocReferences keeps honest.
+var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	backtickSpan = regexp.MustCompile("`([^`\n]+)`")
+	goFileToken  = regexp.MustCompile(`^[A-Za-z0-9_./-]+\.go$`)
+	pkgDirToken  = regexp.MustCompile(`^(internal|cmd)/[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)*/?$`)
+	designRef    = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+(?:\.\d+)?[a-z]?)`)
+	designHead   = regexp.MustCompile(`^#+ (\d+(?:\.\d+)?[a-z]?)\.? `)
+)
+
+// TestDocReferences fails on a stale reference in the checked documents:
+// a backticked Go file name that matches no file in the repository (by
+// path suffix), a backticked internal/<pkg> or cmd/<name> path that is
+// not a directory, or a "DESIGN.md §N[.M]" reference — there or in any
+// Go comment — that names no DESIGN.md heading.
+func TestDocReferences(t *testing.T) {
+	var files []string
+	var goFiles []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		files = append(files, path)
+		if strings.HasSuffix(path, ".go") {
+			goFiles = append(goFiles, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, line := range strings.Split(string(design), "\n") {
+		if m := designHead.FindStringSubmatch(line); m != nil {
+			sections[m[1]] = true
+		}
+	}
+	checkSections := func(path string, lines []string) {
+		for i, line := range lines {
+			for _, m := range designRef.FindAllStringSubmatch(line, -1) {
+				if !sections[m[1]] {
+					t.Errorf("%s:%d: %q names no DESIGN.md heading", path, i+1, m[0])
+				}
+			}
+		}
+	}
+
+	for _, doc := range checkedDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(text), "\n")
+		checkSections(doc, lines)
+		for i, line := range lines {
+			for _, m := range backtickSpan.FindAllStringSubmatch(line, -1) {
+				tok := strings.TrimPrefix(m[1], "./")
+				switch {
+				case goFileToken.MatchString(tok):
+					if !hasPathSuffix(files, tok) {
+						t.Errorf("%s:%d: `%s` names no file in the repository", doc, i+1, m[1])
+					}
+				case pkgDirToken.MatchString(tok):
+					dir := strings.TrimSuffix(strings.TrimSuffix(tok, "/..."), "/")
+					if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+						t.Errorf("%s:%d: `%s` is not a directory", doc, i+1, m[1])
+					}
+				}
+			}
+		}
+	}
+
+	for _, path := range goFiles {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var comments []string
+		for _, line := range strings.Split(string(text), "\n") {
+			if _, c, ok := strings.Cut(line, "//"); ok {
+				comments = append(comments, c)
+			} else {
+				comments = append(comments, "")
+			}
+		}
+		checkSections(path, comments)
+	}
+}
+
+// hasPathSuffix reports whether some file is name or ends in "/"+name.
+func hasPathSuffix(files []string, name string) bool {
+	for _, f := range files {
+		if f == name || strings.HasSuffix(f, "/"+name) {
+			return true
+		}
+	}
+	return false
+}

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"ipregel/internal/core"
-	"ipregel/internal/femtograph"
 	"ipregel/internal/graph"
 	"ipregel/internal/pregelplus"
 )
@@ -106,28 +105,6 @@ func potentialProgramPP(seed int64) pregelplus.Program[uint32, uint32] {
 	}
 }
 
-func potentialProgramFemto(seed int64) femtograph.Program[uint32, uint32] {
-	return femtograph.Program[uint32, uint32]{
-		Compute: func(ctx *femtograph.Context[uint32, uint32], v *femtograph.Vertex[uint32, uint32]) {
-			improved := false
-			if ctx.Superstep() == 0 {
-				v.Value = potential(seed, uint32(v.ID))
-				improved = true
-			}
-			for _, m := range v.Messages() {
-				if m < v.Value {
-					v.Value = m
-					improved = true
-				}
-			}
-			if improved {
-				ctx.Broadcast(v, v.Value+offset(seed, uint32(v.ID)))
-			}
-			ctx.VoteToHalt(v)
-		},
-	}
-}
-
 func randomGraphForCross(seed int64, n, m int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	var b graph.Builder
@@ -208,16 +185,7 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-
-		// FemtoGraph-style baseline.
-		fe, err := femtograph.New(g, femtograph.Config{Threads: 3}, potentialProgramFemto(seed))
-		if err != nil {
-			return false
-		}
-		if _, err := fe.Run(0); err != nil {
-			return false
-		}
-		return check(fe.ValuesDense(), "femtograph")
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

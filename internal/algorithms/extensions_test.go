@@ -148,42 +148,6 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-// Degree-ordered relabelling must not change results (after mapping the
-// identifiers back) — the locality optimisation is semantics-free.
-func TestDegreeOrderedRelabelEquivalence(t *testing.T) {
-	g := gen.RMATN(250, 1500, 13, 0, true) // base-0 so relabelled ids match indices
-	perm := graph.DegreeOrder(g)
-	r := g.Relabel(perm)
-
-	want, _, err := SSSP(g, core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Source vertex 2 becomes perm[2] in the relabelled graph.
-	got, _, err := SSSP(r, core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}, graph.VertexID(perm[2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for old := range want {
-		if got[perm[old]] != want[old] {
-			t.Fatalf("relabel changed dist of old vertex %d: %d vs %d", old, got[perm[old]], want[old])
-		}
-	}
-	pr, _, err := PageRank(g, core.Config{Direction: core.DirectionPull}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prR, _, err := PageRank(r, core.Config{Direction: core.DirectionPull}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for old := range pr {
-		if d := pr[old] - prR[perm[old]]; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("relabel changed rank of old vertex %d", old)
-		}
-	}
-}
-
 func TestReach64SeedTruncation(t *testing.T) {
 	g := gen.Ring(70, 0).WithInEdges()
 	seeds := make([]graph.VertexID, 70)

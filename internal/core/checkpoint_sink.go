@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -34,21 +33,15 @@ type CheckpointCommitter interface {
 // checkpoint that passes full integrity verification, skipping any that
 // were corrupted after commit (e.g. by a disk-level bit flip).
 //
-// A sink owns its directory namespace exclusively while open: pruning,
-// discovery and commit all assume a single writer per (directory, owner)
-// pair, so construction registers the pair process-wide and fails when a
-// live sink already holds it — two concurrent jobs can therefore never
-// prune each other's latest-good files by accident. Multiple jobs that
-// must share one directory use NewFileSinkOwned, which scopes every file
-// name, the keep-N pruning and LatestGood to the owner prefix. Close
-// releases the registration (for same-process sequential reuse of a
-// directory, e.g. a CLI resume).
+// A sink owns its directory exclusively while open: pruning, discovery
+// and commit all assume a single writer per directory, so construction
+// registers the directory process-wide and fails when a live sink
+// already holds it — two concurrent jobs can therefore never prune each
+// other's latest-good files by accident. Jobs that run side by side use
+// one directory each. Close releases the registration (for same-process
+// sequential reuse of a directory, e.g. a CLI resume).
 type FileSink struct {
 	dir string
-	// owner scopes the sink's file namespace: "" is the classic
-	// `ckpt-<superstep>.ipck` naming, anything else prefixes the owner
-	// (`ckpt-<owner>-<superstep>.ipck`).
-	owner string
 	// keep bounds how many committed checkpoints are retained; each
 	// Commit prunes the oldest beyond this count. 0 keeps everything.
 	keep int
@@ -57,74 +50,45 @@ type FileSink struct {
 	regKey string // "" once Close released the registration
 }
 
-// sinkRegistry records the (directory, owner) pairs with a live sink in
-// this process, so a second writer over the same namespace is a
+// sinkRegistry records the directories with a live sink in this
+// process, so a second writer over the same directory is a
 // construction-time error instead of silent mutual pruning.
 var sinkRegistry = struct {
 	sync.Mutex
 	open map[string]bool
 }{open: map[string]bool{}}
 
-func sinkKey(dir, owner string) string {
+func sinkKey(dir string) string {
 	if abs, err := filepath.Abs(dir); err == nil {
 		dir = abs
 	}
-	return filepath.Clean(dir) + "\x00" + owner
+	return filepath.Clean(dir)
 }
 
 // NewFileSink creates dir if needed and returns a sink storing up to
 // keep committed checkpoints there (keep ≤ 0 keeps all). The directory
-// namespace is claimed exclusively until Close: a second open sink on
-// the same directory (with the default "" owner) fails to construct.
+// is claimed exclusively until Close: a second open sink on the same
+// directory fails to construct.
 func NewFileSink(dir string, keep int) (*FileSink, error) {
-	return newFileSink(dir, keep, "")
-}
-
-// NewFileSinkOwned is NewFileSink for directories shared between jobs:
-// owner (a non-empty name of letters, digits, '.', '_' and '-') scopes
-// the sink's checkpoint files, pruning and LatestGood discovery to
-// `ckpt-<owner>-*.ipck`, so sinks with different owners coexist in one
-// directory without ever touching each other's recoverable state. Two
-// live sinks with the same (directory, owner) remain a construction-time
-// error.
-func NewFileSinkOwned(dir string, keep int, owner string) (*FileSink, error) {
-	if owner == "" {
-		return nil, errors.New("core: checkpoint sink owner must be non-empty (use NewFileSink for the unowned namespace)")
-	}
-	for _, r := range owner {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '_', r == '-':
-		default:
-			return nil, fmt.Errorf("core: checkpoint sink owner %q contains %q; use letters, digits, '.', '_' or '-'", owner, r)
-		}
-	}
-	return newFileSink(dir, keep, owner)
-}
-
-func newFileSink(dir string, keep int, owner string) (*FileSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: checkpoint dir: %w", err)
 	}
 	if keep < 0 {
 		keep = 0
 	}
-	key := sinkKey(dir, owner)
+	key := sinkKey(dir)
 	sinkRegistry.Lock()
 	defer sinkRegistry.Unlock()
 	if sinkRegistry.open[key] {
-		who := "an unowned sink"
-		if owner != "" {
-			who = fmt.Sprintf("a sink owned by %q", owner)
-		}
-		return nil, fmt.Errorf("core: checkpoint dir %s already has %s live in this process; give each job its own owner (NewFileSinkOwned) or Close the previous sink first", dir, who)
+		return nil, fmt.Errorf("core: checkpoint dir %s already has a sink live in this process; give each job its own directory or Close the previous sink first", dir)
 	}
 	sinkRegistry.open[key] = true
-	return &FileSink{dir: dir, owner: owner, keep: keep, regKey: key}, nil
+	return &FileSink{dir: dir, keep: keep, regKey: key}, nil
 }
 
-// Close releases the sink's exclusive claim on its (directory, owner)
-// namespace so a later sink may reopen it. It never touches committed
-// checkpoints — recoverable state survives Close — and is idempotent.
+// Close releases the sink's exclusive claim on its directory so a later
+// sink may reopen it. It never touches committed checkpoints —
+// recoverable state survives Close — and is idempotent.
 func (fs *FileSink) Close() error {
 	fs.mu.Lock()
 	key := fs.regKey
@@ -141,32 +105,14 @@ func (fs *FileSink) Close() error {
 // Dir returns the sink's directory.
 func (fs *FileSink) Dir() string { return fs.dir }
 
-// Owner returns the sink's namespace owner ("" for the unowned naming).
-func (fs *FileSink) Owner() string { return fs.owner }
-
-// checkpointName returns the final file name for a superstep in this
-// sink's namespace.
-func (fs *FileSink) checkpointName(superstep int) string {
-	if fs.owner == "" {
-		return fmt.Sprintf("ckpt-%08d.ipck", superstep)
-	}
-	return fmt.Sprintf("ckpt-%s-%08d.ipck", fs.owner, superstep)
+// checkpointName returns the final file name for a superstep.
+func checkpointName(superstep int) string {
+	return fmt.Sprintf("ckpt-%08d.ipck", superstep)
 }
 
 // parseCheckpointName extracts the superstep from a final file name,
-// accepting only names in this sink's namespace: an owned sink sees only
-// its own prefix, and the unowned sink's strict `ckpt-<digits>.ipck`
-// scan rejects owned names (the '-' after the owner fails the match), so
-// the namespaces are disjoint in both directions.
-func (fs *FileSink) parseCheckpointName(name string) (int, bool) {
-	if fs.owner != "" {
-		prefix := "ckpt-" + fs.owner + "-"
-		rest, ok := strings.CutPrefix(name, prefix)
-		if !ok {
-			return 0, false
-		}
-		name = "ckpt-" + rest
-	}
+// `ckpt-<superstep>.ipck`.
+func parseCheckpointName(name string) (int, bool) {
 	var superstep int
 	if n, err := fmt.Sscanf(name, "ckpt-%d.ipck", &superstep); n != 1 || err != nil {
 		return 0, false
@@ -205,7 +151,7 @@ func (fc *fileCheckpoint) Commit() error {
 		_ = os.Remove(fc.f.Name())
 		return err
 	}
-	final := filepath.Join(fc.sink.dir, fc.sink.checkpointName(fc.superstep))
+	final := filepath.Join(fc.sink.dir, checkpointName(fc.superstep))
 	if err := os.Rename(fc.f.Name(), final); err != nil {
 		_ = os.Remove(fc.f.Name())
 		return err
@@ -220,8 +166,8 @@ func (fc *fileCheckpoint) Abort() error {
 	return os.Remove(fc.f.Name())
 }
 
-// committed lists the committed checkpoint supersteps in this sink's
-// namespace, ascending. Files belonging to other owners never appear.
+// committed lists the committed checkpoint supersteps in the sink's
+// directory, ascending.
 func (fs *FileSink) committed() []int {
 	entries, err := os.ReadDir(fs.dir)
 	if err != nil {
@@ -232,7 +178,7 @@ func (fs *FileSink) committed() []int {
 		if ent.IsDir() {
 			continue
 		}
-		if s, ok := fs.parseCheckpointName(ent.Name()); ok {
+		if s, ok := parseCheckpointName(ent.Name()); ok {
 			steps = append(steps, s)
 		}
 	}
@@ -240,16 +186,14 @@ func (fs *FileSink) committed() []int {
 	return steps
 }
 
-// prune removes the oldest committed checkpoints beyond the keep bound —
-// only within this sink's namespace, so a shared directory's other
-// owners keep their recoverable state.
+// prune removes the oldest committed checkpoints beyond the keep bound.
 func (fs *FileSink) prune() {
 	if fs.keep <= 0 {
 		return
 	}
 	steps := fs.committed()
 	for len(steps) > fs.keep {
-		_ = os.Remove(filepath.Join(fs.dir, fs.checkpointName(steps[0])))
+		_ = os.Remove(filepath.Join(fs.dir, checkpointName(steps[0])))
 		steps = steps[1:]
 	}
 }
@@ -262,7 +206,7 @@ func (fs *FileSink) prune() {
 func (fs *FileSink) LatestGood() (r io.ReadCloser, superstep int, found bool, err error) {
 	steps := fs.committed()
 	for i := len(steps) - 1; i >= 0; i-- {
-		path := filepath.Join(fs.dir, fs.checkpointName(steps[i]))
+		path := filepath.Join(fs.dir, checkpointName(steps[i]))
 		f, oerr := os.Open(path)
 		if oerr != nil {
 			continue

@@ -197,7 +197,7 @@ func TestFileSinkPrunesAndSkipsCorrupt(t *testing.T) {
 	r.Close()
 
 	// Corrupt the newest file; discovery must fall back.
-	path := filepath.Join(sink.dir, sink.checkpointName(newest))
+	path := filepath.Join(sink.dir, checkpointName(newest))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +247,11 @@ func TestRecoverySkipsMultiShardCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sink.Close()
-			if err := os.WriteFile(filepath.Join(sink.dir, sink.checkpointName(4)), sharded, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(sink.dir, checkpointName(4)), sharded, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if tc.older != nil {
-				if err := os.WriteFile(filepath.Join(sink.dir, sink.checkpointName(2)), tc.older, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(sink.dir, checkpointName(2)), tc.older, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,11 +3,11 @@
 // Twitter (MPI), DIMACS USA-road-d, KONECT Friendster) and therefore not
 // available in this offline environment.
 //
-// Substitution rationale (see DESIGN.md §2.4): the paper's analysis depends
-// on two structural properties — the *degree distribution shape* (power-law
-// hubs in Wikipedia/Twitter vs uniform low degree in USA roads) and the
-// *density/diameter* (which drives superstep counts, §7.2–7.3). The
-// generators below match those shapes:
+// Substitution rationale (see DESIGN.md §2, item 4): the paper's analysis
+// depends on two structural properties — the *degree distribution shape*
+// (power-law hubs in Wikipedia/Twitter vs uniform low degree in USA roads)
+// and the *density/diameter* (which drives superstep counts, §7.2–7.3).
+// The generators below match those shapes:
 //
 //   - RMAT: recursive-matrix (Kronecker-style) power-law graphs standing in
 //     for Wikipedia/Twitter/Friendster.

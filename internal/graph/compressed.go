@@ -43,9 +43,9 @@ import (
 const CompressedBlockSize = 64
 
 // ErrCompressedAdjacency is panicked on by the shared-slice accessors
-// (OutNeighbors, InNeighbors, OutEdgesWeighted) and by the flat-only
-// mutators (Transpose, Relabel, StripOutAdjacency) when the graph uses
-// the compressed backend. Use the iterator accessors, or Decompress
+// (OutNeighbors, InNeighbors, OutEdgesWeighted) and the weighted
+// Transpose, and returned by StripOutAdjacency, when the graph uses the
+// compressed backend. Use the iterator accessors, or Decompress
 // first.
 var ErrCompressedAdjacency = errors.New("graph: adjacency is block-compressed; use the iterator accessors (ForEachOutNeighbor, OutNeighborsWith) or Decompress")
 

@@ -172,7 +172,6 @@ func TestCompressedSliceAccessorsPanic(t *testing.T) {
 	}
 	wantPanic("OutNeighbors", func() { cg.OutNeighbors(0) })
 	wantPanic("InNeighbors", func() { cg.InNeighbors(0) })
-	wantPanic("Relabel", func() { cg.Relabel(make([]int, cg.N())) })
 	wg, _ := testGraphs(t)["weighted-150"].Compress()
 	wantPanic("OutEdgesWeighted", func() { wg.OutEdgesWeighted(0) })
 	// Unweighted Transpose is supported on the compressed backend (the two

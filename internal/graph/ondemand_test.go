@@ -159,7 +159,6 @@ func TestInEdgesOnDemandDerivations(t *testing.T) {
 		{"StripOutAdjacency", always, func(g *Graph) (*Graph, error) { return g.StripOutAdjacency() }},
 		{"WithInEdges", always, func(g *Graph) (*Graph, error) { return g.WithInEdges(), nil }},
 		{"StripInEdges", never, func(g *Graph) (*Graph, error) { return g.StripInEdges(), nil }},
-		{"Relabel", never, func(g *Graph) (*Graph, error) { return g.Relabel(DegreeOrder(g)), nil }},
 		{"Symmetrize", never, func(g *Graph) (*Graph, error) { return g.Symmetrize(true), nil }},
 	}
 	// outcome runs op, folding a panic (the flat-only mutators on a

@@ -248,11 +248,11 @@ func jobConfig(s *Service, jb *Job) core.Config {
 
 // runProgram executes one program on one job: directly when the service
 // has no checkpoint root, else under the crash-recovery supervisor with
-// a job-owned FileSink. The sink's owner is the job id, so concurrent
-// jobs sharing a directory tree can never prune each other's
-// checkpoints; the whole job directory is deleted after success (a
-// finished job has nothing to resume) and kept after failure or
-// cancellation so the work is recoverable.
+// a FileSink on the job's own directory <root>/<job-id>, so concurrent
+// jobs can never prune each other's checkpoints; the whole job
+// directory is deleted after success (a finished job has nothing to
+// resume) and kept after failure or cancellation so the work is
+// recoverable.
 func runProgram[V, M any](
 	ctx context.Context, s *Service, jb *Job, g *graph.Graph,
 	prog core.Program[V, M], vc core.Codec[V], mc core.Codec[M],
@@ -278,7 +278,7 @@ func runProgram[V, M any](
 	}
 
 	dir := filepath.Join(s.opts.CheckpointRoot, jb.id)
-	sink, err := core.NewFileSinkOwned(dir, s.opts.CheckpointKeep, jb.id)
+	sink, err := core.NewFileSink(dir, s.opts.CheckpointKeep)
 	if err != nil {
 		return nil, core.Report{}, err
 	}

@@ -8,7 +8,7 @@
 // worker pool, an LRU cache of finished results keyed on the canonical
 // (graph, program, params) triple, and the per-job plumbing that the
 // single-process-multi-run bugfixes in this tree exist for: every job
-// runs under core.RunWithRecovery with its own owner-scoped FileSink
+// runs under core.RunWithRecovery with a FileSink on its own directory
 // (two jobs can never prune each other's checkpoints) and reports into
 // its own telemetry.JobCollector scope (metrics attribute per job
 // instead of last-writer-wins). cmd/ipregeld wraps this package in an
@@ -59,7 +59,7 @@ type Options struct {
 	// MaxDeadline caps the per-request deadline (0 = uncapped).
 	MaxDeadline time.Duration
 	// CheckpointRoot enables crash recovery: each job checkpoints into
-	// <root>/<job-id> through an owner-scoped FileSink and runs under
+	// its own directory <root>/<job-id> through a FileSink and runs under
 	// core.RunWithRecovery. Empty disables checkpointing (jobs run
 	// directly, still cancellable).
 	CheckpointRoot string

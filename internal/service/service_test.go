@@ -359,7 +359,7 @@ func TestDeadlineCancelsOnlyItsJob(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, doomed.ID)); err != nil {
 		t.Fatalf("cancelled job's checkpoint dir missing: %v", err)
 	}
-	sink, err := core.NewFileSinkOwned(filepath.Join(root, doomed.ID), 3, doomed.ID)
+	sink, err := core.NewFileSink(filepath.Join(root, doomed.ID), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

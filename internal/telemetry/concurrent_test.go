@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -13,10 +14,10 @@ import (
 // scenario in miniature, run under the race detector with the engine's
 // full invariant audit on: two engines execute concurrently in one
 // process, sharing one telemetry collector through per-job scopes and
-// one checkpoint directory through owner-scoped sinks. One job is
-// cancelled mid-run through its context (the service's deadline path —
-// triggered here from a superstep observer so the test is
-// deterministic); the other must converge untouched. Afterwards the
+// one checkpoint root through a sink directory per job, as ipregeld's
+// jobs do. One job is cancelled mid-run through its context (the
+// service's deadline path — triggered here from a superstep observer so
+// the test is deterministic); the other must converge untouched. Afterwards the
 // metrics must attribute per job, the global counters must be exact
 // sums, and the cancelled job's checkpoint must still restore and run
 // to the correct result.
@@ -32,12 +33,12 @@ func TestConcurrentRunsSharedCollectorSeparateSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink1, err := core.NewFileSinkOwned(dir, 3, "cancelled")
+	sink1, err := core.NewFileSink(filepath.Join(dir, "cancelled"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink1.Close()
-	sink2, err := core.NewFileSinkOwned(dir, 3, "converged")
+	sink2, err := core.NewFileSink(filepath.Join(dir, "converged"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
