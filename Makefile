@@ -87,12 +87,13 @@ direction-smoke:
 
 # Fault-injection gauntlet: the kill-anywhere crash matrix (two and
 # four threads, flat and compressed adjacency) under the race detector,
-# the checkpoint Restore fuzz seeds and rejection fixtures, and a
-# scripted kill-and-resume of the faulttolerance example and the CLI
+# the checkpoint Restore fuzz seeds and rejection fixtures, the
+# program/checkpoint aggregator match at Restore, and a scripted
+# kill-and-resume of the faulttolerance example and the CLI
 # recovery flags (scripts/chaos_smoke.sh).
 chaos:
 	$(MAKE) test-run PKG=./internal/core/ FLAGS=-race RUN='CrashMatrix|RunWithRecovery|RecoverySkips|FileSink'
-	$(MAKE) test-run PKG=./internal/core/ RUN='FuzzRestore|RestoreV2DetectsCorruption|RestoreRejectsLegacyV1|CheckpointV2Golden|CheckpointRejectsMultiShard'
+	$(MAKE) test-run PKG='./internal/core/ ./internal/algorithms/' RUN='FuzzRestore|RestoreV2DetectsCorruption|RestoreRejectsLegacyV1|CheckpointV2Golden|CheckpointRejectsMultiShard|RestoreAggregatorMismatch'
 	sh scripts/chaos_smoke.sh
 
 # Short fuzz pass over every graph parser, the compressed-block decoder

@@ -36,29 +36,26 @@ type recoveryFlags struct {
 func runRecoverable(out io.Writer, g *graph.Graph, cfg core.Config, rf recoveryFlags, app string, rounds int, source graph.VertexID) (core.Report, error) {
 	switch app {
 	case "pagerank":
-		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.PageRankProgram(rounds), pregelplus.Float64Codec{}, nil)
+		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.PageRankProgram(rounds), pregelplus.Float64Codec{})
 		if err == nil {
 			fmt.Fprintf(out, "ranks computed for %d vertices\n", len(e.ValuesDense()))
 		}
 		return rep, err
 	case "pagerank-converged":
 		const tol = 1e-9
-		setup := func(e *core.Engine[float64, float64]) error {
-			return e.RegisterAggregator("delta", core.AggSum)
-		}
-		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.PageRankConvergedProgram(tol), pregelplus.Float64Codec{}, setup)
+		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.PageRankConvergedProgram(tol), pregelplus.Float64Codec{})
 		if err == nil {
 			fmt.Fprintf(out, "converged in %d supersteps over %d vertices\n", rep.Supersteps, len(e.ValuesDense()))
 		}
 		return rep, err
 	case "hashmin":
-		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.HashminProgram(), pregelplus.Uint32Codec{}, nil)
+		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.HashminProgram(), pregelplus.Uint32Codec{})
 		if err == nil {
 			fmt.Fprintf(out, "components: %d\n", algorithms.ComponentCount(e.ValuesDense()))
 		}
 		return rep, err
 	case "sssp":
-		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.SSSPProgram(source), pregelplus.Uint32Codec{}, nil)
+		e, rep, err := recoverRun(out, g, cfg, rf, algorithms.SSSPProgram(source), pregelplus.Uint32Codec{})
 		if err == nil {
 			dist := e.ValuesDense()
 			fmt.Fprintf(out, "reached: %d of %d vertices\n", countReached(dist), len(dist))
@@ -80,7 +77,6 @@ func recoverRun[T any](
 	rf recoveryFlags,
 	prog core.Program[T, T],
 	codec core.Codec[T],
-	setup func(*core.Engine[T, T]) error,
 ) (*core.Engine[T, T], core.Report, error) {
 	sink, err := core.NewFileSink(rf.dir, rf.keep)
 	if err != nil {
@@ -102,9 +98,8 @@ func recoverRun[T any](
 		sinkFn = inj.WrapSink(sinkFn)
 	}
 	cp := core.Checkpointer[T, T]{Every: rf.every, Sink: sinkFn, VCodec: codec, MCodec: codec}
-	opts := core.RecoveryOptions[T, T]{
+	opts := core.RecoveryOptions{
 		MaxAttempts: rf.attempts,
-		Setup:       setup,
 		OnRetry: func(attempt int, err error) {
 			telemetryCollector().RecordRecovery()
 			fmt.Fprintf(out, "recovery: attempt %d failed (%v), resuming from the newest checkpoint in %s\n",

@@ -77,7 +77,7 @@ func main() {
 		VCodec: pregelplus.Uint32Codec{},
 		MCodec: pregelplus.Uint32Codec{},
 	}
-	restored, rep, err := core.RunWithRecovery(context.Background(), g, crashCfg, chaos.WrapProgram(inj, prog), cp, sink, core.RecoveryOptions[uint32, uint32]{
+	restored, rep, err := core.RunWithRecovery(context.Background(), g, crashCfg, chaos.WrapProgram(inj, prog), cp, sink, core.RecoveryOptions{
 		MaxAttempts: 4,
 		AttemptContext: func(parent context.Context, _ int) (context.Context, context.CancelFunc) {
 			return inj.Context(parent)

@@ -2,6 +2,8 @@ package algorithms
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -67,9 +69,6 @@ func TestPageRankConvergedResumesWithAggregatorState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterAggregator("delta", core.AggSum); err != nil {
-		t.Fatal(err)
-	}
 	if err := e.SetCheckpointer(core.Checkpointer[float64, float64]{
 		Every: 1,
 		Sink: func(s int) (io.Writer, error) {
@@ -92,9 +91,6 @@ func TestPageRankConvergedResumesWithAggregatorState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("restore from barrier %d: %v", barriers[di], err)
 		}
-		if err := restored.RegisterAggregator("delta", core.AggSum); err != nil {
-			t.Fatal(err)
-		}
 		rep, err := restored.Run()
 		if err != nil {
 			t.Fatalf("resume from barrier %d: %v", barriers[di], err)
@@ -111,10 +107,11 @@ func TestPageRankConvergedResumesWithAggregatorState(t *testing.T) {
 	}
 }
 
-// TestResumeWithoutRegisteringAggregatorFails pins the mismatch guard: a
-// checkpoint carrying aggregator state must not silently run under a
-// program that never registers the aggregator.
-func TestResumeWithoutRegisteringAggregatorFails(t *testing.T) {
+// TestRestoreAggregatorMismatch pins the program/checkpoint aggregator
+// match: a checkpoint's aggregators must be exactly the program's
+// declarations, so a mismatch fails at Restore — naming the aggregator —
+// instead of resuming from a wrong or identity value.
+func TestRestoreAggregatorMismatch(t *testing.T) {
 	g := aggResumeGraph(t)
 	cfg := core.Config{Combiner: core.CombinerSpin, Threads: 1}
 	const tol = 1e-7
@@ -122,9 +119,6 @@ func TestResumeWithoutRegisteringAggregatorFails(t *testing.T) {
 	var dump []byte
 	e, err := core.New(g, cfg, PageRankConvergedProgram(tol))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterAggregator("delta", core.AggSum); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetCheckpointer(core.Checkpointer[float64, float64]{
@@ -144,22 +138,50 @@ func TestResumeWithoutRegisteringAggregatorFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := core.Restore(bytes.NewReader(dump), g, cfg, PageRankConvergedProgram(tol), pregelplus.Float64Codec{}, pregelplus.Float64Codec{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		ckpt []byte
+		decl []core.Aggregator
+		want string // the aggregator the error must name
+	}{
+		{"missing", dump, []core.Aggregator{{Name: "delta", Op: core.AggSum}, {Name: "spread", Op: core.AggMax}}, "spread"},
+		{"extra", dump, nil, "delta"},
+		{"wrong operator", dump, []core.Aggregator{{Name: "delta", Op: core.AggMin}}, "delta"},
+		{"listed twice", listAggregatorTwice(t, dump), []core.Aggregator{{Name: "delta", Op: core.AggSum}}, "delta"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := PageRankConvergedProgram(tol)
+			prog.Aggregators = tc.decl
+			_, err := core.Restore(bytes.NewReader(tc.ckpt), g, cfg, prog, pregelplus.Float64Codec{}, pregelplus.Float64Codec{})
+			if err == nil || !strings.Contains(err.Error(), `"`+tc.want+`"`) {
+				t.Fatalf("Restore: err = %v, want a mismatch naming %q", err, tc.want)
+			}
+		})
 	}
-	if _, err := restored.Run(); err == nil || !strings.Contains(err.Error(), "delta") {
-		t.Fatalf("run without registering the checkpointed aggregator: err = %v, want a mismatch naming %q", err, "delta")
-	}
+}
 
-	// Registering with the wrong operator is a mismatch too.
-	restored, err = core.Restore(bytes.NewReader(dump), g, cfg, PageRankConvergedProgram(tol), pregelplus.Float64Codec{}, pregelplus.Float64Codec{})
-	if err != nil {
-		t.Fatal(err)
+// listAggregatorTwice hand-edits a checkpoint whose only aggregator is
+// "delta" so its aggregator section lists that entry twice, resealing
+// the header and the section. The aggregator section is the last one:
+// length (8 bytes), entries, CRC32C (4), then the 4-byte footer.
+func listAggregatorTwice(t *testing.T, dump []byte) []byte {
+	t.Helper()
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	const entry = 1 + len("delta") + 1 + 8 // name length, name, operator, value
+	start := len(dump) - 4 - 4 - entry - 8
+	if got := binary.LittleEndian.Uint64(dump[start:]); got != uint64(entry) {
+		t.Fatalf("aggregator section holds %d bytes, want one %d-byte entry", got, entry)
 	}
-	if err := restored.RegisterAggregator("delta", core.AggMin); err == nil {
-		t.Fatal("aggregator registered with a different operator than the checkpoint's")
-	}
+	out := append([]byte(nil), dump[:start]...)
+	hdr := out[4:36] // after the 4-byte magic
+	binary.LittleEndian.PutUint32(hdr[24:], 2)
+	binary.LittleEndian.PutUint32(out[36:], crc32.Checksum(hdr, castagnoli))
+	one := dump[start+8 : start+8+entry]
+	twice := append(append([]byte(nil), one...), one...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(twice)))
+	out = append(out, twice...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(twice, castagnoli))
+	return append(out, dump[len(dump)-4:]...)
 }
 
 type sliceWriter struct{ dst *[]byte }

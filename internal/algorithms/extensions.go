@@ -18,12 +18,12 @@ import (
 // ROUND iterations (Fig. 6). It uses a sum aggregator: each vertex
 // contributes |Δrank|; when the previous superstep's total is below tol,
 // every vertex stops broadcasting and votes to halt, so the computation
-// quiesces one superstep later. Register the "delta" aggregator is done
-// by PageRankConverged; when building the engine manually call
-// RegisterAggregator("delta", core.AggSum) before Run.
+// quiesces one superstep later. The program declares its "delta"
+// aggregator, so checkpoints of it resume with the aggregator's state.
 func PageRankConvergedProgram(tol float64) core.Program[float64, float64] {
 	return core.Program[float64, float64]{
-		Combine: core.Sum,
+		Combine:     core.Sum,
+		Aggregators: []core.Aggregator{{Name: "delta", Op: core.AggSum}},
 		Compute: func(ctx *core.Context[float64, float64], v core.Vertex[float64, float64]) {
 			n := float64(ctx.VertexCount())
 			val := v.Value()
@@ -56,14 +56,7 @@ func PageRankConvergedProgram(tol float64) core.Program[float64, float64] {
 // PageRankConverged runs PageRank to numerical convergence and returns
 // the ranks plus the number of damping iterations executed.
 func PageRankConverged(g *graph.Graph, cfg core.Config, tol float64) ([]float64, core.Report, error) {
-	e, err := core.New(g, cfg, PageRankConvergedProgram(tol))
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	if err := e.RegisterAggregator("delta", core.AggSum); err != nil {
-		return nil, core.Report{}, err
-	}
-	rep, err := e.Run()
+	e, rep, err := core.Run(g, cfg, PageRankConvergedProgram(tol))
 	if err != nil {
 		return nil, rep, err
 	}

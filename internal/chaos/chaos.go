@@ -261,8 +261,8 @@ func (inj *Injector) Context(parent context.Context) (context.Context, context.C
 }
 
 // Observer returns the lifecycle hook that arms per-superstep faults;
-// add it to the engine's Config.Observers (or via AddObserver) on every
-// attempt.
+// add it to the engine's Config.Observers, which every attempt's engine
+// is built with.
 func (inj *Injector) Observer() core.Observer {
 	return core.ObserverFuncs{
 		SuperstepStart: func(superstep int) {

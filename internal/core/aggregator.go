@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // AggOp is a commutative, associative reduction over float64 used by
@@ -52,139 +51,68 @@ func (op AggOp) fold(a, b float64) float64 {
 	}
 }
 
-// aggregators is the engine-side registry: fixed after Run starts, one
-// partial slot per worker per aggregator, merged at the barrier.
+// Aggregator declares one named global reduction of a Program. During a
+// superstep vertices contribute with Context.Aggregate; the merged value
+// is readable superstep s+1 via Context.Aggregated.
+type Aggregator struct {
+	Name string
+	Op   AggOp
+}
+
+// aggregators is the engine-side registry: fixed by the program's
+// declarations, one partial slot per worker per aggregator, merged at the
+// barrier.
 type aggregators struct {
+	// decl is the program's declaration list; its order is checkpoint
+	// v2's aggregator order.
+	decl  []Aggregator
 	names map[string]int
-	// ordered holds the registration-order name list, so checkpoint v2's
-	// aggregator section is deterministic (map iteration is not).
-	ordered []string
-	ops     []AggOp
 	// partials[worker][agg]
 	partials [][]float64
 	// current[agg] holds the merged value from the previous superstep.
 	current []float64
-	// restored holds aggregator state read from a v2 checkpoint, keyed by
-	// name, consumed by register. Run refuses to start while entries
-	// remain: a checkpointed aggregator the resuming program never
-	// registered means program and checkpoint do not match.
-	restored map[string]restoredAgg
 }
 
-type restoredAgg struct {
-	op    AggOp
-	value float64
-}
-
-// aggSnapshot is one aggregator's barrier state as persisted by
-// checkpoint v2.
-type aggSnapshot struct {
-	name  string
-	op    AggOp
-	value float64
-}
-
-func newAggregators(workers int) *aggregators {
-	return &aggregators{names: map[string]int{}, partials: make([][]float64, workers)}
-}
-
-func (a *aggregators) register(name string, op AggOp) error {
-	if _, dup := a.names[name]; dup {
-		return fmt.Errorf("core: aggregator %q already registered", name)
-	}
-	a.names[name] = len(a.ops)
-	a.ordered = append(a.ordered, name)
-	a.ops = append(a.ops, op)
-	cur := op.identity()
-	// A Restored engine seeds the aggregator with the checkpointed
-	// barrier value instead of the identity, so programs whose control
-	// flow reads Aggregated (e.g. PageRankConverged's delta test) resume
-	// exactly where they stopped.
-	if r, ok := a.restored[name]; ok {
-		if r.op != op {
-			return fmt.Errorf("core: aggregator %q registered with operator %d but checkpointed with %d", name, op, r.op)
+// newAggregators registers the program's declared aggregators, each
+// seeded with its operator's identity (a Restored engine then overwrites
+// current with the checkpointed barrier values).
+func newAggregators(workers int, decl []Aggregator) (*aggregators, error) {
+	a := &aggregators{decl: decl, names: make(map[string]int, len(decl)), partials: make([][]float64, workers)}
+	for i, d := range decl {
+		if _, dup := a.names[d.Name]; dup {
+			return nil, fmt.Errorf("core: aggregator %q declared twice", d.Name)
 		}
-		cur = r.value
-		delete(a.restored, name)
+		a.names[d.Name] = i
+		a.current = append(a.current, d.Op.identity())
 	}
-	a.current = append(a.current, cur)
 	for w := range a.partials {
-		a.partials[w] = append(a.partials[w], op.identity())
+		a.partials[w] = append([]float64(nil), a.current...)
 	}
-	return nil
-}
-
-// stash records one aggregator's checkpointed state for a later register
-// call to consume.
-func (a *aggregators) stash(name string, op AggOp, value float64) error {
-	if a.restored == nil {
-		a.restored = map[string]restoredAgg{}
-	}
-	if _, dup := a.restored[name]; dup {
-		return fmt.Errorf("core: checkpoint lists aggregator %q twice", name)
-	}
-	a.restored[name] = restoredAgg{op: op, value: value}
-	return nil
-}
-
-// unconsumed returns the names of checkpointed aggregators no register
-// call claimed, in sorted order.
-func (a *aggregators) unconsumed() []string {
-	if len(a.restored) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(a.restored))
-	for name := range a.restored {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// snapshot captures every aggregator's merged value in registration
-// order, for checkpointing at the barrier.
-func (a *aggregators) snapshot() []aggSnapshot {
-	out := make([]aggSnapshot, len(a.ordered))
-	for i, name := range a.ordered {
-		out[i] = aggSnapshot{name: name, op: a.ops[i], value: a.current[i]}
-	}
-	return out
+	return a, nil
 }
 
 func (a *aggregators) index(name string) int {
 	i, ok := a.names[name]
 	if !ok {
-		panic(fmt.Sprintf("core: unknown aggregator %q (register before Run)", name))
+		panic(fmt.Sprintf("core: unknown aggregator %q (declare it in Program.Aggregators)", name))
 	}
 	return i
 }
 
 func (a *aggregators) contribute(worker, idx int, x float64) {
-	a.partials[worker][idx] = a.ops[idx].fold(a.partials[worker][idx], x)
+	a.partials[worker][idx] = a.decl[idx].Op.fold(a.partials[worker][idx], x)
 }
 
 // barrier merges the workers' partials into current and resets partials.
 func (a *aggregators) barrier() {
-	for i, op := range a.ops {
-		v := op.identity()
+	for i, d := range a.decl {
+		v := d.Op.identity()
 		for w := range a.partials {
-			v = op.fold(v, a.partials[w][i])
-			a.partials[w][i] = op.identity()
+			v = d.Op.fold(v, a.partials[w][i])
+			a.partials[w][i] = d.Op.identity()
 		}
 		a.current[i] = v
 	}
-}
-
-func (a *aggregators) empty() bool { return len(a.ops) == 0 }
-
-// RegisterAggregator declares a named global reduction before Run. During
-// a superstep vertices contribute with Context.Aggregate; the merged
-// value is readable superstep s+1 via Context.Aggregated.
-func (e *Engine[V, M]) RegisterAggregator(name string, op AggOp) error {
-	if e.ran {
-		return fmt.Errorf("core: cannot register aggregator %q after Run", name)
-	}
-	return e.agg.register(name, op)
 }
 
 // Aggregate contributes x to the named aggregator for this superstep.

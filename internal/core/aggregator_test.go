@@ -32,20 +32,9 @@ func aggProbe(t *testing.T, threads int) {
 				ctx.VoteToHalt(v)
 			}
 		},
+		Aggregators: []Aggregator{{"sum", AggSum}, {"min", AggMin}, {"max", AggMax}},
 	}
-	e, err := New(g, Config{Threads: threads}, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []struct {
-		name string
-		op   AggOp
-	}{{"sum", AggSum}, {"min", AggMin}, {"max", AggMax}} {
-		if err := e.RegisterAggregator(a.name, a.op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Run(); err != nil {
+	if _, _, err := Run(g, Config{Threads: threads}, prog); err != nil {
 		t.Fatal(err)
 	}
 	if readSum != 45 { // 0+1+...+9
@@ -79,15 +68,9 @@ func TestAggregatedIdentityAtSuperstepZero(t *testing.T) {
 			}
 			ctx.VoteToHalt(v)
 		},
+		Aggregators: []Aggregator{{"acc", AggSum}},
 	}
-	e, err := New(g, Config{Threads: 1}, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterAggregator("acc", AggSum); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
+	if _, _, err := Run(g, Config{Threads: 1}, prog); err != nil {
 		t.Fatal(err)
 	}
 	if at0 != 0 {
@@ -97,21 +80,10 @@ func TestAggregatedIdentityAtSuperstepZero(t *testing.T) {
 
 func TestAggregatorErrors(t *testing.T) {
 	g := ringGraph(4, 0)
-	e, err := New(g, Config{}, counterProgram(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterAggregator("a", AggSum); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterAggregator("a", AggMax); err == nil {
-		t.Fatal("duplicate aggregator accepted")
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterAggregator("late", AggSum); err == nil {
-		t.Fatal("post-Run registration accepted")
+	prog := counterProgram(0)
+	prog.Aggregators = []Aggregator{{"a", AggSum}, {"b", AggMin}, {"a", AggMax}}
+	if _, err := New(g, Config{}, prog); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("duplicate aggregator declaration: want an error naming it, got %v", err)
 	}
 }
 

@@ -147,7 +147,7 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	if _, err := bw.Write(checkpointMagicV2[:]); err != nil {
 		return err
 	}
-	aggs := e.agg.snapshot()
+	aggs := e.agg.decl
 
 	var hdr [32]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(e.superstep))
@@ -243,15 +243,15 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	// values (e.g. PageRankConverged) resume with the exact barrier state
 	// instead of the operator identity.
 	var ab bytes.Buffer
-	for _, a := range aggs {
-		if len(a.name) > maxAggNameLen {
-			return fmt.Errorf("core: aggregator name %q exceeds the %d-byte checkpoint limit", a.name, maxAggNameLen)
+	for i, a := range aggs {
+		if len(a.Name) > maxAggNameLen {
+			return fmt.Errorf("core: aggregator name %q exceeds the %d-byte checkpoint limit", a.Name, maxAggNameLen)
 		}
-		ab.WriteByte(byte(len(a.name)))
-		ab.WriteString(a.name)
-		ab.WriteByte(byte(a.op))
+		ab.WriteByte(byte(len(a.Name)))
+		ab.WriteString(a.Name)
+		ab.WriteByte(byte(a.Op))
 		var fbuf [8]byte
-		binary.LittleEndian.PutUint64(fbuf[:], math.Float64bits(a.value))
+		binary.LittleEndian.PutUint64(fbuf[:], math.Float64bits(e.agg.current[i]))
 		ab.Write(fbuf[:])
 	}
 	if err := section(uint64(ab.Len()), func(cw *crcWriter) error {
@@ -274,10 +274,10 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 // carrying the absolute superstep base so the resumed Steps indices and
 // observer events continue the original run's numbering.
 //
-// A checkpoint that carries aggregator state requires the program to
-// register the same aggregators (same names and operators) before Run;
-// RegisterAggregator then seeds each aggregator with the checkpointed
-// value instead of the operator identity.
+// The checkpoint's aggregators must match the program's declarations —
+// the same names, each with the same operator, none listed twice — and
+// each resumes from its checkpointed value instead of the operator
+// identity. Any mismatch fails here, naming the aggregator.
 func Restore[V, M any](r io.Reader, g *graph.Graph, cfg Config, prog Program[V, M], vc Codec[V], mc Codec[M]) (*Engine[V, M], error) {
 	e, err := New(g, cfg, prog)
 	if err != nil {
@@ -525,13 +525,14 @@ func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 		return nil, err
 	}
 
-	// Aggregators: stashed on the engine and consumed by
-	// RegisterAggregator; Run refuses to start while unconsumed state
-	// remains (a program/checkpoint mismatch).
+	// Aggregators: matched against the program's declarations and
+	// seeded directly, so programs whose control flow reads Aggregated
+	// (e.g. PageRankConverged's delta test) resume where they stopped.
 	maxAggBytes := uint64(naggs) * (1 + maxAggNameLen + 1 + 8)
 	if sec, err = openSection(br, "aggregators", 0, maxAggBytes); err != nil {
 		return nil, err
 	}
+	seen := make([]bool, len(e.agg.decl))
 	for i := uint32(0); i < naggs; i++ {
 		nameLen, err := sec.ReadByte()
 		if err != nil {
@@ -545,15 +546,25 @@ func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint aggregators: %w", err)
 		}
-		if AggOp(opByte) > AggMax {
-			return nil, fmt.Errorf("core: checkpoint aggregator %q has unknown operator %d", nbuf, opByte)
-		}
 		var fbuf [8]byte
 		if err := sec.Read(fbuf[:]); err != nil {
 			return nil, fmt.Errorf("core: checkpoint aggregators: %w", err)
 		}
-		if err := e.agg.stash(string(nbuf), AggOp(opByte), math.Float64frombits(binary.LittleEndian.Uint64(fbuf[:]))); err != nil {
-			return nil, err
+		idx, ok := e.agg.names[string(nbuf)]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("core: checkpoint carries aggregator %q the program does not declare", nbuf)
+		case seen[idx]:
+			return nil, fmt.Errorf("core: checkpoint lists aggregator %q twice", nbuf)
+		case AggOp(opByte) != e.agg.decl[idx].Op:
+			return nil, fmt.Errorf("core: aggregator %q declared with operator %d but checkpointed with %d", nbuf, e.agg.decl[idx].Op, opByte)
+		}
+		seen[idx] = true
+		e.agg.current[idx] = math.Float64frombits(binary.LittleEndian.Uint64(fbuf[:]))
+	}
+	for idx, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("core: program declares aggregator %q the checkpoint lacks", e.agg.decl[idx].Name)
 		}
 	}
 	if err := sec.close("aggregators"); err != nil {

@@ -43,6 +43,7 @@ func goldenProg() Program[uint32, uint32] {
 			base.Compute(ctx, v)
 			ctx.Aggregate("min-dist", float64(*v.Value()))
 		},
+		Aggregators: []Aggregator{{"ran", AggSum}, {"min-dist", AggMin}},
 	}
 }
 
@@ -56,12 +57,6 @@ func goldenEngine(t testing.TB) *Engine[uint32, uint32] {
 	t.Helper()
 	e, err := New(gridForCheckpoint(t), goldenConfig(), goldenProg())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterAggregator("ran", AggSum); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterAggregator("min-dist", AggMin); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -151,12 +146,6 @@ func TestCheckpointV2GoldenRestores(t *testing.T) {
 			}
 			restored, err := Restore(bytes.NewReader(fixture), gridForCheckpoint(t), goldenConfig(), goldenProg(), u32Codec{}, u32Codec{})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.RegisterAggregator("ran", AggSum); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.RegisterAggregator("min-dist", AggMin); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := restored.Run()

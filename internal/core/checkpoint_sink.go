@@ -225,11 +225,6 @@ func (fs *FileSink) LatestGood() (r io.ReadCloser, superstep int, found bool, er
 	return nil, 0, false, nil
 }
 
-// Latest implements RecoverySource for RunWithRecovery.
-func (fs *FileSink) Latest() (io.ReadCloser, int, bool, error) {
-	return fs.LatestGood()
-}
-
 // VerifyCheckpoint structurally validates a checkpoint stream and
 // returns its superstep. Every section is streamed through its CRC32C
 // and the footer checked, so truncation and bit flips anywhere in the

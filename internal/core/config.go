@@ -168,14 +168,14 @@ type Config struct {
 	// form of §4's load-balancing argument. Off by default (it adds two
 	// clock reads per worker per phase).
 	TrackWorkerTime bool
-	// Observers are lifecycle sinks registered at construction, ahead of
-	// any added later with Engine.AddObserver. Carrying them in Config
-	// lets callers that build engines indirectly (the algorithms helpers,
-	// the bench harness) attach telemetry without new plumbing; the
-	// engine notifies them at every superstep barrier and on every exit
-	// path (see the Observer ordering contract). All hooks fire on the
-	// coordinating goroutine, outside the parallel phases, so an empty
-	// list costs nothing on the hot path.
+	// Observers are the engine's lifecycle sinks, notified in list order
+	// (New rejects a nil entry). Carrying them in Config lets callers that
+	// build engines indirectly (the algorithms helpers, the bench harness)
+	// attach telemetry without new plumbing; the engine notifies them at
+	// every superstep barrier and on every exit path (see the Observer
+	// ordering contract). All hooks fire on the coordinating goroutine,
+	// outside the parallel phases, so an empty list costs nothing on the
+	// hot path.
 	Observers []Observer
 }
 

@@ -354,7 +354,7 @@ func TestReportRendering(t *testing.T) {
 	if rep.String() == "" || rep.Table() == "" {
 		t.Fatal("empty report rendering")
 	}
-	if len(rep.ActiveSeries()) != len(rep.Steps) || len(rep.RanSeries()) != len(rep.Steps) {
+	if len(rep.RanSeries()) != len(rep.Steps) {
 		t.Fatal("series lengths")
 	}
 	// PageRank-style shape: all vertices run while broadcasting.
@@ -454,19 +454,13 @@ func TestWorkerTimeTracking(t *testing.T) {
 
 func TestObserverSeesEverySuperstep(t *testing.T) {
 	g := ringGraph(16, 0)
-	e, err := New(g, Config{}, counterProgram(4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var seen []int
 	var ranSum int64
-	if err := e.AddObserver(ObserverFuncs{SuperstepEnd: func(s int, st StepStats) {
+	obs := ObserverFuncs{SuperstepEnd: func(s int, st StepStats) {
 		seen = append(seen, s)
 		ranSum += st.Ran
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
+	}}
+	_, rep, err := Run(g, Config{Observers: []Observer{obs}}, counterProgram(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,9 +474,6 @@ func TestObserverSeesEverySuperstep(t *testing.T) {
 	}
 	if ranSum == 0 {
 		t.Fatal("observer saw no work")
-	}
-	if err := e.AddObserver(ObserverFuncs{}); err == nil {
-		t.Fatal("post-Run AddObserver accepted")
 	}
 }
 

@@ -74,7 +74,7 @@ func runRecovered[T any](
 		VCodec: codec,
 		MCodec: codec,
 	}
-	return core.RunWithRecovery(context.Background(), g, cfg, chaos.WrapProgram(inj, prog), cp, sink, core.RecoveryOptions[T, T]{
+	return core.RunWithRecovery(context.Background(), g, cfg, chaos.WrapProgram(inj, prog), cp, sink, core.RecoveryOptions{
 		MaxAttempts: maxAttempts,
 		Sleep:       func(time.Duration) {},
 		AttemptContext: func(parent context.Context, _ int) (context.Context, context.CancelFunc) {

@@ -20,6 +20,9 @@ type Program[V, M any] struct {
 	// Combine merges a new message into an occupied mailbox (IP_combine).
 	// It must be commutative and associative.
 	Combine CombineFunc[M]
+	// Aggregators are the program's named global reductions, in
+	// declaration order (the order checkpoints persist them in).
+	Aggregators []Aggregator
 }
 
 // Engine is one configured instance of the iPregel framework: a graph, a
@@ -142,6 +145,11 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if cfg.SelectionBypass && !g.HasOutAdjacency() {
 		return nil, fmt.Errorf("core: selection bypass enrols out-neighbours (paper §4) and needs the out-adjacency, which this graph stripped")
 	}
+	for i, o := range cfg.Observers {
+		if o == nil {
+			return nil, fmt.Errorf("core: Config.Observers[%d] is nil", i)
+		}
+	}
 	e := &Engine[V, M]{
 		g:       g,
 		cfg:     cfg,
@@ -177,7 +185,9 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 			e.pullEdgeCut = max(1, uint64(AdaptiveThreshold*float64(g.M())))
 		}
 	}
-	e.agg = newAggregators(e.threads)
+	if e.agg, err = newAggregators(e.threads, prog.Aggregators); err != nil {
+		return nil, err
+	}
 	if cfg.TrackWorkerTime {
 		e.busy = make([]time.Duration, e.threads)
 	}
@@ -201,13 +211,10 @@ func (e *Engine[V, M]) Run() (Report, error) {
 // checkpoint failure — goes through the same sealing step, so the
 // returned Report is always internally consistent (TotalMessages equals
 // the sum over Steps, Duration covers exactly the recorded supersteps)
-// and the registered Observers see the full lifecycle.
+// and the configured Observers see the full lifecycle.
 func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 	if e.ran {
 		return Report{}, errors.New("core: engine already ran")
-	}
-	if orphans := e.agg.unconsumed(); len(orphans) > 0 {
-		return Report{}, fmt.Errorf("core: checkpoint carries aggregators %v the program never registered (program/checkpoint mismatch)", orphans)
 	}
 	e.ran = true
 	e.report.Version = e.cfg.VersionName()
@@ -254,7 +261,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			// Only the vertices that ran can have left mail unread: the
 			// frontier under selection bypass, anyone on a full scan.
 			e.mb.swap(e.frontier, e.superstep == 0 || !e.cfg.SelectionBypass)
-			if !e.agg.empty() {
+			if len(e.agg.decl) > 0 {
 				e.agg.barrier()
 			}
 		})

@@ -73,9 +73,9 @@ func ExampleRun() {
 	// dist(4) = 2
 }
 
-// ExampleEngine_RegisterAggregator shows a global sum visible one
+// ExampleAggregator shows a program declaring a global sum, visible one
 // superstep later.
-func ExampleEngine_RegisterAggregator() {
+func ExampleAggregator() {
 	var b graph.Builder
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
@@ -100,15 +100,9 @@ func ExampleEngine_RegisterAggregator() {
 				ctx.VoteToHalt(v)
 			}
 		},
+		Aggregators: []core.Aggregator{{Name: "degrees", Op: core.AggSum}},
 	}
-	e, err := core.New(g, core.Config{Threads: 1}, prog)
-	if err != nil {
-		panic(err)
-	}
-	if err := e.RegisterAggregator("degrees", core.AggSum); err != nil {
-		panic(err)
-	}
-	if _, err := e.Run(); err != nil {
+	if _, _, err := core.Run(g, core.Config{Threads: 1}, prog); err != nil {
 		panic(err)
 	}
 	// Output:

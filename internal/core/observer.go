@@ -1,7 +1,5 @@
 package core
 
-import "errors"
-
 // Observer is the engine's observability hook: a multi-sink replacement
 // for the original single `func(int, StepStats)` callback. Sinks receive
 // structured lifecycle events from which a live telemetry layer (see
@@ -72,19 +70,6 @@ func (o ObserverFuncs) OnRunEnd(r Report, err error) {
 	if o.RunEnd != nil {
 		o.RunEnd(r, err)
 	}
-}
-
-// AddObserver registers an additional sink; call before Run. Sinks are
-// notified in registration order (Config.Observers first).
-func (e *Engine[V, M]) AddObserver(o Observer) error {
-	if e.ran {
-		return errors.New("core: cannot add an observer after Run")
-	}
-	if o == nil {
-		return errors.New("core: nil Observer")
-	}
-	e.observers = append(e.observers, o)
-	return nil
 }
 
 func (e *Engine[V, M]) observeSuperstepStart(s int) {

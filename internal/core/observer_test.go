@@ -201,15 +201,13 @@ func TestObserverAbortPaths(t *testing.T) {
 			run: func(t *testing.T, rec *recObs) (Report, error) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				e, err := New(ringGraph(8, 0), Config{Observers: []Observer{rec}}, neverHalt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := e.AddObserver(ObserverFuncs{SuperstepEnd: func(s int, _ StepStats) {
+				cancelAt1 := ObserverFuncs{SuperstepEnd: func(s int, _ StepStats) {
 					if s == 1 {
 						cancel()
 					}
-				}}); err != nil {
+				}}
+				e, err := New(ringGraph(8, 0), Config{Observers: []Observer{rec, cancelAt1}}, neverHalt)
+				if err != nil {
 					t.Fatal(err)
 				}
 				return e.RunContext(ctx)
@@ -257,19 +255,18 @@ func TestObserverAbortPaths(t *testing.T) {
 		{
 			name: "invariant-error",
 			run: func(t *testing.T, rec *recObs) (Report, error) {
-				cfg := Config{Combiner: CombinerSpin, Direction: DirectionPull, SelectionBypass: true, CheckInvariants: true, Threads: 2, Observers: []Observer{rec}}
-				e, err := New(ringGraph(16, 0), cfg, haltingFlood(10))
-				if err != nil {
-					t.Fatal(err)
-				}
 				// Corrupt a pull dedup flag for a slot the flood has not
 				// reached: no collect clears it, so the frontier-dedup audit
 				// must trip at this superstep's barrier.
-				if err := e.AddObserver(ObserverFuncs{SuperstepStart: func(s int) {
+				var e *Engine[uint32, uint32]
+				corrupt := ObserverFuncs{SuperstepStart: func(s int) {
 					if s == 2 {
 						atomic.StoreUint32(&e.pullEnrol[10], 1)
 					}
-				}}); err != nil {
+				}}
+				cfg := Config{Combiner: CombinerSpin, Direction: DirectionPull, SelectionBypass: true, CheckInvariants: true, Threads: 2, Observers: []Observer{rec, corrupt}}
+				e, err := New(ringGraph(16, 0), cfg, haltingFlood(10))
+				if err != nil {
 					t.Fatal(err)
 				}
 				return e.Run()
@@ -370,15 +367,7 @@ func TestObserverMultiSinkFanOut(t *testing.T) {
 	var log []string
 	a := &recObs{name: "a", log: &log}
 	b := &recObs{name: "b", log: &log}
-	e, err := New(g, Config{Observers: []Observer{a}}, counterProgram(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddObserver(b); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
+	if _, _, err := Run(g, Config{Observers: []Observer{a, b}}, counterProgram(2)); err != nil {
 		t.Fatal(err)
 	}
 	a.verifyLifecycle(t, 0, false)
@@ -391,8 +380,7 @@ func TestObserverMultiSinkFanOut(t *testing.T) {
 			t.Fatalf("sinks diverged at event %d: %+v vs %+v", i, a.events[i], b.events[i])
 		}
 	}
-	// Config.Observers are notified before sinks added with AddObserver,
-	// for every event.
+	// Config.Observers are notified in list order, for every event.
 	for i := 0; i < len(log); i += 2 {
 		if !strings.HasPrefix(log[i], "a:") || !strings.HasPrefix(log[i+1], "b:") {
 			t.Fatalf("fan-out order broken at %d: %v", i, log[i:i+2])
@@ -401,23 +389,22 @@ func TestObserverMultiSinkFanOut(t *testing.T) {
 			t.Fatalf("fan-out pairing broken at %d: %v", i, log[i:i+2])
 		}
 	}
-	_ = rep
 }
 
-func TestAddObserverValidation(t *testing.T) {
-	g := ringGraph(4, 0)
-	e, err := New(g, Config{}, counterProgram(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddObserver(nil); err == nil {
-		t.Fatal("nil observer accepted")
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddObserver(&recObs{}); err == nil {
-		t.Fatal("post-Run AddObserver accepted")
+// A nil observer is a construction error naming its index, never a nil
+// dereference on the coordinating goroutine at the first superstep.
+func TestObserverValidation(t *testing.T) {
+	for _, tc := range []struct {
+		observers []Observer
+		want      string
+	}{
+		{[]Observer{nil}, "Observers[0]"},
+		{[]Observer{&recObs{}, nil}, "Observers[1]"},
+	} {
+		_, err := New(ringGraph(4, 0), Config{Observers: tc.observers}, counterProgram(1))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("observers %v: want an error naming %s, got %v", tc.observers, tc.want, err)
+		}
 	}
 }
 
@@ -504,12 +491,11 @@ func TestResumedRunContinuesNumbering(t *testing.T) {
 		t.Fatal("no checkpoint taken")
 	}
 
-	restored, err := Restore(bytes.NewReader(dump.Bytes()), g, cfg, ssspProg(1), u32Codec{}, u32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &recObs{}
-	if err := restored.AddObserver(rec); err != nil {
+	rcfg := cfg
+	rcfg.Observers = []Observer{rec}
+	restored, err := Restore(bytes.NewReader(dump.Bytes()), g, rcfg, ssspProg(1), u32Codec{}, u32Codec{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := restored.Run()

@@ -4,40 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"ipregel/internal/graph"
 )
 
-// RecoverySource hands a recovery supervisor the newest usable
-// checkpoint. FileSink implements it via LatestGood; tests implement it
-// over in-memory buffers.
-type RecoverySource interface {
-	// Latest returns a reader over the newest good checkpoint and its
-	// superstep, found=false when no checkpoint exists yet, or an error
-	// when the source itself failed (not when checkpoints are merely
-	// corrupt — those are skipped).
-	Latest() (r io.ReadCloser, superstep int, found bool, err error)
-}
+// The recovery supervisor's backoff: the sleep before the second
+// attempt, doubling each retry up to the cap.
+const (
+	recoveryBackoff    = 100 * time.Millisecond
+	recoveryMaxBackoff = 5 * time.Second
+)
 
 // RecoveryOptions tunes RunWithRecovery.
-type RecoveryOptions[V, M any] struct {
+type RecoveryOptions struct {
 	// MaxAttempts bounds the total number of run attempts, the first
 	// included (default 3).
 	MaxAttempts int
-	// Backoff is the sleep before the second attempt, doubling each
-	// retry (default 100ms; set Sleep to override how it is spent).
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 5s).
-	MaxBackoff time.Duration
 	// Sleep replaces time.Sleep, letting tests run the backoff schedule
 	// without real delays.
 	Sleep func(time.Duration)
-	// Setup runs on every freshly constructed or restored engine before
-	// the attempt starts — the place to register aggregators and
-	// observers that Config cannot carry.
-	Setup func(e *Engine[V, M]) error
 	// AttemptContext derives each attempt's context from the parent
 	// (attempt numbering starts at 1). The returned cancel func is
 	// called when the attempt ends. Fault injectors hook here to arm
@@ -49,28 +35,14 @@ type RecoveryOptions[V, M any] struct {
 	OnRetry func(attempt int, err error)
 }
 
-func (o *RecoveryOptions[V, M]) defaults() {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
-	}
-}
-
 // RunWithRecovery is the crash-recovery supervisor: it runs the program
 // to completion, and when an attempt fails — a compute panic, a
 // cancelled context, a checkpoint write error — it restores the newest
-// good checkpoint from src and retries, with bounded attempts and
-// exponential backoff. Each attempt resumes from the last barrier the
-// sink committed, so completed supersteps are never recomputed from
-// superstep 0 (the standard Pregel checkpoint recovery model).
+// good checkpoint from sink (FileSink.LatestGood) and retries, with
+// bounded attempts and exponential backoff (100ms, doubling, capped at
+// 5s). Each attempt resumes from the last barrier the sink committed, so
+// completed supersteps are never recomputed from superstep 0 (the
+// standard Pregel checkpoint recovery model).
 //
 // The returned engine is the one whose run finished (its Value/
 // ValuesDense hold the results); the Report is that run's, with
@@ -84,24 +56,24 @@ func RunWithRecovery[V, M any](
 	cfg Config,
 	prog Program[V, M],
 	cp Checkpointer[V, M],
-	src RecoverySource,
-	opts RecoveryOptions[V, M],
+	sink *FileSink,
+	opts RecoveryOptions,
 ) (*Engine[V, M], Report, error) {
-	opts.defaults()
-	if src == nil {
-		return nil, Report{}, errors.New("core: RunWithRecovery needs a RecoverySource (use the checkpointer's FileSink)")
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = 3
 	}
-	backoff := opts.Backoff
+	if opts.Sleep == nil {
+		opts.Sleep = time.Sleep
+	}
+	if sink == nil {
+		return nil, Report{}, errors.New("core: RunWithRecovery needs the checkpointer's FileSink")
+	}
+	backoff := recoveryBackoff
 	var lastErr error
 	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
-		e, err := buildAttempt(g, cfg, prog, cp, src)
+		e, err := buildAttempt(g, cfg, prog, cp, sink)
 		if err != nil {
 			return nil, Report{}, err
-		}
-		if opts.Setup != nil {
-			if err := opts.Setup(e); err != nil {
-				return nil, Report{}, fmt.Errorf("core: recovery setup: %w", err)
-			}
 		}
 		attemptCtx := ctx
 		var cancel context.CancelFunc
@@ -130,10 +102,7 @@ func RunWithRecovery[V, M any](
 				opts.OnRetry(attempt, runErr)
 			}
 			opts.Sleep(backoff)
-			backoff *= 2
-			if backoff > opts.MaxBackoff {
-				backoff = opts.MaxBackoff
-			}
+			backoff = min(2*backoff, recoveryMaxBackoff)
 		}
 	}
 	return nil, Report{}, fmt.Errorf("core: run failed after %d attempts: %w", opts.MaxAttempts, lastErr)
@@ -147,11 +116,11 @@ func buildAttempt[V, M any](
 	cfg Config,
 	prog Program[V, M],
 	cp Checkpointer[V, M],
-	src RecoverySource,
+	sink *FileSink,
 ) (*Engine[V, M], error) {
-	r, _, found, err := src.Latest()
+	r, _, found, err := sink.LatestGood()
 	if err != nil {
-		return nil, fmt.Errorf("core: recovery source: %w", err)
+		return nil, fmt.Errorf("core: recovery sink: %w", err)
 	}
 	var e *Engine[V, M]
 	if found {

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // flakyProg wraps ssspProg so attempts 1..failures panic at superstep 3;
-// later attempts run clean. attempt is advanced by the Setup hook.
+// later attempts run clean. attempt is advanced by attemptContext.
 type flakyProg struct {
 	attempt  int
 	failures int
@@ -28,6 +29,13 @@ func (fp *flakyProg) program() Program[uint32, uint32] {
 			base.Compute(ctx, v)
 		},
 	}
+}
+
+// attemptContext is the RecoveryOptions.AttemptContext hook: it records
+// the attempt number and runs the attempt under the parent context.
+func (fp *flakyProg) attemptContext(parent context.Context, attempt int) (context.Context, context.CancelFunc) {
+	fp.attempt = attempt
+	return parent, func() {}
 }
 
 func recoveryFixture(t *testing.T) (cfg Config, cp Checkpointer[uint32, uint32], sink *FileSink) {
@@ -52,15 +60,10 @@ func TestRunWithRecoverySucceedsAfterFailures(t *testing.T) {
 	fp := &flakyProg{failures: 2}
 	var sleeps []time.Duration
 	var retries []int
-	e, rep, err := RunWithRecovery(context.Background(), g, cfg, fp.program(), cp, sink, RecoveryOptions[uint32, uint32]{
-		MaxAttempts: 4,
-		Backoff:     10 * time.Millisecond,
-		MaxBackoff:  15 * time.Millisecond,
-		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
-		Setup: func(*Engine[uint32, uint32]) error {
-			fp.attempt++
-			return nil
-		},
+	e, rep, err := RunWithRecovery(context.Background(), g, cfg, fp.program(), cp, sink, RecoveryOptions{
+		MaxAttempts:    4,
+		Sleep:          func(d time.Duration) { sleeps = append(sleeps, d) },
+		AttemptContext: fp.attemptContext,
 		OnRetry: func(attempt int, err error) {
 			if err == nil {
 				t.Error("OnRetry with nil error")
@@ -90,9 +93,8 @@ func TestRunWithRecoverySucceedsAfterFailures(t *testing.T) {
 	if len(retries) != 2 || retries[0] != 1 || retries[1] != 2 {
 		t.Fatalf("OnRetry attempts = %v, want [1 2]", retries)
 	}
-	// Exponential backoff, capped by MaxBackoff.
-	if len(sleeps) != 2 || sleeps[0] != 10*time.Millisecond || sleeps[1] != 15*time.Millisecond {
-		t.Fatalf("backoff schedule = %v, want [10ms 15ms]", sleeps)
+	if len(sleeps) != 2 || sleeps[0] != 100*time.Millisecond || sleeps[1] != 200*time.Millisecond {
+		t.Fatalf("backoff schedule = %v, want [100ms 200ms]", sleeps)
 	}
 }
 
@@ -100,19 +102,24 @@ func TestRunWithRecoveryExhaustsAttempts(t *testing.T) {
 	g := gridForCheckpoint(t)
 	cfg, cp, sink := recoveryFixture(t)
 	fp := &flakyProg{failures: 1 << 30} // never heals
-	_, _, err := RunWithRecovery(context.Background(), g, cfg, fp.program(), cp, sink, RecoveryOptions[uint32, uint32]{
-		MaxAttempts: 3,
-		Sleep:       func(time.Duration) {},
-		Setup: func(*Engine[uint32, uint32]) error {
-			fp.attempt++
-			return nil
-		},
+	var sleeps []time.Duration
+	_, _, err := RunWithRecovery(context.Background(), g, cfg, fp.program(), cp, sink, RecoveryOptions{
+		MaxAttempts:    8,
+		Sleep:          func(d time.Duration) { sleeps = append(sleeps, d) },
+		AttemptContext: fp.attemptContext,
 	})
-	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("err = %v, want exhaustion after 3 attempts", err)
+	if err == nil || !strings.Contains(err.Error(), "after 8 attempts") {
+		t.Fatalf("err = %v, want exhaustion after 8 attempts", err)
 	}
-	if fp.attempt != 3 {
-		t.Fatalf("ran %d attempts, want 3", fp.attempt)
+	if fp.attempt != 8 {
+		t.Fatalf("ran %d attempts, want 8", fp.attempt)
+	}
+	// Exponential backoff from 100ms, capped at 5s, one sleep between
+	// consecutive attempts.
+	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
+		800 * time.Millisecond, 1600 * time.Millisecond, 3200 * time.Millisecond, 5 * time.Second}
+	if !slices.Equal(sleeps, want) {
+		t.Fatalf("backoff schedule = %v, want %v", sleeps, want)
 	}
 }
 
@@ -121,44 +128,44 @@ func TestRunWithRecoveryParentCancelStops(t *testing.T) {
 	cfg, cp, sink := recoveryFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	attempts := 0
-	_, _, err := RunWithRecovery(ctx, g, cfg, ssspProg(1), cp, sink, RecoveryOptions[uint32, uint32]{
-		MaxAttempts: 5,
-		Sleep:       func(time.Duration) {},
-		Setup: func(*Engine[uint32, uint32]) error {
-			attempts++
-			return nil
-		},
+	fp := &flakyProg{}
+	_, _, err := RunWithRecovery(ctx, g, cfg, fp.program(), cp, sink, RecoveryOptions{
+		MaxAttempts:    5,
+		Sleep:          func(time.Duration) {},
+		AttemptContext: fp.attemptContext,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if attempts != 1 {
-		t.Fatalf("cancelled parent burned %d attempts, want 1", attempts)
+	if fp.attempt != 1 {
+		t.Fatalf("cancelled parent burned %d attempts, want 1", fp.attempt)
 	}
 }
 
 func TestRunWithRecoveryValidation(t *testing.T) {
 	g := gridForCheckpoint(t)
 	cfg, cp, sink := recoveryFixture(t)
-	if _, _, err := RunWithRecovery(context.Background(), g, cfg, ssspProg(1), cp, nil, RecoveryOptions[uint32, uint32]{}); err == nil {
-		t.Fatal("nil RecoverySource accepted")
+	if _, _, err := RunWithRecovery(context.Background(), g, cfg, ssspProg(1), cp, nil, RecoveryOptions{}); err == nil {
+		t.Fatal("nil FileSink accepted")
 	}
-	// A Setup error is fatal, not retried.
-	attempts := 0
-	_, _, err := RunWithRecovery(context.Background(), g, cfg, ssspProg(1), cp, sink, RecoveryOptions[uint32, uint32]{
-		MaxAttempts: 3,
-		Sleep:       func(time.Duration) {},
-		Setup: func(*Engine[uint32, uint32]) error {
-			attempts++
-			return errors.New("bad setup")
-		},
+	// A restore error — here a program declaring an aggregator the
+	// checkpoint lacks — is fatal, not retried: no attempt starts.
+	if err := os.WriteFile(filepath.Join(sink.dir, checkpointName(2)), captureCheckpoints(t, cfg, 2)[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fp := &flakyProg{}
+	prog := fp.program()
+	prog.Aggregators = []Aggregator{{"delta", AggSum}}
+	_, _, err := RunWithRecovery(context.Background(), g, cfg, prog, cp, sink, RecoveryOptions{
+		MaxAttempts:    3,
+		Sleep:          func(time.Duration) {},
+		AttemptContext: fp.attemptContext,
 	})
-	if err == nil || !strings.Contains(err.Error(), "bad setup") {
-		t.Fatalf("err = %v, want the setup error", err)
+	if err == nil || !strings.Contains(err.Error(), `"delta"`) {
+		t.Fatalf("err = %v, want the restore error naming the aggregator", err)
 	}
-	if attempts != 1 {
-		t.Fatalf("fatal setup error retried %d times", attempts)
+	if fp.attempt != 0 {
+		t.Fatalf("fatal restore error started %d attempts", fp.attempt)
 	}
 }
 
@@ -263,7 +270,7 @@ func TestRecoverySkipsMultiShardCheckpoint(t *testing.T) {
 				r.Close()
 			}
 			cp := Checkpointer[uint32, uint32]{Every: 1, Sink: sink.Sink, VCodec: u32Codec{}, MCodec: u32Codec{}}
-			e, rep, err := RunWithRecovery(context.Background(), g, cfg, ssspProg(1), cp, sink, RecoveryOptions[uint32, uint32]{MaxAttempts: 2})
+			e, rep, err := RunWithRecovery(context.Background(), g, cfg, ssspProg(1), cp, sink, RecoveryOptions{MaxAttempts: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

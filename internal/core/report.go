@@ -126,17 +126,6 @@ func (r Report) String() string {
 	return s
 }
 
-// ActiveSeries returns the per-superstep active-vertex counts, the curve
-// the paper uses to characterise PageRank (flat), Hashmin (decreasing)
-// and SSSP (bell) in §7.1.4.
-func (r Report) ActiveSeries() []int64 {
-	out := make([]int64, len(r.Steps))
-	for i, s := range r.Steps {
-		out[i] = s.Active
-	}
-	return out
-}
-
 // RanSeries returns the per-superstep executed-vertex counts.
 func (r Report) RanSeries() []int64 {
 	out := make([]int64, len(r.Steps))

@@ -75,10 +75,6 @@ func (b *Builder) observe(v VertexID) {
 	}
 }
 
-// EdgeCount returns the number of directed edges added so far (before any
-// undirected doubling or dedup).
-func (b *Builder) EdgeCount() int { return len(b.src) }
-
 // Grow pre-allocates capacity for n additional edges.
 func (b *Builder) Grow(n int) {
 	if cap(b.src)-len(b.src) < n {

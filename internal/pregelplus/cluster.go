@@ -31,11 +31,6 @@ type Cluster[V, M any] struct {
 	superstep int
 	report    Report
 	ran       bool
-
-	// aggregator registry (aggregator.go)
-	aggNames   map[string]int
-	aggOps     []AggOp
-	aggCurrent []float64
 }
 
 // NewCluster partitions g across the configured workers.
@@ -75,17 +70,9 @@ func NewCluster[V, M any](g *graph.Graph, cfg ClusterConfig, prog Program[V, M],
 	return cl, nil
 }
 
-// ownerOf assigns an identifier to a worker according to the configured
-// partitioning.
+// ownerOf hash-partitions identifiers across workers, id mod W —
+// Pregel's default, destroying locality but balancing counts.
 func (cl *Cluster[V, M]) ownerOf(id graph.VertexID) int {
-	if cl.cfg.Partition == PartitionBlock && cl.totalVertices > 0 {
-		i := uint64(id - cl.g.Base())
-		w := int(i * uint64(cl.workerCount) / uint64(cl.totalVertices))
-		if w >= cl.workerCount {
-			w = cl.workerCount - 1
-		}
-		return w
-	}
 	return int(id) % cl.workerCount
 }
 
@@ -159,9 +146,6 @@ func (cl *Cluster[V, M]) Run() (Report, error) {
 
 		cl.report.ComputeTime += maxCompute + maxDeliver
 		cl.report.NetTime += netDur
-		if len(cl.aggOps) > 0 {
-			cl.mergeAggregators()
-		}
 
 		var ranT, votesT int64
 		var sent uint64

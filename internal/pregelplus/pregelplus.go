@@ -81,32 +81,6 @@ type ClusterConfig struct {
 	// travels wrapped and uncombined (wire volume and inbox growth then
 	// scale with the edge count).
 	DisableCombiner bool
-	// Partition selects the vertex-to-worker assignment.
-	Partition Partitioning
-}
-
-// Partitioning selects how vertices are assigned to workers.
-type Partitioning int
-
-const (
-	// PartitionHash assigns vertex id to worker id mod W — Pregel's
-	// default, destroying locality but balancing counts.
-	PartitionHash Partitioning = iota
-	// PartitionBlock assigns contiguous identifier ranges to workers.
-	// Inputs whose identifiers follow a spatial order (road networks,
-	// grid-like graphs) keep most edges worker-local, cutting wire
-	// traffic at the risk of load skew.
-	PartitionBlock
-)
-
-func (p Partitioning) String() string {
-	switch p {
-	case PartitionHash:
-		return "hash"
-	case PartitionBlock:
-		return "block"
-	}
-	return "Partitioning(?)"
 }
 
 func (c ClusterConfig) workers() int {

@@ -250,55 +250,6 @@ func TestPartitionCoversAllVertices(t *testing.T) {
 	}
 }
 
-// Block partitioning keeps grid neighbours on the same worker: identical
-// results, materially less wire traffic on spatially ordered inputs.
-func TestBlockPartitioningLocality(t *testing.T) {
-	g := gen.Road(gen.RoadParams{Rows: 24, Cols: 24, Base: 1, Seed: 2})
-	hash := ClusterConfig{Nodes: 8, ProcsPerNode: 2}
-	block := hash
-	block.Partition = PartitionBlock
-
-	hd, hrep, err := SSSP(g, hash, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd, brep, err := SSSP(g, block, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range hd {
-		if hd[i] != bd[i] {
-			t.Fatalf("partitioning changed dist[%d]", i)
-		}
-	}
-	if brep.WireBytes*2 > hrep.WireBytes {
-		t.Fatalf("block partitioning should at least halve grid wire traffic: %d vs %d", brep.WireBytes, hrep.WireBytes)
-	}
-	if PartitionHash.String() != "hash" || PartitionBlock.String() != "block" {
-		t.Fatal("partitioning names")
-	}
-}
-
-func TestBlockPartitionCoversAll(t *testing.T) {
-	g := gen.RMATN(97, 300, 3, 1, false) // odd count: block boundaries uneven
-	cl, err := NewCluster(g, ClusterConfig{Nodes: 5, ProcsPerNode: 2, Partition: PartitionBlock}, HashminProgram(), Uint32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, w := range cl.workers {
-		total += len(w.verts)
-		for id := range w.verts {
-			if cl.ownerOf(id) != w.id {
-				t.Fatalf("vertex %d misassigned", id)
-			}
-		}
-	}
-	if total != g.N() {
-		t.Fatalf("partition covers %d, want %d", total, g.N())
-	}
-}
-
 func TestMoreWorkersThanVertices(t *testing.T) {
 	g := gen.Chain(5, 1)
 	// 32 workers for 5 vertices: most partitions are empty.
@@ -361,50 +312,6 @@ func TestStepStatsConsistent(t *testing.T) {
 	}
 	if last := rep.Steps[len(rep.Steps)-1].Active; last != 0 {
 		t.Fatalf("final active = %d, want 0", last)
-	}
-}
-
-func TestAggregators(t *testing.T) {
-	g := gen.Ring(10, 0)
-	var readSum, readMin, readMax float64
-	prog := Program[uint32, uint32]{
-		Combine: func(old *uint32, new uint32) { *old += new },
-		Compute: func(ctx *Context[uint32, uint32], v *Vertex[uint32, uint32]) {
-			ctx.Aggregate("sum", float64(v.ID))
-			ctx.Aggregate("min", float64(v.ID))
-			ctx.Aggregate("max", float64(v.ID))
-			if ctx.Superstep() == 0 {
-				ctx.Broadcast(v, 1)
-				return
-			}
-			if v.ID == 0 {
-				readSum = ctx.Aggregated("sum")
-				readMin = ctx.Aggregated("min")
-				readMax = ctx.Aggregated("max")
-			}
-			ctx.VoteToHalt(v)
-		},
-	}
-	cl, err := NewCluster(g, ClusterConfig{Nodes: 4, ProcsPerNode: 2}, prog, Uint32Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, op := range map[string]AggOp{"sum": AggSum, "min": AggMin, "max": AggMax} {
-		if err := cl.RegisterAggregator(name, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.RegisterAggregator("sum", AggSum); err == nil {
-		t.Fatal("duplicate aggregator accepted")
-	}
-	if _, err := cl.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if readSum != 45 || readMin != 0 || readMax != 9 {
-		t.Fatalf("aggregated = %v/%v/%v, want 45/0/9", readSum, readMin, readMax)
-	}
-	if err := cl.RegisterAggregator("late", AggSum); err == nil {
-		t.Fatal("post-Run registration accepted")
 	}
 }
 

@@ -42,12 +42,6 @@ func (c *Context[V, M]) Superstep() int { return c.cl.superstep }
 // NumVertices returns the global vertex count.
 func (c *Context[V, M]) NumVertices() int { return c.cl.totalVertices }
 
-// SendTo delivers msg to the vertex with identifier dst at the next
-// superstep. The message is wrapped with dst and routed to the worker
-// owning dst; if a combiner is configured it is applied inside the send
-// buffer.
-func (c *Context[V, M]) SendTo(dst graph.VertexID, msg M) { c.w.send(dst, msg) }
-
 // Broadcast sends msg to every out-neighbour of v: one wrapped message
 // per neighbour is buffered.
 func (c *Context[V, M]) Broadcast(v *Vertex[V, M], msg M) {
@@ -82,7 +76,6 @@ type worker[V, M any] struct {
 
 	ran, votes int64
 	msgsSent   uint64
-	aggPartial []float64
 }
 
 func newWorker[V, M any](cl *Cluster[V, M], id int) *worker[V, M] {

@@ -256,7 +256,6 @@ func jobConfig(s *Service, jb *Job) core.Config {
 func runProgram[V, M any](
 	ctx context.Context, s *Service, jb *Job, g *graph.Graph,
 	prog core.Program[V, M], vc core.Codec[V], mc core.Codec[M],
-	setup func(e *core.Engine[V, M]) error,
 ) ([]V, core.Report, error) {
 	cfg := jobConfig(s, jb)
 
@@ -264,11 +263,6 @@ func runProgram[V, M any](
 		e, err := core.New(g, cfg, prog)
 		if err != nil {
 			return nil, core.Report{}, err
-		}
-		if setup != nil {
-			if err := setup(e); err != nil {
-				return nil, core.Report{}, err
-			}
 		}
 		rep, err := e.RunContext(ctx)
 		if err != nil {
@@ -286,9 +280,8 @@ func runProgram[V, M any](
 	e, rep, err := core.RunWithRecovery(ctx, g, cfg, prog,
 		core.Checkpointer[V, M]{Every: s.opts.CheckpointEvery, Sink: sink.Sink, VCodec: vc, MCodec: mc},
 		sink,
-		core.RecoveryOptions[V, M]{
+		core.RecoveryOptions{
 			MaxAttempts: s.opts.RecoverAttempts,
-			Setup:       setup,
 			OnRetry:     func(int, error) { jb.scope.RecordRecovery() },
 		})
 	if err != nil {
@@ -369,7 +362,7 @@ func pickValues(g *graph.Graph, ids []uint64, value func(i int) float64, parent 
 func runPageRank(ctx context.Context, s *Service, jb *Job) (*Result, core.Report, error) {
 	ranks, rep, err := runProgram(ctx, s, jb, jb.entry.g,
 		algorithms.PageRankProgram(jb.params.Rounds),
-		pregelplus.Float64Codec{}, pregelplus.Float64Codec{}, nil)
+		pregelplus.Float64Codec{}, pregelplus.Float64Codec{})
 	if err != nil {
 		return nil, rep, err
 	}
@@ -381,10 +374,7 @@ func runPageRank(ctx context.Context, s *Service, jb *Job) (*Result, core.Report
 func runPageRankConverged(ctx context.Context, s *Service, jb *Job) (*Result, core.Report, error) {
 	ranks, rep, err := runProgram(ctx, s, jb, jb.entry.g,
 		algorithms.PageRankConvergedProgram(jb.params.Tolerance),
-		pregelplus.Float64Codec{}, pregelplus.Float64Codec{},
-		func(e *core.Engine[float64, float64]) error {
-			return e.RegisterAggregator("delta", core.AggSum)
-		})
+		pregelplus.Float64Codec{}, pregelplus.Float64Codec{})
 	if err != nil {
 		return nil, rep, err
 	}
@@ -397,7 +387,7 @@ func runPageRankConverged(ctx context.Context, s *Service, jb *Job) (*Result, co
 func runSSSP(ctx context.Context, s *Service, jb *Job) (*Result, core.Report, error) {
 	dists, rep, err := runProgram(ctx, s, jb, jb.entry.g,
 		algorithms.SSSPProgram(graph.VertexID(*jb.params.Source)),
-		pregelplus.Uint32Codec{}, pregelplus.Uint32Codec{}, nil)
+		pregelplus.Uint32Codec{}, pregelplus.Uint32Codec{})
 	if err != nil {
 		return nil, rep, err
 	}
@@ -414,7 +404,7 @@ func runSSSP(ctx context.Context, s *Service, jb *Job) (*Result, core.Report, er
 func runBFS(ctx context.Context, s *Service, jb *Job) (*Result, core.Report, error) {
 	states, rep, err := runProgram(ctx, s, jb, jb.entry.g,
 		algorithms.BFSProgram(graph.VertexID(*jb.params.Source)),
-		bfsCodec{}, pregelplus.Uint32Codec{}, nil)
+		bfsCodec{}, pregelplus.Uint32Codec{})
 	if err != nil {
 		return nil, rep, err
 	}
@@ -439,7 +429,7 @@ func runBFS(ctx context.Context, s *Service, jb *Job) (*Result, core.Report, err
 func runLabels(ctx context.Context, s *Service, jb *Job, g *graph.Graph) (*Result, core.Report, error) {
 	labels, rep, err := runProgram(ctx, s, jb, g,
 		algorithms.HashminProgram(),
-		pregelplus.Uint32Codec{}, pregelplus.Uint32Codec{}, nil)
+		pregelplus.Uint32Codec{}, pregelplus.Uint32Codec{})
 	if err != nil {
 		return nil, rep, err
 	}

@@ -374,6 +374,38 @@ func TestDeadlineCancelsOnlyItsJob(t *testing.T) {
 	}
 }
 
+// TestCheckpointedConvergedPageRankParity: a pagerank-converged job run
+// under the recovery supervisor (CheckpointRoot set, a checkpoint every
+// two barriers, each carrying the program's "delta" aggregator) finishes
+// exactly like the same job run directly.
+func TestCheckpointedConvergedPageRankParity(t *testing.T) {
+	const spec = "rmat:8:4"
+	req := JobRequest{Graph: spec, Program: "pagerank-converged",
+		Params: Params{Tolerance: 1e-6}, Limits: Limits{Threads: 1}}
+	run := func(opts Options) *Result {
+		t.Helper()
+		s := newTestService(t, opts, spec)
+		v, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitTerminal(t, s, v.ID)
+		if done.State != StateDone {
+			t.Fatalf("pagerank-converged: %s (%s)", done.State, done.Error)
+		}
+		return done.Result
+	}
+	direct := run(Options{})
+	checkpointed := run(Options{CheckpointRoot: t.TempDir(), CheckpointEvery: 2})
+	if direct.ConvergedIn <= 2 {
+		t.Fatalf("converged in %d supersteps, before the first checkpoint barrier", direct.ConvergedIn)
+	}
+	if checkpointed.ConvergedIn != direct.ConvergedIn || checkpointed.RankSum != direct.RankSum {
+		t.Fatalf("checkpointed job converged in %d with rank sum %v, direct in %d with %v",
+			checkpointed.ConvergedIn, checkpointed.RankSum, direct.ConvergedIn, direct.RankSum)
+	}
+}
+
 // TestCloseCancelsRunningJobs: shutdown flows through the same context
 // path as deadlines — running jobs abort at the next barrier and are
 // recorded as cancelled, and Close returns once the workers drained.

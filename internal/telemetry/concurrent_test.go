@@ -68,7 +68,7 @@ func TestConcurrentRunsSharedCollectorSeparateSinks(t *testing.T) {
 		_, rep1, err1 = core.RunWithRecovery(ctx1, g1, cfg, prog1,
 			core.Checkpointer[uint32, uint32]{Every: 2, Sink: sink1.Sink, VCodec: u32c{}, MCodec: u32c{}},
 			sink1,
-			core.RecoveryOptions[uint32, uint32]{MaxAttempts: 3, Sleep: func(time.Duration) {}})
+			core.RecoveryOptions{MaxAttempts: 3, Sleep: func(time.Duration) {}})
 	}()
 	go func() {
 		defer wg.Done()
@@ -76,7 +76,7 @@ func TestConcurrentRunsSharedCollectorSeparateSinks(t *testing.T) {
 		_, rep2, err2 = core.RunWithRecovery(context.Background(), g2, cfg, prog2,
 			core.Checkpointer[uint32, uint32]{Every: 2, Sink: sink2.Sink, VCodec: u32c{}, MCodec: u32c{}},
 			sink2,
-			core.RecoveryOptions[uint32, uint32]{MaxAttempts: 3, Sleep: func(time.Duration) {}})
+			core.RecoveryOptions{MaxAttempts: 3, Sleep: func(time.Duration) {}})
 	}()
 	wg.Wait()
 

@@ -287,12 +287,12 @@ func TestCollectorCountsRecoveries(t *testing.T) {
 	_, rep, err := core.RunWithRecovery(context.Background(), g, cfg, prog,
 		core.Checkpointer[uint32, uint32]{Every: 1, Sink: sink.Sink, VCodec: u32c{}, MCodec: u32c{}},
 		sink,
-		core.RecoveryOptions[uint32, uint32]{
+		core.RecoveryOptions{
 			MaxAttempts: 3,
 			Sleep:       func(time.Duration) {},
-			Setup: func(*core.Engine[uint32, uint32]) error {
-				attempt++
-				return nil
+			AttemptContext: func(parent context.Context, n int) (context.Context, context.CancelFunc) {
+				attempt = n
+				return parent, func() {}
 			},
 			OnRetry: func(int, error) { c.RecordRecovery() },
 		})
