@@ -187,8 +187,14 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	}); err != nil {
 		return err
 	}
+	// Activity: selection bypass keeps no array, and every barrier it
+	// checkpoints has left all vertices halted, so its section is zeros.
+	active := e.active
+	if active == nil {
+		active = make([]uint8, e.g.N())
+	}
 	if err := section(uint64(e.g.N()), func(cw *crcWriter) error {
-		_, err := cw.Write(e.active)
+		_, err := cw.Write(active)
 		return err
 	}); err != nil {
 		return err
@@ -225,10 +231,20 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 		return err
 	}
 
-	// Bypass frontier.
-	if err := section(uint64(len(e.frontier))*4, func(cw *crcWriter) error {
+	// Bypass frontier: the list, or a dense frontier's slots (those with
+	// mail) in slot order.
+	frontier := e.frontier
+	if e.dense {
+		frontier = make([]int32, 0, occupied)
+		for slot := 0; slot < e.g.N(); slot++ {
+			if e.hasMail(slot) {
+				frontier = append(frontier, int32(slot))
+			}
+		}
+	}
+	if err := section(uint64(len(frontier))*4, func(cw *crcWriter) error {
 		var sbuf [4]byte
-		for _, slot := range e.frontier {
+		for _, slot := range frontier {
 			binary.LittleEndian.PutUint32(sbuf[:], uint32(slot))
 			if _, err := cw.Write(sbuf[:]); err != nil {
 				return err
@@ -283,30 +299,43 @@ func Restore[V, M any](r io.Reader, g *graph.Graph, cfg Config, prog Program[V, 
 	if err != nil {
 		return nil, err
 	}
-	return restoreV2(e, bufio.NewReaderSize(r, 1<<16), cfg, vc, mc)
+	return restoreV2(e, bufio.NewReaderSize(r, 1<<16), vc, mc)
 }
 
-// restoreFrontier validates and installs a restored bypass frontier:
-// every slot in range, no duplicates, and only on an engine configured
-// with selection bypass.
-func (e *Engine[V, M]) restoreFrontier(frontier []int32, cfg Config) error {
-	if len(frontier) == 0 {
+// restoreFrontier validates and installs a restored bypass frontier,
+// after the mailboxes: only on an engine configured with selection
+// bypass, every slot in range, no duplicates, and exactly the slots with
+// mail — a listed slot without mail would run for nothing, mail on an
+// unlisted one would never be read. Past listCap entries it is dense,
+// as gatherFrontier would have left it.
+func (e *Engine[V, M]) restoreFrontier(frontier []int32) error {
+	if !e.cfg.SelectionBypass {
+		if len(frontier) > 0 {
+			return errors.New("core: checkpoint carries a frontier but the engine has no selection bypass")
+		}
 		return nil
 	}
-	if !cfg.SelectionBypass {
-		return errors.New("core: checkpoint carries a frontier but the engine has no selection bypass")
-	}
-	seen := make([]uint8, e.g.N())
+	listed := make([]uint64, occupancyWords(e.g.N()))
 	for _, slot := range frontier {
 		if slot < 0 || int(slot) >= e.g.N() {
 			return fmt.Errorf("core: checkpoint frontier entry %d out of range (slots %d)", slot, e.g.N())
 		}
-		if seen[slot] != 0 {
+		if hasBit(listed, int(slot)) {
 			return fmt.Errorf("core: checkpoint frontier lists slot %d twice", slot)
 		}
-		seen[slot] = 1
+		listed[slot>>6] |= 1 << (slot & 63)
+		if !e.hasMail(int(slot)) {
+			return fmt.Errorf("core: checkpoint frontier lists slot %d, which has no mail", slot)
+		}
 	}
-	e.frontier = frontier
+	for slot := 0; slot < e.g.N(); slot++ {
+		if e.hasMail(slot) && !hasBit(listed, slot) {
+			return fmt.Errorf("core: checkpoint has mail for slot %d, which its frontier does not list", slot)
+		}
+	}
+	if e.dense = len(frontier) > e.listCap; !e.dense {
+		e.frontier = frontier
+	}
 	return nil
 }
 
@@ -436,15 +465,24 @@ func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Code
 	if sec, err = openSection(br, "activity", n, n); err != nil {
 		return err
 	}
-	if err := sec.Read(e.active); err != nil {
+	// Under selection bypass, which keeps no activity array, every flag
+	// must be 0: no barrier it checkpoints leaves a vertex active.
+	active := e.active
+	if active == nil {
+		active = make([]uint8, n)
+	}
+	if err := sec.Read(active); err != nil {
 		return fmt.Errorf("core: checkpoint activity: %w", err)
 	}
 	if err := sec.close("activity"); err != nil {
 		return err
 	}
-	for slot, a := range e.active {
-		if a > 1 {
+	for slot, a := range active {
+		switch {
+		case a > 1:
 			return fmt.Errorf("core: checkpoint activity flag %d at slot %d (corrupt)", a, slot)
+		case a == 1 && e.active == nil:
+			return fmt.Errorf("core: checkpoint marks slot %d active, which no selection-bypass barrier leaves", slot)
 		}
 	}
 
@@ -471,7 +509,7 @@ func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Code
 	return sec.close("mailbox")
 }
 
-func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec[V], mc Codec[M]) (*Engine[V, M], error) {
+func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Codec[M]) (*Engine[V, M], error) {
 	hdr, err := readCheckpointHeader(br)
 	if err != nil {
 		return nil, err
@@ -521,7 +559,7 @@ func restoreV2[V, M any](e *Engine[V, M], br *bufio.Reader, cfg Config, vc Codec
 	if err := sec.close("frontier"); err != nil {
 		return nil, err
 	}
-	if err := e.restoreFrontier(frontier, cfg); err != nil {
+	if err := e.restoreFrontier(frontier); err != nil {
 		return nil, err
 	}
 

@@ -73,8 +73,14 @@ type Context[V, M any] struct {
 	votes int64
 
 	// enrolled holds the slots this worker enrolled in the next frontier
-	// (selection bypass, §4), concatenated by gatherFrontier.
+	// (selection bypass, §4), concatenated by gatherFrontier. New sizes it
+	// to the push list cap (FrontierListCap); pull supersteps may grow it.
 	enrolled []int32
+
+	// drained and halted are the running vertex's markers, reset by
+	// runVertex: its mail was read (NextMessage), it voted to halt (under
+	// selection bypass, which keeps no activity array).
+	drained, halted bool
 
 	// nbuf is this worker's decode buffer for the compressed graph
 	// backend: the scatter loop and the pull collect phase decode
@@ -103,8 +109,12 @@ func (c *Context[V, M]) VertexCount() int { return c.e.g.N() }
 // NextMessage pops the message in v's mailbox into *m, reporting whether
 // one existed (IP_get_next_message). With combiners a mailbox holds at
 // most one message (§6.3), so the usual `for ctx.NextMessage(v, &m)` drain
-// loop iterates at most once.
+// loop iterates at most once: the second call sees the drained marker.
 func (c *Context[V, M]) NextMessage(v Vertex[V, M], m *M) bool {
+	if c.drained {
+		return false
+	}
+	c.drained = true
 	return v.e.take(int(v.slot), m)
 }
 
@@ -177,10 +187,20 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 }
 
 // VoteToHalt marks v inactive for the next superstep (IP_vote_to_halt);
-// an incoming message will reactivate it.
+// an incoming message will reactivate it. Under selection bypass a
+// vertex runs only on mail and must halt every time (§4), so the worker
+// counts the run's first vote and keeps no activity array.
 func (c *Context[V, M]) VoteToHalt(v Vertex[V, M]) {
-	if active := &v.e.active[v.slot]; *active != 0 {
-		*active = 0
+	active := v.e.active
+	if active == nil {
+		if !c.halted {
+			c.halted = true
+			c.votes++
+		}
+		return
+	}
+	if active[v.slot] != 0 {
+		active[v.slot] = 0
 		c.votes++
 	}
 }

@@ -386,23 +386,34 @@ func TestFootprintPerVersion(t *testing.T) {
 		t.Fatalf("lock delta = %d, want %d", mutex-spin, 512*(mutexBytes-spinLockBytes))
 	}
 	// One thread allocates the plain inbox whatever the combiner: zero
-	// lock bytes, the same footprint for all of them.
+	// lock bytes, the same footprint for all of them. Per array, for 512
+	// slots of uint32 values and messages: values 4 B, activity 1 B, the
+	// two message buffers 2·4 B, and the two occupancy bitsets 2·8 words
+	// of 8 B — 13.25 B per slot.
 	plain := spin - 512*spinLockBytes
+	if want := uint64(512*4 + 512 + 2*512*4 + 2*8*8); plain != want {
+		t.Fatalf("plain inbox engine: %d B, want %d B", plain, want)
+	}
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
 		if got := footprint(Config{Combiner: comb, Threads: 1}); got != plain {
 			t.Fatalf("%s at one thread: %d B, want the lock-free %d B", comb, got, plain)
 		}
 	}
 	// A push-only bypass engine enrols at the first inbox fill: no dedup
-	// flags, so before its first frontier it weighs what the engine without
-	// bypass does. One that can pull carries 4 B/slot of pull enrolment
+	// flags. It keeps no activity array (-1 B/slot), and each worker's
+	// enrolment buffer holds FrontierListCap(512) = 512 entries of 4 B
+	// (the minSpan floor is above |V|); before its first frontier that is
+	// all it adds. One that can pull carries 4 B/slot of pull enrolment
 	// flags beside its outbox.
+	if FrontierListCap(512) != 512 {
+		t.Fatalf("FrontierListCap(512) = %d, want 512", FrontierListCap(512))
+	}
 	for _, threads := range []int{1, 2} {
 		for _, dir := range []Direction{DirectionPush, DirectionAdaptive} {
 			cfg := Config{Combiner: CombinerSpin, Direction: dir, Threads: threads}
 			base := footprint(cfg)
 			cfg.SelectionBypass = true
-			want := base
+			want := base - 512 + uint64(threads)*512*4
 			if dir != DirectionPush {
 				want += 512 * 4
 			}

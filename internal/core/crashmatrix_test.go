@@ -11,6 +11,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"ipregel/internal/algorithms"
 	"ipregel/internal/chaos"
 	"ipregel/internal/core"
+	"ipregel/internal/gen"
 	"ipregel/internal/graph"
 	"ipregel/internal/pregelplus"
 )
@@ -257,6 +259,58 @@ func TestCrashMatrixFourThreads(t *testing.T) {
 						t.Fatalf("panic@%d: value[%d] = %d, want %d", k, i, got[i], want[i])
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestCrashMatrixDenseFrontier repeats the kill-anywhere sweep on a
+// graph whose frontiers outgrow the enrolment list cap
+// (core.FrontierListCap): a barrier past it keeps no frontier list, its
+// checkpoint lists the slots with mail in slot order, and the resumed run
+// must rebuild the dense frontier from them. SSSP from the hub of a
+// 3 000-vertex RMAT graph crosses the cap both ways; at least one crash
+// must resume from a dense barrier, and every one must recover to the
+// exact values and statistics of the uninterrupted run.
+func TestCrashMatrixDenseFrontier(t *testing.T) {
+	g := gen.RMATN(3000, 24000, 7, 1, true)
+	listCap := int64(core.FrontierListCap(g.N()))
+	prog := algorithms.SSSPProgram(maxOutDegree(g))
+	for _, cfg := range []core.Config{
+		{Threads: 1, SelectionBypass: true, CheckInvariants: true},
+		{Combiner: core.CombinerSpin, Threads: 2, SelectionBypass: true, CheckInvariants: true},
+		{Combiner: core.CombinerAtomic, Threads: 4, SelectionBypass: true, CheckInvariants: true},
+	} {
+		t.Run(fmt.Sprintf("%s/%d", cfg.VersionName(), cfg.Threads), func(t *testing.T) {
+			t.Parallel()
+			refE, refRep, err := core.Run(g, cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refE.ValuesDense()
+			dense := 0
+			for k := 0; k < refRep.Supersteps; k++ {
+				if k > 0 && refRep.Steps[k-1].NextFrontier > listCap {
+					dense++
+				}
+				inj := chaos.New(int64(k), chaos.Event{Fault: chaos.ComputePanic, Superstep: k})
+				e, rep, err := runRecovered(t, g, cfg, prog, pregelplus.Uint32Codec{}, inj, 3)
+				if err != nil {
+					t.Fatalf("panic@%d: %v", k, err)
+				}
+				if rep.Recoveries != 1 || rep.FirstSuperstep != k {
+					t.Fatalf("panic@%d: resumed from barrier %d with %d recoveries", k, rep.FirstSuperstep, rep.Recoveries)
+				}
+				assertTail(t, rep, refRep)
+				got := e.ValuesDense()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("panic@%d: value[%d] = %d, want %d", k, i, got[i], want[i])
+					}
+				}
+			}
+			if dense == 0 {
+				t.Fatalf("no barrier had a frontier past the list cap %d:\n%s", listCap, refRep.Table())
 			}
 		})
 	}

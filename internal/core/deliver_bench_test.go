@@ -63,7 +63,8 @@ var benchInboxes = []struct {
 // and Min only under it (Hashmin, SSSP, BFS), so those cells deliver
 // uint32 messages to Min. Each pass ends with the barrier swap — the full
 // clear, or under bypass the clear of the slots the previous pass
-// enrolled — so fills and combines both occur.
+// enrolled, full again when that list reached its cap (a dense frontier)
+// — so fills and combines both occur.
 func BenchmarkDeliver(b *testing.B) {
 	sum := func(old *float64, new float64) { *old += new }
 	for _, random := range []bool{false, true} {
@@ -96,6 +97,7 @@ func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineF
 		b.Fatal(err)
 	}
 	var ran, enrolled []int32
+	dense := false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, nbs := range lists {
@@ -108,8 +110,9 @@ func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineF
 			}
 		}
 		if cfg.SelectionBypass {
-			mb.swap(ran, false)
+			mb.swap(ran, dense)
 			ran, enrolled = enrolled, ran[:0]
+			dense = len(ran) == listCap(benchSlots)
 		} else {
 			mb.swap(nil, true)
 		}
@@ -118,7 +121,7 @@ func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineF
 }
 
 // BenchmarkCollect is the pull side of BenchmarkDeliver: ns per in-edge
-// of the collect phase (collectSlot) into each inbox version. Receiver i's
+// of the collect phase's scan (collectScan) into each inbox version. Receiver i's
 // in-neighbours are benchDests' list i, every one of them broadcast, so
 // each receiver folds benchDegree outbox entries and fills its inbox
 // once — a PageRank pull superstep. plain-inline combines with Sum, which
@@ -162,9 +165,7 @@ func BenchmarkCollect(b *testing.B) {
 				ctx := e.workers[0]
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for dst := range lists {
-						e.collectSlot(ctx, dst)
-					}
+					e.collectScan(ctx, 0, len(lists), false)
 					e.mb.swap(nil, true)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/edge")

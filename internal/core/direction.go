@@ -71,15 +71,24 @@ func (e *Engine[V, M]) reseedFrontierDensity() {
 
 // countFrontierEdges sums the out-degrees of the vertices the next
 // superstep will run: everything on superstep 0 (all vertices start
-// active), the promoted frontier under selection bypass, and otherwise
-// an exact parallel scan of the active flags and post-swap mailboxes —
-// the same `active || hasMail` guard the compute scan applies.
+// active), the promoted frontier under selection bypass (a dense one is
+// the post-swap mail), and otherwise an exact parallel scan of the
+// active flags and post-swap mailboxes — the same `active || hasMail`
+// guard the compute scan applies.
 func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	if e.superstep == 0 {
 		return e.g.M()
 	}
 	var total uint64
-	if e.cfg.SelectionBypass {
+	switch {
+	case e.dense:
+		for slot := 0; slot < e.g.N(); slot++ {
+			if e.hasMail(slot) {
+				total += uint64(e.g.OutDegree(slot))
+			}
+		}
+		return total
+	case e.cfg.SelectionBypass:
 		for _, slot := range e.frontier {
 			total += uint64(e.g.OutDegree(int(slot)))
 		}
@@ -114,40 +123,65 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 //
 // Under selection bypass only enrolled recipients can have mail (the
 // pull broadcast enrolled its out-neighbours), so collection is bounded
-// by the gathered next frontier; otherwise it covers the full scan
-// spans — and each slot's collector clears its pullEnrol flag.
+// by the gathered next frontier — and each slot's collector clears its
+// pullEnrol flag; otherwise it covers the full scan spans.
+//
+// On the plain and lock-based inboxes the collector also sets the slots'
+// occupancy bits (markNext): a word holds 64 slots and spans are not cut
+// on word boundaries, so a word two workers can write — any word of a
+// frontier list at two threads or more, a scan span's partial end words —
+// is set atomically.
 func (e *Engine[V, M]) collectPull() {
-	bypass := e.cfg.SelectionBypass
+	bypass, shared, b := e.cfg.SelectionBypass, e.threads > 1, e.buf
 	spans := e.scanSpans
 	if bypass {
 		spans = e.frontierSpans(true)
 	}
 	e.parallelFor(len(spans), func(w, k int) {
 		sp, ctx := spans[k], e.workers[w]
-		if bypass {
-			for _, slot := range e.frontierNext[sp.lo:sp.hi] {
-				e.collectSlot(ctx, int(slot))
-				atomic.StoreUint32(&e.pullEnrol[slot], 0)
-			}
+		if !bypass {
+			e.collectScan(ctx, int(sp.lo), int(sp.hi), shared)
 			return
 		}
-		for slot := sp.lo; slot < sp.hi; slot++ {
-			e.collectSlot(ctx, int(slot))
+		for _, slot := range e.frontierNext[sp.lo:sp.hi] {
+			if e.collectSlot(ctx, int(slot)) && b != nil {
+				b.markNext(int(slot>>6), 1<<(slot&63), shared)
+			}
+			atomic.StoreUint32(&e.pullEnrol[slot], 0)
 		}
 	})
 	clear(e.pullFlag)
 }
 
+// collectScan collects the slots [lo, hi), building each 64-slot
+// occupancy word in a register and setting it once.
+func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared bool) {
+	for lo < hi {
+		end := min(hi, (lo|63)+1)
+		var word uint64
+		for slot := lo; slot < end; slot++ {
+			if e.collectSlot(ctx, slot) {
+				word |= 1 << (slot & 63)
+			}
+		}
+		if word != 0 && e.buf != nil {
+			e.buf.markNext(lo>>6, word, shared && (lo&63 != 0 || end&63 != 0))
+		}
+		lo = end
+	}
+}
+
 // collectSlot is the pull combiner (§6.2): it folds slot's flagged
 // in-neighbour outbox entries, in in-neighbour order, into the worker's
 // accumulator — the first copied, each later one combined — and writes
-// slot's inbox once. The next inbox is empty when a pull superstep starts
-// and the collector is the slot's only depositor, so on the plain and
-// lock-based versions that is a plain store; the atomic version, whose
-// buffer holds packed words, takes one deliver. With Sum the fold adds in
-// a register over sumOut; both folds add in in-neighbour order, so they
-// agree to the bit.
-func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
+// slot's inbox once, reporting whether it did. The next inbox is empty
+// when a pull superstep starts and the collector is the slot's only
+// depositor, so on the plain and lock-based versions that is a plain
+// store of the message (collectPull sets the occupancy bit); the atomic
+// version, whose buffer holds packed words, takes one deliver. With Sum
+// the fold adds in a register over sumOut; both folds add in
+// in-neighbour order, so they agree to the bit.
+func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) bool {
 	flag, out, combine := e.pullFlag, e.pullOut, e.prog.Combine
 	nbs := e.g.InNeighborsWith(&ctx.nbuf, slot)
 	i := 0
@@ -155,7 +189,7 @@ func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
 		i++
 	}
 	if i == len(nbs) {
-		return
+		return false
 	}
 	ctx.acc = out[nbs[i]]
 	k := 1
@@ -178,10 +212,11 @@ func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) {
 		}
 	}
 	if b := e.buf; b != nil {
-		b.next[slot], b.hasNext[slot] = ctx.acc, 1
+		b.next[slot] = ctx.acc
 		b.count(k-1, 1)
-		return
+		return true
 	}
 	e.cas.deliver(slot, ctx.acc)
 	e.cas.count(k-1, 0)
+	return true
 }

@@ -37,7 +37,8 @@ type Engine[V, M any] struct {
 
 	// Per-vertex state: one set of flat, slot-indexed arrays — the Go
 	// equivalent of the paper's plain-struct vertices (§3.2) — and the one
-	// mailbox of the configured combiner version (§6.3).
+	// mailbox of the configured combiner version (§6.3). active is nil
+	// under selection bypass, where no barrier leaves a vertex active.
 	values []V
 	active []uint8
 	mb     mailbox[M]
@@ -51,10 +52,16 @@ type Engine[V, M any] struct {
 	// Selection bypass (§4; nil otherwise): the slots running this
 	// superstep and those enrolled for the next — on a push superstep,
 	// exactly the next-inbox slots that filled (mailbox.scatter) — and
-	// whether this superstep runs them in slot order (computePhase).
-	frontier     []int32
-	frontierNext []int32
-	slotOrder    bool
+	// whether this superstep runs them in slot order (computePhase). A
+	// frontier past listCap entries is dense: no list, the current inbox's
+	// occupancy is the frontier (dense; denseNext for the one gathered).
+	// nextCount is the gathered frontier's size either way.
+	frontier         []int32
+	frontierNext     []int32
+	slotOrder        bool
+	dense, denseNext bool
+	nextCount        int
+	listCap          int
 
 	auditSeen []uint8 // slot-indexed scratch for the frontier audit
 
@@ -165,11 +172,17 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 		e.cas = e.mb.(*atomicMailbox[M])
 	}
 	e.values = make([]V, n)
-	e.active = make([]uint8, n)
+	if !cfg.SelectionBypass {
+		e.active = make([]uint8, n)
+	}
+	e.listCap = listCap(n)
 	e.scanSpans = cutSpans(nil, n, e.threads)
 	e.workers = make([]*Context[V, M], e.threads)
 	for i := range e.workers {
 		e.workers[i] = &Context[V, M]{e: e, worker: i}
+		if cfg.SelectionBypass {
+			e.workers[i].enrolled = make([]int32, 0, FrontierListCap(n))
+		}
 	}
 	if cfg.Direction != DirectionPush {
 		e.pullOut = make([]M, n)
@@ -258,9 +271,10 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			}
 		}
 		region(ctx, "ipregel.barrier", func() {
-			// Only the vertices that ran can have left mail unread: the
-			// frontier under selection bypass, anyone on a full scan.
-			e.mb.swap(e.frontier, e.superstep == 0 || !e.cfg.SelectionBypass)
+			// Only the vertices that ran can have left mail set: a listed
+			// frontier under selection bypass, anyone on a full scan or
+			// from a dense frontier.
+			e.mb.swap(e.frontier, e.superstep == 0 || !e.cfg.SelectionBypass || e.dense)
 			if len(e.agg.decl) > 0 {
 				e.agg.barrier()
 			}
@@ -281,6 +295,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			// Nothing to reset: the swap emptied the next inbox, and each
 			// collect cleared its slot's pull flag.
 			e.frontier, e.frontierNext = e.frontierNext, e.frontier[:0]
+			e.dense = e.denseNext
 		}
 
 		e.superstep++
@@ -317,7 +332,7 @@ func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial b
 		Ran:               ran,
 		Messages:          msgs,
 		Active:            ran - votes,
-		NextFrontier:      int64(len(e.frontierNext)),
+		NextFrontier:      int64(e.nextCount),
 		Duration:          time.Since(stepStart),
 		Partial:           partial,
 		Direction:         e.curDir,
@@ -437,7 +452,8 @@ func (e *Engine[V, M]) Config() Config { return e.cfg }
 
 // FootprintBytes reports the engine's own heap bytes — vertex values,
 // activity flags, the mailbox arrays of the selected combiner version,
-// the pull outboxes and the bypass state. The
+// the pull outboxes and the bypass state: the frontier lists and the
+// workers' enrolment buffers. The
 // span lists (at most 16 per thread, 8 B each) are not per-vertex state
 // and are not counted.
 // The graph's CSR arrays are excluded, matching the paper's separation
@@ -449,6 +465,9 @@ func (e *Engine[V, M]) FootprintBytes() uint64 {
 	b := e.mb.footprintBytes()
 	b += uint64(len(e.values))*uint64(unsafe.Sizeof(v)) + uint64(len(e.active))
 	b += uint64(cap(e.frontier)+cap(e.frontierNext)) * 4
+	for _, w := range e.workers {
+		b += uint64(cap(w.enrolled)) * 4
+	}
 	b += uint64(len(e.pullOut))*uint64(unsafe.Sizeof(m)) + uint64(len(e.pullFlag)) + uint64(len(e.pullEnrol))*4
 	return b
 }

@@ -85,11 +85,15 @@ func orderCases(t *testing.T) []orderCase {
 }
 
 // orderTally observes every engine run a program makes (SCC makes
-// several): their fingerprints concatenated, and how many supersteps ran
-// in slot order and how many bypass supersteps walked the list.
+// several): their fingerprints concatenated, how many supersteps ran in
+// slot order and how many bypass supersteps walked the list, and how
+// often a next frontier crossed the enrolment list cap listCap upwards
+// (a list, or none, followed by a dense frontier) and downwards.
 type orderTally struct {
-	fp         strings.Builder
-	slot, list int
+	fp             strings.Builder
+	slot, list     int
+	listCap        int64
+	prev, up, down int64
 }
 
 func (o *orderTally) observer() core.Observer {
@@ -101,8 +105,18 @@ func (o *orderTally) observer() core.Observer {
 			case s > 0 && st.Ran > 0:
 				o.list++
 			}
+			switch next := st.NextFrontier; {
+			case o.prev <= o.listCap && next > o.listCap:
+				o.up++
+			case o.prev > o.listCap && next <= o.listCap:
+				o.down++
+			}
+			o.prev = st.NextFrontier
 		},
-		RunEnd: func(r core.Report, _ error) { o.fp.WriteString(r.Fingerprint()) },
+		RunEnd: func(r core.Report, _ error) {
+			o.fp.WriteString(r.Fingerprint())
+			o.prev = 0
+		},
 	}
 }
 
@@ -112,6 +126,9 @@ func (o *orderTally) observer() core.Observer {
 // must compute its reference values and the list-only engine's
 // fingerprints in every order, on the flat and compressed backends, on
 // every inbox at one, two and four threads, with the barrier audits on.
+// Past the enrolment list cap (1 024 entries here, the minSpan floor) a
+// push superstep lists nothing and the next inbox's bits are the
+// frontier: the slot and derived orders must cross that cap both ways.
 func TestFrontierOrderParity(t *testing.T) {
 	for _, oc := range orderCases(t) {
 		cg, err := oc.g.Compress()
@@ -124,14 +141,15 @@ func TestFrontierOrderParity(t *testing.T) {
 				if order.cut >= 0 {
 					core.SetSlotOrderCut(t, order.cut)
 				}
-				var tally orderTally
+				listCap := int64(core.FrontierListCap(oc.g.N()))
+				tally := orderTally{listCap: listCap}
 				for _, backend := range []struct {
 					name string
 					g    *graph.Graph
 				}{{"flat", oc.g}, {"compressed", cg}} {
 					for _, cfg := range orderConfigs() {
 						cell := fmt.Sprintf("%s/%s/%d", backend.name, cfg.VersionName(), cfg.Threads)
-						var cellTally orderTally
+						cellTally := orderTally{listCap: listCap}
 						cfg.Observers = []core.Observer{cellTally.observer(), tally.observer()}
 						got, err := oc.run(backend.g, cfg)
 						if err != nil {
@@ -154,7 +172,10 @@ func TestFrontierOrderParity(t *testing.T) {
 					order.name == "slot" && (tally.slot == 0 || tally.list > 0),
 					order.name == "derived" && (tally.slot == 0 || tally.list == 0):
 					t.Fatalf("%d supersteps ran in slot order and %d from the list", tally.slot, tally.list)
+				case order.name != "list" && (tally.up == 0 || tally.down == 0):
+					t.Fatalf("next frontiers crossed the list cap %d upwards %d times and downwards %d times, want both", listCap, tally.up, tally.down)
 				}
+				t.Logf("list cap %d: crossed upwards %d times, downwards %d times", listCap, tally.up, tally.down)
 			})
 		}
 	}

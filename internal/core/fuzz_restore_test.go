@@ -137,6 +137,10 @@ func FuzzRestore(f *testing.F) {
 	f.Add(v2bypass[0])
 	f.Add(v1)
 	f.Add(sharded)
+	// CRC-valid frontiers that disagree with the mail.
+	unlisted, _, unmailed, _ := frontierMailMismatches(f, v2bypass[0])
+	f.Add(unlisted)
+	f.Add(unmailed)
 	// Truncations at structure boundaries.
 	for _, cut := range []int{0, 3, 4, 20, 36, 40, 48, len(v2[0]) - 5, len(v2[0]) - 1} {
 		if cut <= len(v2[0]) {

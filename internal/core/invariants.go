@@ -81,16 +81,26 @@ func (e *Engine[V, M]) auditConservation() error {
 // The rule holds on pull supersteps too — every enrolled slot has a
 // flagged in-neighbour its collect deposits from — and no pull dedup flag
 // may outlive its collect, or a later pull broadcast could not enrol it.
-// seen is reused scratch: a map would allocate every superstep.
+// A dense next frontier is the occupancy itself, so only that last check
+// applies to it. seen is reused scratch: a map would allocate every
+// superstep.
 func (e *Engine[V, M]) auditFrontierDedup() error {
+	fail := func(format string, args ...any) error {
+		return &InvariantError{Superstep: e.superstep, Invariant: "frontier-dedup", Detail: fmt.Sprintf(format, args...)}
+	}
+	for slot := range e.pullEnrol {
+		if atomic.LoadUint32(&e.pullEnrol[slot]) != 0 {
+			return fail("pull dedup flag of vertex %d leaked past the collect", e.g.ExternalID(slot))
+		}
+	}
+	if e.denseNext {
+		return nil
+	}
 	if e.auditSeen == nil {
 		e.auditSeen = make([]uint8, e.g.N())
 	}
 	seen := e.auditSeen
 	clear(seen)
-	fail := func(format string, args ...any) error {
-		return &InvariantError{Superstep: e.superstep, Invariant: "frontier-dedup", Detail: fmt.Sprintf(format, args...)}
-	}
 	for _, slot := range e.frontierNext {
 		if seen[slot] != 0 {
 			return fail("vertex %d enrolled twice in the next frontier", e.g.ExternalID(int(slot)))
@@ -105,18 +115,13 @@ func (e *Engine[V, M]) auditFrontierDedup() error {
 			return fail("vertex %d has a message for the next superstep but is missing from the next frontier", e.g.ExternalID(slot))
 		}
 	}
-	for slot := range e.pullEnrol {
-		if atomic.LoadUint32(&e.pullEnrol[slot]) != 0 {
-			return fail("pull dedup flag of vertex %d leaked past the collect", e.g.ExternalID(slot))
-		}
-	}
 	return nil
 }
 
 // nextOccupied reports whether slot's next inbox holds a message.
 func (e *Engine[V, M]) nextOccupied(slot int) bool {
 	if e.buf != nil {
-		return e.buf.hasNext[slot] != 0
+		return hasBit(e.buf.hasNext, slot)
 	}
 	return atomic.LoadUint32(&e.cas.stateNext[slot]) == slotFull
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -62,10 +63,12 @@ type mailbox[M any] interface {
 	// on the plain version only while each slot has a single depositor.
 	// Under selection bypass it returns enrolled plus each slot it filled:
 	// a push superstep starts on an empty next inbox, so that first fill
-	// (one depositor sees it) is the slot's one enrolment (§4). Without
-	// bypass nothing is enrolled; the caller passes nil and gets nil.
+	// (one depositor sees it) is the slot's one enrolment (§4). The list
+	// stops at enrolCap entries; past that the next inbox's occupancy is
+	// the frontier (gatherFrontier). Without bypass nothing is enrolled;
+	// the caller passes nil and gets nil.
 	scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32
-	// buffers returns the flag-and-message arrays of the plain and
+	// buffers returns the occupancy-and-message arrays of the plain and
 	// lock-based versions, nil on the atomic one: the engine reads mail
 	// and makes owner-only deposits through them without a dynamic call.
 	buffers() *pushBuffers[M]
@@ -74,11 +77,11 @@ type mailbox[M any] interface {
 	peek(slot int) (M, bool)
 	// restoreCurrent reinstates a current message (checkpoint restore).
 	restoreCurrent(slot int, m M)
-	// swap publishes the next buffer as current and drops the stale
-	// flags of vertices that never drained their mail: those of the slots
-	// in ran (under selection bypass only the frontier that just ran can
-	// hold one, an O(frontier) clear), or of every slot when all is set
-	// (the |V|-sized clear of a full-scan superstep).
+	// swap publishes the next buffer as current and clears the current
+	// occupancy, which reading mail leaves set: that of the slots in ran
+	// (under selection bypass only a listed frontier that just ran can
+	// hold mail, an O(frontier) clear), or of every slot when all is set
+	// (a full-scan superstep or a dense frontier).
 	swap(ran []int32, all bool)
 	// footprintBytes reports the heap bytes of the mailbox arrays, for
 	// the §7.4 accounting.
@@ -107,18 +110,37 @@ type mailbox[M any] interface {
 }
 
 // delivery is what every inbox version keeps beside its buffers: whether
-// scatter enrols the slots it fills (SelectionBypass), and the delivery
-// counters of the conservation audit, maintained only under
-// CheckInvariants — through sync/atomic, since depositors own only their
-// target slot and race on the counters.
+// scatter enrols the slots it fills (SelectionBypass) and how many it
+// lists (enrolCap), and the delivery counters of the conservation audit,
+// maintained only under CheckInvariants — through sync/atomic, since
+// depositors own only their target slot and race on the counters.
 type delivery struct {
 	enrol, check      bool
+	enrolCap          int
 	nCombines, nFills atomic.Uint64
 }
 
-func newDelivery(cfg Config) delivery {
-	return delivery{enrol: cfg.SelectionBypass, check: cfg.CheckInvariants}
+func newDelivery(cfg Config, slots int) delivery {
+	return delivery{enrol: cfg.SelectionBypass, check: cfg.CheckInvariants, enrolCap: listCap(slots)}
 }
+
+// listCap is the most entries a push superstep's enrolment list holds,
+// per worker and gathered: max(|V|/slotOrderCut, minSpan). A frontier
+// that reaches |V|/slotOrderCut runs from the occupancy scan anyway
+// (computePhase), so past the cap the next inbox's bits are the frontier;
+// the minSpan floor keeps small graphs' frontiers as lists. A cut of 0
+// (tests only) lists every frontier.
+func listCap(slots int) int {
+	if slotOrderCut == 0 {
+		return math.MaxInt
+	}
+	return max(slots/slotOrderCut, minSpan)
+}
+
+// FrontierListCap is the entries each worker's enrolment buffer holds on
+// an engine over |V| = vertices, under selection bypass: listCap, or |V|
+// when that is smaller. memmodel mirrors the engine's allocations with it.
+func FrontierListCap(vertices int) int { return min(listCap(vertices), vertices) }
 
 func (d *delivery) count(combines, fills int) {
 	if d.check {
@@ -136,12 +158,40 @@ func (d *delivery) resetDeliveryCounts() {
 	d.nFills.Store(0)
 }
 
+// Occupancy is one bit per slot, 64 slots to a word.
+func occupancyWords(slots int) int { return (slots + 63) / 64 }
+
+func hasBit(words []uint64, slot int) bool { return words[slot>>6]&(1<<(slot&63)) != 0 }
+
+// orWord sets bits in a word other workers may set bits in concurrently
+// (the module targets Go 1.22, which has no atomic.OrUint64).
+func orWord(w *uint64, bits uint64) {
+	for {
+		old := atomic.LoadUint64(w)
+		if old|bits == old || atomic.CompareAndSwapUint64(w, old, old|bits) {
+			return
+		}
+	}
+}
+
+// countBits is the number of occupied slots in words.
+func countBits(words []uint64) int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // pushBuffers is the double-buffered inbox state shared by the plain and
-// lock-based versions.
+// lock-based versions. Occupancy is a bit per slot (hasBit): the compute
+// phase only reads hasNow, and a word of hasNext is written with atomics
+// only where two workers can deposit into it — the lock-based versions'
+// scatter (deposit) and the boundary words of a collect span.
 type pushBuffers[M any] struct {
 	combine         CombineFunc[M]
 	now, next       []M
-	hasNow, hasNext []uint8
+	hasNow, hasNext []uint64
 	delivery
 }
 
@@ -150,9 +200,9 @@ func newPushBuffers[M any](slots int, combine CombineFunc[M], cfg Config) pushBu
 		combine:  combine,
 		now:      make([]M, slots),
 		next:     make([]M, slots),
-		hasNow:   make([]uint8, slots),
-		hasNext:  make([]uint8, slots),
-		delivery: newDelivery(cfg),
+		hasNow:   make([]uint64, occupancyWords(slots)),
+		hasNext:  make([]uint64, occupancyWords(slots)),
+		delivery: newDelivery(cfg, slots),
 	}
 }
 
@@ -160,36 +210,35 @@ func newPushBuffers[M any](slots int, combine CombineFunc[M], cfg Config) pushBu
 // loops; their contention shows up as lock wait time instead.
 func (b *pushBuffers[M]) contentionRetries() uint64 { return 0 }
 
-// auditBarrier ties the occupancy flags to the counted deliveries: every
-// set flag of the next buffer is one fill of this superstep. A flag that
+// auditBarrier ties the occupancy bits to the counted deliveries: every
+// set bit of the next buffer is one fill of this superstep. A bit that
 // survived the last swap's frontier-sized clear has no fill to show.
 func (b *pushBuffers[M]) auditBarrier() error {
-	if set, fills := bytes.Count(b.hasNext, []byte{1}), b.nFills.Load(); uint64(set) != fills {
+	if set, fills := countBits(b.hasNext), b.nFills.Load(); uint64(set) != fills {
 		return fmt.Errorf("%d next-inbox slots are occupied but %d fills were counted: a stale flag survived the last swap, or a fill went uncounted", set, fills)
 	}
 	return nil
 }
 
+// take reads slot's current message without clearing it: the compute
+// phase never writes the current inbox, Context.NextMessage ends the drain
+// and the barrier's swap clears the slots that ran.
 func (b *pushBuffers[M]) take(slot int, m *M) bool {
-	if b.hasNow[slot] == 0 {
+	if !hasBit(b.hasNow, slot) {
 		return false
 	}
 	*m = b.now[slot]
-	b.hasNow[slot] = 0
 	return true
 }
 
-func (b *pushBuffers[M]) peek(slot int) (M, bool) {
-	var m M
-	if b.hasNow[slot] == 0 {
-		return m, false
-	}
-	return b.now[slot], true
+func (b *pushBuffers[M]) peek(slot int) (m M, ok bool) {
+	ok = b.take(slot, &m)
+	return m, ok
 }
 
 func (b *pushBuffers[M]) restoreCurrent(slot int, m M) {
 	b.now[slot] = m
-	b.hasNow[slot] = 1
+	b.hasNow[slot>>6] |= 1 << (slot & 63)
 }
 
 func (b *pushBuffers[M]) buffers() *pushBuffers[M] { return b }
@@ -199,7 +248,7 @@ func (b *pushBuffers[M]) swap(ran []int32, all bool) {
 		clear(b.hasNow)
 	} else {
 		for _, slot := range ran {
-			b.hasNow[slot] = 0
+			b.hasNow[slot>>6] &^= 1 << (slot & 63)
 		}
 	}
 	b.now, b.next = b.next, b.now
@@ -207,23 +256,36 @@ func (b *pushBuffers[M]) swap(ran []int32, all bool) {
 }
 
 // deposit combines msg into slot's next inbox, reporting a fill; the
-// caller must own the slot — hold its lock, or be its only depositor.
+// caller must hold the slot's lock. The occupancy word is shared with 63
+// slots other workers may hold, so it is read and set atomically.
 func (b *pushBuffers[M]) deposit(dst int, msg M) bool {
-	if b.hasNext[dst] != 0 {
+	w, bit := &b.hasNext[dst>>6], uint64(1)<<(dst&63)
+	if atomic.LoadUint64(w)&bit != 0 {
 		b.combine(&b.next[dst], msg)
 		b.count(1, 0)
 		return false
 	}
-	b.next[dst], b.hasNext[dst] = msg, 1
+	b.next[dst] = msg
+	orWord(w, bit)
 	b.count(0, 1)
 	return true
 }
 
+// markNext sets bits in occupancy word w of the next inbox, atomically
+// when another worker may set bits in that word too.
+func (b *pushBuffers[M]) markNext(w int, bits uint64, shared bool) {
+	if shared {
+		orWord(&b.hasNext[w], bits)
+	} else {
+		b.hasNext[w] |= bits
+	}
+}
+
+// buffersBytes: two message arrays and two occupancy bitsets.
 func (b *pushBuffers[M]) buffersBytes() uint64 {
 	var m M
 	msg := uint64(unsafe.Sizeof(m))
-	slots := uint64(len(b.now))
-	return slots*(2*msg) + slots*2
+	return uint64(len(b.now))*(2*msg) + uint64(len(b.hasNow))*2*8
 }
 
 // mutexMailbox is the block-waiting push combiner (§6.1): one sync.Mutex
@@ -256,7 +318,7 @@ func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32
 		mb.locks[dst].Lock()
 		filled := mb.deposit(dst, msg)
 		mb.locks[dst].Unlock()
-		if filled && mb.enrol {
+		if filled && mb.enrol && len(enrolled) < mb.enrolCap {
 			enrolled = append(enrolled, int32(dst))
 		}
 	}
@@ -296,7 +358,7 @@ func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32)
 		mb.locks[dst].lock()
 		filled := mb.deposit(dst, msg)
 		mb.locks[dst].unlock()
-		if filled && mb.enrol {
+		if filled && mb.enrol && len(enrolled) < mb.enrolCap {
 			enrolled = append(enrolled, int32(dst))
 		}
 	}
@@ -320,19 +382,21 @@ type plainMailbox[M any] struct {
 	pushBuffers[M]
 }
 
-// scatter is deposit fused over one neighbour list: the buffers are
-// resolved and the audit counters bumped once per call, and the loop is
-// chosen once per call too. Without bypass it is the bare flag test and
-// combine: one loop carrying the enrol buffer as well costs every combine
-// a few reloads, ~9 % of a PageRank run that never enrols.
+// scatter is deposit fused over one neighbour list, with plain occupancy
+// updates (one depositor per slot, one thread): the buffers are resolved
+// and the audit counters bumped once per call, and the loop is chosen
+// once per call too. Without bypass it is the bare bit test and combine:
+// one loop carrying the enrol buffer as well costs every combine a few
+// reloads, ~9 % of a PageRank run that never enrols.
 func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32 {
-	next, hasNext, n, fills := mb.next, mb.hasNext, len(enrolled), 0
+	next, hasNext, fills := mb.next, mb.hasNext, 0
 	if !mb.enrol {
 		for _, dst := range nbs {
-			if hasNext[dst] != 0 {
+			if w, bit := &hasNext[dst>>6], uint64(1)<<(dst&63); *w&bit != 0 {
 				mb.combine(&next[dst], msg)
 			} else {
-				next[dst], hasNext[dst] = msg, 1
+				next[dst] = msg
+				*w |= bit
 				fills++
 			}
 		}
@@ -340,14 +404,17 @@ func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32
 		return nil
 	}
 	for _, dst := range nbs {
-		if hasNext[dst] != 0 {
+		if w, bit := &hasNext[dst>>6], uint64(1)<<(dst&63); *w&bit != 0 {
 			mb.combine(&next[dst], msg)
 		} else {
-			next[dst], hasNext[dst] = msg, 1
-			enrolled = append(enrolled, int32(dst))
+			next[dst] = msg
+			*w |= bit
+			fills++
+			if len(enrolled) < mb.enrolCap {
+				enrolled = append(enrolled, int32(dst))
+			}
 		}
 	}
-	fills = len(enrolled) - n
 	mb.count(len(nbs)-fills, fills)
 	return enrolled
 }
@@ -361,10 +428,11 @@ type sumInbox struct{ plainMailbox[float64] }
 func (mb *sumInbox) scatter(nbs []graph.VertexID, msg float64, _ []int32) []int32 {
 	next, hasNext, fills := mb.next, mb.hasNext, 0
 	for _, dst := range nbs {
-		if hasNext[dst] != 0 {
+		if w, bit := &hasNext[dst>>6], uint64(1)<<(dst&63); *w&bit != 0 {
 			next[dst] += msg
 		} else {
-			next[dst], hasNext[dst] = msg, 1
+			next[dst] = msg
+			*w |= bit
 			fills++
 		}
 	}
@@ -377,16 +445,19 @@ func (mb *sumInbox) scatter(nbs []graph.VertexID, msg float64, _ []int32) []int3
 type minInbox struct{ plainMailbox[uint32] }
 
 func (mb *minInbox) scatter(nbs []graph.VertexID, msg uint32, enrolled []int32) []int32 {
-	next, hasNext, n := mb.next, mb.hasNext, len(enrolled)
+	next, hasNext, fills := mb.next, mb.hasNext, 0
 	for _, dst := range nbs {
-		if hasNext[dst] == 0 {
-			next[dst], hasNext[dst] = msg, 1
-			enrolled = append(enrolled, int32(dst))
+		if w, bit := &hasNext[dst>>6], uint64(1)<<(dst&63); *w&bit == 0 {
+			next[dst] = msg
+			*w |= bit
+			fills++
+			if len(enrolled) < mb.enrolCap {
+				enrolled = append(enrolled, int32(dst))
+			}
 		} else if msg < next[dst] {
 			next[dst] = msg
 		}
 	}
-	fills := len(enrolled) - n
 	mb.count(len(nbs)-fills, fills)
 	return enrolled
 }

@@ -88,7 +88,7 @@ func newAtomicMailbox[M any](slots int, combine CombineFunc[M], cfg Config) (*at
 		stateNow:  make([]uint32, slots),
 		stateNext: make([]uint32, slots),
 		wide:      wide,
-		delivery:  newDelivery(cfg),
+		delivery:  newDelivery(cfg, slots),
 	}, nil
 }
 
@@ -152,7 +152,7 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) (filled bool) {
 
 func (mb *atomicMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32 {
 	for _, nb := range nbs {
-		if dst := int(nb); mb.deliver(dst, msg) && mb.enrol {
+		if dst := int(nb); mb.deliver(dst, msg) && mb.enrol && len(enrolled) < mb.enrolCap {
 			enrolled = append(enrolled, int32(dst))
 		}
 	}
@@ -164,13 +164,13 @@ func (mb *atomicMailbox[M]) buffers() *pushBuffers[M] { return nil }
 // The read side below runs after the superstep barrier (take/hasMail by
 // the slot's owner, peek/restoreCurrent/swap by the coordinator), so plain
 // accesses suffice: the barrier orders them after every atomic delivery.
+// As on pushBuffers, take leaves the slot full and swap clears it.
 
 func (mb *atomicMailbox[M]) take(slot int, m *M) bool {
 	if mb.stateNow[slot] != slotFull {
 		return false
 	}
 	*m = mb.value(mb.now[slot])
-	mb.stateNow[slot] = slotEmpty
 	return true
 }
 

@@ -265,7 +265,7 @@ func TestInvariantMailboxStateDetectsStaleFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.buf.hasNext[5] = 1
+	e.buf.hasNext[0] |= 1 << 5
 	_, err = e.Run()
 	if err == nil || !strings.Contains(err.Error(), "mailbox-state") || !strings.Contains(err.Error(), "stale flag") {
 		t.Fatalf("want a mailbox-state violation naming the stale flag, got %v", err)

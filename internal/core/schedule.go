@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"sync/atomic"
 )
@@ -98,7 +97,8 @@ func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
 
 // A bypass frontier of at least |V|/slotOrderCut vertices runs in slot
 // order (runOccupied): below that the measured per-vertex saving stops
-// paying for the scan's per-slot cost (DESIGN.md §9.1). Only tests set it.
+// paying for the scan's per-slot cost (DESIGN.md §9.1). It also caps the
+// enrolment lists (listCap). Only tests set it.
 var slotOrderCut = 32
 
 // computePhase runs IP_compute over the selected vertices and returns
@@ -107,11 +107,12 @@ var slotOrderCut = 32
 // superstep 0 runs everything in both modes, since all vertices start
 // active. Under selection bypass the frontier holds exactly the vertices
 // that received a message, so workers run every vertex they are given
-// (§4's load-balance property), or scan for them from slotOrderCut up.
+// (§4's load-balance property), or scan for them from slotOrderCut up —
+// always when the frontier is dense, the current inbox's occupancy.
 func (e *Engine[V, M]) computePhase() int64 {
 	first := e.superstep == 0
 	fullScan := first || !e.cfg.SelectionBypass
-	e.slotOrder = !fullScan && len(e.frontier)*slotOrderCut >= e.g.N()
+	e.slotOrder = !fullScan && (e.dense || len(e.frontier)*slotOrderCut >= e.g.N())
 	spans := e.scanSpans
 	if !fullScan && !e.slotOrder {
 		spans = e.frontierSpans(false)
@@ -141,37 +142,48 @@ func (e *Engine[V, M]) computePhase() int64 {
 }
 
 // runOccupied runs sp's slots with current mail (under bypass, sp's share
-// of the frontier) in slot order. The plain and lock-based inboxes' 0/1
-// flags are gathered into one bit mask per 64 slots, a load per eight and
-// never past sp (other workers drain theirs): one mail branch per 64 slots.
+// of the frontier) in slot order. The plain and lock-based inboxes are
+// read one occupancy word per 64 slots, masked to sp at its two ends:
+// one mail branch per 64 slots.
 func (e *Engine[V, M]) runOccupied(ctx *Context[V, M], sp span) {
-	s, hi := int(sp.lo), int(sp.hi)
+	lo, hi := int(sp.lo), int(sp.hi)
 	if b := e.buf; b != nil {
-		for ; s+64 <= hi; s += 64 {
-			var mask uint64
-			for j := 0; j < 64; j += 8 {
-				mask |= (binary.LittleEndian.Uint64(b.hasNow[s+j:]) & 0x0101010101010101 * 0x0102040810204080 >> 56) << j
+		for w := lo >> 6; w<<6 < hi; w++ {
+			mask := b.hasNow[w]
+			if base := w << 6; base < lo {
+				mask &= ^uint64(0) << (lo - base)
+			}
+			if end := (w + 1) << 6; end > hi {
+				mask &= ^uint64(0) >> (end - hi)
 			}
 			for ; mask != 0; mask &= mask - 1 {
-				e.runVertex(ctx, int32(s+bits.TrailingZeros64(mask)))
+				e.runVertex(ctx, int32(w<<6+bits.TrailingZeros64(mask)))
 			}
 		}
+		return
 	}
-	for ; s < hi; s++ {
+	for s := lo; s < hi; s++ {
 		if e.hasMail(s) {
 			e.runVertex(ctx, int32(s))
 		}
 	}
 }
 
+// runVertex runs Compute on slot with the worker's per-vertex markers
+// reset: nothing drained, no vote cast (selection bypass counts votes
+// there instead of keeping an activity array).
 func (e *Engine[V, M]) runVertex(ctx *Context[V, M], slot int32) {
-	e.active[slot] = 1
+	if e.active != nil {
+		e.active[slot] = 1
+	}
+	ctx.drained, ctx.halted = false, false
 	ctx.ran++
 	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: slot})
 }
 
-// take and hasMail read the concrete version's current inbox. take empties
-// it, so IP_get_next_message's drain loop runs at most once (§6.3).
+// take and hasMail read the concrete version's current inbox. Neither
+// writes it: IP_get_next_message's drain loop ends on the Context's
+// marker (§6.3).
 func (e *Engine[V, M]) take(slot int, m *M) bool {
 	if e.buf != nil {
 		return e.buf.take(slot, m)
@@ -181,19 +193,31 @@ func (e *Engine[V, M]) take(slot int, m *M) bool {
 
 func (e *Engine[V, M]) hasMail(slot int) bool {
 	if e.buf != nil {
-		return e.buf.hasNow[slot] != 0
+		return hasBit(e.buf.hasNow, slot)
 	}
 	return e.cas.stateNow[slot] == slotFull
 }
 
 // gatherFrontier concatenates the workers' enrol buffers into the next
-// frontier. The buffer is sized exactly: frontiers reach |V| entries,
-// and append's growth slack on that is live heap for the rest of the run.
+// frontier, or on a push superstep whose lists reached listCap — one
+// worker's, which may have stopped listing, or all of them together —
+// leaves the next frontier dense: the next inbox's occupancy, run in
+// slot order and counted here for NextFrontier. Pull supersteps' lists
+// have no cap (collectPull walks them). The buffer is sized exactly:
+// append's growth slack would be live heap for the rest of the run.
 func (e *Engine[V, M]) gatherFrontier() {
-	total := 0
+	total, full := 0, false
 	for _, w := range e.workers {
 		total += len(w.enrolled)
+		full = full || len(w.enrolled) == e.listCap
 	}
+	e.denseNext = e.curDir == DirectionPush && (full || total > e.listCap)
+	if e.denseNext {
+		e.frontierNext = e.frontierNext[:0]
+		e.nextCount = e.countNextMail()
+		return
+	}
+	e.nextCount = total
 	buf := e.frontierNext[:0]
 	if cap(buf) < total {
 		buf = make([]int32, 0, total)
@@ -202,4 +226,18 @@ func (e *Engine[V, M]) gatherFrontier() {
 		buf = append(buf, w.enrolled...)
 	}
 	e.frontierNext = buf
+}
+
+// countNextMail is the number of occupied next-inbox slots.
+func (e *Engine[V, M]) countNextMail() int {
+	if b := e.buf; b != nil {
+		return countBits(b.hasNext)
+	}
+	n := 0
+	for slot := 0; slot < e.g.N(); slot++ {
+		if e.nextOccupied(slot) {
+			n++
+		}
+	}
+	return n
 }

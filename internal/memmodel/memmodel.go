@@ -132,12 +132,16 @@ type IPregelParams struct {
 // IPregelBytes computes the analytic footprint of an iPregel engine plus
 // its graph, mirroring exactly the allocations of internal/core (the unit
 // tests cross-check this against Engine.FootprintBytes). The
-// selection-bypass frontier arrays are counted at their worst case (every
-// vertex enrolled).
+// selection-bypass frontier lists are counted at their worst case: the
+// push list cap (core.FrontierListCap) on a push-only engine, every
+// vertex on one that can pull, whose pull supersteps list the whole
+// frontier.
 func IPregelBytes(p IPregelParams) uint64 {
 	slots := p.V                  // one per vertex: offset mapping (§5)
 	total := slots * p.ValueBytes // values
-	total += slots                // active flags
+	if !p.Config.SelectionBypass {
+		total += slots // active flags; bypass keeps none
+	}
 
 	// mailbox: double-buffered single-message inboxes + flags, plus what
 	// protects them from concurrent senders — which a one-thread engine
@@ -148,7 +152,7 @@ func IPregelBytes(p IPregelParams) uint64 {
 	if p.Config.Combiner == core.CombinerAtomic && racy {
 		total += slots * (2*8 + 2*4) // packed value words + state words
 	} else {
-		total += slots*2*p.MessageBytes + slots*2
+		total += slots*2*p.MessageBytes + (slots+63)/64*2*8 // messages + occupancy bits
 	}
 	switch {
 	case p.Config.Combiner == core.CombinerMutex && racy:
@@ -164,10 +168,15 @@ func IPregelBytes(p IPregelParams) uint64 {
 		total += slots*p.MessageBytes + slots
 	}
 	if p.Config.SelectionBypass {
+		list := uint64(core.FrontierListCap(int(p.V)))
+		// each worker's enrolment buffer, as New sizes it
+		total += uint64(p.Config.ResolvedThreads()) * list * 4
+		frontier := list
 		if pulls {
 			total += slots * 4 // pull enrolment dedup flags
+			frontier = p.V
 		}
-		total += 2 * p.V * 4 // frontier double buffer, worst case
+		total += 2 * frontier * 4 // frontier double buffer, worst case
 	}
 	// graph
 	if p.OutAdjacency {

@@ -35,9 +35,10 @@ func TestGraphBinaryBytesMatchesPaper(t *testing.T) {
 
 // The analytic iPregel model must agree exactly with the engine's own
 // accounting plus the graph's CSR cost (no drift between model and code).
-// The model counts the bypass frontier buffers at their worst case; a
+// The model counts the bypass frontier lists at their worst case; a
 // freshly built engine has allocated none of them, so bypass rows add that
-// worst case to the engine's side.
+// worst case to the engine's side: every vertex, since 500 vertices are
+// under the push list cap's minSpan floor.
 func TestIPregelModelMatchesEngine(t *testing.T) {
 	g := gen.RMATN(500, 3000, 11, 1, true)
 	for _, cfg := range []core.Config{
