@@ -101,7 +101,7 @@ chaos:
 # Lengthen FUZZTIME for a deeper run.
 FUZZTIME ?= 10s
 fuzz:
-	for t in FuzzReadEdgeList FuzzReadKONECT FuzzReadDIMACS FuzzReadMETIS FuzzReadBinary; do \
+	for t in FuzzReadEdgeList FuzzReadKONECT FuzzReadDIMACS FuzzReadBinary; do \
 		$(GO) test ./internal/graphio/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	for t in FuzzBlockDecode FuzzCompressedRoundTrip; do \

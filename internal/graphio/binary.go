@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 
 	"ipregel/internal/graph"
 )
@@ -101,108 +102,183 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes a graph written by WriteBinary.
+// ReadBinary decodes a graph written by WriteBinary with the parser
+// OpenMapped uses: it reads each section the header declares into a
+// buffer of exactly that size, and the graph's arrays alias the buffers
+// as they would alias a mapping. A regular *os.File (as ReadFile passes)
+// is checked against the declared size before any section is read; any
+// other reader grows a buffer only as the input supplies bytes, so a
+// header that lies about the size costs at most twice the bytes actually
+// there. Input shorter or longer than the header declares is an error.
 func ReadBinary(r io.Reader, opts Options) (*graph.Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graphio: binary header: %w", err)
+	s := &stream{r: r, size: -1}
+	if f, ok := r.(*os.File); ok {
+		s.size = remaining(f)
 	}
-	if magic == binaryMagic3 {
-		return readBinaryCompressed(br, opts)
+	g, err := parseBinary(s, opts)
+	if err == nil {
+		switch n, rerr := io.ReadFull(r, make([]byte, 1)); {
+		case n != 0:
+			err = fmt.Errorf("input longer than its header declares")
+		case rerr != io.EOF:
+			err = fmt.Errorf("after the last section: %w", rerr)
+		}
 	}
-	weighted := magic == binaryMagicW
-	if magic != binaryMagic && !weighted {
-		return nil, fmt.Errorf("graphio: bad magic %q", magic)
+	if err != nil {
+		return nil, fmt.Errorf("graphio: %w", err)
 	}
-	var hdr [20]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graphio: binary header: %w", err)
+	return g, nil
+}
+
+// remaining returns the bytes left to read in f, or -1 when f is not a
+// regular file.
+func remaining(f *os.File) int64 {
+	st, err := f.Stat()
+	if err != nil || !st.Mode().IsRegular() {
+		return -1
+	}
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return -1
+	}
+	return st.Size() - pos
+}
+
+// sections serves a binary parser the byte ranges of one file, in
+// increasing offset order: slices of the file for OpenMapped (mapping),
+// fresh buffers read from a stream for ReadBinary (stream).
+type sections interface {
+	// total reports an error when the input is known not to be size
+	// bytes long.
+	total(size uint64) error
+	// section returns the length bytes at off.
+	section(off, length uint64) ([]byte, error)
+}
+
+// stream reads the sections of a binary file from r.
+type stream struct {
+	r    io.Reader
+	pos  uint64
+	size int64 // bytes in r, or -1 when unknown
+}
+
+func (s *stream) total(size uint64) error {
+	if s.size >= 0 && uint64(s.size) != size {
+		return fmt.Errorf("file size %d, header implies %d", s.size, size)
+	}
+	return nil
+}
+
+func (s *stream) section(off, length uint64) ([]byte, error) {
+	if _, err := io.CopyN(io.Discard, s.r, int64(off-s.pos)); err != nil {
+		return nil, fmt.Errorf("padding before %d: %w", off, err)
+	}
+	// A known size, which total has checked, bounds length already;
+	// otherwise start small and double, so a lying header buys no more
+	// than the input holds.
+	first := length
+	if s.size < 0 {
+		first = min(length, 1<<16)
+	}
+	buf := make([]byte, 0, first)
+	for uint64(len(buf)) < length {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(length, 2*uint64(cap(buf))))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := io.ReadFull(s.r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return nil, fmt.Errorf("section [%d,+%d): %w", off, length, err)
+		}
+	}
+	s.pos = off + length
+	return buf, nil
+}
+
+// parseBinary parses an IPG1, IPG2 or IPG3 file, whichever its magic
+// names. It is the only binary parser: OpenMapped and ReadBinary differ
+// only in the sections they hand it. Every header count is
+// bounds-checked, and checked against the input's size, before it sizes
+// anything.
+func parseBinary(s sections, opts Options) (*graph.Graph, error) {
+	if opts.Undirected || opts.Dedup {
+		return nil, fmt.Errorf("Undirected and Dedup cannot rewrite a binary graph; only BuildInEdges, KeepWeights and MaxVertices apply")
+	}
+	head, err := s.section(0, 4)
+	if err != nil {
+		return nil, fmt.Errorf("binary header: %w", err)
+	}
+	var g *graph.Graph
+	switch magic := [4]byte(head); magic {
+	case binaryMagic3:
+		g, err = parseIPG3(s, opts)
+	case binaryMagic, binaryMagicW:
+		g, err = parseIPG1(s, magic == binaryMagicW, opts)
+	default:
+		return nil, fmt.Errorf("bad magic %q (want IPG1, IPG2 or IPG3)", magic)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if opts.BuildInEdges {
+		// Derived from the finished out-adjacency by whoever first reads
+		// the in side.
+		g = g.WithInEdgesOnDemand()
+	}
+	return g, nil
+}
+
+// parseIPG1 parses IPG1 and its weighted variant IPG2 (magic already
+// read). The adjacency and weights alias their sections; the uint64
+// offset array is rebuilt on the heap from the file's 4-byte degrees —
+// 8 heap bytes per vertex, still far below a heap adjacency.
+func parseIPG1(s sections, weighted bool, opts Options) (*graph.Graph, error) {
+	hdr, err := s.section(4, 20)
+	if err != nil {
+		return nil, fmt.Errorf("binary header: %w", err)
 	}
 	base := graph.VertexID(binary.LittleEndian.Uint32(hdr[0:]))
 	n := binary.LittleEndian.Uint64(hdr[4:])
 	m := binary.LittleEndian.Uint64(hdr[12:])
 	const maxN = 1 << 33
 	if n > maxN || m > maxN*16 {
-		return nil, fmt.Errorf("graphio: implausible binary header n=%d m=%d", n, m)
+		return nil, fmt.Errorf("implausible binary header n=%d m=%d", n, m)
 	}
 	if err := opts.checkCount(n); err != nil {
 		return nil, err
 	}
-
-	degreeBytes := make([]byte, n*4)
-	if _, err := io.ReadFull(br, degreeBytes); err != nil {
-		return nil, fmt.Errorf("graphio: binary degrees: %w", err)
-	}
-	var b graph.Builder
-	applyOpts(&b, opts)
-	b.ForceN = int(n)
-	b.SetBase(base)
-	b.Grow(opts.growHint(m))
-	var srcs, dsts []graph.VertexID
+	size := 24 + n*4 + m*4
 	if weighted {
-		srcs = make([]graph.VertexID, 0, opts.growHint(m))
-		dsts = make([]graph.VertexID, 0, opts.growHint(m))
+		size += m * 4
 	}
-
-	adjBuf := make([]byte, 4*4096)
-	var total uint64
-	src := graph.VertexID(0)
-	var remaining uint32
-	if n > 0 {
-		remaining = binary.LittleEndian.Uint32(degreeBytes[0:4])
+	if err := s.total(size); err != nil {
+		return nil, err
 	}
-	advance := func() {
-		for remaining == 0 && uint64(src)+1 < n {
-			src++
-			remaining = binary.LittleEndian.Uint32(degreeBytes[src*4 : src*4+4])
+	degB, err := s.section(24, n*4)
+	if err != nil {
+		return nil, err
+	}
+	deg := view[uint32](degB)
+	outOff := make([]uint64, n+1)
+	for i := uint64(0); i < n; i++ {
+		outOff[i+1] = outOff[i] + uint64(deg[i])
+	}
+	if outOff[n] != m {
+		return nil, fmt.Errorf("binary degree sum %d != header m=%d", outOff[n], m)
+	}
+	adjB, err := s.section(24+n*4, m*4)
+	if err != nil {
+		return nil, err
+	}
+	var weights []uint32
+	if weighted {
+		wB, err := s.section(24+n*4+m*4, m*4)
+		if err != nil {
+			return nil, err
 		}
+		weights = view[uint32](wB)
 	}
-	advance()
-	for total < m {
-		want := m - total
-		if want > 4096 {
-			want = 4096
-		}
-		chunk := adjBuf[:want*4]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("graphio: binary adjacency: %w", err)
-		}
-		for i := uint64(0); i < want; i++ {
-			d := graph.VertexID(binary.LittleEndian.Uint32(chunk[i*4 : i*4+4]))
-			if remaining == 0 {
-				return nil, fmt.Errorf("graphio: binary degree sum shorter than edge count")
-			}
-			if weighted {
-				srcs = append(srcs, base+src)
-				dsts = append(dsts, base+d)
-			} else {
-				b.AddEdge(base+src, base+d)
-			}
-			remaining--
-			advance()
-		}
-		total += want
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("graphio: binary degree sum exceeds edge count")
-	}
-	if !weighted {
-		return b.Build()
-	}
-	weightBytes := make([]byte, m*4)
-	if _, err := io.ReadFull(br, weightBytes); err != nil {
-		return nil, fmt.Errorf("graphio: binary weights: %w", err)
-	}
-	var wb graph.WeightedBuilder
-	wb.ForceN(int(n))
-	wb.SetBase(base)
-	if opts.BuildInEdges {
-		wb.BuildInEdges()
-	}
-	wb.Grow(int(m))
-	for i := range srcs {
-		wb.AddEdge(srcs[i], dsts[i], binary.LittleEndian.Uint32(weightBytes[i*4:i*4+4]))
-	}
-	return wb.Build()
+	return graph.FromCSR(base, outOff, view[graph.VertexID](adjB), weights)
 }

@@ -12,8 +12,8 @@ import (
 // IPG3 is the on-disk form of the block-compressed adjacency backend
 // (internal/graph/compressed.go). Unlike IPG1/IPG2 it stores the block
 // arrays verbatim, so a load is a validation pass instead of a rebuild,
-// and the mmap loader (mapped.go) can alias the file directly. Layout
-// (all little-endian; sections padded so every array is naturally
+// and both loaders (OpenMapped, ReadBinary) alias the file's sections.
+// Layout (all little-endian; sections padded so every array is naturally
 // aligned when the file is mapped at a page boundary):
 //
 //	magic     [4]byte  "IPG3"
@@ -141,15 +141,14 @@ func writeBinaryCompressed(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// readBinaryCompressed decodes an IPG3 stream (magic already consumed).
-// Every header count is bounds-checked before it sizes an allocation,
-// and graph.NewCompressedOut re-validates the block arrays with a full
-// decode sweep, so hostile inputs error — they never panic and never
-// buy unbounded allocations under Options.MaxVertices.
-func readBinaryCompressed(br io.Reader, opts Options) (*graph.Graph, error) {
-	var hdr [36]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graphio: IPG3 header: %w", err)
+// parseIPG3 parses an IPG3 file (magic already read). All four block
+// arrays and the weights alias their sections, and graph.NewCompressedOut
+// re-validates the block arrays with a full decode sweep, so hostile
+// inputs error — they never panic.
+func parseIPG3(s sections, opts Options) (*graph.Graph, error) {
+	hdr, err := s.section(4, 36)
+	if err != nil {
+		return nil, fmt.Errorf("IPG3 header: %w", err)
 	}
 	flags := binary.LittleEndian.Uint32(hdr[0:])
 	base := graph.VertexID(binary.LittleEndian.Uint32(hdr[4:]))
@@ -158,103 +157,50 @@ func readBinaryCompressed(br io.Reader, opts Options) (*graph.Graph, error) {
 	m := binary.LittleEndian.Uint64(hdr[20:])
 	dataLen := binary.LittleEndian.Uint64(hdr[28:])
 	if flags&^uint32(ipg3Weighted) != 0 {
-		return nil, fmt.Errorf("graphio: IPG3 unknown flags %#x", flags)
+		return nil, fmt.Errorf("IPG3 unknown flags %#x", flags)
 	}
 	if blockSize != graph.CompressedBlockSize {
-		return nil, fmt.Errorf("graphio: IPG3 block size %d, this build uses %d", blockSize, graph.CompressedBlockSize)
+		return nil, fmt.Errorf("IPG3 block size %d, this build uses %d", blockSize, graph.CompressedBlockSize)
 	}
 	const maxN = 1 << 33
 	// One varint per edge, 1–10 bytes each: anything outside that band
 	// is a lying header.
 	if n > maxN || m > maxN*16 || dataLen > 10*m || (m > 0 && dataLen < m) {
-		return nil, fmt.Errorf("graphio: implausible IPG3 header n=%d m=%d dataLen=%d", n, m, dataLen)
+		return nil, fmt.Errorf("implausible IPG3 header n=%d m=%d dataLen=%d", n, m, dataLen)
 	}
 	if err := opts.checkCount(n); err != nil {
 		return nil, err
 	}
-	if opts.Undirected || opts.Dedup {
-		return nil, fmt.Errorf("graphio: Undirected/Dedup cannot be applied to an IPG3 file (already block-compressed)")
-	}
 	weighted := flags&ipg3Weighted != 0
-
 	l := computeIPG3Layout(n, m, dataLen, weighted)
-	nb := int(l.nBlocks)
-	pos := uint64(40)
-	skipTo := func(to uint64) error {
-		if to < pos {
-			return fmt.Errorf("graphio: IPG3 layout error")
-		}
-		_, err := io.CopyN(io.Discard, br, int64(to-pos))
-		pos = to
-		return err
+	if err := s.total(l.total); err != nil {
+		return nil, err
 	}
-	readU32s := func(count uint64) ([]uint32, error) {
-		raw := make([]byte, count*4)
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, err
-		}
-		pos += count * 4
-		out := make([]uint32, count)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(raw[i*4:])
-		}
-		return out, nil
-	}
-	readU64s := func(count int) ([]uint64, error) {
-		raw := make([]byte, count*8)
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, err
-		}
-		pos += uint64(count) * 8
-		out := make([]uint64, count)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(raw[i*8:])
-		}
-		return out, nil
-	}
-
-	deg, err := readU32s(n)
+	degB, err := s.section(l.degOff, n*4)
 	if err != nil {
-		return nil, fmt.Errorf("graphio: IPG3 degrees: %w", err)
+		return nil, err
 	}
-	if err := skipTo(l.blockOffOff); err != nil {
-		return nil, fmt.Errorf("graphio: IPG3 padding: %w", err)
-	}
-	blockOff, err := readU64s(nb + 1)
+	boB, err := s.section(l.blockOffOff, (l.nBlocks+1)*8)
 	if err != nil {
-		return nil, fmt.Errorf("graphio: IPG3 block offsets: %w", err)
+		return nil, err
 	}
-	blockEdge, err := readU64s(nb + 1)
+	beB, err := s.section(l.blockEdgeOff, (l.nBlocks+1)*8)
 	if err != nil {
-		return nil, fmt.Errorf("graphio: IPG3 block edges: %w", err)
+		return nil, err
 	}
-	if blockEdge[nb] != m {
-		return nil, fmt.Errorf("graphio: IPG3 edge prefix %d != header m=%d", blockEdge[nb], m)
+	data, err := s.section(l.dataOff, dataLen)
+	if err != nil {
+		return nil, err
 	}
-	data := make([]byte, dataLen)
-	if _, err := io.ReadFull(br, data); err != nil {
-		return nil, fmt.Errorf("graphio: IPG3 data: %w", err)
-	}
-	pos += dataLen
 	var weights []uint32
 	if weighted {
-		if err := skipTo(l.weightOff); err != nil {
-			return nil, fmt.Errorf("graphio: IPG3 padding: %w", err)
+		wB, err := s.section(l.weightOff, m*4)
+		if err != nil {
+			return nil, err
 		}
-		if weights, err = readU32s(m); err != nil {
-			return nil, fmt.Errorf("graphio: IPG3 weights: %w", err)
-		}
+		weights = view[uint32](wB)
 	}
-	g, err := graph.NewCompressedOut(base, int(n), graph.CompressedParts{
-		Deg: deg, BlockOff: blockOff, BlockEdge: blockEdge, Data: data,
+	return graph.NewCompressedOut(base, int(n), graph.CompressedParts{
+		Deg: view[uint32](degB), BlockOff: view[uint64](boB), BlockEdge: view[uint64](beB), Data: data,
 	}, weights)
-	if err != nil {
-		return nil, fmt.Errorf("graphio: IPG3: %w", err)
-	}
-	if opts.BuildInEdges {
-		// Derived from the finished out-adjacency by whoever first reads
-		// the in side, as in OpenMapped.
-		g = g.WithInEdgesOnDemand()
-	}
-	return g, nil
 }

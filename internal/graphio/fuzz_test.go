@@ -2,6 +2,8 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"ipregel/internal/graph"
@@ -9,9 +11,9 @@ import (
 
 // The fuzz targets pin the parsers' error contract: arbitrary input must
 // produce (nil, error) or a graph that passes Validate — never a panic.
-// The parsers guard against hostile headers (a DIMACS problem line or
-// METIS header declaring billions of vertices must not allocate first and
-// ask questions later), and the fuzzers are how those guards earn trust.
+// The parsers guard against hostile headers (a DIMACS problem line or a
+// binary header declaring billions of vertices must not allocate first
+// and ask questions later), and the fuzzers are how those guards earn trust.
 // Run at depth with `go test -fuzz FuzzReadEdgeList ./internal/graphio/`;
 // in normal `go test` runs only the seed corpus executes.
 
@@ -58,7 +60,6 @@ func TestMaxVerticesGuards(t *testing.T) {
 		{"edge list huge id", FormatEdgeList, "4294967295 0\n"},
 		{"KONECT huge id", FormatKONECT, "% asym\n1 4000000000\n"},
 		{"DIMACS huge n", FormatDIMACS, "p sp 2000000000 1\na 1 2 1\n"},
-		{"METIS huge n", FormatMETIS, "2000000000 1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,6 +68,39 @@ func TestMaxVerticesGuards(t *testing.T) {
 				t.Fatalf("parser accepted input implying %d+ vertices despite MaxVertices=1000 (n=%d)", 2000000000, g.N())
 			}
 		})
+	}
+}
+
+// hostileIPG3 is an 80-byte IPG3 stream, everything before the data
+// section of a one-vertex graph with a consistent block table, whose
+// header declares m = dataLen = 2³² and which then ends.
+func hostileIPG3() []byte {
+	l := computeIPG3Layout(1, 1<<32, 1<<32, false)
+	raw := make([]byte, l.dataOff)
+	copy(raw, binaryMagic3[:])
+	binary.LittleEndian.PutUint32(raw[12:], graph.CompressedBlockSize)
+	binary.LittleEndian.PutUint64(raw[16:], 1)
+	binary.LittleEndian.PutUint64(raw[24:], 1<<32)
+	binary.LittleEndian.PutUint64(raw[32:], 1<<32)
+	binary.LittleEndian.PutUint64(raw[l.blockOffOff+8:], 1<<32)
+	binary.LittleEndian.PutUint64(raw[l.blockEdgeOff+8:], 1<<32)
+	return raw
+}
+
+// TestBinaryHostileHeaderAllocation: MaxVertices caps n, and nothing but
+// the input caps the data section, so a stream that declares 4 GiB of
+// data and holds none must fail having allocated about what it holds.
+func TestBinaryHostileHeaderAllocation(t *testing.T) {
+	raw := hostileIPG3()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := Read(bytes.NewReader(raw), FormatBinary, Options{MaxVertices: 1 << 16})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("accepted a %d-byte stream declaring 4 GiB of data (m=%d)", len(raw), g.M())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Fatalf("allocated %d bytes before rejecting a %d-byte stream: %v", alloc, len(raw), err)
 	}
 }
 
@@ -79,9 +113,6 @@ func TestDIMACSRejectsHostileHeaders(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader([]byte("p sp 3 1\na 4294967297 2 1\n")), FormatDIMACS, Options{}); err == nil {
 		t.Fatal("64-bit arc identifier silently truncated instead of rejected")
-	}
-	if _, err := Read(bytes.NewReader([]byte("-3 1\n")), FormatMETIS, Options{}); err == nil {
-		t.Fatal("negative METIS vertex count accepted")
 	}
 }
 
@@ -108,14 +139,6 @@ func FuzzReadDIMACS(f *testing.F) {
 	f.Add([]byte("p sp 99999999999999999999 1\na 1 1 1\n"))
 	f.Add([]byte("a 1 2 3\n"))
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzRead(t, FormatDIMACS, data) })
-}
-
-func FuzzReadMETIS(f *testing.F) {
-	f.Add([]byte("3 2\n2 3\n1\n1\n"))
-	f.Add([]byte("2 1 001\n2 1\n1 1\n"))
-	f.Add([]byte("0 0\n"))
-	f.Add([]byte("1 0\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzRead(t, FormatMETIS, data) })
 }
 
 func FuzzReadBinary(f *testing.F) {
@@ -163,7 +186,9 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add(bufW.Bytes())
 	// Hostile IPG3 headers: huge n (must die on MaxVertices before
-	// allocating), dataLen lying about the stream size.
+	// allocating), dataLen lying about the stream size, and a 4 GiB data
+	// section that is not there.
+	f.Add(hostileIPG3())
 	f.Add([]byte("IPG3\x00\x00\x00\x00\x00\x00\x00\x00\x40\x00\x00\x00" +
 		"\xff\xff\xff\xff\xff\xff\xff\x0f" + "\x10\x00\x00\x00\x00\x00\x00\x00" + "\x10\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("IPG3\x00\x00\x00\x00\x00\x00\x00\x00\x40\x00\x00\x00" +

@@ -35,9 +35,6 @@ const (
 	FormatDIMACS
 	// FormatBinary is this package's compact binary encoding (binary.go).
 	FormatBinary
-	// FormatMETIS is the METIS partitioning format: "n m" header followed
-	// by one adjacency line per vertex, 1-indexed, undirected (metis.go).
-	FormatMETIS
 )
 
 // String returns the canonical name of the format.
@@ -51,28 +48,8 @@ func (f Format) String() string {
 		return "dimacs"
 	case FormatBinary:
 		return "binary"
-	case FormatMETIS:
-		return "metis"
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// ParseFormat converts a format name ("edgelist", "konect", "dimacs",
-// "binary") to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(s) {
-	case "edgelist", "el", "txt":
-		return FormatEdgeList, nil
-	case "konect", "tsv":
-		return FormatKONECT, nil
-	case "dimacs", "gr":
-		return FormatDIMACS, nil
-	case "binary", "bin":
-		return FormatBinary, nil
-	case "metis", "graph":
-		return FormatMETIS, nil
-	}
-	return 0, fmt.Errorf("graphio: unknown format %q", s)
 }
 
 // DetectFormat guesses the format from a file extension; a trailing .gz
@@ -87,8 +64,6 @@ func DetectFormat(path string) Format {
 		return FormatKONECT
 	case ".bin":
 		return FormatBinary
-	case ".metis", ".graph":
-		return FormatMETIS
 	default:
 		return FormatEdgeList
 	}
@@ -100,12 +75,14 @@ type Options struct {
 	// set this automatically).
 	Undirected bool
 	// BuildInEdges makes the loaded graph serve in-side reads. The text
-	// and IPG1/IPG2 readers build the in-adjacency at load time; the
-	// loaders that start from a finished out-adjacency (OpenMapped, the
-	// IPG3 reader) leave it to the first in-side read
+	// readers build the in-adjacency at load time; the binary loaders
+	// (ReadBinary, OpenMapped), which start from a finished
+	// out-adjacency, leave it to the first in-side read
 	// (graph.WithInEdgesOnDemand).
 	BuildInEdges bool
 	// Dedup drops duplicate edges (implies sorted adjacency).
+	// Undirected and Dedup apply to the text formats only: a binary file
+	// holds a finished adjacency, and its loaders refuse them.
 	Dedup bool
 	// KeepWeights retains per-edge weights (DIMACS arc weights, or the
 	// third column of an edge list); edges without a weight column get
@@ -114,8 +91,8 @@ type Options struct {
 	// MaxVertices rejects inputs that declare or reference more than this
 	// many vertices (0 = no limit). The CSR builder sizes its arrays from
 	// header counts and from the largest identifier seen, so a few hostile
-	// header bytes (a DIMACS problem line, a METIS header, a binary n
-	// field) or one absurd identifier can demand multi-gigabyte
+	// header bytes (a DIMACS problem line, a binary n field) or one
+	// absurd identifier can demand multi-gigabyte
 	// allocations; with the cap set, parsers check those values before
 	// sizing anything from them and return an error instead. Set this
 	// whenever the input is untrusted; the fuzz harness always does.
@@ -177,30 +154,34 @@ func Read(r io.Reader, format Format, opts Options) (*graph.Graph, error) {
 		return readDIMACS(r, opts)
 	case FormatBinary:
 		return ReadBinary(r, opts)
-	case FormatMETIS:
-		return ReadMETIS(r, opts)
 	}
 	return nil, fmt.Errorf("graphio: unknown format %v", format)
 }
 
 // ReadFile opens path and parses it, guessing the format from the
-// extension. Files ending in .gz are decompressed transparently.
+// extension. Files ending in .gz are decompressed transparently. A
+// binary file goes to ReadBinary unbuffered, which sizes its sections
+// from the file's size and reads them straight into their buffers.
 func ReadFile(path string, opts Options) (*graph.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = bufio.NewReaderSize(f, 1<<20)
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(r)
+	format := DetectFormat(path)
+	var r io.Reader = f
+	switch {
+	case strings.HasSuffix(path, ".gz"):
+		gz, err := gzip.NewReader(bufio.NewReaderSize(f, 1<<20))
 		if err != nil {
 			return nil, fmt.Errorf("graphio: %s: %w", path, err)
 		}
 		defer gz.Close()
 		r = gz
+	case format != FormatBinary:
+		r = bufio.NewReaderSize(f, 1<<20)
 	}
-	return Read(r, DetectFormat(path), opts)
+	return Read(r, format, opts)
 }
 
 // Write encodes g to w in the given format. FormatKONECT output always
@@ -218,8 +199,6 @@ func Write(w io.Writer, g *graph.Graph, format Format) error {
 		return writeDIMACS(w, g)
 	case FormatBinary:
 		return WriteBinary(w, g)
-	case FormatMETIS:
-		return WriteMETIS(w, g)
 	}
 	return fmt.Errorf("graphio: unknown format %v", format)
 }

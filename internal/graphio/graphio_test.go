@@ -2,7 +2,6 @@ package graphio
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -237,26 +236,6 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{
-		"edgelist": FormatEdgeList, "el": FormatEdgeList, "txt": FormatEdgeList,
-		"konect": FormatKONECT, "TSV": FormatKONECT,
-		"dimacs": FormatDIMACS, "gr": FormatDIMACS,
-		"binary": FormatBinary, "bin": FormatBinary,
-	} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseFormat("parquet"); err == nil {
-		t.Fatal("expected error for unknown format")
-	}
-	if s := Format(99).String(); !strings.Contains(s, "99") {
-		t.Fatalf("unknown format String = %q", s)
-	}
-}
-
 func TestDetectFormat(t *testing.T) {
 	for path, want := range map[string]Format{
 		"a/usa.gr": FormatDIMACS, "wiki.tsv": FormatKONECT,
@@ -265,6 +244,9 @@ func TestDetectFormat(t *testing.T) {
 		if got := DetectFormat(path); got != want {
 			t.Errorf("DetectFormat(%q) = %v, want %v", path, got, want)
 		}
+	}
+	if s := Format(99).String(); !strings.Contains(s, "99") {
+		t.Fatalf("unknown format String = %q", s)
 	}
 }
 
@@ -501,126 +483,6 @@ func TestReadersRejectCorruptedBodies(t *testing.T) {
 				}
 			}
 		}()
-	}
-}
-
-func TestMETISReadBasic(t *testing.T) {
-	// The classic 7-vertex METIS manual example shape: here a triangle
-	// plus a pendant vertex.
-	in := "% comment\n4 4\n2 3\n1 3\n1 2 4\n3\n"
-	g, err := ReadMETIS(strings.NewReader(in), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 4 || g.M() != 8 {
-		t.Fatalf("N=%d M=%d, want 4, 8", g.N(), g.M())
-	}
-	if g.Base() != 1 {
-		t.Fatalf("base = %d, want 1", g.Base())
-	}
-	// Symmetric by construction.
-	gi := g.WithInEdges()
-	for i := 0; i < g.N(); i++ {
-		if gi.OutDegree(i) != gi.InDegree(i) {
-			t.Fatal("METIS graph not symmetric")
-		}
-	}
-}
-
-// symmetricNoLoops builds a symmetric self-loop-free random graph (METIS
-// forbids self-loops).
-func symmetricNoLoops(seed int64, n, m int) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	var b graph.Builder
-	b.ForceN = n
-	b.SetBase(0)
-	b.Dedup()
-	for i := 0; i < m; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v {
-			continue
-		}
-		b.AddEdge(graph.VertexID(u), graph.VertexID(v))
-		b.AddEdge(graph.VertexID(v), graph.VertexID(u))
-	}
-	return b.MustBuild()
-}
-
-func TestMETISRoundTrip(t *testing.T) {
-	base := symmetricNoLoops(5, 25, 80)
-	var buf bytes.Buffer
-	if err := WriteMETIS(&buf, base); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMETIS(&buf, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// External identifiers shift to 1-based on write; compare degree
-	// sequences and edge multiset by internal index.
-	if got.N() != base.N() || got.M() != base.M() {
-		t.Fatalf("round trip size: (%d,%d) vs (%d,%d)", got.N(), got.M(), base.N(), base.M())
-	}
-	ea, eb := edgeSet(base), edgeSet(got)
-	for k, v := range ea {
-		if eb[k] != v {
-			t.Fatalf("edge %v: %d vs %d", k, v, eb[k])
-		}
-	}
-}
-
-func TestMETISEmptyAdjacencyLines(t *testing.T) {
-	in := "3 1\n2\n1\n\n"
-	g, err := ReadMETIS(strings.NewReader(in), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.OutDegree(2) != 0 {
-		t.Fatal("vertex 3 should be isolated")
-	}
-}
-
-func TestMETISErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":             "",
-		"bad header":        "x y\n",
-		"truncated":         "3 2\n2\n",
-		"out of range":      "2 1\n3\n1\n",
-		"endpoint mismatch": "2 2\n2\n1\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadMETIS(strings.NewReader(in), Options{}); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-	// Writer rejects asymmetric (odd-edge) graphs.
-	var b graph.Builder
-	b.AddEdge(0, 1)
-	if err := WriteMETIS(io.Discard, b.MustBuild()); err == nil {
-		t.Error("odd edge count accepted by METIS writer")
-	}
-}
-
-func TestMETISFileDetection(t *testing.T) {
-	if DetectFormat("a.metis") != FormatMETIS || DetectFormat("b.graph") != FormatMETIS {
-		t.Fatal("METIS extension detection")
-	}
-	f, err := ParseFormat("metis")
-	if err != nil || f != FormatMETIS {
-		t.Fatal("ParseFormat metis")
-	}
-	dir := t.TempDir()
-	g := symmetricNoLoops(9, 12, 40)
-	path := filepath.Join(dir, "g.metis")
-	if err := WriteFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.M() != g.M() {
-		t.Fatalf("file round trip M=%d want %d", got.M(), g.M())
 	}
 }
 

@@ -1,8 +1,12 @@
 package graphio
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -187,9 +191,9 @@ func TestOpenMappedCloseFailsDeferredBuild(t *testing.T) {
 	}
 }
 
-// TestIPG3ReadDefersInEdges: the streaming IPG3 reader, the other loader
-// that starts from a finished out-adjacency, defers the same way; the
-// IPG1/IPG2 reader, which goes through a Builder, still builds at load.
+// TestIPG3ReadDefersInEdges: ReadFile on a binary file of any variant
+// runs OpenMapped's parser over its own buffers and defers the in-edges
+// the same way.
 func TestIPG3ReadDefersInEdges(t *testing.T) {
 	for format, path := range mappedFixtures(t) {
 		t.Run(format, func(t *testing.T) {
@@ -200,8 +204,8 @@ func TestIPG3ReadDefersInEdges(t *testing.T) {
 			if !g.HasInEdges() {
 				t.Fatal("BuildInEdges ignored")
 			}
-			if deferred := !g.InEdgesResident(); deferred != g.IsCompressed() {
-				t.Fatalf("in-edges deferred = %v on a graph with IsCompressed = %v", deferred, g.IsCompressed())
+			if g.InEdgesResident() {
+				t.Fatal("in-edges built at load")
 			}
 			plain, err := ReadFile(path, Options{})
 			if err != nil {
@@ -217,36 +221,98 @@ func TestIPG3ReadDefersInEdges(t *testing.T) {
 	}
 }
 
-// TestOpenMappedKeepWeights: KeepWeights is accepted and, as for a binary
-// file in ReadFile, changes nothing — a weighted file's weights are
-// aliased whether or not it is set, an unweighted file gives an unweighted
-// graph without an error — while the options that would rewrite the
-// adjacency are still refused.
+// TestOpenMappedKeepWeights: every binary loader — Read on a plain
+// reader, ReadFile on the file and on its gzip, OpenMapped — gives the
+// adjacency and weights OpenMapped gives, whatever the options that keep
+// the adjacency say: KeepWeights changes nothing (a weighted file's
+// weights are kept whether or not it is set, an unweighted file gives an
+// unweighted graph without an error). Every loader refuses the options
+// that would rewrite the adjacency, a truncated file and a file with one
+// trailing byte, and the decode path a big-endian host takes gives what
+// the aliasing views give.
 func TestOpenMappedKeepWeights(t *testing.T) {
 	for format, path := range mappedFixtures(t) {
 		t.Run(format, func(t *testing.T) {
-			want, err := ReadFile(path, Options{KeepWeights: true})
+			ref, err := OpenMapped(path, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer ref.Close()
+			want := ref.Graph()
 			if weighted := format == "IPG2" || format == "IPG3-weighted"; want.HasWeights() != weighted {
-				t.Fatalf("ReadFile: HasWeights = %v on an %s file", want.HasWeights(), format)
+				t.Fatalf("OpenMapped: HasWeights = %v on an %s file", want.HasWeights(), format)
 			}
-			for _, opts := range []Options{{KeepWeights: true}, {KeepWeights: true, BuildInEdges: true}, {}} {
-				m, err := OpenMapped(path, opts)
-				if err != nil {
-					t.Fatalf("OpenMapped(%+v): %v", opts, err)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			files := 0
+			file := func(b []byte, gz bool) string {
+				files++
+				p := filepath.Join(dir, fmt.Sprintf("%d.bin", files))
+				if gz {
+					p += ".gz"
+					var buf bytes.Buffer
+					zw := gzip.NewWriter(&buf)
+					zw.Write(b)
+					zw.Close()
+					b = buf.Bytes()
 				}
-				assertSameAdjacency(t, want, m.Graph()) // shape, neighbours and weights
-				if err := m.Close(); err != nil {
+				if err := os.WriteFile(p, b, 0o644); err != nil {
 					t.Fatal(err)
 				}
+				return p
 			}
-			for _, opts := range []Options{{Undirected: true}, {Dedup: true}} {
-				if m, err := OpenMapped(path, opts); err == nil {
-					m.Close()
-					t.Fatalf("OpenMapped(%+v) succeeded; it cannot rewrite a mapped adjacency", opts)
+			loaders := map[string]func([]byte, Options) (*graph.Graph, error){
+				"Read": func(b []byte, opts Options) (*graph.Graph, error) {
+					return Read(bytes.NewReader(b), FormatBinary, opts)
+				},
+				"ReadFile": func(b []byte, opts Options) (*graph.Graph, error) {
+					return ReadFile(file(b, false), opts)
+				},
+				"ReadFile gzip": func(b []byte, opts Options) (*graph.Graph, error) {
+					return ReadFile(file(b, true), opts)
+				},
+				"OpenMapped": func(b []byte, opts Options) (*graph.Graph, error) {
+					m, err := OpenMapped(file(b, false), opts)
+					if err != nil {
+						return nil, err
+					}
+					t.Cleanup(func() { m.Close() })
+					return m.Graph(), nil
+				},
+			}
+			for name, load := range loaders {
+				for _, opts := range []Options{{KeepWeights: true}, {KeepWeights: true, BuildInEdges: true}, {}} {
+					g, err := load(raw, opts)
+					if err != nil {
+						t.Fatalf("%s(%+v): %v", name, opts, err)
+					}
+					assertSameAdjacency(t, want, g) // shape, neighbours and weights
 				}
+				for _, opts := range []Options{{Undirected: true}, {Dedup: true}} {
+					if _, err := load(raw, opts); err == nil {
+						t.Fatalf("%s(%+v) succeeded; it cannot rewrite a binary graph", name, opts)
+					}
+				}
+				for what, bad := range map[string][]byte{
+					"truncated":         raw[:len(raw)-1],
+					"one trailing byte": append(raw[:len(raw):len(raw)], 0),
+				} {
+					if _, err := load(bad, Options{}); err == nil {
+						t.Fatalf("%s accepted a %s file", name, what)
+					}
+				}
+			}
+			defer func(was bool) { bigEndian = was }(bigEndian)
+			bigEndian = true
+			for _, name := range []string{"Read", "OpenMapped"} {
+				g, err := loaders[name](raw, Options{})
+				if err != nil {
+					t.Fatalf("%s decoding: %v", name, err)
+				}
+				assertSameAdjacency(t, want, g)
 			}
 		})
 	}

@@ -4,9 +4,9 @@
 # as a flat IPG1 binary and a block-compressed IPG3 binary, require the
 # IPG3 file to be smaller, run SSSP from every backend (-graph-backend
 # flat | compressed | mmap) and require identical results and superstep
-# statistics, and boot ipregeld with the IPG3 file mapped read-only. The
-# resident-heap ordering across the backends is
-# internal/memmodel's TestCompressedBackendFootprint.
+# statistics (the mmap backend on both files), and boot ipregeld with
+# the IPG3 file mapped read-only. The resident-heap ordering across the
+# backends is internal/memmodel's TestCompressedBackendFootprint.
 set -eu
 
 TMP="$(mktemp -d)"
@@ -48,6 +48,14 @@ vs
 $REF"
     echo "ok: $backend matches flat"
 done
+
+# Mapping the IPG1 file goes through the same parser as reading it.
+GOT="$(run_sssp "$TMP/flat.bin" mmap)"
+[ "$GOT" = "$REF" ] || fail "mapped IPG1 diverged from flat:
+$GOT
+vs
+$REF"
+echo "ok: mapped IPG1 matches flat"
 
 # Reading an IPG3 file through the streaming reader (flat backend) must
 # also work: the format round-trips without OpenMapped.
