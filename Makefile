@@ -62,7 +62,9 @@ race-one-thread:
 
 # End-to-end check of the live telemetry layer: run a small PageRank
 # with -telemetry/-trace on, scrape /metrics, expvar and pprof, and
-# validate + replay the JSONL trace through ipregel-trace.
+# validate + replay the JSONL trace through ipregel-trace; then replay
+# the trace of a run recovered from an injected panic into the summary
+# line ipregel-run printed.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
 
@@ -119,11 +121,12 @@ fuzz:
 # slot, per push combiner (the one concurrent hot-slot cell; at -cpu 1
 # the engines resolve to one thread and its rows coincide, so compare
 # the combiners with `go test ./internal/algorithms/ -run '^$' -bench
-# Contention -cpu 4`). It fails when one of them no longer exists; CI
-# runs it with BENCHTIME=1x so they cannot rot. `make bench` is the same
-# list.
+# Contention -cpu 4`); and each telemetry sink, per 20-superstep run and
+# per superstep barrier (ns per start/end hook pair). It fails when one
+# of them no longer exists; CI runs it with BENCHTIME=1x so they cannot
+# rot. `make bench` is the same list.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead
 bench: bench-core
 
 bench-core:

@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 		file    = fs.String("file", "", "graph file to inspect")
 		divisor = fs.Int("divisor", 0, "scale divisor for presets (default 64)")
 		hist    = fs.Bool("hist", false, "print the out-degree histogram (power-of-two buckets)")
-		cut     = fs.Int("cut", 0, "print the edge-cut fraction for hash vs block partitioning over N workers")
+		cut     = fs.Int("cut", 0, "print the edge-cut fraction for hash partitioning over N workers")
 		diam    = fs.Int("diameter", 0, "estimate the diameter from N sampled sources (drives superstep counts, §7.2)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -84,9 +84,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *cut > 1 {
-		hash, block := edgeCuts(g, *cut)
-		fmt.Fprintf(out, "edge cut over %d workers: hash %.1f%%, block %.1f%% (cut edges cross the wire in a distributed deployment)\n",
-			*cut, hash*100, block*100)
+		fmt.Fprintf(out, "edge cut over %d workers: hash %.1f%% (cut edges cross the wire in a distributed deployment)\n",
+			*cut, hashCut(g, *cut)*100)
 	}
 	if *diam > 0 {
 		d, err := algorithms.ApproxDiameter(g, core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}, *diam)
@@ -98,32 +97,19 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// edgeCuts returns the fraction of edges whose endpoints land on
-// different workers under modulo-hash and contiguous-block partitioning.
-func edgeCuts(g *graph.Graph, workers int) (hash, block float64) {
-	n := g.N()
-	if n == 0 || g.M() == 0 {
-		return 0, 0
+// hashCut returns the fraction of edges whose endpoints land on
+// different workers under modulo-hash partitioning (Pregel+'s ownerOf).
+func hashCut(g *graph.Graph, workers int) float64 {
+	if g.M() == 0 {
+		return 0
 	}
-	base := uint64(g.Base())
-	blockOf := func(i uint64) int {
-		w := int(i * uint64(workers) / uint64(n))
-		if w >= workers {
-			w = workers - 1
-		}
-		return w
-	}
-	var cutHash, cutBlock uint64
+	base, w := uint64(g.Base()), uint64(workers)
+	var cut uint64
 	g.Edges(func(s, d graph.VertexID) bool {
-		us, ud := uint64(s), uint64(d)
-		if (us+base)%uint64(workers) != (ud+base)%uint64(workers) {
-			cutHash++
-		}
-		if blockOf(us) != blockOf(ud) {
-			cutBlock++
+		if (uint64(s)+base)%w != (uint64(d)+base)%w {
+			cut++
 		}
 		return true
 	})
-	m := float64(g.M())
-	return float64(cutHash) / m, float64(cutBlock) / m
+	return float64(cut) / float64(g.M())
 }

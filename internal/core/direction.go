@@ -36,12 +36,12 @@ import (
 // the same state and re-derives the same decisions, so crash/resume
 // cannot diverge across a direction switch.
 
-// beginSuperstepDirection fixes the running superstep's transport and
-// the switch marker, before any worker starts. Deterministic: fixed
-// modes always pick their mode; adaptive compares the reseeded frontier
-// density against the edge threshold. An adaptive run's first pull
-// superstep is also where an in-adjacency that is derived on demand gets
-// built (New built it already for a fixed pull run).
+// beginSuperstepDirection fixes the running superstep's transport,
+// before any worker starts. Deterministic: fixed modes always pick their
+// mode; adaptive compares the reseeded frontier density against the
+// edge threshold. An adaptive run's first pull superstep is also where
+// an in-adjacency that is derived on demand gets built (New built it
+// already for a fixed pull run).
 func (e *Engine[V, M]) beginSuperstepDirection(ctx context.Context) {
 	switch {
 	case e.cfg.Direction == DirectionPull:
@@ -54,8 +54,6 @@ func (e *Engine[V, M]) beginSuperstepDirection(ctx context.Context) {
 	default:
 		e.curDir = DirectionPush
 	}
-	e.dirSwitched = e.haveLastDir && e.curDir != e.lastDir
-	e.lastDir, e.haveLastDir = e.curDir, true
 }
 
 // reseedFrontierDensity recomputes the out-edge count of the upcoming

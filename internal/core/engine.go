@@ -85,11 +85,8 @@ type Engine[V, M any] struct {
 	// otherwise): collectSlot's fold adds over it without a Combine call.
 	sumOut []float64
 	//ipregel:atomic
-	pullEnrol   []uint32
-	curDir      Direction
-	lastDir     Direction
-	haveLastDir bool
-	dirSwitched bool
+	pullEnrol []uint32
+	curDir    Direction
 
 	frontierEdges uint64
 	pullEdgeCut   uint64
@@ -329,15 +326,17 @@ func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial b
 		votes += w.votes
 	}
 	step := StepStats{
-		Ran:               ran,
-		Messages:          msgs,
-		Active:            ran - votes,
-		NextFrontier:      int64(e.nextCount),
-		Duration:          time.Since(stepStart),
-		Partial:           partial,
-		Direction:         e.curDir,
-		DirectionSwitched: e.dirSwitched,
-		SlotOrder:         e.slotOrder,
+		Ran:          ran,
+		Messages:     msgs,
+		Active:       ran - votes,
+		NextFrontier: int64(e.nextCount),
+		Duration:     time.Since(stepStart),
+		Partial:      partial,
+		Direction:    e.curDir,
+		SlotOrder:    e.slotOrder,
+	}
+	if n := len(e.report.Steps); n > 0 {
+		step.DirectionSwitched = e.report.Steps[n-1].Direction != e.curDir
 	}
 	if retries := e.mb.contentionRetries(); retries > e.casRetriesSeen {
 		step.CASRetries = retries - e.casRetriesSeen
@@ -359,8 +358,8 @@ func (e *Engine[V, M]) recordStep(step StepStats) {
 }
 
 // finishRun seals the report on every exit path: Supersteps, Duration
-// and the converged/aborted marker are always set, OnAbort fires exactly
-// once on aborted runs, and OnRunEnd fires exactly once per run, last.
+// and the converged/aborted marker are always set, and OnRunEnd fires
+// exactly once per run, last.
 func (e *Engine[V, M]) finishRun(start time.Time, err error) (Report, error) {
 	completed := 0
 	for _, s := range e.report.Steps {
@@ -373,9 +372,6 @@ func (e *Engine[V, M]) finishRun(start time.Time, err error) (Report, error) {
 	if err != nil {
 		e.report.Aborted = true
 		e.report.AbortReason = err.Error()
-		for _, o := range e.observers {
-			o.OnAbort(e.superstep, e.report.AbortReason, err)
-		}
 	} else {
 		e.report.Converged = true
 	}

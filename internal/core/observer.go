@@ -1,8 +1,7 @@
 package core
 
-// Observer is the engine's observability hook: a multi-sink replacement
-// for the original single `func(int, StepStats)` callback. Sinks receive
-// structured lifecycle events from which a live telemetry layer (see
+// Observer is the engine's observability hook. Sinks receive structured
+// lifecycle events from which a live telemetry layer (see
 // internal/telemetry) can maintain counters, stream trace records, or
 // drive progress displays — the per-superstep quantities the paper's §7
 // evaluation reasons about, while the run is still going.
@@ -16,13 +15,13 @@ package core
 //     mid-superstep (a contained compute panic, an invariant violation),
 //     the closing OnSuperstepEnd carries the partial statistics gathered
 //     so far, marked with StepStats.Partial.
-//   - On an aborted run — cancellation, ErrMaxSupersteps, a compute
-//     panic, ErrBypassViolation, an *InvariantError, a checkpoint sink
-//     failure — OnAbort fires exactly once, after the final
-//     OnSuperstepEnd and before OnRunEnd. Converged runs never fire it.
 //   - OnRunEnd fires exactly once per run, last, with the final Report
 //     (internally consistent on every exit path) and the run's error
-//     (nil when converged).
+//     (nil when converged). An aborted run — cancellation,
+//     ErrMaxSupersteps, a compute panic, ErrBypassViolation, an
+//     *InvariantError, a checkpoint sink failure — carries a non-nil
+//     error, Report.Aborted and Report.AbortReason; Report.Supersteps is
+//     then the first superstep that did not complete.
 //
 // Superstep numbers are absolute: a run resumed from a checkpoint
 // continues the original numbering (see Report.FirstSuperstep), so
@@ -32,9 +31,6 @@ type Observer interface {
 	OnSuperstepStart(superstep int)
 	// OnSuperstepEnd delivers superstep s's statistics after the barrier.
 	OnSuperstepEnd(superstep int, s StepStats)
-	// OnAbort announces an aborted run: the superstep at which the run
-	// stopped, the abort reason (err.Error()), and the error itself.
-	OnAbort(superstep int, reason string, err error)
 	// OnRunEnd delivers the final report; err is nil iff the run converged.
 	OnRunEnd(r Report, err error)
 }
@@ -44,7 +40,6 @@ type Observer interface {
 type ObserverFuncs struct {
 	SuperstepStart func(superstep int)
 	SuperstepEnd   func(superstep int, s StepStats)
-	Abort          func(superstep int, reason string, err error)
 	RunEnd         func(r Report, err error)
 }
 
@@ -57,12 +52,6 @@ func (o ObserverFuncs) OnSuperstepStart(superstep int) {
 func (o ObserverFuncs) OnSuperstepEnd(superstep int, s StepStats) {
 	if o.SuperstepEnd != nil {
 		o.SuperstepEnd(superstep, s)
-	}
-}
-
-func (o ObserverFuncs) OnAbort(superstep int, reason string, err error) {
-	if o.Abort != nil {
-		o.Abort(superstep, reason, err)
 	}
 }
 

@@ -21,12 +21,11 @@ type recObs struct {
 }
 
 type obsEvent struct {
-	kind      string // "start" | "end" | "abort" | "runend"
+	kind      string // "start" | "end" | "runend"
 	superstep int
 	stats     StepStats
 	report    Report
 	err       error
-	reason    string
 }
 
 func (r *recObs) record(ev obsEvent) {
@@ -40,23 +39,19 @@ func (r *recObs) OnSuperstepStart(s int) { r.record(obsEvent{kind: "start", supe
 func (r *recObs) OnSuperstepEnd(s int, st StepStats) {
 	r.record(obsEvent{kind: "end", superstep: s, stats: st})
 }
-func (r *recObs) OnAbort(s int, reason string, err error) {
-	r.record(obsEvent{kind: "abort", superstep: s, reason: reason, err: err})
-}
 func (r *recObs) OnRunEnd(rep Report, err error) {
 	r.record(obsEvent{kind: "runend", report: rep, err: err})
 }
 
 // verifyLifecycle asserts the ordering contract: paired start/end events
-// with consecutive absolute numbering from first, at most one abort
-// (exactly one iff the run aborted) after the last end, and exactly one
+// with consecutive absolute numbering from first, and exactly one
 // run-end event, last.
-func (r *recObs) verifyLifecycle(t *testing.T, first int, wantAbort bool) {
+func (r *recObs) verifyLifecycle(t *testing.T, first int) {
 	t.Helper()
 	if len(r.events) == 0 {
 		t.Fatal("observer saw no events")
 	}
-	aborts, runEnds := 0, 0
+	runEnds := 0
 	next := first
 	open := -1 // superstep with a start but no end yet
 	for i, ev := range r.events {
@@ -65,9 +60,6 @@ func (r *recObs) verifyLifecycle(t *testing.T, first int, wantAbort bool) {
 		}
 		switch ev.kind {
 		case "start":
-			if aborts > 0 {
-				t.Fatalf("superstep start after abort")
-			}
 			if open != -1 {
 				t.Fatalf("superstep %d started while %d is open", ev.superstep, open)
 			}
@@ -81,21 +73,12 @@ func (r *recObs) verifyLifecycle(t *testing.T, first int, wantAbort bool) {
 			}
 			open = -1
 			next = ev.superstep + 1
-		case "abort":
-			aborts++
 		case "runend":
 			runEnds++
 		}
 	}
 	if runEnds != 1 {
 		t.Fatalf("run_end fired %d times, want exactly 1 (and last)", runEnds)
-	}
-	wantAborts := 0
-	if wantAbort {
-		wantAborts = 1
-	}
-	if aborts != wantAborts {
-		t.Fatalf("abort fired %d times, want %d", aborts, wantAborts)
 	}
 }
 
@@ -160,7 +143,7 @@ func TestObserverLifecycleConverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.verifyLifecycle(t, 0, false)
+	rec.verifyLifecycle(t, 0)
 	assertConsistent(t, rep)
 	if len(rec.stepEnds()) != len(rep.Steps) {
 		t.Fatalf("observer saw %d superstep ends, report has %d steps", len(rec.stepEnds()), len(rep.Steps))
@@ -178,9 +161,12 @@ func TestObserverLifecycleConverged(t *testing.T) {
 	}
 }
 
-// abortRun drives one abort path and returns the recorder, report and
-// error. Each constructor receives the recorder so it can wire extra
-// observers (e.g. a cancelling hook) before Run.
+// TestObserverAbortPaths drives every abort path and pins what OnRunEnd
+// receives there: the run's error, and the returned report with Aborted,
+// AbortReason and Supersteps — the first superstep that did not
+// complete, which a trace's abort event carries. Each case's run
+// receives the recorder so it can wire extra observers (e.g. a
+// cancelling hook) before Run.
 func TestObserverAbortPaths(t *testing.T) {
 	neverHalt := Program[uint32, uint32]{
 		Combine: func(old *uint32, new uint32) { *old += new },
@@ -195,6 +181,7 @@ func TestObserverAbortPaths(t *testing.T) {
 		wantErr   func(error) bool
 		partial   bool // a trailing partial step record is expected
 		wantSteps int  // completed step records expected (partial excluded)
+		abortStep int  // Report.Supersteps at the abort
 	}{
 		{
 			name: "cancellation",
@@ -214,6 +201,7 @@ func TestObserverAbortPaths(t *testing.T) {
 			},
 			wantErr:   func(err error) bool { return errors.Is(err, context.Canceled) },
 			wantSteps: 2,
+			abortStep: 2,
 		},
 		{
 			name: "max-supersteps",
@@ -223,6 +211,7 @@ func TestObserverAbortPaths(t *testing.T) {
 			},
 			wantErr:   func(err error) bool { return errors.Is(err, ErrMaxSupersteps) },
 			wantSteps: 4,
+			abortStep: 4,
 		},
 		{
 			name: "compute-panic",
@@ -242,6 +231,7 @@ func TestObserverAbortPaths(t *testing.T) {
 			wantErr:   func(err error) bool { return err != nil && strings.Contains(err.Error(), "panicked") },
 			partial:   true,
 			wantSteps: 2,
+			abortStep: 2,
 		},
 		{
 			name: "bypass-violation",
@@ -251,6 +241,7 @@ func TestObserverAbortPaths(t *testing.T) {
 			},
 			wantErr:   func(err error) bool { return errors.Is(err, ErrBypassViolation) },
 			wantSteps: 1,
+			abortStep: 1,
 		},
 		{
 			name: "invariant-error",
@@ -277,6 +268,7 @@ func TestObserverAbortPaths(t *testing.T) {
 			},
 			partial:   true,
 			wantSteps: 2,
+			abortStep: 2,
 		},
 		{
 			name: "checkpoint-failure",
@@ -302,6 +294,7 @@ func TestObserverAbortPaths(t *testing.T) {
 			},
 			wantErr:   func(err error) bool { return err != nil && strings.Contains(err.Error(), "disk full") },
 			wantSteps: 4,
+			abortStep: 4,
 		},
 	}
 
@@ -315,7 +308,7 @@ func TestObserverAbortPaths(t *testing.T) {
 			if !rep.Aborted || rep.Converged {
 				t.Fatalf("report not marked aborted: %+v", rep)
 			}
-			rec.verifyLifecycle(t, 0, true)
+			rec.verifyLifecycle(t, 0)
 			assertConsistent(t, rep)
 			completed := 0
 			for _, s := range rep.Steps {
@@ -330,20 +323,19 @@ func TestObserverAbortPaths(t *testing.T) {
 			if hasPartial != tc.partial {
 				t.Fatalf("trailing partial record = %v, want %v", hasPartial, tc.partial)
 			}
-			// The abort event carries the report's reason, and the final
-			// run_end sees the same aborted report and error.
-			var abortEv obsEvent
-			for _, ev := range rec.events {
-				if ev.kind == "abort" {
-					abortEv = ev
-				}
-			}
-			if abortEv.reason != rep.AbortReason {
-				t.Fatalf("abort reason %q, report says %q", abortEv.reason, rep.AbortReason)
-			}
+			// run_end sees the returned error and the same aborted report,
+			// whose Supersteps is the first superstep that did not complete
+			// (after a bypass violation, the one after the violating step).
 			last := rec.last()
-			if last.err == nil || !last.report.Aborted {
-				t.Fatalf("run_end carried err=%v aborted=%v", last.err, last.report.Aborted)
+			if last.kind != "runend" || last.err != err {
+				t.Fatalf("run_end carried err=%v, run returned %v", last.err, err)
+			}
+			got := last.report
+			if !got.Aborted || got.AbortReason != err.Error() || got.Fingerprint() != rep.Fingerprint() {
+				t.Fatalf("run_end report aborted=%v reason=%q, run returned %+v", got.Aborted, got.AbortReason, rep)
+			}
+			if got.Supersteps != tc.abortStep {
+				t.Fatalf("run_end Report.Supersteps = %d, want %d", got.Supersteps, tc.abortStep)
 			}
 			// Observer step events and report step records must agree even
 			// on the abort path (the in-flight superstep is not dropped).
@@ -370,8 +362,8 @@ func TestObserverMultiSinkFanOut(t *testing.T) {
 	if _, _, err := Run(g, Config{Observers: []Observer{a, b}}, counterProgram(2)); err != nil {
 		t.Fatal(err)
 	}
-	a.verifyLifecycle(t, 0, false)
-	b.verifyLifecycle(t, 0, false)
+	a.verifyLifecycle(t, 0)
+	b.verifyLifecycle(t, 0)
 	if len(a.events) != len(b.events) {
 		t.Fatalf("sinks diverged: %d vs %d events", len(a.events), len(b.events))
 	}
@@ -511,7 +503,7 @@ func TestResumedRunContinuesNumbering(t *testing.T) {
 	assertConsistent(t, rep)
 	// Observer numbering continues the original run's instead of
 	// restarting at 0.
-	rec.verifyLifecycle(t, barrier, false)
+	rec.verifyLifecycle(t, barrier)
 	if first := rec.events[0]; first.kind != "start" || first.superstep != barrier {
 		t.Fatalf("resumed observer started at %+v, want superstep %d", first, barrier)
 	}

@@ -8,42 +8,21 @@ import (
 )
 
 // JobCollector is a Collector scope for one run: a core.Observer that
-// keeps the run's own counters and gauges, folds every counter into the
-// parent so the global totals stay exact, and appears in the parent's
-// /metrics output as a `{job="id"}`-labelled block until Release.
-//
-// This is the fix for the multi-run attribution bug: the parent's
+// keeps the run's own series, folds every event into the parent's too so
+// the global totals stay exact, and appears in the parent's /metrics
+// output as a `{job="id"}`-labelled block until Release. The parent's
 // gauges (active vertices, frontier, imbalance, current superstep) are
-// last-writer-wins across concurrent runs, so a resident service giving
-// each job its own scope is the only way /metrics stays truthful while
-// several engines share one collector. Counters attribute per job here
-// and sum globally in the parent.
+// last-writer-wins across concurrent runs; a scope's are its own run's,
+// which is why a resident service gives each job one.
 type JobCollector struct {
 	parent *Collector
 	id     string
+	s      series
 
-	// started guards the parent's exact activeRuns gauge: incremented on
-	// the first superstep, decremented at run end.
+	// started is the scope's runs_active gauge and guards the parent's
+	// exact activeRuns count: set on the first superstep, cleared at run
+	// end.
 	started atomic.Bool
-
-	// counters (this job only; the parent accumulates the sum)
-	runs, runsConverged, runsAborted atomic.Int64
-	supersteps                       atomic.Int64
-	messages                         atomic.Uint64
-	casRetries                       atomic.Uint64
-	directionSwitches                atomic.Int64
-	verticesRan                      atomic.Int64
-	recoveries                       atomic.Int64
-
-	// gauges (this job's last barrier — exact under concurrency, unlike
-	// the parent's global ones)
-	currentSuperstep atomic.Int64
-	lastActive       atomic.Int64
-	lastRan          atomic.Int64
-	lastFrontier     atomic.Int64
-	lastStepNanos    atomic.Int64
-	lastImbalanceMil atomic.Int64
-	running          atomic.Int64
 }
 
 var _ core.Observer = (*JobCollector)(nil)
@@ -93,76 +72,40 @@ func (j *JobCollector) OnSuperstepStart(superstep int) {
 	if j.started.CompareAndSwap(false, true) {
 		j.parent.activeRuns.Add(1)
 	}
-	j.running.Store(1)
-	j.currentSuperstep.Store(int64(superstep))
+	j.s.current.Store(int64(superstep))
 }
 
 // OnSuperstepEnd implements core.Observer: fold the superstep into this
-// job's scope, then into the parent's global counters.
+// job's series, then into the parent's.
 func (j *JobCollector) OnSuperstepEnd(superstep int, s core.StepStats) {
-	j.currentSuperstep.Store(int64(superstep))
-	if !s.Partial {
-		j.supersteps.Add(1)
-	}
-	j.messages.Add(s.Messages)
-	j.casRetries.Add(s.CASRetries)
-	j.verticesRan.Add(s.Ran)
-	if s.DirectionSwitched {
-		j.directionSwitches.Add(1)
-	}
-	j.lastActive.Store(s.Active)
-	j.lastRan.Store(s.Ran)
-	j.lastFrontier.Store(s.NextFrontier)
-	j.lastStepNanos.Store(int64(s.Duration))
-	j.lastImbalanceMil.Store(int64(s.Imbalance() * 1000))
-	j.parent.OnSuperstepEnd(superstep, s)
-}
-
-// OnAbort implements core.Observer.
-func (j *JobCollector) OnAbort(superstep int, reason string, err error) {
-	j.runsAborted.Add(1)
-	j.parent.OnAbort(superstep, reason, err)
+	j.s.step(superstep, s)
+	j.parent.s.step(superstep, s)
 }
 
 // OnRunEnd implements core.Observer.
 func (j *JobCollector) OnRunEnd(r core.Report, err error) {
-	j.runs.Add(1)
-	if err == nil {
-		j.runsConverged.Add(1)
-	}
-	j.running.Store(0)
+	j.s.runEnd(err)
+	j.parent.s.runEnd(err)
 	if j.started.CompareAndSwap(true, false) {
 		j.parent.activeRuns.Add(-1)
 	}
-	j.parent.foldRunEnd(err)
 }
 
 // RecordRecovery counts a checkpoint-based resume against this job and
 // the global total (see Collector.RecordRecovery).
 func (j *JobCollector) RecordRecovery() {
-	j.recoveries.Add(1)
-	j.parent.recoveries.Add(1)
+	j.s.recoveries.Add(1)
+	j.parent.s.recoveries.Add(1)
 }
 
-// Snapshot returns the job-scoped values under the same metric names
-// the parent uses; WriteMetrics renders them with a job label.
+// Snapshot returns the job-scoped engine series under the same metric
+// names the parent uses; WriteMetrics renders them with a job label.
 func (j *JobCollector) Snapshot() map[string]int64 {
-	return map[string]int64{
-		"ipregel_runs_total":               j.runs.Load(),
-		"ipregel_runs_converged_total":     j.runsConverged.Load(),
-		"ipregel_runs_aborted_total":       j.runsAborted.Load(),
-		"ipregel_recoveries_total":         j.recoveries.Load(),
-		"ipregel_runs_active":              j.running.Load(),
-		"ipregel_supersteps_total":         j.supersteps.Load(),
-		"ipregel_messages_total":           int64(j.messages.Load()),
-		"ipregel_cas_retries_total":        int64(j.casRetries.Load()),
-		"ipregel_direction_switches_total": j.directionSwitches.Load(),
-		"ipregel_vertices_ran_total":       j.verticesRan.Load(),
-		"ipregel_current_superstep":        j.currentSuperstep.Load(),
-		"ipregel_last_active_vertices":     j.lastActive.Load(),
-		"ipregel_last_ran_vertices":        j.lastRan.Load(),
-		"ipregel_last_frontier_size":       j.lastFrontier.Load(),
-		"ipregel_last_superstep_nanos":     j.lastStepNanos.Load(),
-		"ipregel_last_imbalance_millis":    j.lastImbalanceMil.Load(),
+	out := make(map[string]int64, 16)
+	var running int64
+	if j.started.Load() {
+		running = 1
 	}
+	j.s.write(out, running)
+	return out
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"io"
 	"testing"
+	"time"
 
 	"ipregel/internal/core"
 	"ipregel/internal/graph"
@@ -23,16 +24,15 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return bld.MustBuild()
 }
 
-// BenchmarkTelemetryOverhead is the disabled-telemetry guard for the
-// acceptance criterion "hooks cost nothing on the hot path": compare the
-// `disabled` series (engine with no sinks — the observer fan-out loop
-// over an empty slice is all that PR 3 added to the superstep barrier)
-// against the pre-observer baseline, and the sink series against
-// `disabled` for the live cost of each sink. Observer hooks fire only at
-// barriers, never per vertex, so the deltas stay bounded by
-// supersteps × sink cost regardless of graph size.
+// BenchmarkTelemetryOverhead measures what the sinks cost. The run
+// series compare an engine with no sinks (`disabled`: the observer
+// fan-out over an empty slice is all a barrier pays) against one with
+// each sink, per 20-superstep run; those deltas are smaller than the
+// runs' spread. The `barrier` series resolve them: each op is one
+// OnSuperstepStart/OnSuperstepEnd pair called directly on one sink, so
+// ns/op is that sink's cost per superstep barrier.
 //
-//	go test ./internal/telemetry/ -bench TelemetryOverhead -count 10 | benchstat
+//	go test ./internal/telemetry/ -run '^$' -bench TelemetryOverhead -count 10 | benchstat
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	g := benchGraph(b)
 	run := func(b *testing.B, obs ...core.Observer) {
@@ -48,4 +48,25 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("collector", func(b *testing.B) { run(b, NewCollector()) })
 	b.Run("trace", func(b *testing.B) { run(b, NewTraceWriter(io.Discard)) })
 	b.Run("collector+trace", func(b *testing.B) { run(b, NewCollector(), NewTraceWriter(io.Discard)) })
+
+	barrier := func(b *testing.B, o core.Observer) {
+		b.Helper()
+		step := core.StepStats{Ran: 4096, Messages: 8192, Active: 4096, Duration: 150 * time.Microsecond,
+			WorkerBusy: []time.Duration{140 * time.Microsecond, 120 * time.Microsecond}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.OnSuperstepStart(i)
+			o.OnSuperstepEnd(i, step)
+		}
+	}
+	b.Run("barrier/collector", func(b *testing.B) { barrier(b, NewCollector()) })
+	b.Run("barrier/job", func(b *testing.B) {
+		j, err := NewCollector().Job("bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		barrier(b, j)
+	})
+	b.Run("barrier/trace", func(b *testing.B) { barrier(b, NewTraceWriter(io.Discard)) })
 }

@@ -1,11 +1,11 @@
 // Package telemetry is the live observability layer over internal/core:
 // stdlib-only sinks for the engine's Observer hook that (a) maintain
 // counters and gauges — supersteps, messages, mailbox CAS retries,
-// frontier size, per-worker busy time, heap stats sampled at each
-// superstep barrier — published through expvar and a plain-text
-// /metrics endpoint, (b) stream per-superstep trace events as
-// schema-versioned JSONL (replayable by cmd/ipregel-trace), and (c)
-// serve net/http/pprof for on-line profiling of a running computation.
+// frontier size, per-worker busy time, plus heap stats read at scrape —
+// published through expvar and a plain-text /metrics endpoint, (b)
+// stream per-superstep trace events as schema-versioned JSONL
+// (replayable by cmd/ipregel-trace), and (c) serve net/http/pprof for
+// on-line profiling of a running computation.
 //
 // The paper's whole §7 evaluation reasons about per-superstep behaviour
 // (active-vertex curves, message volume, the load-balance argument
@@ -34,14 +34,6 @@ import (
 	"ipregel/internal/core"
 )
 
-// heapSamples are the runtime/metrics series sampled at each superstep
-// barrier — cheap reads (no stop-the-world, unlike runtime.ReadMemStats)
-// of the quantities the paper's §7.4 memory accounting cares about.
-var heapSamples = []string{
-	"/memory/classes/heap/objects:bytes",
-	"/gc/cycles/total:gc-cycles",
-}
-
 // Collector is a core.Observer that maintains the live counter/gauge
 // set. One Collector can watch many runs (sequentially or concurrently —
 // all fields are atomics); counters accumulate across runs, gauges
@@ -51,49 +43,88 @@ var heapSamples = []string{
 // concurrent runs they are last-writer-wins, which is correct for "the
 // most recent barrier seen by anyone" and garbage for "this run's
 // frontier". Concurrent runs that need truthful gauges attach a
-// per-run scope from Job instead: each scope keeps its own gauges and
-// counters, attributes them under a job label at scrape time, and still
-// folds every counter into the global set, so the process totals stay
-// exact either way.
+// per-run scope from Job instead: each scope keeps its own series,
+// attributes them under a job label at scrape time, and still folds
+// every event into the global series, so the process totals stay exact
+// either way.
 type Collector struct {
-	// counters (monotonic across runs)
-	runs, runsConverged, runsAborted atomic.Int64
-	supersteps                       atomic.Int64
-	messages                         atomic.Uint64
-	casRetries                       atomic.Uint64
-	directionSwitches                atomic.Int64
-	verticesRan                      atomic.Int64
-	recoveries                       atomic.Int64
-
-	// gauges (last barrier / last run)
-	currentSuperstep atomic.Int64
-	lastActive       atomic.Int64
-	lastRan          atomic.Int64
-	lastFrontier     atomic.Int64
-	lastStepNanos    atomic.Int64
-	lastImbalanceMil atomic.Int64 // StepStats.Imbalance ×1000
-	heapBytes        atomic.Uint64
-	gcCycles         atomic.Uint64
+	s series
 	// running is a best-effort in-a-run flag (1 between the first
 	// superstep-start and run-end): exact for the common one-run-at-a-
 	// time CLI usage, approximate if several concurrent runs share one
 	// collector directly. Runs observed through Job scopes are counted
 	// exactly in activeRuns instead; the snapshot reports the sum.
-	running atomic.Int64
-	// activeRuns counts the Job-scoped runs currently between their first
-	// superstep and run end — exact under concurrency, unlike running.
+	running    atomic.Int64
 	activeRuns atomic.Int64
 
 	// jobs holds the live per-run scopes for labelled scrape output.
 	jobMu sync.Mutex
 	jobs  map[string]*JobCollector
+}
 
-	sampleBuf []metrics.Sample
-	sampleMu  sync.Mutex
+// series is the engine series one scope publishes: run counters
+// (monotonic across runs) and the last barrier's gauges. The Collector
+// and every Job scope hold one each; runs_active is the owner's.
+type series struct {
+	runs, converged, aborted, recoveries       atomic.Int64
+	supersteps, messages, casRetries           atomic.Int64
+	switches, verticesRan                      atomic.Int64
+	current, lastActive, lastRan, lastFrontier atomic.Int64
+	lastStepNanos, lastImbalanceMil            atomic.Int64 // imbalance ×1000
+}
+
+// step folds one superstep's statistics.
+func (m *series) step(superstep int, s core.StepStats) {
+	m.current.Store(int64(superstep))
+	if !s.Partial {
+		m.supersteps.Add(1)
+	}
+	m.messages.Add(int64(s.Messages))
+	m.casRetries.Add(int64(s.CASRetries))
+	m.verticesRan.Add(s.Ran)
+	if s.DirectionSwitched {
+		m.switches.Add(1)
+	}
+	m.lastActive.Store(s.Active)
+	m.lastRan.Store(s.Ran)
+	m.lastFrontier.Store(s.NextFrontier)
+	m.lastStepNanos.Store(int64(s.Duration))
+	m.lastImbalanceMil.Store(int64(s.Imbalance() * 1000))
+}
+
+// runEnd folds one finished run: converged iff err is nil.
+func (m *series) runEnd(err error) {
+	m.runs.Add(1)
+	if err == nil {
+		m.converged.Add(1)
+	} else {
+		m.aborted.Add(1)
+	}
+}
+
+// write stores the series into a snapshot map under their /metrics
+// names (counters suffixed _total, the Prometheus convention).
+func (m *series) write(out map[string]int64, running int64) {
+	out["ipregel_runs_total"] = m.runs.Load()
+	out["ipregel_runs_converged_total"] = m.converged.Load()
+	out["ipregel_runs_aborted_total"] = m.aborted.Load()
+	out["ipregel_recoveries_total"] = m.recoveries.Load()
+	out["ipregel_runs_active"] = running
+	out["ipregel_supersteps_total"] = m.supersteps.Load()
+	out["ipregel_messages_total"] = m.messages.Load()
+	out["ipregel_cas_retries_total"] = m.casRetries.Load()
+	out["ipregel_direction_switches_total"] = m.switches.Load()
+	out["ipregel_vertices_ran_total"] = m.verticesRan.Load()
+	out["ipregel_current_superstep"] = m.current.Load()
+	out["ipregel_last_active_vertices"] = m.lastActive.Load()
+	out["ipregel_last_ran_vertices"] = m.lastRan.Load()
+	out["ipregel_last_frontier_size"] = m.lastFrontier.Load()
+	out["ipregel_last_superstep_nanos"] = m.lastStepNanos.Load()
+	out["ipregel_last_imbalance_millis"] = m.lastImbalanceMil.Load()
 }
 
 // NewCollector returns an empty collector. Call Publish to expose it via
-// expvar, or Sink/ServeMetrics to read it directly.
+// expvar, Serve or Handler for /metrics, or Snapshot to read it directly.
 func NewCollector() *Collector { return &Collector{} }
 
 var _ core.Observer = (*Collector)(nil)
@@ -101,35 +132,19 @@ var _ core.Observer = (*Collector)(nil)
 // OnSuperstepStart implements core.Observer.
 func (c *Collector) OnSuperstepStart(superstep int) {
 	c.running.Store(1)
-	c.currentSuperstep.Store(int64(superstep))
+	c.s.current.Store(int64(superstep))
 }
 
-// OnSuperstepEnd implements core.Observer: fold one superstep's
-// statistics into the counters and sample the heap. Job scopes call it
-// on their parent too, so the global counters are always the sum over
-// every observed run.
+// OnSuperstepEnd implements core.Observer.
 func (c *Collector) OnSuperstepEnd(superstep int, s core.StepStats) {
-	c.currentSuperstep.Store(int64(superstep))
-	if !s.Partial {
-		c.supersteps.Add(1)
-	}
-	c.messages.Add(s.Messages)
-	c.casRetries.Add(s.CASRetries)
-	c.verticesRan.Add(s.Ran)
-	c.lastActive.Store(s.Active)
-	c.lastRan.Store(s.Ran)
-	c.lastFrontier.Store(s.NextFrontier)
-	c.lastStepNanos.Store(int64(s.Duration))
-	c.lastImbalanceMil.Store(int64(s.Imbalance() * 1000))
-	if s.DirectionSwitched {
-		c.directionSwitches.Add(1)
-	}
-	c.sampleHeap()
+	c.s.step(superstep, s)
 }
 
-// OnAbort implements core.Observer.
-func (c *Collector) OnAbort(superstep int, reason string, err error) {
-	c.runsAborted.Add(1)
+// OnRunEnd implements core.Observer. Every run fires it exactly once,
+// so the run counters, aborts included, live here.
+func (c *Collector) OnRunEnd(r core.Report, err error) {
+	c.s.runEnd(err)
+	c.running.Store(0)
 }
 
 // RecordRecovery counts one checkpoint-based resume performed by a
@@ -139,73 +154,27 @@ func (c *Collector) OnAbort(superstep int, reason string, err error) {
 //
 //	OnRetry: func(int, error) { collector.RecordRecovery() }
 func (c *Collector) RecordRecovery() {
-	c.recoveries.Add(1)
-}
-
-// OnRunEnd implements core.Observer. Every run fires it exactly once,
-// so the run counters live here.
-func (c *Collector) OnRunEnd(r core.Report, err error) {
-	c.foldRunEnd(err)
-	c.running.Store(0)
-}
-
-// foldRunEnd accumulates one finished run into the counters without
-// touching the direct-use running flag — the path Job scopes share, so
-// one job ending cannot mark a collector watching other live jobs idle.
-func (c *Collector) foldRunEnd(err error) {
-	c.runs.Add(1)
-	if err == nil {
-		c.runsConverged.Add(1)
-	}
-	c.sampleHeap()
-}
-
-// sampleHeap reads the runtime/metrics series. Guarded by a mutex: a
-// Collector may watch concurrent runs, and metrics.Read into a shared
-// buffer must not race.
-func (c *Collector) sampleHeap() {
-	c.sampleMu.Lock()
-	defer c.sampleMu.Unlock()
-	if c.sampleBuf == nil {
-		c.sampleBuf = make([]metrics.Sample, len(heapSamples))
-		for i, name := range heapSamples {
-			c.sampleBuf[i].Name = name
-		}
-	}
-	metrics.Read(c.sampleBuf)
-	if v := c.sampleBuf[0].Value; v.Kind() == metrics.KindUint64 {
-		c.heapBytes.Store(v.Uint64())
-	}
-	if v := c.sampleBuf[1].Value; v.Kind() == metrics.KindUint64 {
-		c.gcCycles.Store(v.Uint64())
-	}
+	c.s.recoveries.Add(1)
 }
 
 // Snapshot returns the current values as a flat name → value map, the
 // shared source for both the expvar publication and /metrics rendering.
-// Names follow the Prometheus convention (counters suffixed _total).
+// The process series — heap objects and GC cycles from runtime/metrics
+// (no stop-the-world, unlike runtime.ReadMemStats), and the snapshot
+// time — are read here, at scrape, never at a barrier.
 func (c *Collector) Snapshot() map[string]int64 {
-	return map[string]int64{
-		"ipregel_runs_total":               c.runs.Load(),
-		"ipregel_runs_converged_total":     c.runsConverged.Load(),
-		"ipregel_runs_aborted_total":       c.runsAborted.Load(),
-		"ipregel_recoveries_total":         c.recoveries.Load(),
-		"ipregel_runs_active":              c.running.Load() + c.activeRuns.Load(),
-		"ipregel_supersteps_total":         c.supersteps.Load(),
-		"ipregel_messages_total":           int64(c.messages.Load()),
-		"ipregel_cas_retries_total":        int64(c.casRetries.Load()),
-		"ipregel_direction_switches_total": c.directionSwitches.Load(),
-		"ipregel_vertices_ran_total":       c.verticesRan.Load(),
-		"ipregel_current_superstep":        c.currentSuperstep.Load(),
-		"ipregel_last_active_vertices":     c.lastActive.Load(),
-		"ipregel_last_ran_vertices":        c.lastRan.Load(),
-		"ipregel_last_frontier_size":       c.lastFrontier.Load(),
-		"ipregel_last_superstep_nanos":     c.lastStepNanos.Load(),
-		"ipregel_last_imbalance_millis":    c.lastImbalanceMil.Load(),
-		"ipregel_heap_objects_bytes":       int64(c.heapBytes.Load()),
-		"ipregel_gc_cycles_total":          int64(c.gcCycles.Load()),
-		"ipregel_snapshot_unix_nanos":      time.Now().UnixNano(),
+	out := make(map[string]int64, 19)
+	c.s.write(out, c.running.Load()+c.activeRuns.Load())
+	samples := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(samples)
+	for i, name := range []string{"ipregel_heap_objects_bytes", "ipregel_gc_cycles_total"} {
+		out[name] = 0
+		if v := samples[i].Value; v.Kind() == metrics.KindUint64 {
+			out[name] = int64(v.Uint64())
+		}
 	}
+	out["ipregel_snapshot_unix_nanos"] = time.Now().UnixNano()
+	return out
 }
 
 // WriteMetrics renders the snapshot in the plain-text exposition format
@@ -214,29 +183,28 @@ func (c *Collector) Snapshot() map[string]int64 {
 // live Job scope (sorted by id), so concurrent runs stay individually
 // attributable instead of collapsing into last-writer-wins gauges.
 func (c *Collector) WriteMetrics(w io.Writer) error {
-	snap := c.Snapshot()
+	if err := writeSorted(w, c.Snapshot(), ""); err != nil {
+		return err
+	}
+	for _, j := range c.jobScopes() {
+		label := fmt.Sprintf("{job=%q}", labelEscaper.Replace(j.ID()))
+		if err := writeSorted(w, j.Snapshot(), label); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeSorted writes one "name<label> value" line per series, by name.
+func writeSorted(w io.Writer, snap map[string]int64, label string) error {
 	names := make([]string, 0, len(snap))
 	for name := range snap {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, snap[name]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", name, label, snap[name]); err != nil {
 			return err
-		}
-	}
-	for _, j := range c.jobScopes() {
-		jsnap := j.Snapshot()
-		jnames := make([]string, 0, len(jsnap))
-		for name := range jsnap {
-			jnames = append(jnames, name)
-		}
-		sort.Strings(jnames)
-		label := labelEscaper.Replace(j.ID())
-		for _, name := range jnames {
-			if _, err := fmt.Fprintf(w, "%s{job=%q} %d\n", name, label, jsnap[name]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ipregel/internal/chaos"
 	"ipregel/internal/core"
 	"ipregel/internal/graph"
 )
@@ -323,4 +324,101 @@ func (u32c) Encode(b []byte, v uint32) {
 }
 func (u32c) Decode(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+// TestEngineSeriesMatchReports folds a converged run that switches
+// direction, a MaxSupersteps abort and a recovered run (its failed
+// attempt included) into one job scope on one collector: every engine
+// series of both snapshots must equal what the runs' Reports say.
+func TestEngineSeriesMatchReports(t *testing.T) {
+	c := NewCollector()
+	j, err := c.Job("series")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	var reports []core.Report
+	cfg := core.Config{Threads: 2, TrackWorkerTime: true,
+		Observers: []core.Observer{j, core.ObserverFuncs{RunEnd: func(r core.Report, _ error) { reports = append(reports, r) }}}}
+
+	// A star's hub floods its leaves, then one leaf walks a chain: the
+	// adaptive direction pulls the full first frontier and pushes the rest.
+	var b graph.Builder
+	b.BuildInEdges()
+	for i := 1; i <= 40; i++ {
+		b.AddEdge(0, graph.VertexID(i))
+	}
+	for i := 40; i < 60; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
+	}
+	adaptive := cfg
+	adaptive.SelectionBypass, adaptive.Direction = true, core.DirectionAdaptive
+	if _, _, err := core.Run(b.MustBuild(), adaptive, hops(0)); err != nil {
+		t.Fatal(err)
+	}
+	limited := cfg
+	limited.MaxSupersteps = 3
+	if _, _, err := core.Run(ring(16), limited, neverHalt()); err == nil {
+		t.Fatal("expected abort")
+	}
+	sink, err := core.NewFileSink(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := chaos.New(7, chaos.Event{Fault: chaos.ComputePanic, Superstep: 3})
+	recovering := cfg
+	recovering.Observers = append([]core.Observer{inj.Observer()}, cfg.Observers...)
+	_, last, err := core.RunWithRecovery(context.Background(), ring(16), recovering, chaos.WrapProgram(inj, flood(4)),
+		core.Checkpointer[uint32, uint32]{Every: 2, Sink: sink.Sink, VCodec: u32c{}, MCodec: u32c{}}, sink,
+		core.RecoveryOptions{Sleep: func(time.Duration) {}, OnRetry: func(int, error) { j.RecordRecovery() }})
+	if err != nil || last.Recoveries != 1 {
+		t.Fatalf("recovered run: recoveries=%d err=%v", last.Recoveries, err)
+	}
+	if len(reports) != 4 {
+		t.Fatalf("%d runs ended, want 4", len(reports))
+	}
+
+	want := map[string]int64{"ipregel_recoveries_total": int64(last.Recoveries)}
+	for _, r := range reports {
+		want["ipregel_runs_total"]++
+		if r.Converged {
+			want["ipregel_runs_converged_total"]++
+		} else {
+			want["ipregel_runs_aborted_total"]++
+		}
+		want["ipregel_supersteps_total"] += int64(r.Supersteps - r.FirstSuperstep)
+		want["ipregel_messages_total"] += int64(r.TotalMessages)
+		for _, s := range r.Steps {
+			want["ipregel_cas_retries_total"] += int64(s.CASRetries)
+			want["ipregel_vertices_ran_total"] += s.Ran
+			if s.DirectionSwitched {
+				want["ipregel_direction_switches_total"]++
+			}
+		}
+	}
+	if want["ipregel_direction_switches_total"] == 0 {
+		t.Fatal("no run switched direction; the switch counter goes untested")
+	}
+	r := reports[len(reports)-1]
+	s := r.Steps[len(r.Steps)-1]
+	want["ipregel_current_superstep"] = int64(r.FirstSuperstep + len(r.Steps) - 1)
+	want["ipregel_last_active_vertices"] = s.Active
+	want["ipregel_last_ran_vertices"] = s.Ran
+	want["ipregel_last_frontier_size"] = s.NextFrontier
+	want["ipregel_last_superstep_nanos"] = int64(s.Duration)
+	want["ipregel_last_imbalance_millis"] = int64(s.Imbalance() * 1000)
+
+	jsnap := j.Snapshot()
+	for name := range want {
+		if _, ok := jsnap[name]; !ok {
+			t.Errorf("job scope publishes no %s", name)
+		}
+	}
+	for what, snap := range map[string]map[string]int64{"job scope": jsnap, "collector": c.Snapshot()} {
+		for name := range jsnap {
+			if snap[name] != want[name] {
+				t.Errorf("%s: %s = %d, the reports say %d", what, name, snap[name], want[name])
+			}
+		}
+	}
 }

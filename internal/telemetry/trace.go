@@ -26,18 +26,20 @@ const (
 
 // Event is one JSONL trace record. A run emits: one run_start, one
 // superstep event per executed superstep (a trailing one may be marked
-// partial), at most one abort, and exactly one run_end. Together the
-// events replay into the run's core.Report (see ReplayReport and
-// cmd/ipregel-trace).
+// partial), at most one abort, and exactly one run_end. A stream may
+// hold several runs — a recovered run's attempts, each opened by its own
+// run_start. Together the events replay into the last run's core.Report
+// (see ReplayReport and cmd/ipregel-trace).
 type Event struct {
 	Schema string `json:"schema"`
 	Type   string `json:"type"`
 
-	// run_start
+	// Version is set on run_end; FirstSuperstep on run_start and run_end.
 	Version        string `json:"version,omitempty"`
 	FirstSuperstep int    `json:"first_superstep,omitempty"`
 
-	// superstep (absolute numbering; also set on abort)
+	// superstep (absolute numbering; on abort, the first superstep that
+	// did not complete)
 	Superstep    int     `json:"superstep,omitempty"`
 	Ran          int64   `json:"ran,omitempty"`
 	Messages     uint64  `json:"messages,omitempty"`
@@ -67,15 +69,16 @@ type Event struct {
 }
 
 // TraceWriter is a core.Observer that streams one JSONL event per
-// lifecycle hook to an io.Writer. Writes are mutex-serialised so one
-// writer can take events from several engines (each engine's own events
-// are already ordered by the Observer contract).
+// lifecycle hook to an io.Writer. A writer serves one run at a time —
+// several runs in sequence, such as a recovery supervisor's attempts,
+// each open with their own run_start. Writes are mutex-serialised so
+// Flush may race the run's hooks.
 type TraceWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
 	enc     *json.Encoder
 	err     error
-	started bool // run_start emitted (guarded by mu)
+	started bool // this run's run_start emitted
 }
 
 // NewTraceWriter wraps w; call Flush (or Close on the underlying file)
@@ -99,15 +102,12 @@ func (t *TraceWriter) emit(ev Event) {
 	t.err = t.enc.Encode(ev)
 }
 
-// OnSuperstepStart emits the run_start event at the first superstep of
-// the run (absolute numbering makes "first" explicit only via run state,
-// so the writer tracks whether it has started).
+// OnSuperstepStart emits the run_start event at the run's first
+// superstep (absolute numbering makes "first" explicit only via run
+// state, so the writer tracks whether this run has started).
 func (t *TraceWriter) OnSuperstepStart(superstep int) {
-	t.mu.Lock()
-	started := t.started
-	t.started = true
-	t.mu.Unlock()
-	if !started {
+	if !t.started {
+		t.started = true
 		t.emit(Event{Type: EventRunStart, FirstSuperstep: superstep})
 	}
 }
@@ -139,13 +139,12 @@ func (t *TraceWriter) OnSuperstepEnd(superstep int, s core.StepStats) {
 	t.emit(ev)
 }
 
-// OnAbort emits the abort event.
-func (t *TraceWriter) OnAbort(superstep int, reason string, err error) {
-	t.emit(Event{Type: EventAbort, Superstep: superstep, Reason: reason})
-}
-
-// OnRunEnd emits the run_end event and flushes.
+// OnRunEnd emits an aborted run's abort event, then the run_end event,
+// and flushes.
 func (t *TraceWriter) OnRunEnd(r core.Report, err error) {
+	if r.Aborted {
+		t.emit(Event{Type: EventAbort, Superstep: r.Supersteps, Reason: r.AbortReason})
+	}
 	t.emit(Event{
 		Type:            EventRunEnd,
 		Version:         r.Version,
@@ -155,6 +154,7 @@ func (t *TraceWriter) OnRunEnd(r core.Report, err error) {
 		TotalDurationNS: int64(r.Duration),
 		Converged:       r.Converged,
 	})
+	t.started = false
 	t.Flush()
 }
 
@@ -172,7 +172,8 @@ func (t *TraceWriter) Flush() error {
 // ReadTrace parses and validates a JSONL trace stream: every line must
 // be valid JSON carrying the supported schema and a known event type,
 // superstep events must be consecutive in absolute numbering, and a
-// partial superstep record may only be the last one. Fields this version
+// partial superstep record may only be a run's last one; a run_start
+// begins a new run. Fields this version
 // does not know — the shard, local-combine and hub-task counters older
 // engines wrote — are ignored.
 func ReadTrace(r io.Reader) ([]Event, error) {
@@ -196,7 +197,7 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 		}
 		switch ev.Type {
 		case EventRunStart:
-			wantStep = ev.FirstSuperstep
+			wantStep, sawPartial = ev.FirstSuperstep, false
 		case EventSuperstep:
 			if sawPartial {
 				return nil, fmt.Errorf("telemetry: trace line %d: superstep event after a partial record", line)
@@ -225,17 +226,20 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// ReplayReport reconstructs the run's core.Report from its trace events,
-// inverse of the TraceWriter: the result renders the same Table and
-// summary line the live run produced (durations come from the recorded
-// nanosecond fields).
+// ReplayReport reconstructs the last run's core.Report from its trace
+// events, inverse of the TraceWriter: the result renders the same Table
+// and summary line the live run produced (durations come from the
+// recorded nanosecond fields). A stream of several runs is a recovered
+// run's attempts, so Attempts and Recoveries count them.
 func ReplayReport(events []Event) (core.Report, error) {
 	var r core.Report
 	sawEnd := false
+	runs := 0
 	for _, ev := range events {
 		switch ev.Type {
 		case EventRunStart:
-			r.FirstSuperstep = ev.FirstSuperstep
+			runs++
+			r, sawEnd = core.Report{FirstSuperstep: ev.FirstSuperstep}, false
 		case EventSuperstep:
 			step := core.StepStats{
 				Ran:          ev.Ran,
@@ -285,6 +289,9 @@ func ReplayReport(events []Event) (core.Report, error) {
 			r.Duration += s.Duration
 		}
 		r.Supersteps = r.FirstSuperstep + completed
+	}
+	if runs > 1 {
+		r.Attempts, r.Recoveries = runs, runs-1
 	}
 	return r, nil
 }

@@ -2,9 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"ipregel/internal/chaos"
 	"ipregel/internal/core"
 	"ipregel/internal/graph"
 )
@@ -231,8 +234,8 @@ func TestTraceAbortedRun(t *testing.T) {
 	for _, ev := range events {
 		if ev.Type == EventAbort {
 			aborts++
-			if !strings.Contains(ev.Reason, "superstep limit") {
-				t.Fatalf("abort reason %q", ev.Reason)
+			if !strings.Contains(ev.Reason, "superstep limit") || ev.Superstep != rep.Supersteps {
+				t.Fatalf("abort at superstep %d for %q, want superstep %d", ev.Superstep, ev.Reason, rep.Supersteps)
 			}
 		}
 	}
@@ -347,3 +350,53 @@ func TestTraceWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, bytes.ErrTooLarge }
+
+// TestTraceRecoveredRun puts one writer on a recovery supervisor whose
+// first attempt dies of an injected compute panic: each attempt opens
+// with its own run_start, the stream validates, the abort names the
+// first superstep that did not complete, and the replay renders the
+// summary and table of the run that finished, recoveries included.
+func TestTraceRecoveredRun(t *testing.T) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	inj := chaos.New(7, chaos.Event{Fault: chaos.ComputePanic, Superstep: 3})
+	sink, err := core.NewFileSink(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Threads: 1, Observers: []core.Observer{inj.Observer(), tw}}
+	_, rep, err := core.RunWithRecovery(context.Background(), ring(16), cfg, chaos.WrapProgram(inj, flood(6)),
+		core.Checkpointer[uint32, uint32]{Every: 2, Sink: sink.Sink, VCodec: u32c{}, MCodec: u32c{}}, sink,
+		core.RecoveryOptions{Sleep: func(time.Duration) {}})
+	if err != nil || rep.Recoveries != 1 {
+		t.Fatalf("recovered run: recoveries=%d err=%v", rep.Recoveries, err)
+	}
+	events, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []int
+	for _, ev := range events {
+		switch ev.Type {
+		case EventRunStart:
+			starts = append(starts, ev.FirstSuperstep)
+		case EventAbort:
+			if ev.Superstep != 3 {
+				t.Fatalf("abort at superstep %d, want 3 (the panicking one)", ev.Superstep)
+			}
+		}
+	}
+	if len(starts) != 2 || starts[0] != 0 || starts[1] != rep.FirstSuperstep {
+		t.Fatalf("run_start first supersteps %v, want [0 %d]", starts, rep.FirstSuperstep)
+	}
+	replay, err := ReplayReport(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.String() != rep.String() || !strings.Contains(replay.String(), "recoveries=1") {
+		t.Fatalf("replayed summary differs:\n got %q\nwant %q", replay.String(), rep.String())
+	}
+	if replay.Table() != rep.Table() {
+		t.Fatalf("replayed table differs:\n got:\n%s\nwant:\n%s", replay.Table(), rep.Table())
+	}
+}

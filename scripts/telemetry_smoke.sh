@@ -3,7 +3,9 @@
 # telemetry-smoke`, CI job `telemetry-smoke`): run a small PageRank with
 # -telemetry and -trace on, assert /metrics, expvar and pprof serve real
 # data during/after the run, and validate + replay the emitted JSONL
-# through ipregel-trace.
+# through ipregel-trace. A second leg traces an SSSP run that recovers
+# from an injected compute panic: its two-attempt trace must validate and
+# replay into the summary line ipregel-run printed.
 set -eu
 
 PORT="${PORT:-18080}"
@@ -66,6 +68,19 @@ grep -q '^superstep ' "$TMP/replay.txt" || fail "replay printed no superstep tab
 kill "$RUN_PID"
 wait "$RUN_PID" 2>/dev/null || true
 RUN_PID=""
+
+# The recovered run: one trace file spans both attempts.
+"$TMP/ipregel-run" -app sssp -graph road:30:30 -bypass -threads 1 \
+    -checkpoint-dir "$TMP/ckpt" -checkpoint-every 4 -chaos 'seed=7,panic@6' \
+    -trace "$TMP/recovered.jsonl" >"$TMP/recovered.log" 2>&1 \
+    || { cat "$TMP/recovered.log" >&2; fail "recovered run failed"; }
+"$TMP/ipregel-trace" -validate "$TMP/recovered.jsonl" || fail "recovered-run trace failed schema validation"
+"$TMP/ipregel-trace" -table=false "$TMP/recovered.jsonl" >"$TMP/recovered-replay.txt" \
+    || fail "recovered-run trace replay failed"
+live="$(grep ' supersteps=' "$TMP/recovered.log")"
+replayed="$(grep ' supersteps=' "$TMP/recovered-replay.txt")"
+case "$live" in *recoveries=1*) ;; *) fail "recovered run printed no recovery: $live" ;; esac
+test "$live" = "$replayed" || fail "replayed summary differs: run printed '$live', replay '$replayed'"
 
 echo "telemetry smoke: OK"
 sed -n '1,4p' "$TMP/replay.txt"
