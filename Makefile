@@ -99,8 +99,9 @@ chaos:
 	sh scripts/chaos_smoke.sh
 
 # Short fuzz pass over every graph parser, the compressed-block decoder
-# and the checkpoint restorer; `error, never panic` on arbitrary bytes.
-# Lengthen FUZZTIME for a deeper run.
+# and the checkpoint restorer (`error, never panic` on arbitrary bytes),
+# and over the RMAT kernel (the same edges as the rand.Float64 walk for
+# any seed and quadrant probabilities). Lengthen FUZZTIME for a deeper run.
 FUZZTIME ?= 10s
 fuzz:
 	for t in FuzzReadEdgeList FuzzReadKONECT FuzzReadDIMACS FuzzReadBinary; do \
@@ -110,6 +111,7 @@ fuzz:
 		$(GO) test ./internal/graph/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gen/ -run='^$$' -fuzz='^FuzzRMATKernel$$' -fuzztime=$(FUZZTIME)
 
 # The hot-primitive microbenchmarks, one `package:name` each: mailbox
 # deliver per inbox version — a scatter of one per message, the fused
@@ -122,11 +124,12 @@ fuzz:
 # the engines resolve to one thread and its rows coincide, so compare
 # the combiners with `go test ./internal/algorithms/ -run '^$' -bench
 # Contention -cpu 4`); and each telemetry sink, per 20-superstep run and
-# per superstep barrier (ns per start/end hook pair). It fails when one
+# per superstep barrier (ns per start/end hook pair); and the RMAT
+# generator, ns per placed edge of a wiki stand-in. It fails when one
 # of them no longer exists; CI runs it with BENCHTIME=1x so they cannot
 # rot. `make bench` is the same list.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead ./internal/gen/:BenchmarkRMAT
 bench: bench-core
 
 bench-core:

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"ipregel/internal/gen"
@@ -30,10 +31,11 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	specs := strings.Join(append(gen.Names(), "wroad:<rows>:<cols>"), " | ")
 	fs := flag.NewFlagSet("graphgen", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		spec     = fs.String("spec", "", "graph spec (wiki | usa | twitter | friendster | rmat:s:ef | road:r:c | wroad:r:c | er:n:m | ring:n | star:n | chain:n)")
+		spec     = fs.String("spec", "", "graph spec ("+specs+")")
 		divisor  = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
 		seed     = fs.Int64("seed", 0, "generator seed (0 = preset default)")
 		outPath  = fs.String("o", "", "output path; format chosen by extension (.gr .tsv .bin, optionally .gz, else edge list)")
@@ -43,7 +45,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *spec == "" || *outPath == "" {
-		return fmt.Errorf("-spec and -o are required; specs: %v", gen.Names())
+		return fmt.Errorf("-spec and -o are required; specs: %s", specs)
 	}
 	start := time.Now()
 	g, err := buildGraph(*spec, *divisor, *seed)

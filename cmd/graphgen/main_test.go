@@ -53,6 +53,11 @@ func TestGraphgenErrors(t *testing.T) {
 	if err := run([]string{"-spec", "bogus", "-o", filepath.Join(t.TempDir(), "x.txt")}, &sb); err == nil {
 		t.Fatal("bogus spec accepted")
 	}
+	// wiki at this divisor has no vertices for its 8 edges: refused, not
+	// drawn forever.
+	if err := run([]string{"-spec", "wiki", "-divisor", "20000000", "-o", filepath.Join(t.TempDir(), "x.txt")}, &sb); err == nil {
+		t.Fatal("wiki with no vertices for its edges accepted")
+	}
 	if err := run([]string{"-badflag"}, &sb); err == nil {
 		t.Fatal("bad flag accepted")
 	}

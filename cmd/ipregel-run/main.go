@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"ipregel/internal/algorithms"
@@ -44,7 +45,7 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	var (
 		app       = fs.String("app", "pagerank", "application: pagerank | pagerank-converged | hashmin | wcc | scc | sssp | wsssp | bfs | reach64")
-		graphSpec = fs.String("graph", "wiki", "generator spec (wiki | usa | twitter | friendster | rmat:s:ef | road:r:c | er:n:m | ring:n | star:n | chain:n)")
+		graphSpec = fs.String("graph", "wiki", "generator spec ("+strings.Join(gen.Names(), " | ")+")")
 		graphFile = fs.String("graph-file", "", "load a graph file instead of generating")
 		backend   = fs.String("graph-backend", "flat", "adjacency storage: flat | compressed (delta+varint blocks) | mmap (map a .bin graph file read-only; requires -graph-file)")
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")

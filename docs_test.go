@@ -1,6 +1,9 @@
 package ipregel_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,13 +22,17 @@ var (
 	pkgDirToken  = regexp.MustCompile(`^(internal|cmd)/[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)*/?$`)
 	designRef    = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+(?:\.\d+)?[a-z]?)`)
 	designHead   = regexp.MustCompile(`^#+ (\d+(?:\.\d+)?[a-z]?)\.? `)
+	pkgIdent     = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
 )
 
 // TestDocReferences fails on a stale reference in the checked documents:
 // a backticked Go file name that matches no file in the repository (by
 // path suffix), a backticked internal/<pkg> or cmd/<name> path that is
-// not a directory, or a "DESIGN.md §N[.M]" reference — there or in any
-// Go comment — that names no DESIGN.md heading.
+// not a directory, a backticked <pkg>.<Ident> whose internal/<pkg>
+// declares no top-level Ident (only the first identifier after the
+// package is checked, and only for a capitalised one), or a "DESIGN.md
+// §N[.M]" reference — there or in any Go comment — that names no
+// DESIGN.md heading.
 func TestDocReferences(t *testing.T) {
 	var files []string
 	var goFiles []string
@@ -70,6 +77,7 @@ func TestDocReferences(t *testing.T) {
 		}
 	}
 
+	pkgDecls := map[string]map[string]bool{} // internal/<pkg> → its top-level names
 	for _, doc := range checkedDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -91,6 +99,16 @@ func TestDocReferences(t *testing.T) {
 						t.Errorf("%s:%d: `%s` is not a directory", doc, i+1, m[1])
 					}
 				}
+				if pm := pkgIdent.FindStringSubmatch(tok); pm != nil {
+					decls, ok := pkgDecls[pm[1]]
+					if !ok {
+						decls = topLevel(t, pm[1])
+						pkgDecls[pm[1]] = decls
+					}
+					if decls != nil && !decls[pm[2]] {
+						t.Errorf("%s:%d: `%s`: internal/%s declares no %s", doc, i+1, m[1], pm[1], pm[2])
+					}
+				}
 			}
 		}
 	}
@@ -110,6 +128,46 @@ func TestDocReferences(t *testing.T) {
 		}
 		checkSections(path, comments)
 	}
+}
+
+// topLevel returns the top-level identifiers the non-test files of
+// internal/<pkg> declare, or nil when there is no such directory.
+func topLevel(t *testing.T, pkg string) map[string]bool {
+	dir := filepath.Join("internal", pkg)
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		return nil
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						decls[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							decls[spec.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								decls[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
 }
 
 // hasPathSuffix reports whether some file is name or ends in "/"+name.

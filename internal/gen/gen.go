@@ -9,12 +9,12 @@
 // and the *density/diameter* (which drives superstep counts, §7.2–7.3).
 // The generators below match those shapes:
 //
-//   - RMAT: recursive-matrix (Kronecker-style) power-law graphs standing in
-//     for Wikipedia/Twitter/Friendster.
-//   - Road: a 2-D grid with bidirectional street edges and sparse random
-//     "highway" diagonals, standing in for USA-road-d — near-uniform degree
-//     ~4 and O(sqrt(V)) diameter.
-//   - ScaledRMAT: proportional scaling used by Fig. 9's breaking-point
+//   - RMAT / RMATN: recursive-matrix (Kronecker-style) power-law graphs
+//     standing in for Wikipedia/Twitter/Friendster.
+//   - Road: a 2-D grid with bidirectional street edges (optional random
+//     "highway" edges, none in the USARoad preset), standing in for
+//     USA-road-d — near-uniform degree ~4 and O(sqrt(V)) diameter.
+//   - Twitter(p, pct): proportional scaling used by Fig. 9's breaking-point
 //     experiment ("a synthetic graph described as 20% contains a fifth of
 //     the vertices and a fifth of the edges", §7.4.2).
 //
@@ -22,6 +22,7 @@
 package gen
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ipregel/internal/graph"
@@ -50,44 +51,82 @@ func DefaultRMAT(scale, edgeFactor int, seed int64) RMATParams {
 	return RMATParams{Scale: scale, EdgeFactor: edgeFactor, A: 0.57, B: 0.19, C: 0.19, Seed: seed, Base: 1}
 }
 
-// RMAT generates a directed power-law graph.
+// RMAT generates a directed power-law graph: RMATN's kernel at
+// n = 2^Scale with p's quadrant probabilities.
 func RMAT(p RMATParams) *graph.Graph {
 	n := 1 << p.Scale
-	m := n * p.EdgeFactor
-	rng := rand.New(rand.NewSource(p.Seed))
-	var b graph.Builder
-	b.ForceN = n
-	b.SetBase(p.Base)
-	if p.BuildInEdges {
-		b.BuildInEdges()
-	}
-	b.Grow(m)
-	d := 1 - p.A - p.B - p.C
-	_ = d
-	for i := 0; i < m; i++ {
-		src, dst := rmatEdge(rng, p.Scale, p.A, p.B, p.C)
-		b.AddEdge(p.Base+graph.VertexID(src), p.Base+graph.VertexID(dst))
-	}
-	return b.MustBuild()
+	return rmat(n, uint64(max(n*p.EdgeFactor, 0)), p.A, p.B, p.C, p.Seed, p.Base, p.BuildInEdges)
 }
 
-// rmatEdge draws one edge by recursive quadrant descent.
-func rmatEdge(rng *rand.Rand, scale int, a, b, c float64) (src, dst int) {
-	for bit := 0; bit < scale; bit++ {
-		r := rng.Float64()
-		switch {
-		case r < a:
-			// top-left: no bits set
-		case r < a+b:
-			dst |= 1 << bit
-		case r < a+b+c:
-			src |= 1 << bit
-		default:
-			src |= 1 << bit
-			dst |= 1 << bit
+// rmat draws m edges by recursive quadrant descent at the least power of
+// two ≥ n, rejecting those with an endpoint ≥ n. Each level reads one raw
+// 63-bit draw x and counts the cuts it reaches: 0 is the top-left
+// quadrant, bit 0 of the count sets the dst bit, bit 1 the src bit. The
+// cuts make this the float walk `r := rng.Float64(); r < a, r < a+b,
+// r < a+b+c` on the same stream (DESIGN.md §2, item 4).
+func rmat(n int, m uint64, a, b, c float64, seed int64, base graph.VertexID, inEdges bool) *graph.Graph {
+	if n < 1 && m > 0 {
+		panic(fmt.Sprintf("gen: RMAT cannot place %d edges on %d vertices", m, n))
+	}
+	scale := 0
+	for 1<<scale < n {
+		scale++
+	}
+	// max keeps the cuts ordered, so a probability sum that falls (b or c
+	// negative) still resolves to the first comparison that holds.
+	cutA := cut(a)
+	cutAB := max(cutA, cut(a+b))
+	cutABC := max(cutAB, cut(a+b+c))
+	cutOne := cut(1) // Float64 redraws a draw that rounds to 1.0
+	src := rand.NewSource(seed)
+	var bld graph.Builder
+	bld.ForceN = n
+	bld.SetBase(base)
+	if inEdges {
+		bld.BuildInEdges()
+	}
+	bld.Grow(int(m))
+	for added := uint64(0); added < m; {
+		var s, d int
+		for bit := 0; bit < scale; bit++ {
+			x := uint64(src.Int63())
+			for x >= cutOne {
+				x = uint64(src.Int63())
+			}
+			k := b2i(x >= cutA) + b2i(x >= cutAB) + b2i(x >= cutABC)
+			d |= (k & 1) << bit
+			s |= (k >> 1) << bit
+		}
+		if s >= n || d >= n {
+			continue
+		}
+		bld.AddEdge(base+graph.VertexID(s), base+graph.VertexID(d))
+		added++
+	}
+	return bld.MustBuild()
+}
+
+// cut is the least x in [0, 2^63) with !(float64(x)/(1<<63) < p), or 2^63
+// if there is none: the quotient is monotone in x, so the comparison holds
+// exactly below the cut.
+func cut(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return src, dst
+	return lo
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RoadParams configures the road-network generator.
@@ -278,7 +317,7 @@ func WattsStrogatz(n, k int, beta float64, seed int64, base graph.VertexID) *gra
 	for i := 0; i < n; i++ {
 		for j := 1; j <= k; j++ {
 			dst := (i + j) % n
-			if rng.Float64() < beta {
+			if n > 1 && rng.Float64() < beta { // one vertex has no other end
 				dst = rng.Intn(n)
 				for dst == i {
 					dst = rng.Intn(n)

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +185,31 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope", p); err == nil {
 		t.Fatal("expected error for unknown name")
 	}
+	// Refused before anything is built: these panicked (a negative size),
+	// ran out of memory (scale 32) or spun forever (edges but no vertices).
+	for _, c := range []struct {
+		spec    string
+		divisor int
+	}{
+		{"rmat:-1:4", 0}, {"rmat:6:-4", 0}, {"rmat:32:0", 0}, {"er:-5:10", 0}, {"er:0:10", 0},
+		{"er:5:-1", 0}, {"ba:-4:2", 0}, {"ws:-3:2", 0}, {"road:-2:3", 0}, {"ring:-1", 0},
+		{"star:-1", 0}, {"chain:-1", 0}, {"wiki", 20_000_000}, {"wiki", WikipediaE},
+		{"twitter", 60_000_000}, {"friendster", 100_000_000},
+	} {
+		_, err := ByName(c.spec, PresetParams{Divisor: c.divisor})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.spec)) {
+			t.Errorf("ByName(%q) at divisor %d: error %v, want one quoting the spec", c.spec, c.divisor, err)
+		}
+	}
+	// No edges to place: an empty graph, not an error.
+	for _, c := range []struct {
+		spec    string
+		divisor int
+	}{{"er:0:0", 0}, {"wiki", WikipediaE + 1}, {"rmat:0:3", 0}} {
+		if g, err := ByName(c.spec, PresetParams{Divisor: c.divisor}); err != nil || g.Validate() != nil {
+			t.Errorf("ByName(%q) at divisor %d: %v", c.spec, c.divisor, err)
+		}
+	}
 	if len(Names()) == 0 {
 		t.Fatal("Names empty")
 	}
@@ -246,6 +273,14 @@ func TestWattsStrogatz(t *testing.T) {
 	pure := WattsStrogatz(400, 3, 0, 10, 1)
 	if pure.M() != g.M() {
 		t.Fatal("beta should not change edge count")
+	}
+}
+
+// A lone vertex keeps its k self loops: rewiring one spun forever, since
+// every redraw is the vertex itself (seed 2 rewires at once).
+func TestWattsStrogatzSingleVertex(t *testing.T) {
+	if g := WattsStrogatz(1, 3, 0.1, 2, 0); g.N() != 1 || g.M() != 6 {
+		t.Fatalf("N=%d M=%d, want 1 vertex and 6 self loops", g.N(), g.M())
 	}
 }
 

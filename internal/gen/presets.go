@@ -2,8 +2,8 @@ package gen
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
+	"strings"
 
 	"ipregel/internal/graph"
 )
@@ -29,30 +29,11 @@ const (
 const DefaultScaleDivisor = 64
 
 // RMATN generates a directed power-law graph with an arbitrary (non
-// power-of-two) vertex count by rejection-sampling RMAT edges drawn at the
-// next power of two.
+// power-of-two) vertex count by rejection-sampling Graph500 RMAT edges
+// (0.57, 0.19, 0.19) drawn at the next power of two. It needs n ≥ 1 when
+// m > 0 and panics otherwise.
 func RMATN(n int, m uint64, seed int64, base graph.VertexID, inEdges bool) *graph.Graph {
-	scale := 0
-	for 1<<scale < n {
-		scale++
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var b graph.Builder
-	b.ForceN = n
-	b.SetBase(base)
-	if inEdges {
-		b.BuildInEdges()
-	}
-	b.Grow(int(m))
-	for added := uint64(0); added < m; {
-		src, dst := rmatEdge(rng, scale, 0.57, 0.19, 0.19)
-		if src >= n || dst >= n {
-			continue
-		}
-		b.AddEdge(base+graph.VertexID(src), base+graph.VertexID(dst))
-		added++
-	}
-	return b.MustBuild()
+	return rmat(n, m, 0.57, 0.19, 0.19, seed, base, inEdges)
 }
 
 // PresetParams selects one of the paper-graph stand-ins.
@@ -135,10 +116,34 @@ func Friendster(p PresetParams) *graph.Graph {
 //	wiki | usa | twitter | friendster         (paper stand-ins)
 //	rmat:<scale>:<edgefactor>                 (power of two RMAT)
 //	road:<rows>:<cols>                        (grid road network)
-//	er:<n>:<m> | ring:<n> | star:<n> | chain:<n>
+//	er:<n>:<m> | ring:<n> | star:<n> | chain:<n> | ba:<n>:<k> | ws:<n>:<k>
+//
+// It refuses, before building anything, a negative size, an RMAT scale
+// above 31 (ids past 32 bits) and an RMAT or ER graph with edges to place
+// but no vertices (a preset divisor in (|V|, |E|]).
 func ByName(name string, p PresetParams) (*graph.Graph, error) {
+	kind, args, _ := strings.Cut(name, ":")
 	var a, b int
-	switch {
+	nargs, _ := fmt.Sscanf(args, "%d:%d", &a, &b)
+	v, e := 0, 0 // paper-scale |V| and |E| of an RMAT stand-in
+	switch name {
+	case "wiki", "wikipedia":
+		v, e = WikipediaV, WikipediaE
+	case "twitter":
+		v, e = TwitterV, TwitterE
+	case "friendster":
+		v, e = FriendsterV, FriendsterE
+	}
+	seed := nonZero(p.Seed, 1)
+	switch d := p.divisor(); {
+	case a < 0 || b < 0:
+		return nil, fmt.Errorf("gen: graph spec %q has a negative size", name)
+	case kind == "rmat" && a > 31:
+		return nil, fmt.Errorf("gen: graph spec %q: RMAT scale above 31 puts ids past 32 bits", name)
+	case kind == "er" && a == 0 && b > 0:
+		return nil, fmt.Errorf("gen: graph spec %q has edges to place but no vertices", name)
+	case v/d == 0 && e/d > 0:
+		return nil, fmt.Errorf("gen: graph spec %q at divisor %d has no vertices for its %d edges", name, d, e/d)
 	case name == "wiki" || name == "wikipedia":
 		return Wikipedia(p), nil
 	case name == "usa" || name == "road-usa":
@@ -147,24 +152,24 @@ func ByName(name string, p PresetParams) (*graph.Graph, error) {
 		return Twitter(p, 100), nil
 	case name == "friendster":
 		return Friendster(p), nil
-	case scan2(name, "rmat:%d:%d", &a, &b):
-		q := DefaultRMAT(a, b, nonZero(p.Seed, 1))
+	case kind == "rmat" && nargs == 2:
+		q := DefaultRMAT(a, b, seed)
 		q.BuildInEdges = p.BuildInEdges
 		return RMAT(q), nil
-	case scan2(name, "road:%d:%d", &a, &b):
-		return Road(RoadParams{Rows: a, Cols: b, Seed: nonZero(p.Seed, 1), Base: 1, BuildInEdges: p.BuildInEdges}), nil
-	case scan2(name, "er:%d:%d", &a, &b):
-		return maybeIn(ER(a, b, nonZero(p.Seed, 1), 0), p), nil
-	case scan1(name, "ring:%d", &a):
+	case kind == "road" && nargs == 2:
+		return Road(RoadParams{Rows: a, Cols: b, Seed: seed, Base: 1, BuildInEdges: p.BuildInEdges}), nil
+	case kind == "er" && nargs == 2:
+		return maybeIn(ER(a, b, seed, 0), p), nil
+	case kind == "ring" && nargs > 0:
 		return maybeIn(Ring(a, 0), p), nil
-	case scan1(name, "star:%d", &a):
+	case kind == "star" && nargs > 0:
 		return maybeIn(Star(a, 0), p), nil
-	case scan1(name, "chain:%d", &a):
+	case kind == "chain" && nargs > 0:
 		return maybeIn(Chain(a, 0), p), nil
-	case scan2(name, "ba:%d:%d", &a, &b):
-		return maybeIn(BarabasiAlbert(a, b, nonZero(p.Seed, 1), 0), p), nil
-	case scan2(name, "ws:%d:%d", &a, &b):
-		return maybeIn(WattsStrogatz(a, b, 0.1, nonZero(p.Seed, 1), 0), p), nil
+	case kind == "ba" && nargs == 2:
+		return maybeIn(BarabasiAlbert(a, b, seed, 0), p), nil
+	case kind == "ws" && nargs == 2:
+		return maybeIn(WattsStrogatz(a, b, 0.1, seed, 0), p), nil
 	}
 	return nil, fmt.Errorf("gen: unknown graph spec %q", name)
 }
@@ -188,16 +193,6 @@ func nonZero(s, def int64) int64 {
 		return def
 	}
 	return s
-}
-
-func scan2(s, format string, a, b *int) bool {
-	n, err := fmt.Sscanf(s, format, a, b)
-	return err == nil && n == 2
-}
-
-func scan1(s, format string, a *int) bool {
-	n, err := fmt.Sscanf(s, format, a)
-	return err == nil && n == 1
 }
 
 func intSqrt(n int) int {
