@@ -13,8 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # ipregel-vet enforces the framework contracts go vet cannot see
-# (word-sized atomic messages, halt obligations under selection bypass,
-# handle escapes, combiner purity, atomic field discipline).
+# (halt obligations under selection bypass, handle escapes, combiner
+# purity, atomic field discipline).
 ipregel-vet:
 	$(GO) run ./cmd/ipregel-vet ./...
 
@@ -120,8 +120,9 @@ fuzz:
 # order, and the compressed adjacency's open-time validation sweep
 # (ns/edge); the pull collect's fold per inbox version (ns per in-edge);
 # and Hashmin on a transposed star, every leaf delivering into one hub
-# slot, per push combiner (the one concurrent hot-slot cell; at -cpu 1
-# the engines resolve to one thread and its rows coincide, so compare
+# slot, per push combiner and gathered by the broadcast version's
+# lock-free collect (the one concurrent hot-slot cell; at -cpu 1 the
+# push engines resolve to one thread and their rows coincide, so compare
 # the combiners with `go test ./internal/algorithms/ -run '^$' -bench
 # Contention -cpu 4`); and each telemetry sink, per 20-superstep run and
 # per superstep barrier (ns per start/end hook pair); and the RMAT

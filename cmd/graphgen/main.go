@@ -72,6 +72,9 @@ func run(args []string, out io.Writer) error {
 func buildGraph(spec string, divisor int, seed int64) (*graph.Graph, error) {
 	var r, c int
 	if n, _ := fmt.Sscanf(spec, "wroad:%d:%d", &r, &c); n == 2 {
+		if err := gen.CheckSpec(spec, gen.PresetParams{}); err != nil {
+			return nil, err
+		}
 		if seed == 0 {
 			seed = 1
 		}

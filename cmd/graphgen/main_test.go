@@ -58,6 +58,10 @@ func TestGraphgenErrors(t *testing.T) {
 	if err := run([]string{"-spec", "wiki", "-divisor", "20000000", "-o", filepath.Join(t.TempDir(), "x.txt")}, &sb); err == nil {
 		t.Fatal("wiki with no vertices for its edges accepted")
 	}
+	// wroad is graphgen's own spec; its sizes get gen's check too.
+	if err := run([]string{"-spec", "wroad:-1:5", "-o", filepath.Join(t.TempDir(), "x.txt")}, &sb); err == nil {
+		t.Fatal("wroad with a negative size accepted")
+	}
 	if err := run([]string{"-badflag"}, &sb); err == nil {
 		t.Fatal("bad flag accepted")
 	}

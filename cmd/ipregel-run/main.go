@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) error {
 		backend   = fs.String("graph-backend", "flat", "adjacency storage: flat | compressed (delta+varint blocks) | mmap (map a .bin graph file read-only; requires -graph-file)")
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
 		framework = fs.String("framework", "ipregel", "ipregel | pregelplus (see DESIGN.md)")
-		combiner  = fs.String("combiner", "spinlock", "iPregel push inbox: mutex | spinlock | atomic (the broadcast version is -direction pull)")
+		combiner  = fs.String("combiner", "spinlock", "iPregel push inbox: mutex | spinlock (the broadcast version is -direction pull)")
 		bypass    = fs.Bool("bypass", false, "enable selection bypass (Hashmin/SSSP only)")
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
 		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull (the paper's broadcast version) | adaptive (density-switched); pull and adaptive need broadcast-only apps")

@@ -33,7 +33,7 @@ func TestRunAppsOnGeneratedGraphs(t *testing.T) {
 		{[]string{"-app", "pagerank", "-graph", "ring:20", "-framework", "pregelplus", "-nodes", "3", "-rounds", "3"}, "Pregel+ 3 node(s)"},
 		{[]string{"-app", "hashmin", "-graph", "ring:10", "-v"}, "superstep"},
 		{[]string{"-app", "wcc", "-graph", "chain:10"}, "weak components: 1"},
-		{[]string{"-app", "sssp", "-graph", "road:10:10", "-combiner", "atomic", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
+		{[]string{"-app", "sssp", "-graph", "road:10:10", "-combiner", "mutex", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
 		{[]string{"-app", "scc", "-graph", "ring:12"}, "strong components: 1"},
 		{[]string{"-app", "reach64", "-graph", "chain:10", "-source", "0"}, "reached: 10 of 10"},
 	}
@@ -91,10 +91,10 @@ func TestRunErrors(t *testing.T) {
 // non-positive -threads is a usage error (the unset default 0 still
 // means GOMAXPROCS), -direction is an iPregel-only feature, the removed
 // FemtoGraph-style framework is unknown, the removed broadcast combiner
-// points at -direction pull, and the flags of the removed shard layer,
-// addressing option, adaptive threshold, sender cache and hub splitting
-// are the flag package's "provided but not defined", not accepted and
-// ignored.
+// points at -direction pull, the removed CAS combiner is unknown, and
+// the flags of the removed shard layer, addressing option, adaptive
+// threshold, sender cache and hub splitting are the flag package's
+// "provided but not defined", not accepted and ignored.
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -112,6 +112,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-hub-cut", "8", "-graph", "ring:5"}, "flag provided but not defined: -hub-cut"},
 		{[]string{"-app", "sssp", "-graph", "ring:5", "-direction-threshold", "0.2"}, "flag provided but not defined: -direction-threshold"},
 		{[]string{"-app", "pagerank", "-graph", "ring:5", "-combiner", "broadcast"}, "direction pull"},
+		{[]string{"-app", "sssp", "-graph", "ring:5", "-combiner", "atomic"}, "mutex | spinlock"},
 	}
 	for _, c := range cases {
 		var sb strings.Builder
@@ -138,8 +139,8 @@ func TestRunRecoverable(t *testing.T) {
 		want string
 	}{
 		{"sssp", []string{"-graph", "road:10:10", "-combiner", "spinlock", "-bypass", "-source", "1"}, "reached: 100 of 100"},
-		{"hashmin", []string{"-graph", "road:8:8", "-combiner", "atomic"}, "components: 1"},
-		{"sssp", []string{"-graph", "road:10:10", "-combiner", "atomic", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
+		{"hashmin", []string{"-graph", "road:8:8", "-combiner", "mutex"}, "components: 1"},
+		{"sssp", []string{"-graph", "road:10:10", "-combiner", "mutex", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
 		{"pagerank", []string{"-graph", "rmat:7:4", "-rounds", "8"}, "ranks computed for 128 vertices"},
 		{"pagerank-converged", []string{"-graph", "rmat:7:4"}, "converged in"},
 	}

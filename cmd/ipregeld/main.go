@@ -83,7 +83,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		listen    = fs.String("listen", "127.0.0.1:8090", "HTTP listen address (use :0 for an ephemeral port)")
 		backend   = fs.String("graph-backend", "flat", "adjacency storage for resident graphs: flat | compressed | mmap (mmap applies to -graph-file .bin files; others fall back to compressed)")
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
-		combiner  = fs.String("combiner", "spinlock", "engine push inbox: mutex | spinlock | atomic (the broadcast version is -direction pull)")
+		combiner  = fs.String("combiner", "spinlock", "engine push inbox: mutex | spinlock (the broadcast version is -direction pull)")
 		direction = fs.String("direction", "push", "default message transport per job engine: push | pull | adaptive (jobs override via params.direction; pull/adaptive load graphs with in-edges)")
 		bypass    = fs.Bool("bypass", false, "selection bypass for halt-every-superstep programs (stripped per job for PageRank)")
 		threads   = fs.Int("threads", 0, "default worker threads per job (0 = GOMAXPROCS)")

@@ -14,7 +14,7 @@ import (
 
 // checkedDocs are the documents whose file, package and section
 // references TestDocReferences keeps honest.
-var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"}
 
 var (
 	backtickSpan = regexp.MustCompile("`([^`\n]+)`")

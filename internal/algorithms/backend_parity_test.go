@@ -73,7 +73,7 @@ func backendVariants(t *testing.T, name string, g *graph.Graph) []backendVariant
 // invariant checking on.
 func backendParityConfigs() []core.Config {
 	return []core.Config{
-		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true},
+		{Combiner: core.CombinerMutex, Threads: 4, CheckInvariants: true},
 		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true},
 	}
 }
@@ -275,7 +275,7 @@ func TestBackendParityAdaptiveResume(t *testing.T) {
 	// hub, so it never leaves pull and would prove nothing here.
 	g := backendParityGraphs()["road"]
 	cfg := core.Config{
-		Combiner: core.CombinerAtomic, Threads: 4,
+		Combiner: core.CombinerMutex, Threads: 4,
 		Direction: core.DirectionAdaptive, CheckInvariants: true,
 	}
 	prog := SSSPProgram(2)

@@ -149,11 +149,11 @@ func TestCrossEngineEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// The post-paper lock-free CAS combiner, with and without bypass,
-		// beside the lock-based inboxes at the same thread counts.
+		// Both lock-based inboxes, with and without bypass, at two to four
+		// threads.
 		for vi, cfg := range []core.Config{
-			{Combiner: core.CombinerAtomic},
-			{Combiner: core.CombinerAtomic, SelectionBypass: true},
+			{Combiner: core.CombinerMutex},
+			{Combiner: core.CombinerSpin, SelectionBypass: true},
 			{Combiner: core.CombinerSpin},
 			{Combiner: core.CombinerMutex, SelectionBypass: true},
 		} {

@@ -1,12 +1,12 @@
 // Package analysis is ipregel-vet: a static-analysis suite enforcing the
 // framework contracts the Go compiler cannot see. iPregel's performance
 // rests on preconditions stated in the paper and checked — if at all — at
-// run time. There is one analyzer per contract: the atomic combiner needs
-// word-sized messages (msgword), Context and Vertex handles are slot views
-// valid only inside the current Compute call (ctxescape), selection bypass
-// needs every vertex to vote to halt each superstep, §4 (bypasshalt), the
-// lock-free mailbox fields tolerate no plain element access (nakedatomic),
-// and combiners must be pure reductions (combpure). Each checks one
+// run time. There is one analyzer per contract: Context and Vertex
+// handles are slot views valid only inside the current Compute call
+// (ctxescape), selection bypass needs every vertex to vote to halt each
+// superstep, §4 (bypasshalt), fields marked //ipregel:atomic (the pull
+// transport's enrolment flags) tolerate no plain element access
+// (nakedatomic), and combiners must be pure reductions (combpure). Each checks one
 // package at a time; bypasshalt and combpure read a callee's body in a
 // sibling package through the loader. Config.CheckInvariants in
 // internal/core is their runtime complement for what lint cannot prove.
@@ -99,7 +99,7 @@ func (d Diagnostic) String() string {
 
 // All returns the ipregel-vet analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MsgWord, CtxEscape, BypassHalt, NakedAtomic, CombPure}
+	return []*Analyzer{CtxEscape, BypassHalt, NakedAtomic, CombPure}
 }
 
 // Run executes the analyzers over one target and returns the surviving

@@ -46,12 +46,11 @@ func moduleRoot() (string, error) {
 	}
 }
 
-func TestMsgWordFixture(t *testing.T)     { testFixture(t, MsgWord, "msgword") }
 func TestCtxEscapeFixture(t *testing.T)   { testFixture(t, CtxEscape, "ctxescape") }
 func TestBypassHaltFixture(t *testing.T)  { testFixture(t, BypassHalt, "bypasshalt") }
 func TestNakedAtomicFixture(t *testing.T) { testFixture(t, NakedAtomic, "nakedatomic") }
 func TestCombPureFixture(t *testing.T)    { testFixture(t, CombPure, "combpure") }
-func TestSuppressFixture(t *testing.T)    { testFixture(t, MsgWord, "suppress") }
+func TestSuppressFixture(t *testing.T)    { testFixture(t, NakedAtomic, "suppress") }
 
 func testFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()

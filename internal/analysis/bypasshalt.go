@@ -34,7 +34,7 @@ func runBypassHalt(pass *Pass) error {
 		if !ok {
 			return true
 		}
-		_, cfgArg, progArg, ok := engineCall(info, call)
+		cfgArg, progArg, ok := engineCall(info, call)
 		if !ok {
 			return true
 		}

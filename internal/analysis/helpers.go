@@ -35,9 +35,8 @@ func isVertex(t types.Type) bool { return coreNamed(t, "Vertex") }
 func isHandle(t types.Type) bool { return isContextPtr(t) || isVertex(t) }
 
 // coreFuncObj resolves the function called by call to a *types.Func
-// declared in internal/core, returning it together with the identifier
-// naming it (the key into TypesInfo.Instances for generic calls).
-func coreFuncObj(info *types.Info, call *ast.CallExpr) (*types.Func, *ast.Ident) {
+// declared in internal/core.
+func coreFuncObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -49,52 +48,24 @@ func coreFuncObj(info *types.Info, call *ast.CallExpr) (*types.Func, *ast.Ident)
 	case *ast.IndexListExpr:
 		return coreFuncObj(info, &ast.CallExpr{Fun: fun.X})
 	default:
-		return nil, nil
+		return nil
 	}
 	fn, ok := info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != CorePath {
-		return nil, nil
+		return nil
 	}
-	return fn, id
+	return fn
 }
 
 // engineCall recognises the engine constructors core.New(g, cfg, prog)
-// and core.Run(g, cfg, prog), returning the identifier carrying the
-// instantiation (for type arguments) and the cfg and prog argument
+// and core.Run(g, cfg, prog), returning the cfg and prog argument
 // expressions.
-func engineCall(info *types.Info, call *ast.CallExpr) (id *ast.Ident, cfg, prog ast.Expr, ok bool) {
-	fn, id := coreFuncObj(info, call)
+func engineCall(info *types.Info, call *ast.CallExpr) (cfg, prog ast.Expr, ok bool) {
+	fn := coreFuncObj(info, call)
 	if fn == nil || (fn.Name() != "New" && fn.Name() != "Run") || len(call.Args) != 3 {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	return id, call.Args[1], call.Args[2], true
-}
-
-// messageTypeOf extracts the message type argument M of an instantiated
-// core.New/core.Run call (nil when the instantiation is not recorded,
-// e.g. inside generic code).
-func messageTypeOf(info *types.Info, id *ast.Ident) types.Type {
-	inst, ok := info.Instances[id]
-	if !ok || inst.TypeArgs == nil || inst.TypeArgs.Len() != 2 {
-		return nil
-	}
-	return inst.TypeArgs.At(1)
-}
-
-// wordSized reports whether t is one of the exact message types the
-// atomic combiner's runtime type switch accepts (mirroring atomicWidth in
-// internal/core: named types with a word-sized underlying do NOT qualify,
-// the switch matches exact types).
-func wordSized(t types.Type) bool {
-	b, ok := types.Unalias(t).(*types.Basic)
-	if !ok {
-		return false
-	}
-	switch b.Kind() {
-	case types.Int32, types.Uint32, types.Float32, types.Int64, types.Uint64, types.Float64:
-		return true
-	}
-	return false
+	return call.Args[1], call.Args[2], true
 }
 
 // resolveComposite chases expr to a composite literal: either expr is one
@@ -173,25 +144,6 @@ func constBoolTrue(info *types.Info, expr ast.Expr) bool {
 	}
 	tv, ok := info.Types[expr]
 	return ok && tv.Value != nil && tv.Value.Kind() == constant.Bool && constant.BoolVal(tv.Value)
-}
-
-// isCoreConst reports whether expr resolves to the named constant from
-// internal/core (e.g. CombinerAtomic).
-func isCoreConst(info *types.Info, expr ast.Expr, name string) bool {
-	if expr == nil {
-		return false
-	}
-	var id *ast.Ident
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
-		return false
-	}
-	c, ok := info.Uses[id].(*types.Const)
-	return ok && c.Name() == name && c.Pkg() != nil && c.Pkg().Path() == CorePath
 }
 
 // enclosingFuncBody returns the body of the innermost function

@@ -9,20 +9,18 @@ import (
 // atomicDirective marks a slice-typed struct field whose elements are
 // concurrently accessed and must therefore only be touched through
 // sync/atomic (by taking an element's address and handing it to an
-// atomic operation). internal/core marks the lock-free mailbox's
-// delivery-side buffers and the pull-enrolment flags this way; scalar
-// fields shared across goroutines are sync/atomic types instead, whose
-// plain access the compiler rejects.
+// atomic operation). internal/core marks the pull-enrolment flags this
+// way; scalar fields shared across goroutines are sync/atomic types
+// instead, whose plain access the compiler rejects.
 const atomicDirective = "ipregel:atomic"
 
-// NakedAtomic enforces the mailbox protocol's memory discipline: the
-// fields carrying the empty/busy/full state machine (and the pull
-// enrolment flags) are CASed by concurrent workers, so a plain element
-// load or store is a data race the happens-before reasoning in
-// mailbox_atomic.go does not cover — one -race may or may not catch,
-// depending on scheduling. A field becomes atomic by declaration, never
-// by inference: a sync/atomic call on an undeclared field is itself a
-// finding, because nothing would check that field's other accesses.
+// NakedAtomic enforces the memory discipline of CASed flag arrays: the
+// pull enrolment flags are test-and-CASed by concurrent broadcasters, so
+// a plain element load or store is a data race — one -race may or may
+// not catch, depending on scheduling. A field becomes atomic by
+// declaration, never by inference: a sync/atomic call on an undeclared
+// field is itself a finding, because nothing would check that field's
+// other accesses.
 var NakedAtomic = &Analyzer{
 	Name: "nakedatomic",
 	Doc: `flag plain element access of //ipregel:atomic fields, and sync/atomic calls on undeclared ones

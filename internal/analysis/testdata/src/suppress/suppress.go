@@ -1,24 +1,26 @@
 // Fixture for the //ipregel:ignore suppression mechanism, exercised
-// through the msgword analyzer.
+// through the nakedatomic analyzer.
 package suppress
 
-import (
-	"ipregel/internal/core"
-	"ipregel/internal/graph"
-)
+import "sync/atomic"
 
-type pair struct{ a, b float64 }
-
-func suppressedSameLine(g *graph.Graph) {
-	_, _ = core.New(g, core.Config{Combiner: core.CombinerAtomic}, core.Program[int, pair]{}) //ipregel:ignore msgword exercising the runtime construction error in a test
+type flags struct {
+	//ipregel:atomic
+	set []uint32
 }
 
-func suppressedLineAbove(g *graph.Graph) {
-	//ipregel:ignore msgword exercising the runtime construction error in a test
-	_, _ = core.New(g, core.Config{Combiner: core.CombinerAtomic}, core.Program[int, pair]{})
+func (f *flags) claim(i int) bool { return atomic.CompareAndSwapUint32(&f.set[i], 0, 1) }
+
+func (f *flags) suppressedSameLine(i int) uint32 {
+	return f.set[i] //ipregel:ignore nakedatomic read after every worker joined the barrier
 }
 
-func wrongAnalyzerName(g *graph.Graph) {
+func (f *flags) suppressedLineAbove(i int) uint32 {
+	//ipregel:ignore nakedatomic read after every worker joined the barrier
+	return f.set[i]
+}
+
+func (f *flags) wrongAnalyzerName(i int) uint32 {
 	//ipregel:ignore ctxescape reason naming the wrong analyzer does not suppress
-	_, _ = core.New(g, core.Config{Combiner: core.CombinerAtomic}, core.Program[int, pair]{}) // want `CombinerAtomic requires a word-sized message type`
+	return f.set[i] // want `element of set accessed without sync/atomic`
 }

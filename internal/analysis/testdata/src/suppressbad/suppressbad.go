@@ -4,14 +4,12 @@
 // convention cannot annotate the directive's own line.)
 package suppressbad
 
-import (
-	"ipregel/internal/core"
-	"ipregel/internal/graph"
-)
+type flags struct {
+	//ipregel:atomic
+	set []uint32
+}
 
-type pair struct{ a, b float64 }
-
-func missingReason(g *graph.Graph) {
-	//ipregel:ignore msgword
-	_, _ = core.New(g, core.Config{Combiner: core.CombinerAtomic}, core.Program[int, pair]{})
+func (f *flags) missingReason(i int) uint32 {
+	//ipregel:ignore nakedatomic
+	return f.set[i]
 }

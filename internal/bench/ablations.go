@@ -10,14 +10,14 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "ablation-inbox",
-		Title: "ablation (§6): the four inbox combiners on a power-law graph",
+		Title: "ablation (§6): the three combination module versions on a power-law graph",
 		Run:   runAblationInbox,
 	})
 }
 
 // runAblationInbox runs every combination module version (mutex,
-// spinlock, atomic/CAS, and broadcast — Direction pull over the plain
-// inbox) on the power-law wiki stand-in, where hub in-degrees make
+// spinlock, and broadcast — Direction pull over the plain inbox) on the
+// power-law wiki stand-in, where hub in-degrees make
 // mailbox contention maximal. PageRank is the workload because it is
 // broadcast-only, which every version — including pull — admits.
 func runAblationInbox(o *Options, w io.Writer) error {
@@ -28,7 +28,7 @@ func runAblationInbox(o *Options, w io.Writer) error {
 	app := apps(o)[0] // PageRank
 	var rows [][]string
 	fmt.Fprintf(w, "PageRank on wiki (power-law), %-9s per combiner:\n", "runtime")
-	for _, cfg := range []core.Config{{Combiner: core.CombinerMutex}, {Combiner: core.CombinerSpin}, {Combiner: core.CombinerAtomic}, {Direction: core.DirectionPull}} {
+	for _, cfg := range []core.Config{{Combiner: core.CombinerMutex}, {Combiner: core.CombinerSpin}, {Direction: core.DirectionPull}} {
 		m, err := measureIP(o, app, g, cfg)
 		if err != nil {
 			return err

@@ -194,8 +194,8 @@ func TestMemBackend(t *testing.T) {
 	}
 }
 
-// TestAblationInbox smoke-runs the four combiners and checks the CSV
-// lands with one row per combiner.
+// TestAblationInbox smoke-runs the three combination module versions and
+// checks the CSV lands with one row per version.
 func TestAblationInbox(t *testing.T) {
 	o := quickOpts()
 	o.CSVDir = t.TempDir()
@@ -204,7 +204,7 @@ func TestAblationInbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, s := range []string{"mutex", "spinlock", "atomic", "broadcast"} {
+	for _, s := range []string{"mutex", "spinlock", "broadcast"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("output missing %q:\n%s", s, out)
 		}
@@ -214,8 +214,8 @@ func TestAblationInbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 1+4 { // header + 4 combiners
-		t.Fatalf("csv has %d lines, want %d:\n%s", len(lines), 1+4, data)
+	if len(lines) != 1+3 { // header + 3 versions
+		t.Fatalf("csv has %d lines, want %d:\n%s", len(lines), 1+3, data)
 	}
 	if lines[0] != "combiner,mean_ns,margin_ns" {
 		t.Fatalf("csv header = %q", lines[0])

@@ -211,7 +211,7 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	mbuf := make([]byte, mc.Size())
 	if err := section(uint64(e.g.N())+uint64(occupied)*uint64(mc.Size()), func(cw *crcWriter) error {
 		for slot := 0; slot < e.g.N(); slot++ {
-			m, ok := e.mb.peek(slot)
+			m, ok := e.buf.peek(slot)
 			if !ok {
 				if _, err := cw.Write([]byte{0}); err != nil {
 					return err
@@ -501,7 +501,7 @@ func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Code
 			if err := sec.Read(mbuf); err != nil {
 				return fmt.Errorf("core: checkpoint mailboxes: %w", err)
 			}
-			e.mb.restoreCurrent(slot, mc.Decode(mbuf))
+			e.buf.restoreCurrent(slot, mc.Decode(mbuf))
 		default:
 			return fmt.Errorf("core: checkpoint mailbox flag %d at slot %d (corrupt)", flag, slot)
 		}

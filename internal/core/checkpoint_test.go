@@ -38,7 +38,7 @@ func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) 
 	bw.Write(e.active)
 	mbuf := make([]byte, mc.Size())
 	for slot := 0; slot < e.g.N(); slot++ {
-		m, ok := e.mb.peek(slot)
+		m, ok := e.buf.peek(slot)
 		if !ok {
 			bw.WriteByte(0)
 			continue

@@ -23,7 +23,7 @@ import (
 )
 
 // Combiner selects what makes a concurrent push delivery safe (paper
-// §6.1, and the CAS version of the follow-up work). It matters only where
+// §6.1). It matters only where
 // several workers can deliver into one inbox at once: a one-thread engine
 // and a pull-only engine (Direction pull, the paper's §6.2 broadcast
 // version) build the plain inbox whatever it says.
@@ -36,20 +36,11 @@ const (
 	// CombinerSpin is the push-based combiner with busy-waiting
 	// synchronisation (§6.1): one 4-byte spinlock per vertex mailbox.
 	CombinerSpin
-	// CombinerAtomic is the lock-free push combiner the follow-up iPregel
-	// work moves to: delivery combines into the mailbox word with a
-	// compare-and-swap retry loop instead of taking a per-vertex lock.
-	// It requires the message type to fit a machine word
-	// (int32/uint32/float32/int64/uint64/float64); engine construction
-	// fails with a clear error otherwise, at every thread count and
-	// direction.
-	CombinerAtomic
 )
 
 var combinerNames = map[Combiner]string{
-	CombinerMutex:  "mutex",
-	CombinerSpin:   "spinlock",
-	CombinerAtomic: "atomic",
+	CombinerMutex: "mutex",
+	CombinerSpin:  "spinlock",
 }
 
 func (c Combiner) String() string {
@@ -59,19 +50,17 @@ func (c Combiner) String() string {
 	return fmt.Sprintf("Combiner(%d)", int(c))
 }
 
-// ParseCombiner converts "mutex", "spinlock"/"spin", or "atomic"/"cas" to
-// a Combiner. The paper's broadcast version is a transport, not an inbox:
-// it is Direction pull.
+// ParseCombiner converts "mutex" or "spinlock"/"spin" to a Combiner. The
+// paper's broadcast version is a transport, not an inbox: it is Direction
+// pull.
 func ParseCombiner(s string) (Combiner, error) {
 	switch strings.ToLower(s) {
 	case "mutex":
 		return CombinerMutex, nil
 	case "spinlock", "spin":
 		return CombinerSpin, nil
-	case "atomic", "cas":
-		return CombinerAtomic, nil
 	}
-	return 0, fmt.Errorf("core: unknown combiner %q (mutex | spinlock | atomic; the broadcast version is direction pull)", s)
+	return 0, fmt.Errorf("core: unknown combiner %q (mutex | spinlock; the broadcast version is direction pull)", s)
 }
 
 // Direction selects the transport of a superstep's sends: push delivers
@@ -152,8 +141,8 @@ type Config struct {
 	// no limit.
 	MaxSupersteps int
 	// CheckInvariants enables the engine's full runtime audit: at every
-	// superstep barrier the engine verifies the mailbox state machine (no
-	// slot stuck mid-publication), under selection bypass the enrolment
+	// superstep barrier the engine verifies the inbox occupancy (one set
+	// bit per counted fill), under selection bypass the enrolment
 	// rule (the next frontier is duplicate-free and equals the set of
 	// occupied next-inbox slots; no pull dedup flag outlives its collect),
 	// and message conservation in both directions (every

@@ -115,7 +115,7 @@ func (c *Context[V, M]) NextMessage(v Vertex[V, M], m *M) bool {
 		return false
 	}
 	c.drained = true
-	return v.e.take(int(v.slot), m)
+	return v.e.buf.take(int(v.slot), m)
 }
 
 // Send delivers msg to the vertex with external identifier dst

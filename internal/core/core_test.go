@@ -292,21 +292,27 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 
 func TestMailboxFootprintOrdering(t *testing.T) {
 	combine := func(old *uint32, new uint32) { *old += new }
-	mutex := newMutexMailbox[uint32](1000, combine, Config{})
-	spin := newSpinMailbox[uint32](1000, combine, Config{})
-	pull := &plainMailbox[uint32]{newPushBuffers[uint32](1000, combine, Config{})}
-	if !(spin.footprintBytes() < mutex.footprintBytes()) {
-		t.Fatalf("spinlock mailbox (%d B) should be lighter than mutex (%d B)", spin.footprintBytes(), mutex.footprintBytes())
+	lockBytes := func(cfg Config) uint64 {
+		mb, _, err := newMailbox[uint32](cfg, 1000, combine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mb.lockBytes()
+	}
+	mutex := lockBytes(Config{Combiner: CombinerMutex, Threads: 2})
+	spin := lockBytes(Config{Combiner: CombinerSpin, Threads: 2})
+	if !(spin < mutex) {
+		t.Fatalf("spinlock mailbox (%d B of locks) should be lighter than mutex (%d B)", spin, mutex)
 	}
 	// Pull has no locks at all: its inbox is the bare buffers (the
 	// outboxes it pays for instead belong to the engine's pull transport).
-	if pull.footprintBytes() != pull.buffersBytes() {
-		t.Fatalf("pull footprint accounting off: %d", pull.footprintBytes())
+	if pull := lockBytes(Config{Direction: DirectionPull, Threads: 2}); pull != 0 {
+		t.Fatalf("pull inbox carries %d B of locks", pull)
 	}
 }
 
 func TestConfigStringsAndParsing(t *testing.T) {
-	for _, c := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, c := range []Combiner{CombinerMutex, CombinerSpin} {
 		got, err := ParseCombiner(c.String())
 		if err != nil || got != c {
 			t.Fatalf("combiner roundtrip %v: %v %v", c, got, err)
@@ -394,7 +400,7 @@ func TestFootprintPerVersion(t *testing.T) {
 	if want := uint64(512*4 + 512 + 2*512*4 + 2*8*8); plain != want {
 		t.Fatalf("plain inbox engine: %d B, want %d B", plain, want)
 	}
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
 		if got := footprint(Config{Combiner: comb, Threads: 1}); got != plain {
 			t.Fatalf("%s at one thread: %d B, want the lock-free %d B", comb, got, plain)
 		}

@@ -112,7 +112,7 @@ func assertTail(t *testing.T, rep, ref core.Report) {
 
 // matrixConfigs enumerates the mailbox × selection grid for an algorithm.
 func matrixConfigs(bypassable bool) []core.Config {
-	combiners := []core.Combiner{core.CombinerSpin, core.CombinerAtomic}
+	combiners := []core.Combiner{core.CombinerSpin, core.CombinerMutex}
 	var out []core.Config
 	for _, cb := range combiners {
 		out = append(out, core.Config{Combiner: cb, Threads: 2, CheckInvariants: true})
@@ -124,8 +124,8 @@ func matrixConfigs(bypassable bool) []core.Config {
 }
 
 // TestCrashMatrixUint32 kills SSSP and Hashmin/WCC at every superstep k
-// and requires exact recovery across locked and atomic mailboxes, with
-// and without selection bypass.
+// and requires exact recovery across the spinlock and mutex inboxes,
+// with and without selection bypass.
 func TestCrashMatrixUint32(t *testing.T) {
 	g := crashGrid(t)
 	progs := []struct {
@@ -279,7 +279,7 @@ func TestCrashMatrixDenseFrontier(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{Threads: 1, SelectionBypass: true, CheckInvariants: true},
 		{Combiner: core.CombinerSpin, Threads: 2, SelectionBypass: true, CheckInvariants: true},
-		{Combiner: core.CombinerAtomic, Threads: 4, SelectionBypass: true, CheckInvariants: true},
+		{Combiner: core.CombinerMutex, Threads: 4, SelectionBypass: true, CheckInvariants: true},
 	} {
 		t.Run(fmt.Sprintf("%s/%d", cfg.VersionName(), cfg.Threads), func(t *testing.T) {
 			t.Parallel()
@@ -330,7 +330,7 @@ func TestCrashMatrixCompressed(t *testing.T) {
 	}
 	prog := algorithms.SSSPProgram(1)
 	configs := []core.Config{
-		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true, SelectionBypass: true},
+		{Combiner: core.CombinerMutex, Threads: 4, CheckInvariants: true, SelectionBypass: true},
 		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true},
 		{Direction: core.DirectionPull, Threads: 2, CheckInvariants: true},
 	}
@@ -382,9 +382,9 @@ func TestCrashMatrixAdaptiveDirection(t *testing.T) {
 	configs := []core.Config{
 		{Combiner: core.CombinerSpin, Threads: 2, CheckInvariants: true,
 			Direction: core.DirectionAdaptive},
-		{Combiner: core.CombinerAtomic, Threads: 2, CheckInvariants: true,
+		{Combiner: core.CombinerMutex, Threads: 2, CheckInvariants: true,
 			Direction: core.DirectionAdaptive, SelectionBypass: true},
-		{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true,
+		{Combiner: core.CombinerMutex, Threads: 4, CheckInvariants: true,
 			Direction: core.DirectionAdaptive},
 	}
 	for _, cfg := range configs {

@@ -47,7 +47,6 @@ var benchInboxes = []struct {
 	{"plain-inline", Config{Combiner: CombinerSpin, Threads: 1}, true},
 	{"spin", Config{Combiner: CombinerSpin, Threads: 2}, false},
 	{"mutex", Config{Combiner: CombinerMutex, Threads: 2}, false},
-	{"atomic", Config{Combiner: CombinerAtomic, Threads: 2}, false},
 }
 
 // BenchmarkDeliver is the mailbox-deliver microbenchmark of ROADMAP's
@@ -56,7 +55,7 @@ var benchInboxes = []struct {
 // per-list scatter (scatter: what a broadcast pays), and that scatter
 // under selection bypass (bypass: its fills also enrol into a worker
 // buffer — the whole cost of a bypass broadcast's frontier enrolment).
-// One goroutine, so the lock-based and atomic cells read the uncontended
+// One goroutine, so the lock-based cells read the uncontended
 // cost of their protection; plain is what any combiner gets at
 // Threads == 1. The messages are a float64 sum, except plain-inline's
 // bypass cells: the plain inbox folds Sum only without bypass (PageRank)
@@ -92,7 +91,7 @@ func BenchmarkDeliver(b *testing.B) {
 // benchDeliver is one BenchmarkDeliver cell: every list delivered along
 // path into an inbox built for cfg and combine, message 1.
 func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineFunc[M], lists [][]graph.VertexID, path string) {
-	mb, err := newMailbox[M](cfg, benchSlots, combine)
+	mb, buf, err := newMailbox[M](cfg, benchSlots, combine)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,11 +109,11 @@ func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineF
 			}
 		}
 		if cfg.SelectionBypass {
-			mb.swap(ran, dense)
+			buf.swap(ran, dense)
 			ran, enrolled = enrolled, ran[:0]
 			dense = len(ran) == listCap(benchSlots)
 		} else {
-			mb.swap(nil, true)
+			buf.swap(nil, true)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/msg")
@@ -166,7 +165,7 @@ func BenchmarkCollect(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					e.collectScan(ctx, 0, len(lists), false)
-					e.mb.swap(nil, true)
+					e.buf.swap(nil, true)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/edge")
 			})

@@ -20,7 +20,7 @@ import (
 func TestPullBitExactAcrossThreads(t *testing.T) {
 	g := gen.Wikipedia(gen.PresetParams{Divisor: 4096, Seed: 3, BuildInEdges: true})
 	var want []float64
-	for _, comb := range []core.Combiner{core.CombinerSpin, core.CombinerMutex, core.CombinerAtomic} {
+	for _, comb := range []core.Combiner{core.CombinerSpin, core.CombinerMutex} {
 		for _, dir := range []core.Direction{core.DirectionPull, core.DirectionAdaptive} {
 			for _, threads := range []int{1, 2, 4} {
 				cfg := core.Config{Combiner: comb, Direction: dir, Threads: threads, CheckInvariants: true}

@@ -124,11 +124,10 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // by the gathered next frontier — and each slot's collector clears its
 // pullEnrol flag; otherwise it covers the full scan spans.
 //
-// On the plain and lock-based inboxes the collector also sets the slots'
-// occupancy bits (markNext): a word holds 64 slots and spans are not cut
-// on word boundaries, so a word two workers can write — any word of a
-// frontier list at two threads or more, a scan span's partial end words —
-// is set atomically.
+// The collector also sets the slots' occupancy bits (markNext): a word
+// holds 64 slots and spans are not cut on word boundaries, so a word two
+// workers can write — any word of a frontier list at two threads or more,
+// a scan span's partial end words — is set atomically.
 func (e *Engine[V, M]) collectPull() {
 	bypass, shared, b := e.cfg.SelectionBypass, e.threads > 1, e.buf
 	spans := e.scanSpans
@@ -142,7 +141,7 @@ func (e *Engine[V, M]) collectPull() {
 			return
 		}
 		for _, slot := range e.frontierNext[sp.lo:sp.hi] {
-			if e.collectSlot(ctx, int(slot)) && b != nil {
+			if e.collectSlot(ctx, int(slot)) {
 				b.markNext(int(slot>>6), 1<<(slot&63), shared)
 			}
 			atomic.StoreUint32(&e.pullEnrol[slot], 0)
@@ -162,7 +161,7 @@ func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared bool) 
 				word |= 1 << (slot & 63)
 			}
 		}
-		if word != 0 && e.buf != nil {
+		if word != 0 {
 			e.buf.markNext(lo>>6, word, shared && (lo&63 != 0 || end&63 != 0))
 		}
 		lo = end
@@ -174,11 +173,9 @@ func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared bool) 
 // accumulator — the first copied, each later one combined — and writes
 // slot's inbox once, reporting whether it did. The next inbox is empty
 // when a pull superstep starts and the collector is the slot's only
-// depositor, so on the plain and lock-based versions that is a plain
-// store of the message (collectPull sets the occupancy bit); the atomic
-// version, whose buffer holds packed words, takes one deliver. With Sum
-// the fold adds in a register over sumOut; both folds add in
-// in-neighbour order, so they agree to the bit.
+// depositor, so that is a plain store of the message (collectPull sets
+// the occupancy bit). With Sum the fold adds in a register over sumOut;
+// both folds add in in-neighbour order, so they agree to the bit.
 func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) bool {
 	flag, out, combine := e.pullFlag, e.pullOut, e.prog.Combine
 	nbs := e.g.InNeighborsWith(&ctx.nbuf, slot)
@@ -209,12 +206,7 @@ func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) bool {
 			}
 		}
 	}
-	if b := e.buf; b != nil {
-		b.next[slot] = ctx.acc
-		b.count(k-1, 1)
-		return true
-	}
-	e.cas.deliver(slot, ctx.acc)
-	e.cas.count(k-1, 0)
+	e.buf.next[slot] = ctx.acc
+	e.buf.count(k-1, 1)
 	return true
 }

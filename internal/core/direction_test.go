@@ -43,7 +43,7 @@ func TestVersionNameDirection(t *testing.T) {
 	}
 	// A pull-only engine is the paper's broadcast version whatever its
 	// Combiner: it builds the plain inbox.
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
 		if name := (Config{Combiner: comb, Direction: DirectionPull}).VersionName(); name != "broadcast" {
 			t.Fatalf("%s pull-only VersionName = %q, want broadcast", comb, name)
 		}
@@ -84,7 +84,7 @@ func TestPullOnlyBuildsPlainInbox(t *testing.T) {
 		return e, plain
 	}
 	one, _ := build(Config{Direction: DirectionPull, Threads: 1})
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
 		for _, threads := range []int{1, 2, 4} {
 			cfg := Config{Combiner: comb, Direction: DirectionPull, Threads: threads}
 			if e, plain := build(cfg); !plain || e.FootprintBytes() != one.FootprintBytes() {
@@ -134,7 +134,7 @@ func TestDirectionParity(t *testing.T) {
 	}
 	cells := []cell{
 		directions(Config{Combiner: CombinerSpin, Threads: 3}),
-		directions(Config{Combiner: CombinerAtomic, Threads: 4}),
+		directions(Config{Combiner: CombinerMutex, Threads: 4}),
 		directions(Config{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true}),
 		directions(Config{Combiner: CombinerMutex, Threads: 2, SelectionBypass: true}),
 	}
@@ -205,7 +205,6 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 	for _, cfg := range []Config{
 		{Combiner: CombinerSpin, Direction: DirectionPull, Threads: 4},
 		{Combiner: CombinerMutex, Direction: DirectionPull, Threads: 3},
-		{Combiner: CombinerAtomic, Direction: DirectionPull, Threads: 4},
 		{Direction: DirectionPull, Threads: 2},
 		{Combiner: CombinerSpin, Threads: 4}, // push: tolerance-exact only
 	} {
@@ -275,7 +274,7 @@ func TestPullCollectFoldOrder(t *testing.T) {
 		}
 	}
 	for _, g := range []*graph.Graph{flat, compressed} {
-		for _, comb := range []Combiner{CombinerSpin, CombinerMutex, CombinerAtomic} {
+		for _, comb := range []Combiner{CombinerSpin, CombinerMutex} {
 			for _, dir := range []Direction{DirectionPull, DirectionAdaptive} {
 				for _, threads := range []int{1, 2, 4} {
 					for _, bypass := range []bool{false, true} {

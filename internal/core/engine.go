@@ -37,17 +37,15 @@ type Engine[V, M any] struct {
 
 	// Per-vertex state: one set of flat, slot-indexed arrays — the Go
 	// equivalent of the paper's plain-struct vertices (§3.2) — and the one
-	// mailbox of the configured combiner version (§6.3). active is nil
-	// under selection bypass, where no barrier leaves a vertex active.
+	// inbox (§6.3): buf, the buffers every version keeps, read, swapped
+	// and checkpointed without a dynamic call (so the program's message
+	// variable stays on its stack), and mb, the configured version's
+	// delivery loop over them. active is nil under selection bypass,
+	// where no barrier leaves a vertex active.
 	values []V
 	active []uint8
+	buf    *pushBuffers[M]
 	mb     mailbox[M]
-	// The mailbox's concrete read side, resolved once so that reading
-	// mail costs no dynamic call (and the program's message variable
-	// stays on its stack): buf on the plain and lock-based versions, cas
-	// on the atomic one.
-	buf *pushBuffers[M]
-	cas *atomicMailbox[M]
 
 	// Selection bypass (§4; nil otherwise): the slots running this
 	// superstep and those enrolled for the next — on a push superstep,
@@ -104,10 +102,6 @@ type Engine[V, M any] struct {
 	// Restored one. It keeps superstep numbering (observer events, the
 	// Report's Steps indices) globally consistent across resumes.
 	firstSuperstep int
-	// casRetriesSeen is the cumulative mailbox contention-retry count
-	// already attributed to earlier supersteps (StepStats.CASRetries is
-	// the per-superstep delta).
-	casRetriesSeen uint64
 	report         Report
 
 	ran      bool
@@ -162,11 +156,8 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	}
 	n := g.N()
 	var err error
-	if e.mb, err = newMailbox[M](cfg, n, prog.Combine); err != nil {
+	if e.mb, e.buf, err = newMailbox[M](cfg, n, prog.Combine); err != nil {
 		return nil, err
-	}
-	if e.buf = e.mb.buffers(); e.buf == nil {
-		e.cas = e.mb.(*atomicMailbox[M])
 	}
 	e.values = make([]V, n)
 	if !cfg.SelectionBypass {
@@ -271,7 +262,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 			// Only the vertices that ran can have left mail set: a listed
 			// frontier under selection bypass, anyone on a full scan or
 			// from a dense frontier.
-			e.mb.swap(e.frontier, e.superstep == 0 || !e.cfg.SelectionBypass || e.dense)
+			e.buf.swap(e.frontier, e.superstep == 0 || !e.cfg.SelectionBypass || e.dense)
 			if len(e.agg.decl) > 0 {
 				e.agg.barrier()
 			}
@@ -337,10 +328,6 @@ func (e *Engine[V, M]) gatherStepStats(stepStart time.Time, ran int64, partial b
 	}
 	if n := len(e.report.Steps); n > 0 {
 		step.DirectionSwitched = e.report.Steps[n-1].Direction != e.curDir
-	}
-	if retries := e.mb.contentionRetries(); retries > e.casRetriesSeen {
-		step.CASRetries = retries - e.casRetriesSeen
-		e.casRetriesSeen = retries
 	}
 	if e.busy != nil {
 		step.WorkerBusy = append([]time.Duration(nil), e.busy...)
@@ -458,7 +445,7 @@ func (e *Engine[V, M]) Config() Config { return e.cfg }
 func (e *Engine[V, M]) FootprintBytes() uint64 {
 	var v V
 	var m M
-	b := e.mb.footprintBytes()
+	b := e.buf.buffersBytes() + e.mb.lockBytes()
 	b += uint64(len(e.values))*uint64(unsafe.Sizeof(v)) + uint64(len(e.active))
 	b += uint64(cap(e.frontier)+cap(e.frontierNext)) * 4
 	for _, w := range e.workers {

@@ -24,12 +24,12 @@ var frontierOrders = []struct {
 }{{"list", 0}, {"slot", 1 << 30}, {"derived", -1}}
 
 // orderConfigs are the inbox versions the parity test crosses with the
-// orders: the plain inbox (one thread) and the three concurrent ones at
+// orders: the plain inbox (one thread) and the two lock-based ones at
 // two and four threads, all with the barrier audits on.
 func orderConfigs() []core.Config {
 	cfgs := []core.Config{{Threads: 1, SelectionBypass: true, CheckInvariants: true}}
 	for _, threads := range []int{2, 4} {
-		for _, comb := range []core.Combiner{core.CombinerSpin, core.CombinerMutex, core.CombinerAtomic} {
+		for _, comb := range []core.Combiner{core.CombinerSpin, core.CombinerMutex} {
 			cfgs = append(cfgs, core.Config{Combiner: comb, Threads: threads, SelectionBypass: true, CheckInvariants: true})
 		}
 	}
@@ -196,7 +196,7 @@ func TestFrontierOrderCheckpointResume(t *testing.T) {
 	for _, backend := range []*graph.Graph{g, cg} {
 		for _, cfg := range []core.Config{
 			{Threads: 1, SelectionBypass: true, CheckInvariants: true},
-			{Combiner: core.CombinerAtomic, Threads: 4, SelectionBypass: true, CheckInvariants: true},
+			{Combiner: core.CombinerMutex, Threads: 4, SelectionBypass: true, CheckInvariants: true},
 		} {
 			saved := map[int]*bytes.Buffer{}
 			e, err := core.New(backend, cfg, prog)

@@ -107,8 +107,8 @@ func TestInlineCombinerRecognition(t *testing.T) {
 
 // TestInlineCombinerParity: every path the fold serves — PageRank push at
 // one thread, PageRank pull at one, two and four threads on the plain
-// inbox and (adaptive) the atomic one, Hashmin, SSSP and BFS under bypass — computes
-// bit-identical values and the same fingerprint whether the engine folds
+// inbox and (adaptive) the spinlock one, Hashmin, SSSP and BFS under
+// bypass — computes bit-identical values and the same fingerprint whether the engine folds
 // core.Min or core.Sum in the loop or calls a literal with its body, on
 // the flat and compressed backends, with the barrier audits on.
 func TestInlineCombinerParity(t *testing.T) {
@@ -128,9 +128,9 @@ func TestInlineCombinerParity(t *testing.T) {
 			g := backend.g
 			checkFold(t, g, core.Config{Threads: 1, CheckInvariants: true}, algorithms.PageRankProgram(10), "scatter", sumLit)
 			for _, threads := range []int{1, 2, 4} {
-				// Adaptive pulls every PageRank superstep, over the atomic
+				// Adaptive pulls every PageRank superstep, over the spinlock
 				// inbox from two threads.
-				for _, cfg := range []core.Config{{Direction: core.DirectionPull}, {Combiner: core.CombinerAtomic, Direction: core.DirectionAdaptive}} {
+				for _, cfg := range []core.Config{{Direction: core.DirectionPull}, {Combiner: core.CombinerSpin, Direction: core.DirectionAdaptive}} {
 					cfg.Threads, cfg.CheckInvariants = threads, true
 					checkFold(t, g, cfg, algorithms.PageRankProgram(10), "collect", sumLit)
 				}

@@ -34,7 +34,7 @@ func (e *Engine[V, M]) auditInvariants() error {
 		// check below could fire spuriously. Run reports the panic.
 		return nil
 	}
-	if err := e.mb.auditBarrier(); err != nil {
+	if err := e.buf.auditBarrier(); err != nil {
 		return &InvariantError{Superstep: e.superstep, Invariant: "mailbox-state", Detail: err.Error()}
 	}
 	if err := e.auditConservation(); err != nil {
@@ -55,12 +55,12 @@ func (e *Engine[V, M]) auditInvariants() error {
 // broadcast-at-most-once-per-superstep contract the outbox-overwrite
 // semantics require.
 func (e *Engine[V, M]) auditConservation() error {
-	defer e.mb.resetDeliveryCounts()
+	defer e.buf.resetDeliveryCounts()
 	var sent uint64
 	for _, w := range e.workers {
 		sent += w.msgs
 	}
-	combines, fills := e.mb.deliveryCounts()
+	combines, fills := e.buf.deliveryCounts()
 	if sent != combines+fills {
 		return &InvariantError{
 			Superstep: e.superstep,
@@ -106,22 +106,14 @@ func (e *Engine[V, M]) auditFrontierDedup() error {
 			return fail("vertex %d enrolled twice in the next frontier", e.g.ExternalID(int(slot)))
 		}
 		seen[slot] = 1
-		if !e.nextOccupied(int(slot)) {
+		if !hasBit(e.buf.hasNext, int(slot)) {
 			return fail("vertex %d is in the next frontier but its next inbox is empty", e.g.ExternalID(int(slot)))
 		}
 	}
 	for slot := range seen {
-		if seen[slot] == 0 && e.nextOccupied(slot) {
+		if seen[slot] == 0 && hasBit(e.buf.hasNext, slot) {
 			return fail("vertex %d has a message for the next superstep but is missing from the next frontier", e.g.ExternalID(slot))
 		}
 	}
 	return nil
-}
-
-// nextOccupied reports whether slot's next inbox holds a message.
-func (e *Engine[V, M]) nextOccupied(slot int) bool {
-	if e.buf != nil {
-		return hasBit(e.buf.hasNext, slot)
-	}
-	return atomic.LoadUint32(&e.cas.stateNext[slot]) == slotFull
 }

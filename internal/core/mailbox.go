@@ -41,26 +41,23 @@ func sameFunc[M, T any](combine CombineFunc[M], f func(*T, T)) bool {
 // mailbox is the combination module (paper §6): a vertex INBOX holding
 // at most one combined message. How messages reach it — pushed at send
 // time, or pulled from the senders' outboxes by the collect phase — is
-// the engine's transport decision (direction.go), not the inbox's; the
-// versions differ only in what makes a concurrent deliver safe, which is
-// also what the paper's memory analysis compares: one lock per vertex
-// (mutex 8 B, spinlock 4 B in Go), a CAS on the message word (atomic),
-// or nothing at all (plain: every slot has one depositor per phase).
+// the engine's transport decision (direction.go), not the inbox's. Every
+// version keeps the same state, pushBuffers, which the engine reads,
+// checkpoints, audits and swaps directly; the versions differ only in
+// what makes a concurrent push deposit safe, which is also what the
+// paper's memory analysis compares: one lock per vertex (mutex 8 B,
+// spinlock 4 B in Go), or nothing at all (plain: every slot has one
+// depositor per phase).
 //
 // The version is chosen once (newMailbox) and the hot path pays for the
 // choice once per broadcast, not per message: scatter is each version's
-// own per-neighbour loop, and mail is read through the engine's concrete
-// pointers (Engine.buf/cas).
-//
-// All mailboxes are double-buffered: compute at superstep s reads the
-// "now" buffer (messages sent during s-1) while new messages land in the
-// "next" buffer, swapped at the barrier.
+// own per-neighbour loop.
 type mailbox[M any] interface {
 	// scatter puts msg into the next-superstep inbox of slot nb for every
 	// nb, combining where a message is already present: one
 	// broadcast's fan-out under a single dispatch (Context.scatter). Safe
-	// for concurrent senders on the mutex, spinlock and atomic versions;
-	// on the plain version only while each slot has a single depositor.
+	// for concurrent senders on the mutex and spinlock versions; on the
+	// plain version only while each slot has a single depositor.
 	// Under selection bypass it returns enrolled plus each slot it filled:
 	// a push superstep starts on an empty next inbox, so that first fill
 	// (one depositor sees it) is the slot's one enrolment (§4). The list
@@ -68,60 +65,9 @@ type mailbox[M any] interface {
 	// the frontier (gatherFrontier). Without bypass nothing is enrolled;
 	// the caller passes nil and gets nil.
 	scatter(nbs []graph.VertexID, msg M, enrolled []int32) []int32
-	// buffers returns the occupancy-and-message arrays of the plain and
-	// lock-based versions, nil on the atomic one: the engine reads mail
-	// and makes owner-only deposits through them without a dynamic call.
-	buffers() *pushBuffers[M]
-	// peek reads slot's current message without consuming it (used by
-	// checkpointing at barriers).
-	peek(slot int) (M, bool)
-	// restoreCurrent reinstates a current message (checkpoint restore).
-	restoreCurrent(slot int, m M)
-	// swap publishes the next buffer as current and clears the current
-	// occupancy, which reading mail leaves set: that of the slots in ran
-	// (under selection bypass only a listed frontier that just ran can
-	// hold mail, an O(frontier) clear), or of every slot when all is set
-	// (a full-scan superstep or a dense frontier).
-	swap(ran []int32, all bool)
-	// footprintBytes reports the heap bytes of the mailbox arrays, for
-	// the §7.4 accounting.
-	footprintBytes() uint64
-	// deliveryCounts returns how many deliveries combined into an occupied
-	// mailbox and how many filled an empty one since the last reset. The
-	// counters are maintained only under Config.CheckInvariants (both are
-	// 0 otherwise) and feed the engine's message-conservation audit.
-	deliveryCounts() (combines, fills uint64)
-	// resetDeliveryCounts zeroes the counters at the superstep barrier.
-	resetDeliveryCounts()
-	// contentionRetries returns the cumulative count of failed
-	// compare-and-swap attempts in delivery (the atomic combiner's
-	// value-word combine retries and lost empty-slot claims) — the live
-	// contention signal StepStats.CASRetries exposes per superstep.
-	// Always 0 for the lock-based and plain inboxes, whose waiting
-	// happens inside locks (or not at all) rather than CAS retry loops.
-	contentionRetries() uint64
-	// auditBarrier verifies the version's barrier invariants: the next
-	// buffer holds exactly one occupied slot per counted fill (so no flag
-	// outlived the previous swap), and the atomic mailbox's state machine
-	// holds no slot mid-publication. Called single-threaded
-	// between the compute phase and the buffer swap, only under
-	// Config.CheckInvariants.
-	auditBarrier() error
-}
-
-// delivery is what every inbox version keeps beside its buffers: whether
-// scatter enrols the slots it fills (SelectionBypass) and how many it
-// lists (enrolCap), and the delivery counters of the conservation audit,
-// maintained only under CheckInvariants — through sync/atomic, since
-// depositors own only their target slot and race on the counters.
-type delivery struct {
-	enrol, check      bool
-	enrolCap          int
-	nCombines, nFills atomic.Uint64
-}
-
-func newDelivery(cfg Config, slots int) delivery {
-	return delivery{enrol: cfg.SelectionBypass, check: cfg.CheckInvariants, enrolCap: listCap(slots)}
+	// lockBytes reports the heap bytes of the version's per-slot locks,
+	// for the §7.4 accounting; pushBuffers.buffersBytes is the rest.
+	lockBytes() uint64
 }
 
 // listCap is the most entries a push superstep's enrolment list holds,
@@ -141,22 +87,6 @@ func listCap(slots int) int {
 // an engine over |V| = vertices, under selection bypass: listCap, or |V|
 // when that is smaller. memmodel mirrors the engine's allocations with it.
 func FrontierListCap(vertices int) int { return min(listCap(vertices), vertices) }
-
-func (d *delivery) count(combines, fills int) {
-	if d.check {
-		d.nCombines.Add(uint64(combines))
-		d.nFills.Add(uint64(fills))
-	}
-}
-
-func (d *delivery) deliveryCounts() (combines, fills uint64) {
-	return d.nCombines.Load(), d.nFills.Load()
-}
-
-func (d *delivery) resetDeliveryCounts() {
-	d.nCombines.Store(0)
-	d.nFills.Store(0)
-}
 
 // Occupancy is one bit per slot, 64 slots to a word.
 func occupancyWords(slots int) int { return (slots + 63) / 64 }
@@ -183,16 +113,26 @@ func countBits(words []uint64) int {
 	return n
 }
 
-// pushBuffers is the double-buffered inbox state shared by the plain and
-// lock-based versions. Occupancy is a bit per slot (hasBit): the compute
-// phase only reads hasNow, and a word of hasNext is written with atomics
-// only where two workers can deposit into it — the lock-based versions'
-// scatter (deposit) and the boundary words of a collect span.
+// pushBuffers is the double-buffered inbox state of every version:
+// compute at superstep s reads now (messages sent during s-1) while new
+// messages land in next, and the barrier swaps them. Occupancy is a bit
+// per slot (hasBit): the compute phase only reads hasNow, and a word of
+// hasNext is written with atomics only where two workers can deposit
+// into it — the lock-based versions' scatter (deposit) and the boundary
+// words of a collect span.
+//
+// Beside the buffers it keeps whether scatter enrols the slots it fills
+// (SelectionBypass) and how many it lists (enrolCap), and the delivery
+// counters of the conservation audit, maintained only under
+// CheckInvariants — through sync/atomic, since depositors own only their
+// target slot and race on the counters.
 type pushBuffers[M any] struct {
-	combine         CombineFunc[M]
-	now, next       []M
-	hasNow, hasNext []uint64
-	delivery
+	combine           CombineFunc[M]
+	now, next         []M
+	hasNow, hasNext   []uint64
+	enrol, check      bool
+	enrolCap          int
+	nCombines, nFills atomic.Uint64
 }
 
 func newPushBuffers[M any](slots int, combine CombineFunc[M], cfg Config) pushBuffers[M] {
@@ -202,17 +142,37 @@ func newPushBuffers[M any](slots int, combine CombineFunc[M], cfg Config) pushBu
 		next:     make([]M, slots),
 		hasNow:   make([]uint64, occupancyWords(slots)),
 		hasNext:  make([]uint64, occupancyWords(slots)),
-		delivery: newDelivery(cfg, slots),
+		enrol:    cfg.SelectionBypass,
+		check:    cfg.CheckInvariants,
+		enrolCap: listCap(slots),
 	}
 }
 
-// contentionRetries: the plain and lock-based versions have no CAS retry
-// loops; their contention shows up as lock wait time instead.
-func (b *pushBuffers[M]) contentionRetries() uint64 { return 0 }
+func (b *pushBuffers[M]) count(combines, fills int) {
+	if b.check {
+		b.nCombines.Add(uint64(combines))
+		b.nFills.Add(uint64(fills))
+	}
+}
+
+// deliveryCounts returns how many deliveries combined into an occupied
+// inbox and how many filled an empty one since the last reset: both 0
+// unless Config.CheckInvariants is set. They feed the engine's
+// message-conservation audit, which resets them at the barrier.
+func (b *pushBuffers[M]) deliveryCounts() (combines, fills uint64) {
+	return b.nCombines.Load(), b.nFills.Load()
+}
+
+func (b *pushBuffers[M]) resetDeliveryCounts() {
+	b.nCombines.Store(0)
+	b.nFills.Store(0)
+}
 
 // auditBarrier ties the occupancy bits to the counted deliveries: every
 // set bit of the next buffer is one fill of this superstep. A bit that
 // survived the last swap's frontier-sized clear has no fill to show.
+// Called single-threaded between the compute phase and the swap, only
+// under Config.CheckInvariants.
 func (b *pushBuffers[M]) auditBarrier() error {
 	if set, fills := countBits(b.hasNext), b.nFills.Load(); uint64(set) != fills {
 		return fmt.Errorf("%d next-inbox slots are occupied but %d fills were counted: a stale flag survived the last swap, or a fill went uncounted", set, fills)
@@ -231,18 +191,23 @@ func (b *pushBuffers[M]) take(slot int, m *M) bool {
 	return true
 }
 
+// peek reads slot's current message (checkpointing at barriers).
 func (b *pushBuffers[M]) peek(slot int) (m M, ok bool) {
 	ok = b.take(slot, &m)
 	return m, ok
 }
 
+// restoreCurrent reinstates a current message (checkpoint restore).
 func (b *pushBuffers[M]) restoreCurrent(slot int, m M) {
 	b.now[slot] = m
 	b.hasNow[slot>>6] |= 1 << (slot & 63)
 }
 
-func (b *pushBuffers[M]) buffers() *pushBuffers[M] { return b }
-
+// swap publishes the next buffer as current and clears the current
+// occupancy, which reading mail leaves set: that of the slots in ran
+// (under selection bypass only a listed frontier that just ran can hold
+// mail, an O(frontier) clear), or of every slot when all is set (a
+// full-scan superstep or a dense frontier).
 func (b *pushBuffers[M]) swap(ran []int32, all bool) {
 	if all {
 		clear(b.hasNow)
@@ -295,13 +260,6 @@ type mutexMailbox[M any] struct {
 	locks []sync.Mutex
 }
 
-func newMutexMailbox[M any](slots int, combine CombineFunc[M], cfg Config) *mutexMailbox[M] {
-	return &mutexMailbox[M]{
-		pushBuffers: newPushBuffers[M](slots, combine, cfg),
-		locks:       make([]sync.Mutex, slots),
-	}
-}
-
 // scatter deposits under each slot's lock. Only Combine can panic in the
 // loop, and it does so holding dst's lock: the deferred release keeps
 // later senders from stranding on it, then re-raises.
@@ -325,9 +283,7 @@ func (mb *mutexMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32
 	return enrolled
 }
 
-func (mb *mutexMailbox[M]) footprintBytes() uint64 {
-	return mb.buffersBytes() + uint64(len(mb.locks))*mutexBytes
-}
+func (mb *mutexMailbox[M]) lockBytes() uint64 { return uint64(len(mb.locks)) * mutexBytes }
 
 // spinMailbox is the busy-waiting push combiner (§6.1): one 4-byte
 // spinlock per vertex mailbox, 50% lighter than the mutex version in Go
@@ -335,13 +291,6 @@ func (mb *mutexMailbox[M]) footprintBytes() uint64 {
 type spinMailbox[M any] struct {
 	pushBuffers[M]
 	locks []spinLock
-}
-
-func newSpinMailbox[M any](slots int, combine CombineFunc[M], cfg Config) *spinMailbox[M] {
-	return &spinMailbox[M]{
-		pushBuffers: newPushBuffers[M](slots, combine, cfg),
-		locks:       make([]spinLock, slots),
-	}
 }
 
 // scatter is the mutex version's loop, panic release included.
@@ -365,9 +314,7 @@ func (mb *spinMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32)
 	return enrolled
 }
 
-func (mb *spinMailbox[M]) footprintBytes() uint64 {
-	return mb.buffersBytes() + uint64(len(mb.locks))*spinLockBytes
-}
+func (mb *spinMailbox[M]) lockBytes() uint64 { return uint64(len(mb.locks)) * spinLockBytes }
 
 // plainMailbox is the inbox with no data-race protection: the bare
 // buffers, zero lock bytes. It is legal while every slot has a single
@@ -419,7 +366,7 @@ func (mb *plainMailbox[M]) scatter(nbs []graph.VertexID, msg M, enrolled []int32
 	return enrolled
 }
 
-func (mb *plainMailbox[M]) footprintBytes() uint64 { return mb.buffersBytes() }
+func (mb *plainMailbox[M]) lockBytes() uint64 { return 0 }
 
 // sumInbox is the plain inbox with Sum written into its non-bypass loop:
 // PageRank's push delivery, which §4 keeps out of bypass.
@@ -462,49 +409,43 @@ func (mb *minInbox) scatter(nbs []graph.VertexID, msg uint32, enrolled []int32) 
 	return enrolled
 }
 
-// newPlainMailbox builds the plain inbox. For the two pairings the paper's
-// applications run — Sum without bypass, Min under bypass — it is the
-// version with the combiner written into the loop; every other combiner
-// and pairing gets the loop that calls combine per delivery.
-func newPlainMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) mailbox[M] {
-	var inline any
+// newPlainMailbox builds the plain inbox and returns it with its buffers.
+// For the two pairings the paper's applications run — Sum without bypass,
+// Min under bypass — it is the version with the combiner written into the
+// loop; every other combiner and pairing gets the loop that calls combine
+// per delivery.
+func newPlainMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], *pushBuffers[M]) {
+	var inline, buf any
 	switch {
 	case !cfg.SelectionBypass && sameFunc(combine, Sum):
-		inline = &sumInbox{plainMailbox[float64]{newPushBuffers[float64](slots, Sum, cfg)}}
+		mb := &sumInbox{plainMailbox[float64]{newPushBuffers(slots, Sum, cfg)}}
+		inline, buf = mb, &mb.pushBuffers
 	case cfg.SelectionBypass && sameFunc(combine, Min):
-		inline = &minInbox{plainMailbox[uint32]{newPushBuffers[uint32](slots, Min, cfg)}}
+		mb := &minInbox{plainMailbox[uint32]{newPushBuffers(slots, Min, cfg)}}
+		inline, buf = mb, &mb.pushBuffers
 	}
 	if mb, ok := inline.(mailbox[M]); ok {
-		return mb
+		return mb, buf.(*pushBuffers[M])
 	}
-	return &plainMailbox[M]{newPushBuffers[M](slots, combine, cfg)}
+	mb := &plainMailbox[M]{newPushBuffers(slots, combine, cfg)}
+	return mb, &mb.pushBuffers
 }
 
-// newMailbox builds the combination module version chosen by cfg: the
-// plain inbox when nothing can race — a pull-only engine, or any
-// combiner on a one-thread engine — and the configured protection
-// otherwise. It fails when the combiner's assumptions do not hold for M
-// (the atomic combiner requires word-sized messages) at every thread
-// count and direction: a configuration valid on one thread, or pulled,
-// stays valid pushed on N.
-func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], error) {
-	switch cfg.Combiner {
-	case CombinerMutex, CombinerSpin:
-	case CombinerAtomic:
-		if _, err := atomicWidth[M](); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown combiner %v", cfg.Combiner)
+// newMailbox builds the combination module version chosen by cfg and
+// returns it with its buffers: the plain inbox when nothing can race — a
+// pull-only engine, or any combiner on a one-thread engine — and the
+// configured lock otherwise.
+func newMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], *pushBuffers[M], error) {
+	switch {
+	case cfg.Combiner != CombinerMutex && cfg.Combiner != CombinerSpin:
+		return nil, nil, fmt.Errorf("core: unknown combiner %v", cfg.Combiner)
+	case cfg.Direction == DirectionPull || cfg.ResolvedThreads() == 1:
+		mb, buf := newPlainMailbox(cfg, slots, combine)
+		return mb, buf, nil
+	case cfg.Combiner == CombinerMutex:
+		mb := &mutexMailbox[M]{pushBuffers: newPushBuffers(slots, combine, cfg), locks: make([]sync.Mutex, slots)}
+		return mb, &mb.pushBuffers, nil
 	}
-	if cfg.Direction == DirectionPull || cfg.ResolvedThreads() == 1 {
-		return newPlainMailbox(cfg, slots, combine), nil
-	}
-	switch cfg.Combiner {
-	case CombinerMutex:
-		return newMutexMailbox[M](slots, combine, cfg), nil
-	case CombinerSpin:
-		return newSpinMailbox[M](slots, combine, cfg), nil
-	}
-	return newAtomicMailbox[M](slots, combine, cfg)
+	mb := &spinMailbox[M]{pushBuffers: newPushBuffers(slots, combine, cfg), locks: make([]spinLock, slots)}
+	return mb, &mb.pushBuffers, nil
 }

@@ -92,25 +92,6 @@ func TestNewConstructionErrors(t *testing.T) {
 	}
 }
 
-// TestAtomicConstructionErrorDistinct covers the remaining construction
-// path — CombinerAtomic with an ineligible message type — which needs its
-// own instantiation (see TestAtomicCombinerRejectsOversizedMessage for
-// the width check itself).
-func TestAtomicConstructionErrorDistinct(t *testing.T) {
-	type notWord struct{ a, b, c uint64 }
-	//ipregel:ignore msgword this test exercises exactly the construction error the analyzer predicts
-	_, err := New(ringGraph(4, 0), Config{Combiner: CombinerAtomic}, Program[uint32, notWord]{
-		Compute: func(ctx *Context[uint32, notWord], v Vertex[uint32, notWord]) { ctx.VoteToHalt(v) },
-		Combine: func(old *notWord, msg notWord) { old.a += msg.a },
-	})
-	if err == nil || !strings.Contains(err.Error(), "does not qualify") {
-		t.Fatalf("want atomic-eligibility rejection naming the type, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "notWord") {
-		t.Fatalf("error should name the offending message type: %v", err)
-	}
-}
-
 // TestVersionNameSeparatesModuleVersions: Report.Version, trace events
 // and benchmark names identify a run by Config.VersionName, so two
 // configurations that build different engines — combiner, direction,
@@ -123,7 +104,7 @@ func TestVersionNameSeparatesModuleVersions(t *testing.T) {
 		Bypass    bool
 	}
 	seen := map[string]modules{}
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
 		for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
 			for _, bypass := range []bool{false, true} {
 				m := modules{comb, dir, bypass}

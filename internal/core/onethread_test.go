@@ -75,7 +75,7 @@ func oneVsThreads[V any](t *testing.T, g *graph.Graph, cfg Config, prog Program[
 
 // TestOneThreadInboxParity: a one-thread engine builds the plain inbox
 // whatever the combiner (newMailbox), so every configuration must compute
-// on it what it computes on the configured lock-based or atomic inbox at
+// on it what it computes on the configured lock-based inbox at
 // two threads — through a Broadcast's scatter and a Send's scatter of
 // one, in every direction. Integers are bit-exact; float sums agree to
 // the 1e-9 of DESIGN.md §5.1 when a push superstep was involved and bit
@@ -85,7 +85,7 @@ func TestOneThreadInboxParity(t *testing.T) {
 	sameInt := func(a, b uint32) bool { return a == b }
 	sameFloat := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
 	bitExact := func(a, b float64) bool { return a == b }
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
 		for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
 			cfg := Config{Combiner: comb, Direction: dir}
 			for _, bypass := range []bool{false, true} {
@@ -120,7 +120,7 @@ func TestOneThreadFloatPushBitExact(t *testing.T) {
 	want := pull.ValuesDense()
 	for _, cfg := range []Config{
 		{Combiner: CombinerSpin, Threads: 1},
-		{Combiner: CombinerAtomic, Threads: 1},
+		{Combiner: CombinerMutex, Threads: 1},
 	} {
 		push, _, err := Run(g, cfg, rankProg(6))
 		if err != nil {
@@ -167,7 +167,7 @@ func TestCheckpointCrossesThreadCounts(t *testing.T) {
 	for _, base := range []Config{
 		{Combiner: CombinerSpin, SelectionBypass: true},
 		{Combiner: CombinerMutex},
-		{Combiner: CombinerAtomic, SelectionBypass: true},
+		{Combiner: CombinerMutex, SelectionBypass: true},
 	} {
 		for _, threads := range [][2]int{{2, 1}, {1, 2}} {
 			writeCfg, readCfg := base, base
@@ -225,10 +225,7 @@ func TestCheckpointCrossesThreadCounts(t *testing.T) {
 // allocation per vertex run. And Send's scatter of one goes through the
 // worker's own one-element list: a local array would escape through the
 // inbox dispatch, one allocation per message. A whole run otherwise
-// allocates the engine's arrays and a few records per superstep. (The
-// atomic inbox at two threads or more is left out: its CAS loop hands the
-// combiner the address of a local copy, which escapes — one allocation
-// per combine.)
+// allocates the engine's arrays and a few records per superstep.
 func TestSuperstepAllocatesConstant(t *testing.T) {
 	const n, rounds = 2000, 10
 	g := fanoutGraph(n, 4)

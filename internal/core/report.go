@@ -16,11 +16,6 @@ type StepStats struct {
 	Messages uint64
 	// Active is the number of vertices still active after the superstep.
 	Active int64
-	// CASRetries counts failed compare-and-swap attempts in the atomic
-	// mailbox this superstep (value-word combine retries plus lost
-	// empty-slot claims) — the live contention signal. Always 0 for the
-	// lock-based and plain inboxes.
-	CASRetries uint64
 	// NextFrontier is the size of the next superstep's frontier under
 	// selection bypass (0 when bypass is off): how many vertices received
 	// a message and will run next.
@@ -158,9 +153,9 @@ func (r Report) LoadImbalance() float64 {
 // same program on the same graph must produce equal fingerprints
 // regardless of thread count, combiner, direction or graph backend (flat,
 // compressed, mmap) — this is what the backend parity battery asserts.
-// Timing- and contention-dependent fields (Duration, CASRetries,
-// WorkerBusy, Attempts/Recoveries) are deliberately excluded: they
-// legitimately vary between equivalent runs.
+// Timing-dependent fields (Duration, WorkerBusy, Attempts/Recoveries)
+// are deliberately excluded: they legitimately vary between equivalent
+// runs.
 // Direction, DirectionSwitched and SlotOrder are excluded too — they
 // describe HOW a superstep's messages travelled and in what order its
 // vertices ran: push-only, pull-only and adaptive runs in either order

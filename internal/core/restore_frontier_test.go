@@ -79,7 +79,7 @@ func TestRestoreFrontierMatchesMail(t *testing.T) {
 	g := gridForCheckpoint(t)
 	for _, cfg := range []Config{
 		{Combiner: CombinerSpin, Threads: 1, SelectionBypass: true},
-		{Combiner: CombinerAtomic, Threads: 2, SelectionBypass: true},
+		{Combiner: CombinerMutex, Threads: 4, SelectionBypass: true},
 	} {
 		rec := captureCheckpoints(t, cfg, 3)[0]
 		if _, err := Restore(bytes.NewReader(rec), g, cfg, ssspProg(1), u32Codec{}, u32Codec{}); err != nil {

@@ -142,29 +142,21 @@ func (e *Engine[V, M]) computePhase() int64 {
 }
 
 // runOccupied runs sp's slots with current mail (under bypass, sp's share
-// of the frontier) in slot order. The plain and lock-based inboxes are
-// read one occupancy word per 64 slots, masked to sp at its two ends:
-// one mail branch per 64 slots.
+// of the frontier) in slot order. The inbox is read one occupancy word
+// per 64 slots, masked to sp at its two ends: one mail branch per 64
+// slots.
 func (e *Engine[V, M]) runOccupied(ctx *Context[V, M], sp span) {
-	lo, hi := int(sp.lo), int(sp.hi)
-	if b := e.buf; b != nil {
-		for w := lo >> 6; w<<6 < hi; w++ {
-			mask := b.hasNow[w]
-			if base := w << 6; base < lo {
-				mask &= ^uint64(0) << (lo - base)
-			}
-			if end := (w + 1) << 6; end > hi {
-				mask &= ^uint64(0) >> (end - hi)
-			}
-			for ; mask != 0; mask &= mask - 1 {
-				e.runVertex(ctx, int32(w<<6+bits.TrailingZeros64(mask)))
-			}
+	lo, hi, has := int(sp.lo), int(sp.hi), e.buf.hasNow
+	for w := lo >> 6; w<<6 < hi; w++ {
+		mask := has[w]
+		if base := w << 6; base < lo {
+			mask &= ^uint64(0) << (lo - base)
 		}
-		return
-	}
-	for s := lo; s < hi; s++ {
-		if e.hasMail(s) {
-			e.runVertex(ctx, int32(s))
+		if end := (w + 1) << 6; end > hi {
+			mask &= ^uint64(0) >> (end - hi)
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			e.runVertex(ctx, int32(w<<6+bits.TrailingZeros64(mask)))
 		}
 	}
 }
@@ -181,22 +173,8 @@ func (e *Engine[V, M]) runVertex(ctx *Context[V, M], slot int32) {
 	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: slot})
 }
 
-// take and hasMail read the concrete version's current inbox. Neither
-// writes it: IP_get_next_message's drain loop ends on the Context's
-// marker (§6.3).
-func (e *Engine[V, M]) take(slot int, m *M) bool {
-	if e.buf != nil {
-		return e.buf.take(slot, m)
-	}
-	return e.cas.take(slot, m)
-}
-
-func (e *Engine[V, M]) hasMail(slot int) bool {
-	if e.buf != nil {
-		return hasBit(e.buf.hasNow, slot)
-	}
-	return e.cas.stateNow[slot] == slotFull
-}
+// hasMail reads slot's current occupancy bit.
+func (e *Engine[V, M]) hasMail(slot int) bool { return hasBit(e.buf.hasNow, slot) }
 
 // gatherFrontier concatenates the workers' enrol buffers into the next
 // frontier, or on a push superstep whose lists reached listCap — one
@@ -214,7 +192,7 @@ func (e *Engine[V, M]) gatherFrontier() {
 	e.denseNext = e.curDir == DirectionPush && (full || total > e.listCap)
 	if e.denseNext {
 		e.frontierNext = e.frontierNext[:0]
-		e.nextCount = e.countNextMail()
+		e.nextCount = countBits(e.buf.hasNext)
 		return
 	}
 	e.nextCount = total
@@ -226,18 +204,4 @@ func (e *Engine[V, M]) gatherFrontier() {
 		buf = append(buf, w.enrolled...)
 	}
 	e.frontierNext = buf
-}
-
-// countNextMail is the number of occupied next-inbox slots.
-func (e *Engine[V, M]) countNextMail() int {
-	if b := e.buf; b != nil {
-		return countBits(b.hasNext)
-	}
-	n := 0
-	for slot := 0; slot < e.g.N(); slot++ {
-		if e.nextOccupied(slot) {
-			n++
-		}
-	}
-	return n
 }

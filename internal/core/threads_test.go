@@ -28,7 +28,7 @@ func TestThreadsParityTable(t *testing.T) {
 	sameInt := func(a, b uint32) bool { return a == b }
 	sameFloat := func(a, b float64) bool { return a-b <= 1e-9 && b-a <= 1e-9 }
 	bitExact := func(a, b float64) bool { return a == b }
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
 		for _, bypass := range []bool{false, true} {
 			for _, dir := range []Direction{DirectionPush, DirectionPull, DirectionAdaptive} {
 				cfg := Config{Combiner: comb, SelectionBypass: bypass, Direction: dir}
@@ -56,8 +56,7 @@ func TestThreadsParityTable(t *testing.T) {
 
 // TestCombinePanicAbortsRun pins the failure path of push delivery at
 // two threads: a user Combine that panics inside the mailbox's scatter
-// loop — under the slot's lock on the mutex and spinlock versions, inside
-// the CAS loop on the atomic one — must come back from Run as the
+// loop, under the slot's lock — must come back from Run as the
 // contained-panic error with a sealed report, not hang the barrier or
 // crash the process. Vertex 1 (the first span's worker) fills vertex
 // 2000's mailbox and panics combining into it. In the second-sender case
@@ -66,7 +65,7 @@ func TestThreadsParityTable(t *testing.T) {
 // released, or that send waits forever.
 func TestCombinePanicAbortsRun(t *testing.T) {
 	g := fanoutGraph(2000, 8)
-	for _, comb := range []Combiner{CombinerMutex, CombinerSpin, CombinerAtomic} {
+	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
 		for _, bypass := range []bool{false, true} {
 			cfg := Config{Combiner: comb, Threads: 2, SelectionBypass: bypass, CheckInvariants: true}
 			t.Run(cfg.VersionName(), func(t *testing.T) {

@@ -118,32 +118,16 @@ func Friendster(p PresetParams) *graph.Graph {
 //	road:<rows>:<cols>                        (grid road network)
 //	er:<n>:<m> | ring:<n> | star:<n> | chain:<n> | ba:<n>:<k> | ws:<n>:<k>
 //
-// It refuses, before building anything, a negative size, an RMAT scale
-// above 31 (ids past 32 bits) and an RMAT or ER graph with edges to place
-// but no vertices (a preset divisor in (|V|, |E|]).
+// It refuses what CheckSpec refuses before building anything.
 func ByName(name string, p PresetParams) (*graph.Graph, error) {
+	if err := CheckSpec(name, p); err != nil {
+		return nil, err
+	}
 	kind, args, _ := strings.Cut(name, ":")
 	var a, b int
 	nargs, _ := fmt.Sscanf(args, "%d:%d", &a, &b)
-	v, e := 0, 0 // paper-scale |V| and |E| of an RMAT stand-in
-	switch name {
-	case "wiki", "wikipedia":
-		v, e = WikipediaV, WikipediaE
-	case "twitter":
-		v, e = TwitterV, TwitterE
-	case "friendster":
-		v, e = FriendsterV, FriendsterE
-	}
 	seed := nonZero(p.Seed, 1)
-	switch d := p.divisor(); {
-	case a < 0 || b < 0:
-		return nil, fmt.Errorf("gen: graph spec %q has a negative size", name)
-	case kind == "rmat" && a > 31:
-		return nil, fmt.Errorf("gen: graph spec %q: RMAT scale above 31 puts ids past 32 bits", name)
-	case kind == "er" && a == 0 && b > 0:
-		return nil, fmt.Errorf("gen: graph spec %q has edges to place but no vertices", name)
-	case v/d == 0 && e/d > 0:
-		return nil, fmt.Errorf("gen: graph spec %q at divisor %d has no vertices for its %d edges", name, d, e/d)
+	switch {
 	case name == "wiki" || name == "wikipedia":
 		return Wikipedia(p), nil
 	case name == "usa" || name == "road-usa":
@@ -172,6 +156,37 @@ func ByName(name string, p PresetParams) (*graph.Graph, error) {
 		return maybeIn(WattsStrogatz(a, b, 0.1, seed, 0), p), nil
 	}
 	return nil, fmt.Errorf("gen: unknown graph spec %q", name)
+}
+
+// CheckSpec refuses the sizes no generator can build: a negative size in
+// any "kind:a:b" spec, an RMAT scale above 31 (ids past 32 bits), and an
+// RMAT or ER graph with edges to place but no vertices (a preset divisor
+// in (|V|, |E|]). Unknown kinds pass, so a caller with generators of its
+// own checks their sizes here too.
+func CheckSpec(name string, p PresetParams) error {
+	kind, args, _ := strings.Cut(name, ":")
+	var a, b int
+	fmt.Sscanf(args, "%d:%d", &a, &b)
+	v, e := 0, 0 // paper-scale |V| and |E| of an RMAT stand-in
+	switch name {
+	case "wiki", "wikipedia":
+		v, e = WikipediaV, WikipediaE
+	case "twitter":
+		v, e = TwitterV, TwitterE
+	case "friendster":
+		v, e = FriendsterV, FriendsterE
+	}
+	switch d := p.divisor(); {
+	case a < 0 || b < 0:
+		return fmt.Errorf("gen: graph spec %q has a negative size", name)
+	case kind == "rmat" && a > 31:
+		return fmt.Errorf("gen: graph spec %q: RMAT scale above 31 puts ids past 32 bits", name)
+	case kind == "er" && a == 0 && b > 0:
+		return fmt.Errorf("gen: graph spec %q has edges to place but no vertices", name)
+	case v/d == 0 && e/d > 0:
+		return fmt.Errorf("gen: graph spec %q at divisor %d has no vertices for its %d edges", name, d, e/d)
+	}
+	return nil
 }
 
 // Names returns the recognised preset names for help text.

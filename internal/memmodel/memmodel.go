@@ -149,11 +149,7 @@ func IPregelBytes(p IPregelParams) uint64 {
 	// of, so they allocate the plain inbox whatever the combiner
 	pulls := p.Config.Direction != core.DirectionPush
 	racy := p.Config.ResolvedThreads() > 1 && p.Config.Direction != core.DirectionPull
-	if p.Config.Combiner == core.CombinerAtomic && racy {
-		total += slots * (2*8 + 2*4) // packed value words + state words
-	} else {
-		total += slots*2*p.MessageBytes + (slots+63)/64*2*8 // messages + occupancy bits
-	}
+	total += slots*2*p.MessageBytes + (slots+63)/64*2*8 // messages + occupancy bits
 	switch {
 	case p.Config.Combiner == core.CombinerMutex && racy:
 		total += slots * 8

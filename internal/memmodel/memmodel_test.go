@@ -50,22 +50,19 @@ func TestIPregelModelMatchesEngine(t *testing.T) {
 		// inbox); two pay for the configured protection.
 		{Combiner: core.CombinerMutex, Threads: 1},
 		{Combiner: core.CombinerSpin, Threads: 1},
-		{Combiner: core.CombinerAtomic, Threads: 1},
 		{Combiner: core.CombinerMutex, Threads: 2},
 		{Combiner: core.CombinerSpin, Threads: 2},
-		{Combiner: core.CombinerAtomic, Threads: 2},
 		// A push-only bypass engine enrols at the first inbox fill and
 		// allocates no dedup flags; one that can pull does, beside its
 		// outbox.
 		{Combiner: core.CombinerSpin, SelectionBypass: true, Threads: 1},
 		{Combiner: core.CombinerSpin, SelectionBypass: true, Threads: 2},
-		{Combiner: core.CombinerAtomic, SelectionBypass: true, Threads: 2},
+		{Combiner: core.CombinerMutex, SelectionBypass: true, Threads: 2},
 		{Combiner: core.CombinerSpin, Direction: core.DirectionAdaptive, SelectionBypass: true, Threads: 1},
 		{Combiner: core.CombinerSpin, Direction: core.DirectionAdaptive, SelectionBypass: true, Threads: 2},
 		// A pull-only engine takes no lock at any thread count.
 		{Combiner: core.CombinerMutex, Direction: core.DirectionPull, Threads: 2},
-		{Combiner: core.CombinerAtomic, Direction: core.DirectionPull, Threads: 2},
-		{Combiner: core.CombinerAtomic, Direction: core.DirectionAdaptive, Threads: 2},
+		{Combiner: core.CombinerMutex, Direction: core.DirectionAdaptive, Threads: 2},
 	} {
 		e, err := core.New(g, cfg, core.Program[uint32, uint32]{
 			Compute: func(*core.Context[uint32, uint32], core.Vertex[uint32, uint32]) {},

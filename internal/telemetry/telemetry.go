@@ -1,6 +1,6 @@
 // Package telemetry is the live observability layer over internal/core:
 // stdlib-only sinks for the engine's Observer hook that (a) maintain
-// counters and gauges — supersteps, messages, mailbox CAS retries,
+// counters and gauges — supersteps, messages, direction switches,
 // frontier size, per-worker busy time, plus heap stats read at scrape —
 // published through expvar and a plain-text /metrics endpoint, (b)
 // stream per-superstep trace events as schema-versioned JSONL
@@ -66,11 +66,10 @@ type Collector struct {
 // (monotonic across runs) and the last barrier's gauges. The Collector
 // and every Job scope hold one each; runs_active is the owner's.
 type series struct {
-	runs, converged, aborted, recoveries       atomic.Int64
-	supersteps, messages, casRetries           atomic.Int64
-	switches, verticesRan                      atomic.Int64
-	current, lastActive, lastRan, lastFrontier atomic.Int64
-	lastStepNanos, lastImbalanceMil            atomic.Int64 // imbalance ×1000
+	runs, converged, aborted, recoveries        atomic.Int64
+	supersteps, messages, switches, verticesRan atomic.Int64
+	current, lastActive, lastRan, lastFrontier  atomic.Int64
+	lastStepNanos, lastImbalanceMil             atomic.Int64 // imbalance ×1000
 }
 
 // step folds one superstep's statistics.
@@ -80,7 +79,6 @@ func (m *series) step(superstep int, s core.StepStats) {
 		m.supersteps.Add(1)
 	}
 	m.messages.Add(int64(s.Messages))
-	m.casRetries.Add(int64(s.CASRetries))
 	m.verticesRan.Add(s.Ran)
 	if s.DirectionSwitched {
 		m.switches.Add(1)
@@ -112,7 +110,6 @@ func (m *series) write(out map[string]int64, running int64) {
 	out["ipregel_runs_active"] = running
 	out["ipregel_supersteps_total"] = m.supersteps.Load()
 	out["ipregel_messages_total"] = m.messages.Load()
-	out["ipregel_cas_retries_total"] = m.casRetries.Load()
 	out["ipregel_direction_switches_total"] = m.switches.Load()
 	out["ipregel_vertices_ran_total"] = m.verticesRan.Load()
 	out["ipregel_current_superstep"] = m.current.Load()

@@ -110,10 +110,9 @@ func TestCollectorTracksRun(t *testing.T) {
 // TestMetricNames pins the /metrics and expvar name set: the global
 // snapshot and a job scope's publish the same engine series (the job
 // scope has no process-level ones), and the series of the removed shard
-// layer, sender cache and hub splitting are gone from both.
+// layer, sender cache, hub splitting and CAS inbox are gone from both.
 func TestMetricNames(t *testing.T) {
 	engine := []string{
-		"ipregel_cas_retries_total",
 		"ipregel_current_superstep",
 		"ipregel_direction_switches_total",
 		"ipregel_last_active_vertices",
@@ -389,7 +388,6 @@ func TestEngineSeriesMatchReports(t *testing.T) {
 		want["ipregel_supersteps_total"] += int64(r.Supersteps - r.FirstSuperstep)
 		want["ipregel_messages_total"] += int64(r.TotalMessages)
 		for _, s := range r.Steps {
-			want["ipregel_cas_retries_total"] += int64(s.CASRetries)
 			want["ipregel_vertices_ran_total"] += s.Ran
 			if s.DirectionSwitched {
 				want["ipregel_direction_switches_total"]++

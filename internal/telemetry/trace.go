@@ -44,7 +44,6 @@ type Event struct {
 	Ran          int64   `json:"ran,omitempty"`
 	Messages     uint64  `json:"messages,omitempty"`
 	Active       int64   `json:"active,omitempty"`
-	CASRetries   uint64  `json:"cas_retries,omitempty"`
 	NextFrontier int64   `json:"next_frontier,omitempty"`
 	DurationNS   int64   `json:"duration_ns,omitempty"`
 	Partial      bool    `json:"partial,omitempty"`
@@ -120,7 +119,6 @@ func (t *TraceWriter) OnSuperstepEnd(superstep int, s core.StepStats) {
 		Ran:          s.Ran,
 		Messages:     s.Messages,
 		Active:       s.Active,
-		CASRetries:   s.CASRetries,
 		NextFrontier: s.NextFrontier,
 		DurationNS:   int64(s.Duration),
 		Partial:      s.Partial,
@@ -245,7 +243,6 @@ func ReplayReport(events []Event) (core.Report, error) {
 				Ran:          ev.Ran,
 				Messages:     ev.Messages,
 				Active:       ev.Active,
-				CASRetries:   ev.CASRetries,
 				NextFrontier: ev.NextFrontier,
 				Duration:     time.Duration(ev.DurationNS),
 				Partial:      ev.Partial,

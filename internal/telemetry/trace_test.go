@@ -64,13 +64,13 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestTraceLegacySchedulerFieldsReplay pins trace compatibility across
-// the removal of overlapped delivery, work stealing and then the shard
-// layer itself: a trace written while superstep events still carried
-// early_delivered_batches, stolen_tasks and the per-shard breakdown
-// validates and replays, with those fields ignored.
+// the removal of overlapped delivery, work stealing, the shard layer and
+// the CAS inbox: a trace written while superstep events still carried
+// early_delivered_batches, stolen_tasks, the per-shard breakdown and the
+// CAS retry count validates and replays, with those fields ignored.
 func TestTraceLegacySchedulerFieldsReplay(t *testing.T) {
 	const legacy = `{"schema":"ipregel-trace/1","type":"run_start"}
-{"schema":"ipregel-trace/1","type":"superstep","ran":8,"messages":10,"active":8,"duration_ns":1200,"shard_messages":[6,4],"cross_shard_messages":4,"early_delivered_batches":2,"stolen_tasks":3,"skipped_shards":1}
+{"schema":"ipregel-trace/1","type":"superstep","ran":8,"messages":10,"active":8,"duration_ns":1200,"shard_messages":[6,4],"cross_shard_messages":4,"early_delivered_batches":2,"stolen_tasks":3,"skipped_shards":1,"cas_retries":3}
 {"schema":"ipregel-trace/1","type":"run_end","version":"spinlock+shards2+overlap+steal","supersteps":1,"total_messages":10,"total_duration_ns":1500,"converged":true}
 `
 	events, err := ReadTrace(strings.NewReader(legacy))

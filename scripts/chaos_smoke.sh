@@ -41,7 +41,7 @@ grep -q "recoveries=2" "$TMP/cli.log" || {
 echo "== ipregel-run: checkpoints survive across invocations =="
 # One attempt only: the injected panic exhausts the supervisor, leaving
 # checkpoints behind; the second invocation resumes from them.
-if go run ./cmd/ipregel-run -app hashmin -graph road:60:60 -combiner atomic \
+if go run ./cmd/ipregel-run -app hashmin -graph road:60:60 -combiner mutex \
     -checkpoint-dir "$TMP/ckpt2" -checkpoint-every 4 \
     -chaos 'seed=7,panic@50' -recover-attempts 1 >"$TMP/kill.log" 2>&1; then
     echo "FAIL: exhausted run exited 0" >&2
@@ -52,7 +52,7 @@ ls "$TMP/ckpt2"/ckpt-*.ipck >/dev/null 2>&1 || {
     echo "FAIL: no checkpoints left behind by the killed run" >&2
     exit 1
 }
-go run ./cmd/ipregel-run -app hashmin -graph road:60:60 -combiner atomic \
+go run ./cmd/ipregel-run -app hashmin -graph road:60:60 -combiner mutex \
     -checkpoint-dir "$TMP/ckpt2" -checkpoint-every 4 | tee "$TMP/resume.log"
 grep -q "components: 1" "$TMP/resume.log" || {
     echo "FAIL: resumed invocation did not finish hashmin" >&2

@@ -20,9 +20,10 @@ go build -o "$TMP/" ./cmd/ipregel-run ./cmd/ipregel-trace
 # 1. Direction parity through the CLI: reached count and superstep
 # statistics must not depend on the transport.
 # The stats line leads with the engine version name, which names the
-# transport ("atomic" vs "atomic+pull") — strip it along with the time.
+# transport ("mutex", "broadcast", "mutex+adaptive") — strip it along
+# with the time.
 run_sssp() {
-    "$TMP/ipregel-run" -app sssp -graph road:60:60 -combiner atomic -source 1 \
+    "$TMP/ipregel-run" -app sssp -graph road:60:60 -combiner mutex -source 1 \
         "$@" | grep -E '^(reached|[^ ]+ +supersteps=)' \
         | sed -e 's/time=[^ ]*//' -e 's/^[^ ]* *supersteps=/supersteps=/'
 }
@@ -38,7 +39,7 @@ done
 
 # 2. The adaptive trace records pull supersteps and a real switch, and
 # replays through ipregel-trace.
-"$TMP/ipregel-run" -app sssp -graph road:60:60 -combiner atomic -source 1 \
+"$TMP/ipregel-run" -app sssp -graph road:60:60 -combiner mutex -source 1 \
     -direction adaptive -trace "$TMP/adaptive.jsonl" >/dev/null
 grep -q '"direction":"pull"' "$TMP/adaptive.jsonl" \
     || fail "adaptive trace records no pull superstep"

@@ -33,7 +33,7 @@ echo "ok: IPG3 $COMP_SIZE B < IPG1 $FLAT_SIZE B"
 # mapped IPG3 file.
 run_sssp() {
     "$TMP/ipregel-run" -app sssp -graph-file "$1" -graph-backend "$2" \
-        -combiner atomic -source 1 | grep -E '^(reached|[a-z]+ +supersteps=)' \
+        -combiner mutex -source 1 | grep -E '^(reached|[a-z]+ +supersteps=)' \
         | sed 's/time=[^ ]*//'
 }
 REF="$(run_sssp "$TMP/flat.bin" flat)"
