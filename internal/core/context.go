@@ -92,6 +92,10 @@ type Context[V, M any] struct {
 	nbuf    graph.NeighborBuf
 	sendBuf [1]graph.VertexID
 	acc     M
+
+	// pullEdges is the out-degree sum of the vertices whose pull flag this
+	// worker set this superstep; collectPull reads and zeroes it.
+	pullEdges uint64
 }
 
 // Superstep returns the current superstep number, starting at 0
@@ -167,9 +171,19 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 		// fan-out, so push, pull and adaptive runs of the same program stay
 		// Fingerprint-comparable — and the collect's audit counts conserve
 		// it exactly.
+		d := e.g.OutDegree(slot)
+		c.msgs += uint64(d)
+		if e.pullFlag[slot] != 0 {
+			// A repeat broadcast combines into the entry, as a push one
+			// combines into every recipient's inbox: its d deliveries are
+			// combines, and it adds no edges and enrols nobody.
+			e.prog.Combine(&e.pullOut[slot], msg)
+			e.buf.count(d, 0)
+			return
+		}
 		e.pullOut[slot] = msg
 		e.pullFlag[slot] = 1
-		c.msgs += uint64(e.g.OutDegree(slot))
+		c.pullEdges += uint64(d)
 		if e.cfg.SelectionBypass {
 			// No deposit exists yet to enrol the out-neighbours (§4 on the
 			// broadcast version): each is enrolled once, by whichever

@@ -120,14 +120,16 @@ func benchDeliver[M uint32 | float64](b *testing.B, cfg Config, combine CombineF
 }
 
 // BenchmarkCollect is the pull side of BenchmarkDeliver: ns per in-edge
-// of the collect phase's scan (collectScan) into each inbox version. Receiver i's
-// in-neighbours are benchDests' list i, every one of them broadcast, so
-// each receiver folds benchDegree outbox entries and fills its inbox
-// once — a PageRank pull superstep. plain-inline combines with Sum, which
-// the fold adds in place; the other versions call a literal. The engines
-// are adaptive, since a pull-only one builds the plain inbox whatever
-// the combiner. One goroutine; each pass ends with the barrier's full
-// swap.
+// of the collect phase's scan (collectScan) into each inbox version.
+// Receiver i's in-neighbours are benchDests' list i. In the full rows
+// every sender broadcast, so the fold reads no flag and each receiver
+// folds benchDegree outbox entries and fills its inbox once — a PageRank
+// pull superstep. In the partial rows every other sender broadcast, so
+// the fold tests each in-neighbour's flag and folds about half of them.
+// plain-inline combines with Sum, which the fold adds in place; the other
+// versions call a literal. The engines are adaptive, since a pull-only
+// one builds the plain inbox whatever the combiner. One goroutine; each
+// pass ends with the barrier's full swap.
 func BenchmarkCollect(b *testing.B) {
 	called := Program[float64, float64]{
 		Compute: func(*Context[float64, float64], Vertex[float64, float64]) {},
@@ -147,28 +149,33 @@ func BenchmarkCollect(b *testing.B) {
 		g := gb.MustBuild()
 		order := map[bool]string{false: "seq", true: "random"}[random]
 		for _, v := range benchInboxes {
-			b.Run(v.name+"/"+order, func(b *testing.B) {
-				cfg := v.cfg
-				cfg.Direction = DirectionAdaptive
-				prog := called
-				if v.inline {
-					prog = inline
-				}
-				e, err := New(g, cfg, prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := range e.pullFlag {
-					e.pullOut[i], e.pullFlag[i] = 1, 1
-				}
-				ctx := e.workers[0]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.collectScan(ctx, 0, len(lists), false)
-					e.buf.swap(nil, true)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/edge")
-			})
+			for _, every := range []bool{true, false} {
+				rows := map[bool]string{true: "full", false: "partial"}[every]
+				b.Run(v.name+"/"+order+"/"+rows, func(b *testing.B) {
+					cfg := v.cfg
+					cfg.Direction = DirectionAdaptive
+					prog := called
+					if v.inline {
+						prog = inline
+					}
+					e, err := New(g, cfg, prog)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for i := range e.pullFlag {
+						if every || i%2 == 0 {
+							e.pullOut[i], e.pullFlag[i] = 1, 1
+						}
+					}
+					ctx := e.workers[0]
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						e.collectScan(ctx, 0, len(lists), false, every)
+						e.buf.swap(nil, true)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/edge")
+				})
+			}
 		}
 	}
 }

@@ -119,6 +119,11 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // locking on any inbox, and what makes the plain one legal on a pull-only
 // engine at any thread count.
 //
+// The workers' pullEdges sum to the out-edges of the flagged senders.
+// At 0 (nobody, or only sinks, broadcast) no receiver has an entry, and
+// the walk is skipped. At |E| every vertex with an out-edge broadcast,
+// so every in-neighbour is flagged and the fold reads no flag.
+//
 // Under selection bypass only enrolled recipients can have mail (the
 // pull broadcast enrolled its out-neighbours), so collection is bounded
 // by the gathered next frontier — and each slot's collector clears its
@@ -129,7 +134,16 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // workers can write — any word of a frontier list at two threads or more,
 // a scan span's partial end words — is set atomically.
 func (e *Engine[V, M]) collectPull() {
-	bypass, shared, b := e.cfg.SelectionBypass, e.threads > 1, e.buf
+	var edges uint64
+	for _, w := range e.workers {
+		edges += w.pullEdges
+		w.pullEdges = 0
+	}
+	if edges == 0 {
+		clear(e.pullFlag)
+		return
+	}
+	every, bypass, shared, b := edges == e.g.M(), e.cfg.SelectionBypass, e.threads > 1, e.buf
 	spans := e.scanSpans
 	if bypass {
 		spans = e.frontierSpans(true)
@@ -137,11 +151,11 @@ func (e *Engine[V, M]) collectPull() {
 	e.parallelFor(len(spans), func(w, k int) {
 		sp, ctx := spans[k], e.workers[w]
 		if !bypass {
-			e.collectScan(ctx, int(sp.lo), int(sp.hi), shared)
+			e.collectScan(ctx, int(sp.lo), int(sp.hi), shared, every)
 			return
 		}
 		for _, slot := range e.frontierNext[sp.lo:sp.hi] {
-			if e.collectSlot(ctx, int(slot)) {
+			if e.collectSlot(ctx, int(slot), every) {
 				b.markNext(int(slot>>6), 1<<(slot&63), shared)
 			}
 			atomic.StoreUint32(&e.pullEnrol[slot], 0)
@@ -152,12 +166,12 @@ func (e *Engine[V, M]) collectPull() {
 
 // collectScan collects the slots [lo, hi), building each 64-slot
 // occupancy word in a register and setting it once.
-func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared bool) {
+func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared, every bool) {
 	for lo < hi {
 		end := min(hi, (lo|63)+1)
 		var word uint64
 		for slot := lo; slot < end; slot++ {
-			if e.collectSlot(ctx, slot) {
+			if e.collectSlot(ctx, slot, every) {
 				word |= 1 << (slot & 63)
 			}
 		}
@@ -171,35 +185,50 @@ func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared bool) 
 // collectSlot is the pull combiner (§6.2): it folds slot's flagged
 // in-neighbour outbox entries, in in-neighbour order, into the worker's
 // accumulator — the first copied, each later one combined — and writes
-// slot's inbox once, reporting whether it did. The next inbox is empty
+// slot's inbox once, reporting whether it did. With every set, all
+// in-neighbours are flagged and no flag is read. The next inbox is empty
 // when a pull superstep starts and the collector is the slot's only
 // depositor, so that is a plain store of the message (collectPull sets
 // the occupancy bit). With Sum the fold adds in a register over sumOut;
 // both folds add in in-neighbour order, so they agree to the bit.
-func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int) bool {
+func (e *Engine[V, M]) collectSlot(ctx *Context[V, M], slot int, every bool) bool {
 	flag, out, combine := e.pullFlag, e.pullOut, e.prog.Combine
 	nbs := e.g.InNeighborsWith(&ctx.nbuf, slot)
 	i := 0
-	for i < len(nbs) && flag[nbs[i]] == 0 {
-		i++
+	if !every {
+		for i < len(nbs) && flag[nbs[i]] == 0 {
+			i++
+		}
 	}
 	if i == len(nbs) {
 		return false
 	}
 	ctx.acc = out[nbs[i]]
-	k := 1
+	rest, k := nbs[i+1:], 1
 	if sumOut := e.sumOut; sumOut != nil {
 		acc := any(&ctx.acc).(*float64)
 		sum := *acc
-		for _, nb := range nbs[i+1:] {
-			if flag[nb] != 0 {
+		if every {
+			for _, nb := range rest {
 				sum += sumOut[nb]
-				k++
+			}
+			k += len(rest)
+		} else {
+			for _, nb := range rest {
+				if flag[nb] != 0 {
+					sum += sumOut[nb]
+					k++
+				}
 			}
 		}
 		*acc = sum
+	} else if every {
+		for _, nb := range rest {
+			combine(&ctx.acc, out[nb])
+		}
+		k += len(rest)
 	} else {
-		for _, nb := range nbs[i+1:] {
+		for _, nb := range rest {
 			if flag[nb] != 0 {
 				combine(&ctx.acc, out[nb])
 				k++

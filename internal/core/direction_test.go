@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -230,28 +231,178 @@ func TestPullFloatRunsBitExact(t *testing.T) {
 // TestPullCollectFoldOrder pins what the collect phase writes: every
 // receiver's inbox is the left fold of its flagged in-neighbours' outbox
 // entries in InNeighbors order — the first copied, each later one
-// combined. The combine is order-sensitive, so a reordered, dropped or
-// doubled entry changes the value. It holds on the plain inbox of every
-// pull-only engine, and on every inbox version at two and four threads
-// under adaptive, whose superstep 0 always pulls — over flat and
-// compressed adjacency, with and without bypass, and CheckInvariants
-// audits each fold as k-1 combines plus one fill.
+// combined. Each vertex records its inbox per superstep through a
+// schedule that takes every collect path:
+//
+//   - superstep 0: every vertex broadcasts, so the fold reads no flag;
+//   - 1 and 3: a third of the senders stay quiet (the flagged fold);
+//   - 2: only sinks broadcast — no edge carries an entry, and the collect
+//     walks nothing (under bypass nothing was enrolled, and the run ends).
+//
+// The called fold combines order-sensitively, with no identity in the
+// zero value, so a reordered, dropped, doubled or zero-seeded entry
+// changes the value; the Sum fold adds reciprocals, whose rounding pins
+// the order. It holds on the plain inbox of every pull-only engine, and
+// on every inbox version at two and four threads under adaptive, whose
+// supersteps here all pull — over flat and compressed adjacency, with and
+// without bypass, and CheckInvariants audits each fold as k-1 combines
+// plus one fill.
 func TestPullCollectFoldOrder(t *testing.T) {
-	const none = ^uint64(0)
-	flat := fanoutGraph(600, 7)
+	const n = 600
+	sink := func(i int) bool { return i%5 == 2 }
+	flat := fanoutGraphSinks(n, 7, sink)
+	if flat.N() != n {
+		t.Fatalf("graph has %d vertices, want %d", flat.N(), n)
+	}
+	sends := func(step int, id graph.VertexID) bool {
+		switch step {
+		case 0:
+			return true
+		case 1, 3:
+			return id%3 != 0
+		case 2:
+			return sink(int(id) - 1)
+		}
+		return false
+	}
+	t.Run("called", func(t *testing.T) {
+		checkFoldOrder(t, flat, sends,
+			func(old *uint64, new uint64) { *old = *old*31 + new + 1 },
+			func(step int, id graph.VertexID) uint64 { return uint64(id)*2654435761 + uint64(step)<<40 + 1 })
+	})
+	t.Run("sum", func(t *testing.T) {
+		checkFoldOrder(t, flat, sends, Sum,
+			func(step int, id graph.VertexID) float64 { return float64(step+1) / float64(id) })
+	})
+}
+
+// checkFoldOrder is one TestPullCollectFoldOrder program over every cell:
+// vertices broadcast msg(step, id) where sends says, and record each
+// superstep's inbox and whether it had one.
+func checkFoldOrder[M uint64 | float64](t *testing.T, flat *graph.Graph, sends func(int, graph.VertexID) bool, combine CombineFunc[M], msg func(int, graph.VertexID) M) {
+	const steps = 5
+	type record struct {
+		got [steps]M
+		has [steps]bool
+	}
 	compressed, err := flat.Compress()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sends := func(id graph.VertexID) bool { return id%3 != 0 } // the rest leave their flag clear
-	msg := func(id graph.VertexID) uint64 { return uint64(id)*2654435761 + 1 }
-	prog := Program[uint64, uint64]{
-		Combine: func(old *uint64, new uint64) { *old = *old*31 + new },
-		Compute: func(ctx *Context[uint64, uint64], v Vertex[uint64, uint64]) {
+	prog := Program[record, M]{
+		Combine: combine,
+		Compute: func(ctx *Context[record, M], v Vertex[record, M]) {
+			step, rec := ctx.Superstep(), v.Value()
+			rec.has[step] = ctx.NextMessage(v, &rec.got[step])
+			if sends(step, v.ID()) {
+				ctx.Broadcast(v, msg(step, v.ID()))
+			}
+			if step == steps-1 || ctx.e.cfg.SelectionBypass {
+				ctx.VoteToHalt(v)
+			}
+		},
+	}
+	// oracle replays the schedule sequentially: without bypass every
+	// vertex runs every superstep; under bypass only those with mail run
+	// after superstep 0, and the run ends at the first superstep that
+	// sends nothing.
+	n := flat.N()
+	oracle := func(bypass bool) (want []record, ran int) {
+		want = make([]record, n)
+		runs := make([]bool, n)
+		for i := range runs {
+			runs[i] = true // superstep 0 runs everyone
+		}
+		for s := 0; s < steps; s++ {
+			ran++
+			sent := make([]bool, n)
+			for i := range sent {
+				sent[i] = (runs[i] || !bypass) && sends(s, flat.ExternalID(i))
+			}
+			mail := false
+			for i := range runs {
+				var inbox M
+				has := false
+				for _, nb := range flat.InNeighbors(i) {
+					if !sent[nb] {
+						continue
+					}
+					if m := msg(s, flat.ExternalID(int(nb))); has {
+						combine(&inbox, m)
+					} else {
+						inbox, has = m, true
+					}
+				}
+				if s+1 < steps {
+					want[i].got[s+1], want[i].has[s+1] = inbox, has
+				}
+				runs[i] = has
+				mail = mail || has
+			}
+			if bypass && !mail {
+				break
+			}
+		}
+		return want, ran
+	}
+	for _, bypass := range []bool{false, true} {
+		want, ran := oracle(bypass)
+		for _, g := range []*graph.Graph{flat, compressed} {
+			for _, comb := range []Combiner{CombinerSpin, CombinerMutex} {
+				for _, dir := range []Direction{DirectionPull, DirectionAdaptive} {
+					for _, threads := range []int{1, 2, 4} {
+						cfg := Config{Combiner: comb, Direction: dir, Threads: threads, SelectionBypass: bypass, CheckInvariants: true}
+						name := fmt.Sprintf("%s threads=%d compressed=%v", cellName(cfg), threads, g.IsCompressed())
+						e, rep, err := Run(g, cfg, prog)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if len(rep.Steps) != ran {
+							t.Fatalf("%s: ran %d supersteps, want %d", name, len(rep.Steps), ran)
+						}
+						for s, st := range rep.Steps {
+							if st.Direction != DirectionPull {
+								t.Fatalf("%s: superstep %d pushed, want every superstep pulled", name, s)
+							}
+						}
+						for i, got := range e.ValuesDense() {
+							if got != want[i] {
+								t.Fatalf("%s: inboxes of vertex %d per superstep = %v, want the in-order folds %v", name, flat.ExternalID(i), got, want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPullRepeatBroadcastCombines pins the rule for a vertex that
+// broadcasts twice in one superstep: a push broadcast combines both
+// messages in every recipient's inbox, and a pull one combines the second
+// into the sender's outbox entry, so every direction ends with the same
+// values and Fingerprint, and the conservation audit counts the repeat's
+// deliveries as combines. Both vertices of a two-cycle send 1 then 2
+// (each receives 3); on a larger graph vertices send once, twice or
+// three times.
+func TestPullRepeatBroadcastCombines(t *testing.T) {
+	var cycle graph.Builder
+	cycle.BuildInEdges()
+	cycle.AddEdge(1, 2)
+	cycle.AddEdge(2, 1)
+	prog := Program[float64, float64]{
+		Combine: Sum,
+		Compute: func(ctx *Context[float64, float64], v Vertex[float64, float64]) {
 			if ctx.IsFirstSuperstep() {
-				*v.Value() = none
-				if sends(v.ID()) {
-					ctx.Broadcast(v, msg(v.ID()))
+				times := 2
+				switch {
+				case v.ID()%3 == 0:
+					times = 3
+				case v.ID()%5 == 0:
+					times = 1
+				}
+				for k := 1; k <= times; k++ {
+					ctx.Broadcast(v, float64(k))
 				}
 			} else {
 				ctx.NextMessage(v, v.Value())
@@ -259,39 +410,34 @@ func TestPullCollectFoldOrder(t *testing.T) {
 			ctx.VoteToHalt(v)
 		},
 	}
-	want := make([]uint64, flat.N())
-	for i := range want {
-		want[i] = none
-		folded := false
-		for _, nb := range flat.InNeighbors(i) {
-			if id := flat.ExternalID(int(nb)); !sends(id) {
-				continue
-			} else if folded {
-				want[i] = want[i]*31 + msg(id)
-			} else {
-				want[i], folded = msg(id), true
-			}
-		}
-	}
-	for _, g := range []*graph.Graph{flat, compressed} {
-		for _, comb := range []Combiner{CombinerSpin, CombinerMutex} {
-			for _, dir := range []Direction{DirectionPull, DirectionAdaptive} {
-				for _, threads := range []int{1, 2, 4} {
-					for _, bypass := range []bool{false, true} {
-						cfg := Config{Combiner: comb, Direction: dir, Threads: threads, SelectionBypass: bypass, CheckInvariants: true}
-						name := fmt.Sprintf("%s threads=%d compressed=%v", cellName(cfg), threads, g.IsCompressed())
-						e, rep, err := Run(g, cfg, prog)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if len(rep.Steps) != 2 || rep.Steps[0].Direction != DirectionPull {
-							t.Fatalf("%s: want two supersteps, the first pulled, got %+v", name, rep.Steps)
-						}
-						for i, got := range e.ValuesDense() {
-							if got != want[i] {
-								t.Fatalf("%s: inbox of vertex %d = %#x, want the in-order fold %#x", name, flat.ExternalID(i), got, want[i])
-							}
-						}
+	for _, g := range []*graph.Graph{cycle.MustBuild(), fanoutGraph(300, 5)} {
+		for _, bypass := range []bool{false, true} {
+			for _, threads := range []int{1, 2} {
+				base := Config{Combiner: CombinerSpin, Threads: threads, SelectionBypass: bypass, CheckInvariants: true}
+				ePush, repPush, err := Run(g, base, prog)
+				if err != nil {
+					t.Fatalf("push %s: %v", base.VersionName(), err)
+				}
+				want := ePush.ValuesDense()
+				if g.N() == 2 && (want[0] != 3 || want[1] != 3) {
+					t.Fatalf("push %s on the two-cycle: values %v, want [3 3]", base.VersionName(), want)
+				}
+				for _, dir := range []Direction{DirectionPull, DirectionAdaptive} {
+					cfg := base
+					cfg.Direction = dir
+					name := fmt.Sprintf("%s threads=%d |V|=%d", cellName(cfg), threads, g.N())
+					e, rep, err := Run(g, cfg, prog)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if rep.Steps[0].Direction != DirectionPull {
+						t.Fatalf("%s: superstep 0 pushed", name)
+					}
+					if got := e.ValuesDense(); !slices.Equal(got, want) {
+						t.Fatalf("%s: values %v, want the push run's %v", name, got, want)
+					}
+					if fp, fpPush := rep.Fingerprint(), repPush.Fingerprint(); fp != fpPush {
+						t.Fatalf("%s: fingerprint diverged from push run:\n--- push ---\n%s--- pull ---\n%s", name, fpPush, fp)
 					}
 				}
 			}

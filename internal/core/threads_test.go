@@ -127,11 +127,15 @@ func combinePanicRun(t *testing.T, g *graph.Graph, cfg Config, second bool) {
 // deg out-edges per vertex are spread across the whole id range, so every
 // worker's span sends into every other worker's span and concurrent
 // deliveries to one mailbox are the norm, not the exception.
-func fanoutGraph(n, deg int) *graph.Graph {
+func fanoutGraph(n, deg int) *graph.Graph { return fanoutGraphSinks(n, deg, nil) }
+
+// fanoutGraphSinks is fanoutGraph without the out-edges of the vertices
+// whose internal index sink reports (nil: none).
+func fanoutGraphSinks(n, deg int, sink func(i int) bool) *graph.Graph {
 	var b graph.Builder
 	b.BuildInEdges()
 	for i := 0; i < n; i++ {
-		for j := 0; j < deg; j++ {
+		for j := 0; j < deg && (sink == nil || !sink(i)); j++ {
 			dst := (i + 1 + j*(n/deg+13)) % n
 			if dst == i {
 				dst = (dst + 1) % n

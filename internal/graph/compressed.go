@@ -496,14 +496,18 @@ func (g *Graph) OutNeighborsWith(nb *NeighborBuf, i int) []VertexID {
 }
 
 // InNeighborsWith is OutNeighborsWith for the in-direction. It panics
-// with ErrNoInEdges if in-edges were not built.
+// with ErrNoInEdges if in-edges were not built. The in-side is resolved
+// once: the pull collect calls it per receiver.
 func (g *Graph) InNeighborsWith(nb *NeighborBuf, i int) []VertexID {
 	g = g.in()
-	if g.inC == nil {
-		return g.InNeighbors(i)
+	if g.inC != nil {
+		ns, _ := nb.neighbors(g.inC, i)
+		return ns
 	}
-	ns, _ := nb.neighbors(g.inC, i)
-	return ns
+	if g.inOff == nil {
+		panic(ErrNoInEdges)
+	}
+	return g.inAdj[g.inOff[i]:g.inOff[i+1]]
 }
 
 // ForEachOutNeighbor streams vertex i's out-neighbours without a
