@@ -13,8 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # ipregel-vet enforces the framework contracts go vet cannot see
-# (halt obligations under selection bypass, handle escapes, combiner
-# purity, atomic field discipline).
+# (handle escapes, halt obligations under selection bypass, combiner
+# purity).
 ipregel-vet:
 	$(GO) run ./cmd/ipregel-vet ./...
 

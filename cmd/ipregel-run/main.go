@@ -82,6 +82,15 @@ func run(args []string, out io.Writer) error {
 	if threadsSet && *threads < 1 {
 		return fmt.Errorf("-threads must be at least 1 (got %d); omit the flag to use all processors", *threads)
 	}
+	if *app == "pagerank" && *rounds < 1 {
+		return fmt.Errorf("-rounds must be at least 1 (got %d)", *rounds)
+	}
+	if *attempts < 1 {
+		return fmt.Errorf("-recover-attempts must be at least 1 (got %d)", *attempts)
+	}
+	if *framework == "pregelplus" && *nodes < 1 {
+		return fmt.Errorf("-nodes must be at least 1 (got %d)", *nodes)
+	}
 	if *chaosSpec != "" && *ckptDir == "" {
 		return fmt.Errorf("-chaos needs -checkpoint-dir: injected faults are only survivable with checkpoints")
 	}
@@ -142,6 +151,13 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown graph backend %q (flat | compressed | mmap)", *backend)
 	}
 	fmt.Fprintln(out, graph.ComputeStats(*graphSpec, g))
+	switch *app {
+	case "sssp", "wsssp", "bfs", "reach64":
+		base, n := uint64(g.Base()), uint64(g.N())
+		if src := uint64(*source); src < base || src >= base+n {
+			return fmt.Errorf("-source %d outside the graph's identifier range [%d, %d)", src, base, base+n)
+		}
+	}
 
 	switch *framework {
 	case "pregelplus":

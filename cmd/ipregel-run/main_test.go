@@ -87,6 +87,40 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeValues pins the numeric flags' range checks,
+// the source and round checks ipregeld makes on a job's parameters among
+// them: a source outside the graph's identifier range (also one that
+// only wraps into it as a uint32), a PageRank round count below 1, a
+// supervisor with no attempt, and a Pregel+ cluster with no node are
+// usage errors naming the flag and its valid range, not runs that
+// quietly reach nothing or fall back to a default.
+func TestRunRejectsOutOfRangeValues(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantSub string
+	}{
+		{[]string{"-app", "sssp", "-graph", "road:10:10", "-source", "99999"}, "-source 99999 outside the graph's identifier range [1, 101)"},
+		{[]string{"-app", "sssp", "-graph", "road:10:10", "-source", "99999", "-framework", "pregelplus"}, "-source 99999 outside"},
+		{[]string{"-app", "wsssp", "-graph", "road:8:8", "-source", "0"}, "-source 0 outside the graph's identifier range [1, 65)"},
+		{[]string{"-app", "bfs", "-graph", "chain:10", "-source", "10"}, "-source 10 outside the graph's identifier range [0, 10)"},
+		{[]string{"-app", "reach64", "-graph", "chain:10", "-source", "4294967298"}, "-source 4294967298 outside"},
+		{[]string{"-app", "pagerank", "-graph", "ring:5", "-rounds", "-1"}, "-rounds must be at least 1 (got -1)"},
+		{[]string{"-app", "pagerank", "-graph", "ring:5", "-rounds", "0", "-framework", "pregelplus"}, "-rounds must be at least 1 (got 0)"},
+		{[]string{"-app", "hashmin", "-graph", "ring:5", "-recover-attempts", "0"}, "-recover-attempts must be at least 1 (got 0)"},
+		{[]string{"-app", "pagerank", "-graph", "ring:5", "-framework", "pregelplus", "-nodes", "0"}, "-nodes must be at least 1 (got 0)"},
+	}
+	for _, c := range cases {
+		var sb strings.Builder
+		err := run(c.args, &sb)
+		if err == nil {
+			t.Fatalf("args %v: expected error, got a run:\n%s", c.args, sb.String())
+		}
+		if !strings.Contains(err.Error(), c.wantSub) {
+			t.Fatalf("args %v: error %q does not mention %q", c.args, err, c.wantSub)
+		}
+	}
+}
+
 // TestRunFlagValidation pins the argument checks: an explicit
 // non-positive -threads is a usage error (the unset default 0 still
 // means GOMAXPROCS), -direction is an iPregel-only feature, the removed

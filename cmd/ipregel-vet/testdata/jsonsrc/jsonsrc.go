@@ -1,17 +1,15 @@
 // Package jsonsrc is the golden-test input for ipregel-vet's -json
-// output: one live nakedatomic finding and one suppressed one, so the
+// output: one live ctxescape finding and one suppressed one, so the
 // golden file pins the schema of both shapes (see main_test.go).
 package jsonsrc
 
-import "sync/atomic"
+import "ipregel/internal/core"
 
-type counter struct {
-	n uint64
-}
+var last *core.Context[int, int32]
 
-func (c *counter) inc() { atomic.AddUint64(&c.n, 1) }
+func keep(ctx *core.Context[int, int32]) { last = ctx }
 
-func audited(c *counter) uint64 {
-	//ipregel:ignore nakedatomic read-only snapshot taken after shutdown
-	return atomic.LoadUint64(&c.n)
+func audited(ctx *core.Context[int, int32]) {
+	//ipregel:ignore ctxescape cleared before the superstep's barrier
+	last = ctx
 }

@@ -17,7 +17,7 @@ import (
 
 // Backend parity battery: the engine must be oblivious to how the
 // adjacency is stored. For PageRank, SSSP and WCC, every cell of
-// {flat, compressed, mmap} × {atomic inbox at four threads, spinlock
+// {flat, compressed, mmap} × {mutex inbox at four threads, spinlock
 // inbox at two} must produce the same Report
 // fingerprint (superstep counts, message totals, per-step
 // ran/messages/active/next-frontier) and the same values as the flat

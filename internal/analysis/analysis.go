@@ -4,9 +4,9 @@
 // run time. There is one analyzer per contract: Context and Vertex
 // handles are slot views valid only inside the current Compute call
 // (ctxescape), selection bypass needs every vertex to vote to halt each
-// superstep, §4 (bypasshalt), fields marked //ipregel:atomic (the pull
-// transport's enrolment flags) tolerate no plain element access
-// (nakedatomic), and combiners must be pure reductions (combpure). Each checks one
+// superstep, §4 (bypasshalt), and combiners must be pure reductions
+// (combpure). State shared across workers is typed atomic, so the
+// compiler, not a lint rule, rejects its plain access. Each checks one
 // package at a time; bypasshalt and combpure read a callee's body in a
 // sibling package through the loader. Config.CheckInvariants in
 // internal/core is their runtime complement for what lint cannot prove.
@@ -99,7 +99,7 @@ func (d Diagnostic) String() string {
 
 // All returns the ipregel-vet analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxEscape, BypassHalt, NakedAtomic, CombPure}
+	return []*Analyzer{CtxEscape, BypassHalt, CombPure}
 }
 
 // Run executes the analyzers over one target and returns the surviving

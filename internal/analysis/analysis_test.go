@@ -23,7 +23,7 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	if len(targets) != 1 {
 		t.Fatalf("got %d targets, want 1", len(targets))
 	}
-	diags, err := Run([]*Analyzer{NakedAtomic}, loader, targets[0])
+	diags, err := Run([]*Analyzer{CtxEscape}, loader, targets[0])
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -33,8 +33,8 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	var sawFinding, sawMalformed bool
 	for _, d := range diags {
 		switch d.Analyzer {
-		case "nakedatomic":
-			sawFinding = strings.Contains(d.Message, "element of set accessed without sync/atomic")
+		case "ctxescape":
+			sawFinding = strings.Contains(d.Message, "stored into package variable saved")
 		case "ipregel-vet":
 			sawMalformed = strings.Contains(d.Message, "malformed ignore directive")
 		}
@@ -44,12 +44,12 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	}
 }
 
-// TestAllAnalyzersNamed guards the multichecker surface: four analyzers,
+// TestAllAnalyzersNamed guards the multichecker surface: three analyzers,
 // one per contract, distinct names, non-empty docs.
 func TestAllAnalyzersNamed(t *testing.T) {
 	all := All()
-	if len(all) != 4 {
-		t.Fatalf("All() returned %d analyzers, want 4", len(all))
+	if len(all) != 3 {
+		t.Fatalf("All() returned %d analyzers, want 3", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -46,11 +46,10 @@ func moduleRoot() (string, error) {
 	}
 }
 
-func TestCtxEscapeFixture(t *testing.T)   { testFixture(t, CtxEscape, "ctxescape") }
-func TestBypassHaltFixture(t *testing.T)  { testFixture(t, BypassHalt, "bypasshalt") }
-func TestNakedAtomicFixture(t *testing.T) { testFixture(t, NakedAtomic, "nakedatomic") }
-func TestCombPureFixture(t *testing.T)    { testFixture(t, CombPure, "combpure") }
-func TestSuppressFixture(t *testing.T)    { testFixture(t, NakedAtomic, "suppress") }
+func TestCtxEscapeFixture(t *testing.T)  { testFixture(t, CtxEscape, "ctxescape") }
+func TestBypassHaltFixture(t *testing.T) { testFixture(t, BypassHalt, "bypasshalt") }
+func TestCombPureFixture(t *testing.T)   { testFixture(t, CombPure, "combpure") }
+func TestSuppressFixture(t *testing.T)   { testFixture(t, CtxEscape, "suppress") }
 
 func testFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()

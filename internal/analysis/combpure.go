@@ -9,14 +9,14 @@ import (
 // CombPure enforces combiner purity, the property that makes
 // one-thread-vs-many parity provable (TestThreadsParityTable relies on
 // it). A CombineFunc runs inside message delivery — under the destination
-// mailbox's lock, inside the atomic inbox's CAS retry loop, or in the pull
+// mailbox's lock, in the one-thread inbox's scatter loop, or in the pull
 // collector — any number of times for one logical message and in any
 // interleaving. So it must not send (a Send from inside delivery re-enters
-// the mailbox lock, amplifies CAS retries, or races the collector's
-// owner-only write), must not write state it did not receive as an
-// argument, and must not consult nondeterminism sources. (Named
-// aggregators reduce with operator constants — core.AggOp — and carry no
-// user code; functional reducers, if ever added, register here too.)
+// the mailbox lock or races the collector's owner-only write), must not
+// write state it did not receive as an argument, and must not consult
+// nondeterminism sources. (Named aggregators reduce with operator
+// constants — core.AggOp — and carry no user code; functional reducers,
+// if ever added, register here too.)
 var CombPure = &Analyzer{
 	Name: "combpure",
 	Doc: `flag combiner hooks that send, write external state, range over maps, or call time/rand

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 )
 
 // CorePath is the import path of the framework package whose contracts
@@ -238,21 +237,4 @@ func declRecvName(fd *ast.FuncDecl) string {
 			return ""
 		}
 	}
-}
-
-// directiveOn reports whether the comment group carries the given
-// //-style directive (exact token at line start, e.g. "ipregel:atomic").
-func directiveOn(groups []*ast.CommentGroup, directive string) bool {
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if strings.TrimSpace(text) == directive {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -1,26 +1,21 @@
 // Fixture for the //ipregel:ignore suppression mechanism, exercised
-// through the nakedatomic analyzer.
+// through the ctxescape analyzer.
 package suppress
 
-import "sync/atomic"
+import "ipregel/internal/core"
 
-type flags struct {
-	//ipregel:atomic
-	set []uint32
+var last, prev, other *core.Context[int, int32]
+
+func suppressedSameLine(ctx *core.Context[int, int32]) {
+	last = ctx //ipregel:ignore ctxescape cleared before the superstep's barrier
 }
 
-func (f *flags) claim(i int) bool { return atomic.CompareAndSwapUint32(&f.set[i], 0, 1) }
-
-func (f *flags) suppressedSameLine(i int) uint32 {
-	return f.set[i] //ipregel:ignore nakedatomic read after every worker joined the barrier
+func suppressedLineAbove(ctx *core.Context[int, int32]) {
+	//ipregel:ignore ctxescape cleared before the superstep's barrier
+	prev = ctx
 }
 
-func (f *flags) suppressedLineAbove(i int) uint32 {
-	//ipregel:ignore nakedatomic read after every worker joined the barrier
-	return f.set[i]
-}
-
-func (f *flags) wrongAnalyzerName(i int) uint32 {
-	//ipregel:ignore ctxescape reason naming the wrong analyzer does not suppress
-	return f.set[i] // want `element of set accessed without sync/atomic`
+func wrongAnalyzerName(ctx *core.Context[int, int32]) {
+	//ipregel:ignore bypasshalt reason naming the wrong analyzer does not suppress
+	other = ctx // want `stored into package variable other`
 }

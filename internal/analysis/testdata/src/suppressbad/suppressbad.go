@@ -4,12 +4,11 @@
 // convention cannot annotate the directive's own line.)
 package suppressbad
 
-type flags struct {
-	//ipregel:atomic
-	set []uint32
-}
+import "ipregel/internal/core"
 
-func (f *flags) missingReason(i int) uint32 {
-	//ipregel:ignore nakedatomic
-	return f.set[i]
+var saved *core.Context[int, int32]
+
+func missingReason(ctx *core.Context[int, int32]) {
+	//ipregel:ignore ctxescape
+	saved = ctx
 }

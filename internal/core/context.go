@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ipregel/internal/graph"
 )
@@ -190,7 +189,7 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 			// broadcaster wins the test-and-CAS on its pullEnrol flag.
 			for _, nb := range e.g.OutNeighborsWith(&c.nbuf, slot) {
 				flag := &e.pullEnrol[nb]
-				if atomic.LoadUint32(flag) == 0 && atomic.CompareAndSwapUint32(flag, 0, 1) {
+				if flag.Load() == 0 && flag.CompareAndSwap(0, 1) {
 					c.enrolled = append(c.enrolled, int32(nb))
 				}
 			}

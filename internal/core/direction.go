@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 // The direction model (Config.Direction): whether a superstep's sends
 // travel push or pull is a transport decision the engine takes per
@@ -158,7 +155,7 @@ func (e *Engine[V, M]) collectPull() {
 			if e.collectSlot(ctx, int(slot), every) {
 				b.markNext(int(slot>>6), 1<<(slot&63), shared)
 			}
-			atomic.StoreUint32(&e.pullEnrol[slot], 0)
+			e.pullEnrol[slot].Store(0)
 		}
 	})
 	clear(e.pullFlag)

@@ -81,9 +81,8 @@ type Engine[V, M any] struct {
 	pullFlag []uint8
 	// sumOut is pullOut itself when the program combines with Sum (nil
 	// otherwise): collectSlot's fold adds over it without a Combine call.
-	sumOut []float64
-	//ipregel:atomic
-	pullEnrol []uint32
+	sumOut    []float64
+	pullEnrol []atomic.Uint32
 	curDir    Direction
 
 	frontierEdges uint64
@@ -179,7 +178,7 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 			e.sumOut, _ = any(e.pullOut).([]float64)
 		}
 		if cfg.SelectionBypass {
-			e.pullEnrol = make([]uint32, n)
+			e.pullEnrol = make([]atomic.Uint32, n)
 		}
 		if cfg.Direction == DirectionAdaptive {
 			// An empty frontier never forces pull.

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // InvariantError reports a violated engine invariant detected by the
 // Config.CheckInvariants runtime audit. It always indicates a framework
@@ -89,7 +86,7 @@ func (e *Engine[V, M]) auditFrontierDedup() error {
 		return &InvariantError{Superstep: e.superstep, Invariant: "frontier-dedup", Detail: fmt.Sprintf(format, args...)}
 	}
 	for slot := range e.pullEnrol {
-		if atomic.LoadUint32(&e.pullEnrol[slot]) != 0 {
+		if e.pullEnrol[slot].Load() != 0 {
 			return fail("pull dedup flag of vertex %d leaked past the collect", e.g.ExternalID(slot))
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ipregel/internal/graph"
@@ -107,9 +106,9 @@ func TestInvariantFrontierDedupDetectsCorruptState(t *testing.T) {
 
 	// A pull dedup flag that outlived its collect: a later pull broadcast
 	// would silently skip that enrolment.
-	atomic.StoreUint32(&e.pullEnrol[12], 1)
+	e.pullEnrol[12].Store(1)
 	wantDedup("leaked")
-	atomic.StoreUint32(&e.pullEnrol[12], 0)
+	e.pullEnrol[12].Store(0)
 
 	if err := e.auditFrontierDedup(); err != nil {
 		t.Fatalf("audit rejected the restored consistent state: %v", err)

@@ -94,7 +94,9 @@ func occupancyWords(slots int) int { return (slots + 63) / 64 }
 func hasBit(words []uint64, slot int) bool { return words[slot>>6]&(1<<(slot&63)) != 0 }
 
 // orWord sets bits in a word other workers may set bits in concurrently
-// (the module targets Go 1.22, which has no atomic.OrUint64).
+// (the module targets Go 1.22, which has no atomic.OrUint64). The nested
+// benchmark module's go.mod pins 1.22 as well: raising the root go.mod
+// alone fails its build, so a move to atomic.OrUint64 raises both.
 func orWord(w *uint64, bits uint64) {
 	for {
 		old := atomic.LoadUint64(w)

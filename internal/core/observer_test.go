@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -252,7 +251,7 @@ func TestObserverAbortPaths(t *testing.T) {
 				var e *Engine[uint32, uint32]
 				corrupt := ObserverFuncs{SuperstepStart: func(s int) {
 					if s == 2 {
-						atomic.StoreUint32(&e.pullEnrol[10], 1)
+						e.pullEnrol[10].Store(1)
 					}
 				}}
 				cfg := Config{Combiner: CombinerSpin, Direction: DirectionPull, SelectionBypass: true, CheckInvariants: true, Threads: 2, Observers: []Observer{rec, corrupt}}
