@@ -97,6 +97,13 @@ func run(args []string, out io.Writer) error {
 	if *ckptDir != "" && *framework != "ipregel" {
 		return fmt.Errorf("-checkpoint-dir requires -framework ipregel, not %q", *framework)
 	}
+	if *ckptDir != "" {
+		// The sink makes its directory only at the first checkpoint: make
+		// it here so a bad path fails before the graph loads.
+		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+			return fmt.Errorf("-checkpoint-dir: %w", err)
+		}
+	}
 	if *backend != "flat" {
 		// The non-flat backends drop the shared-slice adjacency accessors,
 		// which the Pregel+ baseline relies on; every iPregel app

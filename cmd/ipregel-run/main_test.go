@@ -221,16 +221,45 @@ func TestRunRecoverableResumesAcrossInvocations(t *testing.T) {
 // errors of the recovery path.
 func TestRunRecoverableErrors(t *testing.T) {
 	var sb strings.Builder
+	x := filepath.Join(t.TempDir(), "x")
 	for _, args := range [][]string{
-		{"-chaos", "panic@3", "-graph", "ring:5"},                                                  // -chaos without -checkpoint-dir
-		{"-checkpoint-dir", "x", "-framework", "pregelplus", "-graph", "ring:5"},                   // wrong framework
-		{"-app", "scc", "-checkpoint-dir", "x", "-graph", "ring:5"},                                // unsupported app
-		{"-app", "sssp", "-checkpoint-dir", "x", "-chaos", "panic@3,seed=1", "-graph", "ring:5"},   // bad spec: seed must lead
-		{"-app", "sssp", "-checkpoint-dir", "x", "-chaos", "seed=1,explode@3", "-graph", "ring:5"}, // unknown fault
+		{"-chaos", "panic@3", "-graph", "ring:5"},                                                // -chaos without -checkpoint-dir
+		{"-checkpoint-dir", x, "-framework", "pregelplus", "-graph", "ring:5"},                   // wrong framework
+		{"-app", "scc", "-checkpoint-dir", x, "-graph", "ring:5"},                                // unsupported app
+		{"-app", "sssp", "-checkpoint-dir", x, "-chaos", "panic@3,seed=1", "-graph", "ring:5"},   // bad spec: seed must lead
+		{"-app", "sssp", "-checkpoint-dir", x, "-chaos", "seed=1,explode@3", "-graph", "ring:5"}, // unknown fault
 	} {
 		if err := run(args, &sb); err == nil {
 			t.Fatalf("args %v: expected error", args)
 		}
+	}
+}
+
+// TestRunCheckpointDirCheckedFirst: the sink makes its directory only at
+// the first checkpoint, so the CLI makes -checkpoint-dir itself; a path
+// it cannot make is refused, naming the flag, before the graph loads and
+// before superstep 0.
+func TestRunCheckpointDirCheckedFirst(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	err := run([]string{"-app", "sssp", "-graph", "ring:64", "-checkpoint-dir", filepath.Join(file, "ckpt")}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
+		t.Fatalf("-checkpoint-dir under a regular file: err = %v, want one naming the flag", err)
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("the run got past the directory check; it printed %q", sb.String())
+	}
+
+	dir := filepath.Join(t.TempDir(), "new", "ckpt")
+	sb.Reset()
+	if err := run([]string{"-app", "sssp", "-graph", "ring:64", "-checkpoint-dir", dir}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("-checkpoint-dir not made: %v", err)
 	}
 }
 

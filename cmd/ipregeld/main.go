@@ -105,6 +105,21 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	if len(graphArgs) == 0 {
 		return fmt.Errorf("no graphs: pass at least one -graph name=spec or -graph-file name=path")
 	}
+	// service.Options reads zero as "use the default": refuse what the
+	// service would otherwise replace silently.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"max-supersteps", *maxSteps},
+		{"checkpoint-every", *ckptEvery},
+		{"checkpoint-keep", *ckptKeep},
+		{"recover-attempts", *attempts},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be at least 1 (got %d)", f.name, f.v)
+		}
+	}
 
 	comb, err := core.ParseCombiner(*combiner)
 	if err != nil {
@@ -131,6 +146,12 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		}
 		defer os.RemoveAll(tmp)
 		root = tmp
+	default:
+		// Start makes the root too; making it here fails a bad path
+		// before any graph loads.
+		if err := os.MkdirAll(root, 0o755); err != nil {
+			return fmt.Errorf("-checkpoint-root: %w", err)
+		}
 	}
 
 	svc := service.New(service.Options{

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -48,12 +50,38 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-graph", "g=ring:64", "-shards", "4"}, "flag provided but not defined: -shards"},
 		{[]string{"-graph", "g=ring:64", "-addressing", "offset"}, "flag provided but not defined: -addressing"},
 		{[]string{"-graph", "g=ring:64", "-sender-combining"}, "flag provided but not defined: -sender-combining"},
+		// The service reads zero as its default: zero or negative values
+		// are refused, naming the flag, not replaced.
+		{[]string{"-graph", "g=ring:64", "-max-supersteps", "0"}, "-max-supersteps must be at least 1"},
+		{[]string{"-graph", "g=ring:64", "-checkpoint-every", "-1"}, "-checkpoint-every must be at least 1"},
+		{[]string{"-graph", "g=ring:64", "-checkpoint-keep", "0"}, "-checkpoint-keep must be at least 1"},
+		{[]string{"-graph", "g=ring:64", "-recover-attempts", "0"}, "-recover-attempts must be at least 1"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("args %v: err = %v, want mention of %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestCheckpointRootCheckedFirst: job checkpoint directories are made
+// only at a job's first checkpoint, so the daemon checks -checkpoint-root
+// itself; a path it cannot make is refused, naming the flag, before any
+// graph loads or job runs.
+func TestCheckpointRootCheckedFirst(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{"-graph", "g=ring:64", "-listen", "127.0.0.1:0",
+		"-checkpoint-root", filepath.Join(file, "ckpt")}, &buf, nil)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint-root") {
+		t.Fatalf("-checkpoint-root under a regular file: err = %v, want one naming the flag", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("the daemon got past the root check; it printed %q", buf.String())
 	}
 }
 

@@ -40,6 +40,10 @@ type CheckpointCommitter interface {
 // other's latest-good files by accident. Jobs that run side by side use
 // one directory each. Close releases the registration (for same-process
 // sequential reuse of a directory, e.g. a CLI resume).
+//
+// The directory is made by the first Sink call, not by construction: a
+// run that ends before its first checkpoint barrier creates nothing, and
+// Made tells its owner whether there is anything to clean up.
 type FileSink struct {
 	dir string
 	// keep bounds how many committed checkpoints are retained; each
@@ -48,6 +52,7 @@ type FileSink struct {
 
 	mu     sync.Mutex
 	regKey string // "" once Close released the registration
+	made   bool   // a Sink call has made (or found) dir
 }
 
 // sinkRegistry records the directories with a live sink in this
@@ -65,14 +70,12 @@ func sinkKey(dir string) string {
 	return filepath.Clean(dir)
 }
 
-// NewFileSink creates dir if needed and returns a sink storing up to
-// keep committed checkpoints there (keep ≤ 0 keeps all). The directory
-// is claimed exclusively until Close: a second open sink on the same
-// directory fails to construct.
+// NewFileSink returns a sink storing up to keep committed checkpoints in
+// dir (keep ≤ 0 keeps all). It touches no file: dir need not exist
+// until the first Sink call makes it. The directory is claimed
+// exclusively until Close: a second open sink on the same directory
+// fails to construct.
 func NewFileSink(dir string, keep int) (*FileSink, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: checkpoint dir: %w", err)
-	}
 	if keep < 0 {
 		keep = 0
 	}
@@ -105,6 +108,14 @@ func (fs *FileSink) Close() error {
 // Dir returns the sink's directory.
 func (fs *FileSink) Dir() string { return fs.dir }
 
+// Made reports whether a Sink call has made the sink's directory (or
+// found it present), i.e. whether the sink can have left files there.
+func (fs *FileSink) Made() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.made
+}
+
 // checkpointName returns the final file name for a superstep.
 func checkpointName(superstep int) string {
 	return fmt.Sprintf("ckpt-%08d.ipck", superstep)
@@ -121,13 +132,31 @@ func parseCheckpointName(name string) (int, bool) {
 }
 
 // Sink is the Checkpointer.Sink function: it opens a temp file in the
-// sink's directory whose Commit publishes it under the final name.
+// sink's directory, making the directory on the first call, whose
+// Commit publishes it under the final name.
 func (fs *FileSink) Sink(superstep int) (io.Writer, error) {
+	if err := fs.mkdir(); err != nil {
+		return nil, err
+	}
 	f, err := os.CreateTemp(fs.dir, "ckpt-*.tmp")
 	if err != nil {
 		return nil, err
 	}
 	return &fileCheckpoint{sink: fs, f: f, superstep: superstep}, nil
+}
+
+// mkdir makes the sink's directory once.
+func (fs *FileSink) mkdir() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.made {
+		return nil
+	}
+	if err := os.MkdirAll(fs.dir, 0o755); err != nil {
+		return fmt.Errorf("core: checkpoint dir: %w", err)
+	}
+	fs.made = true
+	return nil
 }
 
 // fileCheckpoint is one in-flight checkpoint file.
@@ -167,7 +196,7 @@ func (fc *fileCheckpoint) Abort() error {
 }
 
 // committed lists the committed checkpoint supersteps in the sink's
-// directory, ascending.
+// directory, ascending; a missing directory holds none.
 func (fs *FileSink) committed() []int {
 	entries, err := os.ReadDir(fs.dir)
 	if err != nil {
@@ -199,10 +228,11 @@ func (fs *FileSink) prune() {
 }
 
 // LatestGood returns the newest committed checkpoint that passes full
-// integrity verification, or found=false when none exists. Checkpoints
-// failing verification (torn, bit-flipped) are skipped, newest-first, so
-// a recovery supervisor falls back to the last good barrier instead of
-// failing on the corrupt one.
+// integrity verification, or found=false when none exists (as in a
+// directory no Sink has made yet). Checkpoints failing verification
+// (torn, bit-flipped) are skipped, newest-first, so a recovery
+// supervisor falls back to the last good barrier instead of failing on
+// the corrupt one.
 func (fs *FileSink) LatestGood() (r io.ReadCloser, superstep int, found bool, err error) {
 	steps := fs.committed()
 	for i := len(steps) - 1; i >= 0; i-- {

@@ -248,11 +248,11 @@ func jobConfig(s *Service, jb *Job) core.Config {
 
 // runProgram executes one program on one job: directly when the service
 // has no checkpoint root, else under the crash-recovery supervisor with
-// a FileSink on the job's own directory <root>/<job-id>, so concurrent
-// jobs can never prune each other's checkpoints; the whole job
-// directory is deleted after success (a finished job has nothing to
-// resume) and kept after failure or cancellation so the work is
-// recoverable.
+// a FileSink on the job's own directory <run>/<job-id>, so concurrent
+// jobs can never prune each other's checkpoints. The sink makes that
+// directory at the job's first checkpoint; after success it is deleted
+// if it was made (a finished job has nothing to resume), and after
+// failure or cancellation it is kept so the work is recoverable.
 func runProgram[V, M any](
 	ctx context.Context, s *Service, jb *Job, g *graph.Graph,
 	prog core.Program[V, M], vc core.Codec[V], mc core.Codec[M],
@@ -271,8 +271,7 @@ func runProgram[V, M any](
 		return e.ValuesDense(), rep, nil
 	}
 
-	dir := filepath.Join(s.opts.CheckpointRoot, jb.id)
-	sink, err := core.NewFileSink(dir, s.opts.CheckpointKeep)
+	sink, err := core.NewFileSink(filepath.Join(s.runDir, jb.id), s.opts.CheckpointKeep)
 	if err != nil {
 		return nil, core.Report{}, err
 	}
@@ -288,7 +287,9 @@ func runProgram[V, M any](
 		return nil, rep, err
 	}
 	sink.Close()
-	_ = os.RemoveAll(dir)
+	if sink.Made() {
+		_ = os.RemoveAll(sink.Dir())
+	}
 	return e.ValuesDense(), rep, nil
 }
 

@@ -9,7 +9,9 @@
 // (graph, program, params) triple, and the per-job plumbing that the
 // single-process-multi-run bugfixes in this tree exist for: every job
 // runs under core.RunWithRecovery with a FileSink on its own directory
-// (two jobs can never prune each other's checkpoints) and reports into
+// (two jobs can never prune each other's checkpoints), inside a run
+// directory of the service's own (two services on one root can never
+// resume each other's checkpoints), and reports into
 // its own telemetry.JobCollector scope (metrics attribute per job
 // instead of last-writer-wins). cmd/ipregeld wraps this package in an
 // HTTP/JSON daemon; see http.go for the endpoint surface.
@@ -19,6 +21,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -58,10 +62,12 @@ type Options struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps the per-request deadline (0 = uncapped).
 	MaxDeadline time.Duration
-	// CheckpointRoot enables crash recovery: each job checkpoints into
-	// its own directory <root>/<job-id> through a FileSink and runs under
-	// core.RunWithRecovery. Empty disables checkpointing (jobs run
-	// directly, still cancellable).
+	// CheckpointRoot enables crash recovery: Start makes a run directory
+	// <root>/run-<random> for this service, and each job checkpoints into
+	// <run>/<job-id> through a FileSink and runs under
+	// core.RunWithRecovery. The job directory is made at the job's first
+	// checkpoint; a job that finishes before one touches no file. Empty
+	// disables checkpointing (jobs run directly, still cancellable).
 	CheckpointRoot string
 	// CheckpointEvery is the checkpoint cadence in supersteps (default 8).
 	CheckpointEvery int
@@ -172,6 +178,10 @@ type Service struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
+	// runDir is this service's directory under Options.CheckpointRoot,
+	// absolute; set by Start, "" without a root.
+	runDir string
+
 	mu      sync.Mutex
 	graphs  map[string]*graphEntry
 	jobs    map[string]*Job
@@ -252,8 +262,9 @@ func (s *Service) Graphs() []GraphInfo {
 	return out
 }
 
-// Start launches the worker pool. Submissions before Start queue up but
-// do not execute; Start after Close is an error.
+// Start makes the run directory under the checkpoint root (creating the
+// root) and launches the worker pool. Submissions before Start queue up
+// but do not execute; Start after Close is an error.
 func (s *Service) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,12 +274,35 @@ func (s *Service) Start() error {
 	if s.started {
 		return fmt.Errorf("service: already started")
 	}
+	if root := s.opts.CheckpointRoot; root != "" {
+		dir, err := newRunDir(root)
+		if err != nil {
+			return fmt.Errorf("service: checkpoint root: %w", err)
+		}
+		s.runDir = dir
+	}
 	s.started = true
 	s.wg.Add(s.opts.Workers)
 	for i := 0; i < s.opts.Workers; i++ {
 		go s.worker()
 	}
 	return nil
+}
+
+// newRunDir makes a fresh directory under root. Job ids restart at j1 in
+// every service, so services sharing a root keep their jobs apart this
+// way: a later service's j1 must not resume an earlier one's checkpoint.
+// The path is made absolute once here, so no job's FileSink has to ask
+// for the working directory.
+func newRunDir(root string) (string, error) {
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return "", err
+	}
+	dir, err := os.MkdirTemp(root, "run-")
+	if err != nil {
+		return "", err
+	}
+	return filepath.Abs(dir)
 }
 
 // Submit validates, canonicalises and enqueues one job. A cache hit
@@ -417,7 +451,9 @@ func (s *Service) CacheLen() int { return s.cache.len() }
 
 // Close stops intake, cancels running jobs through their contexts (the
 // same path a deadline takes — engines abort at the next superstep
-// barrier) and waits for the workers, bounded by ctx. Idempotent.
+// barrier) and waits for the workers, bounded by ctx. Once they have
+// drained, the run directory is removed if no failed or cancelled job
+// left checkpoints in it. Idempotent.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -435,6 +471,9 @@ func (s *Service) Close(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		if s.runDir != "" {
+			_ = os.Remove(s.runDir) // fails, keeping it, unless empty
+		}
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("service: close timed out with jobs still running: %w", ctx.Err())

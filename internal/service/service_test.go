@@ -313,7 +313,8 @@ func TestAdmissionControl(t *testing.T) {
 // whose deadline expires is cancelled through its own context while a
 // concurrent job on the same graph finishes correctly, and — with
 // checkpointing on — the cancelled job's directory stays on disk
-// (resumable) while the finished job's is cleaned up.
+// (resumable), also through Close, while the finished job's is cleaned
+// up.
 func TestDeadlineCancelsOnlyItsJob(t *testing.T) {
 	const spec = "rmat:10:8"
 	root := t.TempDir()
@@ -355,11 +356,13 @@ func TestDeadlineCancelsOnlyItsJob(t *testing.T) {
 		t.Fatalf("healthy job vertex 1 rank = %g, want %g", got, want)
 	}
 
-	// The cancelled job's checkpoints survive; the finished job's are gone.
-	if _, err := os.Stat(filepath.Join(root, doomed.ID)); err != nil {
+	// The cancelled job's checkpoints survive, Close included; the
+	// finished job's are gone.
+	closeService(t, s)
+	if _, err := os.Stat(filepath.Join(s.runDir, doomed.ID)); err != nil {
 		t.Fatalf("cancelled job's checkpoint dir missing: %v", err)
 	}
-	sink, err := core.NewFileSink(filepath.Join(root, doomed.ID), 3)
+	sink, err := core.NewFileSink(filepath.Join(s.runDir, doomed.ID), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +372,7 @@ func TestDeadlineCancelsOnlyItsJob(t *testing.T) {
 		t.Fatalf("cancelled job left no recoverable checkpoint: found=%v err=%v", found, err)
 	}
 	r.Close()
-	if _, err := os.Stat(filepath.Join(root, healthy.ID)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(s.runDir, healthy.ID)); !os.IsNotExist(err) {
 		t.Fatalf("finished job's checkpoint dir not cleaned up: %v", err)
 	}
 }
