@@ -29,13 +29,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine, algorithm and service suites at 1, 2 and 4 cores, three
-# times each: an assertion that only holds on one core count (a float
-# push sum compared with ==, DESIGN.md §5.1) fails here, not on whoever
-# next runs tier-1 on a different box.
+# The graph, graphio, engine, algorithm and service suites at 1, 2 and 4
+# cores, three times each: an assertion that only holds on one core
+# count (a float push sum compared with ==, DESIGN.md §5.1) fails here,
+# not on whoever next runs tier-1 on a different box; the compressed
+# adjacency's validation sweep runs serially at 1 and in spans at 2 and 4.
 test-cores:
 	for p in 1 2 4; do \
-		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/core/... ./internal/algorithms/... ./internal/service/... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/graph/... ./internal/graphio/... ./internal/core/... ./internal/algorithms/... ./internal/service/... || exit 1; \
 	done
 
 # `go test -run` that refuses an empty selection:
@@ -118,7 +119,8 @@ fuzz:
 # scatter, and the fused scatter under bypass, whose fills are the
 # frontier enrolment (ns/msg); neighbour decode per backend and access
 # order, and the compressed adjacency's open-time validation sweep
-# (ns/edge); the pull collect's fold per inbox version (ns per in-edge);
+# (ns/edge), the sweep at -cpu 1 and 2 so its serial and its parallel
+# row both exist; the pull collect's fold per inbox version (ns per in-edge);
 # and Hashmin on a transposed star, every leaf delivering into one hub
 # slot, per push combiner and gathered by the broadcast version's
 # lock-free collect (the one concurrent hot-slot cell; at -cpu 1 the
@@ -126,17 +128,19 @@ fuzz:
 # the combiners with `go test ./internal/algorithms/ -run '^$' -bench
 # Contention -cpu 4`); and each telemetry sink, per 20-superstep run and
 # per superstep barrier (ns per start/end hook pair); and the RMAT
-# generator, ns per placed edge of a wiki stand-in. It fails when one
-# of them no longer exists; CI runs it with BENCHTIME=1x so they cannot
-# rot. `make bench` is the same list.
+# generator, ns per placed edge of a wiki stand-in. An entry runs at
+# -cpu 1 unless it names its own list (`package:name:cpus`). It fails
+# when one of them no longer exists; CI runs it with BENCHTIME=1x so
+# they cannot rot. `make bench` is the same list.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead ./internal/gen/:BenchmarkRMAT
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck:1,2 ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead ./internal/gen/:BenchmarkRMAT
 bench: bench-core
 
 bench-core:
 	@for pb in $(CORE_BENCHES); do \
-		p=$${pb%%:*}; b=$${pb##*:}; \
+		p=$${pb%%:*}; b=$${pb#*:}; cpu=1; \
+		case $$b in *:*) cpu=$${b#*:}; b=$${b%%:*};; esac; \
 		$(GO) test $$p -list "^$$b$$" | grep -q "^$$b$$" || \
 			{ echo "bench-core: $$b is gone from $$p" >&2; exit 1; }; \
-		$(GO) test $$p -run '^$$' -bench "^$$b$$" -benchtime $(BENCHTIME) -cpu 1 || exit 1; \
+		$(GO) test $$p -run '^$$' -bench "^$$b$$" -benchtime $(BENCHTIME) -cpu $$cpu || exit 1; \
 	done

@@ -111,6 +111,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		name string
 		v    int
 	}{
+		{"workers", *workers},
+		{"queue", *queueLen},
 		{"max-supersteps", *maxSteps},
 		{"checkpoint-every", *ckptEvery},
 		{"checkpoint-keep", *ckptKeep},
@@ -119,6 +121,12 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		if f.v < 1 {
 			return fmt.Errorf("-%s must be at least 1 (got %d)", f.name, f.v)
 		}
+	}
+	if *threads < 0 {
+		return fmt.Errorf("-threads must be at least 0 (got %d; 0 = GOMAXPROCS)", *threads)
+	}
+	if *cacheLen == 0 {
+		return fmt.Errorf("-cache must not be 0, which the service reads as its default of 128; -1 disables the cache")
 	}
 
 	comb, err := core.ParseCombiner(*combiner)

@@ -56,6 +56,11 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-graph", "g=ring:64", "-checkpoint-every", "-1"}, "-checkpoint-every must be at least 1"},
 		{[]string{"-graph", "g=ring:64", "-checkpoint-keep", "0"}, "-checkpoint-keep must be at least 1"},
 		{[]string{"-graph", "g=ring:64", "-recover-attempts", "0"}, "-recover-attempts must be at least 1"},
+		{[]string{"-graph", "g=ring:64", "-workers", "0"}, "-workers must be at least 1"},
+		{[]string{"-graph", "g=ring:64", "-queue", "-5"}, "-queue must be at least 1"},
+		// core.New would read a negative thread count as GOMAXPROCS.
+		{[]string{"-graph", "g=ring:64", "-threads", "-3"}, "-threads must be at least 0"},
+		{[]string{"-graph", "g=ring:64", "-cache", "0"}, "-cache must not be 0"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf, nil)

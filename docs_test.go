@@ -8,17 +8,19 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // checkedDocs are the documents whose file, package and section
 // references TestDocReferences keeps honest.
-var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"}
+var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "ROADMAP.md"}
 
 var (
 	backtickSpan = regexp.MustCompile("`([^`\n]+)`")
 	goFileToken  = regexp.MustCompile(`^[A-Za-z0-9_./-]+\.go$`)
+	goLineToken  = regexp.MustCompile(`^([A-Za-z0-9_./-]+\.go):(\d+)(?:[–-](\d+))?$`)
 	pkgDirToken  = regexp.MustCompile(`^(internal|cmd)/[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)*/?$`)
 	designRef    = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+(?:\.\d+)?[a-z]?)`)
 	designHead   = regexp.MustCompile(`^#+ (\d+(?:\.\d+)?[a-z]?)\.? `)
@@ -27,7 +29,9 @@ var (
 
 // TestDocReferences fails on a stale reference in the checked documents:
 // a backticked Go file name that matches no file in the repository (by
-// path suffix), a backticked internal/<pkg> or cmd/<name> path that is
+// path suffix), a backticked `file.go:N` (or `file.go:N–M`) that no
+// such file is N (M) lines long enough to hold, a backticked
+// internal/<pkg> or cmd/<name> path that is
 // not a directory, a backticked <pkg>.<Ident> whose internal/<pkg>
 // declares no top-level Ident (only the first identifier after the
 // package is checked, and only for a capitalised one), or a "DESIGN.md
@@ -92,6 +96,15 @@ func TestDocReferences(t *testing.T) {
 				case goFileToken.MatchString(tok):
 					if !hasPathSuffix(files, tok) {
 						t.Errorf("%s:%d: `%s` names no file in the repository", doc, i+1, m[1])
+					}
+				case goLineToken.MatchString(tok):
+					lm := goLineToken.FindStringSubmatch(tok)
+					last, _ := strconv.Atoi(lm[2])
+					if lm[3] != "" {
+						last, _ = strconv.Atoi(lm[3])
+					}
+					if longest := longestSuffixMatch(t, files, lm[1]); longest < last {
+						t.Errorf("%s:%d: `%s`: no %s in the repository has %d lines (longest: %d)", doc, i+1, m[1], lm[1], last, longest)
 					}
 				case pkgDirToken.MatchString(tok):
 					dir := strings.TrimSuffix(strings.TrimSuffix(tok, "/..."), "/")
@@ -168,6 +181,22 @@ func topLevel(t *testing.T, pkg string) map[string]bool {
 		}
 	}
 	return decls
+}
+
+// longestSuffixMatch returns the line count of the longest file that is
+// name or ends in "/"+name, or 0 when there is none.
+func longestSuffixMatch(t *testing.T, files []string, name string) int {
+	longest := 0
+	for _, f := range files {
+		if f == name || strings.HasSuffix(f, "/"+name) {
+			text, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			longest = max(longest, strings.Count(string(text), "\n"))
+		}
+	}
+	return longest
 }
 
 // hasPathSuffix reports whether some file is name or ends in "/"+name.

@@ -136,6 +136,7 @@ type Config struct {
 	// not PageRank).
 	SelectionBypass bool
 	// Threads is the number of worker goroutines; 0 means GOMAXPROCS.
+	// New refuses a negative count.
 	Threads int
 	// MaxSupersteps aborts runs that exceed this many supersteps; 0 means
 	// no limit.

@@ -126,6 +126,9 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	if prog.Combine == nil {
 		return nil, errors.New("core: Program.Combine is required")
 	}
+	if cfg.Threads < 0 {
+		return nil, fmt.Errorf("core: Config.Threads is %d; want 0 (GOMAXPROCS) or more", cfg.Threads)
+	}
 	if cfg.Direction < DirectionPush || cfg.Direction > DirectionAdaptive {
 		return nil, fmt.Errorf("core: unknown direction %s", cfg.Direction)
 	}

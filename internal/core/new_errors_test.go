@@ -64,6 +64,13 @@ func TestNewConstructionErrors(t *testing.T) {
 			want: "selection bypass enrols out-neighbours",
 		},
 		{
+			name: "negative threads",
+			g:    ringGraph(4, 0),
+			cfg:  Config{Threads: -3},
+			prog: Program[uint32, uint32]{Compute: okCompute, Combine: okCombine},
+			want: "Config.Threads is -3",
+		},
+		{
 			name: "unknown combiner",
 			g:    ringGraph(4, 0),
 			cfg:  Config{Combiner: Combiner(97)},

@@ -67,7 +67,36 @@ func requireCheckersAgree(t *testing.T, n int, deg []uint32, blockOff, blockEdge
 		t.Fatalf("validators disagree: check says %v, the reference sweep says %v\nn=%d deg=%v blockOff=%v blockEdge=%v data=%x",
 			err, ref, n, deg, blockOff, blockEdge, data)
 	}
+	requireSpansAgree(t, n, deg, blockOff, blockEdge, data, err)
 	return err == nil
+}
+
+// spanCounts are the span counts requireSpansAgree cuts a block sweep
+// into: an even and an odd count. Most test streams have fewer blocks
+// than that, so some spans are empty.
+var spanCounts = []int{2, 3}
+
+// requireSpansAgree fails the test unless the block sweep cut into each
+// of spanCounts returns exactly serial, newCompressedAdj's error for the
+// same arrays (the serial sweep's, at the default floor on these small
+// streams): the same error string, or nil. Arrays that fail the shape or
+// table checks never reach the sweep, so there is nothing to compare for
+// them.
+func requireSpansAgree(t *testing.T, n int, deg []uint32, blockOff, blockEdge []uint64, data []byte, serial error) {
+	t.Helper()
+	nb := (n + CompressedBlockSize - 1) / CompressedBlockSize
+	if n < 0 || len(deg) != n || len(blockOff) != nb+1 || len(blockEdge) != nb+1 {
+		return
+	}
+	c := &compressedAdj{n: n, m: blockEdge[nb], deg: deg, blockOff: blockOff, blockEdge: blockEdge, data: data}
+	if c.checkTable() != nil {
+		return
+	}
+	for _, parts := range spanCounts {
+		if got := c.checkSpans(parts); fmt.Sprint(got) != fmt.Sprint(serial) {
+			t.Fatalf("the sweep cut into %d spans says %s, the serial sweep %s", parts, got, serial)
+		}
+	}
 }
 
 // adjSections is one adjacency's four arrays as the little-endian bytes an
@@ -171,8 +200,10 @@ func overlongSections() adjSections {
 // single-byte mutation (each byte to each of its 255 other values) of
 // each of the four sections of the IPG3 goldens, of the IPG3 seed graphs
 // of graphio's FuzzReadBinary and of an adjacency of padded varints is
-// admitted or rejected by check and by the reference sweep alike. FuzzBlockDecode asserts the same on its
-// seeds and on whatever the fuzzer derives from them.
+// admitted or rejected by check and by the reference sweep alike, and
+// the block sweep cut into spans returns the serial sweep's exact error.
+// FuzzBlockDecode asserts the same on its seeds and on whatever the
+// fuzzer derives from them.
 func TestCompressedCheckMatchesReference(t *testing.T) {
 	var seed Builder // FuzzReadBinary's valid unweighted IPG3 seed
 	for i := 0; i < 100; i++ {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // Compressed adjacency: the memory-efficiency tier of the follow-up
@@ -154,11 +156,11 @@ func compressCSR(n int, off []uint64, adj []VertexID) *compressedAdj {
 }
 
 // newCompressedAdj admits externally supplied block arrays (the IPG3
-// reader, the mmap loader) after full validation: shape, monotone
-// offsets, degree/edge-prefix consistency, and a complete decode sweep
-// proving every varint is well-formed, every neighbour is in range, and
-// every block consumes exactly its byte span. It never panics on
-// hostile input.
+// reader, the mmap loader) after full validation (check): shape,
+// monotone offsets, degree/edge-prefix consistency, and a complete
+// decode sweep proving every varint is well-formed, every neighbour is
+// in range, and every block consumes exactly its byte span. It never
+// panics on hostile input.
 func newCompressedAdj(n int, deg []uint32, blockOff, blockEdge []uint64, data []byte) (*compressedAdj, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -177,9 +179,36 @@ func newCompressedAdj(n int, deg []uint32, blockOff, blockEdge []uint64, data []
 	return c, nil
 }
 
+// checkSpanFloor is the fewest stream bytes check's block sweep hands
+// one goroutine: a stream shorter than two floors, and any stream at
+// GOMAXPROCS=1, is swept on the calling goroutine with no goroutine
+// started. A floor is 0.2–0.4 ms of decoding; two spans of one floor
+// each were clearly faster than one sweep, two of half a floor were not
+// (DESIGN.md §13.2). Tests lower it so small graphs take the parallel
+// path; it is not a knob.
+var checkSpanFloor uint64 = 64 << 10
+
+// checkParts is the number of spans check's block sweep cuts a stream of
+// n bytes into: GOMAXPROCS, fewer when a span would hold less than
+// checkSpanFloor bytes, and never fewer than one.
+func checkParts(n uint64) int {
+	return int(min(uint64(runtime.GOMAXPROCS(0)), max(n/checkSpanFloor, 1)))
+}
+
 // check verifies all structural invariants including a full decode
-// sweep. Graph.Validate calls it; newCompressedAdj relies on it.
+// sweep. Graph.Validate calls it; newCompressedAdj relies on it. The
+// block table is checked first, serially (checkTable); the per-block
+// sweep then runs in checkParts spans (checkSpans).
 func (c *compressedAdj) check() error {
+	if err := c.checkTable(); err != nil {
+		return err
+	}
+	return c.checkSpans(checkParts(uint64(len(c.data))))
+}
+
+// checkTable checks the block table's ends and that it is monotone
+// within the data, before any block is decoded.
+func (c *compressedAdj) checkTable() error {
 	nb := len(c.blockOff) - 1
 	if c.blockOff[0] != 0 {
 		return fmt.Errorf("graph: blockOff[0] = %d, want 0", c.blockOff[0])
@@ -204,7 +233,61 @@ func (c *compressedAdj) check() error {
 			return fmt.Errorf("graph: block edge prefixes not monotone at %d", b)
 		}
 	}
-	for b := 0; b < nb; b++ {
+	return nil
+}
+
+// spanCuts cuts blocks [0, nb) into parts spans of equal stream bytes:
+// span p is blocks [cut[p], cut[p+1]), the blocks that start in the p-th
+// share of data. A binary search of blockOff places each cut, which is
+// safe once checkTable has proved the table monotone and inside data.
+// The cut is not at equal block counts: RMAT puts its heavy vertices at
+// low ids, and an equal-block cut hands one span most of the stream.
+func (c *compressedAdj) spanCuts(parts int) []int {
+	nb := len(c.blockOff) - 1
+	cut := make([]int, parts+1)
+	cut[parts] = nb
+	for p := 1; p < parts; p++ {
+		cut[p], _ = slices.BinarySearch(c.blockOff[:nb], uint64(len(c.data))/uint64(parts)*uint64(p))
+	}
+	return cut
+}
+
+// checkSpans runs the block sweep as the parts spans of spanCuts, the
+// first on the calling goroutine and each other non-empty one on its
+// own; parts == 1 is the serial sweep and starts no goroutine. Each span
+// stops at its first bad block, and checkSpans returns the error of the
+// lowest span that failed: the first bad block's, exactly what the
+// serial sweep returns.
+func (c *compressedAdj) checkSpans(parts int) error {
+	cut := c.spanCuts(parts)
+	errs := make([]error, parts)
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		if cut[p] == cut[p+1] {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[p] = c.checkBlocks(cut[p], cut[p+1])
+		}()
+	}
+	errs[0] = c.checkBlocks(0, cut[1])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkBlocks sweeps blocks [lo, hi) in order and returns the first bad
+// block's error. Each block is checked against its own degree slice and
+// blockOff span only, so disjoint ranges can be swept concurrently; the
+// block table must already have passed check.
+func (c *compressedAdj) checkBlocks(lo, hi int) error {
+	for b := lo; b < hi; b++ {
 		// Degrees must reproduce the edge prefix.
 		end := (b + 1) * CompressedBlockSize
 		if end > c.n {
@@ -593,9 +676,13 @@ func (g *Graph) OutCompressedParts() (p CompressedParts, ok bool) {
 
 // NewCompressedOut builds a compressed graph directly from block arrays
 // (the IPG3 reader and mmap loader path), fully validating them —
-// hostile inputs error, never panic. weights may be nil; when present
-// its length must equal the edge count. The slices are retained, not
-// copied (the mmap loader aliases the file).
+// hostile inputs error, never panic. The block table is checked on the
+// calling goroutine; the decode sweep of a stream of at least two
+// 64 KiB floors is cut into equal-byte spans swept on up to GOMAXPROCS
+// goroutines, all joined before it returns, and a rejected input gets
+// the serial sweep's error. weights may be nil; when present its length
+// must equal the edge count. The slices are retained, not copied (the
+// mmap loader aliases the file).
 func NewCompressedOut(base VertexID, n int, p CompressedParts, weights []uint32) (*Graph, error) {
 	c, err := newCompressedAdj(n, p.Deg, p.BlockOff, p.BlockEdge, p.Data)
 	if err != nil {

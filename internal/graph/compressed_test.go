@@ -338,8 +338,9 @@ func referenceDecode(t *testing.T, c *compressedAdj) [][]VertexID {
 // FuzzBlockDecode is the decoder-level fuzz target: hostile degree
 // arrays, block tables, and varint streams must be rejected with an
 // error — never a panic, never an out-of-range neighbour surviving into
-// the accessors. Accepted inputs must decode identically through scan and
-// through one NeighborBuf in every access order.
+// the accessors. The block sweep cut into spans must return the serial
+// sweep's exact error. Accepted inputs must decode identically through
+// scan and through one NeighborBuf in every access order.
 func FuzzBlockDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	var b Builder
@@ -393,6 +394,7 @@ func FuzzBlockDecode(f *testing.F) {
 		if ref := referenceAdmit(n, deg, blockOff, blockEdge, data); (err == nil) != (ref == nil) {
 			t.Fatalf("validators disagree: check says %v, the reference sweep says %v", err, ref)
 		}
+		requireSpansAgree(t, n, deg, blockOff, blockEdge, data, err)
 		if err != nil {
 			return // rejected, as hostile inputs should be
 		}

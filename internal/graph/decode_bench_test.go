@@ -70,7 +70,8 @@ func BenchmarkNeighborDecode(b *testing.B) {
 // graphio.OpenMapped pays per edge before it returns. The graph is the
 // RMAT Wikipedia stand-in at the divisor the repo benchmark's
 // load_sssp_mmap workload maps (1.3 M edges, 2.8 stream bytes per edge).
-// Run by `make bench-core`.
+// Run by `make bench-core` at -cpu 1 (the serial sweep) and -cpu 2 (two
+// equal-byte spans on two goroutines).
 func BenchmarkCompressedCheck(b *testing.B) {
 	g, err := gen.Wikipedia(gen.PresetParams{Divisor: 128, Seed: 1}).Compress()
 	if err != nil {

@@ -271,7 +271,8 @@ func (g *Graph) Validate() error {
 }
 
 // validateCompressed re-checks the block invariants of the compressed
-// backend (a full decode sweep per direction).
+// backend (a full decode sweep per direction, cut into spans as
+// compressedAdj.check cuts it).
 func (g *Graph) validateCompressed() error {
 	if g.outC == nil {
 		return fmt.Errorf("graph: compressed in-adjacency on a flat out-adjacency")

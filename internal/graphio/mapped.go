@@ -14,9 +14,12 @@ import (
 // them under pressure, so graphs larger than RAM stay loadable — the
 // Pregelix trade-off (PAPERS.md) of keeping only the frontier and
 // mailboxes resident while the adjacency lives behind a paging
-// boundary. The file is validated eagerly on open (one sequential pass,
-// after which the pages are evictable), so the graph the engine sees is
-// exactly as trustworthy as a heap-loaded one.
+// boundary. The file is validated eagerly on open, so the graph the
+// engine sees is exactly as trustworthy as a heap-loaded one: one pass
+// over the block table, then an IPG3 stream's decode sweep cut into
+// equal-byte spans swept on up to GOMAXPROCS goroutines (serially at
+// GOMAXPROCS=1 or on a small stream; graph.NewCompressedOut). After it
+// the pages are evictable.
 //
 // Close unmaps the file; the Graph must not be used afterwards (its
 // adjacency slices point into the dead mapping). Callers own the
