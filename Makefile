@@ -117,7 +117,8 @@ fuzz:
 # The hot-primitive microbenchmarks, one `package:name` each: mailbox
 # deliver per inbox version — a scatter of one per message, the fused
 # scatter, and the fused scatter under bypass, whose fills are the
-# frontier enrolment (ns/msg); neighbour decode per backend and access
+# frontier enrolment (ns/msg); the non-bypass selection scan at 1, 10
+# and 100 % active (ns/slot); neighbour decode per backend and access
 # order, and the compressed adjacency's open-time validation sweep
 # (ns/edge), the sweep at -cpu 1 and 2 so its serial and its parallel
 # row both exist; the pull collect's fold per inbox version (ns per in-edge);
@@ -133,7 +134,7 @@ fuzz:
 # when one of them no longer exists; CI runs it with BENCHTIME=1x so
 # they cannot rot. `make bench` is the same list.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck:1,2 ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead ./internal/gen/:BenchmarkRMAT
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/core/:BenchmarkSelect ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck:1,2 ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead ./internal/gen/:BenchmarkRMAT
 bench: bench-core
 
 bench-core:

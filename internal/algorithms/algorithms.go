@@ -26,6 +26,10 @@ const Infinity = math.MaxUint32
 // iterations with d = 0.85, after which every vertex votes to halt.
 // Vertices without out-neighbours simply do not broadcast (their rank mass
 // is dropped, as in the paper's formulation).
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func PageRankProgram(rounds int) core.Program[float64, float64] {
 	return core.Program[float64, float64]{
 		Combine: core.Sum,
@@ -68,6 +72,10 @@ func PageRank(g *graph.Graph, cfg core.Config, rounds int) ([]float64, core.Repo
 // adopts (and re-broadcasts) any smaller label received. Every vertex
 // votes to halt at every superstep, making the app compatible with the
 // selection bypass.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func HashminProgram() core.Program[uint32, uint32] {
 	return core.Program[uint32, uint32]{
 		Combine: core.Min,
@@ -109,6 +117,10 @@ func Hashmin(g *graph.Graph, cfg core.Config) ([]uint32, core.Report, error) {
 // SSSPProgram returns the paper's Fig. 5 single-source shortest path with
 // unit edge weights: distances propagate as dist+1 broadcasts and every
 // vertex votes to halt at every superstep.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func SSSPProgram(source graph.VertexID) core.Program[uint32, uint32] {
 	return core.Program[uint32, uint32]{
 		Combine: core.Min,
@@ -160,6 +172,10 @@ type BFSState struct {
 // vertices adopt the smallest identifier among the neighbours that
 // reached them first. It votes to halt every superstep and uses
 // broadcasts only, so it runs under every engine version.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func BFSProgram(source graph.VertexID) core.Program[BFSState, uint32] {
 	return core.Program[BFSState, uint32]{
 		Combine: core.Min,

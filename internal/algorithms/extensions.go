@@ -20,6 +20,10 @@ import (
 // every vertex stops broadcasting and votes to halt, so the computation
 // quiesces one superstep later. The program declares its "delta"
 // aggregator, so checkpoints of it resume with the aggregator's state.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func PageRankConvergedProgram(tol float64) core.Program[float64, float64] {
 	return core.Program[float64, float64]{
 		Combine:     core.Sum,
@@ -70,6 +74,10 @@ func PageRankConverged(g *graph.Graph, cfg core.Config, tol float64) ([]float64,
 // vertex votes to halt each superstep, so the program is compatible with
 // the selection bypass, and it is broadcast-only, so it runs under the
 // pull combiner too.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func Reach64Program(seeds []graph.VertexID) core.Program[uint64, uint64] {
 	seedBit := make(map[graph.VertexID]uint64, len(seeds))
 	for i, s := range seeds {

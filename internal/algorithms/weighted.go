@@ -19,6 +19,10 @@ import (
 // applies.
 
 // WeightedSSSPProgram relaxes weighted out-edges from source.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func WeightedSSSPProgram(source graph.VertexID) core.Program[uint32, uint32] {
 	return core.Program[uint32, uint32]{
 		Combine: core.Min,

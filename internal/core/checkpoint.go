@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 
 	"ipregel/internal/graph"
 )
@@ -187,14 +188,11 @@ func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) er
 	}); err != nil {
 		return err
 	}
-	// Activity: selection bypass keeps no array, and every barrier it
-	// checkpoints has left all vertices halted, so its section is zeros.
-	active := e.active
-	if active == nil {
-		active = make([]uint8, e.g.N())
-	}
+	// Activity: one byte per slot. Selection bypass keeps no activity, and
+	// every barrier it checkpoints has left all vertices halted, so its
+	// section is zeros.
 	if err := section(uint64(e.g.N()), func(cw *crcWriter) error {
-		_, err := cw.Write(active)
+		_, err := cw.Write(e.activityBytes())
 		return err
 	}); err != nil {
 		return err
@@ -441,6 +439,18 @@ func readCheckpointHeader(br *bufio.Reader) (hdr [32]byte, err error) {
 	return hdr, nil
 }
 
+// activityBytes is the activity as the checkpoint stores it, one byte
+// per slot: 1 for an active slot, 0 otherwise (always 0 under bypass).
+func (e *Engine[V, M]) activityBytes() []uint8 {
+	active := make([]uint8, e.g.N())
+	for w, word := range e.active {
+		for ; word != 0; word &= word - 1 {
+			active[w<<6+bits.TrailingZeros64(word)] = 1
+		}
+	}
+	return active
+}
+
 // readState reads the values/activity/mailbox section triplet, in slot
 // order: values and activity flags of exact length, the mailbox section
 // between "all empty" and "all occupied".
@@ -465,12 +475,10 @@ func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Code
 	if sec, err = openSection(br, "activity", n, n); err != nil {
 		return err
 	}
-	// Under selection bypass, which keeps no activity array, every flag
-	// must be 0: no barrier it checkpoints leaves a vertex active.
-	active := e.active
-	if active == nil {
-		active = make([]uint8, n)
-	}
+	// One byte per slot, set as the slot's activity bit. Under selection
+	// bypass, which keeps no activity, every flag must be 0: no barrier it
+	// checkpoints leaves a vertex active.
+	active := make([]uint8, n)
 	if err := sec.Read(active); err != nil {
 		return fmt.Errorf("core: checkpoint activity: %w", err)
 	}
@@ -483,6 +491,8 @@ func readState[V, M any](e *Engine[V, M], br *bufio.Reader, vc Codec[V], mc Code
 			return fmt.Errorf("core: checkpoint activity flag %d at slot %d (corrupt)", a, slot)
 		case a == 1 && e.active == nil:
 			return fmt.Errorf("core: checkpoint marks slot %d active, which no selection-bypass barrier leaves", slot)
+		case a == 1:
+			e.active[slot>>6] |= 1 << (slot & 63)
 		}
 	}
 

@@ -35,7 +35,7 @@ func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) 
 		vc.Encode(vbuf, v)
 		bw.Write(vbuf)
 	}
-	bw.Write(e.active)
+	bw.Write(e.activityBytes())
 	mbuf := make([]byte, mc.Size())
 	for slot := 0; slot < e.g.N(); slot++ {
 		m, ok := e.buf.peek(slot)

@@ -77,9 +77,11 @@ type Context[V, M any] struct {
 	enrolled []int32
 
 	// drained and halted are the running vertex's markers, reset by
-	// runVertex: its mail was read (NextMessage), it voted to halt (under
-	// selection bypass, which keeps no activity array).
+	// runVertex: its mail was read (NextMessage), it voted to halt.
 	drained, halted bool
+	// awake is the first slot this worker saw left awake this superstep
+	// under selection bypass, -1 while none was (bypassViolation).
+	awake int32
 
 	// nbuf is this worker's decode buffer for the compressed graph
 	// backend: the scatter loop and the pull collect phase decode
@@ -200,25 +202,26 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 }
 
 // VoteToHalt marks v inactive for the next superstep (IP_vote_to_halt);
-// an incoming message will reactivate it. Under selection bypass a
-// vertex runs only on mail and must halt every time (§4), so the worker
-// counts the run's first vote and keeps no activity array.
+// an incoming message will reactivate it. The worker counts the run's
+// first vote, and the scan that ran v clears its activity bit
+// (runWords). Under selection bypass a vertex runs only on mail and must
+// halt every time (§4), so no activity is kept there.
 func (c *Context[V, M]) VoteToHalt(v Vertex[V, M]) {
-	active := v.e.active
-	if active == nil {
-		if !c.halted {
-			c.halted = true
-			c.votes++
-		}
-		return
-	}
-	if active[v.slot] != 0 {
-		active[v.slot] = 0
+	if !c.halted {
+		c.halted = true
 		c.votes++
 	}
 }
 
+// noteAwake records slot as left awake under selection bypass, if it is
+// the worker's first this superstep.
+func (c *Context[V, M]) noteAwake(slot int32) {
+	if c.awake < 0 {
+		c.awake = slot
+	}
+}
+
 func (c *Context[V, M]) resetSuperstep() {
-	c.msgs, c.ran, c.votes = 0, 0, 0
+	c.msgs, c.ran, c.votes, c.awake = 0, 0, 0, -1
 	c.enrolled = c.enrolled[:0]
 }

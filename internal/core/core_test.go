@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -156,6 +158,43 @@ func TestBypassViolation(t *testing.T) {
 	_, _, err := Run(g, Config{SelectionBypass: true}, prog)
 	if !errors.Is(err, ErrBypassViolation) {
 		t.Fatalf("want ErrBypassViolation, got %v", err)
+	}
+}
+
+// TestBypassViolationNamesVertex: under selection bypass the run stops at
+// the superstep where a vertex did not vote to halt, with an error that
+// wraps ErrBypassViolation and names the vertex and the superstep — at
+// superstep 0 (the full scan; of two violators the lower is named, also
+// when two workers each saw one) and at superstep 3 (a frontier list).
+func TestBypassViolationNamesVertex(t *testing.T) {
+	g := ringGraph(200, 1) // identifiers 1..200, 1 → 2 → …
+	for _, c := range []struct {
+		step  int
+		awake []graph.VertexID
+	}{{0, []graph.VertexID{150, 77}}, {3, []graph.VertexID{4}}} {
+		prog := Program[uint32, uint32]{
+			Combine: Min,
+			Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+				var m uint32
+				if ctx.NextMessage(v, &m) || ctx.IsFirstSuperstep() && v.ID() == 1 {
+					ctx.Broadcast(v, m)
+				}
+				if ctx.Superstep() != c.step || !slices.Contains(c.awake, v.ID()) {
+					ctx.VoteToHalt(v)
+				}
+				//ipregel:ignore bypasshalt the test breaks the bypass contract on purpose
+			},
+		}
+		for _, threads := range []int{1, 2} {
+			_, rep, err := Run(g, Config{Threads: threads, SelectionBypass: true}, prog)
+			want := fmt.Sprintf("vertex %d did not vote to halt at superstep %d", slices.Min(c.awake), c.step)
+			if !errors.Is(err, ErrBypassViolation) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("threads=%d: got %v, want ErrBypassViolation naming %q", threads, err, want)
+			}
+			if rep.Supersteps != c.step+1 {
+				t.Fatalf("threads=%d: run stopped after %d supersteps, want %d", threads, rep.Supersteps, c.step+1)
+			}
+		}
 	}
 }
 
@@ -393,11 +432,11 @@ func TestFootprintPerVersion(t *testing.T) {
 	}
 	// One thread allocates the plain inbox whatever the combiner: zero
 	// lock bytes, the same footprint for all of them. Per array, for 512
-	// slots of uint32 values and messages: values 4 B, activity 1 B, the
-	// two message buffers 2·4 B, and the two occupancy bitsets 2·8 words
-	// of 8 B — 13.25 B per slot.
+	// slots of uint32 values and messages: values 4 B, the activity bitset
+	// 8 words of 8 B (1/8 B), the two message buffers 2·4 B, and the two
+	// occupancy bitsets 2·8 words of 8 B — 12.375 B per slot.
 	plain := spin - 512*spinLockBytes
-	if want := uint64(512*4 + 512 + 2*512*4 + 2*8*8); plain != want {
+	if want := uint64(512*4 + 8*8 + 2*512*4 + 2*8*8); plain != want {
 		t.Fatalf("plain inbox engine: %d B, want %d B", plain, want)
 	}
 	for _, comb := range []Combiner{CombinerMutex, CombinerSpin} {
@@ -406,7 +445,7 @@ func TestFootprintPerVersion(t *testing.T) {
 		}
 	}
 	// A push-only bypass engine enrols at the first inbox fill: no dedup
-	// flags. It keeps no activity array (-1 B/slot), and each worker's
+	// flags. It keeps no activity bitset (-1/8 B/slot), and each worker's
 	// enrolment buffer holds FrontierListCap(512) = 512 entries of 4 B
 	// (the minSpan floor is above |V|); before its first frontier that is
 	// all it adds. One that can pull carries 4 B/slot of pull enrolment
@@ -419,7 +458,7 @@ func TestFootprintPerVersion(t *testing.T) {
 			cfg := Config{Combiner: CombinerSpin, Direction: dir, Threads: threads}
 			base := footprint(cfg)
 			cfg.SelectionBypass = true
-			want := base - 512 + uint64(threads)*512*4
+			want := base - 8*8 + uint64(threads)*512*4
 			if dir != DirectionPush {
 				want += 512 * 4
 			}

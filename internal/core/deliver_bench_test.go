@@ -58,10 +58,11 @@ var benchInboxes = []struct {
 // One goroutine, so the lock-based cells read the uncontended
 // cost of their protection; plain is what any combiner gets at
 // Threads == 1. The messages are a float64 sum, except plain-inline's
-// bypass cells: the plain inbox folds Sum only without bypass (PageRank)
-// and Min only under it (Hashmin, SSSP, BFS), so those cells deliver
-// uint32 messages to Min. Each pass ends with the barrier swap — the full
-// clear, or under bypass the clear of the slots the previous pass
+// min and bypass cells: the plain inbox folds Sum only without bypass
+// (PageRank) and Min in both modes (Hashmin, SSSP, BFS), so those cells
+// deliver uint32 messages to Min (min is the fused scatter without
+// bypass, the one-thread service's). Each pass ends with the barrier
+// swap — the full clear, or under bypass the clear of the slots the previous pass
 // enrolled, full again when that list reached its cap (a dense frontier)
 // — so fills and combines both occur.
 func BenchmarkDeliver(b *testing.B) {
@@ -70,14 +71,17 @@ func BenchmarkDeliver(b *testing.B) {
 		lists := benchDests(random)
 		order := map[bool]string{false: "seq", true: "random"}[random]
 		for _, v := range benchInboxes {
-			for _, path := range []string{"send", "scatter", "bypass"} {
+			for _, path := range []string{"send", "scatter", "min", "bypass"} {
+				if path == "min" && !v.inline {
+					continue
+				}
 				b.Run(fmt.Sprintf("%s/%s/%s", v.name, path, order), func(b *testing.B) {
 					cfg := v.cfg
 					cfg.SelectionBypass = path == "bypass"
 					switch {
 					case !v.inline:
 						benchDeliver(b, cfg, sum, lists, path)
-					case cfg.SelectionBypass:
+					case path == "min" || cfg.SelectionBypass:
 						benchDeliver(b, cfg, Min, lists, path)
 					default:
 						benchDeliver(b, cfg, Sum, lists, path)
@@ -170,7 +174,7 @@ func BenchmarkCollect(b *testing.B) {
 					ctx := e.workers[0]
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						e.collectScan(ctx, 0, len(lists), false, every)
+						e.collectScan(ctx, 0, len(lists), every)
 						e.buf.swap(nil, true)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchMsgs), "ns/edge")

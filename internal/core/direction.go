@@ -1,6 +1,9 @@
 package core
 
-import "context"
+import (
+	"context"
+	"math/bits"
+)
 
 // The direction model (Config.Direction): whether a superstep's sends
 // travel push or pull is a transport decision the engine takes per
@@ -68,8 +71,8 @@ func (e *Engine[V, M]) reseedFrontierDensity() {
 // superstep will run: everything on superstep 0 (all vertices start
 // active), the promoted frontier under selection bypass (a dense one is
 // the post-swap mail), and otherwise an exact parallel scan of the
-// active flags and post-swap mailboxes — the same `active || hasMail`
-// guard the compute scan applies.
+// activity and post-swap occupancy words — the same `active | hasNow`
+// selection the compute scan applies.
 func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	if e.superstep == 0 {
 		return e.g.M()
@@ -96,9 +99,10 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 	}
 	sums, spans := e.dirSums, e.scanSpans
 	e.parallelFor(len(spans), func(w, k int) {
-		for slot := spans[k].lo; slot < spans[k].hi; slot++ {
-			if e.active[slot] != 0 || e.hasMail(int(slot)) {
-				sums[w] += uint64(e.g.OutDegree(int(slot)))
+		// A scan span holds whole words, and no bit past |V| is set.
+		for word := int(spans[k].lo) >> 6; word<<6 < int(spans[k].hi); word++ {
+			for mask := e.active[word] | e.buf.hasNow[word]; mask != 0; mask &= mask - 1 {
+				sums[w] += uint64(e.g.OutDegree(word<<6 + bits.TrailingZeros64(mask)))
 			}
 		}
 	})
@@ -126,10 +130,10 @@ func (e *Engine[V, M]) countFrontierEdges() uint64 {
 // by the gathered next frontier — and each slot's collector clears its
 // pullEnrol flag; otherwise it covers the full scan spans.
 //
-// The collector also sets the slots' occupancy bits (markNext): a word
-// holds 64 slots and spans are not cut on word boundaries, so a word two
-// workers can write — any word of a frontier list at two threads or more,
-// a scan span's partial end words — is set atomically.
+// The collector also sets the slots' occupancy bits. A scan span holds
+// whole 64-slot words, so collectScan owns every word it sets; a word of
+// a frontier list two workers can write (two threads or more) is set
+// atomically (markNext).
 func (e *Engine[V, M]) collectPull() {
 	var edges uint64
 	for _, w := range e.workers {
@@ -148,7 +152,7 @@ func (e *Engine[V, M]) collectPull() {
 	e.parallelFor(len(spans), func(w, k int) {
 		sp, ctx := spans[k], e.workers[w]
 		if !bypass {
-			e.collectScan(ctx, int(sp.lo), int(sp.hi), shared, every)
+			e.collectScan(ctx, int(sp.lo), int(sp.hi), every)
 			return
 		}
 		for _, slot := range e.frontierNext[sp.lo:sp.hi] {
@@ -161,9 +165,10 @@ func (e *Engine[V, M]) collectPull() {
 	clear(e.pullFlag)
 }
 
-// collectScan collects the slots [lo, hi), building each 64-slot
-// occupancy word in a register and setting it once.
-func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared, every bool) {
+// collectScan collects the slots [lo, hi) of one scan span, building
+// each 64-slot occupancy word in a register and setting it once: the span
+// holds whole words, so no other worker writes them.
+func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, every bool) {
 	for lo < hi {
 		end := min(hi, (lo|63)+1)
 		var word uint64
@@ -173,7 +178,7 @@ func (e *Engine[V, M]) collectScan(ctx *Context[V, M], lo, hi int, shared, every
 			}
 		}
 		if word != 0 {
-			e.buf.markNext(lo>>6, word, shared && (lo&63 != 0 || end&63 != 0))
+			e.buf.hasNext[lo>>6] |= word
 		}
 		lo = end
 	}

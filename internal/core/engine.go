@@ -40,10 +40,12 @@ type Engine[V, M any] struct {
 	// inbox (§6.3): buf, the buffers every version keeps, read, swapped
 	// and checkpointed without a dynamic call (so the program's message
 	// variable stays on its stack), and mb, the configured version's
-	// delivery loop over them. active is nil under selection bypass,
-	// where no barrier leaves a vertex active.
+	// delivery loop over them. active is one bit per slot, 64 to a word
+	// like the occupancy, written by the scan that ran the word's slots
+	// (runWords); it is nil under selection bypass, where no barrier leaves
+	// a vertex active.
 	values []V
-	active []uint8
+	active []uint64
 	buf    *pushBuffers[M]
 	mb     mailbox[M]
 
@@ -64,8 +66,8 @@ type Engine[V, M any] struct {
 	auditSeen []uint8 // slot-indexed scratch for the frontier audit
 
 	// Work lists (schedule.go): scanSpans is the full-scan split of the
-	// slots; frontierSpanBuf the reusable buffer for the per-superstep
-	// frontier split.
+	// slots, in whole 64-slot words; frontierSpanBuf the reusable buffer
+	// for the per-superstep frontier split.
 	scanSpans       []span
 	frontierSpanBuf []span
 
@@ -163,10 +165,10 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 	}
 	e.values = make([]V, n)
 	if !cfg.SelectionBypass {
-		e.active = make([]uint8, n)
+		e.active = make([]uint64, occupancyWords(n))
 	}
 	e.listCap = listCap(n)
-	e.scanSpans = cutSpans(nil, n, e.threads)
+	e.scanSpans = cutScanSpans(n, e.threads)
 	e.workers = make([]*Context[V, M], e.threads)
 	for i := range e.workers {
 		e.workers[i] = &Context[V, M]{e: e, worker: i}
@@ -280,7 +282,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 
 		if e.cfg.SelectionBypass {
 			if activeAfter > 0 {
-				return e.finishRun(start, ErrBypassViolation)
+				return e.finishRun(start, e.bypassViolation())
 			}
 			// Nothing to reset: the swap emptied the next inbox, and each
 			// collect cleared its slot's pull flag.
@@ -304,6 +306,18 @@ func (e *Engine[V, M]) RunContext(ctx context.Context) (Report, error) {
 		}
 	}
 	return e.finishRun(start, nil)
+}
+
+// bypassViolation names the vertex that broke the bypass contract at
+// this superstep: the lowest of the workers' first slots left awake.
+func (e *Engine[V, M]) bypassViolation() error {
+	slot := int32(-1)
+	for _, w := range e.workers {
+		if w.awake >= 0 && (slot < 0 || w.awake < slot) {
+			slot = w.awake
+		}
+	}
+	return fmt.Errorf("%w: vertex %d did not vote to halt at superstep %d", ErrBypassViolation, e.g.ExternalID(int(slot)), e.superstep)
 }
 
 // gatherStepStats merges the workers' per-superstep counters into one
@@ -436,7 +450,7 @@ func (e *Engine[V, M]) Graph() *graph.Graph { return e.g }
 func (e *Engine[V, M]) Config() Config { return e.cfg }
 
 // FootprintBytes reports the engine's own heap bytes — vertex values,
-// activity flags, the mailbox arrays of the selected combiner version,
+// activity bits, the mailbox arrays of the selected combiner version,
 // the pull outboxes and the bypass state: the frontier lists and the
 // workers' enrolment buffers. The
 // span lists (at most 16 per thread, 8 B each) are not per-vertex state
@@ -448,7 +462,7 @@ func (e *Engine[V, M]) FootprintBytes() uint64 {
 	var v V
 	var m M
 	b := e.buf.buffersBytes() + e.mb.lockBytes()
-	b += uint64(len(e.values))*uint64(unsafe.Sizeof(v)) + uint64(len(e.active))
+	b += uint64(len(e.values))*uint64(unsafe.Sizeof(v)) + uint64(len(e.active))*8
 	b += uint64(cap(e.frontier)+cap(e.frontierNext)) * 4
 	for _, w := range e.workers {
 		b += uint64(cap(w.enrolled)) * 4

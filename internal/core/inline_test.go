@@ -93,13 +93,18 @@ func checkFold[V, M any](t *testing.T, g *graph.Graph, cfg core.Config, prog cor
 
 // TestInlineCombinerRecognition: New folds core.Min and core.Sum by
 // function identity, so a literal with the same body, a named wrapper and
-// a method value all keep the called loop, with identical results.
+// a method value all keep the called loop, with identical results. Min
+// is folded with and without bypass.
 func TestInlineCombinerRecognition(t *testing.T) {
 	g := gen.RMATN(1000, 8000, 11, 1, true)
-	bypass := core.Config{Threads: 1, SelectionBypass: true, CheckInvariants: true}
-	checkFold(t, g, bypass, algorithms.SSSPProgram(maxOutDegree(g)), "scatter", map[string]core.CombineFunc[uint32]{
-		"literal": literalMin, "wrapper": wrapMin, "method value": combiners{}.min,
-	})
+	src := maxOutDegree(g)
+	mins := map[string]core.CombineFunc[uint32]{"literal": literalMin, "wrapper": wrapMin, "method value": combiners{}.min}
+	for _, bypass := range []bool{true, false} {
+		cfg := core.Config{Threads: 1, SelectionBypass: bypass, CheckInvariants: true}
+		checkFold(t, g, cfg, algorithms.HashminProgram(), "scatter", mins)
+		checkFold(t, g, cfg, algorithms.SSSPProgram(src), "scatter", mins)
+		checkFold(t, g, cfg, algorithms.BFSProgram(src), "scatter", mins)
+	}
 	sums := map[string]core.CombineFunc[float64]{"literal": literalSum, "wrapper": wrapSum, "method value": combiners{}.sum}
 	checkFold(t, g, core.Config{Threads: 1, CheckInvariants: true}, algorithms.PageRankProgram(10), "scatter", sums)
 	checkFold(t, g, core.Config{Combiner: core.CombinerSpin, Direction: core.DirectionPull, Threads: 1, CheckInvariants: true}, algorithms.PageRankProgram(10), "collect", sums)
@@ -107,8 +112,9 @@ func TestInlineCombinerRecognition(t *testing.T) {
 
 // TestInlineCombinerParity: every path the fold serves — PageRank push at
 // one thread, PageRank pull at one, two and four threads on the plain
-// inbox and (adaptive) the spinlock one, Hashmin, SSSP and BFS under
-// bypass — computes bit-identical values and the same fingerprint whether the engine folds
+// inbox and (adaptive) the spinlock one, Hashmin, SSSP and BFS at one
+// thread with and without bypass — computes bit-identical values and the
+// same fingerprint whether the engine folds
 // core.Min or core.Sum in the loop or calls a literal with its body, on
 // the flat and compressed backends, with the barrier audits on.
 func TestInlineCombinerParity(t *testing.T) {
@@ -135,10 +141,12 @@ func TestInlineCombinerParity(t *testing.T) {
 					checkFold(t, g, cfg, algorithms.PageRankProgram(10), "collect", sumLit)
 				}
 			}
-			bypass := core.Config{Threads: 1, SelectionBypass: true, CheckInvariants: true}
-			checkFold(t, g, bypass, algorithms.HashminProgram(), "scatter", minLit)
-			checkFold(t, g, bypass, algorithms.SSSPProgram(src), "scatter", minLit)
-			checkFold(t, g, bypass, algorithms.BFSProgram(src), "scatter", minLit)
+			for _, bypass := range []bool{true, false} {
+				cfg := core.Config{Threads: 1, SelectionBypass: bypass, CheckInvariants: true}
+				checkFold(t, g, cfg, algorithms.HashminProgram(), "scatter", minLit)
+				checkFold(t, g, cfg, algorithms.SSSPProgram(src), "scatter", minLit)
+				checkFold(t, g, cfg, algorithms.BFSProgram(src), "scatter", minLit)
+			}
 		})
 	}
 }

@@ -19,7 +19,7 @@ type CombineFunc[M any] func(old *M, new M)
 
 // Min is the paper's Fig. 5 combiner (Hashmin, SSSP, BFS): the inbox
 // keeps the smaller message. New recognises it, so the one-thread inbox's
-// bypass loop compares in place instead of calling it (sameFunc).
+// loops compare in place instead of calling it (sameFunc).
 func Min(old *uint32, new uint32) {
 	if new < *old {
 		*old = new
@@ -389,12 +389,25 @@ func (mb *sumInbox) scatter(nbs []graph.VertexID, msg float64, _ []int32) []int3
 	return nil
 }
 
-// minInbox is the plain inbox with Min written into its bypass loop:
-// Hashmin's, SSSP's and BFS's push delivery.
+// minInbox is the plain inbox with Min written into both its loops:
+// Hashmin's, SSSP's and BFS's push delivery, with or without bypass.
 type minInbox struct{ plainMailbox[uint32] }
 
 func (mb *minInbox) scatter(nbs []graph.VertexID, msg uint32, enrolled []int32) []int32 {
 	next, hasNext, fills := mb.next, mb.hasNext, 0
+	if !mb.enrol {
+		for _, dst := range nbs {
+			if w, bit := &hasNext[dst>>6], uint64(1)<<(dst&63); *w&bit == 0 {
+				next[dst] = msg
+				*w |= bit
+				fills++
+			} else if msg < next[dst] {
+				next[dst] = msg
+			}
+		}
+		mb.count(len(nbs)-fills, fills)
+		return nil
+	}
 	for _, dst := range nbs {
 		if w, bit := &hasNext[dst>>6], uint64(1)<<(dst&63); *w&bit == 0 {
 			next[dst] = msg
@@ -412,17 +425,17 @@ func (mb *minInbox) scatter(nbs []graph.VertexID, msg uint32, enrolled []int32) 
 }
 
 // newPlainMailbox builds the plain inbox and returns it with its buffers.
-// For the two pairings the paper's applications run — Sum without bypass,
-// Min under bypass — it is the version with the combiner written into the
-// loop; every other combiner and pairing gets the loop that calls combine
-// per delivery.
+// For the paper's two combiners — Sum without bypass (no program runs it
+// under bypass, §4), Min in both selection modes — it is the version with
+// the combiner written into the loop; every other combiner and pairing
+// gets the loop that calls combine per delivery.
 func newPlainMailbox[M any](cfg Config, slots int, combine CombineFunc[M]) (mailbox[M], *pushBuffers[M]) {
 	var inline, buf any
 	switch {
 	case !cfg.SelectionBypass && sameFunc(combine, Sum):
 		mb := &sumInbox{plainMailbox[float64]{newPushBuffers(slots, Sum, cfg)}}
 		inline, buf = mb, &mb.pushBuffers
-	case cfg.SelectionBypass && sameFunc(combine, Min):
+	case sameFunc(combine, Min):
 		mb := &minInbox{plainMailbox[uint32]{newPushBuffers(slots, Min, cfg)}}
 		inline, buf = mb, &mb.pushBuffers
 	}

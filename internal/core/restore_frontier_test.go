@@ -180,3 +180,92 @@ func TestRestoreDenseFrontier(t *testing.T) {
 		t.Fatalf("resumed from dense barrier %d, values differ from the uninterrupted run", barrier)
 	}
 }
+
+// lingerProg keeps vertices active without mail: a vertex holds ticks
+// (id mod 7 at superstep 0, plus up to 3 per superstep it gets mail) and
+// spends one per superstep, staying active while it has any; when they
+// run out before superstep 12 it broadcasts 1, and once they are out it
+// votes to halt. Its value is fired·256 + ticks, so a lost or stray
+// activity bit changes the result.
+func lingerProg() Program[uint32, uint32] {
+	return Program[uint32, uint32]{
+		Combine: func(old *uint32, new uint32) { *old += new },
+		Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			val := v.Value()
+			if ctx.IsFirstSuperstep() {
+				*val = uint32(v.ID()) % 7
+			}
+			var m uint32
+			if ctx.NextMessage(v, &m) {
+				*val += min(m, 3)
+			}
+			if *val&255 == 0 {
+				ctx.VoteToHalt(v)
+				return
+			}
+			*val--
+			if *val&255 == 0 && ctx.Superstep() < 12 {
+				*val += 256
+				ctx.Broadcast(v, 1)
+			}
+		},
+	}
+}
+
+// TestRestoreActivityRoundTrip: a non-bypass engine, checkpointed at
+// every barrier of a run that leaves vertices active without mail, at 1,
+// 2 and 4 threads. Each checkpoint restores the activity bits it was
+// written from (one byte per slot on disk), and every resumed run ends
+// at the uninterrupted run's superstep with the one-thread run's values.
+func TestRestoreActivityRoundTrip(t *testing.T) {
+	g := gen.RMATN(3000, 24000, 7, 1, true)
+	var want []uint32
+	for _, threads := range []int{1, 2, 4} {
+		cfg := Config{Combiner: CombinerSpin, Threads: threads, CheckInvariants: true}
+		e, err := New(g, cfg, lingerProg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved, activity := map[int]*bytes.Buffer{}, map[int][]uint8{}
+		if err := e.SetCheckpointer(Checkpointer[uint32, uint32]{
+			Every: 1,
+			Sink: func(s int) (io.Writer, error) {
+				saved[s], activity[s] = &bytes.Buffer{}, e.activityBytes()
+				return saved[s], nil
+			},
+			VCodec: u32Codec{}, MCodec: u32Codec{},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = e.ValuesDense()
+		} else if !reflect.DeepEqual(e.ValuesDense(), want) {
+			t.Fatalf("threads=%d: values differ from the one-thread run", threads)
+		}
+		lingered := false
+		for s, rec := range saved {
+			lingered = lingered || bytes.IndexByte(activity[s], 1) >= 0
+			r, err := Restore(bytes.NewReader(rec.Bytes()), g, cfg, lingerProg(), u32Codec{}, u32Codec{})
+			if err != nil {
+				t.Fatalf("threads=%d barrier %d: %v", threads, s, err)
+			}
+			if !bytes.Equal(r.activityBytes(), activity[s]) {
+				t.Fatalf("threads=%d barrier %d: restored activity differs from the checkpointed engine's", threads, s)
+			}
+			rrep, err := r.Run()
+			if err != nil {
+				t.Fatalf("threads=%d barrier %d: resumed run: %v", threads, s, err)
+			}
+			if rrep.Supersteps != rep.Supersteps || !reflect.DeepEqual(r.ValuesDense(), want) {
+				t.Fatalf("threads=%d barrier %d: resumed run ends at superstep %d (want %d) or on other values", threads, s, rrep.Supersteps, rep.Supersteps)
+			}
+		}
+		if !lingered {
+			t.Fatalf("threads=%d: no checkpointed barrier left a vertex active", threads)
+		}
+	}
+}

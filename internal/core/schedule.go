@@ -44,6 +44,21 @@ func cutSpans(spans []span, n, t int) []span {
 	return spans
 }
 
+// cutScanSpans cuts the slots [0, n) for t workers by the span rule's
+// part count into spans of whole 64-slot words, their word counts within
+// one: every cut but the last (n) falls on a multiple of 64, so each
+// activity and occupancy word has one writer. With fewer words than parts
+// (under 64 slots per part) each span is one word.
+func cutScanSpans(n, t int) []span {
+	words := occupancyWords(n)
+	parts := min(spanParts(n, t), words)
+	spans := make([]span, 0, parts)
+	for c := 0; c < parts; c++ {
+		spans = append(spans, span{int32(c * words / parts << 6), int32(min(n, (c+1)*words/parts<<6))})
+	}
+	return spans
+}
+
 // frontierSpans cuts the current (or, with next set, upcoming) frontier
 // by the span rule, reusing the span buffer.
 func (e *Engine[V, M]) frontierSpans(next bool) []span {
@@ -103,15 +118,15 @@ var slotOrderCut = 32
 
 // computePhase runs IP_compute over the selected vertices and returns
 // how many ran. Traditional selection scans every slot and runs those
-// that are active or have mail (§4's "unfruitful checks" when inactive);
-// superstep 0 runs everything in both modes, since all vertices start
-// active. Under selection bypass the frontier holds exactly the vertices
-// that received a message, so workers run every vertex they are given
-// (§4's load-balance property), or scan for them from slotOrderCut up —
-// always when the frontier is dense, the current inbox's occupancy.
+// that are active or have mail (§4's "unfruitful checks" when inactive,
+// here one test per 64 slots); superstep 0 runs everything in both modes,
+// since all vertices start active. Under selection bypass the frontier
+// holds exactly the vertices that received a message, so workers run
+// every vertex they are given (§4's load-balance property), or scan for
+// them from slotOrderCut up — always when the frontier is dense, the
+// current inbox's occupancy.
 func (e *Engine[V, M]) computePhase() int64 {
-	first := e.superstep == 0
-	fullScan := first || !e.cfg.SelectionBypass
+	fullScan := e.superstep == 0 || !e.cfg.SelectionBypass
 	e.slotOrder = !fullScan && (e.dense || len(e.frontier)*slotOrderCut >= e.g.N())
 	spans := e.scanSpans
 	if !fullScan && !e.slotOrder {
@@ -119,18 +134,14 @@ func (e *Engine[V, M]) computePhase() int64 {
 	}
 	e.parallelFor(len(spans), func(w, k int) {
 		sp, ctx := spans[k], e.workers[w]
-		switch {
-		case e.slotOrder:
-			e.runOccupied(ctx, sp)
-		case !fullScan:
-			for _, slot := range e.frontier[sp.lo:sp.hi] {
-				e.runVertex(ctx, slot)
-			}
-		default:
-			for slot := sp.lo; slot < sp.hi; slot++ {
-				if first || e.active[slot] != 0 || e.hasMail(int(slot)) {
-					e.runVertex(ctx, slot)
-				}
+		if fullScan || e.slotOrder {
+			e.runWords(ctx, sp, fullScan)
+			return
+		}
+		ctx.ran += int64(sp.hi - sp.lo)
+		for _, slot := range e.frontier[sp.lo:sp.hi] {
+			if !e.runVertex(ctx, slot) {
+				ctx.noteAwake(slot)
 			}
 		}
 	})
@@ -141,36 +152,54 @@ func (e *Engine[V, M]) computePhase() int64 {
 	return ran
 }
 
-// runOccupied runs sp's slots with current mail (under bypass, sp's share
-// of the frontier) in slot order. The inbox is read one occupancy word
-// per 64 slots, masked to sp at its two ends: one mail branch per 64
-// slots.
-func (e *Engine[V, M]) runOccupied(ctx *Context[V, M], sp span) {
-	lo, hi, has := int(sp.lo), int(sp.hi), e.buf.hasNow
+// runWords runs sp's selected slots in slot order, one 64-slot word at a
+// time masked to sp at its two ends: on a full scan (scan set) every slot
+// at superstep 0 and after it those active or with mail, otherwise (a
+// bypass frontier run in slot order) those with mail. The vertices a word
+// leaves awake are its new activity word, stored once: a scan span holds
+// whole words, so no other worker writes it. Selection bypass keeps no
+// activity and records the first vertex left awake instead.
+func (e *Engine[V, M]) runWords(ctx *Context[V, M], sp span, scan bool) {
+	lo, hi, has, active := int(sp.lo), int(sp.hi), e.buf.hasNow, e.active
+	all := scan && e.superstep == 0
 	for w := lo >> 6; w<<6 < hi; w++ {
 		mask := has[w]
+		switch {
+		case all:
+			mask = ^uint64(0)
+		case scan && active != nil:
+			mask |= active[w]
+		}
 		if base := w << 6; base < lo {
 			mask &= ^uint64(0) << (lo - base)
 		}
 		if end := (w + 1) << 6; end > hi {
 			mask &= ^uint64(0) >> (end - hi)
 		}
+		ctx.ran += int64(bits.OnesCount64(mask))
+		var awake uint64
 		for ; mask != 0; mask &= mask - 1 {
-			e.runVertex(ctx, int32(w<<6+bits.TrailingZeros64(mask)))
+			bit := bits.TrailingZeros64(mask)
+			if !e.runVertex(ctx, int32(w<<6+bit)) {
+				awake |= 1 << bit
+			}
+		}
+		if active != nil {
+			active[w] = awake
+		} else if awake != 0 {
+			ctx.noteAwake(int32(w<<6 + bits.TrailingZeros64(awake)))
 		}
 	}
 }
 
 // runVertex runs Compute on slot with the worker's per-vertex markers
-// reset: nothing drained, no vote cast (selection bypass counts votes
-// there instead of keeping an activity array).
-func (e *Engine[V, M]) runVertex(ctx *Context[V, M], slot int32) {
-	if e.active != nil {
-		e.active[slot] = 1
-	}
+// reset — nothing drained, no vote cast — and reports whether the vertex
+// voted to halt. Its callers count the vertices they run, per word or
+// per span, which keeps it small enough to inline.
+func (e *Engine[V, M]) runVertex(ctx *Context[V, M], slot int32) bool {
 	ctx.drained, ctx.halted = false, false
-	ctx.ran++
 	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: slot})
+	return ctx.halted
 }
 
 // hasMail reads slot's current occupancy bit.

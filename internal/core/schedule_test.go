@@ -11,7 +11,8 @@ import (
 // [0, n) exactly once, in order and with none empty, and their sizes
 // differ by at most one item. One worker gets one span; below t·minSpan
 // items t workers get t spans (one per item when there are fewer); above
-// it no worker gets more than spansPerThread.
+// it no worker gets more than spansPerThread. The full scan's spans keep
+// that part count in whole 64-slot words (checkScanSpans).
 func TestSpanRule(t *testing.T) {
 	var ns []int
 	for n := 0; n <= 1_000_000; n += 1 + n/64 {
@@ -19,7 +20,7 @@ func TestSpanRule(t *testing.T) {
 	}
 	ns = append(ns, 1_000_000)
 	for _, th := range []int{1, 2, 4, 8} {
-		for _, k := range []int{th * minSpan, th * spansPerThread * minSpan} {
+		for _, k := range []int{64 * th, th * minSpan, th * spansPerThread * minSpan} {
 			ns = append(ns, k-1, k, k+1)
 		}
 	}
@@ -50,7 +51,37 @@ func TestSpanRule(t *testing.T) {
 			if next != n {
 				t.Fatalf("t=%d n=%d: spans end at %d, want %d", th, n, next, n)
 			}
+			checkScanSpans(t, n, th)
 		}
+	}
+}
+
+// checkScanSpans pins the full scan's cut (cutScanSpans) of n slots for
+// th workers: the span rule's part count, or one span per 64-slot word
+// when there are fewer words, so the count is the rule's whenever there
+// are at least 64 slots per part; the spans tile [0, n) in order, none
+// empty, every cut but the last (n) on a multiple of 64, and their word
+// counts differ by at most one.
+func checkScanSpans(t *testing.T, n, th int) {
+	t.Helper()
+	spans, parts, words := cutScanSpans(n, th), spanParts(n, th), occupancyWords(n)
+	switch {
+	case len(spans) != min(parts, words):
+		t.Fatalf("t=%d n=%d: %d scan spans, want min(%d parts, %d words)", th, n, len(spans), parts, words)
+	case n >= 64*parts && len(spans) != parts:
+		t.Fatalf("t=%d n=%d: %d scan spans, want the span rule's %d", th, n, len(spans), parts)
+	}
+	next := 0
+	for _, sp := range spans {
+		lo, hi := int(sp.lo), int(sp.hi)
+		size := occupancyWords(hi - lo)
+		if lo != next || hi <= lo || lo%64 != 0 || hi%64 != 0 && hi != n || size < words/len(spans) || size > words/len(spans)+1 {
+			t.Fatalf("t=%d n=%d: scan span %v after %d is not the next whole-word share of %d spans", th, n, sp, next, len(spans))
+		}
+		next = hi
+	}
+	if next != n {
+		t.Fatalf("t=%d n=%d: scan spans end at %d, want %d", th, n, next, n)
 	}
 }
 

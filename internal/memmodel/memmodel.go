@@ -140,7 +140,7 @@ func IPregelBytes(p IPregelParams) uint64 {
 	slots := p.V                  // one per vertex: offset mapping (§5)
 	total := slots * p.ValueBytes // values
 	if !p.Config.SelectionBypass {
-		total += slots // active flags; bypass keeps none
+		total += (slots + 63) / 64 * 8 // activity bits; bypass keeps none
 	}
 
 	// mailbox: double-buffered single-message inboxes + flags, plus what
