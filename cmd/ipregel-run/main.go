@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -40,28 +41,33 @@ func main() {
 	}
 }
 
+// scc drives several runs, not one program, so it is the one app
+// outside the app table (internal/algorithms/apps.go).
+const scc = "scc"
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ipregel-run", flag.ContinueOnError)
 	fs.SetOutput(out)
+	tableApps := strings.Join(algorithms.AppNames(nil), " | ")
 	var (
-		app       = fs.String("app", "pagerank", "application: pagerank | pagerank-converged | hashmin | wcc | scc | sssp | wsssp | bfs | reach64")
+		appName   = fs.String("app", "pagerank", "application: "+tableApps+" | "+scc)
 		graphSpec = fs.String("graph", "wiki", "generator spec ("+strings.Join(gen.Names(), " | ")+")")
 		graphFile = fs.String("graph-file", "", "load a graph file instead of generating")
 		backend   = fs.String("graph-backend", "flat", "adjacency storage: flat | compressed (delta+varint blocks) | mmap (map a .bin graph file read-only; requires -graph-file)")
 		divisor   = fs.Int("divisor", 0, "scale divisor for preset graphs (default 64)")
 		framework = fs.String("framework", "ipregel", "ipregel | pregelplus (see DESIGN.md)")
 		combiner  = fs.String("combiner", "spinlock", "iPregel push inbox: mutex | spinlock (the broadcast version is -direction pull)")
-		bypass    = fs.Bool("bypass", false, "enable selection bypass (Hashmin/SSSP only)")
+		bypass    = fs.Bool("bypass", false, "enable selection bypass (apps that halt every superstep only)")
 		threads   = fs.Int("threads", 0, "worker threads (default GOMAXPROCS)")
 		direction = fs.String("direction", "push", "iPregel message transport per superstep: push | pull (the paper's broadcast version) | adaptive (density-switched); pull and adaptive need broadcast-only apps")
-		rounds    = fs.Int("rounds", 30, "PageRank iterations")
-		source    = fs.Uint("source", 2, "SSSP/BFS source vertex identifier")
+		rounds    = fs.Int("rounds", algorithms.DefaultRounds, fmt.Sprintf("PageRank iterations, at most %d", algorithms.MaxRounds))
+		source    = fs.Uint("source", 2, "source vertex identifier ("+strings.Join(algorithms.AppNames(func(a *algorithms.App) bool { return a.Uses&algorithms.UsesSource != 0 }), " | ")+")")
 		nodes     = fs.Int("nodes", 1, "pregelplus: simulated node count")
 		verbose   = fs.Bool("v", false, "print per-superstep statistics")
 		telAddr   = fs.String("telemetry", "", "serve live /metrics, expvar and /debug/pprof on this address (e.g. :8080) during the run")
 		telHold   = fs.Duration("telemetry-hold", 0, "keep the telemetry endpoint up this long after the run (for scrapers)")
 		traceOut  = fs.String("trace", "", "stream per-superstep JSONL trace events to this file ('-' for stdout; replay with ipregel-trace)")
-		ckptDir   = fs.String("checkpoint-dir", "", "persist checkpoints to this directory and run under the crash-recovery supervisor (pagerank | pagerank-converged | hashmin | sssp)")
+		ckptDir   = fs.String("checkpoint-dir", "", "persist checkpoints to this directory and run under the crash-recovery supervisor ("+tableApps+")")
 		ckptEvery = fs.Int("checkpoint-every", 8, "checkpoint after every multiple of this many supersteps (with -checkpoint-dir)")
 		ckptKeep  = fs.Int("checkpoint-keep", 3, "checkpoints retained in -checkpoint-dir (0 keeps all)")
 		attempts  = fs.Int("recover-attempts", 3, "total run attempts before the recovery supervisor gives up (with -checkpoint-dir)")
@@ -70,19 +76,17 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// -threads 0 means "use GOMAXPROCS", but only as the untouched
 	// default: an explicit -threads 0 (or negative) is a mistake the
 	// engine would silently paper over, so reject it here.
-	var threadsSet bool
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "threads" {
-			threadsSet = true
-		}
-	})
-	if threadsSet && *threads < 1 {
+	if set["threads"] && *threads < 1 {
 		return fmt.Errorf("-threads must be at least 1 (got %d); omit the flag to use all processors", *threads)
 	}
-	if *app == "pagerank" && *rounds < 1 {
+	// An unset parameter is zero to the app table, so an explicit -rounds
+	// below 1 is refused here.
+	if set["rounds"] && *rounds < 1 {
 		return fmt.Errorf("-rounds must be at least 1 (got %d)", *rounds)
 	}
 	if *attempts < 1 {
@@ -96,6 +100,19 @@ func run(args []string, out io.Writer) error {
 	}
 	if *ckptDir != "" && *framework != "ipregel" {
 		return fmt.Errorf("-checkpoint-dir requires -framework ipregel, not %q", *framework)
+	}
+	app, inTable := algorithms.LookupApp(*appName)
+	if !inTable {
+		if *appName != scc {
+			return fmt.Errorf("unknown app %q (%s | %s)", *appName, tableApps, scc)
+		}
+		app = &algorithms.App{Name: scc} // reads no parameter, has no Pregel+ version
+	}
+	switch {
+	case !inTable && *ckptDir != "":
+		return fmt.Errorf("-checkpoint-dir supports %s, not %q", tableApps, *appName)
+	case *framework == "pregelplus" && app.PregelPlus == nil:
+		return fmt.Errorf("pregelplus supports %s, not %q", strings.Join(algorithms.AppNames(func(a *algorithms.App) bool { return a.PregelPlus != nil }), " | "), *appName)
 	}
 	if *ckptDir != "" {
 		// The sink makes its directory only at the first checkpoint: make
@@ -121,11 +138,12 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-direction is an iPregel engine feature; -framework %s does not support it", *framework)
 	}
 
+	weighted := app.Weighted
 	var g *graph.Graph
 	var err error
 	switch *backend {
 	case "flat", "compressed":
-		if g, err = loadGraph(out, *graphFile, *graphSpec, *divisor, *app == "wsssp"); err != nil {
+		if g, err = loadGraph(out, *graphFile, *graphSpec, *divisor, weighted); err != nil {
 			return err
 		}
 		if *backend == "compressed" {
@@ -142,7 +160,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-graph-backend mmap maps a binary graph file: pass one with -graph-file")
 		}
 		start := time.Now()
-		m, err := graphio.OpenMapped(*graphFile, graphio.Options{BuildInEdges: *app != "wsssp", KeepWeights: *app == "wsssp"})
+		m, err := graphio.OpenMapped(*graphFile, graphio.Options{BuildInEdges: !weighted, KeepWeights: weighted})
 		if err != nil {
 			return err
 		}
@@ -158,17 +176,31 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown graph backend %q (flat | compressed | mmap)", *backend)
 	}
 	fmt.Fprintln(out, graph.ComputeStats(*graphSpec, g))
-	switch *app {
-	case "sssp", "wsssp", "bfs", "reach64":
-		base, n := uint64(g.Base()), uint64(g.N())
-		if src := uint64(*source); src < base || src >= base+n {
-			return fmt.Errorf("-source %d outside the graph's identifier range [%d, %d)", src, base, base+n)
-		}
+
+	// The flags reach the table's canonicaliser as ipregeld's params do:
+	// only when set, except the CLI's default source.
+	var p algorithms.Params
+	if set["rounds"] {
+		p.Rounds = *rounds
+	}
+	if set["source"] || app.Uses&algorithms.UsesSource != 0 {
+		src := uint64(*source)
+		p.Source = &src
+	}
+	if p, err = app.Canon(g, p); err != nil {
+		return fmt.Errorf("-%w", err)
 	}
 
 	switch *framework {
 	case "pregelplus":
-		return runPregelPlus(out, g, *app, *rounds, graph.VertexID(*source), *nodes)
+		rep, err := app.PregelPlus(g, pregelplus.ClusterConfig{Nodes: *nodes, ProcsPerNode: 2}, p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "Pregel+ %d node(s): simulated %v (compute %v + network %v), %d supersteps, %d messages, %s on the wire, peak framework memory %s\n",
+			*nodes, rep.SimTime.Round(time.Microsecond), rep.ComputeTime.Round(time.Microsecond), rep.NetTime.Round(time.Microsecond),
+			rep.Supersteps, rep.Messages, memmodel.GB(rep.WireBytes), memmodel.GB(rep.PeakMemoryBytes))
+		return nil
 	case "ipregel":
 	default:
 		return fmt.Errorf("unknown framework %q", *framework)
@@ -188,7 +220,7 @@ func run(args []string, out io.Writer) error {
 	// Telemetry sinks observe the engine via Config.Observers; all hooks
 	// fire at superstep barriers on the coordinating goroutine.
 	if *telAddr != "" {
-		srv, err := telemetry.Serve(*telAddr, telemetryCollector())
+		srv, err := telemetry.Serve(*telAddr, collector)
 		if err != nil {
 			return fmt.Errorf("telemetry: %w", err)
 		}
@@ -200,7 +232,7 @@ func run(args []string, out io.Writer) error {
 			}
 			srv.Close()
 		}()
-		cfg.Observers = append(cfg.Observers, telemetryCollector())
+		cfg.Observers = append(cfg.Observers, collector)
 	}
 	if *traceOut != "" {
 		w, closeTrace, err := openTraceSink(*traceOut, out)
@@ -211,96 +243,41 @@ func run(args []string, out io.Writer) error {
 		cfg.Observers = append(cfg.Observers, w)
 	}
 
+	var ck *algorithms.Checkpointing
 	if *ckptDir != "" {
-		rf := recoveryFlags{dir: *ckptDir, every: *ckptEvery, keep: *ckptKeep, attempts: *attempts, chaos: *chaosSpec}
-		var rep core.Report
-		peak, baseline := memmodel.MeasurePeakHeap(func() {
-			rep, err = runRecoverable(out, g, cfg, rf, *app, *rounds, graph.VertexID(*source))
-		})
-		if err != nil {
+		if ck, err = checkpointing(out, *ckptDir, *ckptEvery, *ckptKeep, *attempts, *chaosSpec); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, rep)
-		fmt.Fprintf(out, "peak heap: %s (baseline %s)\n", memmodel.GB(peak), memmodel.GB(baseline))
-		if *backend == "mmap" {
-			printMappedAfterRun(out, g)
-		}
-		if *verbose {
-			fmt.Fprint(out, rep.Table())
-		}
-		return nil
+		// Release the directory claim when this invocation is done so a
+		// later run in the same process (tests, a driving harness) can
+		// resume from the same -checkpoint-dir.
+		defer ck.Sink.Close()
 	}
 
 	var rep core.Report
+	var line string
 	peak, baseline := memmodel.MeasurePeakHeap(func() {
-		switch *app {
-		case "pagerank":
-			_, rep, err = algorithms.PageRank(g, cfg, *rounds)
-		case "hashmin":
-			var labels []uint32
-			labels, rep, err = algorithms.Hashmin(g, cfg)
-			if err == nil {
-				fmt.Fprintf(out, "components: %d\n", algorithms.ComponentCount(labels))
-			}
-		case "sssp":
-			var dist []uint32
-			dist, rep, err = algorithms.SSSP(g, cfg, graph.VertexID(*source))
-			if err == nil {
-				fmt.Fprintf(out, "reached: %d of %d vertices\n", countReached(dist), len(dist))
-			}
-		case "wsssp":
-			var dist []uint32
-			dist, rep, err = algorithms.WeightedSSSP(g, cfg, graph.VertexID(*source))
-			if err == nil {
-				fmt.Fprintf(out, "reached: %d of %d vertices\n", countReached(dist), len(dist))
-			}
-		case "pagerank-converged":
-			var ranks []float64
-			ranks, rep, err = algorithms.PageRankConverged(g, cfg, 1e-9)
-			if err == nil {
-				fmt.Fprintf(out, "converged in %d supersteps over %d vertices\n", rep.Supersteps, len(ranks))
-			}
-		case "bfs":
-			var states []algorithms.BFSState
-			states, rep, err = algorithms.BFS(g, cfg, graph.VertexID(*source))
-			if err == nil {
-				n := 0
-				for _, s := range states {
-					if s.Depth != algorithms.Infinity {
-						n++
-					}
-				}
-				fmt.Fprintf(out, "reached: %d of %d vertices\n", n, len(states))
-			}
-		case "wcc":
-			var labels []uint32
-			labels, rep, err = algorithms.WCC(g, cfg)
-			if err == nil {
-				fmt.Fprintf(out, "weak components: %d\n", algorithms.ComponentCount(labels))
-			}
-		case "scc":
+		if !inTable {
 			var labels []uint32
 			labels, err = algorithms.SCC(g, cfg)
-			if err == nil {
-				fmt.Fprintf(out, "strong components: %d\n", algorithms.ComponentCount(labels))
-			}
-		case "reach64":
-			var masks []uint64
-			seeds := []graph.VertexID{graph.VertexID(*source)}
-			masks, rep, err = algorithms.Reach64(g, cfg, seeds)
-			if err == nil {
-				n := 0
-				for _, m := range masks {
-					if m != 0 {
-						n++
-					}
-				}
-				fmt.Fprintf(out, "reached: %d of %d vertices\n", n, len(masks))
-			}
-		default:
-			err = fmt.Errorf("unknown app %q", *app)
+			line = fmt.Sprintf("strong components: %d", algorithms.ComponentCount(labels))
+			return
 		}
+		runG := g
+		if app.Symmetric {
+			// Pull-direction supersteps collect from in-neighbours, so the
+			// symmetrized graph needs in-edges whenever the run can pull.
+			runG = g.Symmetrize(dir != core.DirectionPush)
+		}
+		var res algorithms.Result
+		res, err = app.Run(context.Background(), runG, cfg, p, ck)
+		rep, line = res.Report, res.Line()
 	})
+	if ck != nil && ck.Chaos != nil {
+		for _, ev := range ck.Chaos.Fired() {
+			fmt.Fprintf(out, "chaos: fired %s\n", ev)
+		}
+	}
 	if err != nil {
 		if rep.Aborted {
 			// Print the (consistent) partial report so an aborted run's
@@ -309,6 +286,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
+	fmt.Fprintln(out, line)
 	fmt.Fprintln(out, rep)
 	fmt.Fprintf(out, "peak heap: %s (baseline %s)\n", memmodel.GB(peak), memmodel.GB(baseline))
 	if *backend == "mmap" {
@@ -345,7 +323,7 @@ func loadGraph(out io.Writer, file, spec string, divisor int, weighted bool) (*g
 		// "road:<rows>:<cols>" (weights drawn from [1, 1000]).
 		var r, c int
 		if _, serr := fmt.Sscanf(spec, "road:%d:%d", &r, &c); serr != nil {
-			return nil, fmt.Errorf("wsssp needs -graph-file (DIMACS with weights) or -graph road:<rows>:<cols>")
+			return nil, fmt.Errorf("a weighted app needs -graph-file (DIMACS with weights) or -graph road:<rows>:<cols>")
 		}
 		g = gen.WeightedRoad(gen.RoadParams{Rows: r, Cols: c, Base: 1, Seed: 1}, 1, 1000)
 	default:
@@ -358,45 +336,10 @@ func loadGraph(out io.Writer, file, spec string, divisor int, weighted bool) (*g
 	return g, nil
 }
 
-func runPregelPlus(out io.Writer, g *graph.Graph, app string, rounds int, source graph.VertexID, nodes int) error {
-	cfg := pregelplus.ClusterConfig{Nodes: nodes, ProcsPerNode: 2}
-	var rep pregelplus.Report
-	var err error
-	switch app {
-	case "pagerank":
-		_, rep, err = pregelplus.PageRank(g, cfg, rounds)
-	case "hashmin":
-		_, rep, err = pregelplus.Hashmin(g, cfg)
-	case "sssp":
-		_, rep, err = pregelplus.SSSP(g, cfg, source)
-	default:
-		return fmt.Errorf("pregelplus supports pagerank | hashmin | sssp, not %q", app)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "Pregel+ %d node(s): simulated %v (compute %v + network %v), %d supersteps, %d messages, %s on the wire, peak framework memory %s\n",
-		nodes, rep.SimTime.Round(time.Microsecond), rep.ComputeTime.Round(time.Microsecond), rep.NetTime.Round(time.Microsecond),
-		rep.Supersteps, rep.Messages, memmodel.GB(rep.WireBytes), memmodel.GB(rep.PeakMemoryBytes))
-	return nil
-}
-
-func countReached(dist []uint32) int {
-	n := 0
-	for _, d := range dist {
-		if d != algorithms.Infinity {
-			n++
-		}
-	}
-	return n
-}
-
-// sharedCollector is the process-wide metrics collector: the -telemetry
+// collector is the process-wide metrics collector: the -telemetry
 // server and the engine observers must share one instance so /metrics
 // reflects the run in progress.
-var sharedCollector = telemetry.NewCollector()
-
-func telemetryCollector() *telemetry.Collector { return sharedCollector }
+var collector = telemetry.NewCollector()
 
 // openTraceSink resolves the -trace destination: a file path, or '-'
 // for the run's own output stream.

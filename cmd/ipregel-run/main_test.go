@@ -1,13 +1,22 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"ipregel/internal/algorithms"
+	"ipregel/internal/core"
 	"ipregel/internal/gen"
 	"ipregel/internal/graphio"
+	"ipregel/internal/service"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -93,7 +102,8 @@ func TestRunErrors(t *testing.T) {
 // only wraps into it as a uint32), a PageRank round count below 1, a
 // supervisor with no attempt, and a Pregel+ cluster with no node are
 // usage errors naming the flag and its valid range, not runs that
-// quietly reach nothing or fall back to a default.
+// quietly reach nothing or fall back to a default. So are a round count
+// above ipregeld's cap and a -rounds or -source the app does not read.
 func TestRunRejectsOutOfRangeValues(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -108,6 +118,12 @@ func TestRunRejectsOutOfRangeValues(t *testing.T) {
 		{[]string{"-app", "pagerank", "-graph", "ring:5", "-rounds", "0", "-framework", "pregelplus"}, "-rounds must be at least 1 (got 0)"},
 		{[]string{"-app", "hashmin", "-graph", "ring:5", "-recover-attempts", "0"}, "-recover-attempts must be at least 1 (got 0)"},
 		{[]string{"-app", "pagerank", "-graph", "ring:5", "-framework", "pregelplus", "-nodes", "0"}, "-nodes must be at least 1 (got 0)"},
+		{[]string{"-app", "pagerank", "-graph", "ring:5", "-rounds", "100001"}, "-rounds must be in [1, 100000]"},
+		{[]string{"-app", "hashmin", "-graph", "ring:5", "-rounds", "5"}, "-rounds is not used by hashmin"},
+		{[]string{"-app", "sssp", "-graph", "road:10:10", "-source", "1", "-rounds", "3"}, "-rounds is not used by sssp"},
+		{[]string{"-app", "hashmin", "-graph", "ring:5", "-rounds", "5", "-framework", "pregelplus"}, "-rounds is not used by hashmin"},
+		{[]string{"-app", "pagerank", "-graph", "ring:5", "-source", "1"}, "-source is not used by pagerank"},
+		{[]string{"-app", "scc", "-graph", "ring:5", "-source", "1"}, "-source is not used by scc"},
 	}
 	for _, c := range cases {
 		var sb strings.Builder
@@ -164,7 +180,7 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 // TestRunRecoverable drives the -checkpoint-dir / -chaos path: every
-// supported app survives an injected mid-run panic, reports the
+// app of the app table survives an injected mid-run panic, reports the
 // recovery, and still prints its usual summary line.
 func TestRunRecoverable(t *testing.T) {
 	cases := []struct {
@@ -177,6 +193,10 @@ func TestRunRecoverable(t *testing.T) {
 		{"sssp", []string{"-graph", "road:10:10", "-combiner", "mutex", "-threads", "4", "-source", "1"}, "reached: 100 of 100"},
 		{"pagerank", []string{"-graph", "rmat:7:4", "-rounds", "8"}, "ranks computed for 128 vertices"},
 		{"pagerank-converged", []string{"-graph", "rmat:7:4"}, "converged in"},
+		{"bfs", []string{"-graph", "chain:10", "-source", "0"}, "reached: 10 of 10"},
+		{"wcc", []string{"-graph", "chain:10", "-combiner", "mutex", "-bypass"}, "weak components: 1"},
+		{"wsssp", []string{"-graph", "road:8:8", "-source", "1"}, "reached: 64 of 64"},
+		{"reach64", []string{"-graph", "chain:10", "-source", "0"}, "reached: 10 of 10"},
 	}
 	for _, c := range cases {
 		args := append([]string{
@@ -320,6 +340,73 @@ func TestRunMappedBackend(t *testing.T) {
 		}
 		if got := summaryLines(out); got != want {
 			t.Fatalf("-direction %s over the mapped file:\n%s\nflat backend:\n%s", direction, got, want)
+		}
+	}
+}
+
+// TestFrontEndsAgree runs every program ipregeld serves through this
+// CLI and through service.Submit on one graph. Both front ends dispatch
+// through the app table, so they must report the same supersteps and the
+// same reached count, component count or rank sum.
+func TestFrontEndsAgree(t *testing.T) {
+	const spec = "rmat:7:4"
+	g, err := gen.ByName(spec, gen.PresetParams{BuildInEdges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Options{Engine: core.Config{Threads: 1}})
+	if err := svc.AddGraph(spec, g, "generated"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	rankSum := regexp.MustCompile(`rank sum (\S+)`)
+	for _, name := range service.Programs() {
+		app, ok := algorithms.LookupApp(name)
+		if !ok {
+			t.Fatalf("ipregeld serves %q, which the app table lacks", name)
+		}
+		args := []string{"-app", name, "-graph", spec, "-threads", "1"}
+		req := service.JobRequest{Graph: spec, Program: name, NoCache: true}
+		if app.Uses&algorithms.UsesSource != 0 {
+			src := uint64(2)
+			args, req.Params.Source = append(args, "-source", "2"), &src
+		}
+		out := runOK(t, args...)
+		v, err := svc.Submit(req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v.State == service.StateQueued || v.State == service.StateRunning {
+			time.Sleep(time.Millisecond)
+			v, _ = svc.Job(v.ID)
+		}
+		res := v.Result
+		if v.State != service.StateDone {
+			t.Fatalf("%s: ipregeld job %s (%s)", name, v.State, v.Error)
+		}
+		if want := fmt.Sprintf(" supersteps=%-6d ", res.Supersteps); !strings.Contains(out, want) {
+			t.Errorf("%s: ipregeld ran %d supersteps, the CLI printed:\n%s", name, res.Supersteps, out)
+		}
+		switch app.Answer {
+		case algorithms.Reach:
+			if want := fmt.Sprintf("reached: %d of %d vertices", res.Reached, res.VertexCount); !strings.Contains(out, want) {
+				t.Errorf("%s: ipregeld answers %q, the CLI printed:\n%s", name, want, out)
+			}
+		case algorithms.Labels:
+			if want := fmt.Sprintf("components: %d\n", res.Components); !strings.Contains(out, want) {
+				t.Errorf("%s: ipregeld answers %q, the CLI printed:\n%s", name, want, out)
+			}
+		case algorithms.Ranks:
+			m := rankSum.FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("%s: no rank sum in the CLI's output:\n%s", name, out)
+			}
+			if got, err := strconv.ParseFloat(m[1], 64); err != nil || math.Abs(got-res.RankSum) > 1e-9 {
+				t.Errorf("%s: ipregeld's rank sum is %v, the CLI printed %s", name, res.RankSum, m[1])
+			}
 		}
 	}
 }

@@ -60,11 +60,7 @@ func PageRankProgram(rounds int) core.Program[float64, float64] {
 // PageRank runs the program on g and returns the rank of each vertex in
 // internal-index order.
 func PageRank(g *graph.Graph, cfg core.Config, rounds int) ([]float64, core.Report, error) {
-	e, rep, err := core.Run(g, cfg, PageRankProgram(rounds))
-	if err != nil {
-		return nil, rep, err
-	}
-	return e.ValuesDense(), rep, nil
+	return values(core.Run(g, cfg, PageRankProgram(rounds)))
 }
 
 // HashminProgram returns the Hashmin connected-component labelling: every
@@ -107,11 +103,7 @@ func HashminProgram() core.Program[uint32, uint32] {
 // fixpoint of min-propagation along out-edges (run on a symmetric graph
 // for weakly-connected components).
 func Hashmin(g *graph.Graph, cfg core.Config) ([]uint32, core.Report, error) {
-	e, rep, err := core.Run(g, cfg, HashminProgram())
-	if err != nil {
-		return nil, rep, err
-	}
-	return e.ValuesDense(), rep, nil
+	return values(core.Run(g, cfg, HashminProgram()))
 }
 
 // SSSPProgram returns the paper's Fig. 5 single-source shortest path with
@@ -151,7 +143,12 @@ func SSSPProgram(source graph.VertexID) core.Program[uint32, uint32] {
 // SSSP runs the program on g from source and returns the hop distance of
 // each vertex in internal-index order (Infinity when unreachable).
 func SSSP(g *graph.Graph, cfg core.Config, source graph.VertexID) ([]uint32, core.Report, error) {
-	e, rep, err := core.Run(g, cfg, SSSPProgram(source))
+	return values(core.Run(g, cfg, SSSPProgram(source)))
+}
+
+// values returns a finished engine's values in internal-index order, or
+// the run's error.
+func values[V, M any](e *core.Engine[V, M], rep core.Report, err error) ([]V, core.Report, error) {
 	if err != nil {
 		return nil, rep, err
 	}
@@ -210,9 +207,5 @@ func BFSProgram(source graph.VertexID) core.Program[BFSState, uint32] {
 // BFS runs the program on g from source, returning per-vertex states in
 // internal-index order.
 func BFS(g *graph.Graph, cfg core.Config, source graph.VertexID) ([]BFSState, core.Report, error) {
-	e, rep, err := core.Run(g, cfg, BFSProgram(source))
-	if err != nil {
-		return nil, rep, err
-	}
-	return e.ValuesDense(), rep, nil
+	return values(core.Run(g, cfg, BFSProgram(source)))
 }

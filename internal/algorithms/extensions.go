@@ -60,11 +60,7 @@ func PageRankConvergedProgram(tol float64) core.Program[float64, float64] {
 // PageRankConverged runs PageRank to numerical convergence and returns
 // the ranks plus the number of damping iterations executed.
 func PageRankConverged(g *graph.Graph, cfg core.Config, tol float64) ([]float64, core.Report, error) {
-	e, rep, err := core.Run(g, cfg, PageRankConvergedProgram(tol))
-	if err != nil {
-		return nil, rep, err
-	}
-	return e.ValuesDense(), rep, nil
+	return values(core.Run(g, cfg, PageRankConvergedProgram(tol)))
 }
 
 // Reach64Program propagates reachability from up to 64 seed vertices at
@@ -112,11 +108,7 @@ func Reach64(g *graph.Graph, cfg core.Config, seeds []graph.VertexID) ([]uint64,
 	if len(seeds) > 64 {
 		seeds = seeds[:64]
 	}
-	e, rep, err := core.Run(g, cfg, Reach64Program(seeds))
-	if err != nil {
-		return nil, rep, err
-	}
-	return e.ValuesDense(), rep, nil
+	return values(core.Run(g, cfg, Reach64Program(seeds)))
 }
 
 // WCC labels the weakly connected components of a (possibly directed)

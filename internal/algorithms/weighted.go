@@ -57,17 +57,22 @@ func WeightedSSSPProgram(source graph.VertexID) core.Program[uint32, uint32] {
 // WeightedSSSP runs weighted shortest paths; cfg must push every
 // superstep (Direction push).
 func WeightedSSSP(g *graph.Graph, cfg core.Config, source graph.VertexID) ([]uint32, core.Report, error) {
+	if err := checkWeighted(g, cfg); err != nil {
+		return nil, core.Report{}, err
+	}
+	return values(core.Run(g, cfg, WeightedSSSPProgram(source)))
+}
+
+// checkWeighted refuses a graph without weights, and a transport that
+// can pull: weighted SSSP sends per edge.
+func checkWeighted(g *graph.Graph, cfg core.Config) error {
 	if !g.HasWeights() {
-		return nil, core.Report{}, graph.ErrNoWeights
+		return graph.ErrNoWeights
 	}
 	if cfg.Direction != core.DirectionPush {
-		return nil, core.Report{}, fmt.Errorf("algorithms: weighted SSSP sends per-edge messages and cannot use the pull transport (direction %v; paper §6.2's broadcast-only contract)", cfg.Direction)
+		return fmt.Errorf("algorithms: weighted SSSP sends per-edge messages and cannot use the pull transport (direction %v; paper §6.2's broadcast-only contract)", cfg.Direction)
 	}
-	e, rep, err := core.Run(g, cfg, WeightedSSSPProgram(source))
-	if err != nil {
-		return nil, rep, err
-	}
-	return e.ValuesDense(), rep, nil
+	return nil
 }
 
 // RefWeightedSSSP is the Dijkstra oracle (binary heap).

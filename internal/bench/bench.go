@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -105,54 +106,25 @@ func (o *Options) engineConfig(cfg core.Config) core.Config {
 	return cfg
 }
 
-// appSpec adapts one of the three evaluation applications (§7.1.4) to
-// both frameworks.
+// appSpec is one of the three evaluation applications (§7.1.4): its
+// entry in the app table, run on both frameworks with the harness's
+// parameters.
 type appSpec struct {
-	name string
-	// bypassCompatible reports whether every vertex votes to halt each
-	// superstep (true for Hashmin and SSSP, false for PageRank, §7.1.4).
-	bypassCompatible bool
-	runIP            func(o *Options, g *graph.Graph, cfg core.Config) (core.Report, error)
-	runPP            func(o *Options, g *graph.Graph, cfg pregelplus.ClusterConfig) (pregelplus.Report, error)
+	name   string
+	app    *algorithms.App
+	params algorithms.Params
 }
 
 func apps(o *Options) []appSpec {
+	app := func(name string) *algorithms.App {
+		a, _ := algorithms.LookupApp(name)
+		return a
+	}
+	src := uint64(o.SSSPSource)
 	return []appSpec{
-		{
-			name: "PageRank",
-			runIP: func(o *Options, g *graph.Graph, cfg core.Config) (core.Report, error) {
-				_, rep, err := algorithms.PageRank(g, o.engineConfig(cfg), o.PRRounds)
-				return rep, err
-			},
-			runPP: func(o *Options, g *graph.Graph, cfg pregelplus.ClusterConfig) (pregelplus.Report, error) {
-				_, rep, err := pregelplus.PageRank(g, cfg, o.PRRounds)
-				return rep, err
-			},
-		},
-		{
-			name:             "Hashmin",
-			bypassCompatible: true,
-			runIP: func(o *Options, g *graph.Graph, cfg core.Config) (core.Report, error) {
-				_, rep, err := algorithms.Hashmin(g, o.engineConfig(cfg))
-				return rep, err
-			},
-			runPP: func(o *Options, g *graph.Graph, cfg pregelplus.ClusterConfig) (pregelplus.Report, error) {
-				_, rep, err := pregelplus.Hashmin(g, cfg)
-				return rep, err
-			},
-		},
-		{
-			name:             "SSSP",
-			bypassCompatible: true,
-			runIP: func(o *Options, g *graph.Graph, cfg core.Config) (core.Report, error) {
-				_, rep, err := algorithms.SSSP(g, o.engineConfig(cfg), o.SSSPSource)
-				return rep, err
-			},
-			runPP: func(o *Options, g *graph.Graph, cfg pregelplus.ClusterConfig) (pregelplus.Report, error) {
-				_, rep, err := pregelplus.SSSP(g, cfg, o.SSSPSource)
-				return rep, err
-			},
-		},
+		{"PageRank", app("pagerank"), algorithms.Params{Rounds: o.PRRounds}},
+		{"Hashmin", app("hashmin"), algorithms.Params{}},
+		{"SSSP", app("sssp"), algorithms.Params{Source: &src}},
 	}
 }
 
@@ -161,7 +133,7 @@ func apps(o *Options) []appSpec {
 func versionsFor(app appSpec) []core.Config {
 	var out []core.Config
 	for _, cfg := range core.AllVersions() {
-		if cfg.SelectionBypass && !app.bypassCompatible {
+		if cfg.SelectionBypass && !app.app.HaltsEverySuperstep {
 			continue
 		}
 		out = append(out, cfg)
@@ -173,7 +145,7 @@ func versionsFor(app appSpec) []core.Config {
 // Fig. 8 single-node reference: broadcast for PageRank, spinlock+bypass
 // for Hashmin and SSSP (§7.2).
 func bestVersionFor(app appSpec) core.Config {
-	if app.bypassCompatible {
+	if app.app.HaltsEverySuperstep {
 		return core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}
 	}
 	return core.Config{Direction: core.DirectionPull}
@@ -188,12 +160,12 @@ func measureIP(o *Options, app appSpec, g *graph.Graph, cfg core.Config) (stats.
 	var runErr error
 	m := stats.RunUntilStable(o.Protocol, func() time.Duration {
 		runtime.GC()
-		rep, err := app.runIP(o, g, cfg)
+		res, err := app.app.Run(context.Background(), g, o.engineConfig(cfg), app.params, nil)
 		if err != nil {
 			runErr = err
 			return 0
 		}
-		return rep.Duration
+		return res.Report.Duration
 	})
 	return m, runErr
 }
@@ -205,7 +177,7 @@ func measurePP(o *Options, app appSpec, g *graph.Graph, cfg pregelplus.ClusterCo
 	var last pregelplus.Report
 	m := stats.RunUntilStable(o.Protocol, func() time.Duration {
 		runtime.GC()
-		rep, err := app.runPP(o, g, cfg)
+		rep, err := app.app.PregelPlus(g, cfg, app.params)
 		if err != nil {
 			runErr = err
 			return 0

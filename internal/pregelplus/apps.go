@@ -13,6 +13,10 @@ import (
 const InfinityU32 = ^uint32(0)
 
 // PageRankProgram is the Fig. 6 PageRank for Pregel+.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func PageRankProgram(rounds int) Program[float64, float64] {
 	return Program[float64, float64]{
 		Combine: func(old *float64, new float64) { *old += new },
@@ -41,18 +45,14 @@ func PageRankProgram(rounds int) Program[float64, float64] {
 // PageRank builds and runs a PageRank cluster, returning ranks in
 // internal-index order.
 func PageRank(g *graph.Graph, cfg ClusterConfig, rounds int) ([]float64, Report, error) {
-	cl, err := NewCluster(g, cfg, PageRankProgram(rounds), Float64Codec{})
-	if err != nil {
-		return nil, Report{}, err
-	}
-	rep, err := cl.Run()
-	if err != nil {
-		return nil, rep, err
-	}
-	return cl.ValuesDense(), rep, nil
+	return run(g, cfg, PageRankProgram(rounds), Float64Codec{})
 }
 
 // HashminProgram is the minimum-label propagation for Pregel+.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func HashminProgram() Program[uint32, uint32] {
 	return Program[uint32, uint32]{
 		Combine: func(old *uint32, new uint32) {
@@ -83,18 +83,14 @@ func HashminProgram() Program[uint32, uint32] {
 
 // Hashmin builds and runs a Hashmin cluster.
 func Hashmin(g *graph.Graph, cfg ClusterConfig) ([]uint32, Report, error) {
-	cl, err := NewCluster(g, cfg, HashminProgram(), Uint32Codec{})
-	if err != nil {
-		return nil, Report{}, err
-	}
-	rep, err := cl.Run()
-	if err != nil {
-		return nil, rep, err
-	}
-	return cl.ValuesDense(), rep, nil
+	return run(g, cfg, HashminProgram(), Uint32Codec{})
 }
 
 // SSSPProgram is the Fig. 5 unit-weight SSSP for Pregel+.
+//
+// Not inlined: a Compute copy compiled into a caller calls every Context method.
+//
+//go:noinline
 func SSSPProgram(source graph.VertexID) Program[uint32, uint32] {
 	return Program[uint32, uint32]{
 		Combine: func(old *uint32, new uint32) {
@@ -126,7 +122,13 @@ func SSSPProgram(source graph.VertexID) Program[uint32, uint32] {
 
 // SSSP builds and runs an SSSP cluster.
 func SSSP(g *graph.Graph, cfg ClusterConfig, source graph.VertexID) ([]uint32, Report, error) {
-	cl, err := NewCluster(g, cfg, SSSPProgram(source), Uint32Codec{})
+	return run(g, cfg, SSSPProgram(source), Uint32Codec{})
+}
+
+// run builds a cluster for prog and runs it, returning the values in
+// internal-index order.
+func run[V, M any](g *graph.Graph, cfg ClusterConfig, prog Program[V, M], codec Codec[M]) ([]V, Report, error) {
+	cl, err := NewCluster(g, cfg, prog, codec)
 	if err != nil {
 		return nil, Report{}, err
 	}

@@ -2,26 +2,30 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
+	"strconv"
 	"sync"
+
+	"ipregel/internal/algorithms"
 )
 
-// cacheKey derives the canonical cache key for a job. The params have
-// already been canonicalised by the program (defaults applied, unused
-// fields rejected, vertex lists sorted and deduplicated), so two
-// requests that would compute the same values collapse to the same key
-// regardless of field order, explicit-vs-defaulted values, or vertex
-// list permutations. Limits are deliberately excluded: they bound
-// execution, not the computed value (job.go). json.Marshal over the
-// struct is deterministic — fields serialise in declaration order.
+// cacheKey derives the canonical cache key for a job: the graph, the
+// app table's identity of the program (algorithms.Identity), and the
+// params that shape the response. The params have already been
+// canonicalised (defaults applied, unused fields rejected, vertex lists
+// sorted and deduplicated), so two requests that would compute the same
+// values collapse to the same key regardless of field order,
+// explicit-vs-defaulted values, or vertex list permutations. Limits are
+// deliberately excluded: they bound execution, not the computed value
+// (job.go).
 func cacheKey(graphName, program string, p Params) string {
-	enc, err := json.Marshal(p)
-	if err != nil {
-		// Params is a plain data struct; Marshal cannot fail on it. Keep
-		// a defensive fallback that never aliases another job's key.
-		return graphName + "\x00" + program + "\x00!" + err.Error()
+	b := append([]byte(graphName), 0)
+	b = append(append(b, algorithms.Identity(program, p.program())...), 0)
+	b = append(append(b, p.Direction...), 0)
+	b = strconv.AppendInt(b, int64(p.Top), 10)
+	for _, id := range p.Vertices {
+		b = strconv.AppendUint(append(b, ' '), id, 10)
 	}
-	return graphName + "\x00" + program + "\x00" + string(enc)
+	return string(b)
 }
 
 // resultCache is a mutex-guarded LRU over finished job results. Values

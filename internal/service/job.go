@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"ipregel/internal/algorithms"
 	"ipregel/internal/telemetry"
 )
 
@@ -20,7 +21,8 @@ const (
 )
 
 // Params are the program parameters. Every program uses a subset;
-// canonicalisation (programs.go) rejects fields its program ignores, so
+// canonicalisation (programs.go, and the app table in
+// internal/algorithms/apps.go) rejects fields its program ignores, so
 // a request cannot silently carry dead knobs — and so the cache key,
 // which is derived from the canonical form, never distinguishes two
 // requests that would compute the same thing.
@@ -117,7 +119,7 @@ type Job struct {
 	noCache bool
 	key     string
 	entry   *graphEntry
-	spec    programSpec
+	app     *algorithms.App
 
 	deadline time.Duration
 	scope    *telemetry.JobCollector

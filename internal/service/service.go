@@ -24,10 +24,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"ipregel/internal/algorithms"
 	"ipregel/internal/core"
 	"ipregel/internal/graph"
 	"ipregel/internal/telemetry"
@@ -310,9 +313,9 @@ func newRunDir(root string) (string, error) {
 // Errors: *RequestError (invalid), ErrQueueFull (admission control),
 // ErrClosed (shutting down).
 func (s *Service) Submit(req JobRequest) (JobView, error) {
-	spec, ok := programs[req.Program]
-	if !ok {
-		return JobView{}, reqErrorf("unknown program %q (have: %s)", req.Program, programNames())
+	app, ok := algorithms.LookupApp(req.Program)
+	if !ok || !slices.Contains(programs, req.Program) {
+		return JobView{}, reqErrorf("unknown program %q (have: %s)", req.Program, strings.Join(programs, " | "))
 	}
 
 	s.mu.Lock()
@@ -322,11 +325,11 @@ func (s *Service) Submit(req JobRequest) (JobView, error) {
 		return JobView{}, reqErrorf("unknown graph %q", req.Graph)
 	}
 
-	params, err := spec.canon(entry.g, req.Params)
+	params, err := canon(entry.g, app, req.Params)
 	if err != nil {
 		return JobView{}, err
 	}
-	if params.Direction, err = s.canonDirection(entry, req.Program, req.Params.Direction); err != nil {
+	if params.Direction, err = s.canonDirection(entry, app, req.Params.Direction); err != nil {
 		return JobView{}, err
 	}
 	limits, deadline, err := s.resolveLimits(req.Limits)
@@ -352,7 +355,7 @@ func (s *Service) Submit(req JobRequest) (JobView, error) {
 		noCache:  req.NoCache,
 		key:      key,
 		entry:    entry,
-		spec:     spec,
+		app:      app,
 		deadline: deadline,
 		enqueued: now,
 	}
@@ -524,7 +527,7 @@ func (s *Service) execute(jb *Job) {
 		runErr = fmt.Errorf("telemetry scope: %w", err)
 	} else {
 		jb.scope = scope
-		res, rep, runErr = jb.spec.run(runCtx, s, jb)
+		res, rep, runErr = s.run(runCtx, jb)
 		scope.Release()
 	}
 

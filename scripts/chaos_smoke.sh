@@ -3,8 +3,9 @@
 # job `chaos`): kill-and-auto-resume must work through both entry
 # points — the examples/faulttolerance demo (panic + corrupted
 # checkpoint, supervisor falls back past the bad file) and the
-# ipregel-run CLI under a -chaos fault spec. Both must recover at least
-# once and finish with a verified / plausible result.
+# ipregel-run CLI under a -chaos fault spec (SSSP, and BFS, one of the
+# apps only the app table made checkpointable). All must recover at
+# least once and finish with a verified / plausible result.
 set -eu
 
 TMP="$(mktemp -d)"
@@ -35,6 +36,19 @@ grep -q "reached: 3600 of 3600" "$TMP/cli.log" || {
 }
 grep -q "recoveries=2" "$TMP/cli.log" || {
     echo "FAIL: CLI report is missing recoveries=2" >&2
+    exit 1
+}
+
+echo "== ipregel-run: BFS, checkpointed through the app table, killed and resumed =="
+go run ./cmd/ipregel-run -app bfs -graph road:60:60 -source 1 \
+    -checkpoint-dir "$TMP/ckpt3" -checkpoint-every 4 \
+    -chaos 'seed=7,panic@9' | tee "$TMP/bfs.log"
+grep -q "recovery: attempt 1 failed" "$TMP/bfs.log" || {
+    echo "FAIL: BFS run did not report a recovery" >&2
+    exit 1
+}
+grep -q "reached: 3600 of 3600" "$TMP/bfs.log" || {
+    echo "FAIL: BFS run did not reach every vertex after recovery" >&2
     exit 1
 }
 
