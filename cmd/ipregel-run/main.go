@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"ipregel/internal/algorithms"
+	"ipregel/internal/chaos"
 	"ipregel/internal/core"
 	"ipregel/internal/gen"
 	"ipregel/internal/graph"
@@ -334,6 +335,36 @@ func loadGraph(out io.Writer, file, spec string, divisor int, weighted bool) (*g
 	}
 	fmt.Fprintf(out, "graph ready in %v (loading excluded from runtime, as in the paper §7.1.2)\n", time.Since(start).Round(time.Millisecond))
 	return g, nil
+}
+
+// checkpointing sets up the crash-recovery flags: every barrier multiple
+// of -checkpoint-every is persisted atomically to -checkpoint-dir, which
+// retains -checkpoint-keep of them, and a failed attempt (compute panic,
+// cancellation, sink error — injected by the optional -chaos spec, see
+// internal/chaos.FromSpec, or real) resumes from the newest good
+// checkpoint instead of restarting at superstep 0, up to
+// -recover-attempts attempts. Each retry is narrated to out and counted
+// in the shared telemetry collector.
+func checkpointing(out io.Writer, dir string, every, keep, attempts int, chaosSpec string) (*algorithms.Checkpointing, error) {
+	var inj *chaos.Injector
+	if chaosSpec != "" {
+		var err error
+		if inj, err = chaos.FromSpec(chaosSpec); err != nil {
+			return nil, err
+		}
+	}
+	sink, err := core.NewFileSink(dir, keep)
+	if err != nil {
+		return nil, err
+	}
+	return &algorithms.Checkpointing{Sink: sink, Every: every, Chaos: inj, Recovery: core.RecoveryOptions{
+		MaxAttempts: attempts,
+		OnRetry: func(attempt int, err error) {
+			collector.RecordRecovery()
+			fmt.Fprintf(out, "recovery: attempt %d failed (%v), resuming from the newest checkpoint in %s\n",
+				attempt, err, sink.Dir())
+		},
+	}}, nil
 }
 
 // collector is the process-wide metrics collector: the -telemetry

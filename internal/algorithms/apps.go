@@ -109,18 +109,9 @@ var table = []*App{
 	{Name: "wsssp", Uses: UsesSource, Answer: Reach, HaltsEverySuperstep: true, Weighted: true,
 		build: func(p Params) runner { return distances(WeightedSSSPProgram(source(p))) }},
 	{Name: "bfs", Uses: UsesSource, Answer: Reach, HaltsEverySuperstep: true,
-		build: func(p Params) runner {
-			return program[BFSState, uint32]{prog: BFSProgram(source(p)), vc: bfsCodec{}, mc: pregelplus.Uint32Codec{},
-				value:     func(s BFSState) float64 { return float64(s.Depth) },
-				parent:    bfsParent,
-				summarise: reached(func(s BFSState) bool { return s.Depth != Infinity })}
-		}},
+		build: func(p Params) runner { return bfs(BFSProgram(source(p))) }},
 	{Name: "reach64", Uses: UsesSource, Answer: Reach, HaltsEverySuperstep: true,
-		build: func(p Params) runner {
-			return program[uint64, uint64]{prog: Reach64Program([]graph.VertexID{source(p)}), vc: uint64Codec{}, mc: uint64Codec{},
-				value:     func(m uint64) float64 { return float64(m) },
-				summarise: reached(func(m uint64) bool { return m != 0 })}
-		}},
+		build: func(p Params) runner { return reach(Reach64Program([]graph.VertexID{source(p)})) }},
 }
 
 // LookupApp returns the table's app of that name.
@@ -241,6 +232,9 @@ type Result struct {
 	Components  int
 	Reached     int
 	ConvergedIn int
+	// Ranks are the PageRank values (Ranks apps), in internal-index
+	// order.
+	Ranks []float64
 	// Value reads vertex i's value (internal index) as a float64: a
 	// rank, a distance or depth, a label or a seed mask.
 	Value func(i int) float64
@@ -322,6 +316,7 @@ func ranks(prog core.Program[float64, float64]) program[float64, float64] {
 	return program[float64, float64]{prog: prog, vc: pregelplus.Float64Codec{}, mc: pregelplus.Float64Codec{},
 		value: func(x float64) float64 { return x },
 		summarise: func(ranks []float64, r *Result) {
+			r.Ranks = ranks
 			for _, x := range ranks {
 				r.RankSum += x
 			}
@@ -336,26 +331,45 @@ func labels(prog core.Program[uint32, uint32]) program[uint32, uint32] {
 
 func distances(prog core.Program[uint32, uint32]) program[uint32, uint32] {
 	return program[uint32, uint32]{prog: prog, vc: pregelplus.Uint32Codec{}, mc: pregelplus.Uint32Codec{},
-		value:     func(d uint32) float64 { return float64(d) },
-		summarise: reached(func(d uint32) bool { return d != Infinity })}
-}
-
-func reached[V any](ok func(V) bool) func([]V, *Result) {
-	return func(vals []V, r *Result) {
-		for _, v := range vals {
-			if ok(v) {
-				r.Reached++
+		value: func(d uint32) float64 { return float64(d) },
+		summarise: func(dist []uint32, r *Result) {
+			for _, d := range dist {
+				if d != Infinity {
+					r.Reached++
+				}
 			}
-		}
-	}
+		}}
 }
 
-func bfsParent(s BFSState) *uint64 {
-	if s.Parent == Infinity {
-		return nil
-	}
-	p := uint64(s.Parent)
-	return &p
+func bfs(prog core.Program[BFSState, uint32]) program[BFSState, uint32] {
+	return program[BFSState, uint32]{prog: prog, vc: bfsCodec{}, mc: pregelplus.Uint32Codec{},
+		value: func(s BFSState) float64 { return float64(s.Depth) },
+		parent: func(s BFSState) *uint64 {
+			if s.Parent == Infinity {
+				return nil
+			}
+			p := uint64(s.Parent)
+			return &p
+		},
+		summarise: func(states []BFSState, r *Result) {
+			for _, s := range states {
+				if s.Depth != Infinity {
+					r.Reached++
+				}
+			}
+		}}
+}
+
+func reach(prog core.Program[uint64, uint64]) program[uint64, uint64] {
+	return program[uint64, uint64]{prog: prog, vc: uint64Codec{}, mc: uint64Codec{},
+		value: func(m uint64) float64 { return float64(m) },
+		summarise: func(masks []uint64, r *Result) {
+			for _, m := range masks {
+				if m != 0 {
+					r.Reached++
+				}
+			}
+		}}
 }
 
 func source(p Params) graph.VertexID { return graph.VertexID(*p.Source) }

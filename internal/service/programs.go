@@ -178,7 +178,7 @@ func (s *Service) run(ctx context.Context, jb *Job) (*Result, core.Report, error
 		Values:       pickValues(g, jb.params.Vertices, r.Value, r.Parent),
 	}
 	if jb.params.Top > 0 {
-		res.Top = topRanks(g, r.Value, jb.params.Top)
+		res.Top = topRanks(g, r.Ranks, jb.params.Top)
 	}
 	return res, r.Report, nil
 }
@@ -186,11 +186,12 @@ func (s *Service) run(ctx context.Context, jb *Job) (*Result, core.Report, error
 // topRanks selects the k highest-ranked vertices (ties broken by
 // smaller identifier) by insertion into a k-sized window — k is capped
 // at maxTop, so no heap is warranted.
-func topRanks(g *graph.Graph, rank func(i int) float64, k int) []VertexValue {
-	k = min(k, g.N())
+func topRanks(g *graph.Graph, ranks []float64, k int) []VertexValue {
+	if k > len(ranks) {
+		k = len(ranks)
+	}
 	top := make([]VertexValue, 0, k)
-	for i := range g.N() {
-		r := rank(i)
+	for i, r := range ranks {
 		if len(top) == k && r <= top[k-1].Value {
 			continue
 		}
