@@ -288,12 +288,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out, line)
-	fmt.Fprintln(out, rep)
+	// scc drives several engine runs and keeps no report of them, so it
+	// prints none rather than an empty one.
+	if inTable {
+		fmt.Fprintln(out, rep)
+	}
 	fmt.Fprintf(out, "peak heap: %s (baseline %s)\n", memmodel.GB(peak), memmodel.GB(baseline))
 	if *backend == "mmap" {
 		printMappedAfterRun(out, g)
 	}
-	if *verbose {
+	if *verbose && inTable {
 		fmt.Fprint(out, rep.Table())
 	}
 	return nil

@@ -54,6 +54,19 @@ func TestRunAppsOnGeneratedGraphs(t *testing.T) {
 	}
 }
 
+// TestRunSCCPrintsNoEmptyReport: scc runs the engine several times and
+// keeps none of their reports, so neither its summary nor its -v table
+// may print a zero report as if it were the run's.
+func TestRunSCCPrintsNoEmptyReport(t *testing.T) {
+	out := runOK(t, "-app", "scc", "-graph", "rmat:10:8", "-v")
+	if !strings.Contains(out, "strong components: 439") {
+		t.Fatalf("no strong component count:\n%s", out)
+	}
+	if strings.Contains(out, "supersteps=") || strings.Contains(out, "superstep ") {
+		t.Fatalf("scc printed an engine report it does not have:\n%s", out)
+	}
+}
+
 func TestRunFromFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.txt")

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -111,8 +109,9 @@ func (s *syncBuffer) String() string {
 var servingRe = regexp.MustCompile(`ipregeld: serving on (\S+)`)
 
 // TestDaemonEndToEnd boots the daemon on an ephemeral port, exercises a
-// job round trip plus a cache hit over real HTTP, then stops it via the
-// test hook (the same path a signal takes) and requires a clean exit.
+// job answered in its own POST plus a cache hit over real HTTP, then
+// stops it with a POST held, via the test hook (the same path a signal
+// takes), and requires a clean exit and an answered POST.
 func TestDaemonEndToEnd(t *testing.T) {
 	var out syncBuffer
 	stop := make(chan struct{})
@@ -170,27 +169,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 202 {
-		t.Fatalf("submit: %d %+v", resp.StatusCode, view)
-	}
-
-	for view.State != "done" {
-		if view.State == "failed" || view.State == "cancelled" {
-			t.Fatalf("job reached %s", view.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", view.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-		r, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s", base, view.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		if err := json.Unmarshal(b, &view); err != nil {
-			t.Fatalf("poll decode: %v (%s)", err, b)
-		}
+	// The SSSP ends within the submission window, so its POST answers it.
+	if resp.StatusCode != 200 || view.State != "done" || view.Cached {
+		t.Fatalf("submit: %d %+v, want 200 with the finished job", resp.StatusCode, view)
 	}
 	if view.Result == nil || view.Result.Reached != 128 {
 		t.Fatalf("result: %+v, want all 128 ring vertices reached", view.Result)
@@ -213,6 +194,41 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("resubmission: %d %+v, want a cache hit", resp.StatusCode, hit)
 	}
 
+	// A job that cannot end within the submission window holds its POST
+	// while the daemon is told to stop: the POST is still answered, and
+	// the daemon still exits.
+	held := make(chan int, 1)
+	go func() {
+		r, err := http.Post(base+"/v1/jobs", "application/json",
+			strings.NewReader(`{"graph":"g","program":"pagerank","params":{"rounds":90000},"limits":{"deadline_ms":20000}}`))
+		if err != nil {
+			held <- 0
+			return
+		}
+		r.Body.Close()
+		held <- r.StatusCode
+	}()
+	for {
+		var list struct {
+			Jobs []json.RawMessage `json:"jobs"`
+		}
+		r, err := http.Get(base + "/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(r.Body).Decode(&list)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Jobs) == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the long job was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	select {
 	case err := <-runErr:
@@ -224,5 +240,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ipregeld: bye") {
 		t.Fatalf("no clean shutdown marker:\n%s", out.String())
+	}
+	if code := <-held; code != 202 {
+		t.Fatalf("POST held across the shutdown answered %d, want 202", code)
 	}
 }

@@ -170,6 +170,9 @@ func (e *Engine[V, M]) runWords(ctx *Context[V, M], sp span, scan bool) {
 		case scan && active != nil:
 			mask |= active[w]
 		}
+		if mask == 0 {
+			continue // nothing to run, and its activity word is already zero
+		}
 		if base := w << 6; base < lo {
 			mask &= ^uint64(0) << (lo - base)
 		}

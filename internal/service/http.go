@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"time"
 
 	"ipregel/internal/telemetry"
 )
@@ -12,9 +13,17 @@ import (
 // hundred bytes plus at most maxValueRequests vertex identifiers.
 const maxRequestBytes = 1 << 20
 
+// submitWait is how long POST /v1/jobs holds an admitted job's request
+// for its result. A job that ends within it is answered in the POST
+// itself, not at the client's next poll; a slower one gets its 202
+// after it. Admission never waits, so at most Queue + Workers requests
+// are held at once (DESIGN.md §12.4).
+const submitWait = 50 * time.Millisecond
+
 // Handler returns the daemon's HTTP surface:
 //
-//	POST /v1/jobs        submit a job (202 queued, 200 cache hit)
+//	POST /v1/jobs        submit a job (200 when it ends within submitWait,
+//	                     a cache hit among them; else 202 queued/running)
 //	GET  /v1/jobs        list remembered jobs, newest first
 //	GET  /v1/jobs/{id}   one job, including its result when finished
 //	GET  /v1/graphs      the resident graphs
@@ -57,7 +66,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	view, err := s.Submit(req)
+	jb, _, err := s.submit(req)
 	if err != nil {
 		var reqErr *RequestError
 		switch {
@@ -73,8 +82,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	view := s.wait(r.Context(), jb, submitWait)
 	status := http.StatusAccepted
-	if view.Cached {
+	if view.State.terminal() {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, view)

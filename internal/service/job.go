@@ -20,6 +20,11 @@ const (
 	StateCancelled JobState = "cancelled"
 )
 
+// terminal reports whether st is one of the three end states.
+func (st JobState) terminal() bool {
+	return st == StateDone || st == StateFailed || st == StateCancelled
+}
+
 // Params are the program parameters. Every program uses a subset;
 // canonicalisation (programs.go, and the app table in
 // internal/algorithms/apps.go) rejects fields its program ignores, so
@@ -111,6 +116,10 @@ type Result struct {
 // Job is the internal record; all mutable fields are guarded by the
 // Service mutex. JobView is the immutable snapshot handed out.
 type Job struct {
+	// done is closed when the job reaches a terminal state
+	// (recordFinishedLocked), so a held submission can wait on it.
+	done chan struct{}
+
 	id      string
 	graph   string
 	program string

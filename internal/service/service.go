@@ -313,40 +313,48 @@ func newRunDir(root string) (string, error) {
 // Errors: *RequestError (invalid), ErrQueueFull (admission control),
 // ErrClosed (shutting down).
 func (s *Service) Submit(req JobRequest) (JobView, error) {
+	_, view, err := s.submit(req)
+	return view, err
+}
+
+// submit is Submit that also returns the admitted job, for a caller
+// that waits on it (handleSubmit).
+func (s *Service) submit(req JobRequest) (*Job, JobView, error) {
 	app, ok := algorithms.LookupApp(req.Program)
 	if !ok || !slices.Contains(programs, req.Program) {
-		return JobView{}, reqErrorf("unknown program %q (have: %s)", req.Program, strings.Join(programs, " | "))
+		return nil, JobView{}, reqErrorf("unknown program %q (have: %s)", req.Program, strings.Join(programs, " | "))
 	}
 
 	s.mu.Lock()
 	entry, ok := s.graphs[req.Graph]
 	s.mu.Unlock()
 	if !ok {
-		return JobView{}, reqErrorf("unknown graph %q", req.Graph)
+		return nil, JobView{}, reqErrorf("unknown graph %q", req.Graph)
 	}
 
 	params, err := canon(entry.g, app, req.Params)
 	if err != nil {
-		return JobView{}, err
+		return nil, JobView{}, err
 	}
 	if params.Direction, err = s.canonDirection(entry, app, req.Params.Direction); err != nil {
-		return JobView{}, err
+		return nil, JobView{}, err
 	}
 	limits, deadline, err := s.resolveLimits(req.Limits)
 	if err != nil {
-		return JobView{}, err
+		return nil, JobView{}, err
 	}
 	key := cacheKey(req.Graph, req.Program, params)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return JobView{}, ErrClosed
+		return nil, JobView{}, ErrClosed
 	}
 
 	s.nextID++
 	now := time.Now()
 	jb := &Job{
+		done:     make(chan struct{}),
 		id:       fmt.Sprintf("j%d", s.nextID),
 		graph:    req.Graph,
 		program:  req.Program,
@@ -368,7 +376,7 @@ func (s *Service) Submit(req JobRequest) (JobView, error) {
 			jb.started = now
 			jb.finished = now
 			s.recordJobLocked(jb)
-			return jb.viewLocked(), nil
+			return jb, jb.viewLocked(), nil
 		}
 	}
 
@@ -376,11 +384,29 @@ func (s *Service) Submit(req JobRequest) (JobView, error) {
 	select {
 	case s.queue <- jb:
 	default:
-		return JobView{}, ErrQueueFull
+		return nil, JobView{}, ErrQueueFull
 	}
 	s.jobs[jb.id] = jb
 	s.queued++
-	return jb.viewLocked(), nil
+	return jb, jb.viewLocked(), nil
+}
+
+// wait holds the caller until jb is terminal, window has passed, ctx
+// ends or Close begins, whichever comes first, and returns jb's view at
+// that point. It waits on channels only: the mutex is taken once, for
+// the view.
+func (s *Service) wait(ctx context.Context, jb *Job, window time.Duration) JobView {
+	timer := time.NewTimer(window)
+	defer timer.Stop()
+	select {
+	case <-jb.done:
+	case <-timer.C:
+	case <-ctx.Done():
+	case <-s.baseCtx.Done():
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return jb.viewLocked()
 }
 
 // resolveLimits applies defaults and caps to the request's limits.
@@ -564,9 +590,11 @@ func (s *Service) recordJobLocked(jb *Job) {
 	s.recordFinishedLocked(jb)
 }
 
-// recordFinishedLocked appends jb to the eviction order and forgets the
-// oldest finished jobs beyond KeepFinished.
+// recordFinishedLocked is every job's one terminal point: it releases
+// jb's waiters, appends jb to the eviction order and forgets the oldest
+// finished jobs beyond KeepFinished.
 func (s *Service) recordFinishedLocked(jb *Job) {
+	close(jb.done)
 	s.order = append(s.order, jb.id)
 	for len(s.order) > s.opts.KeepFinished {
 		delete(s.jobs, s.order[0])

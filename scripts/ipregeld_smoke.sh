@@ -2,8 +2,9 @@
 # End-to-end smoke test of the resident query daemon (`make
 # ipregeld-smoke`, CI job `ipregeld-smoke`): boot ipregeld on an
 # ephemeral port with one resident graph, let a first job run into its
-# deadline (it keeps its checkpoints), submit a PageRank and an SSSP job
-# concurrently, require both to finish with sane results and no job
+# deadline (it keeps its checkpoints; its POST answers 202), submit a
+# PageRank and an SSSP job concurrently (the SSSP's POST answers 200
+# with its result), require both to finish with sane results and no job
 # directory left behind, require a resubmitted identical job to be
 # served from the LRU cache without re-running, check the per-job
 # telemetry mount, and demand a clean SIGTERM shutdown. Then boot a
@@ -60,9 +61,11 @@ stop() {
 
 job_id() { sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p' "$1" | head -n1; }
 
-# submit posts body $1, saves the response as $2 and prints the job id.
+# submit posts body $1, saves the response as $2, requires HTTP status
+# $3 if given and prints the job id.
 submit() {
-    curl -sf -X POST -d "$1" "$BASE/v1/jobs" -o "$2" || fail "submit $1"
+    code="$(curl -s -X POST -d "$1" "$BASE/v1/jobs" -o "$2" -w '%{http_code}')" || fail "submit $1"
+    test -z "${3:-}" || test "$code" = "$3" || fail "submit $1 answered $code, want $3: $(cat "$2")"
     id="$(job_id "$2")"
     test -n "$id" || fail "no job id in $(cat "$2")"
     echo "$id"
@@ -99,15 +102,23 @@ curl -sf "$BASE/healthz" | grep -q '"status": "ok"' || fail "healthz not ok"
 curl -sf "$BASE/v1/graphs" | grep -q '"name": "g"' || fail "graph not listed"
 
 # A first job that runs into its deadline: it keeps the checkpoints it
-# committed, in a job directory named by its id.
-STALE_ID="$(submit '{"graph":"g","program":"pagerank","params":{"rounds":90000},"limits":{"deadline_ms":1000}}' "$TMP/stale.json")"
+# committed, in a job directory named by its id. It cannot end within
+# the submission window, so its POST answers 202 and it is polled.
+STALE_ID="$(submit '{"graph":"g","program":"pagerank","params":{"rounds":90000},"limits":{"deadline_ms":1000}}' "$TMP/stale.json" 202)"
 wait_state "$STALE_ID" cancelled
 
 # Submit two jobs back to back so they run concurrently on the two
-# workers.
+# workers. A POST is held while its job runs (up to the submission
+# window), so the PageRank's goes in the background. The SSSP ends
+# within the window: its POST itself answers 200 with the finished job.
 PR_BODY='{"graph":"g","program":"pagerank","params":{"rounds":20,"top":3}}'
-PR_ID="$(submit "$PR_BODY" "$TMP/pr.json")"
-SS_ID="$(submit '{"graph":"g","program":"sssp","params":{"source":1}}' "$TMP/ss.json")"
+submit "$PR_BODY" "$TMP/pr.json" >"$TMP/pr.id" &
+PR_POST=$!
+SS_ID="$(submit '{"graph":"g","program":"sssp","params":{"source":1}}' "$TMP/ss.json" 200)"
+grep -q '"state": "done"' "$TMP/ss.json" || fail "the SSSP's POST did not answer it done: $(cat "$TMP/ss.json")"
+grep -Eq '"reached": [1-9]' "$TMP/ss.json" || fail "the SSSP's POST carries no result: $(cat "$TMP/ss.json")"
+wait "$PR_POST" || fail "pagerank submit"
+PR_ID="$(cat "$TMP/pr.id")"
 wait_done "$PR_ID"
 wait_done "$SS_ID"
 
