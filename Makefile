@@ -13,8 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # ipregel-vet enforces the framework contracts go vet cannot see
-# (handle escapes, halt obligations under selection bypass, combiner
-# purity).
+# (handle escapes, combiner purity); the engine itself checks selection
+# bypass's halt obligation at run time.
 ipregel-vet:
 	$(GO) run ./cmd/ipregel-vet ./...
 

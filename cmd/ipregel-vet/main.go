@@ -14,7 +14,8 @@
 //
 //	//ipregel:ignore <analyzer> <reason>
 //
-// on the flagged line or the line above; the reason is mandatory.
+// on the flagged line or the line above; the reason is mandatory, and a
+// directive naming no analyzer of the roster is itself reported.
 //
 // With -json the driver emits a JSON array instead of text. Each element
 // has the shape
@@ -176,11 +177,10 @@ func writeJSON(out io.Writer, diags []analysis.Diagnostic, root string) error {
 // diagString renders a diagnostic with its file path relative to the
 // invocation directory when possible, matching go vet's output shape.
 func diagString(d analysis.Diagnostic, cwd string) string {
-	pos := d.Pos
-	if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-		pos.Filename = rel
+	if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+		d.Pos.Filename = rel
 	}
-	return fmt.Sprintf("%s: %s: %s", pos, d.Analyzer, d.Message)
+	return d.String()
 }
 
 func printHelp(out io.Writer) {
@@ -202,7 +202,8 @@ func printHelp(out io.Writer) {
 		fmt.Fprintln(out)
 	}
 	fmt.Fprintln(out, "Suppress a finding with `//ipregel:ignore <analyzer> <reason>` on the")
-	fmt.Fprintln(out, "flagged line or the line above. The reason is mandatory.")
+	fmt.Fprintln(out, "flagged line or the line above. The reason is mandatory, and a directive")
+	fmt.Fprintln(out, "naming an analyzer not listed above is itself reported.")
 }
 
 func findModuleRoot(dir string) (string, error) {

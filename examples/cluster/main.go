@@ -9,7 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ipregel/internal/algorithms"
@@ -21,35 +23,45 @@ import (
 )
 
 func main() {
-	divisor := flag.Int("divisor", 256, "wiki stand-in scale divisor")
-	rounds := flag.Int("rounds", 10, "PageRank iterations")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
+	fs.SetOutput(out)
+	divisor := fs.Int("divisor", 256, "wiki stand-in scale divisor")
+	rounds := fs.Int("rounds", 10, "PageRank iterations")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	g := gen.Wikipedia(gen.PresetParams{Divisor: *divisor, BuildInEdges: true})
-	fmt.Println(graph.ComputeStats("wiki", g))
+	fmt.Fprintln(out, graph.ComputeStats("wiki", g))
 
 	// iPregel reference: the broadcast (pull) version, PageRank's winner.
 	start := time.Now()
 	ranks, rep, err := algorithms.PageRank(g, core.Config{Direction: core.DirectionPull}, *rounds)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ipTime := time.Since(start)
-	fmt.Printf("iPregel (broadcast): %v, %d supersteps\n", ipTime.Round(time.Microsecond), rep.Supersteps)
+	fmt.Fprintf(out, "iPregel (broadcast): %v, %d supersteps\n", ipTime.Round(time.Microsecond), rep.Supersteps)
 
 	var nodes []int
 	var runtimes []float64
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		got, prep, err := pregelplus.PageRank(g, pregelplus.ClusterConfig{Nodes: n, ProcsPerNode: 2}, *rounds)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for i := range got {
 			if diff := got[i] - ranks[i]; diff > 1e-9 || diff < -1e-9 {
-				log.Fatalf("frameworks disagree at vertex %d: %g vs %g", i, got[i], ranks[i])
+				return fmt.Errorf("frameworks disagree at vertex %d: %g vs %g", i, got[i], ranks[i])
 			}
 		}
-		fmt.Printf("Pregel+ %2d node(s): simulated %v (compute %v, network %v, wire %d bytes)\n",
+		fmt.Fprintf(out, "Pregel+ %2d node(s): simulated %v (compute %v, network %v, wire %d bytes)\n",
 			n, prep.SimTime.Round(time.Microsecond), prep.ComputeTime.Round(time.Microsecond),
 			prep.NetTime.Round(time.Microsecond), prep.WireBytes)
 		nodes = append(nodes, n)
@@ -59,10 +71,11 @@ func main() {
 	lead, extrapolated, ok := stats.LeadChange(nodes, runtimes, float64(ipTime), 1<<20)
 	switch {
 	case ok && !extrapolated:
-		fmt.Printf("lead change observed at %d nodes (paper: 11 on Wikipedia PageRank)\n", lead)
+		fmt.Fprintf(out, "lead change observed at %d nodes (paper: 11 on Wikipedia PageRank)\n", lead)
 	case ok:
-		fmt.Printf("lead change extrapolated at %d nodes (paper: 11 on Wikipedia PageRank)\n", lead)
+		fmt.Fprintf(out, "lead change extrapolated at %d nodes (paper: 11 on Wikipedia PageRank)\n", lead)
 	default:
-		fmt.Println("no lead change within 2^20 nodes")
+		fmt.Fprintln(out, "no lead change within 2^20 nodes")
 	}
+	return nil
 }

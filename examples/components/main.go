@@ -9,7 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ipregel/internal/algorithms"
@@ -19,36 +21,47 @@ import (
 )
 
 func main() {
-	scale := flag.Int("scale", 13, "RMAT scale (|V| = 2^scale)")
-	ef := flag.Int("edgefactor", 8, "average out-degree")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("components", flag.ContinueOnError)
+	fs.SetOutput(out)
+	scale := fs.Int("scale", 13, "RMAT scale (|V| = 2^scale)")
+	ef := fs.Int("edgefactor", 8, "average out-degree")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	p := gen.DefaultRMAT(*scale, *ef, 7)
 	p.BuildInEdges = true
 	g := gen.RMAT(p)
-	fmt.Println(graph.ComputeStats("rmat", g))
+	fmt.Fprintln(out, graph.ComputeStats("rmat", g))
 
 	var labels []uint32
 	for _, cfg := range core.AllVersions() {
 		start := time.Now()
 		got, rep, err := algorithms.Hashmin(g, cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", cfg.VersionName(), err)
+			return fmt.Errorf("%s: %w", cfg.VersionName(), err)
 		}
 		if labels == nil {
 			labels = got
 		}
-		fmt.Printf("%-20s %10v  (%d supersteps)\n", cfg.VersionName(), time.Since(start).Round(time.Microsecond), rep.Supersteps)
+		fmt.Fprintf(out, "%-20s %10v  (%d supersteps)\n", cfg.VersionName(), time.Since(start).Round(time.Microsecond), rep.Supersteps)
 	}
-	fmt.Printf("components (by out-edge min-propagation): %d\n", algorithms.ComponentCount(labels))
+	fmt.Fprintf(out, "components (by out-edge min-propagation): %d\n", algorithms.ComponentCount(labels))
 
 	// Show the active-vertex evolution on the best version.
 	_, rep, err := algorithms.Hashmin(g, core.Config{Combiner: core.CombinerSpin, SelectionBypass: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("vertices run per superstep (decreasing, as §7.1.4 describes):")
+	fmt.Fprintln(out, "vertices run per superstep (decreasing, as §7.1.4 describes):")
 	for s, ran := range rep.RanSeries() {
-		fmt.Printf("  superstep %2d: %d\n", s, ran)
+		fmt.Fprintf(out, "  superstep %2d: %d\n", s, ran)
 	}
+	return nil
 }

@@ -12,8 +12,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -26,31 +28,41 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 120, "grid rows")
-	cols := flag.Int("cols", 120, "grid cols")
-	every := flag.Int("every", 10, "checkpoint every N supersteps")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("faulttolerance", flag.ContinueOnError)
+	fs.SetOutput(out)
+	rows := fs.Int("rows", 120, "grid rows")
+	cols := fs.Int("cols", 120, "grid cols")
+	every := fs.Int("every", 10, "checkpoint every N supersteps")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	g := gen.Road(gen.RoadParams{Rows: *rows, Cols: *cols, Base: 1, BuildInEdges: true})
-	fmt.Println(graph.ComputeStats("road", g))
+	fmt.Fprintln(out, graph.ComputeStats("road", g))
 	cfg := core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}
 	prog := algorithms.SSSPProgram(1)
 
 	// Ground truth: uninterrupted run.
 	refEngine, refRep, err := core.Run(g, cfg, prog)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("uninterrupted: %d supersteps, %v\n", refRep.Supersteps, refRep.Duration.Round(1000))
+	fmt.Fprintf(out, "uninterrupted: %d supersteps, %v\n", refRep.Supersteps, refRep.Duration.Round(1000))
 
 	dir, err := os.MkdirTemp("", "ipregel-ckpt")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	sink, err := core.NewFileSink(dir, 3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sink.Close()
 
@@ -67,7 +79,7 @@ func main() {
 		chaos.Event{Fault: chaos.BitFlip, Superstep: second, Arg: -1},
 		chaos.Event{Fault: chaos.ComputePanic, Superstep: second},
 	)
-	fmt.Printf("fault plan: %v\n", inj.Pending())
+	fmt.Fprintf(out, "fault plan: %v\n", inj.Pending())
 
 	crashCfg := cfg
 	crashCfg.Observers = append(crashCfg.Observers, inj.Observer())
@@ -83,29 +95,30 @@ func main() {
 			return inj.Context(parent)
 		},
 		OnRetry: func(attempt int, err error) {
-			fmt.Printf("attempt %d died: %v\n", attempt, err)
+			fmt.Fprintf(out, "attempt %d died: %v\n", attempt, err)
 			if _, superstep, found, lerr := sink.LatestGood(); lerr == nil && found {
-				fmt.Printf("  resuming from checkpoint %d\n", superstep)
+				fmt.Fprintf(out, "  resuming from checkpoint %d\n", superstep)
 			}
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, ev := range inj.Fired() {
-		fmt.Printf("chaos fired: %v\n", ev)
+		fmt.Fprintf(out, "chaos fired: %v\n", ev)
 	}
-	fmt.Printf("recoveries: %d (attempts: %d), finished at superstep %d\n", rep.Recoveries, rep.Attempts, rep.Supersteps)
+	fmt.Fprintf(out, "recoveries: %d (attempts: %d), finished at superstep %d\n", rep.Recoveries, rep.Attempts, rep.Supersteps)
 	if rep.Recoveries == 0 {
-		log.Fatal("expected at least one recovery")
+		return errors.New("expected at least one recovery")
 	}
 
 	want := refEngine.ValuesDense()
 	got := restored.ValuesDense()
 	for i := range want {
 		if want[i] != got[i] {
-			log.Fatalf("recovered result differs at vertex %d: %d vs %d", i, got[i], want[i])
+			return fmt.Errorf("recovered result differs at vertex %d: %d vs %d", i, got[i], want[i])
 		}
 	}
-	fmt.Println("recovered result identical to the uninterrupted run ✓")
+	fmt.Fprintln(out, "recovered result identical to the uninterrupted run ✓")
+	return nil
 }

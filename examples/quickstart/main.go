@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ipregel/internal/algorithms"
 	"ipregel/internal/core"
@@ -14,6 +16,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	// A toy citation graph; identifiers start at 1, like the paper's
 	// datasets, so the engine uses offset mapping (§5).
 	var b graph.Builder
@@ -25,7 +33,7 @@ func main() {
 	}
 	g, err := b.Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Run the paper's Fig. 6 PageRank as its broadcast version: pulled,
@@ -33,11 +41,11 @@ func main() {
 	cfg := core.Config{Direction: core.DirectionPull}
 	ranks, report, err := algorithms.PageRank(g, cfg, 30)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println(report)
+	fmt.Fprintln(out, report)
 	for i, r := range ranks {
-		fmt.Printf("vertex %d: rank %.4f\n", g.ExternalID(i), r)
+		fmt.Fprintf(out, "vertex %d: rank %.4f\n", g.ExternalID(i), r)
 	}
 
 	// The same engine runs hand-written programs. Here: every vertex
@@ -67,10 +75,11 @@ func main() {
 	// bypass applies (§4).
 	e, rep, err := core.Run(g, core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}, prog)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println(rep)
+	fmt.Fprintln(out, rep)
 	for i, m := range e.ValuesDense() {
-		fmt.Printf("vertex %d: max in-neighbour %d\n", g.ExternalID(i), m)
+		fmt.Fprintf(out, "vertex %d: max in-neighbour %d\n", g.ExternalID(i), m)
 	}
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ipregel/internal/algorithms"
@@ -19,13 +21,23 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 300, "grid rows")
-	cols := flag.Int("cols", 300, "grid cols")
-	source := flag.Uint("source", 2, "source vertex identifier")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("shortestpath", flag.ContinueOnError)
+	fs.SetOutput(out)
+	rows := fs.Int("rows", 300, "grid rows")
+	cols := fs.Int("cols", 300, "grid cols")
+	source := fs.Uint("source", 2, "source vertex identifier")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	g := gen.Road(gen.RoadParams{Rows: *rows, Cols: *cols, Base: 1, BuildInEdges: true, HighwayFraction: 0.001, Seed: 42})
-	fmt.Println(graph.ComputeStats("road", g))
+	fmt.Fprintln(out, graph.ComputeStats("road", g))
 
 	src := graph.VertexID(*source)
 	var reference []uint32
@@ -33,7 +45,7 @@ func main() {
 		start := time.Now()
 		dist, rep, err := algorithms.SSSP(g, cfg, src)
 		if err != nil {
-			log.Fatalf("%s: %v", cfg.VersionName(), err)
+			return fmt.Errorf("%s: %w", cfg.VersionName(), err)
 		}
 		elapsed := time.Since(start)
 		if reference == nil {
@@ -41,18 +53,18 @@ func main() {
 		} else {
 			for i := range dist {
 				if dist[i] != reference[i] {
-					log.Fatalf("%s disagrees with the first version at vertex %d", cfg.VersionName(), i)
+					return fmt.Errorf("%s disagrees with the first version at vertex %d", cfg.VersionName(), i)
 				}
 			}
 		}
-		fmt.Printf("%-20s %10v  (%d supersteps, %d messages)\n", cfg.VersionName(), elapsed.Round(time.Microsecond), rep.Supersteps, rep.TotalMessages)
+		fmt.Fprintf(out, "%-20s %10v  (%d supersteps, %d messages)\n", cfg.VersionName(), elapsed.Round(time.Microsecond), rep.Supersteps, rep.TotalMessages)
 	}
 
 	// The distance profile: a grid's hop distances from a corner follow
 	// the Manhattan metric; print a few spot checks.
 	dist, _, err := algorithms.SSSP(g, core.Config{Combiner: core.CombinerSpin, SelectionBypass: true}, src)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	reached, far := 0, uint32(0)
 	for _, d := range dist {
@@ -63,5 +75,6 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("reached %d/%d vertices; eccentricity of source: %d hops\n", reached, len(dist), far)
+	fmt.Fprintf(out, "reached %d/%d vertices; eccentricity of source: %d hops\n", reached, len(dist), far)
+	return nil
 }

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -25,31 +27,41 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 120, "grid rows")
-	cols := flag.Int("cols", 120, "grid cols")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("weightedroads", flag.ContinueOnError)
+	fs.SetOutput(out)
+	rows := fs.Int("rows", 120, "grid rows")
+	cols := fs.Int("cols", 120, "grid cols")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	g := gen.WeightedRoad(gen.RoadParams{Rows: *rows, Cols: *cols, Base: 1, Seed: 11}, 1, 1000)
-	fmt.Println(graph.ComputeStats("weighted-road", g))
+	fmt.Fprintln(out, graph.ComputeStats("weighted-road", g))
 
 	// Round-trip through the DIMACS .gr.gz format of the paper's download.
 	dir, err := os.MkdirTemp("", "ipregel-roads")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "roads.gr.gz")
 	if err := graphio.WriteFile(path, g); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st, _ := os.Stat(path)
-	fmt.Printf("wrote %s (%d bytes, gzip DIMACS)\n", path, st.Size())
+	fmt.Fprintf(out, "wrote %s (%d bytes, gzip DIMACS)\n", path, st.Size())
 	loaded, err := graphio.ReadFile(path, graphio.Options{KeepWeights: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !loaded.HasWeights() || loaded.M() != g.M() {
-		log.Fatal("round-trip lost edges or weights")
+		return errors.New("round-trip lost edges or weights")
 	}
 
 	const source = 1
@@ -64,14 +76,14 @@ func main() {
 		start := time.Now()
 		dist, rep, err := algorithms.WeightedSSSP(loaded, cfg, source)
 		if err != nil {
-			log.Fatalf("%s: %v", cfg.VersionName(), err)
+			return fmt.Errorf("%s: %w", cfg.VersionName(), err)
 		}
 		for i := range dist {
 			if dist[i] != oracle[i] {
-				log.Fatalf("%s: disagrees with Dijkstra at vertex %d", cfg.VersionName(), i)
+				return fmt.Errorf("%s: disagrees with Dijkstra at vertex %d", cfg.VersionName(), i)
 			}
 		}
-		fmt.Printf("%-20s %10v  (%d supersteps, %d relaxation messages)\n",
+		fmt.Fprintf(out, "%-20s %10v  (%d supersteps, %d relaxation messages)\n",
 			cfg.VersionName(), time.Since(start).Round(time.Microsecond), rep.Supersteps, rep.TotalMessages)
 	}
 
@@ -80,6 +92,7 @@ func main() {
 	// multi-version design makes that a loud error rather than a wrong
 	// answer.
 	if _, _, err := algorithms.WeightedSSSP(loaded, core.Config{Direction: core.DirectionPull}, source); err != nil {
-		fmt.Println("pull transport correctly rejected:", err)
+		fmt.Fprintln(out, "pull transport correctly rejected:", err)
 	}
+	return nil
 }

@@ -1,15 +1,15 @@
 // Package analysis is ipregel-vet: a static-analysis suite enforcing the
-// framework contracts the Go compiler cannot see. iPregel's performance
-// rests on preconditions stated in the paper and checked — if at all — at
-// run time. There is one analyzer per contract: Context and Vertex
-// handles are slot views valid only inside the current Compute call
-// (ctxescape), selection bypass needs every vertex to vote to halt each
-// superstep, §4 (bypasshalt), and combiners must be pure reductions
-// (combpure). State shared across workers is typed atomic, so the
-// compiler, not a lint rule, rejects its plain access. Each checks one
-// package at a time; bypasshalt and combpure read a callee's body in a
-// sibling package through the loader. Config.CheckInvariants in
-// internal/core is their runtime complement for what lint cannot prove.
+// framework contracts the Go compiler cannot see. There is one analyzer
+// per contract: Context and Vertex handles are slot views valid only
+// inside the current Compute call (ctxescape), and combiners must be
+// pure reductions (combpure). State shared across workers is typed
+// atomic, so the compiler, not a lint rule, rejects its plain access;
+// selection bypass's halt obligation (paper §4) is checked by the engine
+// itself, which stops a run with ErrBypassViolation naming the vertex.
+// Each analyzer checks one package at a time; combpure reads a callee's
+// body in a sibling package through the loader. Config.CheckInvariants
+// in internal/core is their runtime complement for what lint cannot
+// prove.
 //
 // The Analyzer/Pass/Diagnostic shapes deliberately mirror
 // golang.org/x/tools/go/analysis so the analyzers could be ported to a
@@ -60,8 +60,8 @@ type Pass struct {
 
 // dependency returns the loader's type-checked non-test view of another
 // module package, nil when path is outside the module or does not load.
-// Analyzers use it to follow a reference into a sibling package: a
-// Program constructor (bypasshalt), a combiner's callee (combpure).
+// Analyzers use it to follow a reference into a sibling package, such as
+// a combiner's callee (combpure).
 func (p *Pass) dependency(path string) *depPkg {
 	if p.loader == nil || !p.loader.internal(path) {
 		return nil
@@ -88,8 +88,8 @@ type Diagnostic struct {
 	Analyzer string
 	Message  string
 	// Suppressed marks findings silenced by an //ipregel:ignore
-	// directive; Run drops them, RunAll keeps them for machine-readable
-	// output.
+	// directive; ipregel-vet's text output drops them, its -json output
+	// keeps them.
 	Suppressed bool
 }
 
@@ -99,31 +99,17 @@ func (d Diagnostic) String() string {
 
 // All returns the ipregel-vet analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxEscape, BypassHalt, CombPure}
+	return []*Analyzer{CtxEscape, CombPure}
 }
 
-// Run executes the analyzers over one target and returns the surviving
+// RunAll executes the analyzers over one target and returns their
 // diagnostics, sorted by position, with //ipregel:ignore suppressions
-// applied. Malformed ignore directives (no analyzer name or no reason)
-// are themselves reported, so a suppression is always a documented,
-// auditable decision.
-func Run(analyzers []*Analyzer, loader *Loader, target *Target) ([]Diagnostic, error) {
-	all, err := RunAll(analyzers, loader, target)
-	if err != nil {
-		return nil, err
-	}
-	kept := all[:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
-}
-
-// RunAll is Run without the final filter: suppressed findings stay in the
-// result, marked Suppressed, so machine-readable consumers (-json) can
-// audit every directive-silenced diagnostic.
+// marked: a suppressed finding stays in the result, marked Suppressed, so
+// machine-readable consumers (-json) can audit every directive-silenced
+// diagnostic. Malformed ignore directives (no analyzer name or no reason)
+// and directives naming an analyzer outside All() are themselves
+// reported, so a suppression is always a documented, auditable decision
+// that can still silence something.
 func RunAll(analyzers []*Analyzer, loader *Loader, target *Target) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -166,8 +152,9 @@ func RunAll(analyzers []*Analyzer, loader *Loader, target *Target) ([]Diagnostic
 //	//ipregel:ignore <analyzer> <reason...>
 //
 // on the flagged line or the line directly above it silences that
-// analyzer there. The reason is mandatory — an undocumented suppression
-// is reported as a finding of its own.
+// analyzer there. The reason is mandatory, and the analyzer must be one
+// of All(): an undocumented suppression, or one left behind by a retired
+// analyzer, is reported as a finding of its own.
 const ignoreDirective = "//ipregel:ignore"
 
 type suppressionKey struct {
@@ -178,11 +165,15 @@ type suppressionKey struct {
 
 type suppressions struct {
 	keys      map[suppressionKey]bool
-	malformed []Diagnostic
+	malformed []Diagnostic // reasonless or naming no analyzer of All()
 }
 
 func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 	s := &suppressions{keys: map[suppressionKey]bool{}}
+	known := map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -191,13 +182,16 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 					continue
 				}
 				pos := fset.Position(c.Pos())
+				bad := func(msg string) {
+					s.malformed = append(s.malformed, Diagnostic{Pos: pos, Analyzer: "ipregel-vet", Message: msg})
+				}
 				fields := strings.Fields(rest)
 				if len(fields) < 2 {
-					s.malformed = append(s.malformed, Diagnostic{
-						Pos:      pos,
-						Analyzer: "ipregel-vet",
-						Message:  "malformed ignore directive: want //ipregel:ignore <analyzer> <reason>",
-					})
+					bad("malformed ignore directive: want //ipregel:ignore <analyzer> <reason>")
+					continue
+				}
+				if !known[fields[0]] {
+					bad(fmt.Sprintf("ignore directive names unknown analyzer %q: it suppresses nothing", fields[0]))
 					continue
 				}
 				// Suppress on the directive's own line and the next line

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestMalformedIgnoreDirective pins the two-sided contract of a reasonless
-// //ipregel:ignore: the underlying diagnostic survives, and the directive
-// itself becomes a finding. (This cannot use the want convention — the
-// expectation sits on the directive's own comment line.)
+// TestMalformedIgnoreDirective pins the two-sided contract of a bad
+// //ipregel:ignore, reasonless or naming an analyzer outside All(): the
+// underlying diagnostic survives, and the directive itself becomes a
+// finding. (This cannot use the want convention — the expectation sits
+// on the directive's own comment line.)
 func TestMalformedIgnoreDirective(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
@@ -23,33 +24,32 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	if len(targets) != 1 {
 		t.Fatalf("got %d targets, want 1", len(targets))
 	}
-	diags, err := Run([]*Analyzer{CtxEscape}, loader, targets[0])
+	diags, err := runKept(CtxEscape, loader, targets[0])
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (unsuppressed finding + malformed directive):\n%v", len(diags), diags)
+	wants := []struct{ analyzer, message string }{
+		{"ipregel-vet", "malformed ignore directive"},
+		{"ctxescape", "stored into package variable saved"},
+		{"ipregel-vet", `ignore directive names unknown analyzer "nakedatomic"`},
+		{"ctxescape", "stored into package variable kept"},
 	}
-	var sawFinding, sawMalformed bool
-	for _, d := range diags {
-		switch d.Analyzer {
-		case "ctxescape":
-			sawFinding = strings.Contains(d.Message, "stored into package variable saved")
-		case "ipregel-vet":
-			sawMalformed = strings.Contains(d.Message, "malformed ignore directive")
+	if len(diags) != len(wants) {
+		t.Fatalf("got %d diagnostics, want %d (each directive and the finding it failed to suppress):\n%v", len(diags), len(wants), diags)
+	}
+	for i, w := range wants {
+		if d := diags[i]; d.Analyzer != w.analyzer || !strings.Contains(d.Message, w.message) {
+			t.Errorf("diagnostic %d = %s, want %s: …%s…", i, d, w.analyzer, w.message)
 		}
-	}
-	if !sawFinding || !sawMalformed {
-		t.Fatalf("missing expected diagnostics (finding=%v malformed=%v):\n%v", sawFinding, sawMalformed, diags)
 	}
 }
 
-// TestAllAnalyzersNamed guards the multichecker surface: three analyzers,
+// TestAllAnalyzersNamed guards the multichecker surface: two analyzers,
 // one per contract, distinct names, non-empty docs.
 func TestAllAnalyzersNamed(t *testing.T) {
 	all := All()
-	if len(all) != 3 {
-		t.Fatalf("All() returned %d analyzers, want 3", len(all))
+	if len(all) != 2 {
+		t.Fatalf("All() returned %d analyzers, want 2", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -40,7 +40,7 @@ framework the combiner runs in, not combiner code.`,
 func combinerRoots(pass *Pass) []ast.Expr {
 	info := pass.TypesInfo
 	var roots []ast.Expr
-	walkWithStack(pass.Files, func(n ast.Node, _ []ast.Node) bool {
+	inspectFiles(pass.Files, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
 			if tv, ok := info.Types[n]; ok && coreNamed(tv.Type, "Program") {
@@ -73,9 +73,8 @@ func runCombPure(pass *Pass) error {
 			s.body(own, lit, lit.Body, "", token.NoPos)
 			continue
 		}
-		// calleeFunc unwraps an explicit instantiation, f[T], to f.
-		fn, _ := calleeFunc(pass.TypesInfo, &ast.CallExpr{Fun: root})
-		s.follow(own, fn, root.Pos(), token.NoPos)
+		// A named combiner, possibly instantiated: f or f[T].
+		s.follow(own, calleeFunc(pass.TypesInfo, root), root.Pos(), token.NoPos)
 	}
 	return nil
 }
@@ -145,7 +144,7 @@ func (s *combScan) body(v *depPkg, scope ast.Node, body *ast.BlockStmt, name str
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			fn, _ := calleeFunc(v.info, n)
+			fn := calleeFunc(v.info, n.Fun)
 			switch {
 			case fn == nil:
 			case isContextSend(fn):
@@ -170,6 +169,27 @@ func (s *combScan) body(v *depPkg, scope ast.Node, body *ast.BlockStmt, name str
 		}
 		return true
 	})
+}
+
+// calleeFunc resolves a called expression to the *types.Func it names
+// (a function or a method), unwrapping an explicit instantiation f[T] to
+// f; nil for anything else (a conversion, a func value).
+func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.IndexExpr:
+		return calleeFunc(info, fun.X)
+	case *ast.IndexListExpr:
+		return calleeFunc(info, fun.X)
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }
 
 // baseIdent strips selectors, indexes, derefs and parens to the root

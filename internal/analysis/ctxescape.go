@@ -42,7 +42,7 @@ func runCtxEscape(pass *Pass) error {
 		return tv.Type
 	}
 
-	walkWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
+	inspectFiles(pass.Files, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if len(n.Lhs) != len(n.Rhs) {

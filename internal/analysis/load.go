@@ -24,9 +24,8 @@ import (
 //
 // A Loader memoizes dependency packages (compiled from their non-test
 // files, matching the go build graph) and retains their syntax trees and
-// type information, so analyzers can follow references into other
-// packages of the module — bypasshalt into Program constructors, combpure
-// into a combiner's callees.
+// type information, so an analyzer can follow a reference into another
+// package of the module, as combpure does into a combiner's callees.
 type Loader struct {
 	// Fset is the file set shared by every package the loader touches;
 	// all diagnostic positions resolve through it.

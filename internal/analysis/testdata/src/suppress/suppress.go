@@ -16,6 +16,6 @@ func suppressedLineAbove(ctx *core.Context[int, int32]) {
 }
 
 func wrongAnalyzerName(ctx *core.Context[int, int32]) {
-	//ipregel:ignore bypasshalt reason naming the wrong analyzer does not suppress
+	//ipregel:ignore combpure reason naming the wrong analyzer does not suppress
 	other = ctx // want `stored into package variable other`
 }

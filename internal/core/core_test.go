@@ -161,40 +161,142 @@ func TestBypassViolation(t *testing.T) {
 	}
 }
 
-// TestBypassViolationNamesVertex: under selection bypass the run stops at
-// the superstep where a vertex did not vote to halt, with an error that
-// wraps ErrBypassViolation and names the vertex and the superstep — at
-// superstep 0 (the full scan; of two violators the lower is named, also
-// when two workers each saw one) and at superstep 3 (a frontier list).
+// TestBypassViolationNamesVertex: under selection bypass the engine's
+// barrier check is the one statement of the paper's §4 contract. Whatever
+// the shape of the path that leaves a vertex active, the run stops at that
+// superstep with an error that wraps ErrBypassViolation and names the
+// vertex and the superstep: at superstep 0 (the full scan; of two
+// violators the lower is named, also when two workers each saw one) and
+// later (a frontier list). The shapes that halt on every path run to
+// convergence. Each token program floods a hop counter along the ring from
+// vertex 1, so vertex s+1 runs at superstep s, up to superstep 8.
 func TestBypassViolationNamesVertex(t *testing.T) {
 	g := ringGraph(200, 1) // identifiers 1..200, 1 → 2 → …
+	token := func(compute func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32])) Program[uint32, uint32] {
+		return Program[uint32, uint32]{Combine: Min, Compute: compute}
+	}
+	// received reads v's hop counter, vertex 1 holding 8 at superstep 0.
+	received := func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32], m *uint32) bool {
+		if ctx.IsFirstSuperstep() && v.ID() == 1 {
+			*m = 8
+			return true
+		}
+		return ctx.NextMessage(v, m)
+	}
+	skipHalt := func(step int, awake ...graph.VertexID) Program[uint32, uint32] {
+		return token(func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			var m uint32
+			if received(ctx, v, &m) && m > 0 {
+				ctx.Broadcast(v, m-1)
+			}
+			if ctx.Superstep() != step || !slices.Contains(awake, v.ID()) {
+				ctx.VoteToHalt(v)
+			}
+		})
+	}
 	for _, c := range []struct {
-		step  int
-		awake []graph.VertexID
-	}{{0, []graph.VertexID{150, 77}}, {3, []graph.VertexID{4}}} {
-		prog := Program[uint32, uint32]{
-			Combine: Min,
-			Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
-				var m uint32
-				if ctx.NextMessage(v, &m) || ctx.IsFirstSuperstep() && v.ID() == 1 {
-					ctx.Broadcast(v, m)
+		name   string
+		prog   Program[uint32, uint32]
+		vertex graph.VertexID // 0: the shape is clean
+		step   int
+	}{
+		{"two violators at superstep 0", skipHalt(0, 150, 77), 77, 0},
+		{"one violator on a frontier list", skipHalt(3, 4), 4, 3},
+		{"early return at a later superstep", token(func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			var m uint32
+			got := received(ctx, v, &m)
+			if ctx.Superstep() > 3 {
+				return
+			}
+			if got && m > 0 {
+				ctx.Broadcast(v, m-1)
+			}
+			ctx.VoteToHalt(v)
+		}), 5, 4},
+		{"falls off the end after a superstep-0 broadcast", token(computeNoHalt), 1, 0},
+		{"program built by a constructor", newLeakyProgram(), 1, 0},
+		{"broadcast, then return", token(func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			var m uint32
+			if received(ctx, v, &m) && m > 0 {
+				ctx.Broadcast(v, m-1)
+				if ctx.Superstep() == 5 {
+					return
 				}
-				if ctx.Superstep() != c.step || !slices.Contains(c.awake, v.ID()) {
-					ctx.VoteToHalt(v)
+			}
+			ctx.VoteToHalt(v)
+		}), 6, 5},
+		{"send, then return", token(func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			var m uint32
+			if received(ctx, v, &m) && m > 0 {
+				ctx.Send(v.ID()+1, m-1)
+				if ctx.Superstep() == 2 {
+					return
 				}
-				//ipregel:ignore bypasshalt the test breaks the bypass contract on purpose
-			},
-		}
+			}
+			ctx.VoteToHalt(v)
+		}), 3, 2},
+		{"deferred halt", token(func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			defer ctx.VoteToHalt(v)
+			var m uint32
+			if !received(ctx, v, &m) {
+				return
+			}
+			if m > 0 {
+				ctx.Broadcast(v, m-1)
+			}
+		}), 0, 0},
+		{"halt in every branch", token(func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			var m uint32
+			switch {
+			case received(ctx, v, &m) && m > 0:
+				ctx.Broadcast(v, m-1)
+				ctx.VoteToHalt(v)
+			default:
+				ctx.VoteToHalt(v)
+			}
+		}), 0, 0},
+	} {
 		for _, threads := range []int{1, 2} {
-			_, rep, err := Run(g, Config{Threads: threads, SelectionBypass: true}, prog)
-			want := fmt.Sprintf("vertex %d did not vote to halt at superstep %d", slices.Min(c.awake), c.step)
-			if !errors.Is(err, ErrBypassViolation) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("threads=%d: got %v, want ErrBypassViolation naming %q", threads, err, want)
-			}
-			if rep.Supersteps != c.step+1 {
-				t.Fatalf("threads=%d: run stopped after %d supersteps, want %d", threads, rep.Supersteps, c.step+1)
-			}
+			t.Run(fmt.Sprintf("%s/threads=%d", c.name, threads), func(t *testing.T) {
+				_, rep, err := Run(g, Config{Threads: threads, SelectionBypass: true}, c.prog)
+				if c.vertex == 0 {
+					if err != nil || !rep.Converged || rep.Supersteps != 9 {
+						t.Fatalf("clean shape: err %v, converged %v after %d supersteps, want nil, true, 9", err, rep.Converged, rep.Supersteps)
+					}
+					return
+				}
+				want := fmt.Sprintf("vertex %d did not vote to halt at superstep %d", c.vertex, c.step)
+				if !errors.Is(err, ErrBypassViolation) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("got %v, want ErrBypassViolation naming %q", err, want)
+				}
+				if rep.Supersteps != c.step+1 {
+					t.Fatalf("run stopped after %d supersteps, want %d", rep.Supersteps, c.step+1)
+				}
+			})
 		}
+	}
+}
+
+// computeNoHalt broadcasts at superstep 0 and then falls off the end
+// without voting to halt.
+func computeNoHalt(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+	if ctx.IsFirstSuperstep() {
+		ctx.Broadcast(v, 1)
+		return
+	}
+}
+
+// newLeakyProgram builds its Compute in a function of its own: it sends
+// every message back to its vertex and never votes to halt.
+func newLeakyProgram() Program[uint32, uint32] {
+	return Program[uint32, uint32]{
+		Combine: Min,
+		Compute: func(ctx *Context[uint32, uint32], v Vertex[uint32, uint32]) {
+			var m uint32
+			for ctx.NextMessage(v, &m) {
+				ctx.Send(v.ID(), m)
+			}
+		},
 	}
 }
 

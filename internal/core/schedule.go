@@ -111,7 +111,7 @@ func (e *Engine[V, M]) parallelFor(n int, body func(w, k int)) {
 }
 
 // A bypass frontier of at least |V|/slotOrderCut vertices runs in slot
-// order (runOccupied): below that the measured per-vertex saving stops
+// order (runWords): below that the measured per-vertex saving stops
 // paying for the scan's per-slot cost (DESIGN.md §9.1). It also caps the
 // enrolment lists (listCap). Only tests set it.
 var slotOrderCut = 32

@@ -295,7 +295,15 @@ func TestSubmitWaitReleases(t *testing.T) {
 		if err := s.Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if v := released(t, "Close", views); v.State != StateQueued {
+		released(t, "Close", views)
+		// Close ends the jobs no worker will run: each is cancelled,
+		// and its done channel closed, before Close returns.
+		select {
+		case <-jb.done:
+		default:
+			t.Fatal("Close left the job's done channel open")
+		}
+		if v, _ := s.Job(jb.id); v.State != StateCancelled || !strings.Contains(v.Error, "shut down") {
 			t.Fatalf("after Close: %+v", v)
 		}
 	})

@@ -480,7 +480,8 @@ func (s *Service) CacheLen() int { return s.cache.len() }
 
 // Close stops intake, cancels running jobs through their contexts (the
 // same path a deadline takes — engines abort at the next superstep
-// barrier) and waits for the workers, bounded by ctx. Once they have
+// barrier) and waits for the workers, bounded by ctx. Queued jobs end
+// cancelled, also on a service that was never started. Once they have
 // drained, the run directory is removed if no failed or cancelled job
 // left checkpoints in it. Idempotent.
 func (s *Service) Close(ctx context.Context) error {
@@ -489,9 +490,17 @@ func (s *Service) Close(ctx context.Context) error {
 		s.mu.Unlock()
 	} else {
 		s.closed = true
+		started := s.started
 		s.mu.Unlock()
 		s.baseCancel()
 		close(s.queue)
+		if !started {
+			// No worker will drain the queue: end its jobs here, each
+			// cancelled by execute since the base context is done.
+			for jb := range s.queue {
+				s.execute(jb)
+			}
+		}
 	}
 	done := make(chan struct{})
 	go func() {
