@@ -128,13 +128,15 @@ fuzz:
 # push engines resolve to one thread and their rows coincide, so compare
 # the combiners with `go test ./internal/algorithms/ -run '^$' -bench
 # Contention -cpu 4`); and each telemetry sink, per 20-superstep run and
-# per superstep barrier (ns per start/end hook pair); and the RMAT
-# generator, ns per placed edge of a wiki stand-in. An entry runs at
+# per superstep barrier (ns per start/end hook pair); the RMAT
+# generator, ns per placed edge of a wiki stand-in; and one checkpoint
+# write of a PageRank-shaped engine at 8 920 and 142 726 vertices (ns and
+# allocations per checkpoint). An entry runs at
 # -cpu 1 unless it names its own list (`package:name:cpus`). It fails
 # when one of them no longer exists; CI runs it with BENCHTIME=1x so
 # they cannot rot. `make bench` is the same list.
 BENCHTIME ?= 1s
-CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/core/:BenchmarkSelect ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck:1,2 ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead ./internal/gen/:BenchmarkRMAT
+CORE_BENCHES = ./internal/core/:BenchmarkDeliver ./internal/core/:BenchmarkSelect ./internal/graph/:BenchmarkNeighborDecode ./internal/graph/:BenchmarkCompressedCheck:1,2 ./internal/core/:BenchmarkCollect ./internal/algorithms/:BenchmarkContention ./internal/telemetry/:BenchmarkTelemetryOverhead ./internal/gen/:BenchmarkRMAT ./internal/core/:BenchmarkWriteCheckpoint
 bench: bench-core
 
 bench-core:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -113,29 +112,53 @@ const (
 	sectionCount
 )
 
-// crcWriter tees writes into a running CRC32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
+// checkpointChunk is the size of the one buffer writeCheckpoint encodes
+// every section's payload through.
+const checkpointChunk = 16 << 10
+
+// sectionWriter encodes the payload of each v2 section into one reused
+// chunk; each time the chunk fills it is written out and folded into the
+// section's CRC32C. That is one Write per chunk, not per slot, and no
+// scratch that grows with |V|. bw keeps the first write error, which
+// close returns.
+type sectionWriter struct {
+	bw    *bufio.Writer
+	chunk []byte
+	crc   uint32
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crcTable, p[:n])
-	return n, err
-}
-
-func writeU64(w io.Writer, v uint64) error {
+// open starts a section whose payload is length bytes.
+func (s *sectionWriter) open(length uint64) {
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
+	binary.LittleEndian.PutUint64(b[:], length)
+	s.bw.Write(b[:])
+	s.crc = 0
 }
 
-func writeU32(w io.Writer, v uint32) error {
+// next returns the following n payload bytes for the caller to fill.
+func (s *sectionWriter) next(n int) []byte {
+	if len(s.chunk)+n > cap(s.chunk) {
+		s.flush()
+		if n > cap(s.chunk) {
+			s.chunk = make([]byte, 0, n)
+		}
+	}
+	s.chunk = s.chunk[:len(s.chunk)+n]
+	return s.chunk[len(s.chunk)-n:]
+}
+
+func (s *sectionWriter) flush() {
+	s.bw.Write(s.chunk)
+	s.crc = crc32.Update(s.crc, crcTable, s.chunk)
+	s.chunk = s.chunk[:0]
+}
+
+// close seals the section with its checksum.
+func (s *sectionWriter) close() error {
+	s.flush()
 	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
+	binary.LittleEndian.PutUint32(b[:], s.crc)
+	_, err := s.bw.Write(b[:])
 	return err
 }
 
@@ -144,140 +167,113 @@ func writeU32(w io.Writer, v uint32) error {
 // aggregators' merged values, each section length-prefixed and CRC32C-
 // sealed, the whole record closed by a footer marker.
 func (e *Engine[V, M]) writeCheckpoint(w io.Writer, vc Codec[V], mc Codec[M]) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(checkpointMagicV2[:]); err != nil {
-		return err
-	}
 	aggs := e.agg.decl
+	aggLen := 0
+	for _, a := range aggs {
+		if len(a.Name) > maxAggNameLen {
+			return fmt.Errorf("core: aggregator name %q exceeds the %d-byte checkpoint limit", a.Name, maxAggNameLen)
+		}
+		aggLen += 1 + len(a.Name) + 1 + 8
+	}
+	n, vsize, msize := e.g.N(), vc.Size(), mc.Size()
 
-	var hdr [32]byte
+	// bw keeps the first write error; each section's close and the final
+	// Flush return it.
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.Write(checkpointMagicV2[:])
+	var hdr [36]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(e.superstep))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.g.N()))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(vc.Size()))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(mc.Size()))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(vsize))
+	binary.LittleEndian.PutUint32(hdr[20:], uint32(msize))
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(aggs)))
 	// hdr[28:32] stays 0: it was the shard count of the removed
 	// multi-shard layout (readCheckpointHeader rejects ≥ 2 by name).
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := writeU32(bw, crc32.Checksum(hdr[:], crcTable)); err != nil {
-		return err
-	}
+	binary.LittleEndian.PutUint32(hdr[32:], crc32.Checksum(hdr[:32], crcTable))
+	bw.Write(hdr[:])
 
-	section := func(length uint64, body func(cw *crcWriter) error) error {
-		if err := writeU64(bw, length); err != nil {
-			return err
-		}
-		cw := &crcWriter{w: bw}
-		if err := body(cw); err != nil {
-			return err
-		}
-		return writeU32(bw, cw.crc)
+	sw := &sectionWriter{bw: bw, chunk: make([]byte, 0, checkpointChunk)}
+	sw.open(uint64(n) * uint64(vsize))
+	for _, v := range e.values {
+		vc.Encode(sw.next(vsize), v)
 	}
-
-	vbuf := make([]byte, vc.Size())
-	if err := section(uint64(e.g.N())*uint64(vc.Size()), func(cw *crcWriter) error {
-		for _, v := range e.values {
-			vc.Encode(vbuf, v)
-			if _, err := cw.Write(vbuf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := sw.close(); err != nil {
 		return err
 	}
 	// Activity: one byte per slot. Selection bypass keeps no activity, and
 	// every barrier it checkpoints has left all vertices halted, so its
 	// section is zeros.
-	if err := section(uint64(e.g.N()), func(cw *crcWriter) error {
-		_, err := cw.Write(e.activityBytes())
-		return err
-	}); err != nil {
+	sw.open(uint64(n))
+	for lo := 0; lo < n; lo += 64 {
+		var word uint64
+		if e.active != nil {
+			word = e.active[lo>>6]
+		}
+		b := sw.next(min(64, n-lo))
+		for j := range b {
+			b[j] = byte(word>>j) & 1
+		}
+	}
+	if err := sw.close(); err != nil {
 		return err
 	}
 	// Mailboxes: one flag byte per slot, the message payload after each
 	// set flag. The length is computed from a pre-scan so the reader can
 	// bound its work before parsing.
 	occupied := 0
-	for slot := 0; slot < e.g.N(); slot++ {
-		if e.hasMail(slot) {
-			occupied++
-		}
+	for _, word := range e.buf.hasNow {
+		occupied += bits.OnesCount64(word)
 	}
-	mbuf := make([]byte, mc.Size())
-	if err := section(uint64(e.g.N())+uint64(occupied)*uint64(mc.Size()), func(cw *crcWriter) error {
-		for slot := 0; slot < e.g.N(); slot++ {
-			m, ok := e.buf.peek(slot)
-			if !ok {
-				if _, err := cw.Write([]byte{0}); err != nil {
-					return err
-				}
-				continue
-			}
-			if _, err := cw.Write([]byte{1}); err != nil {
-				return err
-			}
-			mc.Encode(mbuf, m)
-			if _, err := cw.Write(mbuf); err != nil {
-				return err
-			}
+	sw.open(uint64(n) + uint64(occupied)*uint64(msize))
+	for slot := 0; slot < n; slot++ {
+		m, ok := e.buf.peek(slot)
+		if !ok {
+			sw.next(1)[0] = 0
+			continue
 		}
-		return nil
-	}); err != nil {
+		b := sw.next(1 + msize)
+		b[0] = 1
+		mc.Encode(b[1:], m)
+	}
+	if err := sw.close(); err != nil {
 		return err
 	}
 
 	// Bypass frontier: the list, or a dense frontier's slots (those with
 	// mail) in slot order.
-	frontier := e.frontier
 	if e.dense {
-		frontier = make([]int32, 0, occupied)
-		for slot := 0; slot < e.g.N(); slot++ {
+		sw.open(uint64(occupied) * 4)
+		for slot := 0; slot < n; slot++ {
 			if e.hasMail(slot) {
-				frontier = append(frontier, int32(slot))
+				binary.LittleEndian.PutUint32(sw.next(4), uint32(slot))
 			}
+		}
+	} else {
+		sw.open(uint64(len(e.frontier)) * 4)
+		for _, slot := range e.frontier {
+			binary.LittleEndian.PutUint32(sw.next(4), uint32(slot))
 		}
 	}
-	if err := section(uint64(len(frontier))*4, func(cw *crcWriter) error {
-		var sbuf [4]byte
-		for _, slot := range frontier {
-			binary.LittleEndian.PutUint32(sbuf[:], uint32(slot))
-			if _, err := cw.Write(sbuf[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := sw.close(); err != nil {
 		return err
 	}
 
 	// Aggregators: programs whose control flow depends on Aggregated
 	// values (e.g. PageRankConverged) resume with the exact barrier state
 	// instead of the operator identity.
-	var ab bytes.Buffer
+	sw.open(uint64(aggLen))
 	for i, a := range aggs {
-		if len(a.Name) > maxAggNameLen {
-			return fmt.Errorf("core: aggregator name %q exceeds the %d-byte checkpoint limit", a.Name, maxAggNameLen)
-		}
-		ab.WriteByte(byte(len(a.Name)))
-		ab.WriteString(a.Name)
-		ab.WriteByte(byte(a.Op))
-		var fbuf [8]byte
-		binary.LittleEndian.PutUint64(fbuf[:], math.Float64bits(e.agg.current[i]))
-		ab.Write(fbuf[:])
+		b := sw.next(1 + len(a.Name) + 1 + 8)
+		b[0] = byte(len(a.Name))
+		copy(b[1:], a.Name)
+		b[1+len(a.Name)] = byte(a.Op)
+		binary.LittleEndian.PutUint64(b[2+len(a.Name):], math.Float64bits(e.agg.current[i]))
 	}
-	if err := section(uint64(ab.Len()), func(cw *crcWriter) error {
-		_, err := cw.Write(ab.Bytes())
-		return err
-	}); err != nil {
+	if err := sw.close(); err != nil {
 		return err
 	}
 
-	if _, err := bw.Write(checkpointFooter[:]); err != nil {
-		return err
-	}
+	bw.Write(checkpointFooter[:])
 	return bw.Flush()
 }
 
@@ -437,18 +433,6 @@ func readCheckpointHeader(br *bufio.Reader) (hdr [32]byte, err error) {
 		return hdr, fmt.Errorf("%w: header declares %d shards; re-run from the start", ErrShardedCheckpoint, shards)
 	}
 	return hdr, nil
-}
-
-// activityBytes is the activity as the checkpoint stores it, one byte
-// per slot: 1 for an active slot, 0 otherwise (always 0 under bypass).
-func (e *Engine[V, M]) activityBytes() []uint8 {
-	active := make([]uint8, e.g.N())
-	for w, word := range e.active {
-		for ; word != 0; word &= word - 1 {
-			active[w<<6+bits.TrailingZeros64(word)] = 1
-		}
-	}
-	return active
 }
 
 // readState reads the values/activity/mailbox section triplet, in slot

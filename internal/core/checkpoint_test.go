@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"testing"
 
 	"ipregel/internal/graph"
@@ -56,6 +57,18 @@ func (e *Engine[V, M]) writeCheckpointV1(w io.Writer, vc Codec[V], mc Codec[M]) 
 		bw.Write(sbuf[:])
 	}
 	return bw.Flush() // bufio keeps the first write error sticky
+}
+
+// activityBytes is the activity as the checkpoint stores it, one byte
+// per slot: 1 for an active slot, 0 otherwise (always 0 under bypass).
+func (e *Engine[V, M]) activityBytes() []uint8 {
+	active := make([]uint8, e.g.N())
+	for w, word := range e.active {
+		for ; word != 0; word &= word - 1 {
+			active[w<<6+bits.TrailingZeros64(word)] = 1
+		}
+	}
+	return active
 }
 
 // ssspProg is the Fig. 5 program, used here because it has non-trivial

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges given with external vertex identifiers and
@@ -78,41 +78,49 @@ func (b *Builder) observe(v VertexID) {
 // Grow pre-allocates capacity for n additional edges.
 func (b *Builder) Grow(n int) {
 	if cap(b.src)-len(b.src) < n {
-		ns := make([]VertexID, len(b.src), len(b.src)+n)
-		copy(ns, b.src)
-		b.src = ns
-		nd := make([]VertexID, len(b.dst), len(b.dst)+n)
-		copy(nd, b.dst)
-		b.dst = nd
+		b.src = append(make([]VertexID, 0, len(b.src)+n), b.src...)
+		b.dst = append(make([]VertexID, 0, len(b.dst)+n), b.dst...)
 	}
 }
 
-// Build produces the CSR graph. The Builder must not be reused afterwards.
-func (b *Builder) Build() (*Graph, error) {
-	base := b.min
+// layout returns the base and vertex count Build gives the edges added so
+// far, and refuses m edges that do not fit one adjacency direction
+// (ErrTooManyEdges) before anything is counted.
+func (b *Builder) layout(m int) (base VertexID, n int, err error) {
+	if err := EdgesFit(uint64(m)); err != nil {
+		return 0, 0, err
+	}
+	base = b.min
 	if b.haveBase {
 		base = b.forceBase
 		if b.haveAny && b.min < base {
-			return nil, fmt.Errorf("graph: edge references identifier %d below base %d", b.min, base)
+			return 0, 0, fmt.Errorf("graph: edge references identifier %d below base %d", b.min, base)
 		}
 	}
-	n := 0
 	if b.haveAny {
 		n = int(b.max-base) + 1
 	}
 	if b.ForceN > 0 {
 		if n > b.ForceN {
-			return nil, fmt.Errorf("graph: edges span %d vertices but ForceN=%d", n, b.ForceN)
+			return 0, 0, fmt.Errorf("graph: edges span %d vertices but ForceN=%d", n, b.ForceN)
 		}
 		n = b.ForceN
 	}
+	return base, n, nil
+}
 
+// Build produces the CSR graph. The Builder must not be reused afterwards.
+func (b *Builder) Build() (*Graph, error) {
 	m := len(b.src)
 	if b.undirected {
 		m *= 2
 	}
+	base, n, err := b.layout(m)
+	if err != nil {
+		return nil, err
+	}
 
-	outOff := make([]uint64, n+1)
+	outOff := make([]uint32, n+1)
 	for i, s := range b.src {
 		outOff[s-base+1]++
 		if b.undirected {
@@ -123,7 +131,7 @@ func (b *Builder) Build() (*Graph, error) {
 		outOff[i+1] += outOff[i]
 	}
 	outAdj := make([]VertexID, m)
-	cursor := make([]uint64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, outOff[:n])
 	for i, s := range b.src {
 		u, v := int(s-base), b.dst[i]-base
@@ -144,15 +152,13 @@ func (b *Builder) Build() (*Graph, error) {
 		g.outOff, g.outAdj = dedupCSR(n, g.outOff, g.outAdj)
 	}
 	if b.buildInEdges {
-		g.inOff, g.inAdj = reverseCSR(n, g.outOff, g.outAdj)
-		if b.sortAdj || b.dedup {
-			sortAdjacency(g.inOff, g.inAdj)
-		}
+		// reverseCSR lists in-neighbours in ascending order already.
+		g.inOff, g.inAdj, _ = reverseCSR(n, g.outOff, g.outAdj, nil)
 	}
 	if b.compress {
 		return g.Compress()
 	}
-	return g, nil
+	return g.sealed(), nil
 }
 
 // MustBuild is Build but panics on error; intended for tests and
@@ -165,31 +171,26 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-func sortAdjacency(off []uint64, adj []VertexID) {
+func sortAdjacency(off []uint32, adj []VertexID) {
 	for i := 0; i+1 < len(off); i++ {
-		s := adj[off[i]:off[i+1]]
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
+		slices.Sort(adj[off[i]:off[i+1]])
 	}
 }
 
 // dedupCSR removes consecutive duplicates from each (sorted) adjacency
 // list, rebuilding the offsets.
-func dedupCSR(n int, off []uint64, adj []VertexID) ([]uint64, []VertexID) {
-	nOff := make([]uint64, n+1)
+func dedupCSR(n int, off []uint32, adj []VertexID) ([]uint32, []VertexID) {
+	nOff := make([]uint32, n+1)
 	w := 0
 	for i := 0; i < n; i++ {
 		start := w
-		var prev VertexID
-		first := true
 		for _, v := range adj[off[i]:off[i+1]] {
-			if first || v != prev {
+			if w == start || v != adj[w-1] {
 				adj[w] = v
 				w++
-				prev = v
-				first = false
 			}
 		}
-		nOff[i+1] = nOff[i] + uint64(w-start)
+		nOff[i+1] = uint32(w)
 	}
 	return nOff, adj[:w:w]
 }

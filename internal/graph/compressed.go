@@ -116,29 +116,29 @@ func readUvarint(b []byte, pos uint64) (uint64, uint64, error) {
 
 // compressCSR encodes a flat CSR into blocks, preserving neighbour
 // order exactly.
-func compressCSR(n int, off []uint64, adj []VertexID) *compressedAdj {
+func compressCSR(n int, off []uint32, adj []VertexID) *compressedAdj {
 	if len(off) == 0 {
 		// Zero-value empty graph: nil offsets stand for n == 0.
-		off = []uint64{0}
+		off = []uint32{0}
 	}
 	nb := (n + CompressedBlockSize - 1) / CompressedBlockSize
 	c := &compressedAdj{
 		n:         n,
-		m:         off[n],
+		m:         uint64(off[n]),
 		deg:       make([]uint32, n),
 		blockOff:  make([]uint64, nb+1),
 		blockEdge: make([]uint64, nb+1),
 	}
-	buf := make([]byte, 0, off[n]+off[n]/2+16)
+	buf := make([]byte, 0, c.m+c.m/2+16)
 	for b := 0; b < nb; b++ {
 		c.blockOff[b] = uint64(len(buf))
-		c.blockEdge[b] = off[b*CompressedBlockSize]
+		c.blockEdge[b] = uint64(off[b*CompressedBlockSize])
 		end := (b + 1) * CompressedBlockSize
 		if end > n {
 			end = n
 		}
 		for i := b * CompressedBlockSize; i < end; i++ {
-			c.deg[i] = uint32(off[i+1] - off[i])
+			c.deg[i] = off[i+1] - off[i]
 			prev := int64(0)
 			for _, v := range adj[off[i]:off[i+1]] {
 				buf = appendUvarint(buf, zigzag(int64(v)-prev))
@@ -147,7 +147,7 @@ func compressCSR(n int, off []uint64, adj []VertexID) *compressedAdj {
 		}
 	}
 	c.blockOff[nb] = uint64(len(buf))
-	c.blockEdge[nb] = off[n]
+	c.blockEdge[nb] = c.m
 	// Copy to exact size: the estimate above can overshoot and the
 	// whole point of this backend is the footprint.
 	c.data = make([]byte, len(buf))
@@ -495,7 +495,7 @@ func (g *Graph) Compress() (*Graph, error) {
 
 // Decompress returns a flat-CSR graph with the same adjacency (both
 // directions), neighbour order preserved. A flat receiver is returned
-// as-is.
+// as-is; an over-cap compressed one panics with ErrTooManyEdges.
 func (g *Graph) Decompress() *Graph {
 	if g.outC == nil {
 		return g
@@ -506,13 +506,14 @@ func (g *Graph) Decompress() *Graph {
 	if g.inC != nil {
 		ng.inOff, ng.inAdj = decompressAdj(g.inC)
 	}
-	return ng
+	return ng.sealed()
 }
 
-func decompressAdj(c *compressedAdj) ([]uint64, []VertexID) {
-	off := make([]uint64, c.n+1)
+func decompressAdj(c *compressedAdj) ([]uint32, []VertexID) {
+	mustFit(c.m)
+	off := make([]uint32, c.n+1)
 	for i, d := range c.deg {
-		off[i+1] = off[i] + uint64(d)
+		off[i+1] = off[i] + d
 	}
 	adj := make([]VertexID, c.m)
 	var pos uint64
@@ -567,10 +568,17 @@ func (nb *NeighborBuf) neighbors(c *compressedAdj, i int) ([]VertexID, uint64) {
 }
 
 // OutNeighborsWith returns vertex i's out-neighbours: the shared CSR
-// slice on a flat graph (do not modify), or nb's buffer filled by
-// decoding on a compressed graph (valid until the next call with the
-// same nb).
+// slice on a flat graph (do not modify; the read inlines), or nb's buffer
+// filled by decoding on a compressed graph (valid until the next call
+// with the same nb). The rest, OutNeighbors' panics too, is a call.
 func (g *Graph) OutNeighborsWith(nb *NeighborBuf, i int) []VertexID {
+	if g.flatOut {
+		return g.outAdj[g.outOff[i]:g.outOff[i+1]]
+	}
+	return g.outNeighborsSlow(nb, i)
+}
+
+func (g *Graph) outNeighborsSlow(nb *NeighborBuf, i int) []VertexID {
 	if g.outC == nil {
 		return g.OutNeighbors(i)
 	}
@@ -579,18 +587,21 @@ func (g *Graph) OutNeighborsWith(nb *NeighborBuf, i int) []VertexID {
 }
 
 // InNeighborsWith is OutNeighborsWith for the in-direction. It panics
-// with ErrNoInEdges if in-edges were not built. The in-side is resolved
-// once: the pull collect calls it per receiver.
+// with ErrNoInEdges if in-edges were not built. The pull collect calls it
+// per receiver; an in side derived on demand is read through a call.
 func (g *Graph) InNeighborsWith(nb *NeighborBuf, i int) []VertexID {
-	g = g.in()
-	if g.inC != nil {
+	if g.flatIn {
+		return g.inAdj[g.inOff[i]:g.inOff[i+1]]
+	}
+	return g.inNeighborsSlow(nb, i)
+}
+
+func (g *Graph) inNeighborsSlow(nb *NeighborBuf, i int) []VertexID {
+	if g = g.in(); g.inC != nil {
 		ns, _ := nb.neighbors(g.inC, i)
 		return ns
 	}
-	if g.inOff == nil {
-		panic(ErrNoInEdges)
-	}
-	return g.inAdj[g.inOff[i]:g.inOff[i+1]]
+	return g.InNeighbors(i)
 }
 
 // ForEachOutNeighbor streams vertex i's out-neighbours without a
@@ -696,11 +707,15 @@ func NewCompressedOut(base VertexID, n int, p CompressedParts, weights []uint32)
 
 // FromCSR builds a flat graph directly from CSR arrays, validating
 // them (the mmap loader path for IPG1/IPG2 — the adjacency aliases the
-// mapped file). weights may be nil.
-func FromCSR(base VertexID, outOff []uint64, outAdj []VertexID, weights []uint32) (*Graph, error) {
+// mapped file); more than 2^32 − 1 edges is ErrTooManyEdges. weights may
+// be nil.
+func FromCSR(base VertexID, outOff []uint32, outAdj []VertexID, weights []uint32) (*Graph, error) {
 	n := len(outOff) - 1
 	if n < 0 {
 		return nil, errors.New("graph: empty offset array")
+	}
+	if err := EdgesFit(uint64(len(outAdj))); err != nil {
+		return nil, err
 	}
 	if err := validateCSR("out", n, outOff, outAdj); err != nil {
 		return nil, err
@@ -708,7 +723,7 @@ func FromCSR(base VertexID, outOff []uint64, outAdj []VertexID, weights []uint32
 	if weights != nil && len(weights) != len(outAdj) {
 		return nil, fmt.Errorf("graph: weight array length %d, want edge count %d", len(weights), len(outAdj))
 	}
-	return &Graph{n: n, base: base, outOff: outOff, outAdj: outAdj, outW: weights}, nil
+	return (&Graph{n: n, base: base, outOff: outOff, outAdj: outAdj, outW: weights}).sealed(), nil
 }
 
 // WeightData returns the shared per-edge weight array in CSR edge

@@ -96,7 +96,7 @@ func TestCompressRoundTrip(t *testing.T) {
 					t.Fatalf("OutDegree(%d) = %d, want %d", i, cg.OutDegree(i), g.OutDegree(i))
 				}
 				if cg.outC != nil {
-					if _, edge := cg.outC.locate(i); edge != g.outOff[i] {
+					if _, edge := cg.outC.locate(i); edge != uint64(g.outOff[i]) {
 						t.Fatalf("locate(%d) edge = %d, want %d", i, edge, g.outOff[i])
 					}
 				}

@@ -19,6 +19,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -35,14 +36,14 @@ type Graph struct {
 	n    int
 	base VertexID
 
-	outOff []uint64
+	outOff []uint32
 	outAdj []VertexID
 	// outW holds per-edge weights parallel to outAdj; nil when the graph
 	// is unweighted (see weights.go).
 	outW []uint32
 
 	// in-CSR; nil slices when in-edges were not requested.
-	inOff []uint64
+	inOff []uint32
 	inAdj []VertexID
 
 	// Block-compressed adjacency (compressed.go); when outC is non-nil
@@ -55,6 +56,17 @@ type Graph struct {
 	// from the out side by the first call that reads it
 	// (WithInEdgesOnDemand); the in fields above stay nil on such a graph.
 	deferred *deferredIn
+
+	// flatOut and flatIn say that outAdj and inAdj hold the neighbour
+	// lists: the one test the inlined fast paths of OutNeighborsWith and
+	// InNeighborsWith make (a nil test would not inline). sealed sets them.
+	flatOut, flatIn bool
+}
+
+// sealed sets the fast-path flags; every constructor returns through it.
+func (g *Graph) sealed() *Graph {
+	g.flatOut, g.flatIn = g.outAdj != nil, g.inAdj != nil
+	return g
 }
 
 // deferredIn guards the one build of an on-demand in-adjacency. It is
@@ -134,6 +146,32 @@ func (g *Graph) resident() *Graph {
 // in-adjacency when the graph was built without it.
 var ErrNoInEdges = errors.New("graph: in-edges were not built (use WithInEdges or Builder.BuildInEdges)")
 
+// ErrTooManyEdges is returned, or panicked on where no error can be, by
+// every construction and loader that would give one adjacency direction
+// more than 2^32 − 1 edges, past its 4-byte offsets. Both of the paper's
+// largest graphs (Friendster, Twitter) fit.
+var ErrTooManyEdges = errors.New("graph: an adjacency direction would hold more than 2^32-1 edges, past its 4-byte offsets")
+
+// maxEdges is the most edges one adjacency direction may hold. Tests
+// lower it to reach the refusals with a few edges; it is not a knob.
+var maxEdges uint64 = math.MaxUint32
+
+// EdgesFit returns nil when m edges fit one adjacency direction, and an
+// error wrapping ErrTooManyEdges otherwise.
+func EdgesFit(m uint64) error {
+	if m > maxEdges {
+		return fmt.Errorf("%w (%d edges)", ErrTooManyEdges, m)
+	}
+	return nil
+}
+
+// mustFit is EdgesFit for the constructions that return no error.
+func mustFit(m uint64) {
+	if err := EdgesFit(m); err != nil {
+		panic(err)
+	}
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
@@ -145,7 +183,7 @@ func (g *Graph) M() uint64 {
 	if g.n == 0 {
 		return 0
 	}
-	return g.outOff[g.n]
+	return uint64(g.outOff[g.n])
 }
 
 // Base returns the smallest external vertex identifier. Internal index i
@@ -294,7 +332,7 @@ func (g *Graph) validateCompressed() error {
 	return nil
 }
 
-func validateCSR(kind string, n int, off []uint64, adj []VertexID) error {
+func validateCSR(kind string, n int, off []uint32, adj []VertexID) error {
 	if len(off) != n+1 {
 		return fmt.Errorf("graph: %s offsets length %d, want %d", kind, len(off), n+1)
 	}
@@ -306,7 +344,7 @@ func validateCSR(kind string, n int, off []uint64, adj []VertexID) error {
 			return fmt.Errorf("graph: %s offsets not monotone at %d: %d > %d", kind, i, off[i], off[i+1])
 		}
 	}
-	if off[n] != uint64(len(adj)) {
+	if uint64(off[n]) != uint64(len(adj)) {
 		return fmt.Errorf("graph: %s offsets[n] = %d, want %d", kind, off[n], len(adj))
 	}
 	for i, v := range adj {
@@ -329,13 +367,13 @@ func (g *Graph) Transpose() *Graph {
 		panic(ErrCompressedAdjacency)
 	}
 	if g.outW != nil {
-		rOff, rAdj, rW := reverseCSRWeighted(g.n, g.outOff, g.outAdj, g.outW)
-		return &Graph{n: g.n, base: g.base, outOff: rOff, outAdj: rAdj, outW: rW, inOff: g.outOff, inAdj: g.outAdj}
+		rOff, rAdj, rW := reverseCSR(g.n, g.outOff, g.outAdj, g.outW)
+		return (&Graph{n: g.n, base: g.base, outOff: rOff, outAdj: rAdj, outW: rW, inOff: g.outOff, inAdj: g.outAdj}).sealed()
 	}
 	if g = g.in(); !g.HasInEdges() {
 		g = g.buildInEdges()
 	}
-	return &Graph{
+	return (&Graph{
 		n:      g.n,
 		base:   g.base,
 		outOff: g.inOff,
@@ -344,7 +382,7 @@ func (g *Graph) Transpose() *Graph {
 		inOff:  g.outOff,
 		inAdj:  g.outAdj,
 		inC:    g.outC,
-	}
+	}).sealed()
 }
 
 // WithInEdges returns a graph sharing the receiver's out-CSR with the
@@ -352,7 +390,8 @@ func (g *Graph) Transpose() *Graph {
 // unchanged; if they are on demand (WithInEdgesOnDemand) they are built
 // now and the receiver is returned. On a compressed receiver the
 // in-adjacency is built by one decode pass and stored compressed as well
-// (so an mmap-loaded IPG3 graph can serve the pull combiner).
+// (so an mmap-loaded IPG3 graph can serve the pull combiner). Every
+// in-adjacency build panics with ErrTooManyEdges on an over-cap graph.
 func (g *Graph) WithInEdges() *Graph {
 	if g.in().HasInEdges() {
 		return g
@@ -387,16 +426,17 @@ func (g *Graph) buildInEdges() *Graph {
 		inOff, inAdj := reverseCompressed(g.outC)
 		return &Graph{n: g.n, base: g.base, outC: g.outC, outW: g.outW, inC: compressCSR(g.n, inOff, inAdj)}
 	}
-	inOff, inAdj := reverseCSR(g.n, g.outOff, g.outAdj)
-	return &Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: g.outAdj, outW: g.outW, inOff: inOff, inAdj: inAdj}
+	inOff, inAdj, _ := reverseCSR(g.n, g.outOff, g.outAdj, nil)
+	return (&Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: g.outAdj, outW: g.outW, inOff: inOff, inAdj: inAdj}).sealed()
 }
 
 // reverseCompressed builds the reversed flat CSR from a compressed
 // adjacency with the same two-pass counting construction as reverseCSR,
 // replacing the slice walks with in-order decodes through one
 // NeighborBuf (every vertex a cursor continuation, no call per edge).
-func reverseCompressed(c *compressedAdj) ([]uint64, []VertexID) {
-	rOff := make([]uint64, c.n+1)
+func reverseCompressed(c *compressedAdj) ([]uint32, []VertexID) {
+	mustFit(c.m)
+	rOff := make([]uint32, c.n+1)
 	var nb NeighborBuf
 	for u := range c.deg {
 		ns, _ := nb.neighbors(c, u)
@@ -408,7 +448,7 @@ func reverseCompressed(c *compressedAdj) ([]uint64, []VertexID) {
 		rOff[i+1] += rOff[i]
 	}
 	rAdj := make([]VertexID, c.m)
-	cursor := make([]uint64, c.n)
+	cursor := make([]uint32, c.n)
 	copy(cursor, rOff[:c.n])
 	for u := range c.deg {
 		ns, _ := nb.neighbors(c, u)
@@ -425,7 +465,7 @@ func reverseCompressed(c *compressedAdj) ([]uint64, []VertexID) {
 // only", §3.2). An in-adjacency still to be derived on demand is dropped
 // with the rest.
 func (g *Graph) StripInEdges() *Graph {
-	return &Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: g.outAdj, outW: g.outW, outC: g.outC}
+	return (&Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: g.outAdj, outW: g.outW, outC: g.outC}).sealed()
 }
 
 // HasOutAdjacency reports whether out-neighbour lists are materialised
@@ -446,15 +486,17 @@ func (g *Graph) StripOutAdjacency() (*Graph, error) {
 	if g = g.in(); g.inOff == nil {
 		return nil, ErrNoInEdges
 	}
-	return &Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: nil, inOff: g.inOff, inAdj: g.inAdj}, nil
+	return (&Graph{n: g.n, base: g.base, outOff: g.outOff, outAdj: nil, inOff: g.inOff, inAdj: g.inAdj}).sealed(), nil
 }
 
 // Symmetrize returns a new graph containing every edge in both
 // directions, deduplicated — the input Hashmin needs to label *weakly*
 // connected components on a directed graph. Weights are not carried (the
 // result is unweighted); in-edges equal out-edges by construction and are
-// materialised when withInEdges is set.
+// materialised when withInEdges is set. It panics with ErrTooManyEdges
+// when 2·M edges, the count before deduplication, do not fit a direction.
 func (g *Graph) Symmetrize(withInEdges bool) *Graph {
+	mustFit(2 * g.M())
 	var b Builder
 	b.ForceN = g.n
 	b.SetBase(g.base)
@@ -471,9 +513,12 @@ func (g *Graph) Symmetrize(withInEdges bool) *Graph {
 	return b.MustBuild()
 }
 
-// reverseCSRWeighted is reverseCSR carrying per-edge weights along.
-func reverseCSRWeighted(n int, off []uint64, adj []VertexID, w []uint32) ([]uint64, []VertexID, []uint32) {
-	rOff := make([]uint64, n+1)
+// reverseCSR builds the reversed CSR using the classic two-pass counting
+// construction, carrying per-edge weights along when w is non-nil (the
+// returned weights are nil otherwise).
+func reverseCSR(n int, off []uint32, adj []VertexID, w []uint32) ([]uint32, []VertexID, []uint32) {
+	mustFit(uint64(len(adj)))
+	rOff := make([]uint32, n+1)
 	for _, v := range adj {
 		rOff[v+1]++
 	}
@@ -481,40 +526,23 @@ func reverseCSRWeighted(n int, off []uint64, adj []VertexID, w []uint32) ([]uint
 		rOff[i+1] += rOff[i]
 	}
 	rAdj := make([]VertexID, len(adj))
-	rW := make([]uint32, len(adj))
-	cursor := make([]uint64, n)
+	var rW []uint32
+	if w != nil {
+		rW = make([]uint32, len(adj))
+	}
+	cursor := make([]uint32, n)
 	copy(cursor, rOff[:n])
 	for u := 0; u < n; u++ {
 		for e := off[u]; e < off[u+1]; e++ {
 			v := adj[e]
 			rAdj[cursor[v]] = VertexID(u)
-			rW[cursor[v]] = w[e]
+			if w != nil {
+				rW[cursor[v]] = w[e]
+			}
 			cursor[v]++
 		}
 	}
 	return rOff, rAdj, rW
-}
-
-// reverseCSR builds the reversed CSR using the classic two-pass counting
-// construction.
-func reverseCSR(n int, off []uint64, adj []VertexID) ([]uint64, []VertexID) {
-	rOff := make([]uint64, n+1)
-	for _, v := range adj {
-		rOff[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		rOff[i+1] += rOff[i]
-	}
-	rAdj := make([]VertexID, len(adj))
-	cursor := make([]uint64, n)
-	copy(cursor, rOff[:n])
-	for u := 0; u < n; u++ {
-		for _, v := range adj[off[u]:off[u+1]] {
-			rAdj[cursor[v]] = VertexID(u)
-			cursor[v]++
-		}
-	}
-	return rOff, rAdj
 }
 
 // MemoryBytes returns the heap bytes held by the CSR arrays. It is used by
@@ -523,9 +551,9 @@ func reverseCSR(n int, off []uint64, adj []VertexID) ([]uint64, []VertexID) {
 // derived on demand counts from the moment it is built.
 func (g *Graph) MemoryBytes() uint64 {
 	g = g.resident()
-	b := uint64(len(g.outOff))*8 + uint64(len(g.outAdj))*4 + uint64(len(g.outW))*4
+	b := uint64(len(g.outOff))*4 + uint64(len(g.outAdj))*4 + uint64(len(g.outW))*4
 	if g.inOff != nil {
-		b += uint64(len(g.inOff))*8 + uint64(len(g.inAdj))*4
+		b += uint64(len(g.inOff))*4 + uint64(len(g.inAdj))*4
 	}
 	if g.outC != nil {
 		b += g.outC.memoryBytes()

@@ -425,7 +425,7 @@ func TestGiniExtremes(t *testing.T) {
 
 func TestMemoryBytes(t *testing.T) {
 	g := tiny(t, nil)
-	want := uint64(5*8 + 5*4) // offsets (n+1)*8 + adj m*4
+	want := uint64(5*4 + 5*4) // offsets (n+1)*4 + adj m*4
 	if got := g.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}

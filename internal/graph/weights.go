@@ -58,9 +58,7 @@ func (wb *WeightedBuilder) BuildInEdges() { wb.b.BuildInEdges() }
 func (wb *WeightedBuilder) Grow(n int) {
 	wb.b.Grow(n)
 	if cap(wb.weights)-len(wb.weights) < n {
-		nw := make([]uint32, len(wb.weights), len(wb.weights)+n)
-		copy(nw, wb.weights)
-		wb.weights = nw
+		wb.weights = append(make([]uint32, 0, len(wb.weights)+n), wb.weights...)
 	}
 }
 
@@ -78,25 +76,12 @@ func (wb *WeightedBuilder) Build() (*Graph, error) {
 	// Replay the same counting construction as Builder.Build but permute
 	// the weights alongside the destinations.
 	src, dst := wb.b.src, wb.b.dst
-	base := wb.b.min
-	if wb.b.haveBase {
-		base = wb.b.forceBase
-		if wb.b.haveAny && wb.b.min < base {
-			return nil, fmt.Errorf("graph: edge references identifier %d below base %d", wb.b.min, base)
-		}
-	}
-	n := 0
-	if wb.b.haveAny {
-		n = int(wb.b.max-base) + 1
-	}
-	if wb.b.ForceN > 0 {
-		if n > wb.b.ForceN {
-			return nil, fmt.Errorf("graph: edges span %d vertices but ForceN=%d", n, wb.b.ForceN)
-		}
-		n = wb.b.ForceN
-	}
 	m := len(src)
-	outOff := make([]uint64, n+1)
+	base, n, err := wb.b.layout(m)
+	if err != nil {
+		return nil, err
+	}
+	outOff := make([]uint32, n+1)
 	for _, s := range src {
 		outOff[s-base+1]++
 	}
@@ -105,7 +90,7 @@ func (wb *WeightedBuilder) Build() (*Graph, error) {
 	}
 	outAdj := make([]VertexID, m)
 	outW := make([]uint32, m)
-	cursor := make([]uint64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, outOff[:n])
 	for i, s := range src {
 		u := int(s - base)
@@ -115,10 +100,10 @@ func (wb *WeightedBuilder) Build() (*Graph, error) {
 	}
 	g := &Graph{n: n, base: base, outOff: outOff, outAdj: outAdj, outW: outW}
 	if wb.b.buildInEdges {
-		g.inOff, g.inAdj = reverseCSR(n, outOff, outAdj)
+		g.inOff, g.inAdj, _ = reverseCSR(n, outOff, outAdj, nil)
 	}
 	wb.b.src, wb.b.dst, wb.weights = nil, nil, nil
-	return g, nil
+	return g.sealed(), nil
 }
 
 // MustBuild is Build but panics on error.

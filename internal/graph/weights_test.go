@@ -176,7 +176,7 @@ func TestWeightedBuilderForceNTooSmall(t *testing.T) {
 
 func TestWeightedMemoryBytes(t *testing.T) {
 	g := weightedTiny(t, false)
-	want := uint64(5*8 + 4*4 + 4*4) // offsets + adj + weights
+	want := uint64(5*4 + 4*4 + 4*4) // offsets + adj + weights
 	if got := g.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}

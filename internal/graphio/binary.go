@@ -231,9 +231,11 @@ func parseBinary(s sections, opts Options) (*graph.Graph, error) {
 }
 
 // parseIPG1 parses IPG1 and its weighted variant IPG2 (magic already
-// read). The adjacency and weights alias their sections; the uint64
+// read). The adjacency and weights alias their sections; the 4-byte
 // offset array is rebuilt on the heap from the file's 4-byte degrees —
-// 8 heap bytes per vertex, still far below a heap adjacency.
+// 4 heap bytes per vertex, far below a heap adjacency. A header declaring
+// more edges than one direction holds is ErrTooManyEdges before any
+// section is read.
 func parseIPG1(s sections, weighted bool, opts Options) (*graph.Graph, error) {
 	hdr, err := s.section(4, 20)
 	if err != nil {
@@ -245,6 +247,9 @@ func parseIPG1(s sections, weighted bool, opts Options) (*graph.Graph, error) {
 	const maxN = 1 << 33
 	if n > maxN || m > maxN*16 {
 		return nil, fmt.Errorf("implausible binary header n=%d m=%d", n, m)
+	}
+	if err := graph.EdgesFit(m); err != nil {
+		return nil, err
 	}
 	if err := opts.checkCount(n); err != nil {
 		return nil, err
@@ -261,11 +266,13 @@ func parseIPG1(s sections, weighted bool, opts Options) (*graph.Graph, error) {
 		return nil, err
 	}
 	deg := view[uint32](degB)
-	outOff := make([]uint64, n+1)
+	// Degrees summing past 2^32 wrap, which FromCSR refuses as
+	// non-monotone offsets.
+	outOff := make([]uint32, n+1)
 	for i := uint64(0); i < n; i++ {
-		outOff[i+1] = outOff[i] + uint64(deg[i])
+		outOff[i+1] = outOff[i] + deg[i]
 	}
-	if outOff[n] != m {
+	if uint64(outOff[n]) != m {
 		return nil, fmt.Errorf("binary degree sum %d != header m=%d", outOff[n], m)
 	}
 	adjB, err := s.section(24+n*4, m*4)

@@ -168,6 +168,10 @@ func parseIPG3(s sections, opts Options) (*graph.Graph, error) {
 	if n > maxN || m > maxN*16 || dataLen > 10*m || (m > 0 && dataLen < m) {
 		return nil, fmt.Errorf("implausible IPG3 header n=%d m=%d dataLen=%d", n, m, dataLen)
 	}
+	// The in-adjacency and Decompress build flat 4-byte offsets.
+	if err := graph.EdgesFit(m); err != nil {
+		return nil, err
+	}
 	if err := opts.checkCount(n); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,9 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -73,18 +76,58 @@ func TestMaxVerticesGuards(t *testing.T) {
 
 // hostileIPG3 is an 80-byte IPG3 stream, everything before the data
 // section of a one-vertex graph with a consistent block table, whose
-// header declares m = dataLen = 2³² and which then ends.
+// header declares dataLen = 2³² and m = 2³² − 1, the most edges a
+// direction holds, and which then ends.
 func hostileIPG3() []byte {
-	l := computeIPG3Layout(1, 1<<32, 1<<32, false)
+	const m = 1<<32 - 1
+	l := computeIPG3Layout(1, m, 1<<32, false)
 	raw := make([]byte, l.dataOff)
 	copy(raw, binaryMagic3[:])
 	binary.LittleEndian.PutUint32(raw[12:], graph.CompressedBlockSize)
 	binary.LittleEndian.PutUint64(raw[16:], 1)
-	binary.LittleEndian.PutUint64(raw[24:], 1<<32)
+	binary.LittleEndian.PutUint64(raw[24:], m)
 	binary.LittleEndian.PutUint64(raw[32:], 1<<32)
 	binary.LittleEndian.PutUint64(raw[l.blockOffOff+8:], 1<<32)
-	binary.LittleEndian.PutUint64(raw[l.blockEdgeOff+8:], 1<<32)
+	binary.LittleEndian.PutUint64(raw[l.blockEdgeOff+8:], m)
 	return raw
+}
+
+// overCapHeader is the header alone of a binary file of the given magic
+// declaring two vertices and 2³² edges, one more than an adjacency
+// direction holds (IPG3: and a 2³²-byte stream).
+func overCapHeader(magic [4]byte) []byte {
+	raw := append([]byte(nil), magic[:]...)
+	if magic == binaryMagic3 {
+		raw = binary.LittleEndian.AppendUint32(append(raw, make([]byte, 8)...), graph.CompressedBlockSize)
+		raw = binary.LittleEndian.AppendUint64(raw, 2)
+		raw = binary.LittleEndian.AppendUint64(raw, 1<<32)
+		return binary.LittleEndian.AppendUint64(raw, 1<<32)
+	}
+	raw = binary.LittleEndian.AppendUint64(append(raw, make([]byte, 4)...), 2)
+	return binary.LittleEndian.AppendUint64(raw, 1<<32)
+}
+
+// TestBinaryRefusesOverCapEdges: a header declaring more edges than one
+// adjacency direction's 4-byte offsets hold is graph.ErrTooManyEdges from
+// both loaders, before any section is read — so the header alone reaches
+// the real cap.
+func TestBinaryRefusesOverCapEdges(t *testing.T) {
+	for _, magic := range [][4]byte{binaryMagic, binaryMagicW, binaryMagic3} {
+		path := filepath.Join(t.TempDir(), "g.bin")
+		if err := os.WriteFile(path, overCapHeader(magic), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path, Options{}); !errors.Is(err, graph.ErrTooManyEdges) {
+			t.Errorf("%s ReadFile: %v, want ErrTooManyEdges", magic, err)
+		}
+		m, err := OpenMapped(path, Options{})
+		if err == nil {
+			m.Close()
+		}
+		if !errors.Is(err, graph.ErrTooManyEdges) {
+			t.Errorf("%s OpenMapped: %v, want ErrTooManyEdges", magic, err)
+		}
+	}
 }
 
 // TestBinaryHostileHeaderAllocation: MaxVertices caps n, and nothing but
@@ -98,6 +141,9 @@ func TestBinaryHostileHeaderAllocation(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatalf("accepted a %d-byte stream declaring 4 GiB of data (m=%d)", len(raw), g.M())
+	}
+	if errors.Is(err, graph.ErrTooManyEdges) {
+		t.Fatalf("refused by the edge cap, not by the missing data: %v", err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
 		t.Fatalf("allocated %d bytes before rejecting a %d-byte stream: %v", alloc, len(raw), err)
@@ -155,6 +201,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2]) // truncated
 	f.Add([]byte{})
 	f.Add([]byte("IPGR"))
+	f.Add(overCapHeader(binaryMagic))
 
 	// IPG3 (block-compressed) seeds: valid unweighted, valid weighted,
 	// truncated mid-stream, and one with a corrupted varint byte — the

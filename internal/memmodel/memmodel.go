@@ -72,8 +72,9 @@ func MeasurePeakHeap(fn func()) (peak, baseline uint64) {
 func GraphBinaryBytes(v, e uint64) uint64 { return 4*v + 4*e }
 
 // CSRBytes is this repository's in-memory CSR cost for one direction:
-// 8-byte offsets per vertex (+1) plus 4-byte adjacency per edge.
-func CSRBytes(v, e uint64) uint64 { return 8*(v+1) + 4*e }
+// 4-byte offsets per vertex (+1) plus 4-byte adjacency per edge — the
+// paper's binary size plus one offset.
+func CSRBytes(v, e uint64) uint64 { return 4*(v+1) + 4*e }
 
 // CompressedCSRBytes is the in-memory cost of one block-compressed
 // adjacency direction (internal/graph's delta+varint blocks): a 4-byte
@@ -81,8 +82,9 @@ func CSRBytes(v, e uint64) uint64 { return 8*(v+1) + 4*e }
 // 64-vertex block (+1), and the varint stream itself, whose length is
 // graph-dependent (dataLen; obtain it from the measured
 // Graph.MemoryBytes or a CompressedParts view). For dataLen below
-// ~3.5 bytes/edge this undercuts the flat CSRBytes — delta encoding on
-// sorted adjacency typically lands at 1–2 bytes/edge.
+// 4 bytes/edge less a quarter byte per vertex this undercuts the flat
+// CSRBytes — delta encoding on sorted adjacency typically lands at 1–2
+// bytes/edge.
 func CompressedCSRBytes(v, dataLen uint64) uint64 {
 	nb := (v + graph.CompressedBlockSize - 1) / graph.CompressedBlockSize
 	return 4*v + 2*8*(nb+1) + dataLen
@@ -178,7 +180,7 @@ func IPregelBytes(p IPregelParams) uint64 {
 	if p.OutAdjacency {
 		total += CSRBytes(p.V, p.E)
 	} else {
-		total += 8 * (p.V + 1) // degree-only: offsets remain
+		total += 4 * (p.V + 1) // degree-only: offsets remain
 	}
 	if p.InAdjacency {
 		total += CSRBytes(p.V, p.E)

@@ -180,7 +180,7 @@ func TestPregelPlusModelBranches(t *testing.T) {
 }
 
 func TestCSRBytes(t *testing.T) {
-	if CSRBytes(10, 20) != 8*11+4*20 {
+	if CSRBytes(10, 20) != 4*11+4*20 {
 		t.Fatal("CSRBytes formula")
 	}
 }
